@@ -1,18 +1,28 @@
 """Integer kernels for the hot paths: determinant polynomials and signatures.
 
 Everything here works on plain Python ints (entries of scaled integer Seifert
-matrices), which keeps the inner loops free of Fraction normalization.  The
-congruence-based signature routine is fraction-free Bareiss elimination on a
-hermitian Gaussian-integer matrix; it returns None when it hits a Schur
-complement with an all-zero diagonal, and the caller falls back to the slower
-fully general rational elimination.
+matrices), which keeps the inner loops free of Fraction normalization.
+
+D(w) comes from one fraction-free integer solve Q X = den * P and the
+characteristic polynomial of X; no rational matrix is formed.
+
+The congruence-based signature routine is fraction-free Bareiss elimination
+on a hermitian Gaussian-integer matrix.  It keeps only the upper triangle, as
+separate re and im int rows, and reads the lower triangle as its conjugate.
+A row whose multiplier is 0 at some step is not touched: by Sylvester's
+identity it only picks up the factor d_k / d_(k-1), so its current value is
+its stored value times d_now / d_then, divided exactly, where d_then is the
+divisor it was last brought up to date with.  The routine returns None when
+it hits a Schur complement with an all-zero diagonal, and the caller falls
+back to the slower fully general rational elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from sympy import QQ, ZZ
+from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 
@@ -72,67 +82,53 @@ def _newton_interp(xs, ys):
 def pencil_det_poly(p_rows, eps: int):
     """Ascending coefficients of D(w) = det(w*P - eps*P^T) for integer P.
 
-    When P is nonsingular D is recovered from the characteristic polynomial of
-    the integer matrix adj(P) * eps*P^T, which is much faster than expanding
-    the determinant symbolically; otherwise D is rebuilt by evaluating integer
-    determinants at degree+1 points and interpolating.
+    Shifts w = z + c, trying c = 0 first, so that Q = eps*P^T - c*P is
+    nonsingular.  The integer solve Q X = den * P gives det(z*P - Q) =
+    det(-Q) * sum_k cp_X[k] * z^k / den^k, where cp_X is the characteristic
+    polynomial of X (each quotient is exact: the result has integer
+    coefficients); then z = w - c is substituted back.  When every shift is
+    singular, D is 0 if P and P^T share a kernel vector, and is otherwise
+    rebuilt by evaluating integer determinants at degree+1 points and
+    interpolating.
     """
     n = len(p_rows)
     if n == 0:
         return [Fraction(1)]
     p_rows = [[int(x) for x in row] for row in p_rows]
-    det = bareiss_det(p_rows)
-    if det != 0:
-        dmP = DomainMatrix([[QQ(x) for x in row] for row in p_rows], (n, n), QQ)
-        dmQ = DomainMatrix(
-            [[QQ(x) for x in row] for row in _transpose_scaled(p_rows, eps)],
-            (n, n), QQ,
-        )
-        A = (dmP.inv() * dmQ) * QQ(det)  # = adj(P) * eps*P^T, integer entries
-        cp = A.convert_to(ZZ).charpoly()  # descending, monic
-        delta = Fraction(det)
-        out = [Fraction(0)] * (n + 1)
-        for k, c in enumerate(cp):  # c is the coefficient of lambda^(n-k)
-            out[n - k] = int(c) * delta ** (1 - k)
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-    # singular P: shift w = z + c so that Q = eps*P^T - c*P is nonsingular,
-    # recover det(z*P - Q) from the characteristic polynomial of adj(Q)*P,
-    # then shift back.  Fails only for identically singular pencils.
     q = _transpose_scaled(p_rows, eps)
-    for c in (1, -1, 2, -2, 3, -3):
+    for c in (0, 1, -1, 2, -2, 3, -3):
         qm = [[q[i][j] - c * p_rows[i][j] for j in range(n)] for i in range(n)]
         dq = bareiss_det(qm)
         if dq:
             break
     else:
+        # a common kernel of P and P^T makes D = 0; seeing it is cheaper than
+        # interpolating
+        stack = p_rows + _transpose_scaled(p_rows, 1)
+        if DomainMatrix([[ZZ(x) for x in row] for row in stack], (2 * n, n), ZZ).rank() < n:
+            return []
         xs = list(range(n + 1))
         ys = []
         for x in xs:
             m = [[x * p_rows[i][j] - q[i][j] for j in range(n)] for i in range(n)]
             ys.append(bareiss_det(m))
         return _newton_interp([Fraction(x) for x in xs], ys)
-    dmQ = DomainMatrix([[QQ(x) for x in row] for row in qm], (n, n), QQ)
-    dmP = DomainMatrix([[QQ(x) for x in row] for row in p_rows], (n, n), QQ)
-    B = (dmQ.inv() * dmP) * QQ(dq)  # = adj(Q) * P, integer entries
-    cp = B.convert_to(ZZ).charpoly()
-    # det(z*P - Q) = det(-Q) * sum_k cp[k] * dq^(-k) * z^k
-    delta = Fraction(dq)
-    lead = Fraction((-1) ** n * dq)
-    in_z = [lead * int(cp[k]) * delta ** (-k) for k in range(n + 1)]
+    dmQ = DomainMatrix([[ZZ(x) for x in row] for row in qm], (n, n), ZZ)
+    dmP = DomainMatrix([[ZZ(x) for x in row] for row in p_rows], (n, n), ZZ)
+    X, den = dmQ.solve_den(dmP)
+    den = int(den)
+    lead = (-1) ** n * dq  # det(-Q)
+    in_z = [lead * int(a) // den**k for k, a in enumerate(X.charpoly())]
     # substitute z = w - c by binomial expansion
-    from math import comb
-
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for k, a in enumerate(in_z):
         if a == 0:
             continue
         for j in range(k + 1):
-            out[j] += a * comb(k, j) * Fraction(-c) ** (k - j)
+            out[j] += a * comb(k, j) * (-c) ** (k - j)
     while out and out[-1] == 0:
         out.pop()
-    return out
+    return [Fraction(a) for a in out]
 
 
 def herm_pencil(p_rows, eps: int, u: int, v: int):
@@ -170,37 +166,67 @@ def herm_sig_fast(m):
     Fraction-free symmetric Bareiss elimination with diagonal pivoting; the
     pivots are the leading principal minors of the symmetrically permuted
     matrix, so the signature is the running sign agreement count (Jacobi).
+    Only the upper triangle is read and kept, as separate re and im int rows;
+    the lower triangle is its conjugate.  Row i's multiplier at step k is
+    conj(R[k][i]).  When it is 0 the step would only rescale the row by
+    d_k / d_(k-1), so the row is left alone: its stored value times
+    d_now / d_then, divided exactly, is its current value, where d_then is
+    the Bareiss divisor it was last brought up to date with.
     Returns None when some nonzero Schur complement has an all-zero diagonal;
     the caller must then use the general rational routine.
     """
     n = len(m)
-    m = [[(int(a), int(b)) for a, b in row] for row in m]
+    re = [[0] * i + [int(a) for a, _ in row[i:]] for i, row in enumerate(m)]
+    im = [[0] * i + [int(b) for _, b in row[i:]] for i, row in enumerate(m)]
+    then = [1] * n  # the divisor each row was last brought up to date with
     sig = 0
     prev = 1
+
+    def refresh(i):
+        t = then[i]
+        if t != prev:
+            re[i][i:] = [x * prev // t for x in re[i][i:]]
+            im[i][i:] = [x * prev // t for x in im[i][i:]]
+            then[i] = prev
+
     for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][i][0] != 0), None)
+        piv = next((i for i in range(k, n) if re[i][i]), None)
         if piv is None:
-            for i in range(k, n):
-                for j in range(k, n):
-                    if m[i][j] != (0, 0):
-                        return None
+            if any(re[i][j] or im[i][j] for i in range(k, n) for j in range(i, n)):
+                return None
             return sig
         if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for row in m:
-                row[k], row[piv] = row[piv], row[k]
-        d = m[k][k][0]
+            for i in range(k, n):
+                refresh(i)
+            _swap_upper(re, im, k, piv)
+        refresh(k)
+        kre, kim = re[k], im[k]
+        d = kre[k]
         sig += 1 if (d > 0) == (prev > 0) else -1
         for i in range(k + 1, n):
-            ar, ai = m[i][k]
-            mi = m[i]
-            for j in range(i, n):
-                br, bi = m[k][j]
-                cr, ci = mi[j]
-                re = (d * cr - (ar * br - ai * bi)) // prev
-                im = (d * ci - (ar * bi + ai * br)) // prev
-                mi[j] = (re, im)
-                if j != i:
-                    m[j][i] = (re, -im)
+            ar, ai = kre[i], -kim[i]  # conj(R[k][i])
+            if not (ar or ai):
+                continue
+            refresh(i)
+            cre, cim, bre, bim = re[i][i:], im[i][i:], kre[i:], kim[i:]
+            re[i][i:] = [(d * c - ar * br + ai * bi) // prev
+                         for c, br, bi in zip(cre, bre, bim)]
+            im[i][i:] = [(d * c - ar * bi - ai * br) // prev
+                         for c, br, bi in zip(cim, bre, bim)]
+            then[i] = d
         prev = d
     return sig
+
+
+def _swap_upper(re, im, a, b):
+    """Swap index a < b symmetrically in an upper-triangle hermitian store."""
+    n = len(re)
+
+    def get(i, j):
+        return (re[i][j], im[i][j]) if i <= j else (re[j][i], -im[j][i])
+
+    perm = list(range(n))
+    perm[a], perm[b] = b, a
+    full = {(i, j): get(perm[i], perm[j]) for i in range(a, n) for j in range(i, n)}
+    for (i, j), (x, y) in full.items():
+        re[i][j], im[i][j] = x, y

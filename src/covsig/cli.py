@@ -200,7 +200,7 @@ def _run_pipeline(args):
     spec = _spec_from_args(args)
     cm = build_covering(sd, c, spec)
     f = jump_function(cm.expanded_P, sd.epsilon)
-    g = scale_jump(f, Fraction(1, cm.s))
+    g = scale_jump(f, Fraction(1, cm.s), args.precision_bits)
     return cm, g
 
 

@@ -449,13 +449,20 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
     """
     if not Pm.is_square:
         raise ValueError("jump_function needs a square matrix")
-    rows = _remove_common_kernel(_int_rows(Pm))
-    n = len(rows)
-    if n == 0:
+    rows = _int_rows(Pm)
+    if not rows:
         return JumpFunction([], Fraction(1), 0)
     D = _fast.pencil_det_poly(rows, epsilon)
     if P.is_zero(P.trim(D)):
-        D = _generic_minor_poly(rows, epsilon)
+        # ker P & ker P^T != 0 forces D = 0, so the kernel step only matters here
+        reduced = _remove_common_kernel(rows)
+        if not reduced:
+            return JumpFunction([], Fraction(1), 0)
+        if len(reduced) < len(rows):
+            rows = reduced
+            D = _fast.pencil_det_poly(rows, epsilon)
+        if P.is_zero(P.trim(D)):
+            D = _generic_minor_poly(rows, epsilon)
     D = P.trim(D)
     i = 0
     while D[i] == 0:
@@ -514,8 +521,13 @@ def _translate_point(pt: JumpPoint, dfrac: Fraction) -> JumpPoint:
     return JumpPoint(loc, pt.value)
 
 
-def _floor_over(loc, step: Fraction) -> int:
-    """floor((theta/pi) / step); requires theta/pi != multiple of step for AlgLoc."""
+def _floor_over(loc, step: Fraction, max_bits: int) -> int:
+    """floor((theta/pi) / step) for theta/pi not a multiple of step.
+
+    For an AlgLoc the enclosure is refined up to 4*max_bits, as in
+    compare_locations; if it still straddles a multiple of step, raises
+    UnresolvedComparison against that multiple.
+    """
     if isinstance(loc, PiLoc):
         return int(loc.frac // step)
     prec = 64
@@ -524,14 +536,18 @@ def _floor_over(loc, step: Fraction) -> int:
         jlo, jhi = int(lo // step), int(hi // step)
         if jlo == jhi:
             return jlo
+        if prec >= 4 * max_bits:
+            raise UnresolvedComparison(loc, PiLoc(jhi * step), max_bits)
         prec *= 2
 
 
-def scale_jump(f: JumpFunction, y) -> JumpFunction:
+def scale_jump(f: JumpFunction, y, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
     """The jump function of theta -> f(y*theta).
 
     Locations divide by y and reduce modulo the new period f.period/|y|; a
     negative y reverses the traversal direction, so values flip sign.
+    Raises UnresolvedComparison when a reduction or the sort needs more than
+    max_bits.
     """
     y = Fraction(y)
     if y == 0:
@@ -551,11 +567,11 @@ def scale_jump(f: JumpFunction, y) -> JumpFunction:
                 t = t.neg()
                 offset, scale = -offset, -scale
             loc = AlgLoc(t, offset, scale)
-            k = _floor_over(loc, modulus)
+            k = _floor_over(loc, modulus, max_bits)
             if k:
                 loc.offset -= k * modulus * scale
             pts.append(JumpPoint(loc, value))
-    pts.sort(key=_cmp_key(DEFAULT_PRECISION_BITS))
+    pts.sort(key=_cmp_key(max_bits))
     return JumpFunction(pts, new_period, f.sigma0)
 
 
@@ -623,7 +639,12 @@ def period_2pi_test(f: JumpFunction, max_bits: int = DEFAULT_PRECISION_BITS) -> 
         return Verdict("Periodic")
     windows = [[] for _ in range(s)]
     for pt in f.points:
-        j = _floor_over(pt.loc, Fraction(2))
+        try:
+            j = _floor_over(pt.loc, Fraction(2), max_bits)
+        except UnresolvedComparison as e:
+            # theta may sit on the boundary 2*pi*j between windows j-1 and j
+            j = int(e.loc_b.frac / 2)
+            return Verdict("Unresolved", (pt.loc, ((j - 1) % s, j % s), None))
         if not 0 <= j < s:
             raise ValueError("jump location outside the fundamental period")
         windows[j].append(_translate_point(pt, Fraction(-2 * j)))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from covsig import cli
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
 from conftest import same_jumps
@@ -176,3 +177,18 @@ def test_job_document_stdin(monkeypatch):
     code, text = run(["obstruct", "--input", "-"])
     assert code == 0
     assert json.loads(text)["verdict"] == "Periodic"
+
+
+def test_precision_bits_reach_the_sort(monkeypatch):
+    seen = []
+    real = cli.scale_jump
+
+    def spy(f, y, max_bits):
+        seen.append(max_bits)
+        return real(f, y, max_bits)
+
+    monkeypatch.setattr(cli, "scale_jump", spy)
+    code, _ = run(["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2",
+                   "--p", "2", "--precision-bits", "77"])
+    assert code in (0, 1)
+    assert seen == [77]

@@ -1,6 +1,8 @@
 """Jump extraction, location comparison, jump algebra, the period test, and
 serialization."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -111,6 +113,16 @@ def test_zero_matrix_has_no_jumps():
     assert f.points == [] and f.sigma0 == 0
 
 
+@pytest.mark.parametrize("V", [TREFOIL, ALG], ids=["trefoil", "alg"])
+def test_common_kernel_removed_when_det_vanishes(V):
+    # the zero summand makes D vanish identically; once the common kernel is
+    # removed, the jumps and sigma0 are those of V alone
+    f = jump_function(V)
+    g = jump_function(connected_sum(V, RatMatrix.zeros(2)))
+    assert same_jumps(f, g)
+    assert g.sigma0 == f.sigma0
+
+
 def test_jump_values_sum_to_zero_over_period():
     for m in (TREFOIL, T25, ALG, connected_sum(TREFOIL, T25)):
         f = jump_function(m)
@@ -208,6 +220,20 @@ def test_scale_jump_algebraic():
     assert same_jumps(f, g)
 
 
+def test_scale_jump_honours_max_bits():
+    # sqrt(2) and a convergent of it within 2^-100: ordered at the default
+    # budget, unresolved at 16 bits
+    near = Fraction(14398739476117879, 10181446324101389)
+    f = JumpFunction(
+        [JumpPoint(AlgLoc(AlgReal([-2, 0, 1], 1, 2), 0, 1), 1),
+         JumpPoint(AlgLoc(AlgReal.from_rational(near), 0, 1), -1)],
+        Fraction(1),
+    )
+    assert [pt.value for pt in scale_jump(f, 1).points] == [-1, 1]
+    with pytest.raises(UnresolvedComparison):
+        scale_jump(f, 1, max_bits=16)
+
+
 def test_with_period():
     f = jump_function(TREFOIL)
     g = with_period(f, 2)
@@ -291,6 +317,32 @@ def test_period_test_unresolved():
         Fraction(2),
     )
     assert period_2pi_test(f, max_bits=64).status == "Unresolved"
+
+
+@contextmanager
+def time_limit(seconds):
+    """Turn a hang into a failure: raise TimeoutError after `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_period_test_on_window_boundary_is_unresolved():
+    # theta = 2*pi exactly: no enclosure of it ever falls inside one window
+    doc = {"period": "2", "sigma0": 0, "points": [
+        {"algebraic_t": {"poly": ["0", "1"], "interval": ["-1", "1"]},
+         "half": 1, "scale": "1", "value": 2}]}
+    with time_limit(30):
+        v = period_2pi_test(jump_from_obj(doc))
+    assert v.status == "Unresolved"
+    assert v.witness[1] == (0, 1)
 
 
 def test_period_test_requires_integer_period():
