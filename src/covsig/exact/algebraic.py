@@ -25,29 +25,39 @@ class Comparison(enum.Enum):
 
 
 class AlgReal:
-    """A real root of a square-free rational polynomial, isolated in (lo, hi)."""
+    """A real root of a square-free rational polynomial, isolated in (lo, hi).
 
-    __slots__ = ("poly", "lo", "hi", "_chain")
+    Besides the monic defining polynomial it keeps that polynomial's
+    primitive integer form, which every sign evaluation uses, and the sign of
+    the polynomial at lo once bisection has needed it.
+    """
+
+    __slots__ = ("poly", "lo", "hi", "_ip", "_slo", "_chain")
 
     def __init__(self, defining, lo, hi, _checked=False):
         defining = P.monic(P.trim([Fraction(c) for c in defining]))
         lo, hi = Fraction(lo), Fraction(hi)
         if P.degree(defining) < 1:
             raise ValueError("defining polynomial must be nonconstant")
-        self.poly = defining
+        self._set_poly(defining)
         self.lo = lo
         self.hi = hi
-        self._chain = None
         if not _checked:
             sf = P.square_free_part(defining)
             if sf != defining:
                 raise ValueError("defining polynomial must be square-free")
             if not (lo < hi):
                 raise ValueError("empty isolating interval")
-            if P.eval_at(defining, lo) == 0 or P.eval_at(defining, hi) == 0:
+            if P.sign_at(self._ip, lo) == 0 or P.sign_at(self._ip, hi) == 0:
                 raise ValueError("interval endpoints must not be roots")
             if P.count_roots(self.chain(), lo, hi) != 1:
                 raise ValueError("interval does not isolate exactly one root")
+
+    def _set_poly(self, monic_poly):
+        self.poly = monic_poly
+        self._ip = P.int_form(monic_poly)
+        self._slo = 0  # not yet known
+        self._chain = None
 
     @classmethod
     def from_rational(cls, q):
@@ -72,16 +82,24 @@ class AlgReal:
         return self.hi - self.lo
 
     def refine(self):
-        """One bisection step; collapses to a linear poly on an exact hit."""
+        """One bisection step; collapses to a linear poly on an exact hit.
+
+        The poly is square-free and neither endpoint is a root, so the one
+        root in (lo, hi) is simple and the poly changes sign across it once:
+        the root lies in (lo, mid) iff the signs at lo and mid differ.  The
+        sign at lo never changes while lo only moves onto points of that
+        sign, so each step evaluates one sign, at mid, in integers.
+        """
         mid = (self.lo + self.hi) / 2
-        v = P.eval_at(self.poly, mid)
-        if v == 0:
+        s = P.sign_at(self._ip, mid)
+        if s == 0:
             w = self.width() / 4
-            self.poly = [-mid, Fraction(1)]
-            self._chain = None
+            self._set_poly([-mid, Fraction(1)])
             self.lo, self.hi = mid - w, mid + w
             return
-        if P.count_roots(self.chain(), self.lo, mid) == 1:
+        if not self._slo:
+            self._slo = P.sign_at(self._ip, self.lo)
+        if s != self._slo:
             self.hi = mid
         else:
             self.lo = mid
@@ -91,7 +109,7 @@ class AlgReal:
             self.refine()
 
     def sign(self):
-        if self.lo < 0 < self.hi and P.eval_at(self.poly, 0) == 0:
+        if self.lo < 0 < self.hi and self.poly[0] == 0:
             # the interval isolates one root and 0 is a root inside it
             return 0
         while self.lo < 0 < self.hi:
@@ -124,9 +142,8 @@ class AlgReal:
 
     def copy(self):
         a = AlgReal.__new__(AlgReal)
-        a.poly = self.poly
+        a.poly, a._ip, a._slo, a._chain = self.poly, self._ip, self._slo, self._chain
         a.lo, a.hi = self.lo, self.hi
-        a._chain = self._chain
         return a
 
     def __repr__(self):
@@ -146,6 +163,7 @@ def isolate_real_roots(p, window=None):
     if P.degree(sf) < 1:
         return []
     chain = P.sturm_chain(sf)
+    isf = chain[0]  # the integer form of sf
     bound = P.cauchy_root_bound(sf)
     lo, hi = -bound, bound
     if window is not None:
@@ -155,11 +173,11 @@ def isolate_real_roots(p, window=None):
             return []
     # nudge endpoints off roots so that Sturm counts open intervals exactly
     step = Fraction(1, 2)
-    while P.eval_at(sf, lo) == 0:
+    while P.sign_at(isf, lo) == 0:
         lo += step * (hi - lo) / 4
         step /= 2
     step = Fraction(1, 2)
-    while P.eval_at(sf, hi) == 0:
+    while P.sign_at(isf, hi) == 0:
         hi -= step * (hi - lo) / 4
         step /= 2
     out = []
@@ -172,7 +190,7 @@ def isolate_real_roots(p, window=None):
             out.append(AlgReal(sf, a, b, _checked=True))
             continue
         mid = (a + b) / 2
-        while P.eval_at(sf, mid) == 0:
+        while P.sign_at(isf, mid) == 0:
             mid = (a + 2 * mid) / 3 if mid != a else (a + b) / 2
             mid += (b - mid) / 7  # move off the root deterministically
         cl = P.count_roots(chain, a, mid)
@@ -189,15 +207,15 @@ def _cert_equal(a: AlgReal, b: AlgReal) -> bool:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
         return False
-    gchain = P.sturm_chain(g)
-    if P.eval_at(g, lo) == 0 or P.eval_at(g, hi) == 0:
+    gchain = P.sturm_chain(g)  # gchain[0] is the integer form of g
+    if P.sign_at(gchain[0], lo) == 0 or P.sign_at(gchain[0], hi) == 0:
         return False  # caller refines and retries
     if P.count_roots(gchain, lo, hi) < 1:
         return False
     achain, bchain = a.chain(), b.chain()
-    if P.eval_at(a.poly, lo) == 0 or P.eval_at(a.poly, hi) == 0:
+    if P.sign_at(a._ip, lo) == 0 or P.sign_at(a._ip, hi) == 0:
         return False
-    if P.eval_at(b.poly, lo) == 0 or P.eval_at(b.poly, hi) == 0:
+    if P.sign_at(b._ip, lo) == 0 or P.sign_at(b._ip, hi) == 0:
         return False
     return (P.count_roots(achain, lo, hi) == 1
             and P.count_roots(bchain, lo, hi) == 1)

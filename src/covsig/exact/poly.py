@@ -5,6 +5,10 @@ exact division, gcd / square-free part, Sturm chains and sign-variation
 counting.  The gcd delegates to sympy's dense-polynomial kernel, which avoids
 the coefficient blowup of a naive Euclidean remainder sequence on the large
 determinant polynomials that show up in covering computations.
+
+Sign-only questions are answered in integers: `sign_at` takes a primitive
+integer coefficient list and a rational point n/d, and Sturm chains are kept
+as integer lists, so root counting and bisection never build a Fraction.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ def divmod_poly(p, q):
         raise ZeroDivisionError("polynomial division by zero")
     p = list(p)
     quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    inv = 1 / q[-1]
+    inv = Fraction(1) / q[-1]
     while len(p) >= len(q) and p:
         k = len(p) - len(q)
         c = p[-1] * inv
@@ -174,25 +178,43 @@ def cauchy_root_bound(p):
     return 1 + max(abs(c) for c in p[:-1]) / lead
 
 
-def sturm_chain(p):
-    """Sturm chain of the square-free part of p.
+def int_form(p):
+    """Primitive integer coefficient list with the signs of p at every point."""
+    c, prim = content_primitive(p)
+    return prim if c > 0 else neg(prim)
 
-    Remainders are normalized to primitive integer vectors; this keeps the
-    coefficients from exploding without changing any sign variation count.
+
+def sign_at(ip, x):
+    """Sign of the integer polynomial ip at the rational x = n/d, d > 0.
+
+    Homogeneous Horner: sum_i ip[i] * n^i * d^(deg-i) = d^deg * ip(x) has the
+    sign of ip(x) and is computed in Python ints, with no gcd per step.
+    """
+    n, d = x.numerator, x.denominator
+    acc = 0
+    dk = 1
+    for c in reversed(ip):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def sturm_chain(p):
+    """Sturm chain of the square-free part of p, as integer lists.
+
+    Every member is normalized to a primitive integer vector by a positive
+    factor; this keeps the coefficients from exploding without changing any
+    sign variation count.
     """
     p = square_free_part(p)
     if degree(p) < 1:
-        return [p] if p else []
-    chain = [p, derivative(p)]
+        return [int_form(p)] if p else []
+    chain = [int_form(p), int_form(derivative(p))]
     while degree(chain[-1]) >= 1:
         rem = divmod_poly(chain[-2], chain[-1])[1]
         if not rem:
             break
-        _, prim = content_primitive(rem)
-        sign = 1 if (rem[-1] > 0) == (prim[-1] > 0) else -1
-        chain.append([Fraction(-sign * c) for c in prim])
-    if chain[-1] == []:
-        chain.pop()
+        chain.append(neg(int_form(rem)))
     return chain
 
 
@@ -201,7 +223,7 @@ def _sign(x):
 
 
 def sign_variations_at(chain, x):
-    """Sign variations of the chain at the point x (+/- infinity allowed)."""
+    """Sign variations of an integer chain at x (rational or +/- "inf")."""
     signs = []
     for p in chain:
         if x == "inf":
@@ -209,7 +231,7 @@ def sign_variations_at(chain, x):
         elif x == "-inf":
             s = _sign(p[-1]) * (1 if (degree(p) % 2 == 0) else -1) if p else 0
         else:
-            s = _sign(eval_at(p, x))
+            s = sign_at(p, x)
         if s != 0:
             signs.append(s)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

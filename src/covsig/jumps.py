@@ -388,16 +388,23 @@ def _pi_candidates_upper(ns):
     return fracs
 
 
+def _candidate_loc(kind, val):
+    return PiLoc(val) if kind == "pi" else AlgLoc(val, 0, 1)
+
+
 def _separate_candidates(items, prec0: int = 64):
     """Sort candidates on the positive t-axis with disjoint rational enclosures.
 
     items: list of ("pi", frac) / ("alg", AlgReal).  Returns the sorted list
-    together with enclosures [(lo, hi)] with 0 < lo, hi < next lo.
+    together with enclosures [(lo, hi)] with 0 < lo, hi < next lo.  Doubles
+    the precision up to 4*DEFAULT_PRECISION_BITS; if two enclosures still
+    overlap (or one still reaches 0), raises UnresolvedComparison for that
+    pair.
     """
     prec = prec0
     while True:
         encl = []
-        ok = True
+        clash = None
         for kind, val in items:
             if kind == "pi":
                 lo, hi = _tan_half_pi_enclosure(Fraction(val), prec)
@@ -405,17 +412,19 @@ def _separate_candidates(items, prec0: int = 64):
                 val.refine_to(Fraction(1, 1 << prec))
                 lo, hi = val.lo, val.hi
             if lo <= 0:
-                ok = False
+                clash = (_candidate_loc(kind, val), PiLoc(Fraction(0)))
                 break
             encl.append((lo, hi))
-        if ok:
+        if clash is None:
             order = sorted(range(len(items)), key=lambda i: encl[i][0])
             for a, b in zip(order, order[1:]):
                 if encl[a][1] >= encl[b][0]:
-                    ok = False
+                    clash = (_candidate_loc(*items[a]), _candidate_loc(*items[b]))
                     break
-        if ok:
+        if clash is None:
             return [items[i] for i in order], [encl[i] for i in order]
+        if prec >= 4 * DEFAULT_PRECISION_BITS:
+            raise UnresolvedComparison(*clash, DEFAULT_PRECISION_BITS)
         prec *= 2
 
 
@@ -446,6 +455,8 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
     AlgLoc in t = tan(theta/2).  Signatures are evaluated at exact rational t
     strictly between consecutive candidates, only on the upper half circle;
     the lower half is the mirror image with negated values (sigma is even).
+    Raises UnresolvedComparison when two candidates stay unseparated at
+    4*DEFAULT_PRECISION_BITS bits.
     """
     if not Pm.is_square:
         raise ValueError("jump_function needs a square matrix")
@@ -496,8 +507,7 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
         dv = sigs[idx + 1] - sigs[idx]
         if dv == 0:
             continue
-        loc = PiLoc(val) if kind == "pi" else AlgLoc(val, 0, 1)
-        upper.append(JumpPoint(loc, dv))
+        upper.append(JumpPoint(_candidate_loc(kind, val), dv))
     points = list(upper)
     for pt in reversed(upper):
         if isinstance(pt.loc, PiLoc):
@@ -713,6 +723,14 @@ def point_to_obj(pt: JumpPoint) -> dict:
 
 
 def point_from_obj(obj: dict) -> JumpPoint:
+    """Read one point of a jump document.
+
+    An algebraic_t point with t = 0 is refused with ValueError: it puts theta
+    at the rational multiple offset*pi/scale, which is spelled pi_rational.
+    In the algebraic spelling such a point can sit exactly on a window
+    boundary of period_2pi_test and never be placed (Unresolved); as
+    pi_rational it is compared exactly.
+    """
     value = int(obj["value"])
     if "pi_rational" in obj:
         frac = Fraction(obj["pi_rational"]) / Fraction(obj.get("scale", "1"))
@@ -723,6 +741,10 @@ def point_from_obj(obj: dict) -> JumpPoint:
         Fraction(at["interval"][0]),
         Fraction(at["interval"][1]),
     )
+    if t.copy().sign() == 0:
+        raise ValueError(
+            "algebraic_t point with t = 0 is the rational angle offset*pi/scale;"
+            " write it as pi_rational")
     offset = Fraction(obj["offset"]) if "offset" in obj else (0 if obj.get("half", 0) == 0 else 2)
     return JumpPoint(AlgLoc(t, offset, Fraction(obj.get("scale", "1"))), value)
 

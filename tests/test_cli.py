@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, formats, exit codes, job documents."""
 
+import hashlib
 import io
 import json
 
@@ -100,6 +101,18 @@ def test_obstruct_deterministic_output():
     ]
     (c1, t1), (c2, t2) = run(argv), run(argv)
     assert (c1, t1) == (c2, t2)
+
+
+def test_obstruct_algebraic_output_pinned():
+    # every jump of L(ALG, 2) at p = 3 is algebraic: this pins the bytes of
+    # root isolation, bisection and the sort on that path
+    code, text = run([
+        "obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", "--m", "2",
+        "--p", "3", "--format", "json",
+    ])
+    assert code == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "dfe82b4222d33a41b4efd3534622e641817b67528ef28d97be872e0164458b64")
 
 
 def test_cover_command():

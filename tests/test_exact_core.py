@@ -284,3 +284,71 @@ def test_alg_compare_certificates():
 def test_algreal_rational_sign(q):
     r = AlgReal.from_rational(q)
     assert r.sign() == (q > 0) - (q < 0)
+
+
+# ---------------------------------------------------------------------------
+# integer sign kernel and bisection
+
+int_coeffs = st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=7)
+points = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=40),
+)
+
+
+def _sgn(x):
+    return (x > 0) - (x < 0)
+
+
+@given(int_coeffs, points, st.booleans())
+@settings(max_examples=200)
+def test_sign_at_matches_rational_horner(cs, x, make_root):
+    if make_root:
+        # multiply by (d*t - n) so that x = n/d is an exact root
+        cs = [int(c) for c in P.mul([Fraction(-x.numerator), Fraction(x.denominator)], cs)]
+    assert P.sign_at(cs, x) == _sgn(P.eval_at(cs, x))
+    if make_root and any(cs):
+        assert P.sign_at(cs, x) == 0
+    # the integer form keeps the signs of a rational polynomial, whatever its content
+    q = P.trim([Fraction(c, 7) for c in cs])
+    assert P.sign_at(P.int_form(q), x) == _sgn(P.eval_at(q, x))
+
+
+def _reference_bisection(poly, lo, hi, steps):
+    """The (lo, hi) sequence of Sturm-count bisection, in Fraction arithmetic."""
+
+    def variations(chain, x):
+        signs = [s for s in (_sgn(P.eval_at(q, x)) for q in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    chain = P.sturm_chain(poly)
+    out = []
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if P.eval_at(poly, mid) == 0:
+            w = (hi - lo) / 4
+            poly = [-mid, Fraction(1)]
+            chain = P.sturm_chain(poly)
+            lo, hi = mid - w, mid + w
+        elif variations(chain, lo) - variations(chain, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+        out.append((lo, hi))
+    return out
+
+
+@given(int_coeffs, st.integers(min_value=0, max_value=4), st.integers(min_value=-9, max_value=9))
+@settings(max_examples=60, deadline=None)
+def test_refine_matches_sturm_bisection(cs, k, b):
+    # the factor (2^k t - b) puts a dyadic root in, which bisection can hit
+    p = P.mul([Fraction(c) for c in cs], [Fraction(-b), Fraction(1 << k)])
+    if P.degree(P.trim(p)) < 1:
+        return
+    for root in isolate_real_roots(p):
+        expected = _reference_bisection(root.poly, root.lo, root.hi, 40)
+        got = []
+        for _ in range(40):
+            root.refine()
+            got.append((root.lo, root.hi))
+        assert got == expected

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsig import (
+    DEFAULT_PRECISION_BITS,
     AlgReal,
     Comparison,
     CoveringSpec,
@@ -35,7 +36,7 @@ from covsig import (
     tl_signature_at_pi,
     with_period,
 )
-from covsig.jumps import AlgLoc, theta_decimal
+from covsig.jumps import AlgLoc, _separate_candidates, theta_decimal
 from conftest import ALG, T25, TREFOIL, same_jumps
 
 small_ints = st.integers(min_value=-2, max_value=2)
@@ -335,14 +336,44 @@ def time_limit(seconds):
 
 
 def test_period_test_on_window_boundary_is_unresolved():
-    # theta = 2*pi exactly: no enclosure of it ever falls inside one window
+    # theta = 2*atan(sqrt 3) + 4*pi/3 = 2*pi exactly: no enclosure of it ever
+    # falls inside one window
     doc = {"period": "2", "sigma0": 0, "points": [
-        {"algebraic_t": {"poly": ["0", "1"], "interval": ["-1", "1"]},
-         "half": 1, "scale": "1", "value": 2}]}
+        {"algebraic_t": {"poly": ["-3", "0", "1"], "interval": ["1", "2"]},
+         "offset": "4/3", "scale": "1", "value": 2}]}
     with time_limit(30):
         v = period_2pi_test(jump_from_obj(doc))
     assert v.status == "Unresolved"
     assert v.witness[1] == (0, 1)
+
+
+@pytest.mark.parametrize("interval", [["-1", "1"], ["-1/3", "1/2"]])
+def test_point_at_t_zero_is_refused(interval):
+    # t = 0 with half 1 is theta = 2*pi: a rational angle, spelled pi_rational
+    doc = {"period": "2", "points": [
+        {"algebraic_t": {"poly": ["0", "1"], "interval": interval},
+         "half": 1, "scale": "1", "value": 1}]}
+    with pytest.raises(ValueError, match="t = 0.*pi_rational"):
+        jump_from_obj(doc)
+    # the pi_rational spelling of the same point is compared exactly
+    exact = {"period": "2", "points": [{"pi_rational": "2", "scale": "1", "value": 1}]}
+    assert period_2pi_test(jump_from_obj(exact)).status == "NonPeriodic"
+    # a nonzero root whose interval straddles 0 is still taken in
+    doc["points"][0]["algebraic_t"] = {"poly": ["-1", "4"], "interval": interval}
+    assert len(jump_from_obj(doc).points) == 1
+
+
+def test_candidate_separation_is_bounded():
+    # two copies of one root never separate: the precision cap turns that
+    # into UnresolvedComparison instead of doubling forever
+    r = AlgReal([-2, 0, 1], 1, 2)
+    items = [("alg", r), ("alg", r.copy())]
+    with time_limit(30):
+        with pytest.raises(UnresolvedComparison) as info:
+            _separate_candidates(items)
+    assert info.value.bits == DEFAULT_PRECISION_BITS
+    assert all(isinstance(loc, AlgLoc) for loc in (info.value.loc_a, info.value.loc_b))
+    assert r.width() <= Fraction(1, 1 << (4 * DEFAULT_PRECISION_BITS))
 
 
 def test_period_test_requires_integer_period():
