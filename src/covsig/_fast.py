@@ -9,12 +9,15 @@ characteristic polynomial of X; no rational matrix is formed.
 The congruence-based signature routine is fraction-free Bareiss elimination
 on a hermitian Gaussian-integer matrix.  It keeps only the upper triangle, as
 separate re and im int rows, and reads the lower triangle as its conjugate.
-A row whose multiplier is 0 at some step is not touched: by Sylvester's
-identity it only picks up the factor d_k / d_(k-1), so its current value is
-its stored value times d_now / d_then, divided exactly, where d_then is the
-divisor it was last brought up to date with.  The routine returns None when
-it hits a Schur complement with an all-zero diagonal, and the caller falls
-back to the slower fully general rational elimination.
+It returns None when it hits a Schur complement with an all-zero diagonal,
+and the caller falls back to the slower fully general rational elimination.
+
+In both Bareiss routines (determinant and signature) a row whose multiplier
+is 0 at some step is not touched: by Sylvester's identity it only picks up
+the factor d_k / d_(k-1), so its current value is its stored value times
+d_now / d_then, divided exactly, where d_then is the divisor it was last
+brought up to date with.  On the covering matrices, which are sparse, most
+multipliers are 0.
 """
 
 from __future__ import annotations
@@ -27,27 +30,46 @@ from sympy.polys.matrices import DomainMatrix
 
 
 def bareiss_det(rows) -> int:
-    """Exact determinant of a square integer matrix."""
+    """Exact determinant of a square integer matrix.
+
+    Fraction-free Bareiss elimination; rows whose multiplier is 0 are
+    rescaled lazily (see the module docstring).
+    """
     m = [[int(x) for x in row] for row in rows]
     n = len(m)
     if n == 0:
         return 1
+    then = [1] * n  # the divisor each row was last brought up to date with
     sign = 1
     prev = 1
+
+    def refresh(i, k):
+        t = then[i]
+        if t != prev:
+            m[i][k:] = [x * prev // t for x in m[i][k:]]
+            then[i] = prev
+
     for k in range(n - 1):
         if m[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if m[i][k]), None)
             if piv is None:
                 return 0
             m[k], m[piv] = m[piv], m[k]
+            then[k], then[piv] = then[piv], then[k]
             sign = -sign
-        p = m[k][k]
+        refresh(k, k)
+        mk = m[k]
+        p = mk[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
-            mi, mk = m[i], m[k]
-            for j in range(k + 1, n):
-                mi[j] = (p * mi[j] - mik * mk[j]) // prev
+            if not m[i][k]:
+                continue
+            refresh(i, k)
+            mi = m[i]
+            mik = mi[k]
+            mi[k + 1:] = [(p * a - mik * c) // prev for a, c in zip(mi[k + 1:], mk[k + 1:])]
+            then[i] = p
         prev = p
+    refresh(n - 1, n - 1)
     return sign * m[-1][-1]
 
 
@@ -131,33 +153,34 @@ def pencil_det_poly(p_rows, eps: int):
     return [Fraction(a) for a in out]
 
 
-def herm_pencil(p_rows, eps: int, u: int, v: int):
+def pencil_parts(p_rows):
+    """(P + P^T, P - P^T) of an integer P: what every pencil sample is formed from."""
+    n = len(p_rows)
+    s = [[p_rows[i][j] + p_rows[j][i] for j in range(n)] for i in range(n)]
+    k = [[p_rows[i][j] - p_rows[j][i] for j in range(n)] for i in range(n)]
+    return s, k
+
+
+def herm_pencil(parts, eps: int, u: int, v: int):
     """Hermitian Gaussian-integer matrix G with sigma(pencil at t=u/v) = sign(u)*sigma(G).
 
     The pencil is (w*P - eps*P^T)/(w - 1) for eps=+1 and i times that for
     eps=-1, evaluated at w = (1+it)/(1-it); clearing the positive real factors
-    leaves G below.  Entries are (re, im) int pairs.  Requires v > 0, u != 0.
+    leaves G below.  parts is pencil_parts(P).  Entries are (re, im) int
+    pairs.  Requires v > 0, u != 0.
     """
-    n = len(p_rows)
-    s = [[p_rows[i][j] + p_rows[j][i] for j in range(n)] for i in range(n)]
-    k = [[p_rows[i][j] - p_rows[j][i] for j in range(n)] for i in range(n)]
+    s, k = parts
     if eps == 1:
-        return [[(u * s[i][j], -v * k[i][j]) for j in range(n)] for i in range(n)]
-    return [[(v * s[i][j], u * k[i][j]) for j in range(n)] for i in range(n)]
+        return [[(u * a, -v * c) for a, c in zip(sr, kr)] for sr, kr in zip(s, k)]
+    return [[(v * a, u * c) for a, c in zip(sr, kr)] for sr, kr in zip(s, k)]
 
 
-def herm_pencil_at_pi(p_rows, eps: int):
-    """The pencil matrix at w = -1, as (re, im) int pairs."""
-    n = len(p_rows)
+def herm_pencil_at_pi(parts, eps: int):
+    """The pencil matrix at w = -1, as (re, im) int pairs; parts is pencil_parts(P)."""
+    s, k = parts
     if eps == 1:
-        return [
-            [(p_rows[i][j] + p_rows[j][i], 0) for j in range(n)]
-            for i in range(n)
-        ]
-    return [
-        [(0, p_rows[i][j] - p_rows[j][i]) for j in range(n)]
-        for i in range(n)
-    ]
+        return [[(a, 0) for a in sr] for sr in s]
+    return [[(0, c) for c in kr] for kr in k]
 
 
 def herm_sig_fast(m):

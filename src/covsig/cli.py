@@ -24,12 +24,14 @@ from .errors import CovsigError, ParseError, UnresolvedComparison
 from .exact import DEFAULT_PRECISION_BITS, RatMatrix
 from .jumps import (
     JumpFunction,
+    _frac_str,
     jump_function,
     jump_to_obj,
     period_2pi_test,
     point_to_obj,
     scale_jump,
     theta_decimal,
+    with_period,
 )
 from .pattern import fold, parse_word, pattern_coefficients, solve_multiplicities
 from .seifert import SeifertData
@@ -58,11 +60,6 @@ def _matrix(obj) -> RatMatrix:
     return RatMatrix([[_frac(x) for x in row] for row in obj])
 
 
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _coeffs_from_args(args) -> dict:
     if getattr(args, "word", None):
         return pattern_coefficients(parse_word(args.word))
@@ -84,7 +81,7 @@ def _seifert_from_args(args):
     return sd, None
 
 
-def _spec_from_args(args, d=None) -> CoveringSpec:
+def _spec_from_args(args) -> CoveringSpec:
     target = None
     if args.target:
         target = tuple(int(t) for t in args.target.split(","))
@@ -254,18 +251,14 @@ def cmd_obstruct(args, out):
 
 def cmd_sigfn(args, out):
     f = jump_function(_matrix(args.V), args.epsilon)
+    # the jumps of one period sum to 0, so sigma is back at sigma0 after each
+    shown = with_period(f, f.period * max(1, args.window))
     print("theta_decimal,sigma", file=out)
-    periods = max(1, args.window)
     sigma = f.sigma0
     print(f"0.0,{sigma}", file=out)
-    from .jumps import _translate_point  # replicated display windows
-
-    for k in range(periods):
-        for pt in f.points:
-            shown = _translate_point(pt, 2 * f.period * k)
-            sigma += pt.value
-            print(f"{theta_decimal(shown.loc)},{sigma}", file=out)
-        sigma = f.sigma0  # sigma returns to its base value at each period end
+    for pt in shown.points:
+        sigma += pt.value
+        print(f"{theta_decimal(pt.loc)},{sigma}", file=out)
     return EXIT_OK
 
 

@@ -3,8 +3,16 @@
 Given the block data (A, B, C, eps) of a two-component link whose first
 component is unknotted in the relevant sense, the d-fold covering link has a
 Seifert matrix assembled from d x d blocks A_kl, each a rational function of
-Gamma = (A - eps*A^T)^(-1) A, and then expanded by parallel copies with the
+Gamma = (A - eps*A^T)^(-1) A, placed on parallel strands with the
 multiplicities coming from the pattern's circulant solve.
+
+That matrix is built in the strand-difference basis f_1 = e_1,
+f_i = e_i - e_(i-1) of each strand group, i.e. as T^T P T for the dense
+parallel-copy matrix P and an integral T of determinant 1.  The congruence
+leaves the pencil's determinant and signatures, and so every jump, as they
+are, while each group becomes a bidiagonal chain of blocks and each tile
+between two groups a single block: at n = 124 (L(trefoil, 2), p = 5) there
+are 268 nonzero entries instead of 3162.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from fractions import Fraction
 from .errors import NotPrimePower, NotRationalHomologySphere, SingularMatrix
 from .exact import RatMatrix, block_matrix, mat_inverse
 from .pattern import fold, solve_multiplicities
-from .seifert import SeifertData, SignTuple, parallel_copies
+from .seifert import SeifertData
 
 
 def _is_prime(p: int) -> bool:
@@ -59,7 +67,13 @@ class CoveringSpec:
 
 @dataclass(frozen=True)
 class CoveringMatrix:
-    """Result of the transfer: raw blocks, expanded matrix, and multiplicities."""
+    """Result of the transfer: raw blocks, covering matrix, and multiplicities.
+
+    expanded_P is the covering Seifert matrix in the strand-difference basis
+    (see covering_matrix): congruent over the integers to the parallel-copy
+    expansion of the blocks, so it has the same size, the same D(w) and the
+    same jump function.
+    """
 
     blocks_A: tuple  # d x d tuple-of-tuples of RatMatrix
     expanded_P: RatMatrix
@@ -118,42 +132,64 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
 
 
 def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:
-    """Expand the block array by the integer multiplicities s*x_k.
+    """The covering Seifert matrix for the integer multiplicities s*x_k.
 
-    The diagonal block (k, k) becomes parallel copies of A_kk with |s*x_k|
-    strands oriented by sign(s*x_k); the off-diagonal block (k, l) is tiled
-    |s*x_k| x |s*x_l| times with the product of the strand signs.  Components
-    with s*x_k = 0 are dropped.
+    Component k contributes |s*x_k| parallel strands of sign sign(s*x_k);
+    components with s*x_k = 0 are dropped.  Written out densely, the diagonal
+    block (k, k) would be parallel copies of A_kk and the block (k, l) the
+    tile sign_k*sign_l*A_kl repeated |s*x_k| x |s*x_l| times.  This builds
+    T^T P T instead, where T changes each group's strand basis e_1..e_N to
+    f_1 = e_1, f_i = e_i - e_(i-1).  T is integral with determinant 1, so the
+    pencil, its determinant D(w), every signature and hence every jump are
+    those of the dense P.  With A = A_kk, At = eps*A^T, sign g and
+    Dg = (A if g = +1 else At), a group is the chain
+
+        (1, 1) = Dg,   (i, i) = g*(A - At) for i >= 2,
+        (i, i+1) = At - Dg,   (i+1, i) = A - Dg,
+
+    one of the two off-diagonals being 0, and each tile shrinks to the one
+    block sign_k*sign_l*A_kl between the first strands of groups k and l.
+    Groups keep their order, each as its first strand followed by its chain.
     """
     mults = [int(Fraction(xi) * s) for xi in x]
     if any(Fraction(xi) * s != m for xi, m in zip(x, mults)):
         raise ValueError("s does not clear the denominators of x")
     keep = [k for k, m in enumerate(mults) if m != 0]
-    grid = []
-    for k in keep:
-        mk = mults[k]
-        sk = 1 if mk > 0 else -1
-        row = []
-        for l in keep:
-            ml = mults[l]
-            sl = 1 if ml > 0 else -1
-            if k == l:
-                row.append(
-                    parallel_copies(blocks[k][k], SignTuple((sk,) * abs(mk)), epsilon)
-                )
-            else:
-                tile = blocks[k][l].scale(sk * sl)
-                row.append(
-                    block_matrix([[tile] * abs(ml) for _ in range(abs(mk))])
-                )
-        grid.append(row)
-    if not grid:
+    if not keep:
         return RatMatrix.zeros(0)
-    return block_matrix(grid)
+    b = blocks[keep[0]][keep[0]].nrows
+    first = {}  # component -> row of its first strand
+    n = 0
+    for k in keep:
+        first[k] = n
+        n += abs(mults[k]) * b
+    rows = [[0] * n for _ in range(n)]
+
+    def put(r, c, M):
+        for i, mrow in enumerate(M.rows):
+            rows[r + i][c:c + b] = mrow
+
+    for k in keep:
+        sk = 1 if mults[k] > 0 else -1
+        A = blocks[k][k]
+        At = A.transpose().scale(epsilon)
+        Dg = A if sk == 1 else At
+        r0 = first[k]
+        put(r0, r0, Dg)
+        chain, up, low = (A - At).scale(sk), At - Dg, A - Dg
+        for r in range(r0 + b, r0 + abs(mults[k]) * b, b):
+            put(r, r, chain)
+            put(r - b, r, up)
+            put(r, r - b, low)
+        for l in keep:
+            if l != k:
+                sl = 1 if mults[l] > 0 else -1
+                put(r0, first[l], blocks[k][l].scale(sk * sl))
+    return RatMatrix(rows)
 
 
 def build_covering(sd: SeifertData, coeffs: dict, spec: CoveringSpec) -> CoveringMatrix:
-    """Full transfer: fold the pattern, solve multiplicities, expand blocks."""
+    """Full transfer: fold the pattern, solve multiplicities, place the blocks."""
     row = fold(coeffs, spec.d)
     x, s = solve_multiplicities(row, spec.target)
     blocks = covering_blocks(sd, spec)

@@ -105,6 +105,20 @@ def div_exact(p, q):
     return quot
 
 
+def divmod_monic(p, q):
+    """(quotient, remainder) of integer lists p by a monic integer q, in ints."""
+    dq = len(q) - 1
+    p = list(p)
+    quot = [0] * max(0, len(p) - dq)
+    for k in range(len(quot) - 1, -1, -1):
+        c = p[k + dq]
+        if c:
+            quot[k] = c
+            for i, b in enumerate(q[:-1]):
+                p[k + i] -= c * b
+    return trim(quot), trim(p[:dq])
+
+
 def divides(q, p):
     if not p:
         return True
@@ -164,9 +178,9 @@ def content_primitive(p):
 
 
 def cyclotomic(n):
-    """Coefficients of the n-th cyclotomic polynomial, ascending Fractions."""
+    """Coefficients of the n-th cyclotomic polynomial, ascending ints."""
     cs = cyclotomic_poly(n, polys=True).all_coeffs()
-    return [Fraction(int(c)) for c in reversed(cs)]
+    return [int(c) for c in reversed(cs)]
 
 
 def cauchy_root_bound(p):

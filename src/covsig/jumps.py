@@ -211,17 +211,18 @@ def _int_rows(Pm: RatMatrix):
     for row in Pm.rows:
         for x in row:
             den = lcm(den, x.denominator)
-    return [[int(x * den) for x in row] for row in Pm.rows]
+    return [[x.numerator * (den // x.denominator) for x in row] for row in Pm.rows]
 
 
-def _sig_at(rows, eps: int, u: int, v: int) -> int:
+def _sig_at(parts, eps: int, u: int, v: int) -> int:
+    """Pencil signature at t = u/v; parts is _fast.pencil_parts(P)."""
     if u == 0:
         raise ValueError("t = 0 corresponds to w = 1, excluded from the pencil")
     if v < 0:
         u, v = -u, -v
     g = int_gcd(abs(u), v)
     u, v = u // g, v // g
-    G = _fast.herm_pencil(rows, eps, u, v)
+    G = _fast.herm_pencil(parts, eps, u, v)
     s = _fast.herm_sig_fast(G)
     if s is None:
         gm = [[GaussRat(a, b) for a, b in row] for row in G]
@@ -236,12 +237,12 @@ def tl_signature(Pm: RatMatrix, epsilon: int, t) -> int:
     Degenerate pencils are fine: the zero eigenvalues simply contribute 0.
     """
     t = Fraction(t)
-    return _sig_at(_int_rows(Pm), epsilon, t.numerator, t.denominator)
+    return _sig_at(_fast.pencil_parts(_int_rows(Pm)), epsilon, t.numerator, t.denominator)
 
 
 def tl_signature_at_pi(Pm: RatMatrix, epsilon: int) -> int:
     """Signature of the pencil at w = -1 (theta = pi)."""
-    G = _fast.herm_pencil_at_pi(_int_rows(Pm), epsilon)
+    G = _fast.herm_pencil_at_pi(_fast.pencil_parts(_int_rows(Pm)), epsilon)
     s = _fast.herm_sig_fast(G)
     if s is None:
         gm = [[GaussRat(a, b) for a, b in row] for row in G]
@@ -336,18 +337,24 @@ def _self_reciprocal_part(D):
 
 
 def _cyclotomic_split(S):
-    """Divide out cyclotomic factors of a square-free S; return (ns, rest)."""
+    """Divide out cyclotomic factors of a square-free S; return (ns, rest).
+
+    Phi_n is monic with integer coefficients, so it divides S over Q iff it
+    divides the primitive integer form of S over Z; the trial divisions run
+    in Python ints and rest is content(S) times the integer cofactor.
+    """
     ns = []
     deg = P.degree(S)
+    content, ip = P.content_primitive(S)
     n = 1
-    while P.degree(S) >= 1 and n <= 6 * deg + 30:
-        if int(totient(n)) <= P.degree(S):
-            cyc = P.cyclotomic(n)
-            if P.divides(cyc, S):
+    while len(ip) >= 2 and n <= 6 * deg + 30:
+        if int(totient(n)) < len(ip):
+            quot, rem = P.divmod_monic(ip, P.cyclotomic(n))
+            if not rem:
                 ns.append(n)
-                S = P.div_exact(S, cyc)
+                ip = quot
         n += 1
-    return ns, S
+    return ns, [content * c for c in ip]
 
 
 def _cayley_numerator(S):
@@ -491,8 +498,9 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
             for root in isolate_real_roots(g, window=(Fraction(0), bound)):
                 items.append(("alg", root))
 
+    parts = _fast.pencil_parts(rows)
     if not items:
-        sigma0 = _sig_at(rows, epsilon, 1, 1)
+        sigma0 = _sig_at(parts, epsilon, 1, 1)
         return JumpFunction([], Fraction(1), sigma0)
 
     items, encl = _separate_candidates(items)
@@ -500,7 +508,7 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
     for (lo1, hi1), (lo2, hi2) in zip(encl, encl[1:]):
         samples.append(_simplest_between(hi1, lo2))
     samples.append(Fraction(encl[-1][1].__floor__() + 1))
-    sigs = [_sig_at(rows, epsilon, t.numerator, t.denominator) for t in samples]
+    sigs = [_sig_at(parts, epsilon, t.numerator, t.denominator) for t in samples]
 
     upper = []
     for idx, (kind, val) in enumerate(items):

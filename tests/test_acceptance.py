@@ -124,6 +124,7 @@ def test_criterion_5_end_to_end_oracle():
 
 
 def test_criterion_6_obstruction_verdicts():
+    t0 = time.perf_counter()
     # boundary-link control: the trivial pattern is always Periodic
     for m in (2, 3):
         sd, _ = ltm_family(TREFOIL, m)
@@ -151,6 +152,7 @@ def test_criterion_6_obstruction_verdicts():
         sd, coeffs = ltm_family(TREFOIL, m)
         _, verdict = covering_jump(sd, coeffs, CoveringSpec(p=3))
         assert verdict.status == "NonPeriodic"
+    assert time.perf_counter() - t0 < 30.0
     report(6, f"trivial pattern Periodic; L(trefoil,m) at p=3 NonPeriodic "
               f"from minimal m={minimal} through m={minimal + 3}")
 

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
@@ -135,6 +136,18 @@ def test_sigfn_step_function():
     values = [int(line.split(",")[1]) for line in lines[1:]]
     # right-continuous: starts at sigma0, steps by each jump, returns to 0
     assert values == [0, -2, 0]
+
+
+def test_sigfn_window_repeats_the_period():
+    # sigma is back at sigma0 after each period, and the windows follow
+    # one another in theta
+    code, text = run(["sigfn", "--V", "trefoil", "--window", "3"])
+    assert code == 0
+    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    assert [int(v) for _, v in rows] == [0, -2, 0, -2, 0, -2, 0]
+    thetas = [float(t) for t, _ in rows]
+    assert thetas == sorted(thetas) and thetas[-1] < 6 * math.pi
+    assert thetas[3] == pytest.approx(thetas[1] + 2 * math.pi)
 
 
 def test_usage_errors_exit_2():

@@ -1,9 +1,12 @@
-"""Covering transfer: Gamma, the block array, expansion, and the closed-form
-scaling-factor oracles."""
+"""Covering transfer: Gamma, the block array, the covering matrix in the
+strand-difference basis against the dense tiled expansion, and the
+closed-form scaling-factor oracles."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsig import (
     CoveringSpec,
@@ -17,9 +20,13 @@ from covsig import (
     ltm_y_oracle,
     p3_y_oracle,
     fold,
+    jump_function,
+    parallel_copies,
     solve_multiplicities,
 )
-from conftest import TREFOIL
+from covsig import _fast
+from covsig.exact import block_matrix
+from conftest import TREFOIL, same_jumps
 
 
 def test_covering_spec():
@@ -104,6 +111,101 @@ def test_build_covering_ltm_2_3():
     assert cm.multiplicities == (4, 1, 2)
     # block size 4, total strands 4+1+2 = 7
     assert cm.expanded_P.shape == (28, 28)
+
+
+# ---------------------------------------------------------------------------
+# the strand-difference basis against the dense tiled expansion
+
+
+def dense_covering(blocks, mults, epsilon):
+    """The covering matrix written out densely: parallel copies on the
+    diagonal and each off-diagonal block tiled once per pair of strands."""
+    keep = [k for k, m in enumerate(mults) if m]
+    sign = {k: 1 if mults[k] > 0 else -1 for k in keep}
+    grid = []
+    for k in keep:
+        row = []
+        for l in keep:
+            if k == l:
+                row.append(parallel_copies(blocks[k][k], (sign[k],) * abs(mults[k]), epsilon))
+            else:
+                tile = blocks[k][l].scale(sign[k] * sign[l])
+                row.append(block_matrix([[tile] * abs(mults[l])] * abs(mults[k])))
+        grid.append(row)
+    return block_matrix(grid)
+
+
+def strand_difference_basis(mults, b):
+    """T with columns f_1 = e_1, f_i = e_i - e_(i-1) inside each strand group."""
+    n = b * sum(abs(m) for m in mults)
+    t = [[0] * n for _ in range(n)]
+    at = 0
+    for m in mults:
+        for i in range(abs(m) * b):
+            t[at + i][at + i] = 1
+            if i >= b:
+                t[at + i - b][at + i] = -1
+        at += abs(m) * b
+    return RatMatrix(t)
+
+
+def int_rows(m):
+    return [[int(x) for x in row] for row in m.rows]
+
+
+block_entries = st.integers(min_value=-2, max_value=2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2).flatmap(lambda b: st.lists(
+        st.lists(st.lists(st.lists(block_entries, min_size=b, max_size=b),
+                          min_size=b, max_size=b).map(RatMatrix),
+                 min_size=3, max_size=3),
+        min_size=3, max_size=3)),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3)
+      .filter(lambda ms: any(ms) and sum(map(abs, ms)) <= 5),
+    st.sampled_from([1, -1]),
+)
+def test_covering_matrix_is_congruent_to_dense(blocks, mults, epsilon):
+    dense = dense_covering(blocks, mults, epsilon)
+    t = strand_difference_basis([m for m in mults if m], blocks[0][0].nrows)
+    got = covering_matrix(blocks, mults, 1, epsilon)
+    assert t.transpose() @ dense @ t == got
+    assert (_fast.pencil_det_poly(int_rows(got), epsilon)
+            == _fast.pencil_det_poly(int_rows(dense), epsilon))
+    assert same_jumps(jump_function(got, epsilon), jump_function(dense, epsilon))
+
+
+def nonzero_blocks(m, b):
+    return {(i // b, j // b) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x}
+
+
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_covering_matrix_structure(epsilon):
+    # strands (3, -2, 1, 2, -1) of five components, every block nonzero: each
+    # group is a bidiagonal chain and each pair of groups meets in one block
+    mults = (3, -2, 1, 2, -1)
+    blocks = [[RatMatrix([[k + 2 * l + 1, 1], [0, k - l + 3]]) for l in range(5)]
+              for k in range(5)]
+    got = covering_matrix(blocks, mults, 1, epsilon)
+    firsts = [0, 3, 5, 6, 8]  # block index of each group's first strand
+    expected = set()
+    for k, (m, f) in enumerate(zip(mults, firsts)):
+        expected |= {(f + i, f + i) for i in range(abs(m))}
+        # + groups: only (i, i+1) survives off the diagonal; - groups: (i+1, i)
+        expected |= {(f + i, f + i + 1) if m > 0 else (f + i + 1, f + i)
+                     for i in range(abs(m) - 1)}
+        expected |= {(f, g) for g in firsts if g != f}
+    assert nonzero_blocks(got, 2) == expected
+
+
+def test_covering_matrix_nnz_ltm_2_5():
+    sd, c = ltm_family(TREFOIL, 2)
+    cm = build_covering(sd, c, CoveringSpec(p=5))
+    m = cm.expanded_P
+    assert m.nrows == 124
+    assert sum(1 for row in m.rows for x in row if x) == 268
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Differential tests of the integer kernels in covsig._fast.
 
-pencil_det_poly is checked against Newton interpolation of integer
-determinants of the pencil, and herm_sig_fast against the rational
-congruence routine hermitian_signature.
+bareiss_det is checked against sympy's DomainMatrix.det, pencil_det_poly
+against Newton interpolation of integer determinants of the pencil, and
+herm_sig_fast against the rational congruence routine hermitian_signature.
 """
 
 from fractions import Fraction
@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from covsig import _fast
 from covsig.exact import GaussRat, hermitian_signature
@@ -75,6 +77,18 @@ def test_det_poly_common_kernel_is_zero(block, mix, eps):
     rows = congruent(rows, mix)
     assert interpolated_det_poly(rows, eps) == []
     assert _fast.pencil_det_poly(rows, eps) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(square(sparse_entries, max_size=8), st.booleans())
+def test_bareiss_det_matches_domain_matrix(rows, zero_diagonal):
+    # mostly zero multipliers, and with a zero diagonal every step needs a swap
+    if zero_diagonal:
+        for i in range(len(rows)):
+            rows[i][i] = 0
+    n = len(rows)
+    expected = DomainMatrix([[ZZ(x) for x in row] for row in rows], (n, n), ZZ).det()
+    assert _fast.bareiss_det(rows) == int(expected)
 
 
 @pytest.mark.parametrize("eps, expected", [

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import totient
 
 from covsig import (
     DEFAULT_PRECISION_BITS,
@@ -36,7 +37,8 @@ from covsig import (
     tl_signature_at_pi,
     with_period,
 )
-from covsig.jumps import AlgLoc, _separate_candidates, theta_decimal
+from covsig.exact import poly as P
+from covsig.jumps import AlgLoc, _cyclotomic_split, _separate_candidates, theta_decimal
 from conftest import ALG, T25, TREFOIL, same_jumps
 
 small_ints = st.integers(min_value=-2, max_value=2)
@@ -374,6 +376,40 @@ def test_candidate_separation_is_bounded():
     assert info.value.bits == DEFAULT_PRECISION_BITS
     assert all(isinstance(loc, AlgLoc) for loc in (info.value.loc_a, info.value.loc_b))
     assert r.width() <= Fraction(1, 1 << (4 * DEFAULT_PRECISION_BITS))
+
+
+def fraction_cyclotomic_split(S):
+    """Trial division of S by each Phi_n in Fraction long division."""
+    ns = []
+    deg = P.degree(S)
+    n = 1
+    while P.degree(S) >= 1 and n <= 6 * deg + 30:
+        if int(totient(n)) <= P.degree(S):
+            cyc = P.cyclotomic(n)
+            if P.divides(cyc, S):
+                ns.append(n)
+                S = P.div_exact(S, cyc)
+        n += 1
+    return ns, S
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=24), max_size=4, unique=True),
+    st.lists(st.lists(st.integers(min_value=-4, max_value=4), min_size=2, max_size=4)
+             .filter(lambda c: c[-1] != 0), max_size=2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+)
+def test_cyclotomic_split_matches_fraction_division(ns, others, content):
+    # products of cyclotomic and other integer factors, at any content
+    S = [content]
+    for n in ns:
+        S = P.mul(S, [Fraction(c) for c in P.cyclotomic(n)])
+    for c in others:
+        S = P.mul(S, [Fraction(x) for x in c])
+    got = _cyclotomic_split(S)
+    assert got == fraction_cyclotomic_split(S)
+    assert set(ns) <= set(got[0])
 
 
 def test_period_test_requires_integer_period():
