@@ -7,10 +7,15 @@ D(w) comes from one fraction-free integer solve Q X = den * P and the
 characteristic polynomial of X; no rational matrix is formed.
 
 The congruence-based signature routine is fraction-free Bareiss elimination
-on a hermitian Gaussian-integer matrix.  It keeps only the upper triangle, as
-separate re and im int rows, and reads the lower triangle as its conjugate.
-It returns None when it hits a Schur complement with an all-zero diagonal,
-and the caller falls back to the slower fully general rational elimination.
+(an LDL* without divisions) on a hermitian Gaussian-integer matrix held as
+sparse upper rows: row i is a dict {j: re} and a dict {j: im} over its
+nonzero entries with j >= i, and the lower triangle is read as their
+conjugate.  pencil_parts builds the rows of P + P^T and P - P^T once per
+jump function, and each signature sample scales them in O(nnz).  A step of
+the elimination updates only the rows in the pivot row's support, each over
+the union of its support and the pivot row's.  The routine returns None when
+it hits a Schur complement with an all-zero diagonal, and the caller falls
+back to the slower fully general rational elimination.
 
 In both Bareiss routines (determinant and signature) a row whose multiplier
 is 0 at some step is not touched: by Sylvester's identity it only picks up
@@ -154,53 +159,69 @@ def pencil_det_poly(p_rows, eps: int):
 
 
 def pencil_parts(p_rows):
-    """(P + P^T, P - P^T) of an integer P: what every pencil sample is formed from."""
+    """Sparse upper rows of (P + P^T, P - P^T) for an integer P.
+
+    Row i of each is a dict {j: entry} over the nonzero entries with j >= i.
+    Every pencil sample is a scaling of these rows.
+    """
     n = len(p_rows)
-    s = [[p_rows[i][j] + p_rows[j][i] for j in range(n)] for i in range(n)]
-    k = [[p_rows[i][j] - p_rows[j][i] for j in range(n)] for i in range(n)]
+    s = [{} for _ in range(n)]
+    k = [{} for _ in range(n)]
+    for i in range(n):
+        row, si, ki = p_rows[i], s[i], k[i]
+        for j in range(i, n):
+            a, b = row[j], p_rows[j][i]
+            if a + b:
+                si[j] = a + b
+            if a - b:
+                ki[j] = a - b
     return s, k
 
 
 def herm_pencil(parts, eps: int, u: int, v: int):
-    """Hermitian Gaussian-integer matrix G with sigma(pencil at t=u/v) = sign(u)*sigma(G).
+    """Hermitian Gaussian-integer G with sigma(pencil at t=u/v) = sign(u)*sigma(G).
 
     The pencil is (w*P - eps*P^T)/(w - 1) for eps=+1 and i times that for
     eps=-1, evaluated at w = (1+it)/(1-it); clearing the positive real factors
-    leaves G below.  parts is pencil_parts(P).  Entries are (re, im) int
-    pairs.  Requires v > 0, u != 0.
+    leaves G below.  parts is pencil_parts(P); G comes back as the sparse
+    upper rows (re, im) that herm_sig_fast takes.  Requires v > 0, u != 0.
     """
     s, k = parts
     if eps == 1:
-        return [[(u * a, -v * c) for a, c in zip(sr, kr)] for sr, kr in zip(s, k)]
-    return [[(v * a, u * c) for a, c in zip(sr, kr)] for sr, kr in zip(s, k)]
+        return ([{j: u * a for j, a in r.items()} for r in s],
+                [{j: -v * c for j, c in r.items()} for r in k])
+    return ([{j: v * a for j, a in r.items()} for r in s],
+            [{j: u * c for j, c in r.items()} for r in k])
 
 
 def herm_pencil_at_pi(parts, eps: int):
-    """The pencil matrix at w = -1, as (re, im) int pairs; parts is pencil_parts(P)."""
+    """The pencil matrix at w = -1 as sparse upper rows (re, im); parts is pencil_parts(P)."""
     s, k = parts
     if eps == 1:
-        return [[(a, 0) for a in sr] for sr in s]
-    return [[(0, c) for c in kr] for kr in k]
+        return s, [{} for _ in s]
+    return [{} for _ in k], k
 
 
-def herm_sig_fast(m):
-    """Signature of a hermitian matrix of (re, im) int pairs, or None.
+def herm_sig_fast(re, im):
+    """Signature of a hermitian Gaussian-integer matrix, or None.
 
+    re[i] and im[i] are dicts {j: int} holding row i's entries with j >= i;
+    the lower triangle is their conjugate.  The rows are copied, not modified.
     Fraction-free symmetric Bareiss elimination with diagonal pivoting; the
     pivots are the leading principal minors of the symmetrically permuted
     matrix, so the signature is the running sign agreement count (Jacobi).
-    Only the upper triangle is read and kept, as separate re and im int rows;
-    the lower triangle is its conjugate.  Row i's multiplier at step k is
-    conj(R[k][i]).  When it is 0 the step would only rescale the row by
-    d_k / d_(k-1), so the row is left alone: its stored value times
-    d_now / d_then, divided exactly, is its current value, where d_then is
-    the Bareiss divisor it was last brought up to date with.
+    Step k updates only the rows i in the support of row k, each over the
+    union of its own support and row k's, since row i's multiplier is
+    conj(R[k][i]).  Any other row would only be rescaled by d_k / d_(k-1),
+    so it is left alone: its stored value times d_now / d_then, divided
+    exactly, is its current value, where d_then is the Bareiss divisor it was
+    last brought up to date with.
     Returns None when some nonzero Schur complement has an all-zero diagonal;
     the caller must then use the general rational routine.
     """
-    n = len(m)
-    re = [[0] * i + [int(a) for a, _ in row[i:]] for i, row in enumerate(m)]
-    im = [[0] * i + [int(b) for _, b in row[i:]] for i, row in enumerate(m)]
+    n = len(re)
+    re = [{j: x for j, x in r.items() if x} for r in re]
+    im = [{j: x for j, x in r.items() if x} for r in im]
     then = [1] * n  # the divisor each row was last brought up to date with
     sig = 0
     prev = 1
@@ -208,48 +229,73 @@ def herm_sig_fast(m):
     def refresh(i):
         t = then[i]
         if t != prev:
-            re[i][i:] = [x * prev // t for x in re[i][i:]]
-            im[i][i:] = [x * prev // t for x in im[i][i:]]
+            re[i] = {j: x * prev // t for j, x in re[i].items()}
+            im[i] = {j: x * prev // t for j, x in im[i].items()}
             then[i] = prev
 
+    def swap(a, b):
+        """Exchange indices a < b symmetrically; the rows before a are done."""
+        ra, ia = re[a], im[a]
+        # rows between a and b whose entry in column b changes
+        mid = [j for j in range(a + 1, b)
+               if b in re[j] or b in im[j] or j in ra or j in ia]
+        for i in [a, b] + mid:
+            refresh(i)
+        ra, ia, rb, ib = re[a], im[a], re[b], im[b]
+        # new row a: R[b][b] on the diagonal, conj(R[j][b]) at a < j < b,
+        # conj(R[a][b]) at b and R[b][j] at j > b
+        nra = {j: x for j, x in rb.items() if j > b}
+        nia = {j: y for j, y in ib.items() if j > b}
+        nra[a] = rb[b]
+        for j, rj, ij in [(b, ra, ia)] + [(j, re[j], im[j]) for j in mid]:
+            if b in rj:
+                nra[j] = rj[b]
+            if b in ij:
+                nia[j] = -ij[b]
+        # new row b: R[a][j] for j > b; its diagonal R[a][a] is 0, which is
+        # why a is swapped out
+        nrb = {j: x for j, x in ra.items() if j > b}
+        nib = {j: y for j, y in ia.items() if j > b}
+        # rows between: (j, b) becomes conj(R[a][j])
+        for j in mid:
+            rj, ij = re[j], im[j]
+            rj.pop(b, None)
+            ij.pop(b, None)
+            if j in ra:
+                rj[b] = ra[j]
+            if j in ia:
+                ij[b] = -ia[j]
+        re[a], im[a], re[b], im[b] = nra, nia, nrb, nib
+
     for k in range(n):
-        piv = next((i for i in range(k, n) if re[i][i]), None)
+        piv = next((i for i in range(k, n) if i in re[i]), None)
         if piv is None:
-            if any(re[i][j] or im[i][j] for i in range(k, n) for j in range(i, n)):
+            if any(re[i] or im[i] for i in range(k, n)):
                 return None
             return sig
         if piv != k:
-            for i in range(k, n):
-                refresh(i)
-            _swap_upper(re, im, k, piv)
+            swap(k, piv)
         refresh(k)
         kre, kim = re[k], im[k]
         d = kre[k]
         sig += 1 if (d > 0) == (prev > 0) else -1
-        for i in range(k + 1, n):
-            ar, ai = kre[i], -kim[i]  # conj(R[k][i])
-            if not (ar or ai):
-                continue
+        support = (kre.keys() | kim.keys()) - {k}
+        krow = [(j, kre.get(j, 0), kim.get(j, 0)) for j in sorted(support)]
+        for pos, (i, ar, ai) in enumerate(krow):
+            ai = -ai  # the multiplier conj(R[k][i])
             refresh(i)
-            cre, cim, bre, bim = re[i][i:], im[i][i:], kre[i:], kim[i:]
-            re[i][i:] = [(d * c - ar * br + ai * bi) // prev
-                         for c, br, bi in zip(cre, bre, bim)]
-            im[i][i:] = [(d * c - ar * bi - ai * br) // prev
-                         for c, br, bi in zip(cim, bre, bim)]
+            ri, ii = re[i], im[i]
+            # off row k's support the update is the exact rescale d / prev
+            nre = {j: d * x // prev for j, x in ri.items() if j not in support}
+            nim = {j: d * x // prev for j, x in ii.items() if j not in support}
+            for j, br, bi in krow[pos:]:
+                x = (d * ri.get(j, 0) - ar * br + ai * bi) // prev
+                if x:
+                    nre[j] = x
+                y = (d * ii.get(j, 0) - ar * bi - ai * br) // prev
+                if y:
+                    nim[j] = y
+            re[i], im[i] = nre, nim
             then[i] = d
         prev = d
     return sig
-
-
-def _swap_upper(re, im, a, b):
-    """Swap index a < b symmetrically in an upper-triangle hermitian store."""
-    n = len(re)
-
-    def get(i, j):
-        return (re[i][j], im[i][j]) if i <= j else (re[j][i], -im[j][i])
-
-    perm = list(range(n))
-    perm[a], perm[b] = b, a
-    full = {(i, j): get(perm[i], perm[j]) for i in range(a, n) for j in range(i, n)}
-    for (i, j), (x, y) in full.items():
-        re[i][j], im[i][j] = x, y

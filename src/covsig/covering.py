@@ -117,18 +117,10 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
     skew_inv = mat_inverse(sd.A - sd.A.transpose().scale(eps))
     ebt = sd.B.transpose().scale(eps)
     tail = den_inv @ skew_inv @ sd.B
-    diag = sd.C - ebt @ ((gpow[d - 1] - hpow[d - 1]) @ tail)
-    blocks = []
-    for k in range(d):
-        row = []
-        for l in range(d):
-            if k == l:
-                row.append(diag)
-            else:
-                j = (k - l) % d
-                row.append(ebt @ (gpow[j - 1] @ hpow[d - j - 1] @ tail))
-        blocks.append(tuple(row))
-    return tuple(blocks)
+    # A_kl depends only on j = (k - l) mod d: d distinct blocks, j = 0 the diagonal
+    by_j = [sd.C - ebt @ ((gpow[d - 1] - hpow[d - 1]) @ tail)]
+    by_j += [ebt @ (gpow[j - 1] @ hpow[d - j - 1] @ tail) for j in range(1, d)]
+    return tuple(tuple(by_j[(k - l) % d] for l in range(d)) for k in range(d))
 
 
 def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:

@@ -214,6 +214,26 @@ def _int_rows(Pm: RatMatrix):
     return [[x.numerator * (den // x.denominator) for x in row] for row in Pm.rows]
 
 
+def _signature(g) -> int:
+    """Signature of the sparse hermitian rows g = (re, im) of _fast.herm_pencil.
+
+    The integer kernel answers unless it meets a Schur complement with an
+    all-zero diagonal; only then are the rows written out densely for the
+    rational routine.
+    """
+    s = _fast.herm_sig_fast(*g)
+    if s is None:
+        re, im = g
+        n = len(re)
+        m = [[GaussRat(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in re[i].keys() | im[i].keys():
+                z = GaussRat(re[i].get(j, 0), im[i].get(j, 0))
+                m[i][j], m[j][i] = z, z.conj()
+        s = hermitian_signature(m)
+    return s
+
+
 def _sig_at(parts, eps: int, u: int, v: int) -> int:
     """Pencil signature at t = u/v; parts is _fast.pencil_parts(P)."""
     if u == 0:
@@ -222,11 +242,7 @@ def _sig_at(parts, eps: int, u: int, v: int) -> int:
         u, v = -u, -v
     g = int_gcd(abs(u), v)
     u, v = u // g, v // g
-    G = _fast.herm_pencil(parts, eps, u, v)
-    s = _fast.herm_sig_fast(G)
-    if s is None:
-        gm = [[GaussRat(a, b) for a, b in row] for row in G]
-        s = hermitian_signature(gm)
+    s = _signature(_fast.herm_pencil(parts, eps, u, v))
     return s if u > 0 else -s
 
 
@@ -242,12 +258,7 @@ def tl_signature(Pm: RatMatrix, epsilon: int, t) -> int:
 
 def tl_signature_at_pi(Pm: RatMatrix, epsilon: int) -> int:
     """Signature of the pencil at w = -1 (theta = pi)."""
-    G = _fast.herm_pencil_at_pi(_fast.pencil_parts(_int_rows(Pm)), epsilon)
-    s = _fast.herm_sig_fast(G)
-    if s is None:
-        gm = [[GaussRat(a, b) for a, b in row] for row in G]
-        s = hermitian_signature(gm)
-    return s
+    return _signature(_fast.herm_pencil_at_pi(_fast.pencil_parts(_int_rows(Pm)), epsilon))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +399,7 @@ def _pi_candidates_upper(ns):
     fracs = []
     for n in ns:
         if n <= 2:
-            continue  # w = 1 and w = -1 never jump
+            continue  # w = 1 is excluded and jump_function handles w = -1
         for k in range(1, (n + 1) // 2):
             if int_gcd(k, n) == 1:
                 fracs.append(Fraction(2 * k, n))
@@ -460,8 +471,13 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
     Root-of-unity jump angles (cyclotomic factors of the determinant
     det(w*P - eps*P^T)) come out as PiLoc; the remaining unimodular roots as
     AlgLoc in t = tan(theta/2).  Signatures are evaluated at exact rational t
-    strictly between consecutive candidates, only on the upper half circle;
-    the lower half is the mirror image with negated values (sigma is even).
+    strictly between consecutive candidates, only on the upper half circle.
+    The lower half is the mirror image: the pencil at conj(w) is the
+    transpose of the pencil at w for eps = 1, and minus it for eps = -1 (i
+    times a skew-hermitian pencil), so sigma is even for eps = 1 and odd for
+    eps = -1.  A mirrored jump therefore negates for eps = 1 and keeps its
+    value for eps = -1, and an odd sigma also jumps at theta = pi, by
+    -2*sigma(pi-).
     Raises UnresolvedComparison when two candidates stay unseparated at
     4*DEFAULT_PRECISION_BITS bits.
     """
@@ -499,15 +515,14 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
                 items.append(("alg", root))
 
     parts = _fast.pencil_parts(rows)
-    if not items:
-        sigma0 = _sig_at(parts, epsilon, 1, 1)
-        return JumpFunction([], Fraction(1), sigma0)
-
-    items, encl = _separate_candidates(items)
-    samples = [_simplest_between(Fraction(0), encl[0][0])]
-    for (lo1, hi1), (lo2, hi2) in zip(encl, encl[1:]):
-        samples.append(_simplest_between(hi1, lo2))
-    samples.append(Fraction(encl[-1][1].__floor__() + 1))
+    if items:
+        items, encl = _separate_candidates(items)
+        samples = [_simplest_between(Fraction(0), encl[0][0])]
+        for (lo1, hi1), (lo2, hi2) in zip(encl, encl[1:]):
+            samples.append(_simplest_between(hi1, lo2))
+        samples.append(Fraction(encl[-1][1].__floor__() + 1))
+    else:
+        samples = [Fraction(1)]
     sigs = [_sig_at(parts, epsilon, t.numerator, t.denominator) for t in samples]
 
     upper = []
@@ -517,12 +532,14 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
             continue
         upper.append(JumpPoint(_candidate_loc(kind, val), dv))
     points = list(upper)
+    if epsilon == -1 and sigs[-1]:
+        points.append(JumpPoint(PiLoc(Fraction(1)), -2 * sigs[-1]))
     for pt in reversed(upper):
         if isinstance(pt.loc, PiLoc):
             mloc = PiLoc(2 - pt.loc.frac)
         else:
             mloc = AlgLoc(pt.loc.t.neg(), 2, 1)
-        points.append(JumpPoint(mloc, -pt.value))
+        points.append(JumpPoint(mloc, -epsilon * pt.value))
     return JumpFunction(points, Fraction(1), sigs[0])
 
 
@@ -730,14 +747,40 @@ def point_to_obj(pt: JumpPoint) -> dict:
     return obj
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_cayley_gcd(n: int):
+    """Monic poly whose real roots are the t with (1+it)/(1-it) a primitive n-th root of unity."""
+    re, im = _cayley_numerator(P.cyclotomic(n))
+    return tuple(P.gcd(re, im))
+
+
+def _at_root_of_unity(t: AlgReal) -> bool:
+    """Is w = (1+it)/(1-it) a root of unity, i.e. 2*atan(t) a rational multiple of pi?
+
+    w lies in Q(i, t), of degree at most 2*deg(t), so a primitive n-th root
+    of unity needs phi(n) <= 2*deg(t); phi(n) >= sqrt(n/2) bounds n.  t is
+    such a w's Cayley preimage iff it is a root of the gcd of t's poly with
+    the Cayley numerator of Phi_n, i.e. iff that gcd has a root in t's
+    isolating interval.
+    """
+    deg = P.degree(t.poly)
+    for n in range(1, 8 * deg * deg + 1):
+        if int(totient(n)) > 2 * deg:
+            continue
+        g = P.gcd(t.poly, _cyclotomic_cayley_gcd(n))
+        if P.degree(g) >= 1 and P.count_roots(P.sturm_chain(g), t.lo, t.hi):
+            return True
+    return False
+
+
 def point_from_obj(obj: dict) -> JumpPoint:
     """Read one point of a jump document.
 
-    An algebraic_t point with t = 0 is refused with ValueError: it puts theta
-    at the rational multiple offset*pi/scale, which is spelled pi_rational.
-    In the algebraic spelling such a point can sit exactly on a window
-    boundary of period_2pi_test and never be placed (Unresolved); as
-    pi_rational it is compared exactly.
+    An algebraic_t point at a root of unity w = (1+it)/(1-it), t = 0
+    included, is refused with ValueError: it puts theta at a rational
+    multiple of pi, which is spelled pi_rational.  In the algebraic spelling
+    such a point can sit exactly on a window boundary of period_2pi_test and
+    never be placed (Unresolved); as pi_rational it is compared exactly.
     """
     value = int(obj["value"])
     if "pi_rational" in obj:
@@ -749,10 +792,10 @@ def point_from_obj(obj: dict) -> JumpPoint:
         Fraction(at["interval"][0]),
         Fraction(at["interval"][1]),
     )
-    if t.copy().sign() == 0:
+    if _at_root_of_unity(t):
         raise ValueError(
-            "algebraic_t point with t = 0 is the rational angle offset*pi/scale;"
-            " write it as pi_rational")
+            "algebraic_t point with 2*atan(t) a rational multiple of pi (t = 0"
+            " among them) is a rational angle; write it as pi_rational")
     offset = Fraction(obj["offset"]) if "offset" in obj else (0 if obj.get("half", 0) == 0 else 2)
     return JumpPoint(AlgLoc(t, offset, Fraction(obj.get("scale", "1"))), value)
 

@@ -1,11 +1,13 @@
 """Differential tests of the integer kernels in covsig._fast.
 
 bareiss_det is checked against sympy's DomainMatrix.det, pencil_det_poly
-against Newton interpolation of integer determinants of the pencil, and
+against Newton interpolation of integer determinants of the pencil,
+herm_pencil against the pencil formula in Gaussian rationals, and
 herm_sig_fast against the rational congruence routine hermitian_signature.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -165,8 +167,15 @@ def hermitian_st(off, diag):
     ).map(lambda ud: hermitian(*ud))
 
 
+def upper_rows(m):
+    """The sparse upper rows (re, im) that herm_sig_fast takes, from a dense (re, im) matrix."""
+    re = [{j: a for j, (a, _) in enumerate(row) if j >= i and a} for i, row in enumerate(m)]
+    im = [{j: b for j, (_, b) in enumerate(row) if j >= i and b} for i, row in enumerate(m)]
+    return re, im
+
+
 def agrees_when_defined(m):
-    s = _fast.herm_sig_fast(m)
+    s = _fast.herm_sig_fast(*upper_rows(m))
     if s is not None:
         assert s == reference_signature(m)
     return s
@@ -200,7 +209,7 @@ def test_sig_zero_diagonals_force_swaps(m):
 def test_sig_symmetric_swap(m, expected):
     # the leading diagonal entry is 0 but a later one is not
     assert reference_signature(m) == expected
-    assert _fast.herm_sig_fast(m) == expected
+    assert _fast.herm_sig_fast(*upper_rows(m)) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,5 +223,70 @@ def test_sig_zero_diagonal_schur_complement_is_none(diag, z):
     upper = [[(0, 0)] * (k + 2) for _ in range(k + 2)]
     upper[k][k + 1] = z
     m = hermitian(upper, diag + [0, 0])
-    assert _fast.herm_sig_fast(m) is None
+    assert _fast.herm_sig_fast(*upper_rows(m)) is None
     assert reference_signature(m) == sum(1 if d > 0 else -1 for d in diag)
+
+
+@st.composite
+def chain_arrow(draw):
+    """Hermitian matrices shaped like the covering pencils.
+
+    Each strand group is a first block of size b followed by a chain of
+    blocks coupled to their predecessors; the chain's diagonal entries are 0,
+    as in P + P^T, so elimination in the natural order is forced to swap.
+    The groups meet only in one block between their first strands.
+    """
+    b = draw(st.integers(min_value=1, max_value=2))
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+    n = b * sum(lengths)
+    pair = st.tuples(sparse_entries, sparse_entries)
+    upper = [[(0, 0)] * n for _ in range(n)]
+    diag = [0] * n
+    firsts, at = [], 0
+    for length in lengths:
+        firsts.append(at)
+        for s in range(length):
+            r = at + s * b
+            for i in range(b):
+                if s == 0:
+                    diag[r + i] = draw(sparse_entries)
+                for j in range(i + 1, b):
+                    upper[r + i][r + j] = draw(pair)
+                if s > 0:
+                    for j in range(b):
+                        upper[r - b + j][r + i] = draw(pair)
+        at += length * b
+    for x, y in combinations(firsts, 2):
+        for i in range(b):
+            for j in range(b):
+                upper[x + i][y + j] = draw(pair)
+    return hermitian(upper, diag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_arrow())
+def test_sig_chain_arrow_matches_reference(m):
+    agrees_when_defined(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square(entries, max_size=5), eps_st,
+       st.integers(min_value=-9, max_value=9).filter(bool),
+       st.integers(min_value=1, max_value=9))
+def test_herm_pencil_is_the_scaled_pencil(rows, eps, u, v):
+    # G = 2u * (w*P - eps*P^T)/(w - 1) at w = (1+it)/(1-it), t = u/v, and
+    # 2 * that at w = -1; both times i when eps = -1
+    n = len(rows)
+    turn = GaussRat(1) if eps == 1 else GaussRat(0, 1)
+    t = Fraction(u, v)
+    parts = _fast.pencil_parts(rows)
+    for w, c, g in [
+        (GaussRat(1, t) / GaussRat(1, -t), 2 * u, _fast.herm_pencil(parts, eps, u, v)),
+        (GaussRat(-1), 2, _fast.herm_pencil_at_pi(parts, eps)),
+    ]:
+        re, im = g
+        for i in range(n):
+            assert all(j >= i and x for r in (re[i], im[i]) for j, x in r.items())
+            for j in range(i, n):
+                z = GaussRat(c) * turn * (w * rows[i][j] - eps * rows[j][i]) / (w - 1)
+                assert (re[i].get(j, 0), im[i].get(j, 0)) == (z.re, z.im)

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import totient
 
@@ -65,6 +65,34 @@ def test_signature_rejects_t_zero():
 def test_signature_even_in_theta(t):
     assert tl_signature(TREFOIL, 1, t) == tl_signature(TREFOIL, 1, -t)
     assert tl_signature(T25, 1, t) == tl_signature(T25, 1, -t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.sampled_from([1, -1]),
+    st.lists(small_ints, min_size=3, max_size=3),
+    st.booleans(),
+    st.integers(min_value=-30, max_value=30).filter(bool),
+    st.integers(min_value=1, max_value=12),
+)
+def test_signature_is_sigma0_plus_jumps_below(rows, eps, mix, singular, u, v):
+    # sigma at theta = 2*atan(t) (mod 2*pi) is sigma0 plus every jump below it
+    if singular:
+        n = len(rows)
+        rows[-1] = [sum(mix[i] * rows[i][j] for i in range(n - 1)) for j in range(n)]
+    pm = RatMatrix(rows)
+    f = jump_function(pm, eps)
+    t = Fraction(u, v)
+    at = AlgLoc(AlgReal.from_rational(t), 0 if t > 0 else 2, 1)
+    below = 0
+    for pt in f.points:
+        c = compare_locations(pt.loc, at, 64)
+        assume(c in (Comparison.LT, Comparison.GT))  # t on a jump: no value there
+        if c is Comparison.LT:
+            below += pt.value
+    assert tl_signature(pm, eps, t) == f.sigma0 + below
 
 
 def test_skew_pencil_path():
@@ -339,14 +367,32 @@ def time_limit(seconds):
 
 def test_period_test_on_window_boundary_is_unresolved():
     # theta = 2*atan(sqrt 3) + 4*pi/3 = 2*pi exactly: no enclosure of it ever
-    # falls inside one window
-    doc = {"period": "2", "sigma0": 0, "points": [
-        {"algebraic_t": {"poly": ["-3", "0", "1"], "interval": ["1", "2"]},
-         "offset": "4/3", "scale": "1", "value": 2}]}
+    # falls inside one window, so the precision cap has to end the search
+    loc = AlgLoc(AlgReal([-3, 0, 1], 1, 2), Fraction(4, 3), 1)
+    f = JumpFunction([JumpPoint(loc, 2)], Fraction(2), 0)
     with time_limit(30):
-        v = period_2pi_test(jump_from_obj(doc))
+        v = period_2pi_test(f)
     assert v.status == "Unresolved"
     assert v.witness[1] == (0, 1)
+
+
+@pytest.mark.parametrize("poly, interval", [
+    (["-3", "0", "1"], ["1", "2"]),  # t = sqrt 3: 2*atan(t) = 2*pi/3
+    (["1", "-4", "1"], ["0", "1"]),  # t = 2 - sqrt 3: 2*atan(t) = pi/6
+    (["-1", "1"], ["0", "2"]),  # t = 1: 2*atan(t) = pi/2
+])
+def test_point_at_root_of_unity_is_refused(poly, interval):
+    # the algebraic spelling of a rational angle; with offset 4/3 the first
+    # one is theta = 2*pi exactly
+    doc = {"period": "2", "sigma0": 0, "points": [
+        {"algebraic_t": {"poly": poly, "interval": interval},
+         "offset": "4/3", "scale": "1", "value": 2}]}
+    with time_limit(30):
+        with pytest.raises(ValueError, match="rational multiple of pi.*pi_rational"):
+            jump_from_obj(doc)
+    # an algebraic angle next to them is still taken in
+    doc["points"][0]["algebraic_t"] = {"poly": ["-2", "0", "1"], "interval": ["1", "2"]}
+    assert len(jump_from_obj(doc).points) == 1
 
 
 @pytest.mark.parametrize("interval", [["-1", "1"], ["-1/3", "1/2"]])
