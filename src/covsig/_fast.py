@@ -6,16 +6,28 @@ matrices), which keeps the inner loops free of Fraction normalization.
 D(w) comes from one fraction-free integer solve Q X = den * P and the
 characteristic polynomial of X; no rational matrix is formed.
 
+Signature samples are taken on a PencilCore: the pencil of a covering matrix
+with each strand group's chain of difference strands eliminated.
+Haynsworth's inertia additivity, In(H) = In(H_11) + In(H / H_11), splits
+the n x n signature into the chains' signatures, which are 0 for eps = 1
+and a closed form for eps = -1, plus the signature of the Schur complement.
+That complement is a hermitian (number of groups) x b matrix whose diagonal
+blocks are the groups' pencils at w^N.  Each sample builds it in Gaussian
+integers, in O(nnz) from rows kept once per jump function.  A sample at
+t = +-1 on a group with 4 | N would hit w^N = 1 and is refused (None); the
+caller moves it inside its gap.  A plain matrix is one group with N = 1, so
+the same builder serves every pencil.  PencilCore's docstring has the proof
+and the integer form.
+
 The congruence-based signature routine is fraction-free Bareiss elimination
 (an LDL* without divisions) on a hermitian Gaussian-integer matrix held as
 sparse upper rows: row i is a dict {j: re} and a dict {j: im} over its
 nonzero entries with j >= i, and the lower triangle is read as their
-conjugate.  pencil_parts builds the rows of P + P^T and P - P^T once per
-jump function, and each signature sample scales them in O(nnz).  A step of
-the elimination updates only the rows in the pivot row's support, each over
-the union of its support and the pivot row's.  The routine returns None when
-it hits a Schur complement with an all-zero diagonal, and the caller falls
-back to the slower fully general rational elimination.
+conjugate.  A step of the elimination updates only the rows in the pivot
+row's support, each over the union of its support and the pivot row's.  The
+routine returns None when it hits a Schur complement with an all-zero
+diagonal, and the caller falls back to the slower fully general rational
+elimination.
 
 In both Bareiss routines (determinant and signature) a row whose multiplier
 is 0 at some step is not touched: by Sylvester's identity it only picks up
@@ -28,7 +40,7 @@ multipliers are 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -158,48 +170,155 @@ def pencil_det_poly(p_rows, eps: int):
     return [Fraction(a) for a in out]
 
 
-def pencil_parts(p_rows):
-    """Sparse upper rows of (P + P^T, P - P^T) for an integer P.
+def _gauss_pow(x: int, y: int, n: int):
+    """(x + iy)^n as a pair of ints (real, imaginary)."""
+    rx, ry = 1, 0
+    while n:
+        if n & 1:
+            rx, ry = rx * x - ry * y, rx * y + ry * x
+        x, y = x * x - y * y, 2 * x * y
+        n >>= 1
+    return rx, ry
 
-    Row i of each is a dict {j: entry} over the nonzero entries with j >= i.
-    Every pencil sample is a scaling of these rows.
+
+def _half_turns(u: int, v: int, n: int) -> int:
+    """floor(n * phi / pi), where phi in (0, pi) is the argument of +-(v + iu).
+
+    floor(k * phi / pi) goes up by one each time Im((v + iu)^k) changes sign,
+    counting 0 as positive: phi < pi, so it never goes up by two.  Needs
+    w^n != 1, i.e. Im((v + iu)^n) != 0.
     """
-    n = len(p_rows)
-    s = [{} for _ in range(n)]
-    k = [{} for _ in range(n)]
-    for i in range(n):
-        row, si, ki = p_rows[i], s[i], k[i]
-        for j in range(i, n):
-            a, b = row[j], p_rows[j][i]
-            if a + b:
-                si[j] = a + b
-            if a - b:
-                ki[j] = a - b
-    return s, k
+    if u < 0:
+        u, v = -u, -v
+    x, y, q = 1, 0, 0
+    for _ in range(n):
+        x, y = x * v - y * u, x * u + y * v
+        if (y < 0) != (q & 1):
+            q += 1
+    return q
 
 
-def herm_pencil(parts, eps: int, u: int, v: int):
-    """Hermitian Gaussian-integer G with sigma(pencil at t=u/v) = sign(u)*sigma(G).
+class PencilCore:
+    """The hermitian pencil of a covering matrix with its strand chains eliminated.
 
-    The pencil is (w*P - eps*P^T)/(w - 1) for eps=+1 and i times that for
-    eps=-1, evaluated at w = (1+it)/(1-it); clearing the positive real factors
-    leaves G below.  parts is pencil_parts(P); G comes back as the sparse
-    upper rows (re, im) that herm_sig_fast takes.  Requires v > 0, u != 0.
+    A covering matrix in the strand-difference basis (see covsig.covering)
+    has, per group k of N = |N_k| strands of sign g_k, a first strand and a
+    chain of N - 1 difference strands; two groups meet only between their
+    first strands.  Let A = A_kk and S = A - eps*A^T.  On its chain the
+    pencil H(w) = c(w) * (w*M - eps*M^T), with c = 1/(w - 1) for eps = 1 and
+    i/(w - 1) for eps = -1, is g * c(w) * T(w) (x) S, up to the transpose of
+    T for g = -1, where T(w) is the (N-1)-square tridiagonal matrix with
+    diagonal w + 1 and off-diagonals -w (above) and -1 (below).
+
+    Signature of a chain.  Write w = e^(i*theta), 0 < theta < 2*pi, and
+    phi = theta/2.  The matrix e^(-i*phi) T(w) is hermitian, with diagonal
+    2 cos(phi) and off-diagonals -e^(+-i*phi); the diagonal unitary
+    diag(e^(i*j*phi)) turns it into the real R = 2 cos(phi) I - (J + J^T),
+    whose eigenvalues are 2 cos(phi) - 2 cos(pi*j/N), j = 1..N-1.  So R
+    has floor(N*phi/pi) negative eigenvalues, none zero unless w^N = 1, and
+    sigma(R) = N - 1 - 2*floor(N*phi/pi).  Since c(w) e^(i*phi) is
+    1/(2i sin(phi)) for eps = 1 and 1/(2 sin(phi)) for eps = -1, with
+    sin(phi) > 0, the chain is unitarily congruent to a positive multiple of
+    g * R (x) (-iS) for eps = 1 and g * R (x) S for eps = -1, and the
+    eigenvalues of a Kronecker product are the products of the factors'.
+    Hence sigma(chain) = g * sigma(R) * sigma(-iS) = 0 for eps = 1, because
+    S is real and skew, so -iS is hermitian with a spectrum symmetric about
+    0; and sigma(chain) = g * sigma(R) * sigma(S) for eps = -1, with S real
+    symmetric.  That is 0 only when sigma(S) = 0, as on the L(T, m) covers
+    of trefoil and ALG, where S comes out as S_V (+) -S_V; so for eps = -1
+    the chain term is added back (chain_signature).
+
+    The core.  Haynsworth's inertia additivity, In(H) = In(H_11) +
+    In(H / H_11), with H_11 the chains (nonsingular off w^N = 1 when
+    det S != 0) gives sigma(H) = sum of the chains' signatures +
+    sigma(core).  The Schur complement H / H_11 is hermitian of size
+    (number of groups) x b: the pencil entries between first strands,
+    except that group k's diagonal block is the pencil of A_kk at w^N,
+    (w^N A - eps*A^T) / (w^N - 1) for g = +1 and (w^N eps*A^T - A) /
+    (w^N - 1) for g = -1, times i for eps = -1.  So the multiplicities enter
+    only as exponents, the reparametrization theta -> N*theta.
+
+    Integer form.  With z = v + iu, w = z / conj(z) is the point t = u/v
+    (v = 0 is t = infinity, w = -1).  Each block of the core is X / (2i*r)
+    with X = a*(M - eps*M^T) + i*b*(M + eps*M^T) Gaussian-integer and
+    r = b: (a, b) = (v, u) between groups, and for group k, with
+    z^N = x + iy, (a, b) = (g*x, y), M being the core matrix, whose
+    diagonal block k is A_kk and whose block (k, l) is g_k*g_l*A_kl.
+    Multiplied by the positive integer 2L, L = lcm(|y_k|), the core
+    becomes the Gaussian-integer hermitian matrix with real part
+    L*(M + M^T) and imaginary part -(a*L/b)*(M - M^T) for eps = 1, and real
+    part (a*L/b)*(M + M^T) and imaginary part L*(M - M^T) for eps = -1.
+    A plain matrix P is one group with N = 1 and M = P, where this is the
+    pencil of P itself, scaled by 2|u| (by 2 at w = -1).
+
+    w^N = 1 at a sample makes the chain singular; at rational t that is only
+    t = +-1 with 4 | N (+-1 and +-i are the only roots of unity in Q(i)),
+    and at(u, v) returns None there.  When det S = 0 the chain is singular
+    everywhere, but then every block that touches a difference strand is a
+    multiple of S, so ker S on each difference strand is a common kernel of
+    M and M^T.  D(w) is then 0, and jump_function removes that kernel and
+    samples the reduced matrix as one group.
     """
-    s, k = parts
-    if eps == 1:
-        return ([{j: u * a for j, a in r.items()} for r in s],
-                [{j: -v * c for j, c in r.items()} for r in k])
-    return ([{j: v * a for j, a in r.items()} for r in s],
-            [{j: u * c for j, c in r.items()} for r in k])
 
+    __slots__ = ("eps", "mults", "group", "s", "k", "chain_sigma")
 
-def herm_pencil_at_pi(parts, eps: int):
-    """The pencil matrix at w = -1 as sparse upper rows (re, im); parts is pencil_parts(P)."""
-    s, k = parts
-    if eps == 1:
-        return s, [{} for _ in s]
-    return [{} for _ in k], k
+    def __init__(self, rows, eps: int, mults=(1,), chain_sigma=None):
+        """rows: the integer core matrix M, of size len(mults) * b.
+
+        mults are the signed strand counts N_k of the groups, in order; the
+        default is a plain matrix.  chain_sigma[k] is g_k * sigma(S_k) for
+        eps = -1 and N_k >= 2, else 0 (the default).
+        """
+        n = len(rows)
+        b = n // len(mults)
+        self.eps = eps
+        self.mults = tuple(mults)
+        self.chain_sigma = tuple(chain_sigma or (0,) * len(mults))
+        self.group = [i // b for i in range(n)]
+        # sparse upper rows of M + M^T and M - M^T
+        self.s = [{} for _ in range(n)]
+        self.k = [{} for _ in range(n)]
+        for i in range(n):
+            row, si, ki = rows[i], self.s[i], self.k[i]
+            for j in range(i, n):
+                a, c = row[j], rows[j][i]
+                if a + c:
+                    si[j] = a + c
+                if a - c:
+                    ki[j] = a - c
+
+    def at(self, u: int, v: int):
+        """Sparse upper rows (re, im) of a positive multiple of the core at t = u/v.
+
+        Needs u != 0.  Returns None when some group's w^N is 1, i.e. at
+        t = +-1 when 4 | N_k (or at v = 0 when N_k is even).
+        """
+        coef = []
+        for m in self.mults:
+            x, y = _gauss_pow(v, u, abs(m))
+            if y == 0:
+                return None
+            coef.append((x if m > 0 else -x, y))
+        big = lcm(*(y for _, y in coef))  # u | y: Im((v + iu)^N) has only odd powers of u
+        off = v * big // u
+        diag = [x * big // y for x, y in coef]
+        grp = self.group
+        re, im = [], []
+        for i, (si, ki) in enumerate(zip(self.s, self.k)):
+            gi = grp[i]
+            ci = diag[gi]
+            if self.eps == 1:
+                re.append({j: big * x for j, x in si.items()})
+                im.append({j: -(ci if grp[j] == gi else off) * x for j, x in ki.items()})
+            else:
+                re.append({j: (ci if grp[j] == gi else off) * x for j, x in si.items()})
+                im.append({j: big * x for j, x in ki.items()})
+        return re, im
+
+    def chain_signature(self, u: int, v: int) -> int:
+        """Sum of the eliminated chains' signatures at t = u/v (0 for eps = 1)."""
+        return sum(sig * (abs(m) - 1 - 2 * _half_turns(u, v, abs(m)))
+                   for m, sig in zip(self.mults, self.chain_sigma) if sig)
 
 
 def herm_sig_fast(re, im):

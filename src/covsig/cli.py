@@ -155,7 +155,7 @@ def _emit_jump(f: JumpFunction, args, out, extra=None):
 
 
 def cmd_jump(args, out):
-    f = jump_function(_matrix(args.V), args.epsilon)
+    f = jump_function(_matrix(args.V), args.epsilon, args.precision_bits)
     _emit_jump(f, args, out)
     return EXIT_OK
 
@@ -196,7 +196,7 @@ def _run_pipeline(args):
         c = family_coeffs
     spec = _spec_from_args(args)
     cm = build_covering(sd, c, spec)
-    f = jump_function(cm.expanded_P, sd.epsilon)
+    f = jump_function(cm, sd.epsilon, args.precision_bits)
     g = scale_jump(f, Fraction(1, cm.s), args.precision_bits)
     return cm, g
 
@@ -250,7 +250,7 @@ def cmd_obstruct(args, out):
 
 
 def cmd_sigfn(args, out):
-    f = jump_function(_matrix(args.V), args.epsilon)
+    f = jump_function(_matrix(args.V), args.epsilon, args.precision_bits)
     # the jumps of one period sum to 0, so sigma is back at sigma0 after each
     shown = with_period(f, f.period * max(1, args.window))
     print("theta_decimal,sigma", file=out)
@@ -345,3 +345,7 @@ def run_command(argv=None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

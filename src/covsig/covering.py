@@ -12,15 +12,23 @@ parallel-copy matrix P and an integral T of determinant 1.  The congruence
 leaves the pencil's determinant and signatures, and so every jump, as they
 are, while each group becomes a bidiagonal chain of blocks and each tile
 between two groups a single block: at n = 124 (L(trefoil, 2), p = 5) there
-are 268 nonzero entries instead of 3162.
+are 268 nonzero entries instead of 3162.  The signature samples do not
+use the chains at all: jump_function eliminates them and samples the core,
+the first strands of the groups (see covsig._fast.PencilCore).  The blocks
+themselves are computed with integer matrix products and one exact scaling
+per block (covering_blocks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import NotPrimePower, NotRationalHomologySphere, SingularMatrix
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+
+from .errors import NotPrimePower, NotRationalHomologySphere
 from .exact import RatMatrix, block_matrix, mat_inverse
 from .pattern import fold, solve_multiplicities
 from .seifert import SeifertData
@@ -86,6 +94,18 @@ def gamma(A: RatMatrix, epsilon: int) -> RatMatrix:
     return mat_inverse(A - A.transpose().scale(epsilon)) @ A
 
 
+def _matmul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _adj_det(rows):
+    """(adj(M), det(M)) of a square integer matrix, as int rows and an int."""
+    n = len(rows)
+    adj, det = DomainMatrix([[ZZ(x) for x in row] for row in rows], (n, n), ZZ).adj_det()
+    return [[int(x) for x in row] for row in adj.to_list()], int(det)
+
+
 def covering_blocks(sd: SeifertData, spec: CoveringSpec):
     """The d x d array of blocks A_kl of the covering Seifert matrix.
 
@@ -97,29 +117,56 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
                j = (k - l) mod d, for k != l.
 
     All the G/H factors are polynomials in G, so their order is immaterial.
+    The products run in integers: with c the common denominator of A, B and
+    C, S = c*(A - eps*A^T), delta = det S and adj S its adjugate,
+    G = (adj S)(cA) / delta and H = (adj S)(cA - delta*I) / delta, so the
+    numerators of G^i H^j are integer matrix products, and D = D_i / delta^d
+    with D_i = G_i^d - H_i^d.  Writing Delta = det D_i and
+    tail = adj(D_i) (adj S) (cB),
+
+        A_kk = (Delta*cC - eps*(cB)^T (G_i^(d-1) - H_i^(d-1)) tail) / (c*Delta)
+        A_kl = delta * eps*(cB)^T G_i^(j-1) H_i^(d-j-1) tail / (c*Delta),
+
+    the off-diagonal blocks carrying one more factor delta than the diagonal
+    one.  Each block takes one exact Fraction scaling at the end.
     """
     d = spec.d
     eps = sd.epsilon
-    G = gamma(sd.A, eps)
-    n = G.nrows
-    H = G - RatMatrix.identity(n)
-    gpow = [RatMatrix.identity(n)]
-    hpow = [RatMatrix.identity(n)]
+    c = 1
+    for M in (sd.A, sd.B, sd.C):
+        for row in M.rows:
+            for x in row:
+                c = lcm(c, x.denominator)
+    a, b, cc = ([[int(x * c) for x in row] for row in M.rows] for M in (sd.A, sd.B, sd.C))
+    n = len(a)
+    # SeifertData has checked that delta != 0
+    adj_s, delta = _adj_det([[a[i][j] - eps * a[j][i] for j in range(n)] for i in range(n)])
+    g = _matmul(adj_s, a)
+    h = [[x - (delta if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(g)]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    gpow, hpow = [ident], [ident]
     for _ in range(d):
-        gpow.append(gpow[-1] @ G)
-        hpow.append(hpow[-1] @ H)
-    try:
-        den_inv = mat_inverse(gpow[d] - hpow[d])
-    except SingularMatrix:
+        gpow.append(_matmul(gpow[-1], g))
+        hpow.append(_matmul(hpow[-1], h))
+    adj_d, big_delta = _adj_det([[x - y for x, y in zip(r, s)] for r, s in zip(gpow[d], hpow[d])])
+    if big_delta == 0:
         raise NotRationalHomologySphere(
             "G^d - (G-I)^d is singular: the cover is not a rational homology sphere"
-        ) from None
-    skew_inv = mat_inverse(sd.A - sd.A.transpose().scale(eps))
-    ebt = sd.B.transpose().scale(eps)
-    tail = den_inv @ skew_inv @ sd.B
+        )
+    tail = _matmul(adj_d, _matmul(adj_s, b))
+    ebt = [[eps * x for x in col] for col in zip(*b)]
+    den = c * big_delta
+
+    def block(num):
+        return RatMatrix([[Fraction(x, den) for x in row] for row in num])
+
+    diff = [[x - y for x, y in zip(r, s)] for r, s in zip(gpow[d - 1], hpow[d - 1])]
+    diag = _matmul(ebt, _matmul(diff, tail))
     # A_kl depends only on j = (k - l) mod d: d distinct blocks, j = 0 the diagonal
-    by_j = [sd.C - ebt @ ((gpow[d - 1] - hpow[d - 1]) @ tail)]
-    by_j += [ebt @ (gpow[j - 1] @ hpow[d - j - 1] @ tail) for j in range(1, d)]
+    by_j = [block([[big_delta * x - y for x, y in zip(r, s)] for r, s in zip(cc, diag)])]
+    by_j += [block([[delta * x for x in row]
+                    for row in _matmul(ebt, _matmul(_matmul(gpow[j - 1], hpow[d - j - 1]), tail))])
+             for j in range(1, d)]
     return tuple(tuple(by_j[(k - l) % d] for l in range(d)) for k in range(d))
 
 

@@ -4,10 +4,19 @@ The signature sigma(theta) of the hermitian pencil (wP - eps*P^T)/(w - 1) on
 the unit circle is a step function; this module extracts its discontinuities
 exactly.  Jump locations at roots of unity are stored as rational multiples
 of pi; the rest are algebraic numbers in the Cayley variable t = tan(theta/2)
-with isolating intervals.  All decisions (periodicity verdicts in particular)
-are made by exact arithmetic or certificates, never by floating point; when a
-comparison of two transcendental angles cannot be certified either way within
-the precision budget, the answer is an explicit Unresolved.
+with isolating intervals.  The candidates come from D(w) = det(wP - eps*P^T)
+of the whole matrix.  The signature is sampled once between each pair of
+neighbouring candidates.  For a covering matrix the samples are taken on its
+core (_fast.PencilCore), with the strand chains eliminated by Haynsworth's
+inertia additivity.  A sample at t = 1 that a group with 4 | N cannot take
+moves to another rational in the same gap.  A group with
+det(A_kk - eps*A_kk^T) = 0 makes D vanish through a common kernel; the
+kernel step then leaves a matrix that is sampled as one group.
+
+All decisions (periodicity verdicts in particular) are made by exact
+arithmetic or certificates, never by floating point; when a comparison of
+two transcendental angles cannot be certified either way within the
+precision budget, the answer is an explicit Unresolved.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from mpmath.libmp import to_rational
 from sympy import totient
 
 from . import _fast
-from .covering import CoveringSpec, build_covering
+from .covering import CoveringMatrix, CoveringSpec, build_covering
 from .errors import UnresolvedComparison, ZeroScale
 from .exact import (
     DEFAULT_PRECISION_BITS,
@@ -32,6 +41,7 @@ from .exact import (
     GaussRat,
     RatMatrix,
     alg_compare,
+    block_matrix,
     hermitian_signature,
     isolate_real_roots,
 )
@@ -215,7 +225,7 @@ def _int_rows(Pm: RatMatrix):
 
 
 def _signature(g) -> int:
-    """Signature of the sparse hermitian rows g = (re, im) of _fast.herm_pencil.
+    """Signature of the sparse hermitian rows g = (re, im), as PencilCore.at gives them.
 
     The integer kernel answers unless it meets a Schur complement with an
     all-zero diagonal; only then are the rows written out densely for the
@@ -234,16 +244,45 @@ def _signature(g) -> int:
     return s
 
 
-def _sig_at(parts, eps: int, u: int, v: int) -> int:
-    """Pencil signature at t = u/v; parts is _fast.pencil_parts(P)."""
+def _pencil_core(Pm, rows, eps: int) -> _fast.PencilCore:
+    """The core that jump_function samples (see _fast.PencilCore).
+
+    A CoveringMatrix gives one group per nonzero multiplicity; a plain
+    matrix, given by its integer rows, is one group with N = 1.  A group
+    with N >= 2 and det(A_kk - eps*A_kk^T) = 0 does not reach here: it makes
+    D = 0 through a common kernel, and jump_function samples the reduced
+    matrix as one group.
+    """
+    if not isinstance(Pm, CoveringMatrix):
+        return _fast.PencilCore(rows, eps)
+    keep = [k for k, m in enumerate(Pm.multiplicities) if m]
+    mults = [Pm.multiplicities[k] for k in keep]
+    sign = [1 if m > 0 else -1 for m in mults]
+    blocks = Pm.blocks_A
+    core = _int_rows(block_matrix([
+        [blocks[k][l].scale(1 if a == c else sign[a] * sign[c]) for c, l in enumerate(keep)]
+        for a, k in enumerate(keep)]))
+    # for eps = -1 a chain of N >= 2 strands adds g * sigma(A_kk + A_kk^T) * sigma(R)
+    chain_sigma = [0] * len(mults)
+    if eps == -1:
+        b = len(core) // len(mults)
+        for a, m in enumerate(mults):
+            if abs(m) >= 2:
+                r = a * b
+                upper = [{j: core[r + i][r + j] + core[r + j][r + i] for j in range(i, b)
+                          if core[r + i][r + j] + core[r + j][r + i]} for i in range(b)]
+                chain_sigma[a] = sign[a] * _signature((upper, [{} for _ in range(b)]))
+    return _fast.PencilCore(core, eps, mults, chain_sigma)
+
+
+def _sig_at(core: _fast.PencilCore, u: int, v: int):
+    """Pencil signature at t = u/v, or None where a chain of the core is singular."""
     if u == 0:
         raise ValueError("t = 0 corresponds to w = 1, excluded from the pencil")
-    if v < 0:
-        u, v = -u, -v
-    g = int_gcd(abs(u), v)
-    u, v = u // g, v // g
-    s = _signature(_fast.herm_pencil(parts, eps, u, v))
-    return s if u > 0 else -s
+    g = core.at(u, v)
+    if g is None:
+        return None
+    return _signature(g) + core.chain_signature(u, v)
 
 
 def tl_signature(Pm: RatMatrix, epsilon: int, t) -> int:
@@ -253,12 +292,12 @@ def tl_signature(Pm: RatMatrix, epsilon: int, t) -> int:
     Degenerate pencils are fine: the zero eigenvalues simply contribute 0.
     """
     t = Fraction(t)
-    return _sig_at(_fast.pencil_parts(_int_rows(Pm)), epsilon, t.numerator, t.denominator)
+    return _sig_at(_fast.PencilCore(_int_rows(Pm), epsilon), t.numerator, t.denominator)
 
 
 def tl_signature_at_pi(Pm: RatMatrix, epsilon: int) -> int:
     """Signature of the pencil at w = -1 (theta = pi)."""
-    return _signature(_fast.herm_pencil_at_pi(_fast.pencil_parts(_int_rows(Pm)), epsilon))
+    return _sig_at(_fast.PencilCore(_int_rows(Pm), epsilon), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +449,13 @@ def _candidate_loc(kind, val):
     return PiLoc(val) if kind == "pi" else AlgLoc(val, 0, 1)
 
 
-def _separate_candidates(items, prec0: int = 64):
+def _separate_candidates(items, max_bits: int = DEFAULT_PRECISION_BITS, prec0: int = 64):
     """Sort candidates on the positive t-axis with disjoint rational enclosures.
 
     items: list of ("pi", frac) / ("alg", AlgReal).  Returns the sorted list
     together with enclosures [(lo, hi)] with 0 < lo, hi < next lo.  Doubles
-    the precision up to 4*DEFAULT_PRECISION_BITS; if two enclosures still
-    overlap (or one still reaches 0), raises UnresolvedComparison for that
-    pair.
+    the precision up to 4*max_bits; if two enclosures still overlap (or one
+    still reaches 0), raises UnresolvedComparison for that pair.
     """
     prec = prec0
     while True:
@@ -441,8 +479,8 @@ def _separate_candidates(items, prec0: int = 64):
                     break
         if clash is None:
             return [items[i] for i in order], [encl[i] for i in order]
-        if prec >= 4 * DEFAULT_PRECISION_BITS:
-            raise UnresolvedComparison(*clash, DEFAULT_PRECISION_BITS)
+        if prec >= 4 * max_bits:
+            raise UnresolvedComparison(*clash, max_bits)
         prec *= 2
 
 
@@ -465,13 +503,34 @@ def _simplest_between(a: Fraction, b: Fraction) -> Fraction:
     return fa + 1 / _simplest_between(1 / (b - fa), 1 / (a - fa))
 
 
-def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
+def _sample_sig(core, lo: Fraction, hi):
+    """The pencil signature on the gap (lo, hi) between candidates (hi None: no bound).
+
+    The sample is the simplest rational in the gap (the integer above lo
+    when hi is None).  If a chain of the core is singular there, which is
+    only t = 1 with 4 | N, it moves to the simplest rational in (lo, 1):
+    sigma is constant on the gap, so neither the candidates nor the printed
+    intervals change.
+    """
+    t = _simplest_between(lo, hi) if hi is not None else Fraction(lo.__floor__() + 1)
+    s = _sig_at(core, t.numerator, t.denominator)
+    if s is None:
+        t = _simplest_between(lo, t)
+        s = _sig_at(core, t.numerator, t.denominator)
+    return s
+
+
+def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
     """All jumps of the pencil signature over theta in (0, 2*pi).
 
-    Root-of-unity jump angles (cyclotomic factors of the determinant
-    det(w*P - eps*P^T)) come out as PiLoc; the remaining unimodular roots as
-    AlgLoc in t = tan(theta/2).  Signatures are evaluated at exact rational t
-    strictly between consecutive candidates, only on the upper half circle.
+    Pm is a square RatMatrix or a CoveringMatrix.  D(w) = det(w*P - eps*P^T)
+    always comes from the n x n matrix (a covering's expanded_P); the
+    signature samples of a CoveringMatrix are taken on its core (see
+    _fast.PencilCore), with each group's strand chain eliminated.
+    Root-of-unity jump angles (cyclotomic factors of D) come out as PiLoc;
+    the remaining unimodular roots as AlgLoc in t = tan(theta/2).
+    Signatures are evaluated at exact rational t strictly between
+    consecutive candidates, only on the upper half circle.
     The lower half is the mirror image: the pencil at conj(w) is the
     transpose of the pencil at w for eps = 1, and minus it for eps = -1 (i
     times a skew-hermitian pencil), so sigma is even for eps = 1 and odd for
@@ -479,21 +538,25 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
     value for eps = -1, and an odd sigma also jumps at theta = pi, by
     -2*sigma(pi-).
     Raises UnresolvedComparison when two candidates stay unseparated at
-    4*DEFAULT_PRECISION_BITS bits.
+    4*max_bits bits.
     """
-    if not Pm.is_square:
+    P_n = Pm.expanded_P if isinstance(Pm, CoveringMatrix) else Pm
+    if not P_n.is_square:
         raise ValueError("jump_function needs a square matrix")
-    rows = _int_rows(Pm)
+    rows = _int_rows(P_n)
     if not rows:
         return JumpFunction([], Fraction(1), 0)
     D = _fast.pencil_det_poly(rows, epsilon)
+    core = _pencil_core(Pm, rows, epsilon)
     if P.is_zero(P.trim(D)):
         # ker P & ker P^T != 0 forces D = 0, so the kernel step only matters here
         reduced = _remove_common_kernel(rows)
         if not reduced:
             return JumpFunction([], Fraction(1), 0)
         if len(reduced) < len(rows):
+            # the congruence mixes strands, so the reduced matrix is one group
             rows = reduced
+            core = _fast.PencilCore(rows, epsilon)
             D = _fast.pencil_det_poly(rows, epsilon)
         if P.is_zero(P.trim(D)):
             D = _generic_minor_poly(rows, epsilon)
@@ -514,16 +577,14 @@ def jump_function(Pm: RatMatrix, epsilon: int = 1) -> JumpFunction:
             for root in isolate_real_roots(g, window=(Fraction(0), bound)):
                 items.append(("alg", root))
 
-    parts = _fast.pencil_parts(rows)
     if items:
-        items, encl = _separate_candidates(items)
-        samples = [_simplest_between(Fraction(0), encl[0][0])]
-        for (lo1, hi1), (lo2, hi2) in zip(encl, encl[1:]):
-            samples.append(_simplest_between(hi1, lo2))
-        samples.append(Fraction(encl[-1][1].__floor__() + 1))
+        items, encl = _separate_candidates(items, max_bits)
+        gaps = [(Fraction(0), encl[0][0])]
+        gaps += [(hi1, lo2) for (_, hi1), (lo2, _) in zip(encl, encl[1:])]
+        gaps.append((encl[-1][1], None))
     else:
-        samples = [Fraction(1)]
-    sigs = [_sig_at(parts, epsilon, t.numerator, t.denominator) for t in samples]
+        gaps = [(Fraction(0), None)]
+    sigs = [_sample_sig(core, lo, hi) for lo, hi in gaps]
 
     upper = []
     for idx, (kind, val) in enumerate(items):
@@ -712,12 +773,13 @@ def period_2pi_test(f: JumpFunction, max_bits: int = DEFAULT_PRECISION_BITS) -> 
     return Verdict("Periodic")
 
 
-def covering_jump(sd: SeifertData, coeffs: dict, spec: CoveringSpec):
+def covering_jump(sd: SeifertData, coeffs: dict, spec: CoveringSpec,
+                  max_bits: int = DEFAULT_PRECISION_BITS):
     """Full pipeline: covering matrix, its jumps at theta/s, and the verdict."""
     cm = build_covering(sd, coeffs, spec)
-    f = jump_function(cm.expanded_P, sd.epsilon)
-    g = scale_jump(f, Fraction(1, cm.s))
-    return g, period_2pi_test(g)
+    f = jump_function(cm, sd.epsilon, max_bits)
+    g = scale_jump(f, Fraction(1, cm.s), max_bits)
+    return g, period_2pi_test(g, max_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from covsig import cli
+from covsig import cli, jumps
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
 from conftest import same_jumps
@@ -218,3 +222,31 @@ def test_precision_bits_reach_the_sort(monkeypatch):
                    "--p", "2", "--precision-bits", "77"])
     assert code in (0, 1)
     assert seen == [77]
+
+
+def test_precision_bits_reach_candidate_separation(monkeypatch):
+    seen = []
+    real = jumps._separate_candidates
+
+    def spy(items, max_bits):
+        seen.append(max_bits)
+        return real(items, max_bits)
+
+    monkeypatch.setattr(jumps, "_separate_candidates", spy)
+    for argv in (["jump", "--V", "trefoil"], ["sigfn", "--V", "trefoil"],
+                 ["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "2"]):
+        code, _ = run(argv + ["--precision-bits", "77"])
+        assert code in (0, 1)
+    assert seen == [77, 77, 77]
+
+
+@pytest.mark.parametrize("module", ["covsig", "covsig.cli"])
+def test_python_dash_m_runs_the_command(module):
+    argv = ["jump", "--V", "trefoil"]
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", module] + argv, capture_output=True,
+                          text=True, env=env, timeout=120)
+    code, text = run(argv)
+    assert (proc.returncode, proc.stdout) == (code, text)
+    assert text

@@ -9,14 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsig import (
+    CoveringMatrix,
     CoveringSpec,
     NotPrimePower,
+    NotRationalHomologySphere,
     RatMatrix,
+    SeifertData,
     build_covering,
     covering_blocks,
     covering_matrix,
     gamma,
     ltm_family,
+    mat_inverse,
     ltm_y_oracle,
     p3_y_oracle,
     fold,
@@ -26,7 +30,8 @@ from covsig import (
 )
 from covsig import _fast
 from covsig.exact import block_matrix
-from conftest import TREFOIL, same_jumps
+from covsig.jumps import _pencil_core, _remove_common_kernel, _sig_at, _signature
+from conftest import ALG, T25, TREFOIL, same_jumps
 
 
 def test_covering_spec():
@@ -206,6 +211,129 @@ def test_covering_matrix_nnz_ltm_2_5():
     m = cm.expanded_P
     assert m.nrows == 124
     assert sum(1 for row in m.rows for x in row if x) == 268
+
+
+# ---------------------------------------------------------------------------
+# integer covering blocks against the Gamma formulas in Fractions
+
+
+def fraction_covering_blocks(sd, spec):
+    """The blocks A_kl straight from the Gamma formulas, in Fraction matrices."""
+    d, eps = spec.d, sd.epsilon
+    G = gamma(sd.A, eps)
+    H = G - RatMatrix.identity(G.nrows)
+    gpow, hpow = [RatMatrix.identity(G.nrows)], [RatMatrix.identity(G.nrows)]
+    for _ in range(d):
+        gpow.append(gpow[-1] @ G)
+        hpow.append(hpow[-1] @ H)
+    tail = mat_inverse(gpow[d] - hpow[d]) @ mat_inverse(sd.A - sd.A.transpose().scale(eps)) @ sd.B
+    ebt = sd.B.transpose().scale(eps)
+    by_j = [sd.C - ebt @ ((gpow[d - 1] - hpow[d - 1]) @ tail)]
+    by_j += [ebt @ (gpow[j - 1] @ hpow[d - j - 1] @ tail) for j in range(1, d)]
+    return tuple(tuple(by_j[(k - l) % d] for l in range(d)) for k in range(d))
+
+
+@pytest.mark.parametrize("V", [TREFOIL, T25, ALG, ALG.scale(Fraction(1, 2))],
+                         ids=["trefoil", "t25", "alg", "alg/2"])
+@pytest.mark.parametrize("epsilon", [1, -1])
+@pytest.mark.parametrize("p, a", [(3, 1), (2, 2), (5, 1), (2, 3)], ids=["d3", "d4", "d5", "d8"])
+def test_integer_blocks_equal_fraction_blocks(V, epsilon, p, a):
+    # at eps = -1, det(A + A^T) is 49 for ALG: a misplaced factor of det S shows there
+    sd, _ = ltm_family(V, 2, epsilon)
+    spec = CoveringSpec(p=p, a=a)
+    assert covering_blocks(sd, spec) == fraction_covering_blocks(sd, spec)
+
+
+def test_covering_blocks_refuse_a_cover_that_is_not_a_homology_sphere():
+    # A = [1], eps = -1: G = 1/2 and H = -1/2, so G^2 - H^2 = 0
+    sd = SeifertData(RatMatrix([[1]]), RatMatrix([[1]]), RatMatrix([[1]]), -1)
+    with pytest.raises(NotRationalHomologySphere):
+        covering_blocks(sd, CoveringSpec(p=2))
+
+
+# ---------------------------------------------------------------------------
+# signature samples on the core against the n x n pencil
+
+
+def pencil_oracle(rows, eps, u, v):
+    """sigma of the n x n pencil at t = u/v, from the pencil itself.
+
+    2u * (w*P - eps*P^T)/(w - 1) at w = (1+it)/(1-it), times i for eps = -1,
+    has real part u*(P + P^T) and imaginary part -v*(P - P^T) for eps = 1,
+    and v*(P + P^T) and u*(P - P^T) for eps = -1.
+    """
+    n = len(rows)
+    cr, ci = (u, -v) if eps == 1 else (v, u)
+    re = [{j: cr * (rows[i][j] + rows[j][i]) for j in range(i, n)} for i in range(n)]
+    im = [{j: ci * (rows[i][j] - rows[j][i]) for j in range(i, n)} for i in range(n)]
+    sig = _signature((re, im))
+    return sig if u > 0 else -sig
+
+
+core_blocks = st.integers(min_value=1, max_value=2).flatmap(lambda b: st.lists(
+    st.lists(st.lists(st.lists(block_entries, min_size=b, max_size=b),
+                      min_size=b, max_size=b).map(RatMatrix),
+             min_size=3, max_size=3),
+    min_size=3, max_size=3))
+core_mults = st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3).filter(any)
+
+
+def as_covering(blocks, mults, epsilon):
+    return CoveringMatrix(blocks, covering_matrix(blocks, mults, 1, epsilon), 1, tuple(mults))
+
+
+@settings(max_examples=200, deadline=None)
+@given(core_blocks, core_mults, st.sampled_from([1, -1]),
+       st.one_of(st.sampled_from([(1, 1), (-1, 1)]),
+                 st.tuples(st.integers(min_value=-9, max_value=9).filter(bool),
+                           st.integers(min_value=1, max_value=9))))
+def test_core_signature_equals_pencil_signature(blocks, mults, epsilon, t):
+    cm = as_covering(blocks, mults, epsilon)
+    rows = int_rows(cm.expanded_P)
+    core = _pencil_core(cm, rows, epsilon)
+    u, v = t
+    got = _sig_at(core, u, v)
+    if got is None:
+        # a chain is singular only at w^N = 1: t = +-1 with 4 | N
+        assert abs(u) == v and any(m % 4 == 0 for m in core.mults)
+    else:
+        assert got == pencil_oracle(rows, epsilon, u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_blocks,
+       st.lists(st.sampled_from([-4, -3, -2, -1, 0, 1, 2, 3, 4, 4, -4]), min_size=3, max_size=3)
+         .filter(lambda ms: any(ms) and sum(map(abs, ms)) <= 8),
+       st.sampled_from([1, -1]))
+def test_core_jump_function_equals_pencil_jump_function(blocks, mults, epsilon):
+    # with 4 | N a sample at t = 1 moves inside its gap; sigma0 and the jumps stay
+    cm = as_covering(blocks, mults, epsilon)
+    f, g = jump_function(cm, epsilon), jump_function(cm.expanded_P, epsilon)
+    assert same_jumps(f, g)
+    assert f.sigma0 == g.sigma0
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_blocks, st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2),
+       st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3)
+         .filter(lambda ms: any(abs(m) >= 2 for m in ms)),
+       st.sampled_from([1, -1]))
+def test_singular_chain_is_a_common_kernel(blocks, x, y, mults, epsilon):
+    # det(A_kk - eps*A_kk^T) = 0 on a group of N >= 2 strands: the chain is
+    # singular everywhere, so D = 0 and the kernel step shrinks the matrix,
+    # after which jump_function samples it as one group
+    b = blocks[0][0].nrows
+    if b == 1:
+        A = RatMatrix([[x]]) if epsilon == 1 else RatMatrix([[0]])
+    else:  # symmetric for eps = 1; A + A^T = diag(0, 2y) for eps = -1
+        A = RatMatrix([[x, y], [y, x]]) if epsilon == 1 else RatMatrix([[0, x], [-x, y]])
+    blocks = [[A if k == l else blocks[k][l] for l in range(3)] for k in range(3)]
+    cm = as_covering(blocks, mults, epsilon)
+    rows = int_rows(cm.expanded_P)
+    assert _fast.pencil_det_poly(rows, epsilon) == []
+    assert len(_remove_common_kernel(rows)) < len(rows)
+    f, g = jump_function(cm, epsilon), jump_function(cm.expanded_P, epsilon)
+    assert same_jumps(f, g) and f.sigma0 == g.sigma0
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 bareiss_det is checked against sympy's DomainMatrix.det, pencil_det_poly
 against Newton interpolation of integer determinants of the pencil,
-herm_pencil against the pencil formula in Gaussian rationals, and
-herm_sig_fast against the rational congruence routine hermitian_signature.
+PencilCore.at on a plain matrix against the pencil formula in Gaussian
+rationals, and herm_sig_fast against the rational congruence routine
+hermitian_signature.
 """
 
+import cmath
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -273,20 +276,34 @@ def test_sig_chain_arrow_matches_reference(m):
 @given(square(entries, max_size=5), eps_st,
        st.integers(min_value=-9, max_value=9).filter(bool),
        st.integers(min_value=1, max_value=9))
-def test_herm_pencil_is_the_scaled_pencil(rows, eps, u, v):
-    # G = 2u * (w*P - eps*P^T)/(w - 1) at w = (1+it)/(1-it), t = u/v, and
-    # 2 * that at w = -1; both times i when eps = -1
+def test_pencil_core_is_the_scaled_pencil(rows, eps, u, v):
+    # a plain matrix is one group with N = 1: its core is 2|u| * (w*P - eps*P^T)/(w - 1)
+    # at w = (1+it)/(1-it), t = u/v, and 2 * that at w = -1; both times i when eps = -1
     n = len(rows)
     turn = GaussRat(1) if eps == 1 else GaussRat(0, 1)
     t = Fraction(u, v)
-    parts = _fast.pencil_parts(rows)
+    core = _fast.PencilCore(rows, eps)
+    assert core.chain_signature(u, v) == 0
     for w, c, g in [
-        (GaussRat(1, t) / GaussRat(1, -t), 2 * u, _fast.herm_pencil(parts, eps, u, v)),
-        (GaussRat(-1), 2, _fast.herm_pencil_at_pi(parts, eps)),
+        (GaussRat(1, t) / GaussRat(1, -t), 2 * abs(u), core.at(u, v)),
+        (GaussRat(-1), 2, core.at(1, 0)),
     ]:
         re, im = g
         for i in range(n):
-            assert all(j >= i and x for r in (re[i], im[i]) for j, x in r.items())
+            assert all(j >= i for r in (re[i], im[i]) for j in r)
             for j in range(i, n):
                 z = GaussRat(c) * turn * (w * rows[i][j] - eps * rows[j][i]) / (w - 1)
                 assert (re[i].get(j, 0), im[i].get(j, 0)) == (z.re, z.im)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_half_turns_counts_multiples_of_pi(n):
+    # floor(n * phi / pi) for phi = arg(v + iu) in (0, pi), u > 0, or arg(-(v + iu)) for u < 0
+    for u in range(-5, 6):
+        for v in range(-5, 6):
+            if u == 0:
+                continue
+            z = complex(v, u) if u > 0 else complex(-v, -u)
+            x = n * cmath.phase(z) / math.pi
+            if abs(x - round(x)) > 1e-9:
+                assert _fast._half_turns(u, v, n) == math.floor(x)

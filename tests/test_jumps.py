@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import totient
+from sympy import ZZ, totient
+from sympy.polys.matrices import DomainMatrix
 
 from covsig import (
     DEFAULT_PRECISION_BITS,
     AlgReal,
     Comparison,
+    CoveringMatrix,
     CoveringSpec,
     JumpFunction,
     JumpPoint,
@@ -24,6 +26,7 @@ from covsig import (
     compare_locations,
     connected_sum,
     covering_jump,
+    covering_matrix,
     jump_from_obj,
     jump_function,
     jump_to_obj,
@@ -37,8 +40,17 @@ from covsig import (
     tl_signature_at_pi,
     with_period,
 )
+from covsig import _fast
 from covsig.exact import poly as P
-from covsig.jumps import AlgLoc, _cyclotomic_split, _separate_candidates, theta_decimal
+from covsig.jumps import (
+    AlgLoc,
+    _cyclotomic_split,
+    _generic_minor_poly,
+    _rank_profile,
+    _remove_common_kernel,
+    _separate_candidates,
+    theta_decimal,
+)
 from conftest import ALG, T25, TREFOIL, same_jumps
 
 small_ints = st.integers(min_value=-2, max_value=2)
@@ -152,6 +164,94 @@ def test_common_kernel_removed_when_det_vanishes(V):
     g = jump_function(connected_sum(V, RatMatrix.zeros(2)))
     assert same_jumps(f, g)
     assert g.sigma0 == f.sigma0
+
+
+def domain_rank(rows):
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    return DomainMatrix([[ZZ(x) for x in row] for row in rows], (nr, nc), ZZ).rank()
+
+
+def domain_det(rows):
+    n = len(rows)
+    return int(DomainMatrix([[ZZ(x) for x in row] for row in rows], (n, n), ZZ).det())
+
+
+def pad_and_mix(rows, k, mix):
+    """U^T (rows + 0_k) U for the unimodular upper-triangular U whose strict part is mix."""
+    n = len(rows) + k
+    padded = [list(r) + [0] * k for r in rows] + [[0] * n for _ in range(k)]
+    u = [[1 if i == j else (mix[i][j] if j > i else 0) for j in range(n)] for i in range(n)]
+    pu = [[sum(padded[i][a] * u[a][j] for a in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(u[a][i] * pu[a][j] for a in range(n)) for j in range(n)] for i in range(n)]
+
+
+square_ints = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n))
+mix_st = st.lists(st.lists(small_ints, min_size=7, max_size=7), min_size=7, max_size=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_ints, st.integers(min_value=0, max_value=2), mix_st)
+def test_rank_profile_matches_domain_matrix(rows, k, mix):
+    # on random matrices, and on P + 0_k hidden by a unimodular congruence
+    for m in (rows, pad_and_mix(rows, k, mix)):
+        r, ri, ci = _rank_profile(m)
+        assert r == domain_rank(m) == len(ri) == len(ci)
+        assert ri == sorted(ri) and ci == sorted(ci)
+        if r:
+            assert domain_det([[m[i][j] for j in ci] for i in ri]) != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_ints, st.integers(min_value=0, max_value=2), mix_st, st.sampled_from([1, -1]))
+def test_generic_minor_poly_matches_determinant(rows, k, mix, eps):
+    D = _fast.pencil_det_poly(rows, eps)
+    assume(D)
+    # a nonsingular pencil is its own generic minor
+    assert _generic_minor_poly(rows, eps) == D
+    # every maximal minor of U^T (H + 0_k) U is an integer multiple of det H
+    g = _generic_minor_poly(pad_and_mix(rows, k, mix), eps)
+    assert len(g) == len(D)
+    ratio = g[-1] / D[-1]
+    assert ratio != 0 and g == [ratio * c for c in D]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_ints, st.integers(min_value=1, max_value=2), mix_st, st.sampled_from([1, -1]),
+       st.integers(min_value=-9, max_value=9).filter(bool), st.integers(min_value=1, max_value=9))
+def test_remove_common_kernel_is_a_congruence(rows, k, mix, eps, u, v):
+    m = pad_and_mix(rows, k, mix)
+    reduced = _remove_common_kernel(m)
+    # ker P & ker P^T has dimension n - rank [P; P^T], and all of it goes
+    assert len(reduced) == domain_rank(m + [list(c) for c in zip(*m)])
+    if reduced:
+        assert domain_rank(reduced + [list(c) for c in zip(*reduced)]) == len(reduced)
+    # a congruence by a kernel basis: the pencil signature does not change
+    assert tl_signature(RatMatrix(reduced) if reduced else RatMatrix.zeros(0), eps,
+                        Fraction(u, v)) == tl_signature(RatMatrix(m), eps, Fraction(u, v))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=1, max_value=2).flatmap(lambda b: st.lists(
+           st.lists(st.lists(st.lists(small_ints, min_size=b, max_size=b),
+                             min_size=b, max_size=b), min_size=3, max_size=3),
+           min_size=3, max_size=3)),
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3)
+         .filter(lambda ms: any(ms) and sum(map(abs, ms)) <= 5),
+       st.sampled_from([1, -1]))
+def test_covering_with_common_kernel_goes_through_the_core(blocks, mults, eps):
+    # a zero row and column added to every block gives the covering matrix a
+    # common kernel with its transpose, so D = 0: after the kernel step the
+    # reduced matrix is sampled as one group, with the jumps of the unpadded cover
+    b = len(blocks[0][0])
+    plain = [[RatMatrix(blk) for blk in row] for row in blocks]
+    padded = [[RatMatrix([r + [0] for r in blk] + [[0] * (b + 1)]) for blk in row]
+              for row in blocks]
+    f, g = (jump_function(CoveringMatrix(bl, covering_matrix(bl, mults, 1, eps), 1,
+                                         tuple(mults)), eps)
+            for bl in (plain, padded))
+    assert same_jumps(f, g)
+    assert f.sigma0 == g.sigma0
 
 
 def test_jump_values_sum_to_zero_over_period():
@@ -422,6 +522,16 @@ def test_candidate_separation_is_bounded():
     assert info.value.bits == DEFAULT_PRECISION_BITS
     assert all(isinstance(loc, AlgLoc) for loc in (info.value.loc_a, info.value.loc_b))
     assert r.width() <= Fraction(1, 1 << (4 * DEFAULT_PRECISION_BITS))
+
+
+def test_small_precision_bits_stop_separation_sooner():
+    # the same equal pair as above: with max_bits = 64 the cap is 256 bits
+    r = AlgReal([-2, 0, 1], 1, 2)
+    with pytest.raises(UnresolvedComparison) as info:
+        _separate_candidates([("alg", r), ("alg", r.copy())], 64)
+    assert info.value.bits == 64
+    assert r.width() <= Fraction(1, 1 << 256)
+    assert r.width() > Fraction(1, 1 << (4 * DEFAULT_PRECISION_BITS))
 
 
 def fraction_cyclotomic_split(S):
