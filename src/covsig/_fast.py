@@ -3,8 +3,17 @@
 Everything here works on plain Python ints (entries of scaled integer Seifert
 matrices), which keeps the inner loops free of Fraction normalization.
 
-D(w) comes from one fraction-free integer solve Q X = den * P and the
-characteristic polynomial of X; no rational matrix is formed.
+D(w) takes the same (rows, eps, mults) as a PencilCore.  When every group
+has N = +1 the core is the whole matrix, a linear pencil, and D comes from
+one fraction-free integer solve Q X = den * P and the characteristic
+polynomial of X; no rational matrix is formed.  Any other covering gets D
+from its core, D(w) = c * det M'(w), where M' is a polynomial matrix of
+size (number of groups) x b (PencilCore's docstring has the identity).
+After the Cayley change w = (1 - y)/(1 + y), under which (1 + y)^n D is
+even or odd in y, det M' is taken by Bareiss at the integers y = 0..h,
+h = ceil(n/2), and interpolated in integers on the nodes -h..h; the n x n
+matrix is not formed.  Every division on the way is exact, and one that is
+not raises ArithmeticError.
 
 Signature samples are taken on a PencilCore: the pencil of a covering matrix
 with each strand group's chain of difference strands eliminated.
@@ -40,6 +49,7 @@ multipliers are 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
 
 from sympy import ZZ
@@ -95,45 +105,127 @@ def _transpose_scaled(rows, c):
     return [[c * rows[j][i] for j in range(n)] for i in range(n)]
 
 
-def _newton_interp(xs, ys):
-    """Ascending Fraction coefficients of the interpolating polynomial."""
-    n = len(xs)
-    coef = [Fraction(y) for y in ys]  # divided differences, in place
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - k])
-    # expand the Newton form
-    poly = [Fraction(0)] * n
-    acc = [Fraction(1)]  # product (x - x_0)...(x - x_{k-1})
-    for k in range(n):
-        for i, a in enumerate(acc):
-            poly[i] += coef[k] * a
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            nxt[i] -= xs[k] * a
-            nxt[i + 1] += a
-        acc = nxt
+def interpolate(values, h: int = 0):
+    """Ascending integer coefficients of the polynomial p with p(i - h) = values[i].
+
+    values is not empty, and p must have integer coefficients and degree
+    < len(values).  Newton's forward formula on the consecutive nodes
+    -h, 1 - h, ...: the k-th forward difference at -h is k! times an
+    integer, and the Newton form is expanded by Horner's rule.  A division
+    that is not exact raises ArithmeticError.
+    """
+    coef = []
+    diffs = list(values)
+    fact = 1
+    for k in range(len(values)):
+        fact *= k or 1
+        q, r = divmod(diffs[0], fact)
+        if r:
+            raise ArithmeticError("values are not those of an integer polynomial")
+        coef.append(q)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    poly = [coef[-1]]
+    for k in range(len(coef) - 2, -1, -1):
+        # poly = poly * (x - x_k) + coef[k], with x_k = k - h
+        xk = k - h
+        poly = ([coef[k] - xk * poly[0]] + [a - xk * b for a, b in zip(poly, poly[1:])]
+                + [poly[-1]])
     while poly and poly[-1] == 0:
         poly.pop()
     return poly
 
 
-def pencil_det_poly(p_rows, eps: int):
+def _shift_by_one(coef):
+    """Ascending coefficients of p(x + 1), given those of p(x)."""
+    r = coef[::-1]  # Horner's scheme on the descending coefficients, as running sums
+    for k in range(len(r), 1, -1):
+        r[:k] = accumulate(r[:k])
+    return r[::-1]
+
+
+def _alternate(coef):
+    """Coefficients of p(-x)."""
+    return [-a if i & 1 else a for i, a in enumerate(coef)]
+
+
+def _core_det_poly(rows, eps: int, mults):
+    """D(w) of a covering from its core (see PencilCore): ascending ints, [] for D = 0.
+
+    D(w) = c * det M'(w), and (1 + y)^n D(w) at w = (1 - y)/(1 + y) is
+    c * det of an integer matrix in y whose values at -y and y agree up to
+    the sign (-eps)^n; it is taken at y = 0..h, h = ceil(n/2), interpolated
+    on -h..h and mapped back to w.
+    """
+    b = len(rows) // len(mults)
+    group = [i // b for i in range(len(rows))]
+    c = 1  # prod of g^((N-1)*b) * det(S)^(N-1)
+    for k, m in enumerate(mults):
+        if abs(m) >= 2:
+            r = k * b
+            s = bareiss_det([[rows[r + i][r + j] - eps * rows[r + j][r + i] for j in range(b)]
+                             for i in range(b)])
+            c *= (-1 if m < 0 else 1) ** ((abs(m) - 1) * b) * s ** (abs(m) - 1)
+    if c == 0:
+        return []
+    n = sum(abs(m) for m in mults) * b
+    h = (n + 1) // 2
+    # entry (i, j) is x * a + z * at with a = M[i][j], at = eps * M[j][i], and
+    # (x, z) the coefficients of block (k, l); only the nonzero pairs are kept
+    size = len(rows)
+    entries = [[(j, group[i] == group[j], rows[i][j], eps * rows[j][i])
+                for j in range(size) if rows[i][j] or rows[j][i]] for i in range(size)]
+    vals = []
+    for y in range(h + 1):
+        coef = []  # per group: (x, z) on its diagonal block, (x, z) off it
+        for m in mults:
+            lo, hi = (1 - y) ** abs(m), (1 + y) ** abs(m)
+            q = (hi - lo) // (2 * y) if y else abs(m)  # sum of (1-y)^e (1+y)^(N-1-e)
+            coef.append(((lo, -hi) if m > 0 else (-hi, lo), (q * (1 - y), -q * (1 + y))))
+        mat = []
+        for gi, row in zip(group, entries):
+            (dx, dz), (ox, oz) = coef[gi]
+            mrow = [0] * size
+            for j, same, a, at in row:
+                mrow[j] = dx * a + dz * at if same else ox * a + oz * at
+            mat.append(mrow)
+        vals.append(bareiss_det(mat))
+    sign = (-eps) ** n
+    d = interpolate([sign * v for v in reversed(vals[1:])] + vals, h)
+    d += [0] * (n + 1 - len(d))
+    # sum_i d_i (1 - w)^i (1 + w)^(n - i) = (1 + w)^n p(2/(1 + w) - 1)
+    shifted = _alternate(_shift_by_one(_alternate(d)))  # p(x - 1)
+    out = _shift_by_one([shifted[n - j] << (n - j) for j in range(n + 1)])
+    top = 1 << n
+    if any(x % top for x in out):
+        raise ArithmeticError("det M'(w) came out with a non-integer coefficient")
+    out = [c * (x >> n) for x in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def pencil_det_poly(p_rows, eps: int, mults=(1,)):
     """Ascending coefficients of D(w) = det(w*P - eps*P^T) for integer P.
 
-    Shifts w = z + c, trying c = 0 first, so that Q = eps*P^T - c*P is
-    nonsingular.  The integer solve Q X = den * P gives det(z*P - Q) =
+    p_rows and mults follow PencilCore: the core M of a covering whose
+    groups have the signed strand counts mults, by default a plain matrix.
+    When every N_k is +1 the core is P itself, and D comes from the linear
+    pencil: shifts w = z + c, trying c = 0 first, so that Q = eps*P^T - c*P
+    is nonsingular.  The integer solve Q X = den * P gives det(z*P - Q) =
     det(-Q) * sum_k cp_X[k] * z^k / den^k, where cp_X is the characteristic
     polynomial of X (each quotient is exact: the result has integer
     coefficients); then z = w - c is substituted back.  When every shift is
     singular, D is 0 if P and P^T share a kernel vector, and is otherwise
     rebuilt by evaluating integer determinants at degree+1 points and
-    interpolating.
+    interpolating.  Any other mults take D from the core (PencilCore has
+    the identity).
     """
     n = len(p_rows)
     if n == 0:
         return [Fraction(1)]
     p_rows = [[int(x) for x in row] for row in p_rows]
+    if any(m != 1 for m in mults):
+        return [Fraction(a) for a in _core_det_poly(p_rows, eps, mults)]
     q = _transpose_scaled(p_rows, eps)
     for c in (0, 1, -1, 2, -2, 3, -3):
         qm = [[q[i][j] - c * p_rows[i][j] for j in range(n)] for i in range(n)]
@@ -146,12 +238,9 @@ def pencil_det_poly(p_rows, eps: int):
         stack = p_rows + _transpose_scaled(p_rows, 1)
         if DomainMatrix([[ZZ(x) for x in row] for row in stack], (2 * n, n), ZZ).rank() < n:
             return []
-        xs = list(range(n + 1))
-        ys = []
-        for x in xs:
-            m = [[x * p_rows[i][j] - q[i][j] for j in range(n)] for i in range(n)]
-            ys.append(bareiss_det(m))
-        return _newton_interp([Fraction(x) for x in xs], ys)
+        ys = [bareiss_det([[x * p_rows[i][j] - q[i][j] for j in range(n)] for i in range(n)])
+              for x in range(n + 1)]
+        return [Fraction(a) for a in interpolate(ys)]
     dmQ = DomainMatrix([[ZZ(x) for x in row] for row in qm], (n, n), ZZ)
     dmP = DomainMatrix([[ZZ(x) for x in row] for row in p_rows], (n, n), ZZ)
     X, den = dmQ.solve_den(dmP)
@@ -250,6 +339,29 @@ class PencilCore:
     part (a*L/b)*(M + M^T) and imaginary part L*(M - M^T) for eps = -1.
     A plain matrix P is one group with N = 1 and M = P, where this is the
     pencil of P itself, scaled by 2|u| (by 2 at w = -1).
+
+    Determinant.  The same elimination on w*M - eps*M^T itself gives D(w).
+    The chain of group k is g * T(w) (x) S, up to the transpose, and
+    det T(w) = q_N(w) := 1 + w + ... + w^(N-1), by the three-term recurrence.
+    Its Schur complement keeps the blocks w*M_kl - eps*M_lk^T between groups
+    and turns group k's diagonal block into (w^N A - eps*A^T) / q_N(w)
+    ((w^N eps*A^T - A) / q_N(w) for g = -1).  Multiplying row block k by
+    q_N(w) clears that denominator, giving the polynomial matrix M'(w) with
+    diagonal blocks w^N A - eps*A^T (w^N eps*A^T - A for g = -1) and blocks
+    q_(N_k)(w) * (w*M_kl - eps*M_lk^T) off the diagonal.  So
+    D(w) = c * det M'(w), with
+    c = prod over the groups with N >= 2 of g^((N-1)*b) * det(S)^(N-1);
+    c = 0 is the case det S = 0 below, where D = 0.  Row block k of M' has
+    degree N in w, so with w = (1 - y)/(1 + y) and row block k multiplied
+    by (1 + y)^N, D~(y) = (1 + y)^n D(w) is c times the determinant of an
+    integer polynomial matrix in y: diagonal blocks (1-y)^N A -
+    eps*(1+y)^N A^T (eps*(1-y)^N A^T - (1+y)^N A for g = -1), and blocks
+    Q_N(y) * ((1-y) M_kl - eps*(1+y) M_lk^T) with Q_N(y) = sum over e < N
+    of (1-y)^e (1+y)^(N-1-e).  The pencil's transpose gives
+    w^n D(1/w) = (-eps)^n D(w), that is D~(-y) = (-eps)^n D~(y): the values
+    at y = 0..h, h = ceil(n/2), give those on all of -h..h, enough for
+    degree n, and D(w) = c * 2^(-n) * sum_i d_i (1 - w)^i (1 + w)^(n - i)
+    for the coefficients d_i of D~ / c.
 
     w^N = 1 at a sample makes the chain singular; at rational t that is only
     t = +-1 with 4 | N (+-1 and +-i are the only roots of unity in Q(i)),

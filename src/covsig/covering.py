@@ -12,11 +12,12 @@ parallel-copy matrix P and an integral T of determinant 1.  The congruence
 leaves the pencil's determinant and signatures, and so every jump, as they
 are, while each group becomes a bidiagonal chain of blocks and each tile
 between two groups a single block: at n = 124 (L(trefoil, 2), p = 5) there
-are 268 nonzero entries instead of 3162.  The signature samples do not
-use the chains at all: jump_function eliminates them and samples the core,
-the first strands of the groups (see covsig._fast.PencilCore).  The blocks
-themselves are computed with integer matrix products and one exact scaling
-per block (covering_blocks).
+are 268 nonzero entries instead of 3162.  Neither D(w) nor the signature
+samples use the chains: jump_function eliminates them and works on the
+core, the first strands of the groups (see covsig._fast.PencilCore).  The
+n x n matrix itself is read only when D(w) = 0, to remove a common kernel.
+The blocks themselves are computed with integer matrix products and one
+exact scaling per block (covering_blocks).
 """
 
 from __future__ import annotations
@@ -202,7 +203,8 @@ def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:
     for k in keep:
         first[k] = n
         n += abs(mults[k]) * b
-    rows = [[0] * n for _ in range(n)]
+    zero = Fraction(0)
+    rows = [[zero] * n for _ in range(n)]
 
     def put(r, c, M):
         for i, mrow in enumerate(M.rows):

@@ -19,7 +19,7 @@ def _frac_rows(rows):
     out = []
     width = None
     for row in rows:
-        frow = [Fraction(x) for x in row]
+        frow = [x if type(x) is Fraction else Fraction(x) for x in row]
         if width is None:
             width = len(frow)
         elif len(frow) != width:

@@ -4,14 +4,16 @@ The signature sigma(theta) of the hermitian pencil (wP - eps*P^T)/(w - 1) on
 the unit circle is a step function; this module extracts its discontinuities
 exactly.  Jump locations at roots of unity are stored as rational multiples
 of pi; the rest are algebraic numbers in the Cayley variable t = tan(theta/2)
-with isolating intervals.  The candidates come from D(w) = det(wP - eps*P^T)
-of the whole matrix.  The signature is sampled once between each pair of
-neighbouring candidates.  For a covering matrix the samples are taken on its
-core (_fast.PencilCore), with the strand chains eliminated by Haynsworth's
-inertia additivity.  A sample at t = 1 that a group with 4 | N cannot take
-moves to another rational in the same gap.  A group with
-det(A_kk - eps*A_kk^T) = 0 makes D vanish through a common kernel; the
-kernel step then leaves a matrix that is sampled as one group.
+with isolating intervals.  The candidates are the unit-circle roots of
+D(w) = det(wP - eps*P^T).  The signature is sampled once between each pair
+of neighbouring candidates.  For a covering matrix both come from its core
+(_fast.PencilCore), the strand chains eliminated by a Schur complement: D(w)
+is a constant times the determinant of a polynomial matrix of size (number
+of groups) x b, and the samples use Haynsworth's inertia additivity.  A
+sample at t = 1 that a group with 4 | N cannot take moves to another
+rational in the same gap.  A group with det(A_kk - eps*A_kk^T) = 0 makes D
+vanish through a common kernel; the kernel step, on the n x n matrix, then
+leaves a matrix that is sampled as one group.
 
 All decisions (periodicity verdicts in particular) are made by exact
 arithmetic or certificates, never by floating point; when a comparison of
@@ -244,35 +246,42 @@ def _signature(g) -> int:
     return s
 
 
-def _pencil_core(Pm, rows, eps: int) -> _fast.PencilCore:
-    """The core that jump_function samples (see _fast.PencilCore).
+def _core_rows(cm: CoveringMatrix):
+    """(integer core rows, signed strand counts) of a covering (see _fast.PencilCore).
 
-    A CoveringMatrix gives one group per nonzero multiplicity; a plain
-    matrix, given by its integer rows, is one group with N = 1.  A group
-    with N >= 2 and det(A_kk - eps*A_kk^T) = 0 does not reach here: it makes
-    D = 0 through a common kernel, and jump_function samples the reduced
-    matrix as one group.
+    One group per nonzero multiplicity; block (k, l) of the core is
+    g_k*g_l*A_kl off the diagonal and A_kk on it.
     """
-    if not isinstance(Pm, CoveringMatrix):
-        return _fast.PencilCore(rows, eps)
-    keep = [k for k, m in enumerate(Pm.multiplicities) if m]
-    mults = [Pm.multiplicities[k] for k in keep]
+    keep = [k for k, m in enumerate(cm.multiplicities) if m]
+    mults = tuple(cm.multiplicities[k] for k in keep)
     sign = [1 if m > 0 else -1 for m in mults]
-    blocks = Pm.blocks_A
-    core = _int_rows(block_matrix([
+    blocks = cm.blocks_A
+    rows = _int_rows(block_matrix([
         [blocks[k][l].scale(1 if a == c else sign[a] * sign[c]) for c, l in enumerate(keep)]
         for a, k in enumerate(keep)]))
+    return rows, mults
+
+
+def _pencil_core(rows, eps: int, mults=(1,)) -> _fast.PencilCore:
+    """The core that jump_function samples (see _fast.PencilCore).
+
+    rows and mults are a covering's core (_core_rows), or a plain matrix as
+    one group with N = 1.  A group with N >= 2 and
+    det(A_kk - eps*A_kk^T) = 0 does not reach here: it makes D = 0 through
+    a common kernel, and jump_function samples the reduced matrix as one
+    group.
+    """
     # for eps = -1 a chain of N >= 2 strands adds g * sigma(A_kk + A_kk^T) * sigma(R)
     chain_sigma = [0] * len(mults)
     if eps == -1:
-        b = len(core) // len(mults)
+        b = len(rows) // len(mults)
         for a, m in enumerate(mults):
             if abs(m) >= 2:
                 r = a * b
-                upper = [{j: core[r + i][r + j] + core[r + j][r + i] for j in range(i, b)
-                          if core[r + i][r + j] + core[r + j][r + i]} for i in range(b)]
-                chain_sigma[a] = sign[a] * _signature((upper, [{} for _ in range(b)]))
-    return _fast.PencilCore(core, eps, mults, chain_sigma)
+                upper = [{j: rows[r + i][r + j] + rows[r + j][r + i] for j in range(i, b)
+                          if rows[r + i][r + j] + rows[r + j][r + i]} for i in range(b)]
+                chain_sigma[a] = (1 if m > 0 else -1) * _signature((upper, [{} for _ in range(b)]))
+    return _fast.PencilCore(rows, eps, mults, chain_sigma)
 
 
 def _sig_at(core: _fast.PencilCore, u: int, v: int):
@@ -372,12 +381,9 @@ def _generic_minor_poly(rows, eps: int):
     r, ri, ci = best
     if r == 0:
         return []
-    xs = list(range(r + 1))
-    ys = []
-    for x in xs:
-        sub = [[x * rows[i][j] - eps * rows[j][i] for j in ci] for i in ri]
-        ys.append(_fast.bareiss_det(sub))
-    return _fast._newton_interp([Fraction(x) for x in xs], ys)
+    ys = [_fast.bareiss_det([[x * rows[i][j] - eps * rows[j][i] for j in ci] for i in ri])
+          for x in range(r + 1)]
+    return [Fraction(a) for a in _fast.interpolate(ys)]
 
 
 def _self_reciprocal_part(D):
@@ -523,10 +529,11 @@ def _sample_sig(core, lo: Fraction, hi):
 def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
     """All jumps of the pencil signature over theta in (0, 2*pi).
 
-    Pm is a square RatMatrix or a CoveringMatrix.  D(w) = det(w*P - eps*P^T)
-    always comes from the n x n matrix (a covering's expanded_P); the
-    signature samples of a CoveringMatrix are taken on its core (see
-    _fast.PencilCore), with each group's strand chain eliminated.
+    Pm is a square RatMatrix or a CoveringMatrix.  For a CoveringMatrix both
+    D(w) = det(w*P - eps*P^T) and the signature samples come from its core
+    (see _fast.PencilCore), with each group's strand chain eliminated; the
+    n x n matrix (expanded_P) is read only when D = 0, to remove the common
+    kernel of P and P^T.
     Root-of-unity jump angles (cyclotomic factors of D) come out as PiLoc;
     the remaining unimodular roots as AlgLoc in t = tan(theta/2).
     Signatures are evaluated at exact rational t strictly between
@@ -540,16 +547,21 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     Raises UnresolvedComparison when two candidates stay unseparated at
     4*max_bits bits.
     """
-    P_n = Pm.expanded_P if isinstance(Pm, CoveringMatrix) else Pm
-    if not P_n.is_square:
+    if isinstance(Pm, CoveringMatrix):
+        rows, mults = _core_rows(Pm)
+    elif Pm.is_square:
+        rows, mults = _int_rows(Pm), (1,)
+    else:
         raise ValueError("jump_function needs a square matrix")
-    rows = _int_rows(P_n)
     if not rows:
         return JumpFunction([], Fraction(1), 0)
-    D = _fast.pencil_det_poly(rows, epsilon)
-    core = _pencil_core(Pm, rows, epsilon)
+    D = _fast.pencil_det_poly(rows, epsilon, mults)
+    core = _pencil_core(rows, epsilon, mults)
     if P.is_zero(P.trim(D)):
-        # ker P & ker P^T != 0 forces D = 0, so the kernel step only matters here
+        # ker P & ker P^T != 0 forces D = 0, so the kernel step only matters
+        # here, on the n x n matrix
+        if isinstance(Pm, CoveringMatrix):
+            rows = _int_rows(Pm.expanded_P)
         reduced = _remove_common_kernel(rows)
         if not reduced:
             return JumpFunction([], Fraction(1), 0)

@@ -52,7 +52,10 @@ def test_traced_job_reports_the_layer_counters():
     assert metrics["covering.n"] == 28
     assert metrics["covering.nnz"] > 0
     assert metrics["fast.sig_calls"] > 0 and metrics["fast.sig_fallbacks"] == 0
-    assert metrics["fast.deg_D"] > 0 and metrics["jumps.points"] > 0
+    assert metrics["jumps.points"] > 0
+    # D(w) comes from the core, through the hooked name, in one call
+    assert metrics["fast.deg_D"] == 20
+    assert summary["calls"]["fast.det_poly"] == 1
     assert summary["calls"]["covering.blocks"] == 1
     assert summary["calls"]["jumps.extract"] == 1
 

@@ -5,7 +5,7 @@ closed-form scaling-factor oracles."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covsig import (
@@ -30,7 +30,7 @@ from covsig import (
 )
 from covsig import _fast
 from covsig.exact import block_matrix
-from covsig.jumps import _pencil_core, _remove_common_kernel, _sig_at, _signature
+from covsig.jumps import _core_rows, _pencil_core, _remove_common_kernel, _sig_at, _signature
 from conftest import ALG, T25, TREFOIL, same_jumps
 
 
@@ -290,7 +290,8 @@ def as_covering(blocks, mults, epsilon):
 def test_core_signature_equals_pencil_signature(blocks, mults, epsilon, t):
     cm = as_covering(blocks, mults, epsilon)
     rows = int_rows(cm.expanded_P)
-    core = _pencil_core(cm, rows, epsilon)
+    core_rows, ms = _core_rows(cm)
+    core = _pencil_core(core_rows, epsilon, ms)
     u, v = t
     got = _sig_at(core, u, v)
     if got is None:
@@ -334,6 +335,48 @@ def test_singular_chain_is_a_common_kernel(blocks, x, y, mults, epsilon):
     assert len(_remove_common_kernel(rows)) < len(rows)
     f, g = jump_function(cm, epsilon), jump_function(cm.expanded_P, epsilon)
     assert same_jumps(f, g) and f.sigma0 == g.sigma0
+
+
+# ---------------------------------------------------------------------------
+# D(w) from the core against the n x n determinant
+
+
+def one_by_one(entries):
+    return [[RatMatrix([[x]]) for x in row] for row in entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda b: st.lists(
+           st.lists(st.lists(st.lists(block_entries, min_size=b, max_size=b),
+                             min_size=b, max_size=b).map(RatMatrix),
+                    min_size=3, max_size=3),
+           min_size=3, max_size=3)),
+       core_mults, st.sampled_from([1, -1]))
+# a negative group with odd (N - 1) * b: c carries the sign (-1)^((N-1)b)
+@example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-2, 3, 1], -1)
+@example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-4, -1, 2], -1)
+# odd n at eps = 1: (1 + y)^n D is odd and of degree n, which needs h = (n + 1)/2
+@example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-1, 1, 1], 1)
+def test_core_det_poly_equals_pencil_det_poly(blocks, mults, epsilon):
+    # covers det S_k = 0 (always for b = 1, eps = 1), where D = 0 and c = 0
+    cm = as_covering(blocks, mults, epsilon)
+    core_rows, ms = _core_rows(cm)
+    assert (_fast.pencil_det_poly(core_rows, epsilon, ms)
+            == _fast.pencil_det_poly(int_rows(cm.expanded_P), epsilon))
+
+
+def test_core_det_poly_with_det_s_49():
+    # L(ALG, 2) at p = 3, eps = -1: every det(A_kk + A_kk^T) is 49, so c = 49^4
+    sd, c = ltm_family(ALG, 2, -1)
+    cm = build_covering(sd, c, CoveringSpec(p=3))
+    core_rows, ms = _core_rows(cm)
+    b = len(core_rows) // len(ms)
+    assert ms == (4, 1, 2)
+    assert [_fast.bareiss_det([[core_rows[r + i][r + j] + core_rows[r + j][r + i]
+                                for j in range(b)] for i in range(b)])
+            for r in range(0, len(core_rows), b)] == [49, 49, 49]
+    D = _fast.pencil_det_poly(core_rows, -1, ms)
+    assert D and D == _fast.pencil_det_poly(int_rows(cm.expanded_P), -1)
 
 
 # ---------------------------------------------------------------------------

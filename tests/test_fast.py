@@ -1,7 +1,9 @@
 """Differential tests of the integer kernels in covsig._fast.
 
 bareiss_det is checked against sympy's DomainMatrix.det, pencil_det_poly
-against Newton interpolation of integer determinants of the pencil,
+against Newton interpolation of integer determinants of the pencil (in
+Fractions, newton_interp below, which is also the oracle of the integer
+kernel interpolate),
 PencilCore.at on a plain matrix against the pencil formula in Gaussian
 rationals, and herm_sig_fast against the rational congruence routine
 hermitian_signature.
@@ -33,6 +35,29 @@ def square(elements, min_size=1, max_size=6):
     )
 
 
+def newton_interp(xs, ys):
+    """Ascending Fraction coefficients of the interpolating polynomial."""
+    n = len(xs)
+    coef = [Fraction(y) for y in ys]  # divided differences, in place
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - k])
+    # expand the Newton form
+    poly = [Fraction(0)] * n
+    acc = [Fraction(1)]  # product (x - x_0)...(x - x_{k-1})
+    for k in range(n):
+        for i, a in enumerate(acc):
+            poly[i] += coef[k] * a
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for i, a in enumerate(acc):
+            nxt[i] -= xs[k] * a
+            nxt[i + 1] += a
+        acc = nxt
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
 def interpolated_det_poly(rows, eps):
     """D(w) = det(w*P - eps*P^T) from its values at deg+1 integer points."""
     n = len(rows)
@@ -42,7 +67,29 @@ def interpolated_det_poly(rows, eps):
                            for i in range(n)])
         for x in xs
     ]
-    return _fast._newton_interp([Fraction(x) for x in xs], ys)
+    return newton_interp([Fraction(x) for x in xs], ys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=41),
+       st.booleans())
+def test_interpolate_matches_newton(poly, centred):
+    # values at -h, ..., -h + deg of a random integer polynomial
+    deg = len(poly) - 1
+    h = (deg + 1) // 2 if centred else 0
+    xs = [x - h for x in range(deg + 1)]
+    ys = [sum(c * x**i for i, c in enumerate(poly)) for x in xs]
+    got = _fast.interpolate(ys, h)
+    assert got == newton_interp([Fraction(x) for x in xs], ys)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    assert got == poly
+
+
+def test_interpolate_refuses_values_of_no_integer_polynomial():
+    # x(x - 1)/2 takes integer values at 0, 1, 2 but its coefficients are not integers
+    with pytest.raises(ArithmeticError):
+        _fast.interpolate([0, 0, 1])
 
 
 def congruent(rows, u_upper):
