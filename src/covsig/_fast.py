@@ -3,17 +3,16 @@
 Everything here works on plain Python ints (entries of scaled integer Seifert
 matrices), which keeps the inner loops free of Fraction normalization.
 
-D(w) takes the same (rows, eps, mults) as a PencilCore.  When every group
-has N = +1 the core is the whole matrix, a linear pencil, and D comes from
-one fraction-free integer solve Q X = den * P and the characteristic
-polynomial of X; no rational matrix is formed.  Any other covering gets D
-from its core, D(w) = c * det M'(w), where M' is a polynomial matrix of
-size (number of groups) x b (PencilCore's docstring has the identity).
-After the Cayley change w = (1 - y)/(1 + y), under which (1 + y)^n D is
-even or odd in y, det M' is taken by Bareiss at the integers y = 0..h,
-h = ceil(n/2), and interpolated in integers on the nodes -h..h; the n x n
-matrix is not formed.  Every division on the way is exact, and one that is
-not raises ArithmeticError.
+D(w) takes the same (rows, eps, mults) as a PencilCore and always comes from
+the core, D(w) = c * det M'(w), where M' is a polynomial matrix of size
+(number of groups) x b (PencilCore's docstring has the identity); a plain
+matrix is one group with N = 1 and c = 1.  After the Cayley change
+w = (1 - y)/(1 + y), under which (1 + y)^n D is even or odd in y, det M' is
+taken by Bareiss at the integers y = 0..h, h = ceil(n/2), and interpolated
+in integers on the nodes -h..h; the n x n matrix is not formed.  Every
+division on the way is exact, and one that is not raises ArithmeticError.
+rank_profile, the same elimination with column skipping on a rectangular
+matrix, serves the pencils whose D is identically 0.
 
 Signature samples are taken on a PencilCore: the pencil of a covering matrix
 with each strand group's chain of difference strands eliminated.
@@ -38,22 +37,19 @@ routine returns None when it hits a Schur complement with an all-zero
 diagonal, and the caller falls back to the slower fully general rational
 elimination.
 
-In both Bareiss routines (determinant and signature) a row whose multiplier
-is 0 at some step is not touched: by Sylvester's identity it only picks up
-the factor d_k / d_(k-1), so its current value is its stored value times
-d_now / d_then, divided exactly, where d_then is the divisor it was last
-brought up to date with.  On the covering matrices, which are sparse, most
-multipliers are 0.
+In all three Bareiss routines (determinant, rank profile and signature) a
+row whose multiplier is 0 at some step is not touched: by Sylvester's
+identity it only picks up the factor d_k / d_(k-1), so its current value is
+its stored value times d_now / d_then, divided exactly, where d_then is the
+divisor it was last brought up to date with.  On the covering matrices,
+which are sparse, most multipliers are 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
-
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
+from math import lcm
 
 
 def bareiss_det(rows) -> int:
@@ -100,11 +96,6 @@ def bareiss_det(rows) -> int:
     return sign * m[-1][-1]
 
 
-def _transpose_scaled(rows, c):
-    n = len(rows)
-    return [[c * rows[j][i] for j in range(n)] for i in range(n)]
-
-
 def interpolate(values, h: int = 0):
     """Ascending integer coefficients of the polynomial p with p(i - h) = values[i].
 
@@ -148,14 +139,20 @@ def _alternate(coef):
     return [-a if i & 1 else a for i, a in enumerate(coef)]
 
 
-def _core_det_poly(rows, eps: int, mults):
-    """D(w) of a covering from its core (see PencilCore): ascending ints, [] for D = 0.
+def pencil_det_poly(p_rows, eps: int, mults=(1,)):
+    """Ascending coefficients of D(w) = det(w*P - eps*P^T) for integer P.
 
-    D(w) = c * det M'(w), and (1 + y)^n D(w) at w = (1 - y)/(1 + y) is
-    c * det of an integer matrix in y whose values at -y and y agree up to
-    the sign (-eps)^n; it is taken at y = 0..h, h = ceil(n/2), interpolated
-    on -h..h and mapped back to w.
+    p_rows and mults follow PencilCore: the core M of a covering whose
+    groups have the signed strand counts mults, by default a plain matrix,
+    which is one group with N = 1 and c = 1.  D(w) = c * det M'(w), and
+    (1 + y)^n D(w) at w = (1 - y)/(1 + y) is c * det of an integer matrix
+    in y whose values at -y and y agree up to the sign (-eps)^n; it is taken
+    at y = 0..h, h = ceil(n/2), interpolated on -h..h and mapped back to w
+    (PencilCore has the identity).  Returns Fractions, [] for D = 0.
     """
+    if not p_rows:
+        return [Fraction(1)]
+    rows = [[int(x) for x in row] for row in p_rows]
     b = len(rows) // len(mults)
     group = [i // b for i in range(len(rows))]
     c = 1  # prod of g^((N-1)*b) * det(S)^(N-1)
@@ -201,62 +198,53 @@ def _core_det_poly(rows, eps: int, mults):
     out = [c * (x >> n) for x in out]
     while out and out[-1] == 0:
         out.pop()
-    return out
-
-
-def pencil_det_poly(p_rows, eps: int, mults=(1,)):
-    """Ascending coefficients of D(w) = det(w*P - eps*P^T) for integer P.
-
-    p_rows and mults follow PencilCore: the core M of a covering whose
-    groups have the signed strand counts mults, by default a plain matrix.
-    When every N_k is +1 the core is P itself, and D comes from the linear
-    pencil: shifts w = z + c, trying c = 0 first, so that Q = eps*P^T - c*P
-    is nonsingular.  The integer solve Q X = den * P gives det(z*P - Q) =
-    det(-Q) * sum_k cp_X[k] * z^k / den^k, where cp_X is the characteristic
-    polynomial of X (each quotient is exact: the result has integer
-    coefficients); then z = w - c is substituted back.  When every shift is
-    singular, D is 0 if P and P^T share a kernel vector, and is otherwise
-    rebuilt by evaluating integer determinants at degree+1 points and
-    interpolating.  Any other mults take D from the core (PencilCore has
-    the identity).
-    """
-    n = len(p_rows)
-    if n == 0:
-        return [Fraction(1)]
-    p_rows = [[int(x) for x in row] for row in p_rows]
-    if any(m != 1 for m in mults):
-        return [Fraction(a) for a in _core_det_poly(p_rows, eps, mults)]
-    q = _transpose_scaled(p_rows, eps)
-    for c in (0, 1, -1, 2, -2, 3, -3):
-        qm = [[q[i][j] - c * p_rows[i][j] for j in range(n)] for i in range(n)]
-        dq = bareiss_det(qm)
-        if dq:
-            break
-    else:
-        # a common kernel of P and P^T makes D = 0; seeing it is cheaper than
-        # interpolating
-        stack = p_rows + _transpose_scaled(p_rows, 1)
-        if DomainMatrix([[ZZ(x) for x in row] for row in stack], (2 * n, n), ZZ).rank() < n:
-            return []
-        ys = [bareiss_det([[x * p_rows[i][j] - q[i][j] for j in range(n)] for i in range(n)])
-              for x in range(n + 1)]
-        return [Fraction(a) for a in interpolate(ys)]
-    dmQ = DomainMatrix([[ZZ(x) for x in row] for row in qm], (n, n), ZZ)
-    dmP = DomainMatrix([[ZZ(x) for x in row] for row in p_rows], (n, n), ZZ)
-    X, den = dmQ.solve_den(dmP)
-    den = int(den)
-    lead = (-1) ** n * dq  # det(-Q)
-    in_z = [lead * int(a) // den**k for k, a in enumerate(X.charpoly())]
-    # substitute z = w - c by binomial expansion
-    out = [0] * (n + 1)
-    for k, a in enumerate(in_z):
-        if a == 0:
-            continue
-        for j in range(k + 1):
-            out[j] += a * comb(k, j) * (-c) ** (k - j)
-    while out and out[-1] == 0:
-        out.pop()
     return [Fraction(a) for a in out]
+
+
+def rank_profile(rows):
+    """(pivot rows, pivot columns) of a maximal nonsingular submatrix, both sorted.
+
+    rows is an integer matrix, possibly rectangular.  Fraction-free Bareiss
+    elimination with column skipping: each column pivots on the first unused
+    row, in the original order, with a nonzero entry there.  After k steps
+    the entry (i, j) of an unused row is the minor on the pivot rows and i
+    and the pivot columns and j, so it is zero exactly where the entry of
+    rational Gaussian elimination is, and both pick the same pivots.  Rows
+    whose multiplier is 0 are rescaled lazily (see the module docstring);
+    a stale entry is zero exactly when the current one is.
+    """
+    m = [[int(x) for x in row] for row in rows]
+    then = [1] * len(m)  # the divisor each row was last brought up to date with
+    avail = list(range(len(m)))
+    prow, pcol = [], []
+    prev = 1
+
+    def refresh(i, c):
+        t = then[i]
+        if t != prev:
+            m[i][c:] = [x * prev // t for x in m[i][c:]]
+            then[i] = prev
+
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in avail if m[i][c]), None)
+        if piv is None:
+            continue
+        avail.remove(piv)
+        prow.append(piv)
+        pcol.append(c)
+        refresh(piv, c)
+        mp = m[piv]
+        p = mp[c]
+        for i in avail:
+            if not m[i][c]:
+                continue
+            refresh(i, c)
+            mi = m[i]
+            mic = mi[c]
+            mi[c + 1:] = [(p * a - mic * b) // prev for a, b in zip(mi[c + 1:], mp[c + 1:])]
+            then[i] = p
+        prev = p
+    return sorted(prow), pcol
 
 
 def _gauss_pow(x: int, y: int, n: int):

@@ -14,11 +14,11 @@ as integer lists, so root counting and bisection never build a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd as int_gcd
 
 from sympy import QQ
 from sympy.polys.euclidtools import dup_inner_gcd
-from sympy.polys.specialpolys import cyclotomic_poly
 
 
 def trim(p):
@@ -177,10 +177,32 @@ def content_primitive(p):
     return Fraction(g, den), [c // g for c in ints]
 
 
+def _at_power(p, k):
+    """Coefficients of p(w^k)."""
+    out = [0] * (k * (len(p) - 1) + 1)
+    out[::k] = p
+    return out
+
+
+@cache
+def _cyclotomic(n):
+    # Phi_(r*q)(w) = Phi_r(w^q) / Phi_r(w) for a prime q not dividing r, an
+    # exact division by a monic integer polynomial, and Phi_n(w) = Phi_r(w^(n/r))
+    # for r the product of the primes of n
+    phi, r, m, q = [-1, 1], 1, n, 2
+    while m > 1:
+        if m % q == 0:
+            phi, _ = divmod_monic(_at_power(phi, q), phi)
+            r *= q
+            while m % q == 0:
+                m //= q
+        q += 1
+    return tuple(_at_power(phi, n // r))
+
+
 def cyclotomic(n):
     """Coefficients of the n-th cyclotomic polynomial, ascending ints."""
-    cs = cyclotomic_poly(n, polys=True).all_coeffs()
-    return [int(c) for c in reversed(cs)]
+    return list(_cyclotomic(n))
 
 
 def cauchy_root_bound(p):

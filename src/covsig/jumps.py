@@ -314,54 +314,21 @@ def tl_signature_at_pi(Pm: RatMatrix, epsilon: int) -> int:
 
 
 def _remove_common_kernel(rows):
-    """Congruence-reduce away ker(P) intersect ker(P^T); jumps are unchanged."""
-    m = RatMatrix(rows)
-    stacked = RatMatrix([list(r) for r in m.rows] + [list(r) for r in m.transpose().rows])
-    basis = stacked.nullspace()
-    if not basis:
+    """Restrict P to a complement of K = ker(P) intersect ker(P^T); jumps are unchanged.
+
+    x^T P y = 0 whenever x or y lies in K, so K is the radical of both P and
+    P^T.  On any complement W of K the pencil w*P - eps*P^T is therefore
+    congruent to the pencil induced on V/K: at every w it has the signature
+    of the whole pencil, and its nullity is less by dim K.  The pivot
+    columns C of the stack [P; P^T] span one such W: those columns are
+    independent, so no nonzero vector supported on C is in
+    K = ker [P; P^T], and |C| = rank = n - dim K.  The restriction of P to
+    W is its principal submatrix on C.
+    """
+    _, keep = _fast.rank_profile(rows + [list(col) for col in zip(*rows)])
+    if len(keep) == len(rows):
         return rows
-    kt = RatMatrix([[Fraction(x) for x in vec] for vec in basis])
-    # pivot columns of the kernel basis: those coordinates get dropped
-    mm = [row[:] for row in kt.rows]
-    nr, nc = kt.nrows, kt.ncols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if mm[i][c] != 0), None)
-        if piv is None:
-            continue
-        mm[r], mm[piv] = mm[piv], mm[r]
-        inv = 1 / mm[r][c]
-        mm[r] = [x * inv for x in mm[r]]
-        for i in range(nr):
-            if i != r and mm[i][c] != 0:
-                f = mm[i][c]
-                mm[i] = [a - f * b for a, b in zip(mm[i], mm[r])]
-        pivots.append(c)
-        r += 1
-    keep = [i for i in range(nc) if i not in pivots]
     return [[rows[i][j] for j in keep] for i in keep]
-
-
-def _rank_profile(rows):
-    """(rank, row indices, column indices) of a maximal nonsingular submatrix."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    used_rows, used_cols = [], []
-    avail = list(range(n))
-    for c in range(n):
-        piv = next((i for i in avail if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        used_rows.append(piv)
-        used_cols.append(c)
-        avail.remove(piv)
-        inv = 1 / m[piv][c]
-        for i in avail:
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[piv])]
-    return len(used_cols), sorted(used_rows), used_cols
 
 
 def _generic_minor_poly(rows, eps: int):
@@ -375,9 +342,9 @@ def _generic_minor_poly(rows, eps: int):
     best = (-1, None, None)
     for w0 in (2, 3, 5):
         m = [[w0 * rows[i][j] - eps * rows[j][i] for j in range(n)] for i in range(n)]
-        r, ri, ci = _rank_profile(m)
-        if r > best[0]:
-            best = (r, ri, ci)
+        ri, ci = _fast.rank_profile(m)
+        if len(ci) > best[0]:
+            best = (len(ci), ri, ci)
     r, ri, ci = best
     if r == 0:
         return []

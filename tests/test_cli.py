@@ -120,6 +120,23 @@ def test_obstruct_algebraic_output_pinned():
         "dfe82b4222d33a41b4efd3534622e641817b67528ef28d97be872e0164458b64")
 
 
+# U^T (ALG + 0_2) U and U^T (ALG + L_3) U for unimodular U, with L_3 the 3 x 3
+# nilpotent Jordan block: D = 0 for both, the first through a common kernel of
+# P and P^T, the second without one, so the jumps come from a generic minor
+DEGENERATE_ALG = [
+    "[[1,3,2,-1],[2,8,10,-6],[-1,3,16,-11],[1,-1,-10,7]]",
+    "[[1,3,2,-1,1],[2,8,10,-6,4],[-1,3,16,-10,4],[1,-1,-10,8,-3],[0,2,6,-2,-1]]",
+]
+
+
+@pytest.mark.parametrize("V", DEGENERATE_ALG, ids=["common-kernel", "generic-minor"])
+@pytest.mark.parametrize("fmt", ["json", "human"])
+@pytest.mark.parametrize("eps", ["1", "-1"])
+def test_degenerate_pencil_prints_the_bytes_of_alg(V, fmt, eps):
+    tail = ["--format", fmt, "--epsilon", eps]
+    assert run(["jump", "--V", V] + tail) == run(["jump", "--V", "[[1,1],[0,2]]"] + tail)
+
+
 def test_cover_command():
     code, text = run([
         "cover", "--family", "ltm", "--V", "trefoil", "--m", "2",

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.specialpolys import cyclotomic_poly
 
 from covsig import (
     AlgReal,
@@ -193,6 +194,15 @@ def test_cyclotomic():
     assert P.cyclotomic(4) == [Fraction(1), Fraction(0), Fraction(1)]
     # phi_12 = x^4 - x^2 + 1
     assert P.cyclotomic(12) == [Fraction(c) for c in (1, 0, -1, 0, 1)]
+
+
+def test_cyclotomic_matches_sympy():
+    # sympy's cyclotomic_poly is the oracle; each call returns a fresh list
+    for n in range(1, 301):
+        expected = [int(c) for c in reversed(cyclotomic_poly(n, polys=True).all_coeffs())]
+        assert P.cyclotomic(n) == expected
+    P.cyclotomic(6).append(0)
+    assert P.cyclotomic(6) == [1, -1, 1]
 
 
 def test_sturm_root_count():

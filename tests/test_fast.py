@@ -148,8 +148,8 @@ def test_bareiss_det_matches_domain_matrix(rows, zero_diagonal):
     (-1, [0, -1, 1, 1, -1]),  # -w (w - 1)^2 (w + 1)
 ])
 def test_det_poly_shifts_past_singular_points(eps, expected):
-    # P = [1] + [[0, 1], [-1, 0]] + [[0, 1], [0, 0]] has D(0) = D(1) = D(-1) = 0,
-    # so the shift w = z + c has to reach c = 2
+    # P = [1] + [[0, 1], [-1, 0]] + [[0, 1], [0, 0]] has D(0) = D(1) = D(-1) = 0:
+    # a singular P, and D vanishing at three small integer points
     rows = [
         [1, 0, 0, 0, 0],
         [0, 0, 1, 0, 0],
@@ -174,7 +174,7 @@ def block_diag(*blocks):
 def test_det_poly_every_shift_singular():
     # D(w) = w (w - 1) (w + 1)^2 (2w^2 - 5w + 2)(3w^2 - 10w + 3)
     #        (2w^2 + 5w + 2)(3w^2 + 10w + 3) vanishes at 0, +-1, +-2 and +-3,
-    # and P, P^T share no kernel vector: D must come from interpolation
+    # and P, P^T share no kernel vector, so D is not identically 0
     rows = block_diag([[1]], [[0, 1], [-1, 0]], [[0, 1], [0, 0]], [[1, 1], [0, -2]],
                       [[1, 2], [0, -3]], [[1, 3], [0, 2]], [[1, 4], [0, 3]])
     expected = interpolated_det_poly(rows, 1)

@@ -46,7 +46,6 @@ from covsig.jumps import (
     AlgLoc,
     _cyclotomic_split,
     _generic_minor_poly,
-    _rank_profile,
     _remove_common_kernel,
     _separate_candidates,
     theta_decimal,
@@ -193,13 +192,23 @@ mix_st = st.lists(st.lists(small_ints, min_size=7, max_size=7), min_size=7, max_
 @settings(max_examples=80, deadline=None)
 @given(square_ints, st.integers(min_value=0, max_value=2), mix_st)
 def test_rank_profile_matches_domain_matrix(rows, k, mix):
-    # on random matrices, and on P + 0_k hidden by a unimodular congruence
-    for m in (rows, pad_and_mix(rows, k, mix)):
-        r, ri, ci = _rank_profile(m)
-        assert r == domain_rank(m) == len(ri) == len(ci)
+    # on random matrices, on P + 0_k hidden by a unimodular congruence, and on
+    # the rectangular stacks [P; P^T] that the common-kernel step eliminates
+    mixed = pad_and_mix(rows, k, mix)
+    for m in (rows, mixed, rows + [list(c) for c in zip(*rows)],
+              mixed + [list(c) for c in zip(*mixed)]):
+        ri, ci = _fast.rank_profile(m)
+        assert domain_rank(m) == len(ri) == len(ci)
         assert ri == sorted(ri) and ci == sorted(ci)
-        if r:
+        if ci:
             assert domain_det([[m[i][j] for j in ci] for i in ri]) != 0
+
+
+def test_rank_profile_pivots_on_the_first_unused_row():
+    # _generic_minor_poly's minor depends on this choice: rows 0 and 1 are
+    # equal, and row 0 is the one kept
+    assert _fast.rank_profile([[1, 0, 2], [1, 0, 2], [0, 3, 1]]) == ([0, 2], [0, 1])
+    assert _fast.rank_profile([[0, 0], [0, 2], [0, 1], [5, 0]]) == ([1, 3], [0, 1])
 
 
 @settings(max_examples=60, deadline=None)
