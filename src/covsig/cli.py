@@ -15,6 +15,7 @@ Exit codes: 0 success (including a Periodic verdict), 1 NonPeriodic verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -262,7 +263,9 @@ def cmd_sigfn(args, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The covsig parser, built once per process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="covsig", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 
 from . import poly as P
 
@@ -66,7 +67,7 @@ class AlgReal:
 
     def chain(self):
         if self._chain is None:
-            self._chain = P.sturm_chain(self.poly)
+            self._chain = P._sturm_chain(self.poly)  # self.poly is square-free
         return self._chain
 
     @property
@@ -105,8 +106,37 @@ class AlgReal:
             self.lo = mid
 
     def refine_to(self, width):
-        while self.width() > width:
-            self.refine()
+        """Bisect until hi - lo <= width: the steps of refine(), on an integer grid.
+
+        lo = a/q and hi = b/q over one denominator; each step doubles a, b
+        and q, so that the midpoint is the integer a + b of the old grid,
+        and its sign comes from homogeneous Horner at the unreduced (mid, q).
+        The midpoints, the collapse on an exact hit (left to refine()) and
+        the final (lo, hi, poly) are those of repeated refine(), without a
+        Fraction per step.
+        """
+        width = Fraction(width)
+        wn, wd = width.numerator, width.denominator
+        while True:
+            q = lcm(self.lo.denominator, self.hi.denominator)
+            a = self.lo.numerator * (q // self.lo.denominator)
+            b = self.hi.numerator * (q // self.hi.denominator)
+            while (b - a) * wd > wn * q:
+                mid = a + b
+                a, b, q = 2 * a, 2 * b, 2 * q
+                s = P._sign_at(self._ip, mid, q)
+                if s == 0:
+                    break
+                if not self._slo:
+                    self._slo = P._sign_at(self._ip, a, q)
+                if s != self._slo:
+                    b = mid
+                else:
+                    a = mid
+            self.lo, self.hi = Fraction(a, q), Fraction(b, q)
+            if (b - a) * wd <= wn * q:
+                return
+            self.refine()  # the loop stopped on an exact hit: collapse onto it
 
     def sign(self):
         if self.lo < 0 < self.hi and self.poly[0] == 0:
@@ -162,7 +192,7 @@ def isolate_real_roots(p, window=None):
     sf = P.square_free_part(p)
     if P.degree(sf) < 1:
         return []
-    chain = P.sturm_chain(sf)
+    chain = P._sturm_chain(sf)
     isf = chain[0]  # the integer form of sf
     bound = P.cauchy_root_bound(sf)
     lo, hi = -bound, bound
@@ -207,7 +237,7 @@ def _cert_equal(a: AlgReal, b: AlgReal) -> bool:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
         return False
-    gchain = P.sturm_chain(g)  # gchain[0] is the integer form of g
+    gchain = P._sturm_chain(g)  # g divides a square-free poly; gchain[0] is its integer form
     if P.sign_at(gchain[0], lo) == 0 or P.sign_at(gchain[0], hi) == 0:
         return False  # caller refines and retries
     if P.count_roots(gchain, lo, hi) < 1:

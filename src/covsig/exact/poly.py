@@ -7,8 +7,12 @@ the coefficient blowup of a naive Euclidean remainder sequence on the large
 determinant polynomials that show up in covering computations.
 
 Sign-only questions are answered in integers: `sign_at` takes a primitive
-integer coefficient list and a rational point n/d, and Sturm chains are kept
-as integer lists, so root counting and bisection never build a Fraction.
+integer coefficient list and a rational point n/d, and Sturm chains are built
+and kept as integer lists (a primitive pseudo-remainder sequence), so root
+counting and bisection never build a Fraction.  A Sturm count only reads
+signs, so every chain member may be scaled by any positive integer; the
+pseudo-remainders are taken with positive multipliers for that reason.
+`taylor_shift` is the integer kernel of the Cayley numerator in jumps.
 """
 
 from __future__ import annotations
@@ -68,6 +72,16 @@ def scale(p, c):
     if c == 0:
         return []
     return [c * a for a in p]
+
+
+def taylor_shift(p, c):
+    """Coefficients of p(x + c): Horner's scheme, O(deg^2) multiply-adds by c."""
+    p = list(p)
+    n = len(p)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            p[j] += c * p[j + 1]
+    return p
 
 
 def eval_at(p, x):
@@ -221,12 +235,16 @@ def int_form(p):
 
 
 def sign_at(ip, x):
-    """Sign of the integer polynomial ip at the rational x = n/d, d > 0.
+    """Sign of the integer polynomial ip at the rational x = n/d, d > 0."""
+    return _sign_at(ip, x.numerator, x.denominator)
 
-    Homogeneous Horner: sum_i ip[i] * n^i * d^(deg-i) = d^deg * ip(x) has the
-    sign of ip(x) and is computed in Python ints, with no gcd per step.
+
+def _sign_at(ip, n, d):
+    """Sign of the integer polynomial ip at n/d for ints n and d > 0, reduced or not.
+
+    Homogeneous Horner: sum_i ip[i] * n^i * d^(deg-i) = d^deg * ip(n/d) has
+    the sign of ip(n/d) and is computed in Python ints, with no gcd per step.
     """
-    n, d = x.numerator, x.denominator
     acc = 0
     dk = 1
     for c in reversed(ip):
@@ -235,22 +253,60 @@ def sign_at(ip, x):
     return (acc > 0) - (acc < 0)
 
 
+def _primitive(v):
+    """The integer list v divided by the gcd of its entries; signs are kept."""
+    g = int_gcd(*v)
+    return [c // g for c in v] if g > 1 else v
+
+
+def _pseudo_remainder(a, b):
+    """A positive integer multiple of the remainder of a by b, for int lists.
+
+    Each step multiplies the running remainder by |lc(b)| and subtracts the
+    multiple of b that cancels its leading term: no division, and the factor
+    |lc(b)|^k > 0 keeps the sign of the true remainder at every point.
+    """
+    r = list(a)
+    db = len(b) - 1
+    m = abs(b[-1])
+    s = 1 if b[-1] > 0 else -1
+    while len(r) > db:
+        k = len(r) - 1 - db
+        c = s * r[-1]
+        if m != 1:
+            r = [m * x for x in r]
+        for i, x in enumerate(b):
+            r[k + i] -= c * x
+        r = trim(r[:-1])
+    return r
+
+
 def sturm_chain(p):
     """Sturm chain of the square-free part of p, as integer lists.
 
-    Every member is normalized to a primitive integer vector by a positive
-    factor; this keeps the coefficients from exploding without changing any
-    sign variation count.
+    Every member is the primitive integer form, signs kept, of the member of
+    the Euclidean chain over Q: a positive factor keeps the coefficients
+    from exploding without changing any sign variation count.
     """
-    p = square_free_part(p)
-    if degree(p) < 1:
-        return [int_form(p)] if p else []
-    chain = [int_form(p), int_form(derivative(p))]
-    while degree(chain[-1]) >= 1:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
+    return _sturm_chain(square_free_part(p))
+
+
+def _sturm_chain(sf):
+    """sturm_chain(sf) for an sf that is already square-free: no gcd, only ints.
+
+    The members are the primitive integer forms of sf and sf', and then
+    the negated primitive pseudo-remainders (see _pseudo_remainder) of each
+    pair; up to positive factors these are the members of the Euclidean chain.
+    """
+    if degree(sf) < 1:
+        return [int_form(sf)] if sf else []
+    ip = int_form(sf)
+    chain = [ip, _primitive(derivative(ip))]
+    while len(chain[-1]) >= 2:
+        rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(neg(int_form(rem)))
+        chain.append([-c for c in _primitive(rem)])
     return chain
 
 

@@ -381,29 +381,27 @@ def _cyclotomic_split(S):
 
 
 def _cayley_numerator(S):
-    """Real and imaginary parts of sum_j S_j (1+it)^j (1-it)^(deg-j)."""
+    """Real and imaginary parts of N(t) = sum_j S_j (1+it)^j (1-it)^(deg-j), in ints.
+
+    S is replaced by its primitive integer form Sz of degree d, which only
+    scales N by a positive rational; the roots, and so the gcd of the two
+    parts, are the same.  With z = it and u = 1 - z,
+    N = u^d * Sz((1+z)/(1-z)) = u^d * a(2/u) = b(u), where a(x) = Sz(x - 1)
+    and b(u) = sum_k a_k 2^k u^(d-k).  So a is one Taylor shift by -1, b is a
+    reversed with entry k times 2^k, and a second shift, by +1, gives
+    b(1 + v) = sum_k c_k v^k with v = -z.  Then N = sum_k c_k (-i)^k t^k:
+    k = 0, 2 mod 4 go to the real part with signs +, -, and k = 1, 3 mod 4
+    to the imaginary part with signs -, +.  O(d^2) integer additions, where
+    expanding every product in Fractions took O(d^3) multiplications.
+    """
     _, Sz = P.content_primitive(S)
-    deg = len(Sz) - 1
-    # (1+it)^j as (re, im) integer coefficient lists, built incrementally
-    plus = [( [1], [] )]
-    minus = [( [1], [] )]
-    for _ in range(deg):
-        pr, pi = plus[-1]
-        plus.append((P.sub(pr, [0] + pi), P.add(pi, [0] + pr)))
-        mr, mi = minus[-1]
-        minus.append((P.sub(mr, [0] + [-c for c in mi]), P.add(mi, [0] + [-c for c in mr])))
-    re, im = [], []
-    for j, c in enumerate(Sz):
-        if c == 0:
-            continue
-        ar, ai = plus[j]
-        br, bi = minus[deg - j]
-        # (ar + i*ai)(br + i*bi)
-        rr = P.sub(P.mul(ar, br), P.mul(ai, bi))
-        ii = P.add(P.mul(ar, bi), P.mul(ai, br))
-        re = P.add(re, P.scale(rr, c))
-        im = P.add(im, P.scale(ii, c))
-    return re, im
+    d = len(Sz) - 1
+    a = P.taylor_shift(Sz, -1)
+    c = P.taylor_shift([a[k] << k for k in range(d, -1, -1)], 1)
+    sign = (1, -1, -1, 1)  # (-i)^k = 1, -i, -1, i
+    re = [0 if k % 2 else sign[k % 4] * x for k, x in enumerate(c)]
+    im = [sign[k % 4] * x if k % 2 else 0 for k, x in enumerate(c)]
+    return P.trim(re), P.trim(im)
 
 
 def _pi_candidates_upper(ns):
@@ -500,7 +498,8 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     D(w) = det(w*P - eps*P^T) and the signature samples come from its core
     (see _fast.PencilCore), with each group's strand chain eliminated; the
     n x n matrix (expanded_P) is read only when D = 0, to remove the common
-    kernel of P and P^T.
+    kernel of P and P^T.  A plain matrix removes that kernel first, so that
+    D is computed once.
     Root-of-unity jump angles (cyclotomic factors of D) come out as PiLoc;
     the remaining unimodular roots as AlgLoc in t = tan(theta/2).
     Signatures are evaluated at exact rational t strictly between
@@ -514,10 +513,12 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     Raises UnresolvedComparison when two candidates stay unseparated at
     4*max_bits bits.
     """
-    if isinstance(Pm, CoveringMatrix):
+    covering = isinstance(Pm, CoveringMatrix)
+    if covering:
         rows, mults = _core_rows(Pm)
     elif Pm.is_square:
-        rows, mults = _int_rows(Pm), (1,)
+        # a plain matrix drops its common kernel before D, which it forces to 0
+        rows, mults = _remove_common_kernel(_int_rows(Pm)), (1,)
     else:
         raise ValueError("jump_function needs a square matrix")
     if not rows:
@@ -525,18 +526,18 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     D = _fast.pencil_det_poly(rows, epsilon, mults)
     core = _pencil_core(rows, epsilon, mults)
     if P.is_zero(P.trim(D)):
-        # ker P & ker P^T != 0 forces D = 0, so the kernel step only matters
-        # here, on the n x n matrix
-        if isinstance(Pm, CoveringMatrix):
+        if covering:
+            # ker P & ker P^T != 0 forces D = 0, so a covering's kernel step
+            # only matters here, on the n x n matrix
             rows = _int_rows(Pm.expanded_P)
-        reduced = _remove_common_kernel(rows)
-        if not reduced:
-            return JumpFunction([], Fraction(1), 0)
-        if len(reduced) < len(rows):
-            # the congruence mixes strands, so the reduced matrix is one group
-            rows = reduced
-            core = _fast.PencilCore(rows, epsilon)
-            D = _fast.pencil_det_poly(rows, epsilon)
+            reduced = _remove_common_kernel(rows)
+            if not reduced:
+                return JumpFunction([], Fraction(1), 0)
+            if len(reduced) < len(rows):
+                # the congruence mixes strands, so the reduced matrix is one group
+                rows = reduced
+                core = _fast.PencilCore(rows, epsilon)
+                D = _fast.pencil_det_poly(rows, epsilon)
         if P.is_zero(P.trim(D)):
             D = _generic_minor_poly(rows, epsilon)
     D = P.trim(D)

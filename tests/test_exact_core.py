@@ -4,7 +4,7 @@ and real algebraic numbers."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.specialpolys import cyclotomic_poly
 
@@ -362,3 +362,51 @@ def test_refine_matches_sturm_bisection(cs, k, b):
             root.refine()
             got.append((root.lo, root.hi))
         assert got == expected
+
+
+def fraction_sturm_chain(p):
+    """Sturm chain by Fraction long division, each member through int_form."""
+    p = P.square_free_part(p)
+    if P.degree(p) < 1:
+        return [P.int_form(p)] if p else []
+    chain = [P.int_form(p), P.int_form(P.derivative(p))]
+    while P.degree(chain[-1]) >= 1:
+        rem = P.divmod_poly(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(P.neg(P.int_form(rem)))
+    return chain
+
+
+@given(st.lists(rationals, min_size=1, max_size=9), st.lists(small_ints, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+# the remainder of 7 + 8t^3 by 16 - 21t takes three steps with lc = -21 < 0
+@example([Fraction(1), Fraction(-7, 4), Fraction(0), Fraction(0), Fraction(-1, 2)], [1])
+def test_sturm_chain_matches_fraction_remainders(cs, factor):
+    p = P.trim(cs)
+    q = P.trim([Fraction(c) for c in factor])
+    if not p or not q:
+        return
+    # p itself, and p * q^2, which is not square-free when deg q >= 1
+    for poly in (p, P.mul(p, P.mul(q, q))):
+        chain = P.sturm_chain(poly)
+        assert all(type(c) is int for member in chain for c in member)
+        assert chain == fraction_sturm_chain(poly)
+
+
+@given(int_coeffs, st.integers(min_value=0, max_value=4), st.integers(min_value=-9, max_value=9),
+       st.integers(min_value=0, max_value=48))
+@settings(max_examples=60, deadline=None)
+def test_refine_to_matches_repeated_refine(cs, k, b, bits):
+    # the factor (2^k t - b) puts a dyadic root in, which bisection can hit
+    p = P.mul([Fraction(c) for c in cs], [Fraction(-b), Fraction(1 << k)])
+    if P.degree(P.trim(p)) < 1:
+        return
+    width = Fraction(1, 1 << bits)
+    for root in isolate_real_roots(p):
+        expected = root.copy()
+        while expected.width() > width:
+            expected.refine()
+        root.refine_to(width)
+        assert (root.lo, root.hi, root.poly, root._slo) == (
+            expected.lo, expected.hi, expected.poly, expected._slo)

@@ -44,6 +44,7 @@ from covsig import _fast
 from covsig.exact import poly as P
 from covsig.jumps import (
     AlgLoc,
+    _cayley_numerator,
     _cyclotomic_split,
     _generic_minor_poly,
     _remove_common_kernel,
@@ -575,6 +576,44 @@ def test_cyclotomic_split_matches_fraction_division(ns, others, content):
     got = _cyclotomic_split(S)
     assert got == fraction_cyclotomic_split(S)
     assert set(ns) <= set(got[0])
+
+
+def fraction_cayley_numerator(S):
+    """sum_j S_j (1+it)^j (1-it)^(deg-j) by expanding every product in Fraction polys."""
+    _, Sz = P.content_primitive(S)
+    deg = len(Sz) - 1
+    # (1+it)^j and (1-it)^j as (re, im) coefficient lists, built incrementally
+    plus = [([1], [])]
+    minus = [([1], [])]
+    for _ in range(deg):
+        pr, pi = plus[-1]
+        plus.append((P.sub(pr, [0] + pi), P.add(pi, [0] + pr)))
+        mr, mi = minus[-1]
+        minus.append((P.sub(mr, [0] + [-c for c in mi]), P.add(mi, [0] + [-c for c in mr])))
+    re, im = [], []
+    for j, c in enumerate(Sz):
+        if c == 0:
+            continue
+        ar, ai = plus[j]
+        br, bi = minus[deg - j]
+        re = P.add(re, P.scale(P.sub(P.mul(ar, br), P.mul(ai, bi)), c))
+        im = P.add(im, P.scale(P.add(P.mul(ar, bi), P.mul(ai, br)), c))
+    return re, im
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(min_value=-(1 << 40), max_value=1 << 40)),
+             min_size=1, max_size=41).filter(lambda c: c[-1] != 0),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    st.integers(min_value=1, max_value=12),
+)
+def test_cayley_numerator_matches_fraction_expansion(cs, content, g):
+    # degrees 0..40, zero coefficients, and a content that is not 1
+    S = [content * g * c for c in cs]
+    re, im = _cayley_numerator(S)
+    assert all(type(c) is int for c in re + im)
+    assert (re, im) == fraction_cayley_numerator(S)
 
 
 def test_period_test_requires_integer_period():
