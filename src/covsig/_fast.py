@@ -32,10 +32,10 @@ The congruence-based signature routine is fraction-free Bareiss elimination
 sparse upper rows: row i is a dict {j: re} and a dict {j: im} over its
 nonzero entries with j >= i, and the lower triangle is read as their
 conjugate.  A step of the elimination updates only the rows in the pivot
-row's support, each over the union of its support and the pivot row's.  The
-routine returns None when it hits a Schur complement with an all-zero
-diagonal, and the caller falls back to the slower fully general rational
-elimination.
+row's support, each over the union of its support and the pivot row's.  A
+Schur complement with an all-zero diagonal but a nonzero entry takes one
+congruence step onto a nonzero diagonal first (herm_sig_fast), so the
+routine answers on every hermitian input.
 
 In all three Bareiss routines (determinant, rank profile and signature) a
 row whose multiplier is 0 at some step is not touched: by Sylvester's
@@ -422,7 +422,7 @@ class PencilCore:
 
 
 def herm_sig_fast(re, im):
-    """Signature of a hermitian Gaussian-integer matrix, or None.
+    """Signature of a hermitian Gaussian-integer matrix.
 
     re[i] and im[i] are dicts {j: int} holding row i's entries with j >= i;
     the lower triangle is their conjugate.  The rows are copied, not modified.
@@ -435,8 +435,15 @@ def herm_sig_fast(re, im):
     so it is left alone: its stored value times d_now / d_then, divided
     exactly, is its current value, where d_then is the Bareiss divisor it was
     last brought up to date with.
-    Returns None when some nonzero Schur complement has an all-zero diagonal;
-    the caller must then use the general rational routine.
+
+    When every remaining diagonal entry is 0 but some entry is not, let a be
+    the first nonzero row and h = R[a][b] its first nonzero entry.  The
+    congruence row/col a += c * row/col b, with c = 1 if Re h != 0 and c = i
+    otherwise, puts 2 Re h or 2 Im h on the diagonal at a; then a is the
+    pivot, swapped in as usual.  E = I + c*e_a*e_b^T acts only on the indices
+    not yet eliminated, so the stored rows are exactly those of Bareiss on
+    the Gaussian-integer matrix E H E*: every division stays exact, and by
+    Sylvester's law of inertia the signature is that of H.
     """
     n = len(re)
     re = [{j: x for j, x in r.items() if x} for r in re]
@@ -486,12 +493,39 @@ def herm_sig_fast(re, im):
                 ij[b] = -ia[j]
         re[a], im[a], re[b], im[b] = nra, nia, nrb, nib
 
+    def lift(a):
+        """Row/col a += c * row/col b, b the first column of row a (see above).
+
+        The rows before a are zero, so only row a changes: R[a][a] becomes
+        2 Re(conj(c) h), and R[a][j] += c * R[b][j] for j > a, which is
+        c * conj(R[j][b]) for a < j < b and 0 at b, where R[b][b] = 0.
+        """
+        b = min(re[a].keys() | im[a].keys())
+        mid = [j for j in range(a + 1, b) if b in re[j] or b in im[j]]
+        for i in [a, b] + mid:
+            refresh(i)
+        ra, ia = re[a], im[a]
+        rot = b not in ra  # c = i: c * (x + iy) = -y + ix
+        ra[a] = 2 * (ia[b] if rot else ra[b])
+        terms = [(j, re[j].get(b, 0), -im[j].get(b, 0)) for j in mid]
+        terms += [(j, re[b].get(j, 0), im[b].get(j, 0)) for j in re[b].keys() | im[b].keys()]
+        for j, x, y in terms:
+            if rot:
+                x, y = -y, x
+            for row, z in ((ra, x), (ia, y)):
+                z += row.get(j, 0)
+                if z:
+                    row[j] = z
+                else:
+                    row.pop(j, None)
+
     for k in range(n):
         piv = next((i for i in range(k, n) if i in re[i]), None)
         if piv is None:
-            if any(re[i] or im[i] for i in range(k, n)):
-                return None
-            return sig
+            piv = next((i for i in range(k, n) if re[i] or im[i]), None)
+            if piv is None:
+                return sig
+            lift(piv)
         if piv != k:
             swap(k, piv)
         refresh(k)

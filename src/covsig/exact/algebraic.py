@@ -163,7 +163,14 @@ class AlgReal:
         return AlgReal(coeffs, lo, hi, _checked=True)
 
     def neg(self):
-        return self.scaled(-1)
+        """-self: p(x) becomes (-1)^n p(-x), still monic, its integer form likewise."""
+        n = len(self.poly) - 1
+        a = AlgReal.__new__(AlgReal)
+        a.poly = [-c if (n - k) & 1 else c for k, c in enumerate(self.poly)]
+        a._ip = [-c if (n - k) & 1 else c for k, c in enumerate(self._ip)]
+        a._slo, a._chain = 0, None
+        a.lo, a.hi = -self.hi, -self.lo
+        return a
 
     def __float__(self):
         a = self.copy()

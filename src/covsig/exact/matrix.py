@@ -1,16 +1,17 @@
 """Dense exact rational matrices and hermitian signatures.
 
-The signature routine works by symmetric (congruence) elimination over the
-Gaussian rationals with exact pivots, so the answer carries no tolerance at
-all.  Zero pivots are handled the standard way for hermitian forms: first try
-a symmetric row/column swap onto a nonzero diagonal entry, then fall back to a
-2x2 off-diagonal block pivot, which contributes zero to the signature.
+The determinant and the signature clear denominators and run on the integer
+kernels of covsig._fast: fraction-free Bareiss elimination, and its
+symmetric form on hermitian Gaussian-integer matrices, so the answers carry
+no tolerance at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
+from .. import _fast
 from ..errors import DimensionMismatch, NotHermitian, SingularMatrix
 from .gauss import GaussRat
 
@@ -126,34 +127,12 @@ class RatMatrix:
         return result
 
     def det(self):
-        """Determinant by fraction-free style Gaussian elimination."""
+        """Determinant: bareiss_det(L*M) / L^n, with L the lcm of the denominators."""
         if not self.is_square:
             raise DimensionMismatch("determinant of non-square matrix")
-        n = self.nrows
-        m = [row[:] for row in self.rows]
-        det = Fraction(1)
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if m[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = -det
-            det *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                if m[i][k] == 0:
-                    continue
-                f = m[i][k] * inv
-                mi, mk = m[i], m[k]
-                for j in range(k + 1, n):
-                    mi[j] -= f * mk[j]
-                mi[k] = Fraction(0)
-        return det
+        den = lcm(*(x.denominator for row in self.rows for x in row))
+        rows = [[x.numerator * (den // x.denominator) for x in row] for row in self.rows]
+        return Fraction(_fast.bareiss_det(rows), den ** self.nrows)
 
     def nullspace(self):
         """Basis of the right kernel, as a list of column vectors."""
@@ -234,27 +213,15 @@ def block_matrix(grid) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def _as_gauss(H):
-    out = []
-    for row in H:
-        orow = []
-        for x in row:
-            if isinstance(x, GaussRat):
-                orow.append(x)
-            else:
-                orow.append(GaussRat(Fraction(x)))
-        out.append(orow)
-    return out
-
-
 def hermitian_signature(H) -> int:
     """Signature (#positive - #negative eigenvalues) of a hermitian matrix.
 
-    H is a square nested sequence of GaussRat (plain rationals coerce).
-    Computed by exact congruence elimination; deterministic first-fit pivot
-    choice, so the reduction is reproducible bit for bit.
+    H is a square nested sequence of GaussRat (ints and Fractions coerce).
+    Its entries are multiplied by the positive lcm of their denominators,
+    which keeps the signature, and the Gaussian-integer upper rows go to
+    _fast.herm_sig_fast.
     """
-    m = _as_gauss(H)
+    m = [[x if isinstance(x, GaussRat) else GaussRat(x) for x in row] for row in H]
     n = len(m)
     for row in m:
         if len(row) != n:
@@ -263,56 +230,7 @@ def hermitian_signature(H) -> int:
         for j in range(i, n):
             if m[i][j] != m[j][i].conj():
                 raise NotHermitian(f"entry ({i},{j}) != conj of ({j},{i})")
-
-    sig = 0
-    active = list(range(n))
-    while active:
-        # first-fit nonzero diagonal pivot
-        pivot = None
-        for i in active:
-            if m[i][i]:
-                pivot = i
-                break
-        if pivot is not None:
-            p = m[pivot][pivot].re  # hermitian => real diagonal
-            sig += 1 if p > 0 else -1
-            rest = [i for i in active if i != pivot]
-            for i in rest:
-                if not m[i][pivot]:
-                    continue
-                f = m[i][pivot] / GaussRat(p)
-                for j in rest:
-                    m[i][j] = m[i][j] - f * m[pivot][j]
-                m[i][pivot] = GaussRat(0)
-            for j in rest:
-                m[pivot][j] = GaussRat(0)
-            active = rest
-            continue
-        # all active diagonal entries vanish: look for an off-diagonal entry
-        block = None
-        for ai, i in enumerate(active):
-            for j in active[ai + 1:]:
-                if m[i][j]:
-                    block = (i, j)
-                    break
-            if block:
-                break
-        if block is None:
-            break  # remaining form is zero
-        i, j = block
-        h = m[i][j]
-        # 2x2 pivot [[0, h], [conj h, 0]]: signature 0, Schur complement below
-        rest = [k for k in active if k not in (i, j)]
-        for k in rest:
-            a, b = m[k][i], m[k][j]
-            if not a and not b:
-                continue
-            # [a, b] . S^{-1} . [m[i][l]; m[j][l]] with S = [[0,h],[h*,0]]
-            ca = b / h
-            cb = a / h.conj()
-            for l in rest:
-                m[k][l] = m[k][l] - ca * m[i][l] - cb * m[j][l]
-            m[k][i] = GaussRat(0)
-            m[k][j] = GaussRat(0)
-        active = rest
-    return sig
+    den = lcm(*(q.denominator for row in m for z in row for q in (z.re, z.im)))
+    re = [{j: int(m[i][j].re * den) for j in range(i, n)} for i in range(n)]
+    im = [{j: int(m[i][j].im * den) for j in range(i, n)} for i in range(n)]
+    return _fast.herm_sig_fast(re, im)

@@ -40,7 +40,6 @@ from .exact import (
     DEFAULT_PRECISION_BITS,
     AlgReal,
     Comparison,
-    GaussRat,
     RatMatrix,
     alg_compare,
     block_matrix,
@@ -226,26 +225,6 @@ def _int_rows(Pm: RatMatrix):
     return [[x.numerator * (den // x.denominator) for x in row] for row in Pm.rows]
 
 
-def _signature(g) -> int:
-    """Signature of the sparse hermitian rows g = (re, im), as PencilCore.at gives them.
-
-    The integer kernel answers unless it meets a Schur complement with an
-    all-zero diagonal; only then are the rows written out densely for the
-    rational routine.
-    """
-    s = _fast.herm_sig_fast(*g)
-    if s is None:
-        re, im = g
-        n = len(re)
-        m = [[GaussRat(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in re[i].keys() | im[i].keys():
-                z = GaussRat(re[i].get(j, 0), im[i].get(j, 0))
-                m[i][j], m[j][i] = z, z.conj()
-        s = hermitian_signature(m)
-    return s
-
-
 def _core_rows(cm: CoveringMatrix):
     """(integer core rows, signed strand counts) of a covering (see _fast.PencilCore).
 
@@ -278,9 +257,9 @@ def _pencil_core(rows, eps: int, mults=(1,)) -> _fast.PencilCore:
         for a, m in enumerate(mults):
             if abs(m) >= 2:
                 r = a * b
-                upper = [{j: rows[r + i][r + j] + rows[r + j][r + i] for j in range(i, b)
-                          if rows[r + i][r + j] + rows[r + j][r + i]} for i in range(b)]
-                chain_sigma[a] = (1 if m > 0 else -1) * _signature((upper, [{} for _ in range(b)]))
+                block = [[rows[r + i][r + j] + rows[r + j][r + i] for j in range(b)]
+                         for i in range(b)]
+                chain_sigma[a] = (1 if m > 0 else -1) * hermitian_signature(block)
     return _fast.PencilCore(rows, eps, mults, chain_sigma)
 
 
@@ -291,7 +270,7 @@ def _sig_at(core: _fast.PencilCore, u: int, v: int):
     g = core.at(u, v)
     if g is None:
         return None
-    return _signature(g) + core.chain_signature(u, v)
+    return _fast.herm_sig_fast(*g) + core.chain_signature(u, v)
 
 
 def tl_signature(Pm: RatMatrix, epsilon: int, t) -> int:

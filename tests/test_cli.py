@@ -120,6 +120,21 @@ def test_obstruct_algebraic_output_pinned():
         "dfe82b4222d33a41b4efd3534622e641817b67528ef28d97be872e0164458b64")
 
 
+@pytest.mark.parametrize("eps, expected", [
+    ("1", '{"period": "1", "points": [{"pi_rational": "2/3", "scale": "1", "value": -2}, '
+          '{"pi_rational": "4/3", "scale": "1", "value": 2}], "sigma0": 1}\n'),
+    ("-1", '{"period": "1", "points": [{"pi_rational": "1/3", "scale": "1", "value": 2}, '
+           '{"pi_rational": "1", "scale": "1", "value": -2}, '
+           '{"pi_rational": "5/3", "scale": "1", "value": 2}], "sigma0": -1}\n'),
+])
+def test_permutation_matrix_output_pinned(eps, expected):
+    # P + P^T has a zero diagonal, so some samples need a congruence step
+    # before their first pivot
+    code, text = run(["jump", "--V", "[[0,1,0],[0,0,1],[1,0,0]]", "--epsilon", eps,
+                      "--format", "json"])
+    assert (code, text) == (0, expected)
+
+
 # U^T (ALG + 0_2) U and U^T (ALG + L_3) U for unimodular U, with L_3 the 3 x 3
 # nilpotent Jordan block: D = 0 for both, the first through a common kernel of
 # P and P^T, the second without one, so the jumps come from a generic minor

@@ -30,7 +30,7 @@ from covsig import (
 )
 from covsig import _fast
 from covsig.exact import block_matrix
-from covsig.jumps import _core_rows, _pencil_core, _remove_common_kernel, _sig_at, _signature
+from covsig.jumps import _core_rows, _pencil_core, _remove_common_kernel, _sig_at
 from conftest import ALG, T25, TREFOIL, same_jumps
 
 
@@ -266,7 +266,7 @@ def pencil_oracle(rows, eps, u, v):
     cr, ci = (u, -v) if eps == 1 else (v, u)
     re = [{j: cr * (rows[i][j] + rows[j][i]) for j in range(i, n)} for i in range(n)]
     im = [{j: ci * (rows[i][j] - rows[j][i]) for j in range(i, n)} for i in range(n)]
-    sig = _signature((re, im))
+    sig = _fast.herm_sig_fast(re, im)
     return sig if u > 0 else -sig
 
 

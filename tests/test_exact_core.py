@@ -127,6 +127,12 @@ def test_det_multiplicative(ra, rb):
     assert (a @ b).det() == a.det() * b.det()
 
 
+def test_det_of_rational_entries():
+    assert RatMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]).det() == (
+        Fraction(1, 14) - Fraction(1, 15))
+    assert RatMatrix.zeros(0).det() == 1
+
+
 # ---------------------------------------------------------------------------
 # hermitian signatures
 
@@ -141,6 +147,13 @@ def test_signature_offdiagonal_block_pivot():
     # hyperbolic form: all-zero diagonal, signature 0
     h = GaussRat(1, 1)
     assert hermitian_signature([[GaussRat(0), h], [h.conj(), GaussRat(0)]]) == 0
+
+
+def test_signature_clears_denominators():
+    # [[1/2, i/3], [-i/3, -1/5]] has determinant -1/10 - 1/9 < 0
+    h = GaussRat(0, Fraction(1, 3))
+    assert hermitian_signature([[Fraction(1, 2), h], [h.conj(), Fraction(-1, 5)]]) == 0
+    assert hermitian_signature([[Fraction(1, 2), h], [h.conj(), 1]]) == 2
 
 
 def test_signature_rejects_nonhermitian():

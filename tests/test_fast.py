@@ -5,8 +5,8 @@ against Newton interpolation of integer determinants of the pencil (in
 Fractions, newton_interp below, which is also the oracle of the integer
 kernel interpolate),
 PencilCore.at on a plain matrix against the pencil formula in Gaussian
-rationals, and herm_sig_fast against the rational congruence routine
-hermitian_signature.
+rationals, and herm_sig_fast against the characteristic polynomial of the
+real embedding of the hermitian matrix, which shares no code with it.
 """
 
 import cmath
@@ -21,7 +21,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from covsig import _fast
-from covsig.exact import GaussRat, hermitian_signature
+from covsig.exact import GaussRat
 
 eps_st = st.sampled_from([1, -1])
 entries = st.integers(min_value=-3, max_value=3)
@@ -203,8 +203,30 @@ def hermitian(upper, diag):
     return m
 
 
+def sign_changes(coeffs):
+    nonzero = [c for c in coeffs if c]
+    return sum((a > 0) != (b > 0) for a, b in zip(nonzero, nonzero[1:]))
+
+
 def reference_signature(m):
-    return hermitian_signature([[GaussRat(a, b) for a, b in row] for row in m])
+    """sigma(H) for H = A + iB, from the real symmetric [[A, -B], [B, A]].
+
+    The embedding has H's spectrum twice over, so its signature is
+    2 sigma(H).  Its characteristic polynomial has only real roots, so
+    Descartes' rule of signs counts the positive and the negative ones
+    exactly, once the factor x^k of the zero roots is divided out.
+    """
+    n = len(m)
+    a = [[x for x, _ in row] for row in m]
+    b = [[y for _, y in row] for row in m]
+    big = [ra + [-y for y in rb] for ra, rb in zip(a, b)] + [rb + ra for ra, rb in zip(a, b)]
+    coeffs = [int(c) for c in DomainMatrix([[ZZ(x) for x in row] for row in big],
+                                           (2 * n, 2 * n), ZZ).charpoly()]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    pos = sign_changes(coeffs)
+    neg = sign_changes([-c if i & 1 else c for i, c in enumerate(coeffs)])
+    return (pos - neg) // 2
 
 
 def hermitian_st(off, diag):
@@ -224,17 +246,14 @@ def upper_rows(m):
     return re, im
 
 
-def agrees_when_defined(m):
-    s = _fast.herm_sig_fast(*upper_rows(m))
-    if s is not None:
-        assert s == reference_signature(m)
-    return s
+def agrees(m):
+    assert _fast.herm_sig_fast(*upper_rows(m)) == reference_signature(m)
 
 
 @settings(max_examples=80, deadline=None)
 @given(hermitian_st(entries, entries))
 def test_sig_matches_reference(m):
-    agrees_when_defined(m)
+    agrees(m)
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,13 +261,21 @@ def test_sig_matches_reference(m):
 def test_sig_sparse_rows_skip_zero_multipliers(m):
     # nonzero diagonals and mostly zero off-diagonals: many rows are skipped
     # and brought up to date only when next read
-    agrees_when_defined(m)
+    agrees(m)
 
 
 @settings(max_examples=80, deadline=None)
 @given(hermitian_st(sparse_entries, st.sampled_from([0, 0, 1, -2])))
 def test_sig_zero_diagonals_force_swaps(m):
-    agrees_when_defined(m)
+    agrees(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_st(st.one_of(entries, sparse_entries), st.just(0)))
+def test_sig_all_zero_diagonal_takes_congruence_steps(m):
+    # every pivot has to be made by a congruence step or come out of the
+    # elimination, and a row of zeros may sit before the first nonzero one
+    agrees(m)
 
 
 @pytest.mark.parametrize("m, expected", [
@@ -267,14 +294,16 @@ def test_sig_symmetric_swap(m, expected):
     st.lists(st.sampled_from([1, -1, 2, -3]), min_size=0, max_size=3),
     st.tuples(entries, entries).filter(lambda z: z != (0, 0)),
 )
-def test_sig_zero_diagonal_schur_complement_is_none(diag, z):
-    # eliminating the nonsingular diagonal block leaves [[0, z], [conj z, 0]]
+def test_sig_zero_diagonal_schur_complement(diag, z):
+    # eliminating the nonsingular diagonal block leaves [[0, z], [conj z, 0]],
+    # whose signature is 0
     k = len(diag)
     upper = [[(0, 0)] * (k + 2) for _ in range(k + 2)]
     upper[k][k + 1] = z
     m = hermitian(upper, diag + [0, 0])
-    assert _fast.herm_sig_fast(*upper_rows(m)) is None
-    assert reference_signature(m) == sum(1 if d > 0 else -1 for d in diag)
+    expected = sum(1 if d > 0 else -1 for d in diag)
+    assert _fast.herm_sig_fast(*upper_rows(m)) == expected
+    assert reference_signature(m) == expected
 
 
 @st.composite
@@ -316,7 +345,7 @@ def chain_arrow(draw):
 @settings(max_examples=150, deadline=None)
 @given(chain_arrow())
 def test_sig_chain_arrow_matches_reference(m):
-    agrees_when_defined(m)
+    agrees(m)
 
 
 @settings(max_examples=60, deadline=None)
