@@ -1,18 +1,23 @@
-"""Integer kernels for the hot paths: determinant polynomials and signatures.
+"""Integer kernels: one exact elimination, D(w), and the pencil signature.
 
 Everything here works on plain Python ints (entries of scaled integer Seifert
 matrices), which keeps the inner loops free of Fraction normalization.
+
+One forward elimination, _eliminate, is behind every exact linear-algebra
+step: fraction-free Bareiss elimination with column skipping, whose
+divisions are exact by Sylvester's identity (Bareiss, 1968).  bareiss_det
+is +-(its last pivot), rank_profile its pivot rows and columns, and
+adj_det adds a fraction-free back-substitution on [M | I].
 
 D(w) takes the same (rows, eps, mults) as a PencilCore and always comes from
 the core, D(w) = c * det M'(w), where M' is a polynomial matrix of size
 (number of groups) x b (PencilCore's docstring has the identity); a plain
 matrix is one group with N = 1 and c = 1.  After the Cayley change
 w = (1 - y)/(1 + y), under which (1 + y)^n D is even or odd in y, det M' is
-taken by Bareiss at the integers y = 0..h, h = ceil(n/2), and interpolated
-in integers on the nodes -h..h; the n x n matrix is not formed.  Every
-division on the way is exact, and one that is not raises ArithmeticError.
-rank_profile, the same elimination with column skipping on a rectangular
-matrix, serves the pencils whose D is identically 0.
+taken by bareiss_det at the integers y = 0..h, h = ceil(n/2), and
+interpolated in integers on the nodes -h..h; the n x n matrix is not formed.
+Every division on the way is exact, and one that is not raises
+ArithmeticError.
 
 Signature samples are taken on a PencilCore: the pencil of a covering matrix
 with each strand group's chain of difference strands eliminated.
@@ -27,22 +32,21 @@ caller moves it inside its gap.  A plain matrix is one group with N = 1, so
 the same builder serves every pencil.  PencilCore's docstring has the proof
 and the integer form.
 
-The congruence-based signature routine is fraction-free Bareiss elimination
-(an LDL* without divisions) on a hermitian Gaussian-integer matrix held as
-sparse upper rows: row i is a dict {j: re} and a dict {j: im} over its
-nonzero entries with j >= i, and the lower triangle is read as their
-conjugate.  A step of the elimination updates only the rows in the pivot
-row's support, each over the union of its support and the pivot row's.  A
-Schur complement with an all-zero diagonal but a nonzero entry takes one
-congruence step onto a nonzero diagonal first (herm_sig_fast), so the
-routine answers on every hermitian input.
+The signature routine, herm_sig_fast, is the symmetric form of the same
+elimination (an LDL* without divisions) on a hermitian Gaussian-integer
+matrix held as sparse upper rows: row i is a dict {j: re} and a dict
+{j: im} over its nonzero entries with j >= i, and the lower triangle is read
+as their conjugate.  A step updates only the rows in the pivot row's
+support, each over the union of its support and the pivot row's.  A Schur
+complement with an all-zero diagonal but a nonzero entry takes one
+congruence step onto a nonzero diagonal first, so the routine answers on
+every hermitian input.
 
-In all three Bareiss routines (determinant, rank profile and signature) a
-row whose multiplier is 0 at some step is not touched: by Sylvester's
-identity it only picks up the factor d_k / d_(k-1), so its current value is
-its stored value times d_now / d_then, divided exactly, where d_then is the
-divisor it was last brought up to date with.  On the covering matrices,
-which are sparse, most multipliers are 0.
+In both eliminations a row whose multiplier is 0 at some step is not
+touched: by Sylvester's identity it only picks up the factor d_k / d_(k-1),
+so its current value is its stored value times d_now / d_then, divided
+exactly, where d_then is the divisor it was last brought up to date with.
+On the covering matrices, which are sparse, most multipliers are 0.
 """
 
 from __future__ import annotations
@@ -52,48 +56,106 @@ from itertools import accumulate
 from math import lcm
 
 
-def bareiss_det(rows) -> int:
-    """Exact determinant of a square integer matrix.
+def _eliminate(m, ncols=None):
+    """Fraction-free Bareiss forward elimination of the integer rows m, in place.
 
-    Fraction-free Bareiss elimination; rows whose multiplier is 0 are
-    rescaled lazily (see the module docstring).
+    Column c < ncols (default: all) pivots on the first unused row, in the
+    original order, with a nonzero entry there, or is skipped.  After k
+    steps the entry (i, j) of an unused row is the minor on the pivot rows
+    and i and the pivot columns and j: zero exactly where rational Gaussian
+    elimination has a zero, so both pick the same pivots.  Rows with a zero
+    multiplier are rescaled lazily (see the module docstring); a pivot row
+    is brought up to date when picked, so from column pcol[k] on, row
+    prow[k] is row k of the echelon form.  Returns (prow, pcol, last,
+    parity): pivot rows and columns in pivot order, the last pivot (1 if
+    none), and the parity of the permutation moving the pivot rows to the
+    front, which picking position pos of the unused rows raises by pos.
     """
-    m = [[int(x) for x in row] for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    then = [1] * n  # the divisor each row was last brought up to date with
-    sign = 1
-    prev = 1
-
-    def refresh(i, k):
-        t = then[i]
-        if t != prev:
-            m[i][k:] = [x * prev // t for x in m[i][k:]]
-            then[i] = prev
-
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            then[k], then[piv] = then[piv], then[k]
-            sign = -sign
-        refresh(k, k)
-        mk = m[k]
-        p = mk[k]
-        for i in range(k + 1, n):
-            if not m[i][k]:
+    then = [1] * len(m)  # the divisor each row was last brought up to date with
+    avail = list(range(len(m)))
+    prow, pcol = [], []
+    prev, parity = 1, 0
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        if not avail:
+            break
+        if m[avail[0]][c]:  # the common case, without a scan
+            pos = 0
+        else:
+            pos = next((k for k, i in enumerate(avail) if m[i][c]), None)
+            if pos is None:
                 continue
-            refresh(i, k)
+        piv = avail.pop(pos)
+        parity ^= pos & 1
+        prow.append(piv)
+        pcol.append(c)
+        mp = m[piv]
+        t = then[piv]
+        if t != prev:  # bring the row up to date
+            mp[c:] = [x * prev // t for x in mp[c:]]
+        p = mp[c]
+        for i in avail:
             mi = m[i]
-            mik = mi[k]
-            mi[k + 1:] = [(p * a - mik * c) // prev for a, c in zip(mi[k + 1:], mk[k + 1:])]
+            mic = mi[c]
+            if not mic:
+                continue
+            t = then[i]
+            if t != prev:
+                mi[c:] = [x * prev // t for x in mi[c:]]
+                mic = mi[c]
+            mi[c + 1:] = [(p * a - mic * b) // prev for a, b in zip(mi[c + 1:], mp[c + 1:])]
             then[i] = p
         prev = p
-    refresh(n - 1, n - 1)
-    return sign * m[-1][-1]
+    return prow, pcol, prev, parity
+
+
+def bareiss_det(rows) -> int:
+    """Exact determinant of a square integer matrix: +-(last pivot) of _eliminate."""
+    m = [[int(x) for x in row] for row in rows]
+    prow, _, last, parity = _eliminate(m)
+    if len(prow) < len(m):
+        return 0
+    return -last if parity else last
+
+
+def rank_profile(rows):
+    """(pivot rows, pivot columns) of a maximal nonsingular submatrix, both sorted.
+
+    rows is an integer matrix, possibly rectangular; each column pivots on
+    the first unused row, in the original order (see _eliminate), so the
+    pivot columns are the first independent columns, those of the RREF.
+    """
+    prow, pcol, _, _ = _eliminate([[int(x) for x in row] for row in rows])
+    return sorted(prow), pcol
+
+
+def adj_det(rows):
+    """(adj M, det M) of a square integer matrix, as int rows and an int.
+
+    Returns (None, 0) when M is singular.  _eliminate on [M | I] leaves
+    [U | R] with U = R*M upper triangular, each of its rows being the same
+    combination of the rows of M as of those of I; with d the last pivot,
+    Y = d*M^(-1) = d*U^(-1)*R is +-adj M, integral, so the back-substitution
+    y_k = (d*r_k - sum_(j>k) u_kj*y_j) / u_kk divides exactly.
+    """
+    n = len(rows)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prow, _, d, parity = _eliminate(m, n)
+    if len(prow) < n:
+        return None, 0
+    u = [m[i] for i in prow]
+    y = [None] * n
+    for k in range(n - 1, -1, -1):
+        uk = u[k]
+        acc = [d * x for x in uk[n:]]
+        for j in range(k + 1, n):
+            if uk[j]:
+                acc = [a - uk[j] * b for a, b in zip(acc, y[j])]
+        y[k] = [a // uk[k] for a in acc]
+    if parity:
+        return [[-x for x in row] for row in y], -d
+    return y, d
 
 
 def interpolate(values, h: int = 0):
@@ -199,52 +261,6 @@ def pencil_det_poly(p_rows, eps: int, mults=(1,)):
     while out and out[-1] == 0:
         out.pop()
     return [Fraction(a) for a in out]
-
-
-def rank_profile(rows):
-    """(pivot rows, pivot columns) of a maximal nonsingular submatrix, both sorted.
-
-    rows is an integer matrix, possibly rectangular.  Fraction-free Bareiss
-    elimination with column skipping: each column pivots on the first unused
-    row, in the original order, with a nonzero entry there.  After k steps
-    the entry (i, j) of an unused row is the minor on the pivot rows and i
-    and the pivot columns and j, so it is zero exactly where the entry of
-    rational Gaussian elimination is, and both pick the same pivots.  Rows
-    whose multiplier is 0 are rescaled lazily (see the module docstring);
-    a stale entry is zero exactly when the current one is.
-    """
-    m = [[int(x) for x in row] for row in rows]
-    then = [1] * len(m)  # the divisor each row was last brought up to date with
-    avail = list(range(len(m)))
-    prow, pcol = [], []
-    prev = 1
-
-    def refresh(i, c):
-        t = then[i]
-        if t != prev:
-            m[i][c:] = [x * prev // t for x in m[i][c:]]
-            then[i] = prev
-
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in avail if m[i][c]), None)
-        if piv is None:
-            continue
-        avail.remove(piv)
-        prow.append(piv)
-        pcol.append(c)
-        refresh(piv, c)
-        mp = m[piv]
-        p = mp[c]
-        for i in avail:
-            if not m[i][c]:
-                continue
-            refresh(i, c)
-            mi = m[i]
-            mic = mi[c]
-            mi[c + 1:] = [(p * a - mic * b) // prev for a, b in zip(mi[c + 1:], mp[c + 1:])]
-            then[i] = p
-        prev = p
-    return sorted(prow), pcol
 
 
 def _gauss_pow(x: int, y: int, n: int):

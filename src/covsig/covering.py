@@ -16,8 +16,8 @@ are 268 nonzero entries instead of 3162.  Neither D(w) nor the signature
 samples use the chains: jump_function eliminates them and works on the
 core, the first strands of the groups (see covsig._fast.PencilCore).  The
 n x n matrix itself is read only when D(w) = 0, to remove a common kernel.
-The blocks themselves are computed with integer matrix products and one
-exact scaling per block (covering_blocks).
+The blocks themselves are computed with integer matrix products, two
+adjugates (covsig._fast.adj_det) and one exact scaling per block.
 """
 
 from __future__ import annotations
@@ -26,24 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
-
+from ._fast import adj_det
 from .errors import NotPrimePower, NotRationalHomologySphere
 from .exact import RatMatrix, block_matrix, mat_inverse
+from .exact.poly import totient
 from .pattern import fold, solve_multiplicities
 from .seifert import SeifertData
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -55,7 +43,7 @@ class CoveringSpec:
     target: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if self.p < 2 or totient(self.p) != self.p - 1:
             raise NotPrimePower(f"{self.p} is not prime")
         if self.a < 1:
             raise NotPrimePower("exponent a must be positive")
@@ -100,13 +88,6 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def _adj_det(rows):
-    """(adj(M), det(M)) of a square integer matrix, as int rows and an int."""
-    n = len(rows)
-    adj, det = DomainMatrix([[ZZ(x) for x in row] for row in rows], (n, n), ZZ).adj_det()
-    return [[int(x) for x in row] for row in adj.to_list()], int(det)
-
-
 def covering_blocks(sd: SeifertData, spec: CoveringSpec):
     """The d x d array of blocks A_kl of the covering Seifert matrix.
 
@@ -141,7 +122,7 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
     a, b, cc = ([[int(x * c) for x in row] for row in M.rows] for M in (sd.A, sd.B, sd.C))
     n = len(a)
     # SeifertData has checked that delta != 0
-    adj_s, delta = _adj_det([[a[i][j] - eps * a[j][i] for j in range(n)] for i in range(n)])
+    adj_s, delta = adj_det([[a[i][j] - eps * a[j][i] for j in range(n)] for i in range(n)])
     g = _matmul(adj_s, a)
     h = [[x - (delta if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(g)]
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -149,7 +130,7 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
     for _ in range(d):
         gpow.append(_matmul(gpow[-1], g))
         hpow.append(_matmul(hpow[-1], h))
-    adj_d, big_delta = _adj_det([[x - y for x, y in zip(r, s)] for r, s in zip(gpow[d], hpow[d])])
+    adj_d, big_delta = adj_det([[x - y for x, y in zip(r, s)] for r, s in zip(gpow[d], hpow[d])])
     if big_delta == 0:
         raise NotRationalHomologySphere(
             "G^d - (G-I)^d is singular: the cover is not a rational homology sphere"

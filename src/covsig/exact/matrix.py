@@ -1,9 +1,10 @@
 """Dense exact rational matrices and hermitian signatures.
 
-The determinant and the signature clear denominators and run on the integer
-kernels of covsig._fast: fraction-free Bareiss elimination, and its
-symmetric form on hermitian Gaussian-integer matrices, so the answers carry
-no tolerance at all.
+The determinant, inverse, nullspace and signature clear denominators and run
+on the integer kernels of covsig._fast: the one fraction-free Bareiss
+elimination behind bareiss_det, rank_profile and adj_det, and its symmetric
+form on hermitian Gaussian-integer matrices, so the answers carry no
+tolerance at all.
 """
 
 from __future__ import annotations
@@ -126,76 +127,52 @@ class RatMatrix:
             k >>= 1
         return result
 
+    def int_rows(self):
+        """(L, the rows of L*M as ints), with L the lcm of the denominators."""
+        den = lcm(*(x.denominator for row in self.rows for x in row))
+        return den, [[x.numerator * (den // x.denominator) for x in row] for row in self.rows]
+
     def det(self):
         """Determinant: bareiss_det(L*M) / L^n, with L the lcm of the denominators."""
         if not self.is_square:
             raise DimensionMismatch("determinant of non-square matrix")
-        den = lcm(*(x.denominator for row in self.rows for x in row))
-        rows = [[x.numerator * (den // x.denominator) for x in row] for row in self.rows]
+        den, rows = self.int_rows()
         return Fraction(_fast.bareiss_det(rows), den ** self.nrows)
 
     def nullspace(self):
-        """Basis of the right kernel, as a list of column vectors."""
-        m = [row[:] for row in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            piv = None
-            for i in range(r, nr):
-                if m[i][c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        free = [c for c in range(nc) if c not in pivots]
+        """Basis of the right kernel, as a list of column vectors: the RREF basis.
+
+        rank_profile gives pivot rows R and pivot columns C, the first
+        independent columns, which are the RREF's pivots.  Free column f
+        gives the vector with 1 at f, 0 at the other free columns, and
+        -N[R][C]^(-1) N[R][f] on C, taken with the adjugate of N[R][C].
+        """
+        _, rows = self.int_rows()
+        prow, pcol = _fast.rank_profile(rows)
+        adj, det = _fast.adj_det([[rows[i][j] for j in pcol] for i in prow])
         basis = []
-        for fc in free:
-            v = [Fraction(0)] * nc
-            v[fc] = Fraction(1)
-            for ri, pc in enumerate(pivots):
-                v[pc] = -m[ri][fc]
+        for f in sorted(set(range(self.ncols)) - set(pcol)):
+            col = [rows[i][f] for i in prow]
+            v = [Fraction(0)] * self.ncols
+            v[f] = Fraction(1)
+            for c, arow in zip(pcol, adj):
+                v[c] = Fraction(-sum(a * x for a, x in zip(arow, col)), det)
             basis.append(v)
         return basis
 
 
 def mat_inverse(M: RatMatrix) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse L * adj(L*M) / det(L*M), with L the lcm of M's denominators.
 
     Raises SingularMatrix when det(M) = 0.
     """
     if not M.is_square:
         raise DimensionMismatch("inverse of non-square matrix")
-    n = M.nrows
-    a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(M.rows)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return RatMatrix([row[n:] for row in a])
+    den, rows = M.int_rows()
+    adj, det = _fast.adj_det(rows)
+    if not det:
+        raise SingularMatrix("matrix is singular")
+    return RatMatrix([[Fraction(den * x, det) for x in row] for row in adj])
 
 
 def block_matrix(grid) -> RatMatrix:

@@ -2,9 +2,11 @@
 
 Only what the root-isolation and jump-extraction code needs: ring arithmetic,
 exact division, gcd / square-free part, Sturm chains and sign-variation
-counting.  The gcd delegates to sympy's dense-polynomial kernel, which avoids
-the coefficient blowup of a naive Euclidean remainder sequence on the large
-determinant polynomials that show up in covering computations.
+counting.  The gcd, covsig's one use of sympy, delegates to its dense
+kernel, which avoids the coefficient blowup of remainder sequences on the
+large determinant polynomials of covering computations (a primitive
+pseudo-remainder gcd was 30x slower at degree 60); sympy is most of the
+import time, so it is imported on the first gcd.
 
 Sign-only questions are answered in integers: `sign_at` takes a primitive
 integer coefficient list and a rational point n/d, and Sturm chains are built
@@ -20,9 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd as int_gcd
-
-from sympy import QQ
-from sympy.polys.euclidtools import dup_inner_gcd
 
 
 def trim(p):
@@ -141,25 +140,21 @@ def divides(q, p):
     return not divmod_poly(p, q)[1]
 
 
-def _to_dup(p):
-    return [QQ(c.numerator, c.denominator) for c in reversed(p)]
-
-
-def _from_dup(d):
-    # int() strips gmpy2 ground types; Fraction keeps whatever it is given,
-    # and mixed Fraction/mpz arithmetic breaks downstream
-    return trim([Fraction(int(c.numerator), int(c.denominator)) for c in reversed(d)])
-
-
 def gcd(p, q):
-    """Monic gcd over Q (via sympy's dense kernel)."""
+    """Monic gcd over Q (via sympy's dense kernel, imported on the first call)."""
+    from sympy import QQ
+    from sympy.polys.euclidtools import dup_inner_gcd
+
     p, q = trim(list(map(Fraction, p))), trim(list(map(Fraction, q)))
     if not p:
         return monic(q)
     if not q:
         return monic(p)
-    h, _, _ = dup_inner_gcd(_to_dup(p), _to_dup(q), QQ)
-    return monic(_from_dup(h))
+    h, _, _ = dup_inner_gcd([QQ(c.numerator, c.denominator) for c in reversed(p)],
+                            [QQ(c.numerator, c.denominator) for c in reversed(q)], QQ)
+    # int() strips gmpy2 ground types; Fraction keeps whatever it is given,
+    # and mixed Fraction/mpz arithmetic breaks downstream
+    return monic(trim([Fraction(int(c.numerator), int(c.denominator)) for c in reversed(h)]))
 
 
 def monic(p):
@@ -198,19 +193,36 @@ def _at_power(p, k):
     return out
 
 
+def _primes(n):
+    """The distinct prime factors of n >= 1, ascending, by trial division to sqrt(n)."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def totient(n):
+    """Euler's phi(n) = n * prod over the primes q of n of (1 - 1/q)."""
+    for q in _primes(n):
+        n -= n // q
+    return n
+
+
 @cache
 def _cyclotomic(n):
     # Phi_(r*q)(w) = Phi_r(w^q) / Phi_r(w) for a prime q not dividing r, an
     # exact division by a monic integer polynomial, and Phi_n(w) = Phi_r(w^(n/r))
     # for r the product of the primes of n
-    phi, r, m, q = [-1, 1], 1, n, 2
-    while m > 1:
-        if m % q == 0:
-            phi, _ = divmod_monic(_at_power(phi, q), phi)
-            r *= q
-            while m % q == 0:
-                m //= q
-        q += 1
+    phi, r = [-1, 1], 1
+    for q in _primes(n):
+        phi, _ = divmod_monic(_at_power(phi, q), phi)
+        r *= q
     return tuple(_at_power(phi, n // r))
 
 

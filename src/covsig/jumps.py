@@ -31,7 +31,6 @@ from math import lcm
 
 import mpmath
 from mpmath.libmp import to_rational
-from sympy import totient
 
 from . import _fast
 from .covering import CoveringMatrix, CoveringSpec, build_covering
@@ -217,14 +216,6 @@ class Verdict:
 # exact signature evaluation
 
 
-def _int_rows(Pm: RatMatrix):
-    den = 1
-    for row in Pm.rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    return [[x.numerator * (den // x.denominator) for x in row] for row in Pm.rows]
-
-
 def _core_rows(cm: CoveringMatrix):
     """(integer core rows, signed strand counts) of a covering (see _fast.PencilCore).
 
@@ -235,9 +226,9 @@ def _core_rows(cm: CoveringMatrix):
     mults = tuple(cm.multiplicities[k] for k in keep)
     sign = [1 if m > 0 else -1 for m in mults]
     blocks = cm.blocks_A
-    rows = _int_rows(block_matrix([
+    _, rows = block_matrix([
         [blocks[k][l].scale(1 if a == c else sign[a] * sign[c]) for c, l in enumerate(keep)]
-        for a, k in enumerate(keep)]))
+        for a, k in enumerate(keep)]).int_rows()
     return rows, mults
 
 
@@ -280,12 +271,12 @@ def tl_signature(Pm: RatMatrix, epsilon: int, t) -> int:
     Degenerate pencils are fine: the zero eigenvalues simply contribute 0.
     """
     t = Fraction(t)
-    return _sig_at(_fast.PencilCore(_int_rows(Pm), epsilon), t.numerator, t.denominator)
+    return _sig_at(_fast.PencilCore(Pm.int_rows()[1], epsilon), t.numerator, t.denominator)
 
 
 def tl_signature_at_pi(Pm: RatMatrix, epsilon: int) -> int:
     """Signature of the pencil at w = -1 (theta = pi)."""
-    return _sig_at(_fast.PencilCore(_int_rows(Pm), epsilon), 1, 0)
+    return _sig_at(_fast.PencilCore(Pm.int_rows()[1], epsilon), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +341,7 @@ def _cyclotomic_split(S):
     content, ip = P.content_primitive(S)
     n = 1
     while len(ip) >= 2 and n <= 6 * deg + 30:
-        if int(totient(n)) < len(ip):
+        if P.totient(n) < len(ip):
             quot, rem = P.divmod_monic(ip, P.cyclotomic(n))
             if not rem:
                 ns.append(n)
@@ -497,7 +488,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         rows, mults = _core_rows(Pm)
     elif Pm.is_square:
         # a plain matrix drops its common kernel before D, which it forces to 0
-        rows, mults = _remove_common_kernel(_int_rows(Pm)), (1,)
+        rows, mults = _remove_common_kernel(Pm.int_rows()[1]), (1,)
     else:
         raise ValueError("jump_function needs a square matrix")
     if not rows:
@@ -508,7 +499,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         if covering:
             # ker P & ker P^T != 0 forces D = 0, so a covering's kernel step
             # only matters here, on the n x n matrix
-            rows = _int_rows(Pm.expanded_P)
+            _, rows = Pm.expanded_P.int_rows()
             reduced = _remove_common_kernel(rows)
             if not reduced:
                 return JumpFunction([], Fraction(1), 0)
@@ -779,19 +770,23 @@ def _at_root_of_unity(t: AlgReal) -> bool:
     """Is w = (1+it)/(1-it) a root of unity, i.e. 2*atan(t) a rational multiple of pi?
 
     w lies in Q(i, t), of degree at most 2*deg(t), so a primitive n-th root
-    of unity needs phi(n) <= 2*deg(t); phi(n) >= sqrt(n/2) bounds n.  t is
-    such a w's Cayley preimage iff it is a root of the gcd of t's poly with
-    the Cayley numerator of Phi_n, i.e. iff that gcd has a root in t's
-    isolating interval.
+    of unity needs phi(n) <= 2*deg(t); phi(n) >= sqrt(n/2) bounds n by
+    N = 8*deg(t)^2.  Rationals 2k/n with n <= N are 1/N^2 apart, so an
+    enclosure of theta/pi narrower than that holds at most one, its simplest
+    rational, whose order is the one candidate n.  t is such a w's Cayley
+    preimage iff the gcd of t's poly with the Cayley numerator of Phi_n has
+    a root in t's isolating interval.
     """
     deg = P.degree(t.poly)
-    for n in range(1, 8 * deg * deg + 1):
-        if int(totient(n)) > 2 * deg:
-            continue
-        g = P.gcd(t.poly, _cyclotomic_cayley_gcd(n))
-        if P.degree(g) >= 1 and P.count_roots(P.sturm_chain(g), t.lo, t.hi):
-            return True
-    return False
+    bound = 8 * deg * deg
+    # theta_over_pi_enclosure at prec is narrower than 2^-(prec - 18)
+    lo, hi = theta_over_pi_enclosure(AlgLoc(t.copy()), 2 * bound.bit_length() + 20)
+    x = _simplest_between(lo, hi)
+    n = x.denominator * (2 if x.numerator % 2 else 1)  # the order of e^(i*pi*x)
+    if n > bound or P.totient(n) > 2 * deg:
+        return False
+    g = P.gcd(t.poly, _cyclotomic_cayley_gcd(n))
+    return P.degree(g) >= 1 and P.count_roots(P.sturm_chain(g), t.lo, t.hi) > 0
 
 
 def point_from_obj(obj: dict) -> JumpPoint:

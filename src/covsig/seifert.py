@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, EmptyTuple, SingularMatrix
-from .exact import RatMatrix, block_matrix, mat_inverse
+from .exact import RatMatrix, block_matrix
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,8 @@ class SeifertData:
             raise DimensionMismatch("A and C must be square")
         if self.B.nrows != self.A.nrows or self.B.ncols != self.C.nrows:
             raise DimensionMismatch("B must be size(A) x size(C)")
-        try:
-            mat_inverse(self.A - self.A.transpose().scale(self.epsilon))
-        except SingularMatrix:
-            raise SingularMatrix("A - eps*A^T must be nonsingular") from None
+        if (self.A - self.A.transpose().scale(self.epsilon)).det() == 0:
+            raise SingularMatrix("A - eps*A^T must be nonsingular")
 
     @property
     def size_a(self) -> int:

@@ -282,3 +282,16 @@ def test_python_dash_m_runs_the_command(module):
     code, text = run(argv)
     assert (proc.returncode, proc.stdout) == (code, text)
     assert text
+
+
+def test_startup_does_not_import_sympy():
+    # sympy is most of the import time; only poly.gcd needs it, and imports it
+    # on its first call, which a pattern command never makes
+    probe = ("import io, sys\nfrom covsig.cli import run_command\n"
+             "run_command(['pattern', 'y'], io.StringIO())\n"
+             "sys.exit('sympy' in sys.modules)")
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix, Rational, totient
 from sympy.polys.specialpolys import cyclotomic_poly
 
 from covsig import (
@@ -107,6 +108,50 @@ def test_nullspace():
         assert all(
             sum(row[j] * v[j] for j in range(3)) == 0 for row in m.rows
         )
+
+
+def low_rank(nrows, ncols):
+    """Rational nrows x ncols matrices of rank below min(nrows, ncols), as products."""
+    return st.integers(min_value=0, max_value=max(0, min(nrows, ncols) - 1)).flatmap(
+        lambda r: st.tuples(
+            st.lists(st.lists(rationals, min_size=r, max_size=r), min_size=nrows, max_size=nrows),
+            st.lists(st.lists(rationals, min_size=ncols, max_size=ncols),
+                     min_size=r, max_size=r),
+        ).map(lambda ab: [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                           for col in zip(*ab[1])] if ab[1] else [Fraction(0)] * ncols
+                          for row in ab[0]]))
+
+
+shapes = st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes.flatmap(lambda rc: low_rank(*rc)))
+def test_nullspace_matches_sympy(rows):
+    # the same basis as sympy's RREF one, vector for vector
+    expected = Matrix([[Rational(x.numerator, x.denominator) for x in row] for row in rows])
+    basis = [[Fraction(int(x.p), int(x.q)) for x in v] for v in expected.nullspace()]
+    assert RatMatrix(rows).nullspace() == basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_matrix_inverse_round_trip(rows):
+    m = RatMatrix(rows)
+    if m.det() == 0:
+        with pytest.raises(SingularMatrix):
+            mat_inverse(m)
+    else:
+        inv = mat_inverse(m)
+        assert inv @ m == m @ inv == RatMatrix.identity(len(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=5).flatmap(lambda n: low_rank(n, n)))
+def test_matrix_inverse_refuses_singular(rows):
+    with pytest.raises(SingularMatrix):
+        mat_inverse(RatMatrix(rows))
 
 
 def test_block_matrix_layout():
@@ -216,6 +261,11 @@ def test_cyclotomic_matches_sympy():
         assert P.cyclotomic(n) == expected
     P.cyclotomic(6).append(0)
     assert P.cyclotomic(6) == [1, -1, 1]
+
+
+def test_totient_matches_sympy():
+    assert [P.totient(n) for n in range(1, 3001)] == [int(totient(n)) for n in range(1, 3001)]
+    assert P.totient(2 ** 31 - 1) == 2 ** 31 - 2
 
 
 def test_sturm_root_count():

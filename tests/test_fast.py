@@ -1,6 +1,7 @@
 """Differential tests of the integer kernels in covsig._fast.
 
-bareiss_det is checked against sympy's DomainMatrix.det, pencil_det_poly
+bareiss_det is checked against sympy's DomainMatrix.det and against the sign
+of permutation matrices, adj_det against DomainMatrix.adj_det, pencil_det_poly
 against Newton interpolation of integer determinants of the pencil (in
 Fractions, newton_interp below, which is also the oracle of the integer
 kernel interpolate),
@@ -12,7 +13,7 @@ real embedding of the hermitian matrix, which shares no code with it.
 import cmath
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -141,6 +142,33 @@ def test_bareiss_det_matches_domain_matrix(rows, zero_diagonal):
     n = len(rows)
     expected = DomainMatrix([[ZZ(x) for x in row] for row in rows], (n, n), ZZ).det()
     assert _fast.bareiss_det(rows) == int(expected)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bareiss_det_sign_on_permutation_matrices(n):
+    # the sign is the parity of the pivot positions in the list of unused rows
+    perms = list(permutations(range(n)))[:: max(1, math.factorial(n) // 200)]
+    for perm in perms:
+        rows = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        assert _fast.bareiss_det(rows) == (-1) ** inversions
+
+
+@settings(max_examples=150, deadline=None)
+@given(square(st.one_of(entries, sparse_entries), min_size=0, max_size=7),
+       st.booleans(), st.booleans())
+def test_adj_det_matches_domain_matrix(rows, zero_diagonal, singular):
+    n = len(rows)
+    if zero_diagonal:
+        for i in range(n):
+            rows[i][i] = 0
+    if singular and n >= 2:
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+    adj, det = DomainMatrix([[ZZ(x) for x in row] for row in rows], (n, n), ZZ).adj_det()
+    if det == 0:
+        assert _fast.adj_det(rows) == (None, 0)
+    else:
+        assert _fast.adj_det(rows) == ([[int(x) for x in row] for row in adj.to_list()], int(det))
 
 
 @pytest.mark.parametrize("eps, expected", [

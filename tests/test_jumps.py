@@ -1,6 +1,7 @@
 """Jump extraction, location comparison, jump algebra, the period test, and
 serialization."""
 
+import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -27,6 +28,7 @@ from covsig import (
     connected_sum,
     covering_jump,
     covering_matrix,
+    isolate_real_roots,
     jump_from_obj,
     jump_function,
     jump_to_obj,
@@ -44,7 +46,9 @@ from covsig import _fast
 from covsig.exact import poly as P
 from covsig.jumps import (
     AlgLoc,
+    _at_root_of_unity,
     _cayley_numerator,
+    _cyclotomic_cayley_gcd,
     _cyclotomic_split,
     _generic_minor_poly,
     _remove_common_kernel,
@@ -519,6 +523,56 @@ def test_point_at_t_zero_is_refused(interval):
     # a nonzero root whose interval straddles 0 is still taken in
     doc["points"][0]["algebraic_t"] = {"poly": ["-1", "4"], "interval": interval}
     assert len(jump_from_obj(doc).points) == 1
+
+
+def at_root_of_unity_by_scan(t):
+    """Oracle: the gcd certificate tried on every n <= 8*deg^2 with phi(n) <= 2*deg."""
+    deg = P.degree(t.poly)
+    for n in range(1, 8 * deg * deg + 1):
+        if int(totient(n)) > 2 * deg:
+            continue
+        g = P.gcd(t.poly, _cyclotomic_cayley_gcd(n))
+        if P.degree(g) >= 1 and P.count_roots(P.sturm_chain(g), t.lo, t.hi):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_root_of_unity_points_match_the_scan(n):
+    # every t = tan(pi*k/n) of a primitive n-th root of unity, also as a root
+    # of a poly with a spare factor, which raises deg and so the bound 8*deg^2
+    g = list(_cyclotomic_cayley_gcd(n))
+    chain = P.sturm_chain(g)
+    for poly in (g, P.mul(g, [Fraction(-2), 0, Fraction(1)])):
+        ts = isolate_real_roots(poly)
+        assert len(ts) == P.degree(poly)
+        for t in ts:
+            # the roots of g are the points, those of x^2 - 2 are not
+            expected = P.count_roots(chain, t.lo, t.hi) == 1
+            assert _at_root_of_unity(t) is at_root_of_unity_by_scan(t) is expected
+
+
+@pytest.mark.parametrize("n, k", [(5, 1), (8, 1), (10, 3), (12, 1), (25, 2), (29, 3),
+                                  (31, 1), (32, 5)])
+def test_points_next_to_roots_of_unity_match_the_scan(n, k):
+    # t = sqrt(c) within about 1e-12 of tan(pi*k/n): deg 2 bounds n by 32,
+    # so the enclosure names the order n (or one with the same angle) as
+    # the one candidate, and the certificate must still refuse it
+    c = Fraction(math.tan(math.pi * k / n) ** 2).limit_denominator(10 ** 12)
+    t = AlgReal([-c, 0, 1], 0, 1 + c)
+    assert _at_root_of_unity(t) is False
+    assert at_root_of_unity_by_scan(t) is False
+
+
+def test_alg_cover_points_match_the_scan():
+    # every algebraic point of the L(ALG, 2) jump document at p = 3
+    sd, coeffs = ltm_family(ALG, 2)
+    g, _ = covering_jump(sd, coeffs, CoveringSpec(p=3))
+    ts = [pt.loc.t for pt in g.points if isinstance(pt.loc, AlgLoc)]
+    assert len(ts) == 12
+    for t in ts:
+        assert _at_root_of_unity(t) is at_root_of_unity_by_scan(t) is False
+    assert len(jump_from_obj(jump_to_obj(g)).points) == len(g.points)
 
 
 def test_candidate_separation_is_bounded():
