@@ -5,6 +5,13 @@ of their defining polynomials provably has a common root in the overlap of
 their isolating intervals.  Refinement by bisection alone can only separate,
 never merge, so the comparison API is honest about running out of precision:
 it returns UNRESOLVED instead of guessing.
+
+Isolation and refinement run in integers and land on the intervals of plain
+bisection, so printed intervals do not depend on the method: the isolator
+walks the Sturm-count bisection tree with Descartes' rule of signs on
+Taylor-shifted integer polynomials, and refine_to finds the cell that
+repeated bisection would end on by secant steps on that cell's grid.  Sturm
+counts remain for validating an AlgReal and for the equality certificate.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import enum
 from fractions import Fraction
 from math import lcm
 
+from .._fast import _shift_by_one
 from . import poly as P
 
 DEFAULT_PRECISION_BITS = 256
@@ -106,37 +114,66 @@ class AlgReal:
             self.lo = mid
 
     def refine_to(self, width):
-        """Bisect until hi - lo <= width: the steps of refine(), on an integer grid.
+        """Narrow (lo, hi) to width or less: the result of repeated refine(), found by secant.
 
-        lo = a/q and hi = b/q over one denominator; each step doubles a, b
-        and q, so that the midpoint is the integer a + b of the old grid,
-        and its sign comes from homogeneous Horner at the unreduced (mid, q).
-        The midpoints, the collapse on an exact hit (left to refine()) and
-        the final (lo, hi, poly) are those of repeated refine(), without a
-        Fraction per step.
+        Bisection stops at the first level k with (hi - lo) / 2^k <= width,
+        and its cells nest, so it ends on the level-k cell that holds the
+        root.  That cell is found directly on the level-k grid j = 0 .. 2^k,
+        over one denominator, by quadratic interval refinement (Abbott): a
+        secant through the exact homogeneous-Horner values at the bracket's
+        ends guesses which of 2^n parts holds the root, two signs check the
+        guess, and n doubles on success and halves on failure.  A root on
+        the grid is a midpoint that bisection hits on its way down; it then
+        collapses onto the root and halves a centred interval, so it stops
+        with the linear poly on the level-k width centred on the root.
+        (lo, hi, poly) and the sign kept at lo are those of repeated refine().
         """
         width = Fraction(width)
-        wn, wd = width.numerator, width.denominator
-        while True:
-            q = lcm(self.lo.denominator, self.hi.denominator)
-            a = self.lo.numerator * (q // self.lo.denominator)
-            b = self.hi.numerator * (q // self.hi.denominator)
-            while (b - a) * wd > wn * q:
-                mid = a + b
-                a, b, q = 2 * a, 2 * b, 2 * q
-                s = P._sign_at(self._ip, mid, q)
-                if s == 0:
-                    break
-                if not self._slo:
-                    self._slo = P._sign_at(self._ip, a, q)
-                if s != self._slo:
-                    b = mid
-                else:
-                    a = mid
-            self.lo, self.hi = Fraction(a, q), Fraction(b, q)
-            if (b - a) * wd <= wn * q:
-                return
-            self.refine()  # the loop stopped on an exact hit: collapse onto it
+        q = lcm(self.lo.denominator, self.hi.denominator)
+        a = self.lo.numerator * (q // self.lo.denominator)
+        h = self.hi.numerator * (q // self.hi.denominator) - a
+        c = -(-h * width.denominator // (width.numerator * q))  # ceil((hi - lo) / width)
+        k = (c - 1).bit_length()  # the least k with 2^k >= c
+        if k == 0:
+            return
+        # grid point j is (a + j*h) / den, and the level-k cells are h / den wide
+        a, den, ip = a << k, q << k, self._ip
+        jl, jh = 0, 1 << k
+        vl, vh = P._value_at(ip, a, den), P._value_at(ip, a + jh * h, den)
+        pos = vl > 0  # the sign left of the root
+
+        def value(j):
+            return vl if j == jl else vh if j == jh else P._value_at(ip, a + j * h, den)
+
+        e = 2
+        while jh - jl > 1:
+            n = min(e, (jh - jl).bit_length() - 1)
+            step = (jh - jl) >> n
+            num, dv = vl << n, vl - vh  # the secant's zero is at part num / dv
+            if dv < 0:
+                num, dv = -num, -dv
+            m = jl + (2 * num + dv) // (2 * dv) * step
+            vm = value(m)
+            if vm:
+                m2 = min(m + step, jh) if (vm > 0) == pos else m - step
+                v2 = value(m2)
+                if v2:
+                    if (v2 > 0) != (vm > 0):  # the guessed part holds the root
+                        jl, jh, vl, vh = (m, m2, vm, v2) if m < m2 else (m2, m, v2, vm)
+                        e *= 2
+                    elif m < m2:  # it does not: keep the side beyond m2
+                        jl, vl, e = m2, v2, max(1, e // 2)
+                    else:
+                        jh, vh, e = m2, v2, max(1, e // 2)
+                    continue
+                m = m2
+            r = 2 * (a + m * h)  # the root is grid point m, r / (2 den)
+            self._set_poly([Fraction(-r, 2 * den), Fraction(1)])
+            self.lo, self.hi = Fraction(r - h, 2 * den), Fraction(r + h, 2 * den)
+            return
+        self.lo, self.hi = Fraction(a + jl * h, den), Fraction(a + jh * h, den)
+        if not self._slo:
+            self._slo = 1 if pos else -1
 
     def sign(self):
         if self.lo < 0 < self.hi and self.poly[0] == 0:
@@ -191,7 +228,12 @@ def isolate_real_roots(p, window=None):
     """Isolate the distinct real roots of p (in the open window, if given).
 
     Returns one AlgReal per root of the square-free part, in increasing order,
-    with pairwise disjoint isolating intervals.  Sturm-sequence bisection.
+    with pairwise disjoint isolating intervals.  The intervals are those of
+    Sturm-count bisection from the Cauchy bound: a node holding one root is
+    emitted, one holding two or more is split at its midpoint, or off it by
+    a fixed rule when the midpoint is a root.  The counts come from
+    Descartes' rule of signs on the same tree (Collins-Akritas), in
+    integers: see _descartes_cells.
     """
     p = P.trim([Fraction(c) for c in p])
     if P.is_zero(p):
@@ -199,8 +241,7 @@ def isolate_real_roots(p, window=None):
     sf = P.square_free_part(p)
     if P.degree(sf) < 1:
         return []
-    chain = P._sturm_chain(sf)
-    isf = chain[0]  # the integer form of sf
+    isf = P.int_form(sf)
     bound = P.cauchy_root_bound(sf)
     lo, hi = -bound, bound
     if window is not None:
@@ -208,7 +249,7 @@ def isolate_real_roots(p, window=None):
         lo, hi = max(lo, wlo), min(hi, whi)
         if lo >= hi:
             return []
-    # nudge endpoints off roots so that Sturm counts open intervals exactly
+    # nudge endpoints off roots so that root counts are of open intervals
     step = Fraction(1, 2)
     while P.sign_at(isf, lo) == 0:
         lo += step * (hi - lo) / 4
@@ -218,23 +259,96 @@ def isolate_real_roots(p, window=None):
         hi -= step * (hi - lo) / 4
         step /= 2
     out = []
-    stack = [(lo, hi, P.count_roots(chain, lo, hi))]
-    while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            out.append(AlgReal(sf, a, b, _checked=True))
-            continue
-        mid = (a + b) / 2
-        while P.sign_at(isf, mid) == 0:
-            mid = (a + 2 * mid) / 3 if mid != a else (a + b) / 2
-            mid += (b - mid) / 7  # move off the root deterministically
-        cl = P.count_roots(chain, a, mid)
-        stack.append((a, mid, cl))
-        stack.append((mid, b, cnt - cl))
-    out.sort(key=lambda r: r.lo)
+    for a, b in _descartes_cells(isf, lo, hi):
+        # one AlgReal is built; the others share its polynomials
+        root = out[-1].copy() if out else AlgReal(sf, a, b, _checked=True)
+        root.lo, root.hi = a, b
+        out.append(root)
     return out
+
+
+def _scale_arg(q, r, s):
+    """s^d * q(r*x/s) for ints r, s > 0: the coefficients q_i * r^i * s^(d-i)."""
+    out = list(q)
+    f = 1
+    for i in range(len(out) - 1, -1, -1):
+        out[i] *= f
+        f *= s
+    if r != 1:
+        f = 1
+        for i in range(len(out)):
+            out[i] *= f
+            f *= r
+    return out
+
+
+def _descartes_cells(ip, lo, hi):
+    """The isolating cells of Sturm-count bisection of ip on (lo, hi), left to right.
+
+    lo and hi are not roots of the square-free integer polynomial ip.  A
+    node (a, b) of the bisection tree carries q, a positive integer multiple
+    of ip(a + (b - a) x), whose roots in (0, 1) are those of ip in (a, b).
+    Descartes' rule bounds their number by v, the sign variations of
+    x^d q(1/x) after a unit Taylor shift, with v's parity, so v <= 1 is
+    exact: v = 0 ends a branch and v = 1 is a cell with one root.  A node
+    with v >= 2 splits at lam = 1/2 or, if that is a root (q(lam) = 0), at
+    the point of Sturm's rule, lam <- 2 lam / 3, lam <- lam + (1 - lam) / 7;
+    for lam = r/s its halves are s^d q(r x / s) and that shifted by one and
+    rescaled by (s - r) / r.
+
+    Sturm splits only nodes with two or more roots, where v >= 2 too, so
+    this tree contains Sturm's, which emits the highest node holding exactly
+    one root.  A node's root count is the number of v = 1 cells below it:
+    once both halves of a node are done, the node takes the place of their
+    cells if they are exactly one.
+    """
+    d = hi - lo
+    # q(x) = den^deg * ip((num + wn*x) / den) for lo = num/den, hi - lo = wn/den
+    den = lcm(lo.denominator, d.denominator)
+    num, wn = lo.numerator * (den // lo.denominator), d.numerator * (den // d.denominator)
+    q0 = _scale_arg(P.taylor_shift(_scale_arg(ip, 1, den), num), wn, 1)
+    out = []
+    todo = [(q0, lo, hi, None)]
+    while todo:
+        q, a, b, start = todo.pop()
+        if q is None:  # both halves of (a, b) are done
+            if len(out) == start + 1:
+                out[start] = (a, b)
+            continue
+        v = _variations(_shift_by_one(q[::-1]))
+        if v == 0:
+            continue
+        if v == 1:
+            out.append((a, b))
+            continue
+        lam = Fraction(1, 2)
+        left = _scale_arg(q, 1, 2)
+        while not sum(left):  # q(lam) = 0: the midpoint is a root
+            lam = 2 * lam / 3
+            lam += (1 - lam) / 7
+            left = _scale_arg(q, lam.numerator, lam.denominator)
+        r, s = lam.numerator, lam.denominator
+        right = _shift_by_one(left)
+        if s - r != r:
+            right = _scale_arg(right, s - r, r)
+        mid = a + lam * (b - a)
+        todo.append((None, a, b, len(out)))
+        todo.append((right, mid, b, None))
+        todo.append((left, a, mid, None))
+    return out
+
+
+def _variations(coeffs):
+    """Sign variations of a coefficient list, counted up to 2."""
+    v, last = 0, 0
+    for c in coeffs:
+        if c:
+            if last and (c > 0) != (last > 0):
+                v += 1
+                if v == 2:
+                    return 2
+            last = c
+    return v
 
 
 def _cert_equal(a: AlgReal, b: AlgReal) -> bool:

@@ -9,12 +9,15 @@ pseudo-remainder gcd was 30x slower at degree 60); sympy is most of the
 import time, so it is imported on the first gcd.
 
 Sign-only questions are answered in integers: `sign_at` takes a primitive
-integer coefficient list and a rational point n/d, and Sturm chains are built
-and kept as integer lists (a primitive pseudo-remainder sequence), so root
-counting and bisection never build a Fraction.  A Sturm count only reads
-signs, so every chain member may be scaled by any positive integer; the
-pseudo-remainders are taken with positive multipliers for that reason.
-`taylor_shift` is the integer kernel of the Cayley numerator in jumps.
+integer coefficient list and a rational point n/d, and `_value_at` gives the
+value behind that sign, times a positive integer, for the secant steps of
+refinement.  Sturm chains are built and kept as integer lists (a primitive
+pseudo-remainder sequence); their counts only validate an isolating interval
+and certify a common root, since roots are isolated by Descartes' rule (see
+algebraic).  A Sturm count only reads signs, so every chain member may be
+scaled by any positive integer; the pseudo-remainders are taken with
+positive multipliers for that reason.  `taylor_shift` is the integer kernel
+of the Cayley numerator in jumps and of the isolator's start.
 """
 
 from __future__ import annotations
@@ -248,21 +251,22 @@ def int_form(p):
 
 def sign_at(ip, x):
     """Sign of the integer polynomial ip at the rational x = n/d, d > 0."""
-    return _sign_at(ip, x.numerator, x.denominator)
+    return _sign(_value_at(ip, x.numerator, x.denominator))
 
 
-def _sign_at(ip, n, d):
-    """Sign of the integer polynomial ip at n/d for ints n and d > 0, reduced or not.
+def _value_at(ip, n, d):
+    """d^deg * ip(n/d) for ints n and d > 0, reduced or not: ip(n/d) times a positive int.
 
-    Homogeneous Horner: sum_i ip[i] * n^i * d^(deg-i) = d^deg * ip(n/d) has
-    the sign of ip(n/d) and is computed in Python ints, with no gcd per step.
+    Homogeneous Horner, sum_i ip[i] * n^i * d^(deg-i), in Python ints with
+    no gcd per step.  Values taken over one d are in the ratio of the values
+    of ip, which is what a secant step needs.
     """
     acc = 0
     dk = 1
     for c in reversed(ip):
         acc = acc * n + c * dk
         dk *= d
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
 def _primitive(v):

@@ -86,8 +86,13 @@ def _mpf_to_frac(x) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+@functools.lru_cache(maxsize=1024)
 def _atan_over_pi(x: Fraction, prec: int):
-    """Padded enclosure of atan(x)/pi; the pad swamps every rounding error."""
+    """Padded enclosure of atan(x)/pi; the pad swamps every rounding error.
+
+    A pure function of (x, prec), cached: scale_jump asks for the same
+    interval ends at every scaling of a point.
+    """
     with mpmath.mp.workprec(prec):
         v = mpmath.atan(mpmath.mpf(x.numerator) / x.denominator) / mpmath.pi
         f = _mpf_to_frac(v)

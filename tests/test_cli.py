@@ -120,6 +120,21 @@ def test_obstruct_algebraic_output_pinned():
         "dfe82b4222d33a41b4efd3534622e641817b67528ef28d97be872e0164458b64")
 
 
+@pytest.mark.parametrize("extra, digest", [
+    (["--m", "3", "--p", "3"], "e63c8fdfafe56767e4e15a0cd7fc06d90fb10ceb172c65b5589af4a0b0a9df83"),
+    (["--m", "2", "--p", "2", "--a", "2"],
+     "b486d25089f7d86689277cf933217ac3a6a63d5dae96d105f3c8eef5a10a1029"),
+    (["--m", "2", "--p", "5"], "25d686852ba03d5b62658f9978d533a7533d9a031eef109871cec8c21a36c0cc"),
+], ids=["m3-p3", "m2-d4", "m2-p5"])
+def test_obstruct_algebraic_jobs_pinned(extra, digest):
+    # the other algebraic jobs: L(ALG, 3) at p = 3, L(ALG, 2) at d = 2^2 and
+    # at p = 5, whose Cayley gcds have degrees 20, 28 and 60
+    code, text = run(["obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", *extra,
+                      "--format", "json"])
+    assert code == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("eps, expected", [
     ("1", '{"period": "1", "points": [{"pi_rational": "2/3", "scale": "1", "value": -2}, '
           '{"pi_rational": "4/3", "scale": "1", "value": 2}], "sigma0": 1}\n'),

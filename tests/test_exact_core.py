@@ -458,18 +458,95 @@ def test_sturm_chain_matches_fraction_remainders(cs, factor):
 
 
 @given(int_coeffs, st.integers(min_value=0, max_value=4), st.integers(min_value=-9, max_value=9),
-       st.integers(min_value=0, max_value=48))
-@settings(max_examples=60, deadline=None)
-def test_refine_to_matches_repeated_refine(cs, k, b, bits):
-    # the factor (2^k t - b) puts a dyadic root in, which bisection can hit
+       st.integers(min_value=0, max_value=48),
+       st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(-5, 3)]), st.sampled_from([1, 3]))
+@settings(max_examples=80, deadline=None)
+def test_refine_to_matches_repeated_refine(cs, k, b, bits, s, t):
+    # the factor (2^k t - b) puts a dyadic root in, which bisection can hit;
+    # the scale s gives start intervals whose denominators are not powers of
+    # 2, and t widths 1/(3 * 2^bits), so the grid of refine_to is not dyadic
     p = P.mul([Fraction(c) for c in cs], [Fraction(-b), Fraction(1 << k)])
     if P.degree(P.trim(p)) < 1:
         return
-    width = Fraction(1, 1 << bits)
+    width = Fraction(1, t << bits)
     for root in isolate_real_roots(p):
+        root = root.scaled(s)
         expected = root.copy()
         while expected.width() > width:
             expected.refine()
         root.refine_to(width)
         assert (root.lo, root.hi, root.poly, root._slo) == (
             expected.lo, expected.hi, expected.poly, expected._slo)
+
+
+def isolate_by_sturm(p, window=None):
+    """Sturm-count bisection from the Cauchy bound, as (lo, hi, poly) triples.
+
+    The intervals isolate_real_roots must reproduce: nudge the window's ends
+    off roots, split a cell holding two or more roots at its midpoint, moved
+    off a root by mid <- (a + 2 mid)/3, mid <- mid + (b - mid)/7, and emit a
+    cell holding one.
+    """
+    p = P.trim([Fraction(c) for c in p])
+    sf = P.square_free_part(p)
+    if P.degree(sf) < 1:
+        return []
+    chain = P.sturm_chain(sf)
+    isf = chain[0]
+    bound = P.cauchy_root_bound(sf)
+    lo, hi = -bound, bound
+    if window is not None:
+        lo, hi = max(lo, Fraction(window[0])), min(hi, Fraction(window[1]))
+        if lo >= hi:
+            return []
+    step = Fraction(1, 2)
+    while P.sign_at(isf, lo) == 0:
+        lo += step * (hi - lo) / 4
+        step /= 2
+    step = Fraction(1, 2)
+    while P.sign_at(isf, hi) == 0:
+        hi -= step * (hi - lo) / 4
+        step /= 2
+    out = []
+    stack = [(lo, hi, P.count_roots(chain, lo, hi))]
+    while stack:
+        a, b, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append((a, b, sf))
+            continue
+        mid = (a + b) / 2
+        while P.sign_at(isf, mid) == 0:
+            mid = (a + 2 * mid) / 3
+            mid += (b - mid) / 7
+        cl = P.count_roots(chain, a, mid)
+        stack.append((a, mid, cl))
+        stack.append((mid, b, cnt - cl))
+    return sorted(out)
+
+
+@given(int_coeffs, st.booleans(), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=-9, max_value=9), st.lists(small_ints, min_size=1, max_size=3),
+       st.sampled_from(["none", "random", "centred", "root-lo", "root-hi"]),
+       st.fractions(min_value=Fraction(1, 8), max_value=Fraction(6), max_denominator=9), rationals)
+@settings(max_examples=200, deadline=None)
+# x^3 - x: the first midpoint of (-2, 2) is the root 0
+@example([-1, 0, 1], True, 0, 0, [1], "none", Fraction(1), Fraction(0))
+# x(x - 1)(x + 1)(2x - 1) on (-1, 1): both ends are roots and take the nudges
+@example([1, -2, -1, 2], True, 0, 0, [1], "centred", Fraction(1), Fraction(0))
+def test_isolation_matches_sturm_bisection(cs, dyadic, k, b, sq, where, hw, x):
+    # dyadic puts the root b / 2^k in, which bisection can hit at a midpoint,
+    # sq a square factor; windows centred on that root, or ending on it,
+    # put it at the first midpoint or take the endpoint nudges
+    p = [Fraction(c) for c in cs]
+    if dyadic:
+        p = P.mul(p, [Fraction(-b), Fraction(1 << k)])
+    p = P.trim(P.mul(p, P.mul(sq, sq)))
+    if not p:
+        return
+    r0 = Fraction(b, 1 << k)
+    window = {"none": None, "random": (x, x + hw), "centred": (r0 - hw, r0 + hw),
+              "root-lo": (r0, r0 + hw), "root-hi": (r0 - hw, r0)}[where]
+    got = [(r.lo, r.hi, r.poly) for r in isolate_real_roots(p, window)]
+    assert got == isolate_by_sturm(p, window)
