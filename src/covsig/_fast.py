@@ -12,12 +12,15 @@ adj_det adds a fraction-free back-substitution on [M | I].
 D(w) takes the same (rows, eps, mults) as a PencilCore and always comes from
 the core, D(w) = c * det M'(w), where M' is a polynomial matrix of size
 (number of groups) x b (PencilCore's docstring has the identity); a plain
-matrix is one group with N = 1 and c = 1.  After the Cayley change
-w = (1 - y)/(1 + y), under which (1 + y)^n D is even or odd in y, det M' is
-taken by bareiss_det at the integers y = 0..h, h = ceil(n/2), and
-interpolated in integers on the nodes -h..h; the n x n matrix is not formed.
-Every division on the way is exact, and one that is not raises
-ArithmeticError.
+matrix is one group with N = 1 and c = 1.  An entry of M' is nonzero only
+where M or M^T is, so under a symmetric permutation M' is the direct sum
+of its blocks on the connected components of that pattern (one union-find,
+_components), and det M' is the product of the blocks' determinants.  After
+the Cayley change w = (1 - y)/(1 + y), under which (1 + y)^(n_b) det M'_b is
+even or odd in y, each block's determinant is taken by bareiss_det at the
+integers y = 0..h, h = ceil(n_b/2), and interpolated in integers on the
+nodes -h..h; the n x n matrix is not formed.  Every division on the way is
+exact, and one that is not raises ArithmeticError.
 
 Signature samples are taken on a PencilCore: the pencil of a covering matrix
 with each strand group's chain of difference strands eliminated.
@@ -26,7 +29,9 @@ the n x n signature into the chains' signatures, which are 0 for eps = 1
 and a closed form for eps = -1, plus the signature of the Schur complement.
 That complement is a hermitian (number of groups) x b matrix whose diagonal
 blocks are the groups' pencils at w^N.  Each sample builds it in Gaussian
-integers, in O(nnz) from rows kept once per jump function.  A sample at
+integers, in O(nnz) from rows kept once per jump function, one connected
+block at a time: the complement is their direct sum, so by Sylvester's law
+of inertia its signature is the sum of theirs.  A sample at
 t = +-1 on a group with 4 | N would hit w^N = 1 and is refused (None); the
 caller moves it inside its gap.  A plain matrix is one group with N = 1, so
 the same builder serves every pencil.  PencilCore's docstring has the proof
@@ -201,15 +206,70 @@ def _alternate(coef):
     return [-a if i & 1 else a for i, a in enumerate(coef)]
 
 
+def _components(adj):
+    """Connected components of the graph with neighbour lists adj, as ascending index lists.
+
+    One union-find pass over the edges; the components come in the order of
+    their first index.
+    """
+    parent = list(range(len(adj)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, nbrs in enumerate(adj):
+        for j in nbrs:
+            a, b = find(i), find(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    comps = {}
+    for i in range(len(adj)):
+        comps.setdefault(find(i), []).append(i)
+    return list(comps.values())
+
+
+def _from_cayley(d, n: int):
+    """Integer coefficients of 2^(-n) * sum_i d_i (1 - w)^i (1 + w)^(n - i), ascending.
+
+    The polynomial in w whose Cayley transform (1 + y)^n p((1 - y)/(1 + y))
+    has the coefficients d, of degree <= n; a division that is not exact
+    raises ArithmeticError.
+    """
+    d = d + [0] * (n + 1 - len(d))
+    # sum_i d_i (1 - w)^i (1 + w)^(n - i) = (1 + w)^n p(2/(1 + w) - 1)
+    shifted = _alternate(_shift_by_one(_alternate(d)))  # p(x - 1)
+    out = _shift_by_one([shifted[n - j] << (n - j) for j in range(n + 1)])
+    top = 1 << n
+    if any(x % top for x in out):
+        raise ArithmeticError("det M'(w) came out with a non-integer coefficient")
+    return [x >> n for x in out]
+
+
+def _mul(p, q):
+    """Product of two integer polynomials, ascending coefficients."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
 def pencil_det_poly(p_rows, eps: int, mults=(1,)):
     """Ascending coefficients of D(w) = det(w*P - eps*P^T) for integer P.
 
     p_rows and mults follow PencilCore: the core M of a covering whose
     groups have the signed strand counts mults, by default a plain matrix,
     which is one group with N = 1 and c = 1.  D(w) = c * det M'(w), and
-    (1 + y)^n D(w) at w = (1 - y)/(1 + y) is c * det of an integer matrix
-    in y whose values at -y and y agree up to the sign (-eps)^n; it is taken
-    at y = 0..h, h = ceil(n/2), interpolated on -h..h and mapped back to w
+    M'(w) is a direct sum over the connected blocks of M's pattern, so
+    det M' is the product of the blocks' determinants.  For a block of
+    degree n_b, (1 + y)^n_b det M'_b(w) at w = (1 - y)/(1 + y) is the
+    determinant of an integer matrix in y whose values at -y and y agree up
+    to the sign (-eps)^(size of the block); it is taken at y = 0..h,
+    h = ceil(n_b/2), interpolated on -h..h and mapped back to w
     (PencilCore has the identity).  Returns Fractions, [] for D = 0.
     """
     if not p_rows:
@@ -226,38 +286,42 @@ def pencil_det_poly(p_rows, eps: int, mults=(1,)):
             c *= (-1 if m < 0 else 1) ** ((abs(m) - 1) * b) * s ** (abs(m) - 1)
     if c == 0:
         return []
-    n = sum(abs(m) for m in mults) * b
-    h = (n + 1) // 2
     # entry (i, j) is x * a + z * at with a = M[i][j], at = eps * M[j][i], and
     # (x, z) the coefficients of block (k, l); only the nonzero pairs are kept
     size = len(rows)
     entries = [[(j, group[i] == group[j], rows[i][j], eps * rows[j][i])
                 for j in range(size) if rows[i][j] or rows[j][i]] for i in range(size)]
-    vals = []
-    for y in range(h + 1):
-        coef = []  # per group: (x, z) on its diagonal block, (x, z) off it
+    blocks = _components([[e[0] for e in row] for row in entries])
+    degree = [sum(abs(mults[group[i]]) for i in blk) for blk in blocks]
+    coefs = []  # per node y, per group: (x, z) on its diagonal block, (x, z) off it
+    for y in range(max((n + 1) // 2 for n in degree) + 1):
+        coef = []
         for m in mults:
             lo, hi = (1 - y) ** abs(m), (1 + y) ** abs(m)
             q = (hi - lo) // (2 * y) if y else abs(m)  # sum of (1-y)^e (1+y)^(N-1-e)
             coef.append(((lo, -hi) if m > 0 else (-hi, lo), (q * (1 - y), -q * (1 + y))))
-        mat = []
-        for gi, row in zip(group, entries):
-            (dx, dz), (ox, oz) = coef[gi]
-            mrow = [0] * size
-            for j, same, a, at in row:
-                mrow[j] = dx * a + dz * at if same else ox * a + oz * at
-            mat.append(mrow)
-        vals.append(bareiss_det(mat))
-    sign = (-eps) ** n
-    d = interpolate([sign * v for v in reversed(vals[1:])] + vals, h)
-    d += [0] * (n + 1 - len(d))
-    # sum_i d_i (1 - w)^i (1 + w)^(n - i) = (1 + w)^n p(2/(1 + w) - 1)
-    shifted = _alternate(_shift_by_one(_alternate(d)))  # p(x - 1)
-    out = _shift_by_one([shifted[n - j] << (n - j) for j in range(n + 1)])
-    top = 1 << n
-    if any(x % top for x in out):
-        raise ArithmeticError("det M'(w) came out with a non-integer coefficient")
-    out = [c * (x >> n) for x in out]
+        coefs.append(coef)
+    out = [c]
+    for blk, n in zip(blocks, degree):
+        local = {i: a for a, i in enumerate(blk)}
+        brows = [(group[i], [(local[j], same, a, at) for j, same, a, at in entries[i]])
+                 for i in blk]
+        h = (n + 1) // 2
+        vals = []
+        for coef in coefs[:h + 1]:
+            mat = []
+            for gi, row in brows:
+                (dx, dz), (ox, oz) = coef[gi]
+                mrow = [0] * len(blk)
+                for j, same, a, at in row:
+                    mrow[j] = dx * a + dz * at if same else ox * a + oz * at
+                mat.append(mrow)
+            vals.append(bareiss_det(mat))
+        sign = (-eps) ** len(blk)
+        d = interpolate([sign * v for v in reversed(vals[1:])] + vals, h)
+        if not d:
+            return []
+        out = _mul(out, _from_cayley(d, n))
     while out and out[-1] == 0:
         out.pop()
     return [Fraction(a) for a in out]
@@ -341,6 +405,9 @@ class PencilCore:
     becomes the Gaussian-integer hermitian matrix with real part
     L*(M + M^T) and imaginary part -(a*L/b)*(M - M^T) for eps = 1, and real
     part (a*L/b)*(M + M^T) and imaginary part L*(M - M^T) for eps = -1.
+    The core is the direct sum of its blocks on the connected components
+    of M's pattern, so at() scales each block by its own 2L, with the lcm
+    taken over the groups of its rows only; the signature is unchanged.
     A plain matrix P is one group with N = 1 and M = P, where this is the
     pencil of P itself, scaled by 2|u| (by 2 at w = -1).
 
@@ -356,16 +423,24 @@ class PencilCore:
     D(w) = c * det M'(w), with
     c = prod over the groups with N >= 2 of g^((N-1)*b) * det(S)^(N-1);
     c = 0 is the case det S = 0 below, where D = 0.  Row block k of M' has
-    degree N in w, so with w = (1 - y)/(1 + y) and row block k multiplied
-    by (1 + y)^N, D~(y) = (1 + y)^n D(w) is c times the determinant of an
-    integer polynomial matrix in y: diagonal blocks (1-y)^N A -
-    eps*(1+y)^N A^T (eps*(1-y)^N A^T - (1+y)^N A for g = -1), and blocks
-    Q_N(y) * ((1-y) M_kl - eps*(1+y) M_lk^T) with Q_N(y) = sum over e < N
-    of (1-y)^e (1+y)^(N-1-e).  The pencil's transpose gives
-    w^n D(1/w) = (-eps)^n D(w), that is D~(-y) = (-eps)^n D~(y): the values
-    at y = 0..h, h = ceil(n/2), give those on all of -h..h, enough for
-    degree n, and D(w) = c * 2^(-n) * sum_i d_i (1 - w)^i (1 + w)^(n - i)
-    for the coefficients d_i of D~ / c.
+    degree N in w.  An entry of M' is nonzero only where M or M^T is, so
+    M' is the direct sum of its blocks M'_b on the connected components b
+    of that pattern, and det M' = prod over b of det M'_b; a block may mix
+    rows of several groups, of either sign.  Block b has degree
+    n_b = sum over its rows of that row's |N| (n is the sum of the n_b), so
+    with w = (1 - y)/(1 + y) and each row multiplied by (1 + y)^N,
+    D~_b(y) = (1 + y)^(n_b) det M'_b(w) is the determinant of an integer
+    polynomial matrix in y: entries (1-y)^N a - eps*(1+y)^N a^T
+    (eps*(1-y)^N a^T - (1+y)^N a for g = -1) within a group, and
+    Q_N(y) * ((1-y) a - eps*(1+y) a^T) between groups, where a = M[i][j],
+    a^T = M[j][i] and Q_N(y) = sum over e < N of (1-y)^e (1+y)^(N-1-e).
+    With Sch the Schur complement above, Sch(1/w) = (-eps/w) Sch(w)^T,
+    and q_N(1/w) = w^(1-N) q_N(w); so w^(n_b) det M'_b(1/w) =
+    (-eps)^|b| det M'_b(w), that is D~_b(-y) = (-eps)^|b| D~_b(y), with |b|
+    the block's size: the values at y = 0..h, h = ceil(n_b/2), give those
+    on all of -h..h, enough for degree n_b, and
+    det M'_b(w) = 2^(-n_b) * sum_i d_i (1 - w)^i (1 + w)^(n_b - i) for the
+    coefficients d_i of D~_b.  A core with one block is the whole M'.
 
     w^N = 1 at a sample makes the chain singular; at rational t that is only
     t = +-1 with 4 | N (+-1 and +-i are the only roots of unity in Q(i)),
@@ -376,7 +451,7 @@ class PencilCore:
     samples the reduced matrix as one group.
     """
 
-    __slots__ = ("eps", "mults", "group", "s", "k", "chain_sigma")
+    __slots__ = ("eps", "mults", "blocks", "chain_sigma")
 
     def __init__(self, rows, eps: int, mults=(1,), chain_sigma=None):
         """rows: the integer core matrix M, of size len(mults) * b.
@@ -390,24 +465,35 @@ class PencilCore:
         self.eps = eps
         self.mults = tuple(mults)
         self.chain_sigma = tuple(chain_sigma or (0,) * len(mults))
-        self.group = [i // b for i in range(n)]
+        group = [i // b for i in range(n)]
         # sparse upper rows of M + M^T and M - M^T
-        self.s = [{} for _ in range(n)]
-        self.k = [{} for _ in range(n)]
+        s = [{} for _ in range(n)]
+        k = [{} for _ in range(n)]
         for i in range(n):
-            row, si, ki = rows[i], self.s[i], self.k[i]
+            row, si, ki = rows[i], s[i], k[i]
             for j in range(i, n):
                 a, c = row[j], rows[j][i]
                 if a + c:
                     si[j] = a + c
                 if a - c:
                     ki[j] = a - c
+        # per connected block: its indices, their groups, and its rows of s
+        # and k in local indices (ascending, so upper rows stay upper)
+        self.blocks = []
+        for blk in _components([si.keys() | ki.keys() for si, ki in zip(s, k)]):
+            local = {i: a for a, i in enumerate(blk)}
+            self.blocks.append((
+                blk, [group[i] for i in blk],
+                [{local[j]: x for j, x in s[i].items()} for i in blk],
+                [{local[j]: x for j, x in k[i].items()} for i in blk]))
 
     def at(self, u: int, v: int):
-        """Sparse upper rows (re, im) of a positive multiple of the core at t = u/v.
+        """Sparse upper rows (re, im) of a positive multiple of each block of the core at t = u/v.
 
-        Needs u != 0.  Returns None when some group's w^N is 1, i.e. at
-        t = +-1 when 4 | N_k (or at v = 0 when N_k is even).
+        One pair per entry of self.blocks, in its local indices; the core
+        is their direct sum, so its signature is the sum of theirs.  Needs
+        u != 0.  Returns None when some group's w^N is 1, i.e. at t = +-1
+        when 4 | N_k (or at v = 0 when N_k is even).
         """
         coef = []
         for m in self.mults:
@@ -415,21 +501,24 @@ class PencilCore:
             if y == 0:
                 return None
             coef.append((x if m > 0 else -x, y))
-        big = lcm(*(y for _, y in coef))  # u | y: Im((v + iu)^N) has only odd powers of u
-        off = v * big // u
-        diag = [x * big // y for x, y in coef]
-        grp = self.group
-        re, im = [], []
-        for i, (si, ki) in enumerate(zip(self.s, self.k)):
-            gi = grp[i]
-            ci = diag[gi]
-            if self.eps == 1:
-                re.append({j: big * x for j, x in si.items()})
-                im.append({j: -(ci if grp[j] == gi else off) * x for j, x in ki.items()})
-            else:
-                re.append({j: (ci if grp[j] == gi else off) * x for j, x in si.items()})
-                im.append({j: big * x for j, x in ki.items()})
-        return re, im
+        out = []
+        for _, grp, s, k in self.blocks:
+            groups = set(grp)
+            # u | y: Im((v + iu)^N) has only odd powers of u
+            big = lcm(*(coef[g][1] for g in groups))
+            off = v * big // u
+            diag = {g: coef[g][0] * big // coef[g][1] for g in groups}
+            re, im = [], []
+            for gi, si, ki in zip(grp, s, k):
+                ci = diag[gi]
+                if self.eps == 1:
+                    re.append({j: big * x for j, x in si.items()})
+                    im.append({j: -(ci if grp[j] == gi else off) * x for j, x in ki.items()})
+                else:
+                    re.append({j: (ci if grp[j] == gi else off) * x for j, x in si.items()})
+                    im.append({j: big * x for j, x in ki.items()})
+            out.append((re, im))
+        return out
 
     def chain_signature(self, u: int, v: int) -> int:
         """Sum of the eliminated chains' signatures at t = u/v (0 for eps = 1)."""

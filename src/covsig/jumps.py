@@ -263,10 +263,10 @@ def _sig_at(core: _fast.PencilCore, u: int, v: int):
     """Pencil signature at t = u/v, or None where a chain of the core is singular."""
     if u == 0:
         raise ValueError("t = 0 corresponds to w = 1, excluded from the pencil")
-    g = core.at(u, v)
-    if g is None:
+    blocks = core.at(u, v)
+    if blocks is None:
         return None
-    return _fast.herm_sig_fast(*g) + core.chain_signature(u, v)
+    return sum(_fast.herm_sig_fast(re, im) for re, im in blocks) + core.chain_signature(u, v)
 
 
 def tl_signature(Pm: RatMatrix, epsilon: int, t) -> int:
@@ -329,8 +329,15 @@ def _generic_minor_poly(rows, eps: int):
 
 
 def _self_reciprocal_part(D):
-    """gcd(D(w), w^deg * D(1/w)): carries every unimodular root of D."""
+    """gcd(D(w), w^deg * D(1/w)), up to a constant: carries every unimodular root of D.
+
+    A pencil determinant with its factor w^i trimmed is palindromic up to
+    sign, w^n D(1/w) = (-eps)^n D(w), so the gcd is D itself; only a
+    generic minor (_generic_minor_poly) needs the gcd.
+    """
     rev = list(reversed(D))
+    if rev == D or rev == [-a for a in D]:
+        return D
     return P.gcd(D, rev)
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from covsig import Comparison, RatMatrix, compare_locations
+from covsig import Comparison, RatMatrix, _fast, compare_locations
 
 TREFOIL = RatMatrix([[-1, 1], [0, -1]])
 # Seifert matrix of the (2,5) torus knot
@@ -27,6 +27,41 @@ def same_jumps(f, g, check_period=True):
         a.value == b.value and compare_locations(a.loc, b.loc) is Comparison.EQ
         for a, b in zip(f.points, g.points)
     )
+
+
+def newton_interp(xs, ys):
+    """Ascending Fraction coefficients of the interpolating polynomial."""
+    n = len(xs)
+    coef = [Fraction(y) for y in ys]  # divided differences, in place
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - k])
+    # expand the Newton form
+    poly = [Fraction(0)] * n
+    acc = [Fraction(1)]  # product (x - x_0)...(x - x_{k-1})
+    for k in range(n):
+        for i, a in enumerate(acc):
+            poly[i] += coef[k] * a
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for i, a in enumerate(acc):
+            nxt[i] -= xs[k] * a
+            nxt[i + 1] += a
+        acc = nxt
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def interpolated_det_poly(rows, eps):
+    """D(w) = det(w*P - eps*P^T) from its values at deg+1 integer points."""
+    n = len(rows)
+    xs = list(range(n + 1))
+    ys = [
+        _fast.bareiss_det([[x * rows[i][j] - eps * rows[j][i] for j in range(n)]
+                           for i in range(n)])
+        for x in xs
+    ]
+    return newton_interp([Fraction(x) for x in xs], ys)
 
 
 @pytest.fixture

@@ -135,6 +135,19 @@ def test_obstruct_algebraic_jobs_pinned(extra, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("extra, digest", [
+    (["--m", "2", "--p", "7"], "63d30600ec5b6e7ceed368cf9fb42a0e203224bce5fc100886f883259d128236"),
+    (["--m", "3", "--p", "5"], "d6305373fec14fff35f39aa0089e37434c4aa5bf2ae20a8dc940ef515d98d1b6"),
+], ids=["m2-p7", "m3-p5"])
+def test_obstruct_larger_jobs_pinned(extra, digest):
+    # L(trefoil, 2) at p = 7 and L(trefoil, 3) at p = 5: cores of 7 and 5
+    # groups whose connected blocks each mix two groups, with n = 508 and 844
+    code, text = run(["obstruct", "--family", "ltm", "--V", "trefoil", *extra,
+                      "--format", "json"])
+    assert code == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("eps, expected", [
     ("1", '{"period": "1", "points": [{"pi_rational": "2/3", "scale": "1", "value": -2}, '
           '{"pi_rational": "4/3", "scale": "1", "value": 2}], "sigma0": 1}\n'),

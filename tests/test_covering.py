@@ -31,7 +31,7 @@ from covsig import (
 from covsig import _fast
 from covsig.exact import block_matrix
 from covsig.jumps import _core_rows, _pencil_core, _remove_common_kernel, _sig_at
-from conftest import ALG, T25, TREFOIL, same_jumps
+from conftest import ALG, T25, TREFOIL, interpolated_det_poly, same_jumps
 
 
 def test_covering_spec():
@@ -363,6 +363,49 @@ def test_core_det_poly_equals_pencil_det_poly(blocks, mults, epsilon):
     core_rows, ms = _core_rows(cm)
     assert (_fast.pencil_det_poly(core_rows, epsilon, ms)
             == _fast.pencil_det_poly(int_rows(cm.expanded_P), epsilon))
+
+
+@st.composite
+def planted_blocks(draw):
+    """(blocks A_kl, signed strand counts, eps) whose core has planted connected blocks.
+
+    Each core index (group k, place r) draws a label, and A_kl[r][s] is
+    nonzero exactly when (k, r) and (l, s) have the same label.  For eps = 1
+    and b = 1, where every S = A - A^T is 0 and a group with N >= 2 forces
+    D = 0, the groups have one strand each.
+    """
+    eps = draw(st.sampled_from([1, -1]))
+    b = draw(st.integers(min_value=1, max_value=2))
+    counts = [1, -1] if eps == 1 and b == 1 else [1, 2, 3, 4, -1, -2, -3, -4]
+    mults = draw(st.lists(st.sampled_from(counts), min_size=2, max_size=3))
+    label = [draw(st.lists(st.integers(min_value=0, max_value=2), min_size=b, max_size=b))
+             for _ in mults]
+    nonzero = st.sampled_from([1, -1, 2, -2])
+    blocks = [[RatMatrix([[draw(nonzero) if label[k][r] == label[l][s] else 0
+                           for s in range(b)] for r in range(b)])
+               for l in range(len(mults))] for k in range(len(mults))]
+    return blocks, mults, eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_blocks())
+# b = 2, strands (2, -1), eps = -1: both blocks, {(0, 0), (1, 1)} and {(0, 1), (1, 0)},
+# mix the two groups of opposite sign, and each has the odd degree n_b = 2 + 1
+@example(([[RatMatrix([[1, 0], [0, 2]]), RatMatrix([[0, 1], [1, 0]])],
+           [RatMatrix([[0, -1], [2, 0]]), RatMatrix([[1, 0], [0, -1]])]], [2, -1], -1))
+# b = 1, strands (1, -1, 1), eps = 1: a block of the two opposite groups, and
+# a block of odd degree 1
+@example(([[RatMatrix([[1]]), RatMatrix([[2]]), RatMatrix([[0]])],
+           [RatMatrix([[-1]]), RatMatrix([[1]]), RatMatrix([[0]])],
+           [RatMatrix([[0]]), RatMatrix([[0]]), RatMatrix([[3]])]], [1, -1, 1], 1))
+def test_core_det_poly_by_blocks_equals_dense_det_poly(planted):
+    # the oracle interpolates det(w*P - eps*P^T) of the n x n matrix in
+    # Fractions, with no block split
+    blocks, mults, epsilon = planted
+    cm = as_covering(blocks, mults, epsilon)
+    core_rows, ms = _core_rows(cm)
+    assert (_fast.pencil_det_poly(core_rows, epsilon, ms)
+            == interpolated_det_poly(int_rows(cm.expanded_P), epsilon))
 
 
 def test_core_det_poly_with_det_s_49():

@@ -3,11 +3,12 @@
 bareiss_det is checked against sympy's DomainMatrix.det and against the sign
 of permutation matrices, adj_det against DomainMatrix.adj_det, pencil_det_poly
 against Newton interpolation of integer determinants of the pencil (in
-Fractions, newton_interp below, which is also the oracle of the integer
+Fractions, conftest's newton_interp, which is also the oracle of the integer
 kernel interpolate),
 PencilCore.at on a plain matrix against the pencil formula in Gaussian
-rationals, and herm_sig_fast against the characteristic polynomial of the
-real embedding of the hermitian matrix, which shares no code with it.
+rationals, herm_sig_fast against the characteristic polynomial of the
+real embedding of the hermitian matrix, which shares no code with it, and
+the sum over a core's connected blocks against the whole core.
 """
 
 import cmath
@@ -23,6 +24,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from covsig import _fast
 from covsig.exact import GaussRat
+from conftest import interpolated_det_poly, newton_interp
 
 eps_st = st.sampled_from([1, -1])
 entries = st.integers(min_value=-3, max_value=3)
@@ -34,41 +36,6 @@ def square(elements, min_size=1, max_size=6):
         lambda n: st.lists(st.lists(elements, min_size=n, max_size=n),
                            min_size=n, max_size=n)
     )
-
-
-def newton_interp(xs, ys):
-    """Ascending Fraction coefficients of the interpolating polynomial."""
-    n = len(xs)
-    coef = [Fraction(y) for y in ys]  # divided differences, in place
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - k])
-    # expand the Newton form
-    poly = [Fraction(0)] * n
-    acc = [Fraction(1)]  # product (x - x_0)...(x - x_{k-1})
-    for k in range(n):
-        for i, a in enumerate(acc):
-            poly[i] += coef[k] * a
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for i, a in enumerate(acc):
-            nxt[i] -= xs[k] * a
-            nxt[i + 1] += a
-        acc = nxt
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def interpolated_det_poly(rows, eps):
-    """D(w) = det(w*P - eps*P^T) from its values at deg+1 integer points."""
-    n = len(rows)
-    xs = list(range(n + 1))
-    ys = [
-        _fast.bareiss_det([[x * rows[i][j] - eps * rows[j][i] for j in range(n)]
-                           for i in range(n)])
-        for x in xs
-    ]
-    return newton_interp([Fraction(x) for x in xs], ys)
 
 
 @settings(max_examples=80, deadline=None)
@@ -388,16 +355,126 @@ def test_pencil_core_is_the_scaled_pencil(rows, eps, u, v):
     t = Fraction(u, v)
     core = _fast.PencilCore(rows, eps)
     assert core.chain_signature(u, v) == 0
+    # index -> (its block, its place in the block); the blocks partition the indices
+    where = {i: (k, a) for k, (blk, *_) in enumerate(core.blocks) for a, i in enumerate(blk)}
+    assert sorted(where) == list(range(n))
     for w, c, g in [
         (GaussRat(1, t) / GaussRat(1, -t), 2 * abs(u), core.at(u, v)),
         (GaussRat(-1), 2, core.at(1, 0)),
     ]:
-        re, im = g
+        assert len(g) == len(core.blocks)
         for i in range(n):
-            assert all(j >= i for r in (re[i], im[i]) for j in r)
+            k, a = where[i]
+            re, im = g[k]
+            size = len(core.blocks[k][0])
+            assert all(a <= j < size for r in (re[a], im[a]) for j in r)
             for j in range(i, n):
                 z = GaussRat(c) * turn * (w * rows[i][j] - eps * rows[j][i]) / (w - 1)
-                assert (re[i].get(j, 0), im[i].get(j, 0)) == (z.re, z.im)
+                l, b = where[j]
+                # an entry between two blocks is 0, and is not stored
+                got = (re[a].get(b, 0), im[a].get(b, 0)) if l == k else (0, 0)
+                assert got == (z.re, z.im)
+
+
+@st.composite
+def planted_hermitian(draw):
+    """A hermitian direct sum of blocks, under a random symmetric permutation.
+
+    Each index draws a label, and an entry is nonzero only between two
+    indices with the same label.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    label = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    pair = st.tuples(st.one_of(entries, sparse_entries), st.one_of(entries, sparse_entries))
+    upper = [[draw(pair) if label[i] == label[j] else (0, 0) for j in range(n)]
+             for i in range(n)]
+    diag = [draw(st.sampled_from([0, 0, 1, -1, 2, -3])) for _ in range(n)]
+    m = hermitian(upper, diag)
+    perm = draw(st.permutations(range(n)))
+    return [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_hermitian())
+def test_sig_block_sum_matches_reference(m):
+    # inertia is additive over a direct sum (Sylvester), so the blocks'
+    # signatures add up to the whole matrix's
+    blocks = _fast._components([[j for j, z in enumerate(row) if z != (0, 0)] for row in m])
+    assert sorted(i for blk in blocks for i in blk) == list(range(len(m)))
+    for blk in blocks:
+        assert not any(m[i][j] != (0, 0) for i in blk for j in range(len(m)) if j not in blk)
+    got = sum(_fast.herm_sig_fast(*upper_rows([[m[i][j] for j in blk] for i in blk]))
+              for blk in blocks)
+    assert got == reference_signature(m)
+
+
+def whole_core(rows, eps, mults, u, v):
+    """The core at t = u/v as one dense hermitian (re, im) matrix, or None.
+
+    The integer form of PencilCore's docstring, scaled by 2L with L the lcm
+    of every group's Im(z^N), z = v + iu: real part L*(M + M^T) and
+    imaginary part -(a*L/b)*(M - M^T) for eps = 1, real part
+    (a*L/b)*(M + M^T) and imaginary part L*(M - M^T) for eps = -1, with
+    (a, b) = (v, u) between groups and (g*x, y) in a group, z^N = x + iy.
+    """
+    n = len(rows)
+    size = n // len(mults)
+    ab = []
+    for m in mults:
+        x, y = 1, 0
+        for _ in range(abs(m)):
+            x, y = x * v - y * u, x * u + y * v
+        if y == 0:
+            return None
+        ab.append((x if m > 0 else -x, y))
+    big = math.lcm(*(y for _, y in ab))
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            gi, gj = i // size, j // size
+            a, b = ab[gi] if gi == gj else (v, u)
+            s, k = rows[i][j] + rows[j][i], rows[i][j] - rows[j][i]
+            assert a * big % b == 0
+            c = a * big // b
+            out[i][j] = (big * s, -c * k) if eps == 1 else (c * s, big * k)
+    return out
+
+
+@st.composite
+def planted_core(draw):
+    """(rows, mults) of a core with planted blocks: a label per index, and
+    nonzero entries only between indices with the same label."""
+    b = draw(st.integers(min_value=1, max_value=3))
+    mults = draw(st.lists(st.sampled_from([1, 2, 3, 4, -1, -2, -3, -4]), min_size=1, max_size=3))
+    n = b * len(mults)
+    label = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    rows = [[draw(st.one_of(entries, sparse_entries)) if label[i] == label[j] else 0
+             for j in range(n)] for i in range(n)]
+    return rows, mults
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_core(), eps_st,
+       st.integers(min_value=-9, max_value=9).filter(bool), st.integers(min_value=0, max_value=9))
+def test_pencil_core_block_sum_matches_whole_core(core_mults, eps, u, v):
+    rows, mults = core_mults
+    core = _fast.PencilCore(rows, eps, mults)
+    blocks = core.at(u, v)
+    whole = whole_core(rows, eps, mults, u, v)
+    assert (blocks is None) == (whole is None)
+    assume(whole is not None)
+    where = {i: k for k, (blk, *_) in enumerate(core.blocks) for i in blk}
+    assert all(whole[i][j] == (0, 0) for i in where for j in where if where[i] != where[j])
+    for (blk, *_), (re, im) in zip(core.blocks, blocks):
+        # each block is a positive multiple of the whole core on its indices
+        got = [(re[a].get(b, 0), im[a].get(b, 0), *whole[i][j])
+               for a, i in enumerate(blk) for b, j in enumerate(blk) if b >= a]
+        scale = next((Fraction(x, wx) if wx else Fraction(y, wy)
+                      for x, y, wx, wy in got if wx or wy), 1)
+        assert scale > 0
+        assert all((x, y) == (scale * wx, scale * wy) for x, y, wx, wy in got)
+    assert (sum(_fast.herm_sig_fast(re, im) for re, im in blocks)
+            == _fast.herm_sig_fast(*upper_rows(whole)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

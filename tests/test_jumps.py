@@ -52,6 +52,7 @@ from covsig.jumps import (
     _cyclotomic_split,
     _generic_minor_poly,
     _remove_common_kernel,
+    _self_reciprocal_part,
     _separate_candidates,
     theta_decimal,
 )
@@ -228,6 +229,28 @@ def test_generic_minor_poly_matches_determinant(rows, k, mix, eps):
     assert len(g) == len(D)
     ratio = g[-1] / D[-1]
     assert ratio != 0 and g == [ratio * c for c in D]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_ints, st.sampled_from([1, -1]))
+def test_pencil_determinant_is_palindromic_up_to_sign(rows, eps):
+    # w^n D(1/w) = (-eps)^n D(w): with its factor w^i trimmed, D is its own
+    # reversal up to sign, so _self_reciprocal_part skips the gcd
+    D = P.trim(_fast.pencil_det_poly(rows, eps))
+    assume(D)
+    while D[0] == 0:
+        D = D[1:]
+    rev = D[::-1]
+    assert rev in (D, [-c for c in D])
+    assert _self_reciprocal_part(D) == D
+    assert P.square_free_part(D) == P.square_free_part(P.gcd(D, rev))
+
+
+def test_self_reciprocal_part_of_a_generic_minor_takes_the_gcd():
+    # (w - 2)(w - 1/2)(w + 3) is not palindromic; its self-reciprocal part is
+    # (w - 2)(w - 1/2), monic
+    D = P.mul(P.mul([-2, 1], [Fraction(-1, 2), 1]), [3, 1])
+    assert _self_reciprocal_part(D) == [1, Fraction(-5, 2), 1]
 
 
 @settings(max_examples=60, deadline=None)
