@@ -31,7 +31,8 @@ That complement is a hermitian (number of groups) x b matrix whose diagonal
 blocks are the groups' pencils at w^N.  Each sample builds it in Gaussian
 integers, in O(nnz) from rows kept once per jump function, one connected
 block at a time: the complement is their direct sum, so by Sylvester's law
-of inertia its signature is the sum of theirs.  A sample at
+of inertia its signature is the sum of theirs, and a caller may rebuild only
+the blocks whose signature can have changed since its last sample.  A sample at
 t = +-1 on a group with 4 | N would hit w^N = 1 and is refused (None); the
 caller moves it inside its gap.  A plain matrix is one group with N = 1, so
 the same builder serves every pencil.  PencilCore's docstring has the proof
@@ -258,7 +259,7 @@ def _mul(p, q):
     return out
 
 
-def pencil_det_poly(p_rows, eps: int, mults=(1,)):
+def pencil_det_poly(p_rows, eps: int, mults=(1,), factors=None):
     """Ascending coefficients of D(w) = det(w*P - eps*P^T) for integer P.
 
     p_rows and mults follow PencilCore: the core M of a covering whose
@@ -271,6 +272,9 @@ def pencil_det_poly(p_rows, eps: int, mults=(1,)):
     to the sign (-eps)^(size of the block); it is taken at y = 0..h,
     h = ceil(n_b/2), interpolated on -h..h and mapped back to w
     (PencilCore has the identity).  Returns Fractions, [] for D = 0.
+    When D != 0 and factors is a list, the blocks' determinants det M'_b(w)
+    are appended to it as integer coefficient lists, in the order of
+    PencilCore.blocks, so that D = c * their product.
     """
     if not p_rows:
         return [Fraction(1)]
@@ -302,6 +306,7 @@ def pencil_det_poly(p_rows, eps: int, mults=(1,)):
             coef.append(((lo, -hi) if m > 0 else (-hi, lo), (q * (1 - y), -q * (1 + y))))
         coefs.append(coef)
     out = [c]
+    dets = []
     for blk, n in zip(blocks, degree):
         local = {i: a for a, i in enumerate(blk)}
         brows = [(group[i], [(local[j], same, a, at) for j, same, a, at in entries[i]])
@@ -321,9 +326,12 @@ def pencil_det_poly(p_rows, eps: int, mults=(1,)):
         d = interpolate([sign * v for v in reversed(vals[1:])] + vals, h)
         if not d:
             return []
-        out = _mul(out, _from_cayley(d, n))
+        dets.append(_from_cayley(d, n))
+        out = _mul(out, dets[-1])
     while out and out[-1] == 0:
         out.pop()
+    if factors is not None:
+        factors.extend(dets)
     return [Fraction(a) for a in out]
 
 
@@ -442,6 +450,22 @@ class PencilCore:
     det M'_b(w) = 2^(-n_b) * sum_i d_i (1 - w)^i (1 + w)^(n_b - i) for the
     coefficients d_i of D~_b.  A core with one block is the whole M'.
 
+    Blocks across samples.  Let Sch_b(w) be the Schur complement's block
+    b, hermitian and continuous on the open upper half circle except at
+    w^(N_k) = 1 for its groups k with |N_k| >= 2, and sigma_b its
+    signature.  Up to a factor that does not vanish there, its determinant
+    is det M'_b(w) / prod q_N(w), one q_N per row of a group of N strands,
+    so away from those poles it vanishes only at roots of D_b = det M'_b,
+    and sigma_b is constant on every arc that holds neither.  The
+    unit-circle roots of D_b in the upper half are all among the candidates
+    of jump_function, whose gaps partition (0, infinity) in t, so between
+    the samples t_(i-1) and t_i the only candidate is candidate i - 1.  Hence sigma_b at t_i equals sigma_b at
+    t_(i-1) unless that candidate is a root of D_b, or a pole of one of
+    b's groups lies between the two samples, which poles() counts with
+    _half_turns at each sample.  A pole inside a gap can move sigma_b and
+    the chain term in opposite directions, so the chain term is taken at
+    every sample.
+
     w^N = 1 at a sample makes the chain singular; at rational t that is only
     t = +-1 with 4 | N (+-1 and +-i are the only roots of unity in Q(i)),
     and at(u, v) returns None there.  When det S = 0 the chain is singular
@@ -487,13 +511,14 @@ class PencilCore:
                 [{local[j]: x for j, x in s[i].items()} for i in blk],
                 [{local[j]: x for j, x in k[i].items()} for i in blk]))
 
-    def at(self, u: int, v: int):
+    def at(self, u: int, v: int, which=None):
         """Sparse upper rows (re, im) of a positive multiple of each block of the core at t = u/v.
 
-        One pair per entry of self.blocks, in its local indices; the core
-        is their direct sum, so its signature is the sum of theirs.  Needs
-        u != 0.  Returns None when some group's w^N is 1, i.e. at t = +-1
-        when 4 | N_k (or at v = 0 when N_k is even).
+        One pair per entry of self.blocks, in its local indices, or per
+        index in which, in that order; the core is their direct sum, so its
+        signature is the sum of theirs.  Needs u != 0.  Returns None when
+        some group's w^N is 1, i.e. at t = +-1 when 4 | N_k (or at v = 0
+        when N_k is even), whichever blocks are asked for.
         """
         coef = []
         for m in self.mults:
@@ -502,7 +527,8 @@ class PencilCore:
                 return None
             coef.append((x if m > 0 else -x, y))
         out = []
-        for _, grp, s, k in self.blocks:
+        blocks = self.blocks if which is None else [self.blocks[b] for b in which]
+        for _, grp, s, k in blocks:
             groups = set(grp)
             # u | y: Im((v + iu)^N) has only odd powers of u
             big = lcm(*(coef[g][1] for g in groups))
@@ -519,6 +545,20 @@ class PencilCore:
                     im.append({j: big * x for j, x in ki.items()})
             out.append((re, im))
         return out
+
+    def poles(self, u: int, v: int):
+        """Per block, the tuple floor(|N_k| * phi / pi) over its groups with |N_k| >= 2.
+
+        phi = theta/2 at t = u/v, so an entry changes between two samples
+        exactly when w^N_k = 1 somewhere between them, a pole of the block
+        (see Blocks across samples).  Returns None where at() does.
+        """
+        turns = []
+        for m in self.mults:
+            if _gauss_pow(v, u, abs(m))[1] == 0:
+                return None
+            turns.append(_half_turns(u, v, abs(m)) if abs(m) >= 2 else 0)
+        return [tuple(turns[g] for g in sorted(set(grp))) for _, grp, _, _ in self.blocks]
 
     def chain_signature(self, u: int, v: int) -> int:
         """Sum of the eliminated chains' signatures at t = u/v (0 for eps = 1)."""

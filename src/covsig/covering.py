@@ -152,6 +152,19 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
     return tuple(tuple(by_j[(k - l) % d] for l in range(d)) for k in range(d))
 
 
+def int_blocks(blocks, keep):
+    """(L, ib) with ib[k][l] the integer rows of L * A_kl for k, l in keep.
+
+    L is the lcm of the denominators of the distinct blocks among them; the
+    block array repeats d distinct objects, and each is converted once.
+    """
+    distinct = {id(blocks[k][l]): blocks[k][l] for k in keep for l in keep}
+    den = lcm(*(x.denominator for M in distinct.values() for row in M.rows for x in row))
+    ints = {key: [[x.numerator * (den // x.denominator) for x in row] for row in M.rows]
+            for key, M in distinct.items()}
+    return den, {k: {l: ints[id(blocks[k][l])] for l in keep} for k in keep}
+
+
 def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:
     """The covering Seifert matrix for the integer multiplicities s*x_k.
 
@@ -171,6 +184,8 @@ def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:
     one of the two off-diagonals being 0, and each tile shrinks to the one
     block sign_k*sign_l*A_kl between the first strands of groups k and l.
     Groups keep their order, each as its first strand followed by its chain.
+    The blocks are assembled as the integers of L * A (int_blocks), and each
+    distinct value x becomes one shared Fraction(x, L).
     """
     mults = [int(Fraction(xi) * s) for xi in x]
     if any(Fraction(xi) * s != m for xi, m in zip(x, mults)):
@@ -178,35 +193,51 @@ def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:
     keep = [k for k, m in enumerate(mults) if m != 0]
     if not keep:
         return RatMatrix.zeros(0)
-    b = blocks[keep[0]][keep[0]].nrows
+    den, ib = int_blocks(blocks, keep)
+    b = len(ib[keep[0]][keep[0]])
     first = {}  # component -> row of its first strand
     n = 0
     for k in keep:
         first[k] = n
         n += abs(mults[k]) * b
-    zero = Fraction(0)
-    rows = [[zero] * n for _ in range(n)]
+    frac = {0: Fraction(0)}  # one shared Fraction(x, L) per value
+    rows = [[frac[0]] * n for _ in range(n)]
 
-    def put(r, c, M):
-        for i, mrow in enumerate(M.rows):
-            rows[r + i][c:c + b] = mrow
+    def tile(M, sign=1):  # the Fraction rows of sign * M / L
+        out = []
+        for mrow in M:
+            frow = []
+            for x in mrow:
+                x *= sign
+                f = frac.get(x)
+                if f is None:
+                    f = frac[x] = Fraction(x, den)
+                frow.append(f)
+            out.append(frow)
+        return out
+
+    def put(r, c, F):
+        for i, frow in enumerate(F):
+            rows[r + i][c:c + b] = frow
+
+    def minus(p, q):
+        return [[x - y for x, y in zip(pr, qr)] for pr, qr in zip(p, q)]
 
     for k in keep:
         sk = 1 if mults[k] > 0 else -1
-        A = blocks[k][k]
-        At = A.transpose().scale(epsilon)
+        A = ib[k][k]
+        At = [[epsilon * x for x in col] for col in zip(*A)]
         Dg = A if sk == 1 else At
         r0 = first[k]
-        put(r0, r0, Dg)
-        chain, up, low = (A - At).scale(sk), At - Dg, A - Dg
+        put(r0, r0, tile(Dg))
+        chain, up, low = tile(minus(A, At), sk), tile(minus(At, Dg)), tile(minus(A, Dg))
         for r in range(r0 + b, r0 + abs(mults[k]) * b, b):
             put(r, r, chain)
             put(r - b, r, up)
             put(r, r - b, low)
         for l in keep:
             if l != k:
-                sl = 1 if mults[l] > 0 else -1
-                put(r0, first[l], blocks[k][l].scale(sk * sl))
+                put(r0, first[l], tile(ib[k][l], sk * (1 if mults[l] > 0 else -1)))
     return RatMatrix(rows)
 
 

@@ -122,15 +122,20 @@ def div_exact(p, q):
 
 
 def divmod_monic(p, q):
-    """(quotient, remainder) of integer lists p by a monic integer q, in ints."""
+    """(quotient, remainder) of integer lists p by a monic integer q, in ints.
+
+    Each step runs over the nonzero coefficients of q only: Phi_n is sparse
+    when n has few distinct primes (Phi_(2^k) has two terms).
+    """
     dq = len(q) - 1
     p = list(p)
+    terms = [(i, b) for i, b in enumerate(q[:-1]) if b]
     quot = [0] * max(0, len(p) - dq)
     for k in range(len(quot) - 1, -1, -1):
         c = p[k + dq]
         if c:
             quot[k] = c
-            for i, b in enumerate(q[:-1]):
+            for i, b in terms:
                 p[k + i] -= c * b
     return trim(quot), trim(p[:dq])
 

@@ -15,6 +15,19 @@ rational in the same gap.  A group with det(A_kk - eps*A_kk^T) = 0 makes D
 vanish through a common kernel; the kernel step, on the n x n matrix, then
 leaves a matrix that is sampled as one group.
 
+Candidates and samples go by the core's connected blocks, D = c * prod D_b.
+Each D_b loses its factor w^i and every cyclotomic factor, with
+multiplicity, which gives its roots of unity by order; the algebraic
+candidates come from the square-free part of the product of what is left,
+with no gcd when that product is constant.  A block's signature can change
+only at its own candidates or at a pole of its groups, so a sample takes
+again only the blocks that own the candidate it has just passed or whose
+poles lie between it and the previous sample (PencilCore, Blocks across
+samples); a root of unity belongs to the blocks it is a root of, an
+algebraic candidate to every block with such a rest.  When D = 0 leaves a
+generic minor, which is no product over blocks, every block owns every
+candidate.
+
 All decisions (periodicity verdicts in particular) are made by exact
 arithmetic or certificates, never by floating point; when a comparison of
 two transcendental angles cannot be certified either way within the
@@ -33,7 +46,7 @@ import mpmath
 from mpmath.libmp import to_rational
 
 from . import _fast
-from .covering import CoveringMatrix, CoveringSpec, build_covering
+from .covering import CoveringMatrix, CoveringSpec, build_covering, int_blocks
 from .errors import UnresolvedComparison, ZeroScale
 from .exact import (
     DEFAULT_PRECISION_BITS,
@@ -41,7 +54,6 @@ from .exact import (
     Comparison,
     RatMatrix,
     alg_compare,
-    block_matrix,
     hermitian_signature,
     isolate_real_roots,
 )
@@ -230,10 +242,12 @@ def _core_rows(cm: CoveringMatrix):
     keep = [k for k, m in enumerate(cm.multiplicities) if m]
     mults = tuple(cm.multiplicities[k] for k in keep)
     sign = [1 if m > 0 else -1 for m in mults]
-    blocks = cm.blocks_A
-    _, rows = block_matrix([
-        [blocks[k][l].scale(1 if a == c else sign[a] * sign[c]) for c, l in enumerate(keep)]
-        for a, k in enumerate(keep)]).int_rows()
+    _, ib = int_blocks(cm.blocks_A, keep)
+    rows = []
+    for a, k in enumerate(keep):
+        tiles = [(ib[k][l], 1 if a == c else sign[a] * sign[c]) for c, l in enumerate(keep)]
+        for i in range(len(ib[k][k])):
+            rows.append([g * x for tile, g in tiles for x in tile[i]])
     return rows, mults
 
 
@@ -341,25 +355,34 @@ def _self_reciprocal_part(D):
     return P.gcd(D, rev)
 
 
-def _cyclotomic_split(S):
-    """Divide out cyclotomic factors of a square-free S; return (ns, rest).
+def _cyclotomic_parts(f):
+    """(ns, rest) of a nonzero integer polynomial f: the n with Phi_n | f, and the cofactor.
 
-    Phi_n is monic with integer coefficients, so it divides S over Q iff it
-    divides the primitive integer form of S over Z; the trial divisions run
-    in Python ints and rest is content(S) times the integer cofactor.
+    The factor w^i of f is dropped, then every Phi_n that divides it is
+    divided out with its multiplicity, so rest has no root 0 and no root of
+    unity.  Phi_n is monic with integer coefficients, so the trial divisions
+    run in Python ints.  They try every n <= 6 * deg f + 30, which holds
+    every n with phi(n) <= deg f: n/phi(n) < 6 below n = 2*3*5*...*23.
     """
+    f = P.trim(f)
+    i = 0
+    while f[i] == 0:
+        i += 1  # w = 0 is never on the unit circle
+    f = f[i:]
     ns = []
-    deg = P.degree(S)
-    content, ip = P.content_primitive(S)
+    bound = 6 * (len(f) - 1) + 30
     n = 1
-    while len(ip) >= 2 and n <= 6 * deg + 30:
-        if P.totient(n) < len(ip):
-            quot, rem = P.divmod_monic(ip, P.cyclotomic(n))
+    while len(f) >= 2 and n <= bound:
+        if P.totient(n) < len(f):
+            cyc = P.cyclotomic(n)
+            quot, rem = P.divmod_monic(f, cyc)
             if not rem:
                 ns.append(n)
-                ip = quot
+                while not rem:
+                    f = quot
+                    quot, rem = P.divmod_monic(f, cyc)
         n += 1
-    return ns, [content * c for c in ip]
+    return ns, f
 
 
 def _cayley_numerator(S):
@@ -456,8 +479,8 @@ def _simplest_between(a: Fraction, b: Fraction) -> Fraction:
     return fa + 1 / _simplest_between(1 / (b - fa), 1 / (a - fa))
 
 
-def _sample_sig(core, lo: Fraction, hi):
-    """The pencil signature on the gap (lo, hi) between candidates (hi None: no bound).
+def _sample_point(core, lo: Fraction, hi):
+    """The sample t of the gap (lo, hi) between candidates (hi None: no bound), and core.poles(t).
 
     The sample is the simplest rational in the gap (the integer above lo
     when hi is None).  If a chain of the core is singular there, which is
@@ -466,11 +489,36 @@ def _sample_sig(core, lo: Fraction, hi):
     intervals change.
     """
     t = _simplest_between(lo, hi) if hi is not None else Fraction(lo.__floor__() + 1)
-    s = _sig_at(core, t.numerator, t.denominator)
-    if s is None:
+    poles = core.poles(t.numerator, t.denominator)
+    if poles is None:
         t = _simplest_between(lo, t)
-        s = _sig_at(core, t.numerator, t.denominator)
-    return s
+        poles = core.poles(t.numerator, t.denominator)
+    return t, poles
+
+
+def _gap_signatures(core, gaps, owners):
+    """The pencil signature on each gap, each block of the core re-sampled only where it can change.
+
+    owners[i] is the set of blocks that own candidate i, the one between
+    gaps i and i + 1: those whose determinant may vanish there.  The first
+    gap samples every block.  Gap i samples block b again only when b owns
+    candidate i - 1 or a pole of one of b's groups lies between the two
+    samples; otherwise b's signature carries over (PencilCore, Blocks across
+    samples).  The chain term is taken at every sample.
+    """
+    sig = [0] * len(core.blocks)
+    last = None
+    sigs = []
+    for i, (lo, hi) in enumerate(gaps):
+        t, poles = _sample_point(core, lo, hi)
+        u, v = t.numerator, t.denominator
+        which = [b for b in range(len(sig))
+                 if last is None or b in owners[i - 1] or poles[b] != last[b]]
+        for b, (re, im) in zip(which, core.at(u, v, which)):
+            sig[b] = _fast.herm_sig_fast(re, im)
+        last = poles
+        sigs.append(sum(sig) + core.chain_signature(u, v))
+    return sigs
 
 
 def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
@@ -505,7 +553,8 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         raise ValueError("jump_function needs a square matrix")
     if not rows:
         return JumpFunction([], Fraction(1), 0)
-    D = _fast.pencil_det_poly(rows, epsilon, mults)
+    factors = []
+    D = _fast.pencil_det_poly(rows, epsilon, mults, factors=factors)
     core = _pencil_core(rows, epsilon, mults)
     if P.is_zero(P.trim(D)):
         if covering:
@@ -519,20 +568,28 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
                 # the congruence mixes strands, so the reduced matrix is one group
                 rows = reduced
                 core = _fast.PencilCore(rows, epsilon)
-                D = _fast.pencil_det_poly(rows, epsilon)
-        if P.is_zero(P.trim(D)):
-            D = _generic_minor_poly(rows, epsilon)
-    D = P.trim(D)
-    i = 0
-    while D[i] == 0:
-        i += 1  # w = 0 is never on the unit circle
-    D = D[i:]
-    S = P.square_free_part(_self_reciprocal_part(D))
-    ns, S = _cyclotomic_split(S)
+                D = _fast.pencil_det_poly(rows, epsilon, factors=factors)
+    if P.is_zero(P.trim(D)):
+        # a generic minor is no product over blocks: every block owns its roots
+        S = _self_reciprocal_part(P.trim(_generic_minor_poly(rows, epsilon)))
+        parts = [(P.content_primitive(S)[1], set(range(len(core.blocks))))]
+    else:
+        parts = [(f, {b}) for b, f in enumerate(factors)]
 
-    items = [("pi", f) for f in _pi_candidates_upper(ns)]
-    if P.degree(S) >= 1:
-        re, im = _cayley_numerator(S)
+    # per part: its roots of unity by order, and the rest, which owns the
+    # algebraic candidates
+    pi_owners, alg_owners, rest = {}, set(), [1]
+    for f, owners in parts:
+        ns, r = _cyclotomic_parts(f)
+        for n in ns:
+            pi_owners.setdefault(n, set()).update(owners)
+        if len(r) >= 2:
+            alg_owners |= owners
+            rest = _fast._mul(rest, r)
+    items = [("pi", f) for f in _pi_candidates_upper(sorted(pi_owners))]
+    if len(rest) >= 2:
+        # the rest of D up to a constant, by unique factorization
+        re, im = _cayley_numerator(P.square_free_part([Fraction(a) for a in rest]))
         g = P.gcd(re, im)
         if P.degree(g) >= 1:
             bound = P.cauchy_root_bound(g)
@@ -546,7 +603,10 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         gaps.append((encl[-1][1], None))
     else:
         gaps = [(Fraction(0), None)]
-    sigs = [_sample_sig(core, lo, hi) for lo, hi in gaps]
+    # a root of unity of order n is w = e^(i*pi*f) with n the denominator of f/2
+    owners = [pi_owners[(val / 2).denominator] if kind == "pi" else alg_owners
+              for kind, val in items]
+    sigs = _gap_signatures(core, gaps, owners)
 
     upper = []
     for idx, (kind, val) in enumerate(items):

@@ -135,14 +135,23 @@ def test_obstruct_algebraic_jobs_pinned(extra, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("extra, digest", [
-    (["--m", "2", "--p", "7"], "63d30600ec5b6e7ceed368cf9fb42a0e203224bce5fc100886f883259d128236"),
-    (["--m", "3", "--p", "5"], "d6305373fec14fff35f39aa0089e37434c4aa5bf2ae20a8dc940ef515d98d1b6"),
-], ids=["m2-p7", "m3-p5"])
-def test_obstruct_larger_jobs_pinned(extra, digest):
+T25_V = "[[-1,1,0,0],[0,-1,1,0],[0,0,-1,1],[0,0,0,-1]]"
+
+
+@pytest.mark.parametrize("knot, extra, digest", [
+    ("trefoil", ["--m", "2", "--p", "7"],
+     "63d30600ec5b6e7ceed368cf9fb42a0e203224bce5fc100886f883259d128236"),
+    ("trefoil", ["--m", "3", "--p", "5"],
+     "d6305373fec14fff35f39aa0089e37434c4aa5bf2ae20a8dc940ef515d98d1b6"),
+    (T25_V, ["--m", "2", "--p", "5"],
+     "fd10c1d2ad72e7c882af18652081aa21b4ed162aaf3ff89f3c5d79e5bec4abf8"),
+], ids=["m2-p7", "m3-p5", "t25-m2-p5"])
+def test_obstruct_larger_jobs_pinned(knot, extra, digest):
     # L(trefoil, 2) at p = 7 and L(trefoil, 3) at p = 5: cores of 7 and 5
-    # groups whose connected blocks each mix two groups, with n = 508 and 844
-    code, text = run(["obstruct", "--family", "ltm", "--V", "trefoil", *extra,
+    # groups whose connected blocks each mix two groups, with n = 508 and 844;
+    # L(T25, 2) at p = 5 (n = 248): five blocks of size 8, with the roots of
+    # unity of orders {80}, {50, 150}, {10}, {20} and {40}
+    code, text = run(["obstruct", "--family", "ltm", "--V", knot, *extra,
                       "--format", "json"])
     assert code == 1
     assert hashlib.sha256(text.encode()).hexdigest() == digest

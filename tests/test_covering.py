@@ -28,9 +28,16 @@ from covsig import (
     parallel_copies,
     solve_multiplicities,
 )
-from covsig import _fast
+from covsig import _fast, jumps
 from covsig.exact import block_matrix
-from covsig.jumps import _core_rows, _pencil_core, _remove_common_kernel, _sig_at
+from covsig.jumps import (
+    _core_rows,
+    _gap_signatures,
+    _pencil_core,
+    _remove_common_kernel,
+    _sample_point,
+    _sig_at,
+)
 from conftest import ALG, T25, TREFOIL, interpolated_det_poly, same_jumps
 
 
@@ -406,6 +413,63 @@ def test_core_det_poly_by_blocks_equals_dense_det_poly(planted):
     core_rows, ms = _core_rows(cm)
     assert (_fast.pencil_det_poly(core_rows, epsilon, ms)
             == interpolated_det_poly(int_rows(cm.expanded_P), epsilon))
+
+
+def eager_gap_signatures(core, gaps, owners):
+    """The oracle of _gap_signatures: every block at every gap, at the same samples."""
+    return [_sig_at(core, t.numerator, t.denominator)
+            for t, _ in (_sample_point(core, lo, hi) for lo, hi in gaps)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_blocks())
+# eps = -1, strands (-3, 4), two 1 x 1 blocks: D_b = 1 + w^3 and -2(1 + w^4),
+# so the poles w^3 = 1 and w^4 = 1 of the groups lie inside gaps, where a
+# block's signature moves against its chain term
+@example(([[RatMatrix([[-1]]), RatMatrix([[0]])],
+           [RatMatrix([[0]]), RatMatrix([[-2]])]], [-3, 4], -1))
+# eps = -1, strands (1, 2, 2): the last two blocks are equal, so w = i, the
+# root of Phi_4, is a candidate of both
+@example(([[RatMatrix([[-1]]), RatMatrix([[0]]), RatMatrix([[0]])],
+           [RatMatrix([[0]]), RatMatrix([[1]]), RatMatrix([[0]])],
+           [RatMatrix([[0]]), RatMatrix([[0]]), RatMatrix([[1]])]], [1, 2, 2], -1))
+def test_block_samples_equal_every_block_at_every_gap(planted):
+    blocks, mults, epsilon = planted
+    cm = as_covering(blocks, mults, epsilon)
+
+    def checked(core, gaps, owners):
+        sigs = _gap_signatures(core, gaps, owners)
+        assert sigs == eager_gap_signatures(core, gaps, owners)
+        return sigs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jumps, "_gap_signatures", checked)
+        f = jump_function(cm, epsilon)
+        mp.setattr(jumps, "_gap_signatures", eager_gap_signatures)
+        g = jump_function(cm, epsilon)
+    assert same_jumps(f, g) and f.sigma0 == g.sigma0
+
+
+def test_blocks_are_sampled_only_across_their_own_candidates(monkeypatch):
+    # L(trefoil, 2) at p = 5: five blocks and 31 gaps, so every block at
+    # every gap would take 155 signatures
+    sd, c = ltm_family(TREFOIL, 2)
+    cm = build_covering(sd, c, CoveringSpec(p=5))
+    herm_sig_fast, sizes, calls = _fast.herm_sig_fast, [], []
+
+    def spy(core, gaps, owners):
+        sizes.append(len(core.blocks) * len(gaps))
+        return _gap_signatures(core, gaps, owners)
+
+    def counted(re, im):
+        calls.append(1)
+        return herm_sig_fast(re, im)
+
+    monkeypatch.setattr(jumps, "_gap_signatures", spy)
+    monkeypatch.setattr(_fast, "herm_sig_fast", counted)
+    jump_function(cm, 1)
+    assert sizes == [155]
+    assert 0 < len(calls) < 155
 
 
 def test_core_det_poly_with_det_s_49():

@@ -49,7 +49,7 @@ from covsig.jumps import (
     _at_root_of_unity,
     _cayley_numerator,
     _cyclotomic_cayley_gcd,
-    _cyclotomic_split,
+    _cyclotomic_parts,
     _generic_minor_poly,
     _remove_common_kernel,
     _self_reciprocal_part,
@@ -636,6 +636,26 @@ def fraction_cyclotomic_split(S):
     return ns, S
 
 
+def cyclotomic_split(S):
+    """The split of a square-free S before it ran block by block: (ns, rest).
+
+    Trial division of the primitive integer form of S by each Phi_n with
+    n <= 6 * deg S + 30, once each; rest is content(S) times the cofactor.
+    """
+    ns = []
+    deg = P.degree(S)
+    content, ip = P.content_primitive(S)
+    n = 1
+    while len(ip) >= 2 and n <= 6 * deg + 30:
+        if P.totient(n) < len(ip):
+            quot, rem = P.divmod_monic(ip, P.cyclotomic(n))
+            if not rem:
+                ns.append(n)
+                ip = quot
+        n += 1
+    return ns, [content * c for c in ip]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.integers(min_value=1, max_value=24), max_size=4, unique=True),
@@ -644,15 +664,51 @@ def fraction_cyclotomic_split(S):
     st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
 )
 def test_cyclotomic_split_matches_fraction_division(ns, others, content):
-    # products of cyclotomic and other integer factors, at any content
+    # square-free products of cyclotomic and other integer factors, at any content
     S = [content]
     for n in ns:
         S = P.mul(S, [Fraction(c) for c in P.cyclotomic(n)])
     for c in others:
         S = P.mul(S, [Fraction(x) for x in c])
-    got = _cyclotomic_split(S)
-    assert got == fraction_cyclotomic_split(S)
-    assert set(ns) <= set(got[0])
+    assume(P.degree(P.gcd(S, P.derivative(S))) < 1)
+    want_ns, want_rest = fraction_cyclotomic_split(S)
+    got_ns, rest = _cyclotomic_parts(P.content_primitive(S)[1])
+    assert all(type(c) is int for c in rest)
+    assert set(ns) <= set(got_ns)
+    assert got_ns == want_ns
+    # the same cofactor up to a constant, once the oracle's factors w are dropped
+    while want_rest[0] == 0:
+        want_rest = want_rest[1:]
+    assert P.monic([Fraction(c) for c in rest]) == P.monic(want_rest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=3)),
+             max_size=4),
+    st.lists(st.tuples(st.lists(st.integers(min_value=-4, max_value=4), min_size=2, max_size=4)
+                       .filter(lambda c: c[-1] != 0 and c[0] != 0),
+                       st.integers(min_value=1, max_value=2)), max_size=2),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=-6, max_value=6).filter(bool),
+)
+def test_cyclotomic_parts_with_multiplicity_match_the_square_free_split(powers, others, i, c):
+    # c * w^i * prod Phi_n^e * prod f^e: the same orders and the same square-free
+    # rest up to a constant as the square-free part split once per Phi_n
+    f = [0] * i + [c]
+    for n, e in powers:
+        for _ in range(e):
+            f = _fast._mul(f, P.cyclotomic(n))
+    for g, e in others:
+        for _ in range(e):
+            f = _fast._mul(f, g)
+    ns, rest = _cyclotomic_parts(f)
+    want_ns, want_rest = cyclotomic_split(P.square_free_part(
+        [Fraction(a) for a in f[i:]]))
+    assert ns == want_ns
+    assert {n for n, _ in powers} <= set(ns)
+    rest = [Fraction(a) for a in rest]
+    assert P.square_free_part(rest) == P.monic(want_rest)
 
 
 def fraction_cayley_numerator(S):
