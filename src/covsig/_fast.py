@@ -18,8 +18,9 @@ of its blocks on the connected components of that pattern (one union-find,
 _components), and det M' is the product of the blocks' determinants.  After
 the Cayley change w = (1 - y)/(1 + y), under which (1 + y)^(n_b) det M'_b is
 even or odd in y, each block's determinant is taken by bareiss_det at the
-integers y = 0..h, h = ceil(n_b/2), and interpolated in integers on the
-nodes -h..h; the n x n matrix is not formed.  Every division on the way is
+integers y = 0..h, h = ceil(n_b/2), and interpolated in integers as a
+polynomial in y^2 on the nodes 0, 1, 4, ..., h^2; the n x n matrix is not
+formed.  Every division on the way is
 exact, and one that is not raises ArithmeticError.
 
 Signature samples are taken on a PencilCore: the pencil of a covering matrix
@@ -194,6 +195,49 @@ def interpolate(values, h: int = 0):
     return poly
 
 
+def interpolate_in_squares(values, odd: bool):
+    """Ascending integer coefficients of the even (or odd) polynomial p with p(k) = values[k].
+
+    p(y) = E(y^2), or y * E(y^2) when odd, with E of degree < len(values)
+    (< len(values) - 1 when odd), and p must have integer coefficients.
+    E is interpolated on the nodes z = k^2, k = 0, 1, ... (k = 1, 2, ... and
+    the values divided by k when odd) by Newton's divided differences,
+    which are integers: the divided differences of z^m at integer nodes
+    are complete symmetric polynomials in the nodes.  A division that is
+    not exact raises ArithmeticError.
+    """
+    if odd:
+        if values[0]:
+            raise ArithmeticError("values are not those of an odd polynomial")
+        ks = range(1, len(values))
+    else:
+        ks = range(len(values))
+    zs = [k * k for k in ks]
+    coef = []
+    for k in ks:
+        q, r = divmod(values[k], k) if odd else (values[k], 0)
+        if r:
+            raise ArithmeticError("values are not those of an integer polynomial")
+        coef.append(q)
+    for j in range(1, len(coef)):
+        for i in range(len(coef) - 1, j - 1, -1):
+            q, r = divmod(coef[i] - coef[i - 1], zs[i] - zs[i - j])
+            if r:
+                raise ArithmeticError("values are not those of an integer polynomial")
+            coef[i] = q
+    poly = [coef[-1]] if coef else []
+    for k in range(len(coef) - 2, -1, -1):
+        # poly = poly * (z - z_k) + coef[k]
+        zk = zs[k]
+        poly = ([coef[k] - zk * poly[0]] + [a - zk * b for a, b in zip(poly, poly[1:])]
+                + [poly[-1]])
+    while poly and poly[-1] == 0:
+        poly.pop()
+    out = [0] * (2 * len(poly) - 1 + odd) if poly else []
+    out[odd::2] = poly
+    return out
+
+
 def _shift_by_one(coef):
     """Ascending coefficients of p(x + 1), given those of p(x)."""
     r = coef[::-1]  # Horner's scheme on the descending coefficients, as running sums
@@ -269,8 +313,9 @@ def pencil_det_poly(p_rows, eps: int, mults=(1,), factors=None):
     det M' is the product of the blocks' determinants.  For a block of
     degree n_b, (1 + y)^n_b det M'_b(w) at w = (1 - y)/(1 + y) is the
     determinant of an integer matrix in y whose values at -y and y agree up
-    to the sign (-eps)^(size of the block); it is taken at y = 0..h,
-    h = ceil(n_b/2), interpolated on -h..h and mapped back to w
+    to the sign (-eps)^(size of the block), so it is even or odd in y; it
+    is taken at y = 0..h, h = ceil(n_b/2), interpolated as a polynomial in
+    y^2 (interpolate_in_squares) and mapped back to w
     (PencilCore has the identity).  Returns Fractions, [] for D = 0.
     When D != 0 and factors is a list, the blocks' determinants det M'_b(w)
     are appended to it as integer coefficient lists, in the order of
@@ -322,8 +367,7 @@ def pencil_det_poly(p_rows, eps: int, mults=(1,), factors=None):
                     mrow[j] = dx * a + dz * at if same else ox * a + oz * at
                 mat.append(mrow)
             vals.append(bareiss_det(mat))
-        sign = (-eps) ** len(blk)
-        d = interpolate([sign * v for v in reversed(vals[1:])] + vals, h)
+        d = interpolate_in_squares(vals, (-eps) ** len(blk) == -1)
         if not d:
             return []
         dets.append(_from_cayley(d, n))

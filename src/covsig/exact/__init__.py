@@ -5,6 +5,7 @@ from .algebraic import (
     Comparison,
     DEFAULT_PRECISION_BITS,
     alg_compare,
+    dyadic_cell,
     isolate_real_roots,
 )
 from . import poly
@@ -20,6 +21,7 @@ __all__ = [
     "Comparison",
     "DEFAULT_PRECISION_BITS",
     "alg_compare",
+    "dyadic_cell",
     "isolate_real_roots",
     "poly",
 ]

@@ -7,11 +7,17 @@ never merge, so the comparison API is honest about running out of precision:
 it returns UNRESOLVED instead of guessing.
 
 Isolation and refinement run in integers and land on the intervals of plain
-bisection, so printed intervals do not depend on the method: the isolator
-walks the Sturm-count bisection tree with Descartes' rule of signs on
-Taylor-shifted integer polynomials, and refine_to finds the cell that
-repeated bisection would end on by secant steps on that cell's grid.  Sturm
-counts remain for validating an AlgReal and for the equality certificate.
+bisection: the isolator walks the Sturm-count bisection tree with Descartes'
+rule of signs on Taylor-shifted integer polynomials, and refine_to finds the
+cell that repeated bisection would end on by secant steps on that cell's
+grid.  Sturm counts remain for validating an AlgReal, for the equality
+certificate and for the rare dyadic cell that leaves its isolating interval.
+
+What is printed of an AlgReal is its `cell`, a (poly, lo, hi) triple fixed
+when the number is made and untouched by refinement.  jump_function sets it
+to dyadic_cell, the level-P dyadic cell around the root with P the least
+multiple of 64 at which that cell isolates it, so the printed interval does
+not depend on how the root was isolated, separated or refined.
 """
 
 from __future__ import annotations
@@ -38,10 +44,12 @@ class AlgReal:
 
     Besides the monic defining polynomial it keeps that polynomial's
     primitive integer form, which every sign evaluation uses, and the sign of
-    the polynomial at lo once bisection has needed it.
+    the polynomial at lo once bisection has needed it.  cell is the
+    (poly, lo, hi) that is printed: the one the number was made with, until
+    a caller sets another (dyadic_cell); refinement never moves it.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_ip", "_slo", "_chain")
+    __slots__ = ("poly", "lo", "hi", "cell", "_ip", "_slo", "_chain")
 
     def __init__(self, defining, lo, hi, _checked=False):
         defining = P.monic(P.trim([Fraction(c) for c in defining]))
@@ -51,16 +59,34 @@ class AlgReal:
         self._set_poly(defining)
         self.lo = lo
         self.hi = hi
+        self.cell = (defining, lo, hi)
         if not _checked:
             sf = P.square_free_part(defining)
             if sf != defining:
                 raise ValueError("defining polynomial must be square-free")
-            if not (lo < hi):
-                raise ValueError("empty isolating interval")
-            if P.sign_at(self._ip, lo) == 0 or P.sign_at(self._ip, hi) == 0:
-                raise ValueError("interval endpoints must not be roots")
-            if P.count_roots(self.chain(), lo, hi) != 1:
-                raise ValueError("interval does not isolate exactly one root")
+            self._check_isolating()
+
+    def _check_isolating(self):
+        lo, hi = self.lo, self.hi
+        if not (lo < hi):
+            raise ValueError("empty isolating interval")
+        if P.sign_at(self._ip, lo) == 0 or P.sign_at(self._ip, hi) == 0:
+            raise ValueError("interval endpoints must not be roots")
+        if P.count_roots(self.chain(), lo, hi) != 1:
+            raise ValueError("interval does not isolate exactly one root")
+
+    def with_interval(self, lo, hi, check=True):
+        """The root of the same polynomial in (lo, hi), sharing its integer form and Sturm chain.
+
+        With check, (lo, hi) must isolate a root (ValueError otherwise); the
+        polynomial is not checked again.
+        """
+        a = self.copy()
+        a.lo, a.hi = Fraction(lo), Fraction(hi)
+        a.cell, a._slo = (a.poly, a.lo, a.hi), 0
+        if check:
+            a._check_isolating()
+        return a
 
     def _set_poly(self, monic_poly):
         self.poly = monic_poly
@@ -200,13 +226,17 @@ class AlgReal:
         return AlgReal(coeffs, lo, hi, _checked=True)
 
     def neg(self):
-        """-self: p(x) becomes (-1)^n p(-x), still monic, its integer form likewise."""
-        n = len(self.poly) - 1
+        """-self: p(x) becomes (-1)^n p(-x), still monic, its integer form likewise.
+
+        The cell goes to its mirror image, which is the dyadic cell of -self
+        when it is that of self.
+        """
         a = AlgReal.__new__(AlgReal)
-        a.poly = [-c if (n - k) & 1 else c for k, c in enumerate(self.poly)]
-        a._ip = [-c if (n - k) & 1 else c for k, c in enumerate(self._ip)]
+        a.poly, a._ip = _mirror(self.poly), _mirror(self._ip)
         a._slo, a._chain = 0, None
         a.lo, a.hi = -self.hi, -self.lo
+        poly, lo, hi = self.cell
+        a.cell = (a.poly if poly is self.poly else _mirror(poly), -hi, -lo)
         return a
 
     def __float__(self):
@@ -217,18 +247,26 @@ class AlgReal:
     def copy(self):
         a = AlgReal.__new__(AlgReal)
         a.poly, a._ip, a._slo, a._chain = self.poly, self._ip, self._slo, self._chain
-        a.lo, a.hi = self.lo, self.hi
+        a.lo, a.hi, a.cell = self.lo, self.hi, self.cell
         return a
 
     def __repr__(self):
         return f"AlgReal({self.poly}, ({self.lo}, {self.hi}))"
 
 
+def _mirror(p):
+    """(-1)^deg * p(-x): the coefficients of odd distance from the top change sign."""
+    n = len(p) - 1
+    return [-c if (n - k) & 1 else c for k, c in enumerate(p)]
+
+
 def isolate_real_roots(p, window=None):
     """Isolate the distinct real roots of p (in the open window, if given).
 
     Returns one AlgReal per root of the square-free part, in increasing order,
-    with pairwise disjoint isolating intervals.  The intervals are those of
+    with pairwise disjoint isolating intervals; the square-free part is
+    taken here, with one gcd, so p need not be square-free.  Each root's
+    cell is its isolating interval.  The intervals are those of
     Sturm-count bisection from the Cauchy bound: a node holding one root is
     emitted, one holding two or more is split at its midpoint, or off it by
     a fixed rule when the midpoint is a root.  The counts come from
@@ -261,10 +299,61 @@ def isolate_real_roots(p, window=None):
     out = []
     for a, b in _descartes_cells(isf, lo, hi):
         # one AlgReal is built; the others share its polynomials
-        root = out[-1].copy() if out else AlgReal(sf, a, b, _checked=True)
-        root.lo, root.hi = a, b
-        out.append(root)
+        out.append(out[0].with_interval(a, b, check=False) if out
+                   else AlgReal(sf, a, b, _checked=True))
     return out
+
+
+def dyadic_cell(root: AlgReal, iso: AlgReal):
+    """The canonical (poly, lo, hi) to print for root, a function of iso's poly and the root alone.
+
+    iso is the same root as isolated: its poly g is the one printed, and
+    (iso.lo, iso.hi) isolates the root among g's roots.  root is any copy,
+    refined or not, possibly collapsed onto a linear poly.  For
+    P = 64, 128, ... the root is located on the grid of step 2^-P; the
+    first P at which it lies on the grid or its cell [k/2^P, (k+1)/2^P]
+    isolates it (exactly one root of g inside, neither end a root) decides:
+      - a cell that isolates is printed with g;
+      - a root r = m/2^j on the grid (m odd) is printed as x - r on
+        [r - 2^-Q, r + 2^-Q], Q the least multiple of 64 above j, so that
+        both ends still have the denominator 2^Q.
+    A cell inside (iso.lo, iso.hi) isolates with no polynomial work;
+    otherwise a Sturm count decides.  The answer depends on neither the
+    isolation nor the refinement history, and the mirror image of the cell
+    of r is the cell of -r.
+    """
+    ip = iso._ip
+    x = root.copy()
+    p = 64
+    while True:
+        if not x.is_rational:
+            x.refine_to(Fraction(1, 1 << p))
+        if x.is_rational:
+            r = x.rational_value() * (1 << p)
+            k = r.numerator // r.denominator
+            on_grid = r.denominator == 1
+        else:
+            # width <= 2^-p: at most the grid point k + 1 lies inside (lo, hi)
+            k = (x.lo.numerator << p) // x.lo.denominator
+            mid = Fraction(k + 1, 1 << p)
+            on_grid = False
+            if mid < x.hi:
+                s = P.sign_at(ip, mid)
+                if s == 0:
+                    on_grid, k = True, k + 1
+                elif s == P.sign_at(ip, x.lo):
+                    k += 1
+        if on_grid:
+            r = Fraction(k, 1 << p)
+            q = 64 * ((r.denominator.bit_length() - 1) // 64 + 1)
+            return [-r, Fraction(1)], r - Fraction(1, 1 << q), r + Fraction(1, 1 << q)
+        lo, hi = Fraction(k, 1 << p), Fraction(k + 1, 1 << p)
+        if iso.lo < lo and hi < iso.hi:
+            return iso.poly, lo, hi
+        if (P.sign_at(ip, lo) and P.sign_at(ip, hi)
+                and P.count_roots(iso.chain(), lo, hi) == 1):
+            return iso.poly, lo, hi
+        p += 64
 
 
 def _scale_arg(q, r, s):

@@ -1,7 +1,8 @@
 """Univariate polynomials over the rationals, coefficient lists in ascending order.
 
 Only what the root-isolation and jump-extraction code needs: ring arithmetic,
-exact division, gcd / square-free part, Sturm chains and sign-variation
+exact division, gcd / square-free part, a coprimality test that is mostly
+one gcd modulo a word-size prime, Sturm chains and sign-variation
 counting.  The gcd, covsig's one use of sympy, delegates to its dense
 kernel, which avoids the coefficient blowup of remainder sequences on the
 large determinant polynomials of covering computations (a primitive
@@ -163,6 +164,37 @@ def gcd(p, q):
     # int() strips gmpy2 ground types; Fraction keeps whatever it is given,
     # and mixed Fraction/mpz arithmetic breaks downstream
     return monic(trim([Fraction(int(c.numerator), int(c.denominator)) for c in reversed(h)]))
+
+
+_PRIME = (1 << 61) - 1
+
+
+def _gcd_degree_mod(p, q, m):
+    """Degree of gcd(p, q) over Z/m for a prime m, int lists; -1 when both vanish mod m."""
+    a, b = trim([c % m for c in p]), trim([c % m for c in q])
+    while b:
+        inv, db = pow(b[-1], -1, m), len(b) - 1
+        while len(a) > db:
+            c, k = a[-1] * inv % m, len(a) - 1 - db
+            for i, x in enumerate(b):
+                a[k + i] = (a[k + i] - c * x) % m
+            a = trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def coprime(p, q):
+    """Are the nonzero integer polynomials p and q coprime over Q?
+
+    Modulo the prime m = 2^61 - 1 first: a common factor h of p and q has
+    lc(h) | lc(p), so when m does not divide lc(p), h mod m is a common
+    factor of the same degree, and a constant gcd mod m rules h out.  When
+    m divides lc(p), or the gcd mod m is not constant, the exact gcd
+    decides.
+    """
+    if p[-1] % _PRIME and _gcd_degree_mod(p, q, _PRIME) == 0:
+        return True
+    return degree(gcd(p, q)) < 1
 
 
 def monic(p):

@@ -17,16 +17,19 @@ leaves a matrix that is sampled as one group.
 
 Candidates and samples go by the core's connected blocks, D = c * prod D_b.
 Each D_b loses its factor w^i and every cyclotomic factor, with
-multiplicity, which gives its roots of unity by order; the algebraic
-candidates come from the square-free part of the product of what is left,
-with no gcd when that product is constant.  A block's signature can change
-only at its own candidates or at a pole of its groups, so a sample takes
-again only the blocks that own the candidate it has just passed or whose
-poles lie between it and the previous sample (PencilCore, Blocks across
-samples); a root of unity belongs to the blocks it is a root of, an
-algebraic candidate to every block with such a rest.  When D = 0 leaves a
-generic minor, which is no product over blocks, every block owns every
-candidate.
+multiplicity, which gives its roots of unity by order; what is left, the
+block's rest r_b, gives its algebraic candidates: the positive roots of
+g_b, the square-free Cayley gcd of r_b, isolated and refined at the
+block's own degree.  A block's signature can change only at its own
+candidates or at a pole of its groups, so a sample takes again only the
+blocks that own the candidate it has just passed or whose poles lie
+between it and the previous sample (PencilCore, Blocks across samples); a
+root of unity belongs to the blocks it is a root of, and an algebraic
+candidate to its block.  Rests that share a factor give each shared root
+once, owned by every block whose g_b changes sign across its enclosure.
+When D = 0 leaves a generic minor, which is no product over blocks, it is
+one part owned by every block.  An algebraic point prints its dyadic cell
+(algebraic.dyadic_cell) with the g_b of its first block.
 
 All decisions (periodicity verdicts in particular) are made by exact
 arithmetic or certificates, never by floating point; when a comparison of
@@ -54,6 +57,7 @@ from .exact import (
     Comparison,
     RatMatrix,
     alg_compare,
+    dyadic_cell,
     hermitian_signature,
     isolate_real_roots,
 )
@@ -409,6 +413,41 @@ def _cayley_numerator(S):
     return P.trim(re), P.trim(im)
 
 
+def _algebraic_candidates(rests):
+    """The candidates t > 0 of the parts' rests, each root once, and the parts' Cayley gcds.
+
+    rests is [(r, owners)]: an integer polynomial with no root of unity,
+    and the blocks it belongs to.  Part i's roots are those of g_i, the
+    square-free gcd of the two parts of its Cayley numerator, on
+    (0, Cauchy bound).  Returns (roots, gs, shared): roots is
+    [(root, i)], each root an AlgReal of g_i in its isolating interval;
+    gs[i] is g_i as an AlgReal (None when it has no positive root); shared
+    tells whether some rest is not coprime to the product of the earlier
+    ones.  Such a rest drops the roots it shares with an earlier g, which
+    are those where their gcd changes sign across the isolating interval.
+    """
+    roots, gs, shared, product = [], [], False, [1]
+    for i, (r, _) in enumerate(rests):
+        overlap = i > 0 and not P.coprime(r, product)
+        product = _fast._mul(product, r)
+        re, im = _cayley_numerator(r)
+        g = P.gcd(re, im)
+        found = []
+        if P.degree(g) >= 1:
+            found = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
+        gs.append(found[0].copy() if found else None)
+        if overlap:
+            shared = True
+            earlier = [1]
+            for h in gs[:-1]:
+                if h is not None:
+                    earlier = P.mul(earlier, h.poly)
+            c = P.int_form(P.gcd(found[0].poly, earlier)) if found else [1]
+            found = [x for x in found if P.sign_at(c, x.lo) == P.sign_at(c, x.hi)]
+        roots += [(x, i) for x in found]
+    return roots, gs, shared
+
+
 def _pi_candidates_upper(ns):
     """Upper-half-circle root-of-unity angles theta/pi from cyclotomic indices."""
     fracs = []
@@ -576,25 +615,20 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     else:
         parts = [(f, {b}) for b, f in enumerate(factors)]
 
-    # per part: its roots of unity by order, and the rest, which owns the
+    # per part: its roots of unity by order, and the rest, which gives the
     # algebraic candidates
-    pi_owners, alg_owners, rest = {}, set(), [1]
+    pi_owners, rests = {}, []
     for f, owners in parts:
         ns, r = _cyclotomic_parts(f)
         for n in ns:
             pi_owners.setdefault(n, set()).update(owners)
         if len(r) >= 2:
-            alg_owners |= owners
-            rest = _fast._mul(rest, r)
+            rests.append((r, owners))
     items = [("pi", f) for f in _pi_candidates_upper(sorted(pi_owners))]
-    if len(rest) >= 2:
-        # the rest of D up to a constant, by unique factorization
-        re, im = _cayley_numerator(P.square_free_part([Fraction(a) for a in rest]))
-        g = P.gcd(re, im)
-        if P.degree(g) >= 1:
-            bound = P.cauchy_root_bound(g)
-            for root in isolate_real_roots(g, window=(Fraction(0), bound)):
-                items.append(("alg", root))
+    roots, gs, shared = _algebraic_candidates(rests)
+    # the isolated copy of each root, and its part
+    part = {id(x): (x.copy(), i) for x, i in roots}
+    items += [("alg", x) for x, _ in roots]
 
     if items:
         items, encl = _separate_candidates(items, max_bits)
@@ -603,9 +637,22 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         gaps.append((encl[-1][1], None))
     else:
         gaps = [(Fraction(0), None)]
-    # a root of unity of order n is w = e^(i*pi*f) with n the denominator of f/2
-    owners = [pi_owners[(val / 2).denominator] if kind == "pi" else alg_owners
-              for kind, val in items]
+    owners = []
+    for kind, val in items:
+        if kind == "pi":
+            # a root of unity of order n is w = e^(i*pi*f) with n the denominator of f/2
+            owners.append(pi_owners[(val / 2).denominator])
+            continue
+        iso, i = part[id(val)]
+        val.cell = dyadic_cell(val, iso)
+        if not shared:
+            owners.append(rests[i][1])
+            continue
+        # the enclosure holds no other candidate, so a g changes sign across
+        # it exactly when val is one of its roots
+        owners.append(set().union(*(
+            rests[j][1] for j, g in enumerate(gs)
+            if g is not None and P.sign_at(g._ip, val.lo) != P.sign_at(g._ip, val.hi))))
     sigs = _gap_signatures(core, gaps, owners)
 
     upper = []
@@ -814,13 +861,22 @@ def _frac_str(x: Fraction) -> str:
 
 
 def point_to_obj(pt: JumpPoint) -> dict:
+    """One point of a jump document.
+
+    An algebraic point prints its t's cell (AlgReal.cell): from
+    jump_function, and through every translation, scaling and mirror of
+    such a point, that is the dyadic cell [k/2^P, (k+1)/2^P] of the root
+    with the monic g of its first block (algebraic.dyadic_cell), so the
+    bytes do not depend on how far t was refined.
+    """
     if isinstance(pt.loc, PiLoc):
         return {"pi_rational": _frac_str(pt.loc.frac), "scale": "1", "value": pt.value}
     loc = pt.loc
+    poly, lo, hi = loc.t.cell
     obj = {
         "algebraic_t": {
-            "poly": [_frac_str(c) for c in loc.t.poly],
-            "interval": [_frac_str(loc.t.lo), _frac_str(loc.t.hi)],
+            "poly": [_frac_str(c) for c in poly],
+            "interval": [_frac_str(lo), _frac_str(hi)],
         },
         "half": 0 if loc.offset == 0 else 1,
         "scale": _frac_str(loc.scale),
@@ -861,7 +917,29 @@ def _at_root_of_unity(t: AlgReal) -> bool:
     return P.degree(g) >= 1 and P.count_roots(P.sturm_chain(g), t.lo, t.hi) > 0
 
 
-def point_from_obj(obj: dict) -> JumpPoint:
+def _read_t(at: dict, seen: dict) -> AlgReal:
+    """The checked AlgReal of an algebraic_t, checked once per distinct poly and interval.
+
+    seen maps the poly's strings to a checked AlgReal of that poly, whose
+    square-freeness then holds for every interval, and the (poly, interval)
+    strings to a checked point; mirrored, translated and scaled points of a
+    document repeat both.
+    """
+    pkey, ikey = tuple(at["poly"]), tuple(at["interval"])
+    t = seen.get((pkey, ikey))
+    if t is None:
+        lo, hi = Fraction(ikey[0]), Fraction(ikey[1])
+        same = seen.get(pkey)
+        t = same.with_interval(lo, hi) if same else AlgReal([Fraction(c) for c in pkey], lo, hi)
+        if _at_root_of_unity(t):
+            raise ValueError(
+                "algebraic_t point with 2*atan(t) a rational multiple of pi (t = 0"
+                " among them) is a rational angle; write it as pi_rational")
+        seen[pkey] = seen[pkey, ikey] = t
+    return t.copy()
+
+
+def point_from_obj(obj: dict, _seen=None) -> JumpPoint:
     """Read one point of a jump document.
 
     An algebraic_t point at a root of unity w = (1+it)/(1-it), t = 0
@@ -869,21 +947,14 @@ def point_from_obj(obj: dict) -> JumpPoint:
     multiple of pi, which is spelled pi_rational.  In the algebraic spelling
     such a point can sit exactly on a window boundary of period_2pi_test and
     never be placed (Unresolved); as pi_rational it is compared exactly.
+    Any isolating interval is read, the dyadic cells that jump_function
+    prints and the bisection intervals of older documents alike.
     """
     value = int(obj["value"])
     if "pi_rational" in obj:
         frac = Fraction(obj["pi_rational"]) / Fraction(obj.get("scale", "1"))
         return JumpPoint(PiLoc(frac), value)
-    at = obj["algebraic_t"]
-    t = AlgReal(
-        [Fraction(c) for c in at["poly"]],
-        Fraction(at["interval"][0]),
-        Fraction(at["interval"][1]),
-    )
-    if _at_root_of_unity(t):
-        raise ValueError(
-            "algebraic_t point with 2*atan(t) a rational multiple of pi (t = 0"
-            " among them) is a rational angle; write it as pi_rational")
+    t = _read_t(obj["algebraic_t"], {} if _seen is None else _seen)
     offset = Fraction(obj["offset"]) if "offset" in obj else (0 if obj.get("half", 0) == 0 else 2)
     return JumpPoint(AlgLoc(t, offset, Fraction(obj.get("scale", "1"))), value)
 
@@ -897,8 +968,9 @@ def jump_to_obj(f: JumpFunction) -> dict:
 
 
 def jump_from_obj(obj: dict) -> JumpFunction:
+    seen = {}
     return JumpFunction(
-        [point_from_obj(p) for p in obj["points"]],
+        [point_from_obj(p, seen) for p in obj["points"]],
         Fraction(obj["period"]),
         int(obj.get("sigma0", 0)),
     )

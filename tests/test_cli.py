@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from covsig import cli, jumps
+from covsig import Comparison, alg_compare, cli, jumps
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
 from conftest import same_jumps
@@ -110,29 +111,77 @@ def test_obstruct_deterministic_output():
 
 def test_obstruct_algebraic_output_pinned():
     # every jump of L(ALG, 2) at p = 3 is algebraic: this pins the bytes of
-    # root isolation, bisection and the sort on that path
+    # the dyadic cells, each block's g and the sort on that path
     code, text = run([
         "obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", "--m", "2",
         "--p", "3", "--format", "json",
     ])
     assert code == 1
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "dfe82b4222d33a41b4efd3534622e641817b67528ef28d97be872e0164458b64")
+        "23cded487cd3bb8916e1d2564f5b5d304e186d5b2f75eb5096282c7bb026b524")
 
 
 @pytest.mark.parametrize("extra, digest", [
-    (["--m", "3", "--p", "3"], "e63c8fdfafe56767e4e15a0cd7fc06d90fb10ceb172c65b5589af4a0b0a9df83"),
+    (["--m", "3", "--p", "3"], "3f1d70b0b58b6c9e30383fd7351bd5e796c1bb2f02c8708cdc71fb51b0983d0d"),
     (["--m", "2", "--p", "2", "--a", "2"],
-     "b486d25089f7d86689277cf933217ac3a6a63d5dae96d105f3c8eef5a10a1029"),
-    (["--m", "2", "--p", "5"], "25d686852ba03d5b62658f9978d533a7533d9a031eef109871cec8c21a36c0cc"),
+     "7bbb14f752c8c4bcdf1e894011cc48a8ab1320282d209f79a2f789879a663096"),
+    (["--m", "2", "--p", "5"], "7c2259a74881dd95989dad6ab8dec5a9aa6c1d4a0f007de63e5102d4441282da"),
 ], ids=["m3-p3", "m2-d4", "m2-p5"])
 def test_obstruct_algebraic_jobs_pinned(extra, digest):
     # the other algebraic jobs: L(ALG, 3) at p = 3, L(ALG, 2) at d = 2^2 and
-    # at p = 5, whose Cayley gcds have degrees 20, 28 and 60
+    # at p = 5, whose blocks' Cayley gcds have degrees 6 + 10 + 4,
+    # 8 + 14 + 2 + 4 and 16 + 30 + 2 + 4 + 8
     code, text = run(["obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", *extra,
                       "--format", "json"])
     assert code == 1
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# the json obstruct of the four algebraic jobs as printed before the dyadic
+# cells: each point's interval is the state its bisection reached, and its
+# poly the Cayley gcd of the product of every block's rest
+ALG_FIXTURES = {
+    "alg_ltm_m2_p3.json": ["--m", "2", "--p", "3"],
+    "alg_ltm_m3_p3.json": ["--m", "3", "--p", "3"],
+    "alg_ltm_m2_d4.json": ["--m", "2", "--p", "2", "--a", "2"],
+    "alg_ltm_m2_p5.json": ["--m", "2", "--p", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALG_FIXTURES))
+def test_algebraic_points_are_the_fixture_points(name):
+    # the same verdict, witness and points; each t is certified equal
+    # (alg_compare EQ: a gcd with a root in the overlap) to the one before,
+    # and printed in a dyadic cell [k/2^P, (k+1)/2^P] with 64 | P
+    old = json.loads((FIXTURES / name).read_text())
+    code, text = run(["obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]",
+                      *ALG_FIXTURES[name], "--format", "json"])
+    new = json.loads(text)
+    assert code == 1
+    assert {k: v for k, v in new.items() if k != "jump"} == {k: v for k, v in old.items()
+                                                             if k != "jump"}
+    assert len(new["jump"]["points"]) == len(old["jump"]["points"])
+    for a, b in zip(new["jump"]["points"], old["jump"]["points"]):
+        assert "algebraic_t" in a and "algebraic_t" in b
+        assert ({k: v for k, v in a.items() if k != "algebraic_t"}
+                == {k: v for k, v in b.items() if k != "algebraic_t"})
+        ta, tb = jumps.point_from_obj(a).loc.t, jumps.point_from_obj(b).loc.t
+        assert alg_compare(ta, tb) is Comparison.EQ
+        lo, hi = (Fraction(x) for x in a["algebraic_t"]["interval"])
+        level = (hi - lo).denominator.bit_length() - 1
+        assert hi - lo == Fraction(1, 1 << level) and level % 64 == 0
+        assert (lo * (1 << level)).denominator == 1
+
+
+@pytest.mark.parametrize("name", sorted(ALG_FIXTURES))
+def test_old_algebraic_documents_still_load(name):
+    # point_from_obj reads the bisection intervals of older documents, and
+    # prints back what it read
+    old = json.loads((FIXTURES / name).read_text())["jump"]
+    f = jump_from_obj(old)
+    assert len(f.points) == len(old["points"])
+    assert jumps.jump_to_obj(f) == old
 
 
 T25_V = "[[-1,1,0,0],[0,-1,1,0],[0,0,-1,1],[0,0,0,-1]]"

@@ -5,7 +5,7 @@ closed-form scaling-factor oracles."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from covsig import (
@@ -29,7 +29,8 @@ from covsig import (
     solve_multiplicities,
 )
 from covsig import _fast, jumps
-from covsig.exact import block_matrix
+from covsig.exact import block_matrix, isolate_real_roots
+from covsig.exact import poly as P
 from covsig.jumps import (
     _core_rows,
     _gap_signatures,
@@ -448,6 +449,101 @@ def test_block_samples_equal_every_block_at_every_gap(planted):
         mp.setattr(jumps, "_gap_signatures", eager_gap_signatures)
         g = jump_function(cm, epsilon)
     assert same_jumps(f, g) and f.sigma0 == g.sigma0
+
+
+def whole_g_candidates(rests):
+    """The oracle of _algebraic_candidates: one Cayley gcd of the product of every rest.
+
+    The roots come from the square-free part of the product, so a root
+    that two rests share is isolated once.  Every root is put in part 0;
+    the oracle samples every block at every gap, so no owner is read.
+    """
+    product = [1]
+    for r, _ in rests:
+        product = _fast._mul(product, r)
+    if len(product) < 2:
+        return [], [], False
+    re, im = jumps._cayley_numerator(P.square_free_part([Fraction(a) for a in product]))
+    g = P.gcd(re, im)
+    if P.degree(g) < 1:
+        return [], [], False
+    roots = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
+    return [(x, 0) for x in roots], [None] * len(rests), False
+
+
+def whole_g_jump_function(cm, epsilon):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jumps, "_algebraic_candidates", whole_g_candidates)
+        mp.setattr(jumps, "_gap_signatures", eager_gap_signatures)
+        return jump_function(cm, epsilon)
+
+
+def mixed(m, u):
+    """U^T m U for the integer matrices m and u."""
+    n = len(m)
+    mu = [[sum(m[i][k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(u[k][i] * mu[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+ZERO_2 = RatMatrix([[0, 0], [0, 0]])
+# U^T (ALG + B3) U, B3 = [[1, 1], [0, 3]], with U adding column 0 to column 2:
+# one connected 4 x 4 block whose rest (2w^2 - 3w + 2)(3w^2 - 5w + 3) shares
+# ALG's factor; its 2 x 2 tiles are the blocks of groups 1 and 2
+ALG_B3 = mixed([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 3]],
+               [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def tile(m, k, l):
+    return RatMatrix([row[2 * l:2 * l + 2] for row in m[2 * k:2 * k + 2]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_blocks())
+# two equal blocks ALG + ALG: both rests are 2w^2 - 3w + 2, so each root is
+# isolated once and owned by both blocks
+@example(([[ALG, ZERO_2], [ZERO_2, ALG]], [1, 1], 1))
+@example(([[ALG, ZERO_2], [ZERO_2, ALG]], [1, 1], -1))
+# ALG and ALG_B3: the rests share ALG's factor but are not equal
+@example(([[ALG, ZERO_2, ZERO_2],
+           [ZERO_2, tile(ALG_B3, 0, 0), tile(ALG_B3, 0, 1)],
+           [ZERO_2, tile(ALG_B3, 1, 0), tile(ALG_B3, 1, 1)]], [1, 1, 1], 1))
+def test_block_candidates_equal_the_whole_g_oracle(planted):
+    # each block's rest isolated on its own g_b, each candidate owned by its
+    # blocks, against one g of the product with every block at every gap
+    blocks, mults, epsilon = planted
+    cm = as_covering(blocks, mults, epsilon)
+    seen = []
+
+    def spy(rests):
+        out = candidates(rests)
+        seen.append(out[0])
+        return out
+
+    candidates = jumps._algebraic_candidates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jumps, "_algebraic_candidates", spy)
+        f = jump_function(cm, epsilon)
+    assume(seen[0])
+    g = whole_g_jump_function(cm, epsilon)
+    assert same_jumps(f, g) and f.sigma0 == g.sigma0
+
+
+def test_shared_roots_are_owned_by_every_block_that_has_them(monkeypatch):
+    # ALG + ALG: the one candidate on t > 0, w = (3 + i*sqrt(7))/4, is a root
+    # of both blocks' rests
+    cm = as_covering([[ALG, ZERO_2], [ZERO_2, ALG]], [1, 1], 1)
+    owned = []
+
+    def spy(core, gaps, owners):
+        owned.extend(owners)
+        return _gap_signatures(core, gaps, owners)
+
+    monkeypatch.setattr(jumps, "_gap_signatures", spy)
+    f = jump_function(cm, 1)
+    assert owned == [{0, 1}]
+    assert same_jumps(f, whole_g_jump_function(cm, 1))
+    # the printed poly is g of the first block, ALG's own
+    assert all(P.degree(pt.loc.t.cell[0]) == 2 for pt in f.points)
 
 
 def test_blocks_are_sampled_only_across_their_own_candidates(monkeypatch):

@@ -23,6 +23,7 @@ from covsig import (
     mat_inverse,
 )
 from covsig.exact import poly as P
+from covsig.exact import dyadic_cell
 from covsig.exact.gauss import I
 
 rationals = st.fractions(
@@ -550,3 +551,91 @@ def test_isolation_matches_sturm_bisection(cs, dyadic, k, b, sq, where, hw, x):
               "root-lo": (r0, r0 + hw), "root-hi": (r0 - hw, r0)}[where]
     got = [(r.lo, r.hi, r.poly) for r in isolate_real_roots(p, window)]
     assert got == isolate_by_sturm(p, window)
+
+
+# ---------------------------------------------------------------------------
+# canonical dyadic cells
+
+# (3*CLOSE*x - CLOSE*c)^2 - 27 has the roots c/3 +- sqrt(3)/2^71, less than
+# 2^-64 apart and off every dyadic grid for 3 not dividing c
+CLOSE = 1 << 71
+
+
+def grid_position(p, root, level):
+    """(k, on_grid) of root, a root of p, on the grid of step 2^-level, by Fraction bisection.
+
+    The root lies inside [k, k + 1] / 2^level, or is k / 2^level when on_grid.
+    """
+    x, scale = root.copy(), 1 << level
+    while x.width() * scale >= 1:
+        x.refine()
+    m = -((-x.lo.numerator * scale) // x.lo.denominator)  # the first grid point >= lo
+    if Fraction(m, scale) == x.lo or Fraction(m, scale) >= x.hi:
+        return (m if Fraction(m, scale) == x.lo else m - 1), False
+    v = P.eval_at(p, Fraction(m, scale))
+    if v == 0:
+        return m, True
+    lo_side = P.eval_at(p, x.lo) > 0
+    return (m if (v > 0) == lo_side else m - 1), False
+
+
+def isolates(p, lo, hi):
+    chain = P.sturm_chain(p)
+    return (P.eval_at(p, lo) != 0 and P.eval_at(p, hi) != 0
+            and P.count_roots(chain, lo, hi) == 1)
+
+
+@given(int_coeffs, st.booleans(), st.integers(min_value=0, max_value=150),
+       st.integers(min_value=-9, max_value=9), st.booleans(), st.sampled_from([-2, -1, 1, 2]))
+@settings(max_examples=60, deadline=None)
+# two roots 2^-69.2 apart: no level-64 cell isolates either, so P = 128
+@example([1], False, 0, 1, True, 1)
+# the dyadic root 3/2^64 lies on the level-64 grid: x - r on r +- 2^-128
+@example([-2, 0, 1], True, 64, 3, False, 1)
+# 1/2 = 2^63/2^64: on the grid with an even numerator, so Q = 64
+@example([-2, 0, 1], True, 1, 1, False, 1)
+# 5/2^100 lies inside a level-64 cell, which isolates it from sqrt(2)
+@example([-2, 0, 1], True, 100, 5, False, 1)
+def test_dyadic_cell_is_canonical(cs, dyadic, k, b, close, c):
+    p = [Fraction(x) for x in cs]
+    if dyadic:
+        p = P.mul(p, [Fraction(-b), Fraction(1 << k)])
+    if close:
+        p = P.mul(p, [Fraction(CLOSE * CLOSE * c * c - 27), Fraction(-6 * CLOSE * CLOSE * c),
+                      Fraction(9 * CLOSE * CLOSE)])
+    p = P.trim(p)
+    if P.degree(p) < 1:
+        return
+    p = P.square_free_part(p)
+    for iso in isolate_real_roots(p):
+        poly, lo, hi = dyadic_cell(iso.copy(), iso)
+        if (hi - lo).denominator.bit_length() % 64 == 0:  # width 2^(1 - Q)
+            # the dyadic rule: x - r on r +- 2^-Q, Q the least multiple of 64 above j
+            r = -poly[0]
+            j = r.denominator.bit_length() - 1
+            assert P.eval_at(p, r) == 0 and r.denominator == 1 << j
+            q = 64 * (j // 64 + 1)
+            assert (lo, hi) == (r - Fraction(1, 1 << q), r + Fraction(1, 1 << q))
+            assert lo.denominator == hi.denominator == 1 << q
+            level = 64 * max(1, -(-j // 64))  # the first level with r on its grid
+        else:
+            assert poly == p
+            level = (hi - lo).denominator.bit_length() - 1
+            assert hi - lo == Fraction(1, 1 << level) and level % 64 == 0
+            assert lo * (1 << level) == (lo * (1 << level)).numerator
+            assert grid_position(p, iso, level) == ((lo * (1 << level)).numerator, False)
+            assert isolates(p, lo, hi)
+        # P is minimal: at every lower level the root is off the grid and its cell does not isolate
+        for below in range(64, level, 64):
+            kb, on_grid = grid_position(p, iso, below)
+            assert not on_grid
+            assert not isolates(p, Fraction(kb, 1 << below), Fraction(kb + 1, 1 << below))
+        # the cell depends on the root alone, not on how far it was refined
+        deep = iso.copy()
+        deep.refine_to(Fraction(1, 1 << 300))
+        assert dyadic_cell(deep, iso) == (poly, lo, hi)
+        # and the mirror image is the cell of -root
+        assert dyadic_cell(iso.neg(), iso.neg()) == (P.monic([(-1) ** i * a for i, a in
+                                                             enumerate(poly)]), -hi, -lo)
+        iso.cell = (poly, lo, hi)
+        assert iso.neg().cell == dyadic_cell(iso.neg(), iso.neg())

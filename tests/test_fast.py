@@ -4,7 +4,7 @@ bareiss_det is checked against sympy's DomainMatrix.det and against the sign
 of permutation matrices, adj_det against DomainMatrix.adj_det, pencil_det_poly
 against Newton interpolation of integer determinants of the pencil (in
 Fractions, conftest's newton_interp, which is also the oracle of the integer
-kernel interpolate),
+kernel interpolate, itself the oracle of interpolate_in_squares),
 PencilCore.at on a plain matrix against the pencil formula in Gaussian
 rationals, herm_sig_fast against the characteristic polynomial of the
 real embedding of the hermitian matrix, which shares no code with it, and
@@ -58,6 +58,31 @@ def test_interpolate_refuses_values_of_no_integer_polynomial():
     # x(x - 1)/2 takes integer values at 0, 1, 2 but its coefficients are not integers
     with pytest.raises(ArithmeticError):
         _fast.interpolate([0, 0, 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=20), st.booleans(),
+       st.integers(min_value=0, max_value=2))
+def test_interpolate_in_squares_matches_interpolate(half, odd, extra):
+    # p(y) = E(y^2) or y * E(y^2), the shape of a block's determinant after
+    # the Cayley change; interpolate takes it on -h..h, the other on 0..h
+    p = [0] * (2 * len(half) - 1 + odd) if half else []
+    p[odd::2] = half
+    while p and p[-1] == 0:
+        p.pop()
+    h = len(p) // 2 + extra
+    ys = [sum(c * y**i for i, c in enumerate(p)) for y in range(h + 1)]
+    sign = -1 if odd else 1
+    assert _fast.interpolate_in_squares(ys, odd) == p
+    assert _fast.interpolate([sign * v for v in reversed(ys[1:])] + ys, h) == p
+
+
+def test_interpolate_in_squares_refuses_values_of_no_integer_polynomial():
+    # y^2 (y^2 - 1) / 2 is even and integer-valued at 0, 1, 2, but not integral
+    with pytest.raises(ArithmeticError):
+        _fast.interpolate_in_squares([0, 0, 6], False)
+    with pytest.raises(ArithmeticError):
+        _fast.interpolate_in_squares([1, 0], True)  # odd, but p(0) != 0
 
 
 def congruent(rows, u_upper):

@@ -794,3 +794,23 @@ def test_theta_decimal_display():
     loc = jump_function(ALG).points[0].loc
     # arccos(3/4) ~ 0.7227
     assert theta_decimal(loc).startswith("0.72273")
+
+
+def test_reading_a_document_checks_each_poly_and_interval_once(monkeypatch):
+    # L(ALG, 2) at p = 3 over two periods: 24 points, each t twice, over
+    # the three blocks' even g; each poly is checked square-free once, and
+    # each (poly, interval) counted once
+    sd, c = ltm_family(ALG, 2)
+    g, _ = covering_jump(sd, c, CoveringSpec(p=3))
+    obj = jump_to_obj(with_period(g, 2 * g.period))
+    ats = [p["algebraic_t"] for p in obj["points"]]
+    polys = {tuple(a["poly"]) for a in ats}
+    cells = {(tuple(a["poly"]), tuple(a["interval"])) for a in ats}
+    assert (len(ats), len(cells), len(polys)) == (24, 12, 3)
+    square_free, counts = [], []
+    sfp, count_roots = P.square_free_part, P.count_roots
+    monkeypatch.setattr(P, "square_free_part", lambda p: square_free.append(1) or sfp(p))
+    monkeypatch.setattr(P, "count_roots", lambda *a: counts.append(1) or count_roots(*a))
+    f = jump_from_obj(obj)
+    assert (len(square_free), len(counts)) == (len(polys), len(cells))
+    assert jump_to_obj(f) == obj
