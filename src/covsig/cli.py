@@ -9,7 +9,8 @@ Subcommands:
     sigfn     CSV samples of the signature step function
 
 Exit codes: 0 success (including a Periodic verdict), 1 NonPeriodic verdict,
-2 input or usage error, 3 unresolved exact comparison.
+2 input or usage error (also a run that exhausts memory or the recursion
+limit, which is no verdict), 3 unresolved exact comparison.
 """
 
 from __future__ import annotations
@@ -53,11 +54,19 @@ def _frac(x) -> Fraction:
     raise ParseError(f"expected an exact rational, got {x!r}")
 
 
+def _int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ParseError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def _matrix(obj) -> RatMatrix:
     if obj == "trefoil":
         obj = TREFOIL
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not (isinstance(obj, list) and all(isinstance(row, list) for row in obj)):
+        raise ParseError(f"expected a matrix as a list of rows, got {obj!r}")
     return RatMatrix([[_frac(x) for x in row] for row in obj])
 
 
@@ -66,7 +75,9 @@ def _coeffs_from_args(args) -> dict:
         return pattern_coefficients(parse_word(args.word))
     if getattr(args, "coeffs", None):
         raw = json.loads(args.coeffs)
-        return {int(k): int(v) for k, v in raw.items()}
+        if not isinstance(raw, dict):
+            raise ParseError(f"coefficients must be a JSON object, got {raw!r}")
+        return {int(k): _int(v) for k, v in raw.items()}
     raise ParseError("need a pattern: --word or --coeffs")
 
 
@@ -95,18 +106,21 @@ def _jobspec_into_args(args):
         return
     text = sys.stdin.read() if args.input == "-" else open(args.input).read()
     job = json.loads(text)
+    if not (isinstance(job, dict) and all(isinstance(job.get(k, {}), dict) for k in
+                                          ("seifert", "pattern", "covering", "options"))):
+        raise ParseError("a job document must be a JSON object of JSON objects")
     sf = job.get("seifert", {})
     if "family" in sf:
         args.family = sf["family"]
         args.V = json.dumps(sf["V"]) if not isinstance(sf["V"], str) else sf["V"]
-        args.m = int(sf["m"])
-        args.epsilon = int(sf.get("epsilon", 1))
+        args.m = _int(sf["m"])
+        args.epsilon = _int(sf.get("epsilon", 1))
     elif sf:
         args.family = None
         args.A = json.dumps(sf["A"])
         args.B = json.dumps(sf["B"])
         args.C = json.dumps(sf["C"])
-        args.epsilon = int(sf.get("epsilon", 1))
+        args.epsilon = _int(sf.get("epsilon", 1))
     pat = job.get("pattern", {})
     if "word" in pat:
         args.word = pat["word"]
@@ -114,15 +128,17 @@ def _jobspec_into_args(args):
         args.coeffs = json.dumps(pat["coeffs"])
     cov = job.get("covering", {})
     if cov:
-        args.p = int(cov["p"])
-        args.a = int(cov.get("a", 1))
+        args.p = _int(cov["p"])
+        args.a = _int(cov.get("a", 1))
         if cov.get("target") is not None:
+            if not isinstance(cov["target"], list):
+                raise ParseError('"target" must be a JSON list')
             args.target = ",".join(str(t) for t in cov["target"])
     opt = job.get("options", {})
     if "precision_bits" in opt:
-        args.precision_bits = int(opt["precision_bits"])
+        args.precision_bits = _int(opt["precision_bits"])
     if "window_periods" in opt:
-        args.window = int(opt["window_periods"])
+        args.window = _int(opt["window_periods"])
     if "output_format" in opt:
         args.format = opt["output_format"]
 
@@ -189,12 +205,9 @@ def cmd_solve(args, out):
 
 def _run_pipeline(args):
     sd, family_coeffs = _seifert_from_args(args)
-    try:
-        c = _coeffs_from_args(args)
-    except ParseError:
-        if family_coeffs is None:
-            raise
-        c = family_coeffs
+    # a family brings its own pattern; one that is given, even malformed, wins
+    given = getattr(args, "word", None) or getattr(args, "coeffs", None)
+    c = family_coeffs if family_coeffs is not None and not given else _coeffs_from_args(args)
     spec = _spec_from_args(args)
     cm = build_covering(sd, c, spec)
     f = jump_function(cm, sd.epsilon, args.precision_bits)
@@ -340,7 +353,8 @@ def run_command(argv=None, out=None) -> int:
         print(json.dumps({"error": str(e), "type": "UnresolvedComparison"},
                          sort_keys=True), file=out)
         return EXIT_UNRESOLVED
-    except (CovsigError, ValueError, OSError, json.JSONDecodeError, KeyError) as e:
+    except (CovsigError, ValueError, OSError, json.JSONDecodeError, KeyError,
+            RecursionError, MemoryError) as e:
         print(json.dumps({"error": str(e), "type": type(e).__name__},
                          sort_keys=True), file=out)
         return EXIT_USAGE

@@ -7,11 +7,12 @@ never merge, so the comparison API is honest about running out of precision:
 it returns UNRESOLVED instead of guessing.
 
 Isolation and refinement run in integers and land on the intervals of plain
-bisection: the isolator walks the Sturm-count bisection tree with Descartes'
-rule of signs on Taylor-shifted integer polynomials, and refine_to finds the
-cell that repeated bisection would end on by secant steps on that cell's
-grid.  Sturm counts remain for validating an AlgReal, for the equality
-certificate and for the rare dyadic cell that leaves its isolating interval.
+bisection: the isolator walks the root-count bisection tree with Descartes'
+rule of signs on Taylor-shifted integer polynomials (poly._descartes_cells),
+and refine_to finds the cell that repeated bisection would end on by secant
+steps on that cell's grid.  The same Descartes count (poly.count_roots)
+validates an AlgReal, certifies equality and decides the rare dyadic cell
+that leaves its isolating interval.
 
 What is printed of an AlgReal is its `cell`, a (poly, lo, hi) triple fixed
 when the number is made and untouched by refinement.  jump_function sets it
@@ -26,7 +27,6 @@ import enum
 from fractions import Fraction
 from math import lcm
 
-from .._fast import _shift_by_one
 from . import poly as P
 
 DEFAULT_PRECISION_BITS = 256
@@ -49,7 +49,7 @@ class AlgReal:
     a caller sets another (dyadic_cell); refinement never moves it.
     """
 
-    __slots__ = ("poly", "lo", "hi", "cell", "_ip", "_slo", "_chain")
+    __slots__ = ("poly", "lo", "hi", "cell", "_ip", "_slo")
 
     def __init__(self, defining, lo, hi, _checked=False):
         defining = P.monic(P.trim([Fraction(c) for c in defining]))
@@ -72,11 +72,11 @@ class AlgReal:
             raise ValueError("empty isolating interval")
         if P.sign_at(self._ip, lo) == 0 or P.sign_at(self._ip, hi) == 0:
             raise ValueError("interval endpoints must not be roots")
-        if P.count_roots(self.chain(), lo, hi) != 1:
+        if P.count_roots(self._ip, lo, hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
 
     def with_interval(self, lo, hi, check=True):
-        """The root of the same polynomial in (lo, hi), sharing its integer form and Sturm chain.
+        """The root of the same polynomial in (lo, hi), sharing its integer form.
 
         With check, (lo, hi) must isolate a root (ValueError otherwise); the
         polynomial is not checked again.
@@ -92,17 +92,11 @@ class AlgReal:
         self.poly = monic_poly
         self._ip = P.int_form(monic_poly)
         self._slo = 0  # not yet known
-        self._chain = None
 
     @classmethod
     def from_rational(cls, q):
         q = Fraction(q)
         return cls([-q, 1], q - 1, q + 1, _checked=True)
-
-    def chain(self):
-        if self._chain is None:
-            self._chain = P._sturm_chain(self.poly)  # self.poly is square-free
-        return self._chain
 
     @property
     def is_rational(self):
@@ -233,7 +227,7 @@ class AlgReal:
         """
         a = AlgReal.__new__(AlgReal)
         a.poly, a._ip = _mirror(self.poly), _mirror(self._ip)
-        a._slo, a._chain = 0, None
+        a._slo = 0
         a.lo, a.hi = -self.hi, -self.lo
         poly, lo, hi = self.cell
         a.cell = (a.poly if poly is self.poly else _mirror(poly), -hi, -lo)
@@ -246,7 +240,7 @@ class AlgReal:
 
     def copy(self):
         a = AlgReal.__new__(AlgReal)
-        a.poly, a._ip, a._slo, a._chain = self.poly, self._ip, self._slo, self._chain
+        a.poly, a._ip, a._slo = self.poly, self._ip, self._slo
         a.lo, a.hi, a.cell = self.lo, self.hi, self.cell
         return a
 
@@ -266,12 +260,12 @@ def isolate_real_roots(p, window=None):
     Returns one AlgReal per root of the square-free part, in increasing order,
     with pairwise disjoint isolating intervals; the square-free part is
     taken here, with one gcd, so p need not be square-free.  Each root's
-    cell is its isolating interval.  The intervals are those of
-    Sturm-count bisection from the Cauchy bound: a node holding one root is
-    emitted, one holding two or more is split at its midpoint, or off it by
-    a fixed rule when the midpoint is a root.  The counts come from
-    Descartes' rule of signs on the same tree (Collins-Akritas), in
-    integers: see _descartes_cells.
+    cell is its isolating interval.  The intervals are those of root-count
+    bisection from the Cauchy bound: a node holding one root is emitted,
+    one holding two or more is split at its midpoint, or off it by a fixed
+    rule when the midpoint is a root.  The counts come from Descartes' rule
+    of signs on the same tree (Collins-Akritas), in integers: see
+    poly._descartes_cells.
     """
     p = P.trim([Fraction(c) for c in p])
     if P.is_zero(p):
@@ -297,7 +291,7 @@ def isolate_real_roots(p, window=None):
         hi -= step * (hi - lo) / 4
         step /= 2
     out = []
-    for a, b in _descartes_cells(isf, lo, hi):
+    for a, b in P._descartes_cells(isf, lo, hi):
         # one AlgReal is built; the others share its polynomials
         out.append(out[0].with_interval(a, b, check=False) if out
                    else AlgReal(sf, a, b, _checked=True))
@@ -318,9 +312,9 @@ def dyadic_cell(root: AlgReal, iso: AlgReal):
         [r - 2^-Q, r + 2^-Q], Q the least multiple of 64 above j, so that
         both ends still have the denominator 2^Q.
     A cell inside (iso.lo, iso.hi) isolates with no polynomial work;
-    otherwise a Sturm count decides.  The answer depends on neither the
-    isolation nor the refinement history, and the mirror image of the cell
-    of r is the cell of -r.
+    otherwise a Descartes count (poly.count_roots) decides.  The answer
+    depends on neither the isolation nor the refinement history, and the
+    mirror image of the cell of r is the cell of -r.
     """
     ip = iso._ip
     x = root.copy()
@@ -351,93 +345,9 @@ def dyadic_cell(root: AlgReal, iso: AlgReal):
         if iso.lo < lo and hi < iso.hi:
             return iso.poly, lo, hi
         if (P.sign_at(ip, lo) and P.sign_at(ip, hi)
-                and P.count_roots(iso.chain(), lo, hi) == 1):
+                and P.count_roots(ip, lo, hi) == 1):
             return iso.poly, lo, hi
         p += 64
-
-
-def _scale_arg(q, r, s):
-    """s^d * q(r*x/s) for ints r, s > 0: the coefficients q_i * r^i * s^(d-i)."""
-    out = list(q)
-    f = 1
-    for i in range(len(out) - 1, -1, -1):
-        out[i] *= f
-        f *= s
-    if r != 1:
-        f = 1
-        for i in range(len(out)):
-            out[i] *= f
-            f *= r
-    return out
-
-
-def _descartes_cells(ip, lo, hi):
-    """The isolating cells of Sturm-count bisection of ip on (lo, hi), left to right.
-
-    lo and hi are not roots of the square-free integer polynomial ip.  A
-    node (a, b) of the bisection tree carries q, a positive integer multiple
-    of ip(a + (b - a) x), whose roots in (0, 1) are those of ip in (a, b).
-    Descartes' rule bounds their number by v, the sign variations of
-    x^d q(1/x) after a unit Taylor shift, with v's parity, so v <= 1 is
-    exact: v = 0 ends a branch and v = 1 is a cell with one root.  A node
-    with v >= 2 splits at lam = 1/2 or, if that is a root (q(lam) = 0), at
-    the point of Sturm's rule, lam <- 2 lam / 3, lam <- lam + (1 - lam) / 7;
-    for lam = r/s its halves are s^d q(r x / s) and that shifted by one and
-    rescaled by (s - r) / r.
-
-    Sturm splits only nodes with two or more roots, where v >= 2 too, so
-    this tree contains Sturm's, which emits the highest node holding exactly
-    one root.  A node's root count is the number of v = 1 cells below it:
-    once both halves of a node are done, the node takes the place of their
-    cells if they are exactly one.
-    """
-    d = hi - lo
-    # q(x) = den^deg * ip((num + wn*x) / den) for lo = num/den, hi - lo = wn/den
-    den = lcm(lo.denominator, d.denominator)
-    num, wn = lo.numerator * (den // lo.denominator), d.numerator * (den // d.denominator)
-    q0 = _scale_arg(P.taylor_shift(_scale_arg(ip, 1, den), num), wn, 1)
-    out = []
-    todo = [(q0, lo, hi, None)]
-    while todo:
-        q, a, b, start = todo.pop()
-        if q is None:  # both halves of (a, b) are done
-            if len(out) == start + 1:
-                out[start] = (a, b)
-            continue
-        v = _variations(_shift_by_one(q[::-1]))
-        if v == 0:
-            continue
-        if v == 1:
-            out.append((a, b))
-            continue
-        lam = Fraction(1, 2)
-        left = _scale_arg(q, 1, 2)
-        while not sum(left):  # q(lam) = 0: the midpoint is a root
-            lam = 2 * lam / 3
-            lam += (1 - lam) / 7
-            left = _scale_arg(q, lam.numerator, lam.denominator)
-        r, s = lam.numerator, lam.denominator
-        right = _shift_by_one(left)
-        if s - r != r:
-            right = _scale_arg(right, s - r, r)
-        mid = a + lam * (b - a)
-        todo.append((None, a, b, len(out)))
-        todo.append((right, mid, b, None))
-        todo.append((left, a, mid, None))
-    return out
-
-
-def _variations(coeffs):
-    """Sign variations of a coefficient list, counted up to 2."""
-    v, last = 0, 0
-    for c in coeffs:
-        if c:
-            if last and (c > 0) != (last > 0):
-                v += 1
-                if v == 2:
-                    return 2
-            last = c
-    return v
 
 
 def _cert_equal(a: AlgReal, b: AlgReal) -> bool:
@@ -447,18 +357,12 @@ def _cert_equal(a: AlgReal, b: AlgReal) -> bool:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
         return False
-    gchain = P._sturm_chain(g)  # g divides a square-free poly; gchain[0] is its integer form
-    if P.sign_at(gchain[0], lo) == 0 or P.sign_at(gchain[0], hi) == 0:
-        return False  # caller refines and retries
-    if P.count_roots(gchain, lo, hi) < 1:
-        return False
-    achain, bchain = a.chain(), b.chain()
-    if P.sign_at(a._ip, lo) == 0 or P.sign_at(a._ip, hi) == 0:
-        return False
-    if P.sign_at(b._ip, lo) == 0 or P.sign_at(b._ip, hi) == 0:
-        return False
-    return (P.count_roots(achain, lo, hi) == 1
-            and P.count_roots(bchain, lo, hi) == 1)
+    ig = P.int_form(g)  # g divides a square-free poly, so it is square-free
+    for ip in (ig, a._ip, b._ip):
+        if P.sign_at(ip, lo) == 0 or P.sign_at(ip, hi) == 0:
+            return False  # caller refines and retries
+    return (P.count_roots(ig, lo, hi) >= 1 and P.count_roots(a._ip, lo, hi) == 1
+            and P.count_roots(b._ip, lo, hi) == 1)
 
 
 def _as_scaled(x):

@@ -2,23 +2,22 @@
 
 Only what the root-isolation and jump-extraction code needs: ring arithmetic,
 exact division, gcd / square-free part, a coprimality test that is mostly
-one gcd modulo a word-size prime, Sturm chains and sign-variation
-counting.  The gcd, covsig's one use of sympy, delegates to its dense
-kernel, which avoids the coefficient blowup of remainder sequences on the
-large determinant polynomials of covering computations (a primitive
-pseudo-remainder gcd was 30x slower at degree 60); sympy is most of the
-import time, so it is imported on the first gcd.
+one gcd modulo a word-size prime, and root counting.  The gcd, covsig's one
+use of sympy, delegates to its dense kernel, which avoids the coefficient
+blowup of remainder sequences on the large determinant polynomials of
+covering computations (a primitive pseudo-remainder gcd was 30x slower at
+degree 60); sympy is most of the import time, so it is imported on the
+first gcd.
 
 Sign-only questions are answered in integers: `sign_at` takes a primitive
 integer coefficient list and a rational point n/d, and `_value_at` gives the
 value behind that sign, times a positive integer, for the secant steps of
-refinement.  Sturm chains are built and kept as integer lists (a primitive
-pseudo-remainder sequence); their counts only validate an isolating interval
-and certify a common root, since roots are isolated by Descartes' rule (see
-algebraic).  A Sturm count only reads signs, so every chain member may be
-scaled by any positive integer; the pseudo-remainders are taken with
-positive multipliers for that reason.  `taylor_shift` is the integer kernel
-of the Cayley numerator in jumps and of the isolator's start.
+refinement.  `count_roots` counts the roots in an interval by Descartes'
+rule of signs on Taylor-shifted integer polynomials (Collins-Akritas), on
+the bisection tree that isolates roots (`_descartes_cells`): isolation,
+the check of an isolating interval, the equality certificate and the
+dyadic cell all count this way.  `taylor_shift` is the integer kernel of
+that tree's start and of the Cayley numerator in jumps.
 """
 
 from __future__ import annotations
@@ -26,6 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd as int_gcd
+from math import lcm
+
+from .._fast import _shift_by_one
 
 
 def trim(p):
@@ -85,6 +87,100 @@ def taylor_shift(p, c):
         for j in range(n - 2, i - 1, -1):
             p[j] += c * p[j + 1]
     return p
+
+
+def _scale_arg(q, r, s):
+    """s^d * q(r*x/s) for ints r, s > 0: the coefficients q_i * r^i * s^(d-i)."""
+    out = list(q)
+    f = 1
+    for i in range(len(out) - 1, -1, -1):
+        out[i] *= f
+        f *= s
+    if r != 1:
+        f = 1
+        for i in range(len(out)):
+            out[i] *= f
+            f *= r
+    return out
+
+
+def _descartes_cells(ip, lo, hi):
+    """The isolating cells of ip on (lo, hi), left to right.
+
+    lo and hi are not roots of the square-free integer polynomial ip.  A
+    node (a, b) of the bisection tree carries q, a positive integer multiple
+    of ip(a + (b - a) x), whose roots in (0, 1) are those of ip in (a, b).
+    Descartes' rule bounds their number by v, the sign variations of
+    x^d q(1/x) after a unit Taylor shift, with v's parity, so v <= 1 is
+    exact: v = 0 ends a branch and v = 1 is a node with one root.  A node
+    with v >= 2 splits at lam = 1/2 or, if that is a root (q(lam) = 0), at
+    the point of the rule lam <- 2 lam / 3, lam <- lam + (1 - lam) / 7; for
+    lam = r/s its halves are s^d q(r x / s) and that shifted by one and
+    rescaled by (s - r) / r.
+
+    The cells are those of root-count bisection, which splits only nodes
+    holding two or more roots and emits the highest node holding exactly
+    one.  Such nodes have v >= 2 too, so this tree contains that one.  A
+    node's root count is the number of v = 1 cells below it: once both
+    halves of a node are done, the node takes the place of their cells if
+    they are exactly one.
+    """
+    d = hi - lo
+    # q(x) = den^deg * ip((num + wn*x) / den) for lo = num/den, hi - lo = wn/den
+    den = lcm(lo.denominator, d.denominator)
+    num, wn = lo.numerator * (den // lo.denominator), d.numerator * (den // d.denominator)
+    q0 = _scale_arg(taylor_shift(_scale_arg(ip, 1, den), num), wn, 1)
+    out = []
+    todo = [(q0, lo, hi, None)]
+    while todo:
+        q, a, b, start = todo.pop()
+        if q is None:  # both halves of (a, b) are done
+            if len(out) == start + 1:
+                out[start] = (a, b)
+            continue
+        v = _variations(_shift_by_one(q[::-1]))
+        if v == 0:
+            continue
+        if v == 1:
+            out.append((a, b))
+            continue
+        lam = Fraction(1, 2)
+        left = _scale_arg(q, 1, 2)
+        while not sum(left):  # q(lam) = 0: the midpoint is a root
+            lam = 2 * lam / 3
+            lam += (1 - lam) / 7
+            left = _scale_arg(q, lam.numerator, lam.denominator)
+        r, s = lam.numerator, lam.denominator
+        right = _shift_by_one(left)
+        if s - r != r:
+            right = _scale_arg(right, s - r, r)
+        mid = a + lam * (b - a)
+        todo.append((None, a, b, len(out)))
+        todo.append((right, mid, b, None))
+        todo.append((left, a, mid, None))
+    return out
+
+
+def _variations(coeffs):
+    """Sign variations of a coefficient list, counted up to 2."""
+    v, last = 0, 0
+    for c in coeffs:
+        if c:
+            if last and (c > 0) != (last > 0):
+                v += 1
+                if v == 2:
+                    return 2
+            last = c
+    return v
+
+
+def count_roots(ip, lo, hi):
+    """Number of roots of the square-free integer polynomial ip in (lo, hi).
+
+    lo < hi are rationals and neither is a root.  Each cell of
+    _descartes_cells holds exactly one root, so their number is the count.
+    """
+    return len(_descartes_cells(ip, lo, hi))
 
 
 def eval_at(p, x):
@@ -306,82 +402,7 @@ def _value_at(ip, n, d):
     return acc
 
 
-def _primitive(v):
-    """The integer list v divided by the gcd of its entries; signs are kept."""
-    g = int_gcd(*v)
-    return [c // g for c in v] if g > 1 else v
-
-
-def _pseudo_remainder(a, b):
-    """A positive integer multiple of the remainder of a by b, for int lists.
-
-    Each step multiplies the running remainder by |lc(b)| and subtracts the
-    multiple of b that cancels its leading term: no division, and the factor
-    |lc(b)|^k > 0 keeps the sign of the true remainder at every point.
-    """
-    r = list(a)
-    db = len(b) - 1
-    m = abs(b[-1])
-    s = 1 if b[-1] > 0 else -1
-    while len(r) > db:
-        k = len(r) - 1 - db
-        c = s * r[-1]
-        if m != 1:
-            r = [m * x for x in r]
-        for i, x in enumerate(b):
-            r[k + i] -= c * x
-        r = trim(r[:-1])
-    return r
-
-
-def sturm_chain(p):
-    """Sturm chain of the square-free part of p, as integer lists.
-
-    Every member is the primitive integer form, signs kept, of the member of
-    the Euclidean chain over Q: a positive factor keeps the coefficients
-    from exploding without changing any sign variation count.
-    """
-    return _sturm_chain(square_free_part(p))
-
-
-def _sturm_chain(sf):
-    """sturm_chain(sf) for an sf that is already square-free: no gcd, only ints.
-
-    The members are the primitive integer forms of sf and sf', and then
-    the negated primitive pseudo-remainders (see _pseudo_remainder) of each
-    pair; up to positive factors these are the members of the Euclidean chain.
-    """
-    if degree(sf) < 1:
-        return [int_form(sf)] if sf else []
-    ip = int_form(sf)
-    chain = [ip, _primitive(derivative(ip))]
-    while len(chain[-1]) >= 2:
-        rem = _pseudo_remainder(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in _primitive(rem)])
-    return chain
-
-
 def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def sign_variations_at(chain, x):
-    """Sign variations of an integer chain at x (rational or +/- "inf")."""
-    signs = []
-    for p in chain:
-        if x == "inf":
-            s = _sign(p[-1]) if p else 0
-        elif x == "-inf":
-            s = _sign(p[-1]) * (1 if (degree(p) % 2 == 0) else -1) if p else 0
-        else:
-            s = sign_at(p, x)
-        if s != 0:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(chain, lo, hi):
-    """Number of distinct real roots in (lo, hi]; endpoints may be +/-"inf"."""
-    return sign_variations_at(chain, lo) - sign_variations_at(chain, hi)

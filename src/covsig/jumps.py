@@ -914,7 +914,7 @@ def _at_root_of_unity(t: AlgReal) -> bool:
     if n > bound or P.totient(n) > 2 * deg:
         return False
     g = P.gcd(t.poly, _cyclotomic_cayley_gcd(n))
-    return P.degree(g) >= 1 and P.count_roots(P.sturm_chain(g), t.lo, t.hi) > 0
+    return P.degree(g) >= 1 and P.count_roots(P.int_form(g), t.lo, t.hi) > 0
 
 
 def _read_t(at: dict, seen: dict) -> AlgReal:

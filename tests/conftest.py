@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from covsig import Comparison, RatMatrix, _fast, compare_locations
+from covsig.exact import poly as P
 
 TREFOIL = RatMatrix([[-1, 1], [0, -1]])
 # Seifert matrix of the (2,5) torus knot
@@ -72,3 +73,30 @@ def trefoil():
 @pytest.fixture
 def t25():
     return T25
+
+
+def fraction_sturm_chain(p):
+    """Sturm chain of p's square-free part by Fraction long division, each member through int_form.
+
+    An oracle independent of covsig's root counter, which uses Descartes' rule.
+    """
+    p = P.square_free_part(p)
+    if P.degree(p) < 1:
+        return [P.int_form(p)] if p else []
+    chain = [P.int_form(p), P.int_form(P.derivative(p))]
+    while P.degree(chain[-1]) >= 1:
+        rem = P.divmod_poly(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(P.neg(P.int_form(rem)))
+    return chain
+
+
+def sturm_count(chain, lo, hi):
+    """Distinct real roots in (lo, hi] by Sturm's theorem: the drop in sign variations."""
+
+    def variations(x):
+        signs = [s for s in ((v > 0) - (v < 0) for v in (P.eval_at(q, x) for q in chain)) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo) - variations(hi)

@@ -285,6 +285,54 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
+LTM_TREFOIL = {"family": "ltm", "V": "trefoil", "m": 2}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["jump", "--V", "[1,2]"], None),
+    (["obstruct", "--input", "-"],
+     {"seifert": {"family": "ltm", "V": [1, 2], "m": 2}, "covering": {"p": 3}}),
+    (["obstruct", "--input", "-"],
+     {"seifert": LTM_TREFOIL, "pattern": {"coeffs": [1, 2]}, "covering": {"p": 3}}),
+    (["obstruct", "--input", "-"], {"seifert": LTM_TREFOIL, "covering": {"p": 3, "target": 5}}),
+    (["obstruct", "--input", "-"], {"seifert": LTM_TREFOIL, "covering": [3]}),
+    (["obstruct", "--input", "-"], [1, 2]),
+    (["obstruct", "--input", "-"], {"seifert": LTM_TREFOIL, "covering": {"p": [3]}}),
+    # a fractional m was truncated to 2 and gave a verdict
+    (["obstruct", "--input", "-"], {"seifert": {**LTM_TREFOIL, "m": 2.9}, "covering": {"p": 3}}),
+    # a family's own pattern does not stand in for a malformed one
+    (["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3",
+      "--word", "x q"], None),
+], ids=["matrix-not-rows", "family-V-not-rows", "coeffs-not-object", "target-not-list",
+        "section-not-object", "document-not-object", "p-not-integer", "m-not-integer",
+        "family-with-bad-word"])
+def test_malformed_input_is_a_usage_error(monkeypatch, argv, doc):
+    if doc is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, text = run(argv)
+    assert code == 2
+    assert text.count("\n") == 1
+    assert json.loads(text)["type"] == "ParseError"
+
+
+def test_a_deep_document_is_a_usage_error(monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200_000 + "]" * 200_000))
+    code, text = run(["obstruct", "--input", "-"])
+    assert code == 2
+    assert json.loads(text)["type"] == "RecursionError"
+
+
+def test_running_out_of_memory_is_a_usage_error(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("covering too large")
+
+    monkeypatch.setattr(cli, "build_covering", exhausted)
+    code, text = run(["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2",
+                      "--p", "3", "--format", "json"])
+    assert code == 2
+    assert json.loads(text) == {"error": "covering too large", "type": "MemoryError"}
+
+
 def test_inline_seifert_rational_entries():
     code, text = run([
         "obstruct",

@@ -2,9 +2,10 @@
 and real algebraic numbers."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational, totient
 from sympy.polys.specialpolys import cyclotomic_poly
@@ -25,6 +26,7 @@ from covsig import (
 from covsig.exact import poly as P
 from covsig.exact import dyadic_cell
 from covsig.exact.gauss import I
+from conftest import fraction_sturm_chain, sturm_count
 
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=12
@@ -270,12 +272,13 @@ def test_totient_matches_sympy():
 
 
 def test_sturm_root_count():
-    # (x^2 - 2)(x^2 - 3): four real roots, two positive
+    # (x^2 - 2)(x^2 - 3): four real roots, two positive; the Descartes count
+    # agrees with the Fraction Sturm oracle
     p = P.mul([Fraction(-2), 0, Fraction(1)], [Fraction(-3), 0, Fraction(1)])
-    chain = P.sturm_chain(p)
-    assert P.count_roots(chain, "-inf", "inf") == 4
-    assert P.count_roots(chain, Fraction(0), "inf") == 2
-    assert P.count_roots(chain, Fraction(7, 5), Fraction(3, 2)) == 1  # sqrt2
+    chain, ip = fraction_sturm_chain(p), P.int_form(p)
+    for lo, hi, n in ((Fraction(-4), Fraction(4), 4), (Fraction(0), Fraction(4), 2),
+                      (Fraction(7, 5), Fraction(3, 2), 1)):  # the last holds sqrt2
+        assert sturm_count(chain, lo, hi) == P.count_roots(ip, lo, hi) == n
 
 
 def test_content_primitive():
@@ -390,21 +393,16 @@ def test_sign_at_matches_rational_horner(cs, x, make_root):
 
 def _reference_bisection(poly, lo, hi, steps):
     """The (lo, hi) sequence of Sturm-count bisection, in Fraction arithmetic."""
-
-    def variations(chain, x):
-        signs = [s for s in (_sgn(P.eval_at(q, x)) for q in chain) if s]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    chain = P.sturm_chain(poly)
+    chain = fraction_sturm_chain(poly)
     out = []
     for _ in range(steps):
         mid = (lo + hi) / 2
         if P.eval_at(poly, mid) == 0:
             w = (hi - lo) / 4
             poly = [-mid, Fraction(1)]
-            chain = P.sturm_chain(poly)
+            chain = fraction_sturm_chain(poly)
             lo, hi = mid - w, mid + w
-        elif variations(chain, lo) - variations(chain, mid) == 1:
+        elif sturm_count(chain, lo, mid) == 1:
             hi = mid
         else:
             lo = mid
@@ -426,36 +424,6 @@ def test_refine_matches_sturm_bisection(cs, k, b):
             root.refine()
             got.append((root.lo, root.hi))
         assert got == expected
-
-
-def fraction_sturm_chain(p):
-    """Sturm chain by Fraction long division, each member through int_form."""
-    p = P.square_free_part(p)
-    if P.degree(p) < 1:
-        return [P.int_form(p)] if p else []
-    chain = [P.int_form(p), P.int_form(P.derivative(p))]
-    while P.degree(chain[-1]) >= 1:
-        rem = P.divmod_poly(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(P.neg(P.int_form(rem)))
-    return chain
-
-
-@given(st.lists(rationals, min_size=1, max_size=9), st.lists(small_ints, min_size=1, max_size=3))
-@settings(max_examples=150, deadline=None)
-# the remainder of 7 + 8t^3 by 16 - 21t takes three steps with lc = -21 < 0
-@example([Fraction(1), Fraction(-7, 4), Fraction(0), Fraction(0), Fraction(-1, 2)], [1])
-def test_sturm_chain_matches_fraction_remainders(cs, factor):
-    p = P.trim(cs)
-    q = P.trim([Fraction(c) for c in factor])
-    if not p or not q:
-        return
-    # p itself, and p * q^2, which is not square-free when deg q >= 1
-    for poly in (p, P.mul(p, P.mul(q, q))):
-        chain = P.sturm_chain(poly)
-        assert all(type(c) is int for member in chain for c in member)
-        assert chain == fraction_sturm_chain(poly)
 
 
 @given(int_coeffs, st.integers(min_value=0, max_value=4), st.integers(min_value=-9, max_value=9),
@@ -492,7 +460,7 @@ def isolate_by_sturm(p, window=None):
     sf = P.square_free_part(p)
     if P.degree(sf) < 1:
         return []
-    chain = P.sturm_chain(sf)
+    chain = fraction_sturm_chain(sf)
     isf = chain[0]
     bound = P.cauchy_root_bound(sf)
     lo, hi = -bound, bound
@@ -509,7 +477,7 @@ def isolate_by_sturm(p, window=None):
         hi -= step * (hi - lo) / 4
         step /= 2
     out = []
-    stack = [(lo, hi, P.count_roots(chain, lo, hi))]
+    stack = [(lo, hi, sturm_count(chain, lo, hi))]
     while stack:
         a, b, cnt = stack.pop()
         if cnt == 0:
@@ -521,7 +489,7 @@ def isolate_by_sturm(p, window=None):
         while P.sign_at(isf, mid) == 0:
             mid = (a + 2 * mid) / 3
             mid += (b - mid) / 7
-        cl = P.count_roots(chain, a, mid)
+        cl = sturm_count(chain, a, mid)
         stack.append((a, mid, cl))
         stack.append((mid, b, cnt - cl))
     return sorted(out)
@@ -580,9 +548,8 @@ def grid_position(p, root, level):
 
 
 def isolates(p, lo, hi):
-    chain = P.sturm_chain(p)
     return (P.eval_at(p, lo) != 0 and P.eval_at(p, hi) != 0
-            and P.count_roots(chain, lo, hi) == 1)
+            and sturm_count(fraction_sturm_chain(p), lo, hi) == 1)
 
 
 @given(int_coeffs, st.booleans(), st.integers(min_value=0, max_value=150),
@@ -639,3 +606,40 @@ def test_dyadic_cell_is_canonical(cs, dyadic, k, b, close, c):
                                                              enumerate(poly)]), -hi, -lo)
         iso.cell = (poly, lo, hi)
         assert iso.neg().cell == dyadic_cell(iso.neg(), iso.neg())
+
+
+# ---------------------------------------------------------------------------
+# the root counter
+
+CLOSE_PAIR = [CLOSE * CLOSE - 27, -6 * CLOSE * CLOSE, 9 * CLOSE * CLOSE]  # c = 1
+SQRT2_64 = isqrt(2 << 128)  # floor(sqrt(2) * 2^64)
+
+
+@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=13),
+       rationals, st.fractions(min_value=Fraction(1, 64), max_value=Fraction(20),
+                               max_denominator=64))
+@settings(max_examples=150, deadline=None)
+# roots 1/3 +- sqrt(3)/2^71: a cell holding both, and cells holding one
+@example(CLOSE_PAIR, Fraction(0), Fraction(1))
+@example(CLOSE_PAIR, Fraction(1, 3) - Fraction(1, 1 << 70), Fraction(1, 1 << 70))
+@example(CLOSE_PAIR, Fraction(1, 3), Fraction(1, 1 << 70))
+# the level-64 dyadic cell around sqrt(2)
+@example([-2, 0, 1], Fraction(SQRT2_64, 1 << 64), Fraction(1, 1 << 64))
+# (x - 1/2)^2 + 1/400 on (0, 1): no real root, but v = 2 at the top node
+@example([101, -400, 400], Fraction(0), Fraction(1))
+# x^3 - x on (-2, 2): the first midpoint is the root 0
+@example([0, -1, 0, 1], Fraction(-2), Fraction(4))
+def test_count_roots_matches_the_sturm_oracle(cs, lo, w):
+    sf = P.square_free_part(P.trim([Fraction(c) for c in cs]))
+    assume(P.degree(sf) >= 1)
+    ip, hi = P.int_form(sf), lo + w
+    assume(P.sign_at(ip, lo) and P.sign_at(ip, hi))
+    assert P.count_roots(ip, lo, hi) == sturm_count(fraction_sturm_chain(sf), lo, hi)
+
+
+def test_alg_compare_certifies_a_root_of_two_polys():
+    # sqrt(2) as a root of x^2 - 2 and of (x^2 - 2)(x - 3), on overlapping intervals
+    a = AlgReal([-2, 0, 1], 1, 2)
+    b = AlgReal([6, -2, -3, 1], Fraction(5, 4), Fraction(5, 2))
+    assert alg_compare(a, b) is Comparison.EQ
+    assert alg_compare(b, a) is Comparison.EQ

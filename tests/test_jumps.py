@@ -56,7 +56,7 @@ from covsig.jumps import (
     _separate_candidates,
     theta_decimal,
 )
-from conftest import ALG, T25, TREFOIL, same_jumps
+from conftest import ALG, T25, TREFOIL, fraction_sturm_chain, same_jumps, sturm_count
 
 small_ints = st.integers(min_value=-2, max_value=2)
 
@@ -555,7 +555,7 @@ def at_root_of_unity_by_scan(t):
         if int(totient(n)) > 2 * deg:
             continue
         g = P.gcd(t.poly, _cyclotomic_cayley_gcd(n))
-        if P.degree(g) >= 1 and P.count_roots(P.sturm_chain(g), t.lo, t.hi):
+        if P.degree(g) >= 1 and sturm_count(fraction_sturm_chain(g), t.lo, t.hi):
             return True
     return False
 
@@ -565,13 +565,13 @@ def test_root_of_unity_points_match_the_scan(n):
     # every t = tan(pi*k/n) of a primitive n-th root of unity, also as a root
     # of a poly with a spare factor, which raises deg and so the bound 8*deg^2
     g = list(_cyclotomic_cayley_gcd(n))
-    chain = P.sturm_chain(g)
+    chain = fraction_sturm_chain(g)
     for poly in (g, P.mul(g, [Fraction(-2), 0, Fraction(1)])):
         ts = isolate_real_roots(poly)
         assert len(ts) == P.degree(poly)
         for t in ts:
             # the roots of g are the points, those of x^2 - 2 are not
-            expected = P.count_roots(chain, t.lo, t.hi) == 1
+            expected = sturm_count(chain, t.lo, t.hi) == 1
             assert _at_root_of_unity(t) is at_root_of_unity_by_scan(t) is expected
 
 
