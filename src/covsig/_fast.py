@@ -18,10 +18,11 @@ of its blocks on the connected components of that pattern (one union-find,
 _components), and det M' is the product of the blocks' determinants.  After
 the Cayley change w = (1 - y)/(1 + y), under which (1 + y)^(n_b) det M'_b is
 even or odd in y, each block's determinant is taken by bareiss_det at the
-integers y = 0..h, h = ceil(n_b/2), and interpolated in integers as a
-polynomial in y^2 on the nodes 0, 1, 4, ..., h^2; the n x n matrix is not
-formed.  Every division on the way is
-exact, and one that is not raises ArithmeticError.
+integers y = 0..h, h = ceil(n_b/2), interpolated in integers as a
+polynomial in y^2 on the nodes 0, 1, 4, ..., h^2, and taken back to w by
+the Cayley map of exact.poly, which is its own inverse up to 2^n_b; the
+n x n matrix is not formed.  D stays in ints, and every division on the
+way is exact: one that is not raises ArithmeticError.
 
 Signature samples are taken on a PencilCore: the pencil of a covering matrix
 with each strand group's chain of difference strands eliminated.
@@ -58,9 +59,9 @@ On the covering matrices, which are sparse, most multipliers are 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import accumulate
 from math import lcm
+
+from .exact import poly as P
 
 
 def _eliminate(m, ncols=None):
@@ -238,19 +239,6 @@ def interpolate_in_squares(values, odd: bool):
     return out
 
 
-def _shift_by_one(coef):
-    """Ascending coefficients of p(x + 1), given those of p(x)."""
-    r = coef[::-1]  # Horner's scheme on the descending coefficients, as running sums
-    for k in range(len(r), 1, -1):
-        r[:k] = accumulate(r[:k])
-    return r[::-1]
-
-
-def _alternate(coef):
-    """Coefficients of p(-x)."""
-    return [-a if i & 1 else a for i, a in enumerate(coef)]
-
-
 def _components(adj):
     """Connected components of the graph with neighbour lists adj, as ascending index lists.
 
@@ -276,33 +264,6 @@ def _components(adj):
     return list(comps.values())
 
 
-def _from_cayley(d, n: int):
-    """Integer coefficients of 2^(-n) * sum_i d_i (1 - w)^i (1 + w)^(n - i), ascending.
-
-    The polynomial in w whose Cayley transform (1 + y)^n p((1 - y)/(1 + y))
-    has the coefficients d, of degree <= n; a division that is not exact
-    raises ArithmeticError.
-    """
-    d = d + [0] * (n + 1 - len(d))
-    # sum_i d_i (1 - w)^i (1 + w)^(n - i) = (1 + w)^n p(2/(1 + w) - 1)
-    shifted = _alternate(_shift_by_one(_alternate(d)))  # p(x - 1)
-    out = _shift_by_one([shifted[n - j] << (n - j) for j in range(n + 1)])
-    top = 1 << n
-    if any(x % top for x in out):
-        raise ArithmeticError("det M'(w) came out with a non-integer coefficient")
-    return [x >> n for x in out]
-
-
-def _mul(p, q):
-    """Product of two integer polynomials, ascending coefficients."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 def pencil_det_poly(p_rows, eps: int, mults=(1,), factors=None):
     """Ascending coefficients of D(w) = det(w*P - eps*P^T) for integer P.
 
@@ -315,14 +276,16 @@ def pencil_det_poly(p_rows, eps: int, mults=(1,), factors=None):
     determinant of an integer matrix in y whose values at -y and y agree up
     to the sign (-eps)^(size of the block), so it is even or odd in y; it
     is taken at y = 0..h, h = ceil(n_b/2), interpolated as a polynomial in
-    y^2 (interpolate_in_squares) and mapped back to w
-    (PencilCore has the identity).  Returns Fractions, [] for D = 0.
+    y^2 (interpolate_in_squares) and mapped back to w by the same Cayley
+    map, poly.cayley, divided by 2^n_b (PencilCore has the identity); a
+    division that is not exact raises ArithmeticError.  Returns ints, [] for
+    D = 0.
     When D != 0 and factors is a list, the blocks' determinants det M'_b(w)
     are appended to it as integer coefficient lists, in the order of
     PencilCore.blocks, so that D = c * their product.
     """
     if not p_rows:
-        return [Fraction(1)]
+        return [1]
     rows = [[int(x) for x in row] for row in p_rows]
     b = len(rows) // len(mults)
     group = [i // b for i in range(len(rows))]
@@ -370,13 +333,15 @@ def pencil_det_poly(p_rows, eps: int, mults=(1,), factors=None):
         d = interpolate_in_squares(vals, (-eps) ** len(blk) == -1)
         if not d:
             return []
-        dets.append(_from_cayley(d, n))
-        out = _mul(out, dets[-1])
-    while out and out[-1] == 0:
-        out.pop()
+        # the Cayley map is its own inverse up to 2^n: det M'_b = 2^(-n) cayley(d, n)
+        scaled = P.cayley(d, n)
+        if any(x & ((1 << n) - 1) for x in scaled):
+            raise ArithmeticError("det M'(w) came out with a non-integer coefficient")
+        dets.append([x >> n for x in scaled])
+        out = P.mul(out, dets[-1])
     if factors is not None:
         factors.extend(dets)
-    return [Fraction(a) for a in out]
+    return out
 
 
 def _gauss_pow(x: int, y: int, n: int):

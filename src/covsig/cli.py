@@ -100,27 +100,40 @@ def _spec_from_args(args) -> CoveringSpec:
     return CoveringSpec(p=args.p, a=args.a, target=target)
 
 
+def _choice(dest, value):
+    """value, if build_parser's option with that dest allows it; ParseError if not."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = next(a.choices for p in sub.choices.values() for a in p._actions if a.dest == dest)
+    if value not in choices:
+        raise ParseError(f"{dest} must be one of {choices}, got {value!r}")
+    return value
+
+
 def _jobspec_into_args(args):
-    """Merge a JSON job document (file or '-' for stdin) into the parsed args."""
+    """Merge a JSON job document (file or '-' for stdin) into args, with the options' checks."""
     if not getattr(args, "input", None):
         return
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input) as fh:
+            text = fh.read()
     job = json.loads(text)
     if not (isinstance(job, dict) and all(isinstance(job.get(k, {}), dict) for k in
                                           ("seifert", "pattern", "covering", "options"))):
         raise ParseError("a job document must be a JSON object of JSON objects")
     sf = job.get("seifert", {})
     if "family" in sf:
-        args.family = sf["family"]
+        args.family = _choice("family", sf["family"])
         args.V = json.dumps(sf["V"]) if not isinstance(sf["V"], str) else sf["V"]
         args.m = _int(sf["m"])
-        args.epsilon = _int(sf.get("epsilon", 1))
     elif sf:
         args.family = None
         args.A = json.dumps(sf["A"])
         args.B = json.dumps(sf["B"])
         args.C = json.dumps(sf["C"])
-        args.epsilon = _int(sf.get("epsilon", 1))
+    if sf:
+        args.epsilon = _choice("epsilon", _int(sf.get("epsilon", 1)))
     pat = job.get("pattern", {})
     if "word" in pat:
         args.word = pat["word"]
@@ -140,7 +153,7 @@ def _jobspec_into_args(args):
     if "window_periods" in opt:
         args.window = _int(opt["window_periods"])
     if "output_format" in opt:
-        args.format = opt["output_format"]
+        args.format = _choice("format", opt["output_format"])
 
 
 def _emit_jump_human(f: JumpFunction, out):

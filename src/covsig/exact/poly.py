@@ -16,18 +16,18 @@ refinement.  `count_roots` counts the roots in an interval by Descartes'
 rule of signs on Taylor-shifted integer polynomials (Collins-Akritas), on
 the bisection tree that isolates roots (`_descartes_cells`): isolation,
 the check of an isolating interval, the equality certificate and the
-dyadic cell all count this way.  `taylor_shift` is the integer kernel of
-that tree's start and of the Cayley numerator in jumps.
+dyadic cell all count this way.  `cayley`, by the same unit shifts, is
+covsig's one Cayley map: it takes D(w)'s blocks back from y to w and gives
+the candidates' Cayley numerators in t = tan(theta/2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import gcd as int_gcd
 from math import lcm
-
-from .._fast import _shift_by_one
 
 
 def trim(p):
@@ -61,9 +61,10 @@ def sub(p, q):
 
 
 def mul(p, q):
+    """Product of two int or Fraction lists."""
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -87,6 +88,27 @@ def taylor_shift(p, c):
         for j in range(n - 2, i - 1, -1):
             p[j] += c * p[j + 1]
     return p
+
+
+def _shift_by_one(coef):
+    """Ascending coefficients of p(x + 1), given those of p(x)."""
+    r = coef[::-1]  # Horner's scheme on the descending coefficients, as running sums
+    for k in range(len(r), 1, -1):
+        r[:k] = accumulate(r[:k])
+    return r[::-1]
+
+
+def cayley(p, n):
+    """Ascending int coefficients of sum_k p_k (1 - x)^k (1 + x)^(n - k), for deg p <= n.
+
+    That is b(1 + x) for b(u) = u^n a(2/u) = sum_k a_k 2^k u^(n-k) and
+    a(y) = p(y - 1) = q(-y), where q(y) = p(-y - 1) is p(-y) shifted by one:
+    two unit shifts and a reversal, O(n^2) integer additions.  As
+    (1 - x)/(1 + x) is its own inverse, cayley(cayley(p, n), n) = 2^n p.
+    """
+    p = list(p) + [0] * (n + 1 - len(p))
+    q = _shift_by_one([-c if k & 1 else c for k, c in enumerate(p)])
+    return _shift_by_one([(-1 if k & 1 else 1) * q[k] << k for k in range(n, -1, -1)])
 
 
 def _scale_arg(q, r, s):

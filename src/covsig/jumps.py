@@ -330,6 +330,7 @@ def _generic_minor_poly(rows, eps: int):
     Takes a generically nonsingular square submatrix of w*P - eps*P^T; its
     determinant vanishes wherever the pencil's rank drops, so its unit-circle
     roots contain every jump location (extra candidates get jump 0).
+    Ascending ints, [] when the pencil is zero.
     """
     n = len(rows)
     best = (-1, None, None)
@@ -343,7 +344,7 @@ def _generic_minor_poly(rows, eps: int):
         return []
     ys = [_fast.bareiss_det([[x * rows[i][j] - eps * rows[j][i] for j in ci] for i in ri])
           for x in range(r + 1)]
-    return [Fraction(a) for a in _fast.interpolate(ys)]
+    return _fast.interpolate(ys)
 
 
 def _self_reciprocal_part(D):
@@ -394,19 +395,14 @@ def _cayley_numerator(S):
 
     S is replaced by its primitive integer form Sz of degree d, which only
     scales N by a positive rational; the roots, and so the gcd of the two
-    parts, are the same.  With z = it and u = 1 - z,
-    N = u^d * Sz((1+z)/(1-z)) = u^d * a(2/u) = b(u), where a(x) = Sz(x - 1)
-    and b(u) = sum_k a_k 2^k u^(d-k).  So a is one Taylor shift by -1, b is a
-    reversed with entry k times 2^k, and a second shift, by +1, gives
-    b(1 + v) = sum_k c_k v^k with v = -z.  Then N = sum_k c_k (-i)^k t^k:
-    k = 0, 2 mod 4 go to the real part with signs +, -, and k = 1, 3 mod 4
-    to the imaginary part with signs -, +.  O(d^2) integer additions, where
-    expanding every product in Fractions took O(d^3) multiplications.
+    parts, are the same.  With x = -it, 1 + it = 1 - x and 1 - it = 1 + x,
+    so N is the Cayley map poly.cayley(Sz, d) = sum_k c_k x^k, in O(d^2)
+    integer additions.  Then N = sum_k c_k (-i)^k t^k: k = 0, 2 mod 4 go to
+    the real part with signs +, -, and k = 1, 3 mod 4 to the imaginary part
+    with signs -, +.
     """
     _, Sz = P.content_primitive(S)
-    d = len(Sz) - 1
-    a = P.taylor_shift(Sz, -1)
-    c = P.taylor_shift([a[k] << k for k in range(d, -1, -1)], 1)
+    c = P.cayley(Sz, len(Sz) - 1)
     sign = (1, -1, -1, 1)  # (-i)^k = 1, -i, -1, i
     re = [0 if k % 2 else sign[k % 4] * x for k, x in enumerate(c)]
     im = [sign[k % 4] * x if k % 2 else 0 for k, x in enumerate(c)]
@@ -421,7 +417,7 @@ def _algebraic_candidates(rests):
     square-free gcd of the two parts of its Cayley numerator, on
     (0, Cauchy bound).  Returns (roots, gs, shared): roots is
     [(root, i)], each root an AlgReal of g_i in its isolating interval;
-    gs[i] is g_i as an AlgReal (None when it has no positive root); shared
+    gs[i] is g_i's integer form (None when it has no positive root); shared
     tells whether some rest is not coprime to the product of the earlier
     ones.  Such a rest drops the roots it shares with an earlier g, which
     are those where their gcd changes sign across the isolating interval.
@@ -429,19 +425,19 @@ def _algebraic_candidates(rests):
     roots, gs, shared, product = [], [], False, [1]
     for i, (r, _) in enumerate(rests):
         overlap = i > 0 and not P.coprime(r, product)
-        product = _fast._mul(product, r)
+        product = P.mul(product, r)
         re, im = _cayley_numerator(r)
         g = P.gcd(re, im)
         found = []
         if P.degree(g) >= 1:
             found = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
-        gs.append(found[0].copy() if found else None)
+        gs.append(found[0]._ip if found else None)
         if overlap:
             shared = True
             earlier = [1]
             for h in gs[:-1]:
                 if h is not None:
-                    earlier = P.mul(earlier, h.poly)
+                    earlier = P.mul(earlier, h)
             c = P.int_form(P.gcd(found[0].poly, earlier)) if found else [1]
             found = [x for x in found if P.sign_at(c, x.lo) == P.sign_at(c, x.hi)]
         roots += [(x, i) for x in found]
@@ -595,7 +591,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     factors = []
     D = _fast.pencil_det_poly(rows, epsilon, mults, factors=factors)
     core = _pencil_core(rows, epsilon, mults)
-    if P.is_zero(P.trim(D)):
+    if not D:
         if covering:
             # ker P & ker P^T != 0 forces D = 0, so a covering's kernel step
             # only matters here, on the n x n matrix
@@ -608,9 +604,9 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
                 rows = reduced
                 core = _fast.PencilCore(rows, epsilon)
                 D = _fast.pencil_det_poly(rows, epsilon, factors=factors)
-    if P.is_zero(P.trim(D)):
+    if not D:
         # a generic minor is no product over blocks: every block owns its roots
-        S = _self_reciprocal_part(P.trim(_generic_minor_poly(rows, epsilon)))
+        S = _self_reciprocal_part(_generic_minor_poly(rows, epsilon))
         parts = [(P.content_primitive(S)[1], set(range(len(core.blocks))))]
     else:
         parts = [(f, {b}) for b, f in enumerate(factors)]
@@ -652,7 +648,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         # it exactly when val is one of its roots
         owners.append(set().union(*(
             rests[j][1] for j, g in enumerate(gs)
-            if g is not None and P.sign_at(g._ip, val.lo) != P.sign_at(g._ip, val.hi))))
+            if g is not None and P.sign_at(g, val.lo) != P.sign_at(g, val.hi))))
     sigs = _gap_signatures(core, gaps, owners)
 
     upper = []
@@ -769,15 +765,7 @@ def sum_jumps(fs, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
         if len(fs) > 1
         else fs[0].period.denominator,
     )
-    allpts = []
-    for f in fs:
-        reps = period / f.period
-        assert reps.denominator == 1
-        for r in range(int(reps)):
-            shift = 2 * f.period * r
-            for pt in f.points:
-                allpts.append(_translate_point(pt, shift) if shift else JumpPoint(
-                    pt.loc.copy() if isinstance(pt.loc, AlgLoc) else pt.loc, pt.value))
+    allpts = [pt for f in fs for pt in with_period(f, period).points]
     allpts.sort(key=_cmp_key(max_bits))
     merged = []
     for pt in allpts:

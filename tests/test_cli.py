@@ -303,9 +303,17 @@ LTM_TREFOIL = {"family": "ltm", "V": "trefoil", "m": 2}
     # a family's own pattern does not stand in for a malformed one
     (["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3",
       "--word", "x q"], None),
+    # choices are those of the parser: epsilon 2 gave a jump function, and
+    # "xml" printed the human output
+    (["jump", "--input", "-"], {"seifert": {**LTM_TREFOIL, "epsilon": 2}}),
+    (["obstruct", "--input", "-"],
+     {"seifert": LTM_TREFOIL, "covering": {"p": 3}, "options": {"output_format": "xml"}}),
+    (["obstruct", "--input", "-"], {"seifert": {**LTM_TREFOIL, "family": "ltn"},
+                                     "covering": {"p": 3}}),
 ], ids=["matrix-not-rows", "family-V-not-rows", "coeffs-not-object", "target-not-list",
         "section-not-object", "document-not-object", "p-not-integer", "m-not-integer",
-        "family-with-bad-word"])
+        "family-with-bad-word", "epsilon-not-a-choice", "format-not-a-choice",
+        "family-not-a-choice"])
 def test_malformed_input_is_a_usage_error(monkeypatch, argv, doc):
     if doc is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))

@@ -460,7 +460,7 @@ def whole_g_candidates(rests):
     """
     product = [1]
     for r, _ in rests:
-        product = _fast._mul(product, r)
+        product = P.mul(product, r)
     if len(product) < 2:
         return [], [], False
     re, im = jumps._cayley_numerator(P.square_free_part([Fraction(a) for a in product]))

@@ -609,6 +609,29 @@ def test_dyadic_cell_is_canonical(cs, dyadic, k, b, close, c):
 
 
 # ---------------------------------------------------------------------------
+# the Cayley map
+
+
+@given(st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40), min_size=1, max_size=30)
+       .filter(lambda c: c[-1] != 0), st.integers(min_value=0, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_cayley_matches_the_fraction_expansion_and_is_an_involution(p, extra):
+    n = len(p) - 1 + extra
+    want = []
+    for k, c in enumerate(p):
+        term = [Fraction(c)]
+        for _ in range(k):
+            term = P.mul(term, [Fraction(1), Fraction(-1)])
+        for _ in range(n - k):
+            term = P.mul(term, [Fraction(1), Fraction(1)])
+        want = P.add(want, term)
+    got = P.cayley(p, n)
+    assert len(got) == n + 1 and all(type(c) is int for c in got)
+    assert P.trim(got) == want
+    assert P.trim(P.cayley(got, n)) == [c << n for c in p]
+
+
+# ---------------------------------------------------------------------------
 # the root counter
 
 CLOSE_PAIR = [CLOSE * CLOSE - 27, -6 * CLOSE * CLOSE, 9 * CLOSE * CLOSE]  # c = 1

@@ -698,10 +698,10 @@ def test_cyclotomic_parts_with_multiplicity_match_the_square_free_split(powers, 
     f = [0] * i + [c]
     for n, e in powers:
         for _ in range(e):
-            f = _fast._mul(f, P.cyclotomic(n))
+            f = P.mul(f, P.cyclotomic(n))
     for g, e in others:
         for _ in range(e):
-            f = _fast._mul(f, g)
+            f = P.mul(f, g)
     ns, rest = _cyclotomic_parts(f)
     want_ns, want_rest = cyclotomic_split(P.square_free_part(
         [Fraction(a) for a in f[i:]]))
