@@ -27,6 +27,7 @@ from .exact import DEFAULT_PRECISION_BITS, RatMatrix
 from .jumps import (
     JumpFunction,
     _frac_str,
+    _read_frac,
     jump_function,
     jump_to_obj,
     period_2pi_test,
@@ -47,11 +48,10 @@ EXIT_UNRESOLVED = 3
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    raise ParseError(f"expected an exact rational, got {x!r}")
+    try:
+        return _read_frac(x)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
 
 
 def _int(x) -> int:

@@ -1,5 +1,9 @@
 """Real algebraic numbers as (square-free polynomial, isolating interval) pairs.
 
+The polynomial is held in its primitive integer form (poly.int_form), the
+one form every sign evaluation, root count and gcd takes; the interval's
+ends are Fractions.
+
 Equality is certificate-based: two numbers are declared equal only when a gcd
 of their defining polynomials provably has a common root in the overlap of
 their isolating intervals.  Refinement by bisection alone can only separate,
@@ -42,27 +46,26 @@ class Comparison(enum.Enum):
 class AlgReal:
     """A real root of a square-free rational polynomial, isolated in (lo, hi).
 
-    Besides the monic defining polynomial it keeps that polynomial's
-    primitive integer form, which every sign evaluation uses, and the sign of
-    the polynomial at lo once bisection has needed it.  cell is the
-    (poly, lo, hi) that is printed: the one the number was made with, until
-    a caller sets another (dyadic_cell); refinement never moves it.
+    poly is the defining polynomial's primitive integer form, whatever
+    rational multiple of it was given; the sign of poly at lo is kept once
+    bisection has needed it.  cell is the (poly, lo, hi) that is printed:
+    the one the number was made with, until a caller sets another
+    (dyadic_cell); refinement never moves it.
     """
 
-    __slots__ = ("poly", "lo", "hi", "cell", "_ip", "_slo")
+    __slots__ = ("poly", "lo", "hi", "cell", "_slo")
 
     def __init__(self, defining, lo, hi, _checked=False):
-        defining = P.monic(P.trim([Fraction(c) for c in defining]))
+        defining = P.int_form(defining)
         lo, hi = Fraction(lo), Fraction(hi)
         if P.degree(defining) < 1:
             raise ValueError("defining polynomial must be nonconstant")
-        self._set_poly(defining)
+        self.poly, self._slo = defining, 0
         self.lo = lo
         self.hi = hi
         self.cell = (defining, lo, hi)
         if not _checked:
-            sf = P.square_free_part(defining)
-            if sf != defining:
+            if P.square_free_part(defining) != defining:
                 raise ValueError("defining polynomial must be square-free")
             self._check_isolating()
 
@@ -70,13 +73,13 @@ class AlgReal:
         lo, hi = self.lo, self.hi
         if not (lo < hi):
             raise ValueError("empty isolating interval")
-        if P.sign_at(self._ip, lo) == 0 or P.sign_at(self._ip, hi) == 0:
+        if P.sign_at(self.poly, lo) == 0 or P.sign_at(self.poly, hi) == 0:
             raise ValueError("interval endpoints must not be roots")
-        if P.count_roots(self._ip, lo, hi) != 1:
+        if P.count_roots(self.poly, lo, hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
 
     def with_interval(self, lo, hi, check=True):
-        """The root of the same polynomial in (lo, hi), sharing its integer form.
+        """The root of the same polynomial in (lo, hi), sharing its poly.
 
         With check, (lo, hi) must isolate a root (ValueError otherwise); the
         polynomial is not checked again.
@@ -88,15 +91,15 @@ class AlgReal:
             a._check_isolating()
         return a
 
-    def _set_poly(self, monic_poly):
-        self.poly = monic_poly
-        self._ip = P.int_form(monic_poly)
-        self._slo = 0  # not yet known
+    def _collapse(self, x, w):
+        """Become the rational x, the root of [-num, den], on (x - w, x + w)."""
+        self.poly, self._slo = [-x.numerator, x.denominator], 0
+        self.lo, self.hi = x - w, x + w
 
     @classmethod
     def from_rational(cls, q):
         q = Fraction(q)
-        return cls([-q, 1], q - 1, q + 1, _checked=True)
+        return cls([-q.numerator, q.denominator], q - 1, q + 1, _checked=True)
 
     @property
     def is_rational(self):
@@ -105,7 +108,7 @@ class AlgReal:
     def rational_value(self):
         if not self.is_rational:
             raise ValueError("not a rational point")
-        return -self.poly[0] / self.poly[1]
+        return Fraction(-self.poly[0], self.poly[1])
 
     def width(self):
         return self.hi - self.lo
@@ -120,14 +123,12 @@ class AlgReal:
         sign, so each step evaluates one sign, at mid, in integers.
         """
         mid = (self.lo + self.hi) / 2
-        s = P.sign_at(self._ip, mid)
+        s = P.sign_at(self.poly, mid)
         if s == 0:
-            w = self.width() / 4
-            self._set_poly([-mid, Fraction(1)])
-            self.lo, self.hi = mid - w, mid + w
+            self._collapse(mid, self.width() / 4)
             return
         if not self._slo:
-            self._slo = P.sign_at(self._ip, self.lo)
+            self._slo = P.sign_at(self.poly, self.lo)
         if s != self._slo:
             self.hi = mid
         else:
@@ -157,7 +158,7 @@ class AlgReal:
         if k == 0:
             return
         # grid point j is (a + j*h) / den, and the level-k cells are h / den wide
-        a, den, ip = a << k, q << k, self._ip
+        a, den, ip = a << k, q << k, self.poly
         jl, jh = 0, 1 << k
         vl, vh = P._value_at(ip, a, den), P._value_at(ip, a + jh * h, den)
         pos = vl > 0  # the sign left of the root
@@ -187,9 +188,8 @@ class AlgReal:
                         jh, vh, e = m2, v2, max(1, e // 2)
                     continue
                 m = m2
-            r = 2 * (a + m * h)  # the root is grid point m, r / (2 den)
-            self._set_poly([Fraction(-r, 2 * den), Fraction(1)])
-            self.lo, self.hi = Fraction(r - h, 2 * den), Fraction(r + h, 2 * den)
+            # the root is grid point m, centred in a cell h / den wide
+            self._collapse(Fraction(a + m * h, den), Fraction(h, 2 * den))
             return
         self.lo, self.hi = Fraction(a + jl * h, den), Fraction(a + jh * h, den)
         if not self._slo:
@@ -206,28 +206,14 @@ class AlgReal:
             return (v > 0) - (v < 0)
         return 1 if self.lo >= 0 else -1
 
-    def scaled(self, s):
-        """The algebraic number s * self for a nonzero rational s."""
-        s = Fraction(s)
-        if s == 0:
-            raise ValueError("zero scale")
-        # root r of p  =>  s*r is a root of p(x/s)
-        n = P.degree(self.poly)
-        coeffs = [c * s ** (n - k) for k, c in enumerate(self.poly)]
-        lo, hi = self.lo * s, self.hi * s
-        if s < 0:
-            lo, hi = hi, lo
-        return AlgReal(coeffs, lo, hi, _checked=True)
-
     def neg(self):
-        """-self: p(x) becomes (-1)^n p(-x), still monic, its integer form likewise.
+        """-self: p(x) becomes (-1)^n p(-x), still primitive with a positive leading coefficient.
 
         The cell goes to its mirror image, which is the dyadic cell of -self
         when it is that of self.
         """
         a = AlgReal.__new__(AlgReal)
-        a.poly, a._ip = _mirror(self.poly), _mirror(self._ip)
-        a._slo = 0
+        a.poly, a._slo = _mirror(self.poly), 0
         a.lo, a.hi = -self.hi, -self.lo
         poly, lo, hi = self.cell
         a.cell = (a.poly if poly is self.poly else _mirror(poly), -hi, -lo)
@@ -240,7 +226,7 @@ class AlgReal:
 
     def copy(self):
         a = AlgReal.__new__(AlgReal)
-        a.poly, a._ip, a._slo = self.poly, self._ip, self._slo
+        a.poly, a._slo = self.poly, self._slo
         a.lo, a.hi, a.cell = self.lo, self.hi, self.cell
         return a
 
@@ -267,13 +253,11 @@ def isolate_real_roots(p, window=None):
     of signs on the same tree (Collins-Akritas), in integers: see
     poly._descartes_cells.
     """
-    p = P.trim([Fraction(c) for c in p])
-    if P.is_zero(p):
-        raise ValueError("cannot isolate roots of the zero polynomial")
     sf = P.square_free_part(p)
+    if not sf:
+        raise ValueError("cannot isolate roots of the zero polynomial")
     if P.degree(sf) < 1:
         return []
-    isf = P.int_form(sf)
     bound = P.cauchy_root_bound(sf)
     lo, hi = -bound, bound
     if window is not None:
@@ -283,16 +267,16 @@ def isolate_real_roots(p, window=None):
             return []
     # nudge endpoints off roots so that root counts are of open intervals
     step = Fraction(1, 2)
-    while P.sign_at(isf, lo) == 0:
+    while P.sign_at(sf, lo) == 0:
         lo += step * (hi - lo) / 4
         step /= 2
     step = Fraction(1, 2)
-    while P.sign_at(isf, hi) == 0:
+    while P.sign_at(sf, hi) == 0:
         hi -= step * (hi - lo) / 4
         step /= 2
     out = []
-    for a, b in P._descartes_cells(isf, lo, hi):
-        # one AlgReal is built; the others share its polynomials
+    for a, b in P._descartes_cells(sf, lo, hi):
+        # one AlgReal is built; the others share its poly
         out.append(out[0].with_interval(a, b, check=False) if out
                    else AlgReal(sf, a, b, _checked=True))
     return out
@@ -316,7 +300,7 @@ def dyadic_cell(root: AlgReal, iso: AlgReal):
     depends on neither the isolation nor the refinement history, and the
     mirror image of the cell of r is the cell of -r.
     """
-    ip = iso._ip
+    ip = iso.poly
     x = root.copy()
     p = 64
     while True:
@@ -340,7 +324,7 @@ def dyadic_cell(root: AlgReal, iso: AlgReal):
         if on_grid:
             r = Fraction(k, 1 << p)
             q = 64 * ((r.denominator.bit_length() - 1) // 64 + 1)
-            return [-r, Fraction(1)], r - Fraction(1, 1 << q), r + Fraction(1, 1 << q)
+            return [-r.numerator, r.denominator], r - Fraction(1, 1 << q), r + Fraction(1, 1 << q)
         lo, hi = Fraction(k, 1 << p), Fraction(k + 1, 1 << p)
         if iso.lo < lo and hi < iso.hi:
             return iso.poly, lo, hi
@@ -357,30 +341,21 @@ def _cert_equal(a: AlgReal, b: AlgReal) -> bool:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
         return False
-    ig = P.int_form(g)  # g divides a square-free poly, so it is square-free
-    for ip in (ig, a._ip, b._ip):
+    # g divides a square-free poly, so it is square-free
+    for ip in (g, a.poly, b.poly):
         if P.sign_at(ip, lo) == 0 or P.sign_at(ip, hi) == 0:
             return False  # caller refines and retries
-    return (P.count_roots(ig, lo, hi) >= 1 and P.count_roots(a._ip, lo, hi) == 1
-            and P.count_roots(b._ip, lo, hi) == 1)
+    return (P.count_roots(g, lo, hi) >= 1 and P.count_roots(a.poly, lo, hi) == 1
+            and P.count_roots(b.poly, lo, hi) == 1)
 
 
-def _as_scaled(x):
-    if isinstance(x, AlgReal):
-        return x.copy()
-    a, s = x
-    return a.scaled(Fraction(s))
+def alg_compare(a: AlgReal, b: AlgReal, max_bits: int = DEFAULT_PRECISION_BITS) -> Comparison:
+    """Compare two algebraic reals; neither is refined in place.
 
-
-def alg_compare(a, b, max_bits: int = DEFAULT_PRECISION_BITS) -> Comparison:
-    """Compare two (optionally scaled) algebraic reals.
-
-    Arguments may be AlgReal or (AlgReal, rational scale) pairs; the scale
-    multiplies the value.  EQ is only ever produced by a certificate; interval
-    refinement decides LT/GT, and exhausting max_bits yields UNRESOLVED.
+    EQ is only ever produced by a certificate; interval refinement decides
+    LT/GT, and exhausting max_bits yields UNRESOLVED.
     """
-    x = _as_scaled(a)
-    y = _as_scaled(b)
+    x, y = a.copy(), b.copy()
     limit = Fraction(1, 1 << max_bits)
     while True:
         if x.hi <= y.lo:

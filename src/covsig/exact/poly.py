@@ -1,16 +1,24 @@
-"""Univariate polynomials over the rationals, coefficient lists in ascending order.
+"""Univariate integer polynomials, coefficient lists in ascending order.
 
-Only what the root-isolation and jump-extraction code needs: ring arithmetic,
-exact division, gcd / square-free part, a coprimality test that is mostly
-one gcd modulo a word-size prime, and root counting.  The gcd, covsig's one
-use of sympy, delegates to its dense kernel, which avoids the coefficient
-blowup of remainder sequences on the large determinant polynomials of
-covering computations (a primitive pseudo-remainder gcd was 30x slower at
-degree 60); sympy is most of the import time, so it is imported on the
-first gcd.
+A polynomial has one form, its primitive integer form (int_form): coprime
+int coefficients with a positive leading one, which has the roots of every
+nonzero rational multiple.  Rational coefficients are converted once, where
+they enter (AlgReal's constructor, a document read back); the monic Fraction
+coefficients that a jump document prints are formed only where it is
+printed (jumps.point_to_obj).  Fractions remain as the points at which a
+polynomial is evaluated and as the ends of intervals.
 
-Sign-only questions are answered in integers: `sign_at` takes a primitive
-integer coefficient list and a rational point n/d, and `_value_at` gives the
+Only what the root-isolation and jump-extraction code needs: products, gcd
+and square-free part, a coprimality test that is mostly one gcd modulo a
+word-size prime, division by a monic (cyclotomic) polynomial, and root
+counting.  The gcd, covsig's one use of sympy, delegates to its dense
+kernel over the integers, which avoids the coefficient blowup of remainder
+sequences on the large determinant polynomials of covering computations (a
+primitive pseudo-remainder gcd was 30x slower at degree 60); sympy is most
+of the import time, so it is imported on the first gcd.
+
+Sign-only questions are answered in integers: `sign_at` takes an integer
+coefficient list and a rational point n/d, and `_value_at` gives the
 value behind that sign, times a positive integer, for the secant steps of
 refinement.  `count_roots` counts the roots in an interval by Descartes'
 rule of signs on Taylor-shifted integer polynomials (Collins-Akritas), on
@@ -40,28 +48,8 @@ def degree(p):
     return len(p) - 1  # -1 for the zero polynomial
 
 
-def is_zero(p):
-    return not p
-
-
-def add(p, q):
-    n = max(len(p), len(q))
-    return trim([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)
-    ])
-
-
-def neg(p):
-    return [-c for c in p]
-
-
-def sub(p, q):
-    return add(p, neg(q))
-
-
 def mul(p, q):
-    """Product of two int or Fraction lists."""
+    """Product of two int lists."""
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)
@@ -71,13 +59,6 @@ def mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return trim(out)
-
-
-def scale(p, c):
-    c = Fraction(c)
-    if c == 0:
-        return []
-    return [c * a for a in p]
 
 
 def taylor_shift(p, c):
@@ -205,39 +186,8 @@ def count_roots(ip, lo, hi):
     return len(_descartes_cells(ip, lo, hi))
 
 
-def eval_at(p, x):
-    """Horner evaluation; works for any scalar supporting * and +."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
-
-
-def divmod_poly(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    p = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    inv = Fraction(1) / q[-1]
-    while len(p) >= len(q) and p:
-        k = len(p) - len(q)
-        c = p[-1] * inv
-        quot[k] = c
-        for i, b in enumerate(q):
-            p[k + i] -= c * b
-        p = trim(p[:-1])
-    return trim(quot), p
-
-
-def div_exact(p, q):
-    quot, rem = divmod_poly(p, q)
-    if rem:
-        raise ValueError("inexact polynomial division")
-    return quot
 
 
 def divmod_monic(p, q):
@@ -259,29 +209,26 @@ def divmod_monic(p, q):
     return trim(quot), trim(p[:dq])
 
 
-def divides(q, p):
-    if not p:
-        return True
-    if not q:
-        return False
-    return not divmod_poly(p, q)[1]
+def _inner_gcd(p, q):
+    """(h, p / h) for h a gcd of the nonzero int lists p and q, by sympy's dense kernel over ZZ."""
+    from sympy import ZZ
+    from sympy.polys.euclidtools import dup_inner_gcd
+
+    h, cff, _ = dup_inner_gcd([ZZ(c) for c in reversed(p)], [ZZ(c) for c in reversed(q)], ZZ)
+    # int() strips gmpy2 ground types, which break mixed arithmetic downstream
+    return [int(c) for c in reversed(h)], [int(c) for c in reversed(cff)]
 
 
 def gcd(p, q):
-    """Monic gcd over Q (via sympy's dense kernel, imported on the first call)."""
-    from sympy import QQ
-    from sympy.polys.euclidtools import dup_inner_gcd
+    """The gcd over Q of two int lists, in its primitive integer form; [] when both are zero.
 
-    p, q = trim(list(map(Fraction, p))), trim(list(map(Fraction, q)))
-    if not p:
-        return monic(q)
-    if not q:
-        return monic(p)
-    h, _, _ = dup_inner_gcd([QQ(c.numerator, c.denominator) for c in reversed(p)],
-                            [QQ(c.numerator, c.denominator) for c in reversed(q)], QQ)
-    # int() strips gmpy2 ground types; Fraction keeps whatever it is given,
-    # and mixed Fraction/mpz arithmetic breaks downstream
-    return monic(trim([Fraction(int(c.numerator), int(c.denominator)) for c in reversed(h)]))
+    The gcd over ZZ keeps the gcd of the two contents, which int_form
+    divides out.
+    """
+    p, q = trim(p), trim(q)
+    if not p or not q:
+        return int_form(p or q)
+    return int_form(_inner_gcd(p, q)[0])
 
 
 _PRIME = (1 << 61) - 1
@@ -315,33 +262,30 @@ def coprime(p, q):
     return degree(gcd(p, q)) < 1
 
 
-def monic(p):
+def square_free_part(p):
+    """The square-free part of a rational polynomial, in its primitive integer form.
+
+    That is p / gcd(p, p') for p in primitive integer form: the exact
+    integer quotient that the ZZ gcd returns with the gcd.
+    """
+    p = int_form(p)
+    if degree(p) < 1:
+        return p
+    return int_form(_inner_gcd(p, derivative(p))[1])
+
+
+def int_form(p):
+    """The primitive integer form of a rational or int list: coprime ints, the leading one positive.
+
+    It is p times a nonzero rational, so it has p's roots; [] for p = 0.
+    """
+    p = trim(p)
     if not p:
         return []
-    inv = 1 / p[-1]
-    return [c * inv for c in p]
-
-
-def square_free_part(p):
-    if degree(p) < 1:
-        return monic(p)
-    return monic(div_exact(p, gcd(p, derivative(p))))
-
-
-def content_primitive(p):
-    """Return (content, primitive integer coefficient list)."""
-    if not p:
-        return Fraction(0), []
-    from math import lcm
-
-    den = lcm(*[c.denominator for c in p]) if len(p) > 1 else p[0].denominator
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, abs(c))
-    if ints[-1] < 0:
-        g = -g
-    return Fraction(g, den), [c // g for c in ints]
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = int_gcd(*ints) if ints[-1] > 0 else -int_gcd(*ints)
+    return [c // g for c in ints]
 
 
 def _at_power(p, k):
@@ -394,14 +338,7 @@ def cauchy_root_bound(p):
     p = trim(p)
     if degree(p) < 1:
         return Fraction(1)
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p[:-1]) / lead
-
-
-def int_form(p):
-    """Primitive integer coefficient list with the signs of p at every point."""
-    c, prim = content_primitive(p)
-    return prim if c > 0 else neg(prim)
+    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
 def sign_at(ip, x):

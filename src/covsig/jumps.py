@@ -138,12 +138,12 @@ def theta_over_pi_enclosure(loc, prec: int):
 def _neg_inverse(a: AlgReal) -> AlgReal:
     """The algebraic number -1/a (a must be nonzero)."""
     a = a.copy()
-    if a.lo < 0 < a.hi and P.eval_at(a.poly, 0) == 0:
+    if a.lo < 0 < a.hi and a.poly[0] == 0:
         raise ZeroDivisionError("-1/0")
     while not (a.lo > 0 or a.hi < 0):
         a.refine()
-    n = P.degree(a.poly)
-    coeffs = [a.poly[n - j] * (-1) ** (n - j) for j in range(n + 1)]
+    # x^n p(-1/x): the coefficients reversed, those of odd index negated
+    coeffs = [-c if j & 1 else c for j, c in enumerate(a.poly)][::-1]
     return AlgReal(coeffs, -1 / a.lo, -1 / a.hi, _checked=True)
 
 
@@ -393,15 +393,15 @@ def _cyclotomic_parts(f):
 def _cayley_numerator(S):
     """Real and imaginary parts of N(t) = sum_j S_j (1+it)^j (1-it)^(deg-j), in ints.
 
-    S is replaced by its primitive integer form Sz of degree d, which only
-    scales N by a positive rational; the roots, and so the gcd of the two
-    parts, are the same.  With x = -it, 1 + it = 1 - x and 1 - it = 1 + x,
-    so N is the Cayley map poly.cayley(Sz, d) = sum_k c_k x^k, in O(d^2)
-    integer additions.  Then N = sum_k c_k (-i)^k t^k: k = 0, 2 mod 4 go to
-    the real part with signs +, -, and k = 1, 3 mod 4 to the imaginary part
-    with signs -, +.
+    S, an int or rational list, is replaced by its primitive integer form
+    Sz of degree d, which only scales N by a nonzero rational; the roots,
+    and so the gcd of the two parts, are the same.  With x = -it,
+    1 + it = 1 - x and 1 - it = 1 + x, so N is the Cayley map
+    poly.cayley(Sz, d) = sum_k c_k x^k, in O(d^2) integer additions.  Then
+    N = sum_k c_k (-i)^k t^k: k = 0, 2 mod 4 go to the real part with signs
+    +, -, and k = 1, 3 mod 4 to the imaginary part with signs -, +.
     """
-    _, Sz = P.content_primitive(S)
+    Sz = P.int_form(S)
     c = P.cayley(Sz, len(Sz) - 1)
     sign = (1, -1, -1, 1)  # (-i)^k = 1, -i, -1, i
     re = [0 if k % 2 else sign[k % 4] * x for k, x in enumerate(c)]
@@ -417,7 +417,7 @@ def _algebraic_candidates(rests):
     square-free gcd of the two parts of its Cayley numerator, on
     (0, Cauchy bound).  Returns (roots, gs, shared): roots is
     [(root, i)], each root an AlgReal of g_i in its isolating interval;
-    gs[i] is g_i's integer form (None when it has no positive root); shared
+    gs[i] is g_i (None when it has no positive root); shared
     tells whether some rest is not coprime to the product of the earlier
     ones.  Such a rest drops the roots it shares with an earlier g, which
     are those where their gcd changes sign across the isolating interval.
@@ -431,14 +431,14 @@ def _algebraic_candidates(rests):
         found = []
         if P.degree(g) >= 1:
             found = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
-        gs.append(found[0]._ip if found else None)
+        gs.append(found[0].poly if found else None)
         if overlap:
             shared = True
             earlier = [1]
             for h in gs[:-1]:
                 if h is not None:
                     earlier = P.mul(earlier, h)
-            c = P.int_form(P.gcd(found[0].poly, earlier)) if found else [1]
+            c = P.gcd(found[0].poly, earlier) if found else [1]
             found = [x for x in found if P.sign_at(c, x.lo) == P.sign_at(c, x.hi)]
         roots += [(x, i) for x in found]
     return roots, gs, shared
@@ -607,7 +607,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     if not D:
         # a generic minor is no product over blocks: every block owns its roots
         S = _self_reciprocal_part(_generic_minor_poly(rows, epsilon))
-        parts = [(P.content_primitive(S)[1], set(range(len(core.blocks))))]
+        parts = [(S, set(range(len(core.blocks))))]
     else:
         parts = [(f, {b}) for b, f in enumerate(factors)]
 
@@ -848,14 +848,35 @@ def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _read_frac(x) -> Fraction:
+    """The rational of an entry read from outside: an int, or a string n, n/d or a decimal.
+
+    Exponent notation is refused with ValueError: Fraction("1e10000000")
+    builds a 33-million-bit integer, and each further exponent digit costs
+    ten times more.  Digit strings are bounded by Python's limit on the
+    length of an int string, which raises ValueError.  covsig itself writes
+    only n and n/d (_frac_str).
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"expected an exact rational, got {x!r}")
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise ValueError(f"exponent notation is not read as a rational: {x!r}")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {x!r}") from None
+
+
 def point_to_obj(pt: JumpPoint) -> dict:
     """One point of a jump document.
 
     An algebraic point prints its t's cell (AlgReal.cell): from
     jump_function, and through every translation, scaling and mirror of
     such a point, that is the dyadic cell [k/2^P, (k+1)/2^P] of the root
-    with the monic g of its first block (algebraic.dyadic_cell), so the
-    bytes do not depend on how far t was refined.
+    with the g of its first block (algebraic.dyadic_cell), so the bytes do
+    not depend on how far t was refined.  The cell's poly is in primitive
+    integer form and is printed monic: this is the one place that divides
+    it by its leading coefficient.
     """
     if isinstance(pt.loc, PiLoc):
         return {"pi_rational": _frac_str(pt.loc.frac), "scale": "1", "value": pt.value}
@@ -863,7 +884,7 @@ def point_to_obj(pt: JumpPoint) -> dict:
     poly, lo, hi = loc.t.cell
     obj = {
         "algebraic_t": {
-            "poly": [_frac_str(c) for c in poly],
+            "poly": [_frac_str(Fraction(c, poly[-1])) for c in poly],
             "interval": [_frac_str(lo), _frac_str(hi)],
         },
         "half": 0 if loc.offset == 0 else 1,
@@ -877,7 +898,7 @@ def point_to_obj(pt: JumpPoint) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_cayley_gcd(n: int):
-    """Monic poly whose real roots are the t with (1+it)/(1-it) a primitive n-th root of unity."""
+    """The int poly whose real roots are the t with (1+it)/(1-it) a primitive n-th root of unity."""
     re, im = _cayley_numerator(P.cyclotomic(n))
     return tuple(P.gcd(re, im))
 
@@ -902,7 +923,7 @@ def _at_root_of_unity(t: AlgReal) -> bool:
     if n > bound or P.totient(n) > 2 * deg:
         return False
     g = P.gcd(t.poly, _cyclotomic_cayley_gcd(n))
-    return P.degree(g) >= 1 and P.count_roots(P.int_form(g), t.lo, t.hi) > 0
+    return P.degree(g) >= 1 and P.count_roots(g, t.lo, t.hi) > 0
 
 
 def _read_t(at: dict, seen: dict) -> AlgReal:
@@ -911,14 +932,14 @@ def _read_t(at: dict, seen: dict) -> AlgReal:
     seen maps the poly's strings to a checked AlgReal of that poly, whose
     square-freeness then holds for every interval, and the (poly, interval)
     strings to a checked point; mirrored, translated and scaled points of a
-    document repeat both.
+    document repeat both.  The strings are read once, by _read_frac.
     """
     pkey, ikey = tuple(at["poly"]), tuple(at["interval"])
     t = seen.get((pkey, ikey))
     if t is None:
-        lo, hi = Fraction(ikey[0]), Fraction(ikey[1])
+        lo, hi = _read_frac(ikey[0]), _read_frac(ikey[1])
         same = seen.get(pkey)
-        t = same.with_interval(lo, hi) if same else AlgReal([Fraction(c) for c in pkey], lo, hi)
+        t = same.with_interval(lo, hi) if same else AlgReal([_read_frac(c) for c in pkey], lo, hi)
         if _at_root_of_unity(t):
             raise ValueError(
                 "algebraic_t point with 2*atan(t) a rational multiple of pi (t = 0"
@@ -936,15 +957,16 @@ def point_from_obj(obj: dict, _seen=None) -> JumpPoint:
     such a point can sit exactly on a window boundary of period_2pi_test and
     never be placed (Unresolved); as pi_rational it is compared exactly.
     Any isolating interval is read, the dyadic cells that jump_function
-    prints and the bisection intervals of older documents alike.
+    prints and the bisection intervals of older documents alike.  Rationals
+    are read by _read_frac, which refuses exponent notation.
     """
     value = int(obj["value"])
     if "pi_rational" in obj:
-        frac = Fraction(obj["pi_rational"]) / Fraction(obj.get("scale", "1"))
+        frac = _read_frac(obj["pi_rational"]) / _read_frac(obj.get("scale", "1"))
         return JumpPoint(PiLoc(frac), value)
     t = _read_t(obj["algebraic_t"], {} if _seen is None else _seen)
-    offset = Fraction(obj["offset"]) if "offset" in obj else (0 if obj.get("half", 0) == 0 else 2)
-    return JumpPoint(AlgLoc(t, offset, Fraction(obj.get("scale", "1"))), value)
+    offset = _read_frac(obj["offset"]) if "offset" in obj else (0 if obj.get("half", 0) == 0 else 2)
+    return JumpPoint(AlgLoc(t, offset, _read_frac(obj.get("scale", "1"))), value)
 
 
 def jump_to_obj(f: JumpFunction) -> dict:
@@ -959,7 +981,7 @@ def jump_from_obj(obj: dict) -> JumpFunction:
     seen = {}
     return JumpFunction(
         [point_from_obj(p, seen) for p in obj["points"]],
-        Fraction(obj["period"]),
+        _read_frac(obj["period"]),
         int(obj.get("sigma0", 0)),
     )
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from covsig import Comparison, RatMatrix, _fast, compare_locations
+from covsig import AlgReal, Comparison, RatMatrix, _fast, compare_locations
 from covsig.exact import poly as P
 
 TREFOIL = RatMatrix([[-1, 1], [0, -1]])
@@ -75,20 +75,51 @@ def t25():
     return T25
 
 
-def fraction_sturm_chain(p):
-    """Sturm chain of p's square-free part by Fraction long division, each member through int_form.
+def poly_eval(p, x):
+    """Horner evaluation of a coefficient list at x."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
-    An oracle independent of covsig's root counter, which uses Descartes' rule.
+
+def fraction_divmod(p, q):
+    """(quotient, remainder) of p by a nonzero q, by Fraction long division."""
+    p = P.trim([Fraction(c) for c in p])
+    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    while len(p) >= len(q):
+        k = len(p) - len(q)
+        c = quot[k] = p[-1] / q[-1]
+        for i, b in enumerate(q):
+            p[k + i] -= c * b
+        p = P.trim(p[:-1])
+    return P.trim(quot), p
+
+
+def fraction_gcd(p, q):
+    """The monic gcd of two coefficient lists by Euclid's algorithm in Fractions; [] for 0, 0."""
+    p, q = P.trim([Fraction(c) for c in p]), P.trim([Fraction(c) for c in q])
+    while q:
+        p, q = q, fraction_divmod(p, q)[1]
+    return [c / p[-1] for c in p]
+
+
+def fraction_sturm_chain(p):
+    """Sturm chain of p's square-free part, all by Fraction long division.
+
+    An oracle independent of covsig's gcd and of its root counter, which
+    uses Descartes' rule.
     """
-    p = P.square_free_part(p)
+    p = P.trim([Fraction(c) for c in p])
     if P.degree(p) < 1:
-        return [P.int_form(p)] if p else []
-    chain = [P.int_form(p), P.int_form(P.derivative(p))]
+        return [p] if p else []
+    p = fraction_divmod(p, fraction_gcd(p, P.derivative(p)))[0]
+    chain = [p, P.derivative(p)]
     while P.degree(chain[-1]) >= 1:
-        rem = P.divmod_poly(chain[-2], chain[-1])[1]
+        rem = fraction_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
-        chain.append(P.neg(P.int_form(rem)))
+        chain.append([-c for c in rem])
     return chain
 
 
@@ -96,7 +127,14 @@ def sturm_count(chain, lo, hi):
     """Distinct real roots in (lo, hi] by Sturm's theorem: the drop in sign variations."""
 
     def variations(x):
-        signs = [s for s in ((v > 0) - (v < 0) for v in (P.eval_at(q, x) for q in chain)) if s]
+        signs = [s for s in ((v > 0) - (v < 0) for v in (poly_eval(q, x) for q in chain)) if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(lo) - variations(hi)
+
+
+def scaled_root(a, s):
+    """The AlgReal s * a for a nonzero rational s: a root of s^n p(x/s) on s * (lo, hi)."""
+    n = P.degree(a.poly)
+    lo, hi = sorted((a.lo * s, a.hi * s))
+    return AlgReal([c * s ** (n - k) for k, c in enumerate(a.poly)], lo, hi, _checked=True)

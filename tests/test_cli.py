@@ -310,10 +310,18 @@ LTM_TREFOIL = {"family": "ltm", "V": "trefoil", "m": 2}
      {"seifert": LTM_TREFOIL, "covering": {"p": 3}, "options": {"output_format": "xml"}}),
     (["obstruct", "--input", "-"], {"seifert": {**LTM_TREFOIL, "family": "ltn"},
                                      "covering": {"p": 3}}),
+    # exponent notation: Fraction("1e10000000") took 11 s, and each further
+    # exponent digit multiplies that by more than 10
+    (["jump", "--V", '[["1e400"]]'], None),
+    (["obstruct", "--input", "-"],
+     {"seifert": {**LTM_TREFOIL, "V": [["-1", "1"], ["0", "-1e400"]]}, "covering": {"p": 3}}),
+    # a zero denominator raised ZeroDivisionError: a traceback with exit 1
+    (["jump", "--V", '[["1/0"]]'], None),
 ], ids=["matrix-not-rows", "family-V-not-rows", "coeffs-not-object", "target-not-list",
         "section-not-object", "document-not-object", "p-not-integer", "m-not-integer",
         "family-with-bad-word", "epsilon-not-a-choice", "format-not-a-choice",
-        "family-not-a-choice"])
+        "family-not-a-choice", "exponent-in-matrix", "exponent-in-document",
+        "zero-denominator"])
 def test_malformed_input_is_a_usage_error(monkeypatch, argv, doc):
     if doc is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))

@@ -26,7 +26,14 @@ from covsig import (
 from covsig.exact import poly as P
 from covsig.exact import dyadic_cell
 from covsig.exact.gauss import I
-from conftest import fraction_sturm_chain, sturm_count
+from conftest import (
+    fraction_divmod,
+    fraction_gcd,
+    fraction_sturm_chain,
+    poly_eval,
+    scaled_root,
+    sturm_count,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=12
@@ -231,23 +238,13 @@ def test_signature_congruence_invariant(rows, diag):
 # polynomials
 
 
-def test_poly_arith_roundtrip():
-    p = [Fraction(2), Fraction(0), Fraction(1)]  # x^2 + 2
-    q = [Fraction(-1), Fraction(1)]  # x - 1
-    prod = P.mul(p, q)
-    assert P.div_exact(prod, q) == p
-    quot, rem = P.divmod_poly(p, q)
-    assert P.add(P.mul(quot, q), rem) == p
-    assert P.eval_at(p, Fraction(3)) == 11
-
-
 def test_poly_gcd_and_square_free():
-    x_minus_1 = [Fraction(-1), Fraction(1)]
-    p = P.mul(P.mul(x_minus_1, x_minus_1), [Fraction(1), Fraction(1)])
+    x_minus_1 = [-1, 1]
+    p = P.mul(P.mul(x_minus_1, x_minus_1), [1, 1])
     g = P.gcd(p, P.derivative(p))
     assert g == x_minus_1
     sf = P.square_free_part(p)
-    assert sf == P.mul(x_minus_1, [Fraction(1), Fraction(1)])
+    assert sf == P.mul(x_minus_1, [1, 1])
 
 
 def test_cyclotomic():
@@ -281,24 +278,48 @@ def test_sturm_root_count():
         assert sturm_count(chain, lo, hi) == P.count_roots(ip, lo, hi) == n
 
 
-def test_content_primitive():
-    c, prim = P.content_primitive([Fraction(2, 3), Fraction(4, 3)])
-    assert c == Fraction(2, 3)
-    assert prim == [1, 2]
-    # content carries the sign of the leading coefficient
-    c, prim = P.content_primitive([Fraction(2), Fraction(-4)])
-    assert prim[-1] > 0 and c < 0
+def test_int_form():
+    # the content comes out, and the leading coefficient is made positive
+    assert P.int_form([Fraction(2, 3), Fraction(4, 3)]) == [1, 2]
+    assert P.int_form([Fraction(2), Fraction(-4)]) == [-1, 2]
+    assert P.int_form([6, -4, 0]) == [-3, 2]
+    assert P.int_form([0, 0]) == []
 
 
 @given(st.lists(small_ints, min_size=2, max_size=5), st.lists(small_ints, min_size=2, max_size=4))
 @settings(max_examples=40)
 def test_gcd_divides_both(pc, qc):
-    p, q = P.trim([Fraction(c) for c in pc]), P.trim([Fraction(c) for c in qc])
+    p, q = P.trim(pc), P.trim(qc)
     g = P.gcd(p, q)
-    if P.is_zero(g):
-        assert P.is_zero(p) and P.is_zero(q)
+    if not g:
+        assert not p and not q
     else:
-        assert P.divides(g, p) and P.divides(g, q)
+        assert not fraction_divmod(p, g)[1] and not fraction_divmod(q, g)[1]
+
+
+int_polys = st.lists(st.integers(min_value=-30, max_value=30), max_size=6)
+
+
+@given(int_polys, int_polys, int_polys, st.integers(min_value=-6, max_value=6).filter(bool),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_gcd_and_square_free_part_are_the_int_form_of_the_fraction_oracle(a, b, h, c, e):
+    # a common factor h, a content c that may be negative (so may be either
+    # leading coefficient), a repeated factor h^e, and zero arguments
+    # whenever a or b is empty
+    hp = [1]
+    for _ in range(e):
+        hp = P.mul(hp, P.trim(h) or [1])
+    p, q = P.mul([c * x for x in a], hp), P.mul(P.trim(b), hp)
+    g = P.gcd(p, q)
+    assert all(type(x) is int for x in g)
+    assert g == P.int_form(fraction_gcd(p, q))
+    assert P.gcd(q, p) == g
+    for f in (p, q):
+        sf = P.square_free_part(f)
+        assert all(type(x) is int for x in sf)
+        want = fraction_divmod(f, fraction_gcd(f, P.derivative(f)))[0] if f else []
+        assert sf == P.int_form(want)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +343,10 @@ def test_algreal_validation():
         AlgReal([0, 0, 1], -1, 1)  # not square-free (x^2)
 
 
-def test_algreal_from_rational_and_scaled():
-    q = AlgReal.from_rational(Fraction(3, 7))
-    assert q.is_rational and q.rational_value() == Fraction(3, 7)
-    s = AlgReal([-2, 0, 1], 1, 2).scaled(Fraction(-3))
-    # -3*sqrt(2) is a root of x^2 - 18
-    assert P.monic(s.poly) == [Fraction(-18), 0, Fraction(1)]
-    assert s.hi < 0
+def test_algreal_from_rational():
+    q = AlgReal.from_rational(Fraction(-3, 7))
+    assert q.is_rational and q.rational_value() == Fraction(-3, 7)
+    assert q.poly == [3, 7] and q.cell == ([3, 7], Fraction(-10, 7), Fraction(4, 7))
 
 
 def test_isolate_real_roots():
@@ -351,9 +369,11 @@ def test_alg_compare_certificates():
     c = AlgReal([-3, 0, 1], 1, 2)  # sqrt3
     assert alg_compare(a, c) is Comparison.LT
     assert alg_compare(c, a) is Comparison.GT
-    # scaled comparison: 2*sqrt2 > sqrt3
-    assert alg_compare((a, Fraction(2)), c) is Comparison.GT
-    assert alg_compare((a, Fraction(2)), (a, Fraction(2))) is Comparison.EQ
+    d = AlgReal([-8, 0, 1], 2, 3)  # 2*sqrt2 > sqrt3
+    assert alg_compare(d, c) is Comparison.GT
+    # 2*sqrt2 again, as a root of a rational multiple of x^2 - 8
+    e = AlgReal([Fraction(8, 5), 0, Fraction(-1, 5)], Fraction(5, 2), 3)
+    assert alg_compare(d, e) is Comparison.EQ
 
 
 @given(st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=9))
@@ -383,12 +403,14 @@ def test_sign_at_matches_rational_horner(cs, x, make_root):
     if make_root:
         # multiply by (d*t - n) so that x = n/d is an exact root
         cs = [int(c) for c in P.mul([Fraction(-x.numerator), Fraction(x.denominator)], cs)]
-    assert P.sign_at(cs, x) == _sgn(P.eval_at(cs, x))
+    assert P.sign_at(cs, x) == _sgn(poly_eval(cs, x))
     if make_root and any(cs):
         assert P.sign_at(cs, x) == 0
-    # the integer form keeps the signs of a rational polynomial, whatever its content
+    # the integer form of a rational polynomial, whatever its content, has its
+    # signs times that of the leading coefficient
     q = P.trim([Fraction(c, 7) for c in cs])
-    assert P.sign_at(P.int_form(q), x) == _sgn(P.eval_at(q, x))
+    lead = _sgn(q[-1]) if q else 1
+    assert P.sign_at(P.int_form(q), x) == lead * _sgn(poly_eval(q, x))
 
 
 def _reference_bisection(poly, lo, hi, steps):
@@ -397,7 +419,7 @@ def _reference_bisection(poly, lo, hi, steps):
     out = []
     for _ in range(steps):
         mid = (lo + hi) / 2
-        if P.eval_at(poly, mid) == 0:
+        if poly_eval(poly, mid) == 0:
             w = (hi - lo) / 4
             poly = [-mid, Fraction(1)]
             chain = fraction_sturm_chain(poly)
@@ -432,14 +454,15 @@ def test_refine_matches_sturm_bisection(cs, k, b):
 @settings(max_examples=80, deadline=None)
 def test_refine_to_matches_repeated_refine(cs, k, b, bits, s, t):
     # the factor (2^k t - b) puts a dyadic root in, which bisection can hit;
-    # the scale s gives start intervals whose denominators are not powers of
-    # 2, and t widths 1/(3 * 2^bits), so the grid of refine_to is not dyadic
+    # the scale s (scaled_root) gives start intervals whose denominators are
+    # not powers of 2, and t widths 1/(3 * 2^bits), so the grid of refine_to
+    # is not dyadic
     p = P.mul([Fraction(c) for c in cs], [Fraction(-b), Fraction(1 << k)])
     if P.degree(P.trim(p)) < 1:
         return
     width = Fraction(1, t << bits)
     for root in isolate_real_roots(p):
-        root = root.scaled(s)
+        root = scaled_root(root, s)
         expected = root.copy()
         while expected.width() > width:
             expected.refine()
@@ -461,7 +484,6 @@ def isolate_by_sturm(p, window=None):
     if P.degree(sf) < 1:
         return []
     chain = fraction_sturm_chain(sf)
-    isf = chain[0]
     bound = P.cauchy_root_bound(sf)
     lo, hi = -bound, bound
     if window is not None:
@@ -469,11 +491,11 @@ def isolate_by_sturm(p, window=None):
         if lo >= hi:
             return []
     step = Fraction(1, 2)
-    while P.sign_at(isf, lo) == 0:
+    while P.sign_at(sf, lo) == 0:
         lo += step * (hi - lo) / 4
         step /= 2
     step = Fraction(1, 2)
-    while P.sign_at(isf, hi) == 0:
+    while P.sign_at(sf, hi) == 0:
         hi -= step * (hi - lo) / 4
         step /= 2
     out = []
@@ -486,7 +508,7 @@ def isolate_by_sturm(p, window=None):
             out.append((a, b, sf))
             continue
         mid = (a + b) / 2
-        while P.sign_at(isf, mid) == 0:
+        while P.sign_at(sf, mid) == 0:
             mid = (a + 2 * mid) / 3
             mid += (b - mid) / 7
         cl = sturm_count(chain, a, mid)
@@ -540,15 +562,15 @@ def grid_position(p, root, level):
     m = -((-x.lo.numerator * scale) // x.lo.denominator)  # the first grid point >= lo
     if Fraction(m, scale) == x.lo or Fraction(m, scale) >= x.hi:
         return (m if Fraction(m, scale) == x.lo else m - 1), False
-    v = P.eval_at(p, Fraction(m, scale))
+    v = poly_eval(p, Fraction(m, scale))
     if v == 0:
         return m, True
-    lo_side = P.eval_at(p, x.lo) > 0
+    lo_side = poly_eval(p, x.lo) > 0
     return (m if (v > 0) == lo_side else m - 1), False
 
 
 def isolates(p, lo, hi):
-    return (P.eval_at(p, lo) != 0 and P.eval_at(p, hi) != 0
+    return (poly_eval(p, lo) != 0 and poly_eval(p, hi) != 0
             and sturm_count(fraction_sturm_chain(p), lo, hi) == 1)
 
 
@@ -578,9 +600,10 @@ def test_dyadic_cell_is_canonical(cs, dyadic, k, b, close, c):
         poly, lo, hi = dyadic_cell(iso.copy(), iso)
         if (hi - lo).denominator.bit_length() % 64 == 0:  # width 2^(1 - Q)
             # the dyadic rule: x - r on r +- 2^-Q, Q the least multiple of 64 above j
-            r = -poly[0]
+            r = Fraction(-poly[0], poly[1])
             j = r.denominator.bit_length() - 1
-            assert P.eval_at(p, r) == 0 and r.denominator == 1 << j
+            assert poly == [-r.numerator, r.denominator]
+            assert poly_eval(p, r) == 0 and r.denominator == 1 << j
             q = 64 * (j // 64 + 1)
             assert (lo, hi) == (r - Fraction(1, 1 << q), r + Fraction(1, 1 << q))
             assert lo.denominator == hi.denominator == 1 << q
@@ -602,8 +625,8 @@ def test_dyadic_cell_is_canonical(cs, dyadic, k, b, close, c):
         deep.refine_to(Fraction(1, 1 << 300))
         assert dyadic_cell(deep, iso) == (poly, lo, hi)
         # and the mirror image is the cell of -root
-        assert dyadic_cell(iso.neg(), iso.neg()) == (P.monic([(-1) ** i * a for i, a in
-                                                             enumerate(poly)]), -hi, -lo)
+        assert dyadic_cell(iso.neg(), iso.neg()) == (P.int_form([(-1) ** i * a for i, a in
+                                                                enumerate(poly)]), -hi, -lo)
         iso.cell = (poly, lo, hi)
         assert iso.neg().cell == dyadic_cell(iso.neg(), iso.neg())
 
@@ -617,17 +640,18 @@ def test_dyadic_cell_is_canonical(cs, dyadic, k, b, close, c):
 @settings(max_examples=100, deadline=None)
 def test_cayley_matches_the_fraction_expansion_and_is_an_involution(p, extra):
     n = len(p) - 1 + extra
-    want = []
+    want = [Fraction(0)] * (n + 1)
     for k, c in enumerate(p):
         term = [Fraction(c)]
         for _ in range(k):
             term = P.mul(term, [Fraction(1), Fraction(-1)])
         for _ in range(n - k):
             term = P.mul(term, [Fraction(1), Fraction(1)])
-        want = P.add(want, term)
+        for i, x in enumerate(term):
+            want[i] += x
     got = P.cayley(p, n)
     assert len(got) == n + 1 and all(type(c) is int for c in got)
-    assert P.trim(got) == want
+    assert got == want
     assert P.trim(P.cayley(got, n)) == [c << n for c in p]
 
 

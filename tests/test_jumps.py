@@ -54,9 +54,18 @@ from covsig.jumps import (
     _remove_common_kernel,
     _self_reciprocal_part,
     _separate_candidates,
+    point_to_obj,
     theta_decimal,
 )
-from conftest import ALG, T25, TREFOIL, fraction_sturm_chain, same_jumps, sturm_count
+from conftest import (
+    ALG,
+    T25,
+    TREFOIL,
+    fraction_divmod,
+    fraction_sturm_chain,
+    same_jumps,
+    sturm_count,
+)
 
 small_ints = st.integers(min_value=-2, max_value=2)
 
@@ -247,10 +256,10 @@ def test_pencil_determinant_is_palindromic_up_to_sign(rows, eps):
 
 
 def test_self_reciprocal_part_of_a_generic_minor_takes_the_gcd():
-    # (w - 2)(w - 1/2)(w + 3) is not palindromic; its self-reciprocal part is
-    # (w - 2)(w - 1/2), monic
-    D = P.mul(P.mul([-2, 1], [Fraction(-1, 2), 1]), [3, 1])
-    assert _self_reciprocal_part(D) == [1, Fraction(-5, 2), 1]
+    # (w - 2)(2w - 1)(w + 3) is not palindromic; its self-reciprocal part is
+    # (w - 2)(2w - 1), in its primitive integer form
+    D = P.mul(P.mul([-2, 1], [-1, 2]), [3, 1])
+    assert _self_reciprocal_part(D) == [2, -5, 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -628,10 +637,10 @@ def fraction_cyclotomic_split(S):
     n = 1
     while P.degree(S) >= 1 and n <= 6 * deg + 30:
         if int(totient(n)) <= P.degree(S):
-            cyc = P.cyclotomic(n)
-            if P.divides(cyc, S):
+            quot, rem = fraction_divmod(S, P.cyclotomic(n))
+            if not rem:
                 ns.append(n)
-                S = P.div_exact(S, cyc)
+                S = quot
         n += 1
     return ns, S
 
@@ -640,11 +649,11 @@ def cyclotomic_split(S):
     """The split of a square-free S before it ran block by block: (ns, rest).
 
     Trial division of the primitive integer form of S by each Phi_n with
-    n <= 6 * deg S + 30, once each; rest is content(S) times the cofactor.
+    n <= 6 * deg S + 30, once each; rest is the cofactor.
     """
     ns = []
     deg = P.degree(S)
-    content, ip = P.content_primitive(S)
+    ip = P.int_form(S)
     n = 1
     while len(ip) >= 2 and n <= 6 * deg + 30:
         if P.totient(n) < len(ip):
@@ -653,7 +662,7 @@ def cyclotomic_split(S):
                 ns.append(n)
                 ip = quot
         n += 1
-    return ns, [content * c for c in ip]
+    return ns, ip
 
 
 @settings(max_examples=40, deadline=None)
@@ -670,16 +679,16 @@ def test_cyclotomic_split_matches_fraction_division(ns, others, content):
         S = P.mul(S, [Fraction(c) for c in P.cyclotomic(n)])
     for c in others:
         S = P.mul(S, [Fraction(x) for x in c])
-    assume(P.degree(P.gcd(S, P.derivative(S))) < 1)
+    assume(P.square_free_part(S) == P.int_form(S))
     want_ns, want_rest = fraction_cyclotomic_split(S)
-    got_ns, rest = _cyclotomic_parts(P.content_primitive(S)[1])
+    got_ns, rest = _cyclotomic_parts(P.int_form(S))
     assert all(type(c) is int for c in rest)
     assert set(ns) <= set(got_ns)
     assert got_ns == want_ns
     # the same cofactor up to a constant, once the oracle's factors w are dropped
     while want_rest[0] == 0:
         want_rest = want_rest[1:]
-    assert P.monic([Fraction(c) for c in rest]) == P.monic(want_rest)
+    assert P.int_form(rest) == P.int_form(want_rest)
 
 
 @settings(max_examples=60, deadline=None)
@@ -707,30 +716,34 @@ def test_cyclotomic_parts_with_multiplicity_match_the_square_free_split(powers, 
         [Fraction(a) for a in f[i:]]))
     assert ns == want_ns
     assert {n for n, _ in powers} <= set(ns)
-    rest = [Fraction(a) for a in rest]
-    assert P.square_free_part(rest) == P.monic(want_rest)
+    assert P.square_free_part(rest) == want_rest
 
 
 def fraction_cayley_numerator(S):
     """sum_j S_j (1+it)^j (1-it)^(deg-j) by expanding every product in Fraction polys."""
-    _, Sz = P.content_primitive(S)
+    Sz = P.int_form(S)
     deg = len(Sz) - 1
     # (1+it)^j and (1-it)^j as (re, im) coefficient lists, built incrementally
+    def add(p, q, c=1):  # p + c*q
+        n = max(len(p), len(q))
+        p, q = p + [0] * (n - len(p)), q + [0] * (n - len(q))
+        return P.trim([Fraction(a + c * b) for a, b in zip(p, q)])
+
     plus = [([1], [])]
     minus = [([1], [])]
     for _ in range(deg):
         pr, pi = plus[-1]
-        plus.append((P.sub(pr, [0] + pi), P.add(pi, [0] + pr)))
+        plus.append((add(pr, [0] + pi, -1), add(pi, [0] + pr)))
         mr, mi = minus[-1]
-        minus.append((P.sub(mr, [0] + [-c for c in mi]), P.add(mi, [0] + [-c for c in mr])))
+        minus.append((add(mr, [0] + mi), add(mi, [0] + mr, -1)))
     re, im = [], []
     for j, c in enumerate(Sz):
         if c == 0:
             continue
         ar, ai = plus[j]
         br, bi = minus[deg - j]
-        re = P.add(re, P.scale(P.sub(P.mul(ar, br), P.mul(ai, bi)), c))
-        im = P.add(im, P.scale(P.add(P.mul(ar, bi), P.mul(ai, br)), c))
+        re = add(re, add(P.mul(ar, br), P.mul(ai, bi), -1), c)
+        im = add(im, add(P.mul(ar, bi), P.mul(ai, br)), c)
     return re, im
 
 
@@ -787,6 +800,50 @@ def test_serialization_translated_offset():
     # points in the second window carry an explicit offset
     assert any("offset" in p for p in obj["points"])
     assert same_jumps(jump_from_obj(obj), f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=6),
+       st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool))
+def test_any_rational_multiple_gives_the_same_poly_and_print(cs, c):
+    # the constructor keeps the primitive integer form, whatever multiple it
+    # is given, and point_to_obj prints that poly monic
+    sf = P.square_free_part(cs)
+    assume(P.degree(sf) >= 1)
+    monic = [str(Fraction(c * x) / (c * sf[-1])) for x in sf]
+    for t in isolate_real_roots(sf):
+        u = AlgReal([c * x for x in sf], t.lo, t.hi)
+        assert u.poly == t.poly == sf
+        obj = point_to_obj(JumpPoint(AlgLoc(u), 1))
+        assert obj == point_to_obj(JumpPoint(AlgLoc(t), 1))
+        assert obj["algebraic_t"]["poly"] == monic
+
+
+@pytest.mark.parametrize("field", ["period", "pi_rational", "scale", "offset", "interval",
+                                   "poly"])
+def test_exponent_notation_in_a_document_is_refused(field):
+    # Fraction("1e10000000") builds a 33-million-bit integer, and each further
+    # exponent digit costs ten times more: no rational of a document is read
+    # in exponent notation, even one with a harmless value
+    pi = {"pi_rational": "1/3", "scale": "1", "value": 1}
+    alg = {"algebraic_t": {"poly": ["-2", "0", "1"], "interval": ["1", "2"]},
+           "offset": "4/3", "scale": "1", "value": 2}
+    doc = {"period": "2", "sigma0": 0, "points": [pi, alg]}
+    assert len(jump_from_obj(doc).points) == 2
+    if field == "period":
+        doc["period"] = "2e0"
+    elif field == "pi_rational":
+        pi["pi_rational"] = "1e400"
+    elif field == "scale":
+        pi["scale"] = "1E0"
+    elif field == "offset":
+        alg["offset"] = "1e400"
+    elif field == "interval":
+        alg["algebraic_t"]["interval"] = ["1", "2e0"]
+    else:
+        alg["algebraic_t"]["poly"] = ["-2e0", "0", "1"]
+    with pytest.raises(ValueError, match="exponent notation"):
+        jump_from_obj(doc)
 
 
 def test_theta_decimal_display():
