@@ -9,23 +9,26 @@ divisions are exact by Sylvester's identity (Bareiss, 1968).  bareiss_det
 is +-(its last pivot), rank_profile its pivot rows and columns, and
 adj_det adds a fraction-free back-substitution on [M | I].
 
-D(w) takes the same (rows, eps, mults) as a PencilCore and always comes from
-the core, D(w) = c * det M'(w), where M' is a polynomial matrix of size
-(number of groups) x b (PencilCore's docstring has the identity); a plain
-matrix is one group with N = 1 and c = 1.  An entry of M' is nonzero only
-where M or M^T is, so under a symmetric permutation M' is the direct sum
-of its blocks on the connected components of that pattern (one union-find,
-_components), and det M' is the product of the blocks' determinants.  After
-the Cayley change w = (1 - y)/(1 + y), under which (1 + y)^(n_b) det M'_b is
-even or odd in y, each block's determinant is taken by bareiss_det at the
-integers y = 0..h, h = ceil(n_b/2), interpolated in integers as a
-polynomial in y^2 on the nodes 0, 1, 4, ..., h^2, and taken back to w by
-the Cayley map of exact.poly, which is its own inverse up to 2^n_b; the
-n x n matrix is not formed.  D stays in ints, and every division on the
-way is exact: one that is not raises ArithmeticError.
+One object, the PencilCore, holds what D(w) and the signature samples
+share: the core matrix M of a covering (its strand chains eliminated), the
+constant c and the chains' signature coefficients, and M's connected blocks.
+Its constructor converts the rows to ints once, forms each group's
+S = A_kk - eps*A_kk^T once, and runs the one union-find (_components).
+D(w) is read off it, D(w) = c * det M'(w), where M' is a polynomial matrix
+of size (number of groups) x b (PencilCore's docstring has the identity); a
+plain matrix is one group with N = 1 and c = 1.  An entry of M' is nonzero
+only where M or M^T is, so under a symmetric permutation M' is the direct
+sum of its blocks on the connected components of that pattern, and det M'
+is the product of the blocks' determinants.  After the Cayley change
+w = (1 - y)/(1 + y), under which (1 + y)^(n_b) det M'_b is even or odd in
+y, each block's determinant is taken by bareiss_det at the integers
+y = 0..h, h = ceil(n_b/2), interpolated in integers as a polynomial in y^2
+on the nodes 0, 1, 4, ..., h^2, and taken back to w by the Cayley map of
+exact.poly, which is its own inverse up to 2^n_b; the n x n matrix is not
+formed.  D stays in ints, and every division on the way is exact: one that
+is not raises ArithmeticError.
 
-Signature samples are taken on a PencilCore: the pencil of a covering matrix
-with each strand group's chain of difference strands eliminated.
+Signature samples are taken on the same PencilCore.
 Haynsworth's inertia additivity, In(H) = In(H_11) + In(H / H_11), splits
 the n x n signature into the chains' signatures, which are 0 for eps = 1
 and a closed form for eps = -1, plus the signature of the Schur complement.
@@ -166,36 +169,6 @@ def adj_det(rows):
     return y, d
 
 
-def interpolate(values, h: int = 0):
-    """Ascending integer coefficients of the polynomial p with p(i - h) = values[i].
-
-    values is not empty, and p must have integer coefficients and degree
-    < len(values).  Newton's forward formula on the consecutive nodes
-    -h, 1 - h, ...: the k-th forward difference at -h is k! times an
-    integer, and the Newton form is expanded by Horner's rule.  A division
-    that is not exact raises ArithmeticError.
-    """
-    coef = []
-    diffs = list(values)
-    fact = 1
-    for k in range(len(values)):
-        fact *= k or 1
-        q, r = divmod(diffs[0], fact)
-        if r:
-            raise ArithmeticError("values are not those of an integer polynomial")
-        coef.append(q)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    poly = [coef[-1]]
-    for k in range(len(coef) - 2, -1, -1):
-        # poly = poly * (x - x_k) + coef[k], with x_k = k - h
-        xk = k - h
-        poly = ([coef[k] - xk * poly[0]] + [a - xk * b for a, b in zip(poly, poly[1:])]
-                + [poly[-1]])
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
 def interpolate_in_squares(values, odd: bool):
     """Ascending integer coefficients of the even (or odd) polynomial p with p(k) = values[k].
 
@@ -264,73 +237,49 @@ def _components(adj):
     return list(comps.values())
 
 
-def pencil_det_poly(p_rows, eps: int, mults=(1,), factors=None):
-    """Ascending coefficients of D(w) = det(w*P - eps*P^T) for integer P.
+def pencil_det_poly(core, factors=None):
+    """Ascending coefficients of D(w) = det(w*P - eps*P^T), read off the PencilCore of P.
 
-    p_rows and mults follow PencilCore: the core M of a covering whose
-    groups have the signed strand counts mults, by default a plain matrix,
-    which is one group with N = 1 and c = 1.  D(w) = c * det M'(w), and
-    M'(w) is a direct sum over the connected blocks of M's pattern, so
-    det M' is the product of the blocks' determinants.  For a block of
-    degree n_b, (1 + y)^n_b det M'_b(w) at w = (1 - y)/(1 + y) is the
-    determinant of an integer matrix in y whose values at -y and y agree up
-    to the sign (-eps)^(size of the block), so it is even or odd in y; it
-    is taken at y = 0..h, h = ceil(n_b/2), interpolated as a polynomial in
-    y^2 (interpolate_in_squares) and mapped back to w by the same Cayley
-    map, poly.cayley, divided by 2^n_b (PencilCore has the identity); a
+    D(w) = core.c * det M'(w), and M'(w) is a direct sum over core.blocks,
+    so det M' is the product of the blocks' determinants (PencilCore has the
+    identity).  For a block of degree n_b, (1 + y)^n_b det M'_b(w) at
+    w = (1 - y)/(1 + y) is the determinant of an integer matrix in y whose
+    values at -y and y agree up to the sign (-eps)^(size of the block), so
+    it is even or odd in y; it is taken at y = 0..h, h = ceil(n_b/2),
+    interpolated as a polynomial in y^2 (interpolate_in_squares) and mapped
+    back to w by the same Cayley map, poly.cayley, divided by 2^n_b; a
     division that is not exact raises ArithmeticError.  Returns ints, [] for
-    D = 0.
+    D = 0 and [1] for the empty matrix.
     When D != 0 and factors is a list, the blocks' determinants det M'_b(w)
     are appended to it as integer coefficient lists, in the order of
-    PencilCore.blocks, so that D = c * their product.
+    core.blocks, so that D = core.c * their product.
     """
-    if not p_rows:
-        return [1]
-    rows = [[int(x) for x in row] for row in p_rows]
-    b = len(rows) // len(mults)
-    group = [i // b for i in range(len(rows))]
-    c = 1  # prod of g^((N-1)*b) * det(S)^(N-1)
-    for k, m in enumerate(mults):
-        if abs(m) >= 2:
-            r = k * b
-            s = bareiss_det([[rows[r + i][r + j] - eps * rows[r + j][r + i] for j in range(b)]
-                             for i in range(b)])
-            c *= (-1 if m < 0 else 1) ** ((abs(m) - 1) * b) * s ** (abs(m) - 1)
-    if c == 0:
+    if core.c == 0:
         return []
-    # entry (i, j) is x * a + z * at with a = M[i][j], at = eps * M[j][i], and
-    # (x, z) the coefficients of block (k, l); only the nonzero pairs are kept
-    size = len(rows)
-    entries = [[(j, group[i] == group[j], rows[i][j], eps * rows[j][i])
-                for j in range(size) if rows[i][j] or rows[j][i]] for i in range(size)]
-    blocks = _components([[e[0] for e in row] for row in entries])
-    degree = [sum(abs(mults[group[i]]) for i in blk) for blk in blocks]
+    degree = [sum(abs(core.mults[g]) for g in grp) for _, grp, *_ in core.blocks]
     coefs = []  # per node y, per group: (x, z) on its diagonal block, (x, z) off it
-    for y in range(max((n + 1) // 2 for n in degree) + 1):
+    for y in range(max(((n + 1) // 2 for n in degree), default=0) + 1):
         coef = []
-        for m in mults:
+        for m in core.mults:
             lo, hi = (1 - y) ** abs(m), (1 + y) ** abs(m)
             q = (hi - lo) // (2 * y) if y else abs(m)  # sum of (1-y)^e (1+y)^(N-1-e)
             coef.append(((lo, -hi) if m > 0 else (-hi, lo), (q * (1 - y), -q * (1 + y))))
         coefs.append(coef)
-    out = [c]
+    out = [core.c]
     dets = []
-    for blk, n in zip(blocks, degree):
-        local = {i: a for a, i in enumerate(blk)}
-        brows = [(group[i], [(local[j], same, a, at) for j, same, a, at in entries[i]])
-                 for i in blk]
-        h = (n + 1) // 2
+    for (blk, grp, _, _, entries), n in zip(core.blocks, degree):
+        # entry (i, j) is x * a + z * at, with (x, z) the coefficients of its group pair
         vals = []
-        for coef in coefs[:h + 1]:
+        for coef in coefs[:(n + 1) // 2 + 1]:
             mat = []
-            for gi, row in brows:
+            for gi, row in zip(grp, entries):
                 (dx, dz), (ox, oz) = coef[gi]
                 mrow = [0] * len(blk)
-                for j, same, a, at in row:
-                    mrow[j] = dx * a + dz * at if same else ox * a + oz * at
+                for j, a, at in row:
+                    mrow[j] = dx * a + dz * at if grp[j] == gi else ox * a + oz * at
                 mat.append(mrow)
             vals.append(bareiss_det(mat))
-        d = interpolate_in_squares(vals, (-eps) ** len(blk) == -1)
+        d = interpolate_in_squares(vals, (-core.eps) ** len(blk) == -1)
         if not d:
             return []
         # the Cayley map is its own inverse up to 2^n: det M'_b = 2^(-n) cayley(d, n)
@@ -400,7 +349,8 @@ class PencilCore:
     0; and sigma(chain) = g * sigma(R) * sigma(S) for eps = -1, with S real
     symmetric.  That is 0 only when sigma(S) = 0, as on the L(T, m) covers
     of trefoil and ALG, where S comes out as S_V (+) -S_V; so for eps = -1
-    the chain term is added back (chain_signature).
+    the chain term is added back (chain_signature), from the coefficients
+    g * sigma(S) that the constructor takes with herm_sig_fast.
 
     The core.  Haynsworth's inertia additivity, In(H) = In(H_11) +
     In(H / H_11), with H_11 the chains (nonsingular off w^N = 1 when
@@ -438,12 +388,12 @@ class PencilCore:
     diagonal blocks w^N A - eps*A^T (w^N eps*A^T - A for g = -1) and blocks
     q_(N_k)(w) * (w*M_kl - eps*M_lk^T) off the diagonal.  So
     D(w) = c * det M'(w), with
-    c = prod over the groups with N >= 2 of g^((N-1)*b) * det(S)^(N-1);
-    c = 0 is the case det S = 0 below, where D = 0.  Row block k of M' has
-    degree N in w.  An entry of M' is nonzero only where M or M^T is, so
-    M' is the direct sum of its blocks M'_b on the connected components b
-    of that pattern, and det M' = prod over b of det M'_b; a block may mix
-    rows of several groups, of either sign.  Block b has degree
+    c = prod over the groups with N >= 2 of g^((N-1)*b) * det(S)^(N-1)
+    (the attribute c); c = 0 is the case det S = 0 below, where D = 0.
+    Row block k of M' has degree N in w.  An entry of M' is nonzero only
+    where M or M^T is, so M' is the direct sum of its blocks M'_b on the
+    connected components b of that pattern, and det M' = prod over b of
+    det M'_b; a block may mix rows of several groups, of either sign.  Block b has degree
     n_b = sum over its rows of that row's |N| (n is the sum of the n_b), so
     with w = (1 - y)/(1 + y) and each row multiplied by (1 + y)^N,
     D~_b(y) = (1 + y)^(n_b) det M'_b(w) is the determinant of an integer
@@ -480,28 +430,44 @@ class PencilCore:
     and at(u, v) returns None there.  When det S = 0 the chain is singular
     everywhere, but then every block that touches a difference strand is a
     multiple of S, so ker S on each difference strand is a common kernel of
-    M and M^T.  D(w) is then 0, and jump_function removes that kernel and
-    samples the reduced matrix as one group.
+    M and M^T.  D(w) is then 0, and jump_function takes the plain route on
+    the n x n matrix, which removes that kernel first.
     """
 
-    __slots__ = ("eps", "mults", "blocks", "chain_sigma")
+    __slots__ = ("eps", "mults", "c", "chain_sigma", "blocks")
 
-    def __init__(self, rows, eps: int, mults=(1,), chain_sigma=None):
-        """rows: the integer core matrix M, of size len(mults) * b.
+    def __init__(self, rows, eps: int, mults=(1,)):
+        """rows: the core matrix M, of size len(mults) * b, with integer entries.
 
         mults are the signed strand counts N_k of the groups, in order; the
-        default is a plain matrix.  chain_sigma[k] is g_k * sigma(S_k) for
-        eps = -1 and N_k >= 2, else 0 (the default).
+        default is a plain matrix.  Each S = A_kk - eps*A_kk^T of a group
+        with N_k >= 2 is formed once: det(S)^(N_k - 1) enters c, and for
+        eps = -1, chain_sigma[k] = g_k * sigma(S) (else 0).
         """
+        rows = [[int(x) for x in row] for row in rows]
         n = len(rows)
         b = n // len(mults)
         self.eps = eps
         self.mults = tuple(mults)
-        self.chain_sigma = tuple(chain_sigma or (0,) * len(mults))
+        self.c, sigma = 1, []
+        for a, m in enumerate(self.mults):
+            sigma.append(0)
+            if abs(m) < 2:
+                continue
+            r, g = a * b, 1 if m > 0 else -1
+            S = [[rows[r + i][r + j] - eps * rows[r + j][r + i] for j in range(b)]
+                 for i in range(b)]
+            self.c *= g ** ((abs(m) - 1) * b) * bareiss_det(S) ** (abs(m) - 1)
+            if eps == -1:
+                upper = [dict(enumerate(row[i:], i)) for i, row in enumerate(S)]
+                sigma[-1] = g * herm_sig_fast(upper, [{} for _ in S])
+        self.chain_sigma = tuple(sigma)
         group = [i // b for i in range(n)]
-        # sparse upper rows of M + M^T and M - M^T
+        # sparse upper rows of M + M^T and M - M^T, and per row the entries
+        # (j, M[i][j], eps*M[j][i]) of M'(w) where either is nonzero
         s = [{} for _ in range(n)]
         k = [{} for _ in range(n)]
+        entries = [[] for _ in range(n)]
         for i in range(n):
             row, si, ki = rows[i], s[i], k[i]
             for j in range(i, n):
@@ -510,15 +476,20 @@ class PencilCore:
                     si[j] = a + c
                 if a - c:
                     ki[j] = a - c
-        # per connected block: its indices, their groups, and its rows of s
-        # and k in local indices (ascending, so upper rows stay upper)
+                if a or c:
+                    entries[i].append((j, a, eps * c))
+                    if j != i:
+                        entries[j].append((i, c, eps * a))
+        # per connected block: its indices, their groups, and its rows of s,
+        # k and entries in local indices (ascending, so upper rows stay upper)
         self.blocks = []
         for blk in _components([si.keys() | ki.keys() for si, ki in zip(s, k)]):
             local = {i: a for a, i in enumerate(blk)}
             self.blocks.append((
                 blk, [group[i] for i in blk],
                 [{local[j]: x for j, x in s[i].items()} for i in blk],
-                [{local[j]: x for j, x in k[i].items()} for i in blk]))
+                [{local[j]: x for j, x in k[i].items()} for i in blk],
+                [[(local[j], a, at) for j, a, at in entries[i]] for i in blk]))
 
     def at(self, u: int, v: int, which=None):
         """Sparse upper rows (re, im) of a positive multiple of each block of the core at t = u/v.
@@ -537,7 +508,7 @@ class PencilCore:
             coef.append((x if m > 0 else -x, y))
         out = []
         blocks = self.blocks if which is None else [self.blocks[b] for b in which]
-        for _, grp, s, k in blocks:
+        for _, grp, s, k, _ in blocks:
             groups = set(grp)
             # u | y: Im((v + iu)^N) has only odd powers of u
             big = lcm(*(coef[g][1] for g in groups))
@@ -567,7 +538,7 @@ class PencilCore:
             if _gauss_pow(v, u, abs(m))[1] == 0:
                 return None
             turns.append(_half_turns(u, v, abs(m)) if abs(m) >= 2 else 0)
-        return [tuple(turns[g] for g in sorted(set(grp))) for _, grp, _, _ in self.blocks]
+        return [tuple(turns[g] for g in sorted(set(grp))) for _, grp, *_ in self.blocks]
 
     def chain_signature(self, u: int, v: int) -> int:
         """Sum of the eliminated chains' signatures at t = u/v (0 for eps = 1)."""

@@ -282,25 +282,26 @@ def isolate_real_roots(p, window=None):
     return out
 
 
-def dyadic_cell(root: AlgReal, iso: AlgReal):
-    """The canonical (poly, lo, hi) to print for root, a function of iso's poly and the root alone.
+def dyadic_cell(root: AlgReal):
+    """The canonical (poly, lo, hi) to print for root: a function of its cell's poly and the root.
 
-    iso is the same root as isolated: its poly g is the one printed, and
-    (iso.lo, iso.hi) isolates the root among g's roots.  root is any copy,
-    refined or not, possibly collapsed onto a linear poly.  For
-    P = 64, 128, ... the root is located on the grid of step 2^-P; the
-    first P at which it lies on the grid or its cell [k/2^P, (k+1)/2^P]
-    isolates it (exactly one root of g inside, neither end a root) decides:
+    root.cell = (g, lo, hi) must be the root as isolated, not a cell made
+    here: g is the poly printed, and (lo, hi) isolates the root among g's
+    roots.  root itself may be refined or not, possibly collapsed onto a
+    linear poly; refinement never moves its cell.  For P = 64, 128, ...
+    the root is located on the grid of step 2^-P; the first P at which it
+    lies on the grid or its cell [k/2^P, (k+1)/2^P] isolates it (exactly
+    one root of g inside, neither end a root) decides:
       - a cell that isolates is printed with g;
       - a root r = m/2^j on the grid (m odd) is printed as x - r on
         [r - 2^-Q, r + 2^-Q], Q the least multiple of 64 above j, so that
         both ends still have the denominator 2^Q.
-    A cell inside (iso.lo, iso.hi) isolates with no polynomial work;
-    otherwise a Descartes count (poly.count_roots) decides.  The answer
-    depends on neither the isolation nor the refinement history, and the
-    mirror image of the cell of r is the cell of -r.
+    A cell inside (lo, hi) isolates with no polynomial work; otherwise a
+    Descartes count (poly.count_roots) decides.  The answer depends on
+    neither the isolation nor the refinement history, and the mirror image
+    of the cell of r is the cell of -r.
     """
-    ip = iso.poly
+    ip, ilo, ihi = root.cell
     x = root.copy()
     p = 64
     while True:
@@ -326,11 +327,11 @@ def dyadic_cell(root: AlgReal, iso: AlgReal):
             q = 64 * ((r.denominator.bit_length() - 1) // 64 + 1)
             return [-r.numerator, r.denominator], r - Fraction(1, 1 << q), r + Fraction(1, 1 << q)
         lo, hi = Fraction(k, 1 << p), Fraction(k + 1, 1 << p)
-        if iso.lo < lo and hi < iso.hi:
-            return iso.poly, lo, hi
+        if ilo < lo and hi < ihi:
+            return ip, lo, hi
         if (P.sign_at(ip, lo) and P.sign_at(ip, hi)
                 and P.count_roots(ip, lo, hi) == 1):
-            return iso.poly, lo, hi
+            return ip, lo, hi
         p += 64
 
 

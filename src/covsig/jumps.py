@@ -11,9 +11,10 @@ of neighbouring candidates.  For a covering matrix both come from its core
 is a constant times the determinant of a polynomial matrix of size (number
 of groups) x b, and the samples use Haynsworth's inertia additivity.  A
 sample at t = 1 that a group with 4 | N cannot take moves to another
-rational in the same gap.  A group with det(A_kk - eps*A_kk^T) = 0 makes D
-vanish through a common kernel; the kernel step, on the n x n matrix, then
-leaves a matrix that is sampled as one group.
+rational in the same gap.  A covering with D = 0 takes the plain route on
+its n x n matrix: a group with det(A_kk - eps*A_kk^T) = 0 makes D vanish
+through a common kernel, which that route removes first, and the rest is
+sampled as one group.
 
 Candidates and samples go by the core's connected blocks, D = c * prod D_b.
 Each D_b loses its factor w^i and every cyclotomic factor, with
@@ -42,6 +43,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as int_gcd
 from math import lcm
 
@@ -58,7 +60,7 @@ from .exact import (
     RatMatrix,
     alg_compare,
     dyadic_cell,
-    hermitian_signature,
+    hermitian_signature,  # no longer called here; perfbench/tracing.py wraps this name
     isolate_real_roots,
 )
 from .exact import poly as P
@@ -255,28 +257,6 @@ def _core_rows(cm: CoveringMatrix):
     return rows, mults
 
 
-def _pencil_core(rows, eps: int, mults=(1,)) -> _fast.PencilCore:
-    """The core that jump_function samples (see _fast.PencilCore).
-
-    rows and mults are a covering's core (_core_rows), or a plain matrix as
-    one group with N = 1.  A group with N >= 2 and
-    det(A_kk - eps*A_kk^T) = 0 does not reach here: it makes D = 0 through
-    a common kernel, and jump_function samples the reduced matrix as one
-    group.
-    """
-    # for eps = -1 a chain of N >= 2 strands adds g * sigma(A_kk + A_kk^T) * sigma(R)
-    chain_sigma = [0] * len(mults)
-    if eps == -1:
-        b = len(rows) // len(mults)
-        for a, m in enumerate(mults):
-            if abs(m) >= 2:
-                r = a * b
-                block = [[rows[r + i][r + j] + rows[r + j][r + i] for j in range(b)]
-                         for i in range(b)]
-                chain_sigma[a] = (1 if m > 0 else -1) * hermitian_signature(block)
-    return _fast.PencilCore(rows, eps, mults, chain_sigma)
-
-
 def _sig_at(core: _fast.PencilCore, u: int, v: int):
     """Pencil signature at t = u/v, or None where a chain of the core is singular."""
     if u == 0:
@@ -342,9 +322,14 @@ def _generic_minor_poly(rows, eps: int):
     r, ri, ci = best
     if r == 0:
         return []
-    ys = [_fast.bareiss_det([[x * rows[i][j] - eps * rows[j][i] for j in ci] for i in ri])
-          for x in range(r + 1)]
-    return _fast.interpolate(ys)
+    # p(x) of degree <= r from its values on -h..h: the even and odd parts
+    # (p(x) +- p(-x))/2 are exact in ints and interpolated in x^2
+    h = (r + 1) // 2
+    ys = {x: _fast.bareiss_det([[x * rows[i][j] - eps * rows[j][i] for j in ci] for i in ri])
+          for x in range(-h, h + 1)}
+    even = _fast.interpolate_in_squares([(ys[k] + ys[-k]) // 2 for k in range(h + 1)], False)
+    odd = _fast.interpolate_in_squares([(ys[k] - ys[-k]) // 2 for k in range(h + 1)], True)
+    return [a + b for a, b in zip_longest(even, odd, fillvalue=0)]
 
 
 def _self_reciprocal_part(D):
@@ -561,10 +546,10 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
 
     Pm is a square RatMatrix or a CoveringMatrix.  For a CoveringMatrix both
     D(w) = det(w*P - eps*P^T) and the signature samples come from its core
-    (see _fast.PencilCore), with each group's strand chain eliminated; the
-    n x n matrix (expanded_P) is read only when D = 0, to remove the common
-    kernel of P and P^T.  A plain matrix removes that kernel first, so that
-    D is computed once.
+    (see _fast.PencilCore), with each group's strand chain eliminated.  A
+    covering with D = 0 takes the plain route on its n x n matrix
+    (expanded_P).  A plain matrix removes the common kernel of P and P^T
+    first, so that D is computed once.
     Root-of-unity jump angles (cyclotomic factors of D) come out as PiLoc;
     the remaining unimodular roots as AlgLoc in t = tan(theta/2).
     Signatures are evaluated at exact rational t strictly between
@@ -588,22 +573,13 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         raise ValueError("jump_function needs a square matrix")
     if not rows:
         return JumpFunction([], Fraction(1), 0)
+    core = _fast.PencilCore(rows, epsilon, mults)
     factors = []
-    D = _fast.pencil_det_poly(rows, epsilon, mults, factors=factors)
-    core = _pencil_core(rows, epsilon, mults)
-    if not D:
-        if covering:
-            # ker P & ker P^T != 0 forces D = 0, so a covering's kernel step
-            # only matters here, on the n x n matrix
-            _, rows = Pm.expanded_P.int_rows()
-            reduced = _remove_common_kernel(rows)
-            if not reduced:
-                return JumpFunction([], Fraction(1), 0)
-            if len(reduced) < len(rows):
-                # the congruence mixes strands, so the reduced matrix is one group
-                rows = reduced
-                core = _fast.PencilCore(rows, epsilon)
-                D = _fast.pencil_det_poly(rows, epsilon, factors=factors)
+    D = _fast.pencil_det_poly(core, factors)
+    if not D and covering:
+        # a common kernel of P and P^T, or a generic minor, is taken on the
+        # n x n matrix: the plain route removes that kernel first
+        return jump_function(Pm.expanded_P, epsilon, max_bits)
     if not D:
         # a generic minor is no product over blocks: every block owns its roots
         S = _self_reciprocal_part(_generic_minor_poly(rows, epsilon))
@@ -622,8 +598,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
             rests.append((r, owners))
     items = [("pi", f) for f in _pi_candidates_upper(sorted(pi_owners))]
     roots, gs, shared = _algebraic_candidates(rests)
-    # the isolated copy of each root, and its part
-    part = {id(x): (x.copy(), i) for x, i in roots}
+    part = {id(x): i for x, i in roots}
     items += [("alg", x) for x, _ in roots]
 
     if items:
@@ -639,8 +614,8 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
             # a root of unity of order n is w = e^(i*pi*f) with n the denominator of f/2
             owners.append(pi_owners[(val / 2).denominator])
             continue
-        iso, i = part[id(val)]
-        val.cell = dyadic_cell(val, iso)
+        i = part[id(val)]
+        val.cell = dyadic_cell(val)
         if not shared:
             owners.append(rests[i][1])
             continue
@@ -948,6 +923,13 @@ def _read_t(at: dict, seen: dict) -> AlgReal:
     return t.copy()
 
 
+def _read_int(x) -> int:
+    """An integer read from outside: an int or an int string, as cli._int reads them."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def point_from_obj(obj: dict, _seen=None) -> JumpPoint:
     """Read one point of a jump document.
 
@@ -958,15 +940,22 @@ def point_from_obj(obj: dict, _seen=None) -> JumpPoint:
     never be placed (Unresolved); as pi_rational it is compared exactly.
     Any isolating interval is read, the dyadic cells that jump_function
     prints and the bisection intervals of older documents alike.  Rationals
-    are read by _read_frac, which refuses exponent notation.
+    are read by _read_frac, which refuses exponent notation, and value by
+    _read_int.  A scale that is not positive, and a half other than the
+    int 0 or 1, are refused with ValueError.
     """
-    value = int(obj["value"])
+    value = _read_int(obj["value"])
+    scale = _read_frac(obj.get("scale", "1"))
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {obj['scale']!r}")
     if "pi_rational" in obj:
-        frac = _read_frac(obj["pi_rational"]) / _read_frac(obj.get("scale", "1"))
-        return JumpPoint(PiLoc(frac), value)
+        return JumpPoint(PiLoc(_read_frac(obj["pi_rational"]) / scale), value)
+    half = obj.get("half", 0)
+    if type(half) is not int or half not in (0, 1):
+        raise ValueError(f"half must be 0 or 1, got {half!r}")
     t = _read_t(obj["algebraic_t"], {} if _seen is None else _seen)
-    offset = _read_frac(obj["offset"]) if "offset" in obj else (0 if obj.get("half", 0) == 0 else 2)
-    return JumpPoint(AlgLoc(t, offset, _read_frac(obj.get("scale", "1"))), value)
+    offset = _read_frac(obj["offset"]) if "offset" in obj else 2 * half
+    return JumpPoint(AlgLoc(t, offset, scale), value)
 
 
 def jump_to_obj(f: JumpFunction) -> dict:
@@ -978,12 +967,13 @@ def jump_to_obj(f: JumpFunction) -> dict:
 
 
 def jump_from_obj(obj: dict) -> JumpFunction:
+    """Read a jump document; a period that is not positive is refused with ValueError."""
+    period = _read_frac(obj["period"])
+    if period <= 0:
+        raise ValueError(f"period must be positive, got {obj['period']!r}")
     seen = {}
-    return JumpFunction(
-        [point_from_obj(p, seen) for p in obj["points"]],
-        _read_frac(obj["period"]),
-        int(obj.get("sigma0", 0)),
-    )
+    return JumpFunction([point_from_obj(p, seen) for p in obj["points"]], period,
+                        _read_int(obj.get("sigma0", 0)))
 
 
 def theta_decimal(loc, digits: int = 12) -> str:

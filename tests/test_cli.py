@@ -206,6 +206,22 @@ def test_obstruct_larger_jobs_pinned(knot, extra, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("abc, coeffs, fmt, digest", [
+    (("[[-1]]", "[[2]]", "[[2]]"), '{"0": -2, "1": -1}', "json",
+     "d843d6c003d047009cccba5d4fa83bd3c89a8f8878467239134d43dbc7684c1e"),
+    (("[[2]]", "[[2]]", "[[1]]"), '{"0": 1, "1": -2}', "human",
+     "82a588a44c5a9191e9b0bebe0192ca4a4ea9b7ef9b9f6cb483a7ac8d79380abd"),
+], ids=["chain-terms-json", "chain-terms-human"])
+def test_obstruct_chain_terms_pinned(abc, coeffs, fmt, digest):
+    # eps = -1 with groups whose chain terms g * sigma(S_k) are (-1, 0, 1)
+    # and (0, -1, -1): on every L(T, m) cover they are 0
+    a, b, c = abc
+    code, text = run(["obstruct", "--A", a, "--B", b, "--C", c, "--epsilon", "-1",
+                      "--coeffs", coeffs, "--p", "3", "--format", fmt])
+    assert code == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("eps, expected", [
     ("1", '{"period": "1", "points": [{"pi_rational": "2/3", "scale": "1", "value": -2}, '
           '{"pi_rational": "4/3", "scale": "1", "value": 2}], "sigma0": 1}\n'),

@@ -2,6 +2,8 @@
 strand-difference basis against the dense tiled expansion, and the
 closed-form scaling-factor oracles."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -29,15 +31,17 @@ from covsig import (
     solve_multiplicities,
 )
 from covsig import _fast, jumps
+from covsig._fast import PencilCore
 from covsig.exact import block_matrix, isolate_real_roots
 from covsig.exact import poly as P
 from covsig.jumps import (
     _core_rows,
     _gap_signatures,
-    _pencil_core,
+    _generic_minor_poly,
     _remove_common_kernel,
     _sample_point,
     _sig_at,
+    jump_to_obj,
 )
 from conftest import ALG, T25, TREFOIL, interpolated_det_poly, same_jumps
 
@@ -185,8 +189,8 @@ def test_covering_matrix_is_congruent_to_dense(blocks, mults, epsilon):
     t = strand_difference_basis([m for m in mults if m], blocks[0][0].nrows)
     got = covering_matrix(blocks, mults, 1, epsilon)
     assert t.transpose() @ dense @ t == got
-    assert (_fast.pencil_det_poly(int_rows(got), epsilon)
-            == _fast.pencil_det_poly(int_rows(dense), epsilon))
+    assert (_fast.pencil_det_poly(PencilCore(int_rows(got), epsilon))
+            == _fast.pencil_det_poly(PencilCore(int_rows(dense), epsilon)))
     assert same_jumps(jump_function(got, epsilon), jump_function(dense, epsilon))
 
 
@@ -299,7 +303,7 @@ def test_core_signature_equals_pencil_signature(blocks, mults, epsilon, t):
     cm = as_covering(blocks, mults, epsilon)
     rows = int_rows(cm.expanded_P)
     core_rows, ms = _core_rows(cm)
-    core = _pencil_core(core_rows, epsilon, ms)
+    core = PencilCore(core_rows, epsilon, ms)
     u, v = t
     got = _sig_at(core, u, v)
     if got is None:
@@ -339,7 +343,7 @@ def test_singular_chain_is_a_common_kernel(blocks, x, y, mults, epsilon):
     blocks = [[A if k == l else blocks[k][l] for l in range(3)] for k in range(3)]
     cm = as_covering(blocks, mults, epsilon)
     rows = int_rows(cm.expanded_P)
-    assert _fast.pencil_det_poly(rows, epsilon) == []
+    assert _fast.pencil_det_poly(PencilCore(rows, epsilon)) == []
     assert len(_remove_common_kernel(rows)) < len(rows)
     f, g = jump_function(cm, epsilon), jump_function(cm.expanded_P, epsilon)
     assert same_jumps(f, g) and f.sigma0 == g.sigma0
@@ -369,8 +373,8 @@ def test_core_det_poly_equals_pencil_det_poly(blocks, mults, epsilon):
     # covers det S_k = 0 (always for b = 1, eps = 1), where D = 0 and c = 0
     cm = as_covering(blocks, mults, epsilon)
     core_rows, ms = _core_rows(cm)
-    assert (_fast.pencil_det_poly(core_rows, epsilon, ms)
-            == _fast.pencil_det_poly(int_rows(cm.expanded_P), epsilon))
+    assert (_fast.pencil_det_poly(PencilCore(core_rows, epsilon, ms))
+            == _fast.pencil_det_poly(PencilCore(int_rows(cm.expanded_P), epsilon)))
 
 
 @st.composite
@@ -412,7 +416,7 @@ def test_core_det_poly_by_blocks_equals_dense_det_poly(planted):
     blocks, mults, epsilon = planted
     cm = as_covering(blocks, mults, epsilon)
     core_rows, ms = _core_rows(cm)
-    assert (_fast.pencil_det_poly(core_rows, epsilon, ms)
+    assert (_fast.pencil_det_poly(PencilCore(core_rows, epsilon, ms))
             == interpolated_det_poly(int_rows(cm.expanded_P), epsilon))
 
 
@@ -546,6 +550,21 @@ def test_shared_roots_are_owned_by_every_block_that_has_them(monkeypatch):
     assert all(P.degree(pt.loc.t.cell[0]) == 2 for pt in f.points)
 
 
+def test_one_core_per_covering_job(monkeypatch):
+    # D(w) and the samples read one PencilCore, whose blocks come from one union-find
+    sd, c = ltm_family(TREFOIL, 2)
+    cm = build_covering(sd, c, CoveringSpec(p=3))
+    components, calls = _fast._components, []
+
+    def counted(adj):
+        calls.append(len(adj))
+        return components(adj)
+
+    monkeypatch.setattr(_fast, "_components", counted)
+    jump_function(cm, 1)
+    assert calls == [12]  # the core: 3 groups x b = 4
+
+
 def test_blocks_are_sampled_only_across_their_own_candidates(monkeypatch):
     # L(trefoil, 2) at p = 5: five blocks and 31 gaps, so every block at
     # every gap would take 155 signatures
@@ -578,8 +597,34 @@ def test_core_det_poly_with_det_s_49():
     assert [_fast.bareiss_det([[core_rows[r + i][r + j] + core_rows[r + j][r + i]
                                 for j in range(b)] for i in range(b)])
             for r in range(0, len(core_rows), b)] == [49, 49, 49]
-    D = _fast.pencil_det_poly(core_rows, -1, ms)
-    assert D and D == _fast.pencil_det_poly(int_rows(cm.expanded_P), -1)
+    D = _fast.pencil_det_poly(PencilCore(core_rows, -1, ms))
+    assert D and D == _fast.pencil_det_poly(PencilCore(int_rows(cm.expanded_P), -1))
+
+
+
+@pytest.mark.parametrize("mults, epsilon, digest", [
+    ((1, 1), 1, "15831f928e9ae018bf28bc988b4f5fb7c4d65d1efed4c72036c6f49a5f0c93e0"),
+    ((1, 1), -1, "8e6584306ef17534c49eae6d82c0e0c8740afe92f098dbe44c3b7ac5e68e6dc0"),
+    ((1, -1), 1, "c7ae79d99af141f18d395c5c618da908f2c2c21d94d02fa66818115d58eee194"),
+    ((1, -1), -1, "5665fd4e02a4f58924d262741b903b25753f33346e997722187f5586fb3d0056"),
+])
+def test_generic_minor_on_a_covering(mults, epsilon, digest):
+    # A = L3 (+) ALG and C = 0 (+) I2, with L3 the nilpotent Jordan block:
+    # w*L3 - eps*L3^T is singular for every w, so D = 0, yet P and P^T share
+    # no kernel vector, and the jumps come from a generic minor
+    l3 = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    zero = RatMatrix([[0] * 3] * 2)
+    a = block_matrix([[l3, zero.transpose()], [zero, ALG]])
+    c = block_matrix([[RatMatrix([[0] * 3] * 3), zero.transpose()], [zero, RatMatrix([[1, 0], [0, 1]])]])
+    blocks = ((a, c), (c, a))
+    cm = CoveringMatrix(blocks, covering_matrix(blocks, mults, 1, epsilon), 1, mults)
+    rows = int_rows(cm.expanded_P)
+    assert _fast.pencil_det_poly(PencilCore(rows, epsilon)) == []
+    assert _remove_common_kernel(rows) == rows and _generic_minor_poly(rows, epsilon)
+    f = jump_function(cm, epsilon)
+    assert same_jumps(f, jump_function(cm.expanded_P, epsilon))
+    text = json.dumps(jump_to_obj(f), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -597,7 +597,7 @@ def test_dyadic_cell_is_canonical(cs, dyadic, k, b, close, c):
         return
     p = P.square_free_part(p)
     for iso in isolate_real_roots(p):
-        poly, lo, hi = dyadic_cell(iso.copy(), iso)
+        poly, lo, hi = dyadic_cell(iso)
         if (hi - lo).denominator.bit_length() % 64 == 0:  # width 2^(1 - Q)
             # the dyadic rule: x - r on r +- 2^-Q, Q the least multiple of 64 above j
             r = Fraction(-poly[0], poly[1])
@@ -623,12 +623,13 @@ def test_dyadic_cell_is_canonical(cs, dyadic, k, b, close, c):
         # the cell depends on the root alone, not on how far it was refined
         deep = iso.copy()
         deep.refine_to(Fraction(1, 1 << 300))
-        assert dyadic_cell(deep, iso) == (poly, lo, hi)
+        assert dyadic_cell(deep) == (poly, lo, hi)
         # and the mirror image is the cell of -root
-        assert dyadic_cell(iso.neg(), iso.neg()) == (P.int_form([(-1) ** i * a for i, a in
-                                                                enumerate(poly)]), -hi, -lo)
+        assert dyadic_cell(iso.neg()) == (P.int_form([(-1) ** i * a for i, a in enumerate(poly)]),
+                                          -hi, -lo)
+        isolated = iso.copy()
         iso.cell = (poly, lo, hi)
-        assert iso.neg().cell == dyadic_cell(iso.neg(), iso.neg())
+        assert iso.neg().cell == dyadic_cell(isolated.neg())
 
 
 # ---------------------------------------------------------------------------

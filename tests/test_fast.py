@@ -4,7 +4,7 @@ bareiss_det is checked against sympy's DomainMatrix.det and against the sign
 of permutation matrices, adj_det against DomainMatrix.adj_det, pencil_det_poly
 against Newton interpolation of integer determinants of the pencil (in
 Fractions, conftest's newton_interp, which is also the oracle of the integer
-kernel interpolate, itself the oracle of interpolate_in_squares),
+kernel interpolate_in_squares),
 PencilCore.at on a plain matrix against the pencil formula in Gaussian
 rationals, herm_sig_fast against the characteristic polynomial of the
 real embedding of the hermitian matrix, which shares no code with it, and
@@ -39,33 +39,11 @@ def square(elements, min_size=1, max_size=6):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=41),
-       st.booleans())
-def test_interpolate_matches_newton(poly, centred):
-    # values at -h, ..., -h + deg of a random integer polynomial
-    deg = len(poly) - 1
-    h = (deg + 1) // 2 if centred else 0
-    xs = [x - h for x in range(deg + 1)]
-    ys = [sum(c * x**i for i, c in enumerate(poly)) for x in xs]
-    got = _fast.interpolate(ys, h)
-    assert got == newton_interp([Fraction(x) for x in xs], ys)
-    while poly and poly[-1] == 0:
-        poly.pop()
-    assert got == poly
-
-
-def test_interpolate_refuses_values_of_no_integer_polynomial():
-    # x(x - 1)/2 takes integer values at 0, 1, 2 but its coefficients are not integers
-    with pytest.raises(ArithmeticError):
-        _fast.interpolate([0, 0, 1])
-
-
-@settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=20), st.booleans(),
        st.integers(min_value=0, max_value=2))
 def test_interpolate_in_squares_matches_interpolate(half, odd, extra):
     # p(y) = E(y^2) or y * E(y^2), the shape of a block's determinant after
-    # the Cayley change; interpolate takes it on -h..h, the other on 0..h
+    # the Cayley change; newton_interp takes it on -h..h, the other on 0..h
     p = [0] * (2 * len(half) - 1 + odd) if half else []
     p[odd::2] = half
     while p and p[-1] == 0:
@@ -74,7 +52,7 @@ def test_interpolate_in_squares_matches_interpolate(half, odd, extra):
     ys = [sum(c * y**i for i, c in enumerate(p)) for y in range(h + 1)]
     sign = -1 if odd else 1
     assert _fast.interpolate_in_squares(ys, odd) == p
-    assert _fast.interpolate([sign * v for v in reversed(ys[1:])] + ys, h) == p
+    assert newton_interp(list(range(-h, h + 1)), [sign * v for v in reversed(ys[1:])] + ys) == p
 
 
 def test_interpolate_in_squares_refuses_values_of_no_integer_polynomial():
@@ -100,7 +78,7 @@ def congruent(rows, u_upper):
 @given(square(entries), eps_st)
 def test_det_poly_nonsingular(rows, eps):
     assume(_fast.bareiss_det(rows) != 0)
-    D = _fast.pencil_det_poly(rows, eps)
+    D = _fast.pencil_det_poly(_fast.PencilCore(rows, eps))
     assert all(type(c) is int for c in D)
     assert D == interpolated_det_poly(rows, eps)
 
@@ -112,7 +90,8 @@ def test_det_poly_singular(rows, mix, eps):
     n = len(rows)
     rows[-1] = [sum(mix[i] * rows[i][j] for i in range(n - 1)) for j in range(n)]
     assert _fast.bareiss_det(rows) == 0
-    assert _fast.pencil_det_poly(rows, eps) == interpolated_det_poly(rows, eps)
+    assert (_fast.pencil_det_poly(_fast.PencilCore(rows, eps))
+            == interpolated_det_poly(rows, eps))
 
 
 @settings(max_examples=30)
@@ -123,7 +102,7 @@ def test_det_poly_common_kernel_is_zero(block, mix, eps):
     rows = [row + [0] for row in block] + [[0] * n]
     rows = congruent(rows, mix)
     assert interpolated_det_poly(rows, eps) == []
-    assert _fast.pencil_det_poly(rows, eps) == []
+    assert _fast.pencil_det_poly(_fast.PencilCore(rows, eps)) == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -180,7 +159,7 @@ def test_det_poly_shifts_past_singular_points(eps, expected):
         [0, 0, 0, 0, 0],
     ]
     assert interpolated_det_poly(rows, eps) == expected
-    assert _fast.pencil_det_poly(rows, eps) == expected
+    assert _fast.pencil_det_poly(_fast.PencilCore(rows, eps)) == expected
 
 
 def block_diag(*blocks):
@@ -201,7 +180,7 @@ def test_det_poly_every_shift_singular():
                       [[1, 2], [0, -3]], [[1, 3], [0, 2]], [[1, 4], [0, 3]])
     expected = interpolated_det_poly(rows, 1)
     assert len(expected) == 13
-    assert _fast.pencil_det_poly(rows, 1) == expected
+    assert _fast.pencil_det_poly(_fast.PencilCore(rows, 1)) == expected
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -209,7 +188,7 @@ def test_det_poly_identically_singular_without_common_kernel(eps):
     # ker P = <e1> and ker P^T = <e3> meet in 0, yet det(w*P - eps*P^T) = 0
     rows = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     assert interpolated_det_poly(rows, eps) == []
-    assert _fast.pencil_det_poly(rows, eps) == []
+    assert _fast.pencil_det_poly(_fast.PencilCore(rows, eps)) == []
 
 
 def hermitian(upper, diag):

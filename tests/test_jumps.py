@@ -229,7 +229,7 @@ def test_rank_profile_pivots_on_the_first_unused_row():
 @settings(max_examples=60, deadline=None)
 @given(square_ints, st.integers(min_value=0, max_value=2), mix_st, st.sampled_from([1, -1]))
 def test_generic_minor_poly_matches_determinant(rows, k, mix, eps):
-    D = _fast.pencil_det_poly(rows, eps)
+    D = _fast.pencil_det_poly(_fast.PencilCore(rows, eps))
     assume(D)
     # a nonsingular pencil is its own generic minor
     assert _generic_minor_poly(rows, eps) == D
@@ -245,7 +245,7 @@ def test_generic_minor_poly_matches_determinant(rows, k, mix, eps):
 def test_pencil_determinant_is_palindromic_up_to_sign(rows, eps):
     # w^n D(1/w) = (-eps)^n D(w): with its factor w^i trimmed, D is its own
     # reversal up to sign, so _self_reciprocal_part skips the gcd
-    D = P.trim(_fast.pencil_det_poly(rows, eps))
+    D = P.trim(_fast.pencil_det_poly(_fast.PencilCore(rows, eps)))
     assume(D)
     while D[0] == 0:
         D = D[1:]
@@ -843,6 +843,33 @@ def test_exponent_notation_in_a_document_is_refused(field):
     else:
         alg["algebraic_t"]["poly"] = ["-2e0", "0", "1"]
     with pytest.raises(ValueError, match="exponent notation"):
+        jump_from_obj(doc)
+
+
+@pytest.mark.parametrize("where, field, bad", [
+    ("pi", "scale", "0"),  # was a ZeroDivisionError
+    ("pi", "scale", "-1"),  # was read as theta = -pi/2
+    ("doc", "period", "0"),
+    ("doc", "period", "-1"),
+    ("pi", "value", 1.9),  # was read as 1
+    ("pi", "value", True),  # was read as 1
+    ("doc", "sigma0", 2.7),  # was read as 2
+    ("doc", "sigma0", False),
+    ("alg", "half", 7),  # was read as 1
+    ("alg", "half", True),
+])
+def test_malformed_document_is_refused(where, field, bad):
+    # a scale or period that is not positive, a value or sigma0 that is not
+    # an int or an int string, and a half other than 0 or 1 are refused
+    pi = {"pi_rational": "1/3", "scale": "1", "value": 1}
+    alg = {"algebraic_t": {"poly": ["-2", "0", "1"], "interval": ["1", "2"]},
+           "half": 1, "scale": "1", "value": "2"}
+    doc = {"period": "2", "sigma0": "-1", "points": [pi, alg]}
+    f = jump_from_obj(doc)
+    assert [pt.value for pt in f.points] == [1, 2] and f.sigma0 == -1
+    assert f.points[1].loc.offset == 2
+    {"pi": pi, "alg": alg, "doc": doc}[where][field] = bad
+    with pytest.raises(ValueError):
         jump_from_obj(doc)
 
 
