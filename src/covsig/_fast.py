@@ -48,10 +48,10 @@ elimination (an LDL* without divisions) on a hermitian Gaussian-integer
 matrix held as sparse upper rows: row i is a dict {j: re} and a dict
 {j: im} over its nonzero entries with j >= i, and the lower triangle is read
 as their conjugate.  A step updates only the rows in the pivot row's
-support, each over the union of its support and the pivot row's.  A Schur
-complement with an all-zero diagonal but a nonzero entry takes one
-congruence step onto a nonzero diagonal first, so the routine answers on
-every hermitian input.
+support, each over the union of its support and the pivot row's.  Step k
+pivots at k: a zero row k is skipped, and a zero diagonal entry in a
+nonzero row is made nonzero by one congruence step with a later index
+first, so the routine answers on every hermitian input.
 
 In both eliminations a row whose multiplier is 0 at some step is not
 touched: by Sylvester's identity it only picks up the factor d_k / d_(k-1),
@@ -551,9 +551,7 @@ def herm_sig_fast(re, im):
 
     re[i] and im[i] are dicts {j: int} holding row i's entries with j >= i;
     the lower triangle is their conjugate.  The rows are copied, not modified.
-    Fraction-free symmetric Bareiss elimination with diagonal pivoting; the
-    pivots are the leading principal minors of the symmetrically permuted
-    matrix, so the signature is the running sign agreement count (Jacobi).
+    Fraction-free symmetric Bareiss elimination whose step k pivots at k.
     Step k updates only the rows i in the support of row k, each over the
     union of its own support and row k's, since row i's multiplier is
     conj(R[k][i]).  Any other row would only be rescaled by d_k / d_(k-1),
@@ -561,14 +559,19 @@ def herm_sig_fast(re, im):
     exactly, is its current value, where d_then is the Bareiss divisor it was
     last brought up to date with.
 
-    When every remaining diagonal entry is 0 but some entry is not, let a be
-    the first nonzero row and h = R[a][b] its first nonzero entry.  The
-    congruence row/col a += c * row/col b, with c = 1 if Re h != 0 and c = i
-    otherwise, puts 2 Re h or 2 Im h on the diagonal at a; then a is the
-    pivot, swapped in as usual.  E = I + c*e_a*e_b^T acts only on the indices
-    not yet eliminated, so the stored rows are exactly those of Bareiss on
-    the Gaussian-integer matrix E H E*: every division stays exact, and by
-    Sylvester's law of inertia the signature is that of H.
+    One rule makes the pivot at k.  If R[k][k] != 0 it is the pivot.  If
+    row k of the remaining matrix is 0, k is skipped: a zero row and column
+    adds 0 to the signature (Haynsworth), and no other row reads it.
+    Otherwise let b be the first column of row k and h = R[k][b]; the
+    congruence row/col k += c * row/col b puts R[b][b] + 2 Re(conj(c) h) on
+    the diagonal at k, with c = +-1 if Re h != 0 and c = +-i if not.  The two
+    signs give values 4 Re h or 4 Im h apart, so one of them is nonzero.
+    E = I + c*e_k*e_b^T acts only on the indices not yet eliminated, so the
+    stored rows are exactly those of Bareiss on the Gaussian-integer matrix
+    E H E*: every division stays exact, the pivots are the nonzero leading
+    principal minors of E H E* (its zero rows left out), so the signature is
+    the running sign agreement count (Jacobi), and by Sylvester's law of
+    inertia it is that of H.
     """
     n = len(re)
     re = [{j: x for j, x in r.items() if x} for r in re]
@@ -584,75 +587,39 @@ def herm_sig_fast(re, im):
             im[i] = {j: x * prev // t for j, x in im[i].items()}
             then[i] = prev
 
-    def swap(a, b):
-        """Exchange indices a < b symmetrically; the rows before a are done."""
-        ra, ia = re[a], im[a]
-        # rows between a and b whose entry in column b changes
-        mid = [j for j in range(a + 1, b)
-               if b in re[j] or b in im[j] or j in ra or j in ia]
-        for i in [a, b] + mid:
-            refresh(i)
-        ra, ia, rb, ib = re[a], im[a], re[b], im[b]
-        # new row a: R[b][b] on the diagonal, conj(R[j][b]) at a < j < b,
-        # conj(R[a][b]) at b and R[b][j] at j > b
-        nra = {j: x for j, x in rb.items() if j > b}
-        nia = {j: y for j, y in ib.items() if j > b}
-        nra[a] = rb[b]
-        for j, rj, ij in [(b, ra, ia)] + [(j, re[j], im[j]) for j in mid]:
-            if b in rj:
-                nra[j] = rj[b]
-            if b in ij:
-                nia[j] = -ij[b]
-        # new row b: R[a][j] for j > b; its diagonal R[a][a] is 0, which is
-        # why a is swapped out
-        nrb = {j: x for j, x in ra.items() if j > b}
-        nib = {j: y for j, y in ia.items() if j > b}
-        # rows between: (j, b) becomes conj(R[a][j])
-        for j in mid:
-            rj, ij = re[j], im[j]
-            rj.pop(b, None)
-            ij.pop(b, None)
-            if j in ra:
-                rj[b] = ra[j]
-            if j in ia:
-                ij[b] = -ia[j]
-        re[a], im[a], re[b], im[b] = nra, nia, nrb, nib
+    def lift(k):
+        """Row/col k += c * row/col b, b the first column of row k (see above).
 
-    def lift(a):
-        """Row/col a += c * row/col b, b the first column of row a (see above).
-
-        The rows before a are zero, so only row a changes: R[a][a] becomes
-        2 Re(conj(c) h), and R[a][j] += c * R[b][j] for j > a, which is
-        c * conj(R[j][b]) for a < j < b and 0 at b, where R[b][b] = 0.
+        Only row k changes: R[k][j] += c * R[b][j] for j > k, read from row b
+        for j >= b and as conj(R[j][b]) for k < j < b.
         """
-        b = min(re[a].keys() | im[a].keys())
-        mid = [j for j in range(a + 1, b) if b in re[j] or b in im[j]]
-        for i in [a, b] + mid:
+        b = min(re[k].keys() | im[k].keys())
+        mid = [j for j in range(k + 1, b) if b in re[j] or b in im[j]]
+        for i in [k, b] + mid:
             refresh(i)
-        ra, ia = re[a], im[a]
-        rot = b not in ra  # c = i: c * (x + iy) = -y + ix
-        ra[a] = 2 * (ia[b] if rot else ra[b])
+        rk, ik = re[k], im[k]
+        rot = b not in rk  # c = +-i: c * (x + iy) = +-(-y + ix)
+        h = ik[b] if rot else rk[b]  # Re(conj(c) h) for c = i or 1
+        rbb = re[b].get(b, 0)
+        s = -1 if rbb + 2 * h == 0 else 1
         terms = [(j, re[j].get(b, 0), -im[j].get(b, 0)) for j in mid]
         terms += [(j, re[b].get(j, 0), im[b].get(j, 0)) for j in re[b].keys() | im[b].keys()]
         for j, x, y in terms:
             if rot:
                 x, y = -y, x
-            for row, z in ((ra, x), (ia, y)):
+            for row, z in ((rk, s * x), (ik, s * y)):
                 z += row.get(j, 0)
                 if z:
                     row[j] = z
                 else:
                     row.pop(j, None)
+        rk[k] = rbb + 2 * s * h
 
     for k in range(n):
-        piv = next((i for i in range(k, n) if i in re[i]), None)
-        if piv is None:
-            piv = next((i for i in range(k, n) if re[i] or im[i]), None)
-            if piv is None:
-                return sig
-            lift(piv)
-        if piv != k:
-            swap(k, piv)
+        if k not in re[k]:
+            if not (re[k] or im[k]):
+                continue
+            lift(k)
         refresh(k)
         kre, kim = re[k], im[k]
         d = kre[k]

@@ -28,6 +28,7 @@ from .jumps import (
     JumpFunction,
     _frac_str,
     _read_frac,
+    _read_int,
     jump_function,
     jump_to_obj,
     period_2pi_test,
@@ -55,9 +56,10 @@ def _frac(x) -> Fraction:
 
 
 def _int(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ParseError(f"expected an integer, got {x!r}")
-    return int(x)
+    try:
+        return _read_int(x)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
 
 
 def _matrix(obj) -> RatMatrix:
@@ -77,7 +79,7 @@ def _coeffs_from_args(args) -> dict:
         raw = json.loads(args.coeffs)
         if not isinstance(raw, dict):
             raise ParseError(f"coefficients must be a JSON object, got {raw!r}")
-        return {int(k): _int(v) for k, v in raw.items()}
+        return {_int(k): _int(v) for k, v in raw.items()}
     raise ParseError("need a pattern: --word or --coeffs")
 
 
@@ -96,7 +98,7 @@ def _seifert_from_args(args):
 def _spec_from_args(args) -> CoveringSpec:
     target = None
     if args.target:
-        target = tuple(int(t) for t in args.target.split(","))
+        target = tuple(_int(t) for t in args.target.split(","))
     return CoveringSpec(p=args.p, a=args.a, target=target)
 
 

@@ -335,10 +335,8 @@ def dyadic_cell(root: AlgReal):
         p += 64
 
 
-def _cert_equal(a: AlgReal, b: AlgReal) -> bool:
-    g = P.gcd(a.poly, b.poly)
-    if P.degree(g) < 1:
-        return False
+def _cert_equal(a: AlgReal, b: AlgReal, g) -> bool:
+    """A certificate that a = b, where g = gcd(a.poly, b.poly) is not constant."""
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
         return False
@@ -354,17 +352,26 @@ def alg_compare(a: AlgReal, b: AlgReal, max_bits: int = DEFAULT_PRECISION_BITS) 
     """Compare two algebraic reals; neither is refined in place.
 
     EQ is only ever produced by a certificate; interval refinement decides
-    LT/GT, and exhausting max_bits yields UNRESOLVED.
+    LT/GT, and exhausting max_bits yields UNRESOLVED.  The gcd of the two
+    polys is taken once, and again only when a collapse changes a poly; a
+    constant gcd means no common root, so only separation is left.
     """
     x, y = a.copy(), b.copy()
     limit = Fraction(1, 1 << max_bits)
+    px = py = None
+    coprime = False
     while True:
         if x.hi <= y.lo:
             return Comparison.LT
         if y.hi <= x.lo:
             return Comparison.GT
-        if _cert_equal(x, y):
-            return Comparison.EQ
+        if not coprime:
+            if x.poly is not px or y.poly is not py:
+                px, py = x.poly, y.poly
+                g = P.gcd(px, py)
+                coprime = P.degree(g) < 1
+            if not coprime and _cert_equal(x, y, g):
+                return Comparison.EQ
         if x.width() < limit and y.width() < limit:
             return Comparison.UNRESOLVED
         x.refine()

@@ -215,7 +215,7 @@ class JumpPoint:
 
 @dataclass
 class JumpFunction:
-    """Jumps over one fundamental period [0, 2*pi*period).
+    """Jumps over one fundamental period [0, 2*pi*period), points in ascending theta.
 
     sigma0 is the signature value on the first open interval after 0; it lets
     the step function itself be reconstructed, not just its jumps.
@@ -924,7 +924,7 @@ def _read_t(at: dict, seen: dict) -> AlgReal:
 
 
 def _read_int(x) -> int:
-    """An integer read from outside: an int or an int string, as cli._int reads them."""
+    """An integer read from outside: an int or an int string (cli._int reads through it)."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
@@ -967,13 +967,18 @@ def jump_to_obj(f: JumpFunction) -> dict:
 
 
 def jump_from_obj(obj: dict) -> JumpFunction:
-    """Read a jump document; a period that is not positive is refused with ValueError."""
+    """Read a jump document, its points put in ascending theta whatever their order there.
+
+    A period that is not positive is refused with ValueError, and points
+    that cannot be ordered within the default budget with UnresolvedComparison.
+    """
     period = _read_frac(obj["period"])
     if period <= 0:
         raise ValueError(f"period must be positive, got {obj['period']!r}")
     seen = {}
-    return JumpFunction([point_from_obj(p, seen) for p in obj["points"]], period,
-                        _read_int(obj.get("sigma0", 0)))
+    points = sorted((point_from_obj(p, seen) for p in obj["points"]),
+                    key=_cmp_key(DEFAULT_PRECISION_BITS))
+    return JumpFunction(points, period, _read_int(obj.get("sigma0", 0)))
 
 
 def theta_decimal(loc, digits: int = 12) -> str:

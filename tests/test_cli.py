@@ -237,6 +237,19 @@ def test_permutation_matrix_output_pinned(eps, expected):
     assert (code, text) == (0, expected)
 
 
+@pytest.mark.parametrize("eps, digest", [
+    ("1", "840c9597019055e5fdcd28211d677ed5bafce8401b91a46716ccbf6ee1adc059"),
+    ("-1", "9b89ae36d44e2c00fa9d5e53acae1ac1057c0a4f12a55abcb8689aa7ec29d3ca"),
+])
+def test_zero_diagonal_algebraic_output_pinned(eps, digest):
+    # P + P^T has a zero diagonal with nonzero entries after it, so samples
+    # take congruence steps at later pivots too; the jumps are algebraic
+    code, text = run(["jump", "--V", "[[0,2,-1,2],[2,0,1,0],[0,1,0,2],[0,2,0,-1]]",
+                      "--epsilon", eps, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # U^T (ALG + 0_2) U and U^T (ALG + L_3) U for unimodular U, with L_3 the 3 x 3
 # nilpotent Jordan block: D = 0 for both, the first through a common kernel of
 # P and P^T, the second without one, so the jumps come from a generic minor
@@ -333,11 +346,20 @@ LTM_TREFOIL = {"family": "ltm", "V": "trefoil", "m": 2}
      {"seifert": {**LTM_TREFOIL, "V": [["-1", "1"], ["0", "-1e400"]]}, "covering": {"p": 3}}),
     # a zero denominator raised ZeroDivisionError: a traceback with exit 1
     (["jump", "--V", '[["1/0"]]'], None),
+    # an integer string that is not one raised a bare ValueError
+    (["obstruct", "--input", "-"], {"seifert": {**LTM_TREFOIL, "m": "abc"}, "covering": {"p": 3}}),
+    (["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3",
+      "--coeffs", '{"abc": 1}'], None),
+    (["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3",
+      "--coeffs", '{"0": "x"}'], None),
+    (["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3",
+      "--target", "1,x,0"], None),
 ], ids=["matrix-not-rows", "family-V-not-rows", "coeffs-not-object", "target-not-list",
         "section-not-object", "document-not-object", "p-not-integer", "m-not-integer",
         "family-with-bad-word", "epsilon-not-a-choice", "format-not-a-choice",
         "family-not-a-choice", "exponent-in-matrix", "exponent-in-document",
-        "zero-denominator"])
+        "zero-denominator", "m-not-an-integer-string", "coeffs-key-not-integer",
+        "coeffs-value-not-integer", "target-entry-not-integer"])
 def test_malformed_input_is_a_usage_error(monkeypatch, argv, doc):
     if doc is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))

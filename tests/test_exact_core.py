@@ -691,3 +691,15 @@ def test_alg_compare_certifies_a_root_of_two_polys():
     b = AlgReal([6, -2, -3, 1], Fraction(5, 4), Fraction(5, 2))
     assert alg_compare(a, b) is Comparison.EQ
     assert alg_compare(b, a) is Comparison.EQ
+
+
+def test_alg_compare_takes_one_gcd_per_pair(monkeypatch):
+    # sqrt(2) against a convergent within 2^-100: neither poly changes while
+    # the intervals are bisected apart, so one gcd serves every step
+    a = AlgReal([-2, 0, 1], 1, 2)
+    b = AlgReal.from_rational(Fraction(14398739476117879, 10181446324101389))
+    calls = []
+    gcd = P.gcd
+    monkeypatch.setattr(P, "gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
+    assert alg_compare(a, b) is Comparison.GT
+    assert len(calls) <= 2

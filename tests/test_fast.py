@@ -283,9 +283,16 @@ def test_sig_all_zero_diagonal_takes_congruence_steps(m):
     ([[(0, 0), (1, 0)], [(1, 0), (1, 0)]], 0),
     ([[(0, 0), (0, 0), (1, 1)], [(0, 0), (2, 0), (0, 0)], [(1, -1), (0, 0), (-1, 0)]], 1),
     ([[(0, 0), (2, 0), (0, 0)], [(2, 0), (0, 0), (1, 0)], [(0, 0), (1, 0), (3, 0)]], 1),
+    # a zero row between nonzero ones is skipped
+    ([[(1, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (0, 0)], [(0, 0), (0, 0), (-1, 0)]], 0),
+    # R[b][b] + 2 Re h = 0: the congruence step takes c = -1
+    ([[(0, 0), (1, 0)], [(1, 0), (-2, 0)]], 0),
+    # R[b][b] + 2 Im h = 0: the congruence step takes c = -i
+    ([[(0, 0), (0, 1)], [(0, -1), (-2, 0)]], 0),
 ])
 def test_sig_symmetric_swap(m, expected):
-    # the leading diagonal entry is 0 but a later one is not
+    # the leading diagonal entry is 0 but a later one is not, or the row is
+    # 0: the pivot at k comes from one congruence step or k is skipped
     assert reference_signature(m) == expected
     assert _fast.herm_sig_fast(*upper_rows(m)) == expected
 
@@ -313,7 +320,8 @@ def chain_arrow(draw):
 
     Each strand group is a first block of size b followed by a chain of
     blocks coupled to their predecessors; the chain's diagonal entries are 0,
-    as in P + P^T, so elimination in the natural order is forced to swap.
+    as in P + P^T, so elimination in the natural order is forced to take
+    congruence steps.
     The groups meet only in one block between their first strands.
     """
     b = draw(st.integers(min_value=1, max_value=2))

@@ -873,6 +873,16 @@ def test_malformed_document_is_refused(where, field, bad):
         jump_from_obj(doc)
 
 
+def test_document_points_are_read_in_ascending_theta():
+    # period_2pi_test merges each window with window 0 and assumes sorted
+    # points: read in this order, the document's verdict was NonPeriodic
+    doc = {"period": "2", "points": [{"pi_rational": r, "scale": "1", "value": 1}
+                                     for r in ("2/3", "1/3", "7/3", "8/3")]}
+    f = jump_from_obj(doc)
+    assert [pt.loc.frac for pt in f.points] == [Fraction(k, 3) for k in (1, 2, 7, 8)]
+    assert period_2pi_test(f).status == "Periodic"
+
+
 def test_theta_decimal_display():
     assert theta_decimal(PiLoc(Fraction(1, 3))).startswith("1.047197551")
     loc = jump_function(ALG).points[0].loc
