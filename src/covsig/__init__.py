@@ -10,6 +10,7 @@ boundary link.
 """
 
 from .errors import (
+    CoveringTooLarge,
     CovsigError,
     DimensionMismatch,
     EmptyTuple,
@@ -48,6 +49,7 @@ from .pattern import (
     solve_multiplicities,
 )
 from .covering import (
+    MAX_COVERING_N,
     CoveringMatrix,
     CoveringSpec,
     build_covering,

@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 success (including a Periodic verdict), 1 NonPeriodic verdict,
 2 input or usage error (also a run that exhausts memory or the recursion
-limit, which is no verdict), 3 unresolved exact comparison.
+limit, which is no verdict), 3 unresolved exact comparison, 141 stdout
+closed before the output was written (a broken pipe, 128 + SIGPIPE as a
+shell reports it).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -46,6 +49,7 @@ EXIT_OK = 0
 EXIT_NONPERIODIC = 1
 EXIT_USAGE = 2
 EXIT_UNRESOLVED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _frac(x) -> Fraction:
@@ -368,6 +372,8 @@ def run_command(argv=None, out=None) -> int:
         print(json.dumps({"error": str(e), "type": "UnresolvedComparison"},
                          sort_keys=True), file=out)
         return EXIT_UNRESOLVED
+    except BrokenPipeError:
+        raise  # the error line would go to the same closed pipe; main handles it
     except (CovsigError, ValueError, OSError, json.JSONDecodeError, KeyError,
             RecursionError, MemoryError) as e:
         print(json.dumps({"error": str(e), "type": type(e).__name__},
@@ -376,7 +382,15 @@ def run_command(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command())
+    try:
+        code = run_command()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # as Python's signal docs advise: point stdout at devnull, so that the
+        # flush at exit does not fail again, and exit with a code of its own
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -27,11 +27,16 @@ from fractions import Fraction
 from math import lcm
 
 from ._fast import adj_det
-from .errors import NotPrimePower, NotRationalHomologySphere
+from .errors import CoveringTooLarge, NotPrimePower, NotRationalHomologySphere
 from .exact import RatMatrix, block_matrix, mat_inverse
 from .exact.poly import totient
 from .pattern import fold, solve_multiplicities
 from .seifert import SeifertData
+
+# The largest covering matrix size n that build_covering accepts.  The n x n
+# fill of covering_matrix peaks at about 17 bytes an entry (tracemalloc at
+# n = 1020 and 2044), so n = 5000 peaks near 425 MB and takes a few seconds.
+MAX_COVERING_N = 5000
 
 
 @dataclass(frozen=True)
@@ -242,16 +247,24 @@ def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:
 
 
 def build_covering(sd: SeifertData, coeffs: dict, spec: CoveringSpec) -> CoveringMatrix:
-    """Full transfer: fold the pattern, solve multiplicities, place the blocks."""
+    """Full transfer: fold the pattern, solve multiplicities, place the blocks.
+
+    The size n = sum |s*x_k| * b of the covering matrix, b the size of a
+    block, is known from the multiplicities; over MAX_COVERING_N the job is
+    refused with CoveringTooLarge before anything is built.
+    """
     row = fold(coeffs, spec.d)
     x, s = solve_multiplicities(row, spec.target)
+    mults = tuple(int(xi * s) for xi in x)
+    n = sum(map(abs, mults)) * sd.C.nrows
+    if n > MAX_COVERING_N:
+        raise CoveringTooLarge(f"covering matrix of size {n} is over the limit {MAX_COVERING_N}")
     blocks = covering_blocks(sd, spec)
-    expanded = covering_matrix(blocks, x, s, sd.epsilon)
     return CoveringMatrix(
         blocks_A=blocks,
-        expanded_P=expanded,
+        expanded_P=covering_matrix(blocks, x, s, sd.epsilon),
         s=s,
-        multiplicities=tuple(int(xi * s) for xi in x),
+        multiplicities=mults,
     )
 
 

@@ -39,6 +39,10 @@ class NotRationalHomologySphere(CovsigError):
     pass
 
 
+class CoveringTooLarge(CovsigError):
+    """A covering matrix over covering.MAX_COVERING_N, refused before it is built."""
+
+
 class EmptyTuple(CovsigError):
     pass
 

@@ -11,11 +11,13 @@ polynomial is evaluated and as the ends of intervals.
 Only what the root-isolation and jump-extraction code needs: products, gcd
 and square-free part, a coprimality test that is mostly one gcd modulo a
 word-size prime, division by a monic (cyclotomic) polynomial, and root
-counting.  The gcd, covsig's one use of sympy, delegates to its dense
-kernel over the integers, which avoids the coefficient blowup of remainder
-sequences on the large determinant polynomials of covering computations (a
-primitive pseudo-remainder gcd was 30x slower at degree 60); sympy is most
-of the import time, so it is imported on the first gcd.
+counting.  The gcd is the heuristic gcd GCDHEU in Python ints (_inner_gcd):
+one integer gcd of the two polynomials' values at a large point, read back
+as a polynomial and checked by exact division.  Python's bigint gcd does
+the work, and the coefficient growth of remainder sequences on the large
+determinant polynomials of covering computations is avoided (a primitive
+pseudo-remainder gcd was 30x slower at degree 60); that sequence remains
+only as the fallback once every evaluation point has failed.
 
 Sign-only questions are answered in integers: `sign_at` takes an integer
 coefficient list and a rational point n/d, and `_value_at` gives the
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import gcd as int_gcd
-from math import lcm
+from math import isqrt, lcm
 
 
 def trim(p):
@@ -209,14 +211,98 @@ def divmod_monic(p, q):
     return trim(quot), trim(p[:dq])
 
 
-def _inner_gcd(p, q):
-    """(h, p / h) for h a gcd of the nonzero int lists p and q, by sympy's dense kernel over ZZ."""
-    from sympy import ZZ
-    from sympy.polys.euclidtools import dup_inner_gcd
+_HEU_TRIES = 6  # evaluation points of the heuristic gcd, as many as sympy's dup_zz_heu_gcd takes
+heu_fallbacks = 0  # gcds that _inner_gcd took by the remainder sequence, all points having failed
 
-    h, cff, _ = dup_inner_gcd([ZZ(c) for c in reversed(p)], [ZZ(c) for c in reversed(q)], ZZ)
-    # int() strips gmpy2 ground types, which break mixed arithmetic downstream
-    return [int(c) for c in reversed(h)], [int(c) for c in reversed(cff)]
+
+def _from_digits(h, x):
+    """The int list of h's balanced base-x digits, least significant first: its p(x) = h."""
+    out = []
+    while h:
+        g = h % x
+        if g > x // 2:
+            g -= x
+        out.append(g)
+        h = (h - g) // x
+    return out
+
+
+def _exact_quo(p, d):
+    """p / d when the nonzero int list d divides the nonzero int list p in Z[x]; None when not."""
+    dd = len(d) - 1
+    if len(p) <= dd:
+        return None
+    r, quo = list(p), [0] * (len(p) - dd)
+    for k in range(len(quo) - 1, -1, -1):
+        c, rem = divmod(r[k + dd], d[-1])
+        if rem:
+            return None
+        quo[k] = c
+        if c:
+            for i in range(dd):
+                r[k + i] -= c * d[i]
+    return None if any(r[:dd]) else quo
+
+
+def _pseudo_remainder(f, g):
+    """lc(g)^j * f modulo the nonzero g, some j >= 0: a primitive remainder sequence's step."""
+    r, dg = trim(f), len(g) - 1
+    while len(r) > dg:
+        c, k = r[-1], len(r) - 1 - dg
+        r = [g[-1] * a for a in r]
+        for i, b in enumerate(g):
+            r[k + i] -= c * b
+        r = trim(r)
+    return r
+
+
+def _heu_candidates(f, g, ff, gg, x):
+    """GCDHEU's gcd candidates at the point x, f(x) = ff and g(x) = gg, in sympy's order.
+
+    The read-back of gcd(ff, gg), primitive, then f and g divided by the
+    read-backs of their integer cofactors (None where that is not exact).
+    """
+    hh = int_gcd(ff, gg)
+    yield int_form(_from_digits(hh, x))
+    yield _exact_quo(f, _from_digits(ff // hh, x))
+    yield _exact_quo(g, _from_digits(gg // hh, x))
+
+
+def _inner_gcd(p, q):
+    """(h, p / h) for h a gcd in Z[x] of the nonzero int lists p and q.
+
+    h is the gcd of the contents times a primitive gcd, and (h, p / h) is
+    sympy's dup_inner_gcd(p, q) over ZZ up to a common sign.  GCDHEU (Char,
+    Geddes and Gonnet, J. Symbolic Comput. 7, 1989), with sympy's
+    evaluation points: once the common content is out, the integer gcd of
+    p(x) and q(x) at a large x, read back from its balanced base-x digits,
+    is the primitive gcd if it divides both; failing that, p's or q's
+    cofactor read back the same way gives it as an exact quotient.  At most
+    _HEU_TRIES points, then the primitive remainder sequence, which always
+    ends (counted in heu_fallbacks).
+    """
+    global heu_fallbacks
+    c = int_gcd(*p, *q)
+    f, g = [a // c for a in p], [a // c for a in q]
+    if len(f) == 1 or len(g) == 1:
+        return [c], f
+    fn, gn = max(map(abs, f)), max(map(abs, g))
+    b = 2 * min(fn, gn) + 29
+    x = max(min(b, 99 * isqrt(b)), 2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4)
+    for _ in range(_HEU_TRIES):
+        ff, gg = _value_at(f, x, 1), _value_at(g, x, 1)
+        if ff and gg:
+            for h in _heu_candidates(f, g, ff, gg, x):
+                cff = None if h is None else _exact_quo(f, h)
+                if cff is not None and _exact_quo(g, h) is not None:
+                    return [c * a for a in h], cff
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    heu_fallbacks += 1
+    a, b = f, g
+    while b:
+        a, b = b, int_form(_pseudo_remainder(a, b))
+    h = int_form(a)
+    return [c * e for e in h], _exact_quo(f, h)
 
 
 def gcd(p, q):

@@ -45,10 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as int_gcd
-from math import lcm
-
-import mpmath
-from mpmath.libmp import to_rational
+from math import lcm, log
 
 from . import _fast
 from .covering import CoveringMatrix, CoveringSpec, build_covering, int_blocks
@@ -64,6 +61,7 @@ from .exact import (
     isolate_real_roots,
 )
 from .exact import poly as P
+from .exact.elementary import atan_fixed, pi_fixed, sin_cos_fixed
 from .seifert import SeifertData
 
 # ---------------------------------------------------------------------------
@@ -99,32 +97,51 @@ class AlgLoc:
         return f"AlgLoc(t~{float(self.t):.6g}, offset={self.offset}, scale={self.scale})"
 
 
-def _mpf_to_frac(x) -> Fraction:
-    num, den = to_rational(x._mpf_)
-    return Fraction(int(num), int(den))
-
-
 @functools.lru_cache(maxsize=1024)
 def _atan_over_pi(x: Fraction, prec: int):
-    """Padded enclosure of atan(x)/pi; the pad swamps every rounding error.
+    """Enclosure [f - e, f + e] / 2^prec of atan(x)/pi, f and e ints.
 
-    A pure function of (x, prec), cached: scale_jump asks for the same
-    interval ends at every scaling of a point.
+    f = floor(A * 2^prec / Pi) for A and Pi, atan(x) and pi at prec bits,
+    within a and p ulps (elementary.atan_fixed, pi_fixed).  As Pi > 3 * 2^prec
+    and |atan(x)/pi| < 1/2, the quotient is within (a + p/2)/3 + 1 ulps, so
+    the pad e = (a + p) // 3 + 2 holds.  With J series terms a = 3 J + 5,
+    and J <= (prec + k + 1)/2 for k = isqrt(prec) // 2 halvings, so e stays
+    below 2^16 ulps for prec < 2^17: a width under 2^-(prec - 17), which keeps
+    theta_over_pi_enclosure narrower than 2^-(prec - 18) (_at_root_of_unity
+    relies on that).  A pure function of (x, prec), cached: scale_jump asks
+    for the same interval ends at every scaling of a point.
     """
-    with mpmath.mp.workprec(prec):
-        v = mpmath.atan(mpmath.mpf(x.numerator) / x.denominator) / mpmath.pi
-        f = _mpf_to_frac(v)
-    pad = Fraction(1, 1 << max(8, prec - 16))
-    return f - pad, f + pad
+    a, ea = atan_fixed(x.numerator, x.denominator, prec)
+    pi, ep = pi_fixed(prec)
+    f = (abs(a) << prec) // pi
+    f = -f if a < 0 else f
+    e = (ea + ep) // 3 + 2
+    return Fraction(f - e, 1 << prec), Fraction(f + e, 1 << prec)
 
 
 def _tan_half_pi_enclosure(frac: Fraction, prec: int):
-    """Padded enclosure of tan(frac*pi/2) for 0 < frac < 1."""
-    with mpmath.mp.workprec(prec):
-        v = mpmath.tan(mpmath.mpf(frac.numerator) / frac.denominator * mpmath.pi / 2)
-        f = _mpf_to_frac(v)
-    pad = (1 + f * f) * Fraction(1, 1 << max(8, prec - 16))
-    return f - pad, f + pad
+    """Enclosure [T - e, T + e] / 2^w of tan(frac*pi/2) for 0 < frac < 1, T and e ints.
+
+    With g = min(frac, 1 - frac) and a = pi*g/2 in (0, pi/4], S and C are
+    sin(a) and cos(a) at w bits, each within c ulps (elementary.sin_cos_fixed),
+    and tan is S/C, or C/S past frac = 1/2.  w = prec + 1 + (the bits by
+    which g's denominator outgrows its numerator) keeps S above 2^prec.  For
+    S/C, C > 2^w / 1.5 and S <= C + c give |S/C - s/c| * 2^w <= 3c, and the
+    floor adds 1.  For C/S, |C/S - c/s| <= c (s + c) / (S s) with s >= S - c
+    and s + c <= S + C + 2c, which the pad bounds in ints.  Either pad is at
+    most (3c + 1)(1 + tan^2) ulps at w >= prec bits.
+    """
+    recip = frac > Fraction(1, 2)
+    g = 1 - frac if recip else frac
+    num, den = g.numerator, g.denominator
+    w = prec + 1 + max(0, den.bit_length() - num.bit_length())
+    s, c, e = sin_cos_fixed(num, den, w)
+    if not recip:
+        t, pad = (s << w) // c, 3 * e + 1
+    else:
+        t = (c << w) // s
+        pad = -(-e * (s + c + 2 * e << w) // (s * (s - e))) + 1
+    return Fraction(t - pad, 1 << w), Fraction(t + pad, 1 << w)
 
 
 def theta_over_pi_enclosure(loc, prec: int):
@@ -981,10 +998,68 @@ def jump_from_obj(obj: dict) -> JumpFunction:
     return JumpFunction(points, period, _read_int(obj.get("sigma0", 0)))
 
 
+def _round_bits(num: int, den: int, bits: int):
+    """num/den > 0 rounded to bits significant bits, ties to even: (m, e) for m * 2^e."""
+    e = num.bit_length() - den.bit_length() - bits - 1
+    q, r = divmod(num, den << e) if e >= 0 else divmod(num << -e, den)
+    extra = q.bit_length() - bits  # 1 or 2
+    m, low, half = q >> extra, q & ((1 << extra) - 1), 1 << (extra - 1)
+    if low > half or (low == half and (r or m & 1)):
+        m += 1
+    return m, e + extra
+
+
+def _dyadic(m: int, e: int):
+    """m * 2^e as (numerator, denominator)."""
+    return (m << e, 1) if e >= 0 else (m, 1 << -e)
+
+
 def theta_decimal(loc, digits: int = 12) -> str:
-    """Display-only decimal of theta; never used in decisions."""
+    """Display-only decimal of theta; never used in decisions.
+
+    theta = x * pi for x the midpoint of theta_over_pi_enclosure(loc, 128),
+    printed byte for byte as mpmath.nstr(mpf(x.numerator) / x.denominator *
+    pi, digits, strip_zeros=False) prints it at digits + 10 decimal digits of
+    working precision.  That is: the three operations each round to that
+    many bits, to nearest with ties to even; the result is cut to about
+    digits + 5 significant decimal digits (two floors, through a binary fixed
+    point), rounded half up at digit digits + 1, and written in fixed
+    notation for decimal exponents strictly between min(-(digits // 3), -5)
+    and digits, in e-notation otherwise.
+    """
     lo, hi = theta_over_pi_enclosure(loc, 128)
-    mid = (lo + hi) / 2
-    with mpmath.mp.workdps(digits + 10):
-        val = mpmath.mpf(mid.numerator) / mid.denominator * mpmath.pi
-        return mpmath.nstr(val, digits, strip_zeros=False)
+    x = (lo + hi) / 2
+    if x == 0:
+        return "0.0"
+    bits = max(1, int(round((digits + 11) * 3.3219280948873626)))  # mpmath's dps_to_prec
+    # pi's bits past `bits` are far from a tie, so pi_fixed's 2 ulps at
+    # bits + 64 do not change how pi rounds
+    pm, pe = _round_bits(pi_fixed(bits + 64)[0], 1 << bits + 64, bits)
+    m, e = _round_bits(abs(x.numerator), 1, bits)  # mpf(x.numerator)
+    n, d = _dyadic(m, e)
+    m, e = _round_bits(n, d * x.denominator, bits)  # / x.denominator
+    m, e = _round_bits(*_dyadic(m * pm, e + pe), bits)  # * pi
+    # mpmath.libmp.to_str, by way of to_digits_exp at digits + 3
+    fixprec = max(int((digits + 3) * log(10, 2)) + 10 - e - m.bit_length(), 0)
+    fixdps = int(fixprec / log(10, 2) + 0.5)
+    sf = m << (e + fixprec) if e + fixprec >= 0 else m >> -(e + fixprec)
+    ds = str((sf * 10 ** fixdps) >> fixprec)
+    exponent = len(ds) - fixdps - 1
+    if len(ds) > digits and ds[digits] in "56789":
+        ds = str(int(ds[:digits]) + 1)
+        if len(ds) > digits:
+            ds, exponent = ds[:digits], exponent + 1
+    else:
+        ds = ds[:digits]
+    split = 1
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            ds = "0" * -exponent + ds
+        else:
+            split = exponent + 1
+            ds += "0" * (split - digits)
+        exponent = 0
+    text = ("-" if x < 0 else "") + ds[:split] + "." + ds[split:]
+    if exponent == 0:
+        return text
+    return text + ("e+" if exponent > 0 else "e") + str(exponent)

@@ -7,12 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from covsig import Comparison, alg_compare, cli, jumps
+from covsig import MAX_COVERING_N, Comparison, alg_compare, cli, jumps
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
 from conftest import same_jumps
@@ -460,26 +461,101 @@ def test_precision_bits_reach_candidate_separation(monkeypatch):
     assert seen == [77, 77, 77]
 
 
+def _fresh_env():
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 @pytest.mark.parametrize("module", ["covsig", "covsig.cli"])
 def test_python_dash_m_runs_the_command(module):
     argv = ["jump", "--V", "trefoil"]
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-m", module] + argv, capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_fresh_env(), timeout=120)
     code, text = run(argv)
     assert (proc.returncode, proc.stdout) == (code, text)
     assert text
 
 
 def test_startup_does_not_import_sympy():
-    # sympy is most of the import time; only poly.gcd needs it, and imports it
-    # on its first call, which a pattern command never makes
+    # covsig needs no third-party module: neither sympy nor mpmath is loaded
+    # by an import and a pattern command
     probe = ("import io, sys\nfrom covsig.cli import run_command\n"
              "run_command(['pattern', 'y'], io.StringIO())\n"
-             "sys.exit('sympy' in sys.modules)")
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+             "sys.exit('sympy' in sys.modules or 'mpmath' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_fresh_env(), timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+FRESH_COMMANDS = [
+    ["obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", "--m", "2", "--p", "3", "--format", "json"],
+    ["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3"],
+    ["jump", "--V", "[[1,1],[0,2]]"],
+    ["sigfn", "--V", "trefoil"],
+]
+
+
+def test_commands_in_a_fresh_process_load_neither_sympy_nor_mpmath():
+    # the gcd, the enclosures and the display are Python ints: a process that
+    # runs the algebraic path, a human display and sigfn loads neither library
+    probe = ("import io, json, sys\nfrom covsig.cli import run_command\n"
+             "runs = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    out = io.StringIO()\n"
+             "    runs.append((run_command(argv, out), out.getvalue()))\n"
+             "loaded = sorted(m for m in ('sympy', 'mpmath') if m in sys.modules)\n"
+             "print(json.dumps({'runs': runs, 'loaded': loaded}))")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(FRESH_COMMANDS)],
+                          capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    assert [tuple(r) for r in report["runs"]] == [run(argv) for argv in FRESH_COMMANDS]
+    assert [code for code, _ in report["runs"]] == [1, 1, 0, 0]
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the reader is gone before covsig writes: the broken pipe is neither a
+    # verdict (exit 1) nor an error line printed into the same pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = ["cover", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "2", "--a", "3",
+            "--format", "json"]
+    try:
+        proc = subprocess.run([sys.executable, "-m", "covsig"] + argv, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=_fresh_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+    assert cli.EXIT_BROKEN_PIPE not in (cli.EXIT_OK, cli.EXIT_NONPERIODIC, cli.EXIT_USAGE,
+                                        cli.EXIT_UNRESOLVED)
+
+
+def test_run_command_lets_a_broken_pipe_through():
+    # it is no usage error, and no error line is written into the closed pipe
+    class Closed(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            Closed.writes += 1
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with pytest.raises(BrokenPipeError):
+        run_command(["jump", "--V", "trefoil"], Closed())
+    assert Closed.writes == 1
+
+
+def test_a_hostile_covering_size_is_refused_before_it_is_built(monkeypatch):
+    # L(trefoil, 1000) at p = 3 has n = 11,988,004: its n x n fill would take
+    # far more memory than there is, so the size is checked first
+    def never(*args):
+        raise AssertionError("covering_matrix called")
+
+    monkeypatch.setattr("covsig.covering.covering_matrix", never)
+    t0 = time.perf_counter()
+    code, text = run(["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "1000", "--p", "3"])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(text) == {
+        "error": "covering matrix of size 11988004 is over the limit %d" % MAX_COVERING_N,
+        "type": "CoveringTooLarge"}
