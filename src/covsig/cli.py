@@ -36,9 +36,9 @@ from .jumps import (
     jump_to_obj,
     period_2pi_test,
     point_to_obj,
+    repeated_points,
     scale_jump,
     theta_decimal,
-    with_period,
 )
 from .pattern import fold, parse_word, pattern_coefficients, solve_multiplicities
 from .seifert import SeifertData
@@ -239,11 +239,11 @@ def cmd_cover(args, out):
     extra = {
         "s": cm.s,
         "multiplicities": list(cm.multiplicities),
-        "matrix_size": cm.expanded_P.nrows,
+        "matrix_size": cm.n,
     }
     if args.format == "human":
         print(f"s = {cm.s}, multiplicities = {list(cm.multiplicities)}, "
-              f"matrix size = {cm.expanded_P.nrows}", file=out)
+              f"matrix size = {cm.n}", file=out)
         _emit_jump_human(g, out)
     else:
         _emit_jump(g, args, out, extra)
@@ -284,12 +284,11 @@ def cmd_obstruct(args, out):
 
 def cmd_sigfn(args, out):
     f = jump_function(_matrix(args.V), args.epsilon, args.precision_bits)
-    # the jumps of one period sum to 0, so sigma is back at sigma0 after each
-    shown = with_period(f, f.period * max(1, args.window))
     print("theta_decimal,sigma", file=out)
     sigma = f.sigma0
     print(f"0.0,{sigma}", file=out)
-    for pt in shown.points:
+    # the jumps of one period sum to 0, so sigma is back at sigma0 after each
+    for pt in repeated_points(f, max(1, args.window)):
         sigma += pt.value
         print(f"{theta_decimal(pt.loc)},{sigma}", file=out)
     return EXIT_OK
@@ -364,6 +363,8 @@ def run_command(argv=None, out=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         _jobspec_into_args(args)
+        if args.precision_bits < 0:
+            raise ParseError(f"--precision-bits must not be negative, got {args.precision_bits}")
         if getattr(args, "command", None) in ("solve", "cover", "obstruct") \
                 and getattr(args, "p", None) is None:
             raise ParseError("--p is required (or provide it via --input)")

@@ -15,7 +15,7 @@ between two groups a single block: at n = 124 (L(trefoil, 2), p = 5) there
 are 268 nonzero entries instead of 3162.  Neither D(w) nor the signature
 samples use the chains: jump_function eliminates them and works on the
 core, the first strands of the groups (see covsig._fast.PencilCore).  The
-n x n matrix itself is read only when D(w) = 0, to remove a common kernel.
+n x n matrix itself is built only when D(w) = 0, to remove a common kernel.
 The blocks themselves are computed with integer matrix products, two
 adjugates (covsig._fast.adj_det) and one exact scaling per block.
 """
@@ -33,9 +33,9 @@ from .exact.poly import totient
 from .pattern import fold, solve_multiplicities
 from .seifert import SeifertData
 
-# The largest covering matrix size n that build_covering accepts.  The n x n
-# fill of covering_matrix peaks at about 17 bytes an entry (tracemalloc at
-# n = 1020 and 2044), so n = 5000 peaks near 425 MB and takes a few seconds.
+# The largest covering matrix size n that build_covering accepts.  A job with
+# D(w) = 0 fills the n x n covering_matrix, about 17 bytes an entry (tracemalloc
+# at n = 1020 and 2044), near 425 MB at n = 5000; every job has deg D <= n.
 MAX_COVERING_N = 5000
 
 
@@ -69,18 +69,17 @@ class CoveringSpec:
 
 @dataclass(frozen=True)
 class CoveringMatrix:
-    """Result of the transfer: raw blocks, covering matrix, and multiplicities.
+    """Result of the transfer: the blocks, s and the strand multiplicities.
 
-    expanded_P is the covering Seifert matrix in the strand-difference basis
-    (see covering_matrix): congruent over the integers to the parallel-copy
-    expansion of the blocks, so it has the same size, the same D(w) and the
-    same jump function.
+    They determine the covering Seifert matrix, of size n = sum |s*x_k| * b
+    for blocks of size b; covering_matrix(blocks_A, multiplicities, 1, eps)
+    builds it where it is needed.
     """
 
     blocks_A: tuple  # d x d tuple-of-tuples of RatMatrix
-    expanded_P: RatMatrix
     s: int
     multiplicities: tuple  # the integers s*x_k
+    n: int
 
 
 def gamma(A: RatMatrix, epsilon: int) -> RatMatrix:
@@ -259,13 +258,7 @@ def build_covering(sd: SeifertData, coeffs: dict, spec: CoveringSpec) -> Coverin
     n = sum(map(abs, mults)) * sd.C.nrows
     if n > MAX_COVERING_N:
         raise CoveringTooLarge(f"covering matrix of size {n} is over the limit {MAX_COVERING_N}")
-    blocks = covering_blocks(sd, spec)
-    return CoveringMatrix(
-        blocks_A=blocks,
-        expanded_P=covering_matrix(blocks, x, s, sd.epsilon),
-        s=s,
-        multiplicities=mults,
-    )
+    return CoveringMatrix(covering_blocks(sd, spec), s, mults, n)
 
 
 def ltm_family(V: RatMatrix, m: int, epsilon: int = 1):

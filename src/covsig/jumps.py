@@ -47,7 +47,7 @@ from itertools import zip_longest
 from math import gcd as int_gcd
 from math import lcm, log
 
-from . import _fast
+from . import _fast, covering
 from .covering import CoveringMatrix, CoveringSpec, build_covering, int_blocks
 from .errors import UnresolvedComparison, ZeroScale
 from .exact import (
@@ -564,9 +564,9 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     Pm is a square RatMatrix or a CoveringMatrix.  For a CoveringMatrix both
     D(w) = det(w*P - eps*P^T) and the signature samples come from its core
     (see _fast.PencilCore), with each group's strand chain eliminated.  A
-    covering with D = 0 takes the plain route on its n x n matrix
-    (expanded_P).  A plain matrix removes the common kernel of P and P^T
-    first, so that D is computed once.
+    covering with D = 0 builds its n x n matrix (covering.covering_matrix)
+    and takes the plain route on it.  A plain matrix removes the common
+    kernel of P and P^T first, so that D is computed once.
     Root-of-unity jump angles (cyclotomic factors of D) come out as PiLoc;
     the remaining unimodular roots as AlgLoc in t = tan(theta/2).
     Signatures are evaluated at exact rational t strictly between
@@ -580,8 +580,8 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     Raises UnresolvedComparison when two candidates stay unseparated at
     4*max_bits bits.
     """
-    covering = isinstance(Pm, CoveringMatrix)
-    if covering:
+    is_covering = isinstance(Pm, CoveringMatrix)
+    if is_covering:
         rows, mults = _core_rows(Pm)
     elif Pm.is_square:
         # a plain matrix drops its common kernel before D, which it forces to 0
@@ -593,10 +593,11 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     core = _fast.PencilCore(rows, epsilon, mults)
     factors = []
     D = _fast.pencil_det_poly(core, factors)
-    if not D and covering:
+    if not D and is_covering:
         # a common kernel of P and P^T, or a generic minor, is taken on the
         # n x n matrix: the plain route removes that kernel first
-        return jump_function(Pm.expanded_P, epsilon, max_bits)
+        n_by_n = covering.covering_matrix(Pm.blocks_A, Pm.multiplicities, 1, epsilon)
+        return jump_function(n_by_n, epsilon, max_bits)
     if not D:
         # a generic minor is no product over blocks: every block owns its roots
         S = _self_reciprocal_part(_generic_minor_poly(rows, epsilon))
@@ -728,18 +729,21 @@ def scale_jump(f: JumpFunction, y, max_bits: int = DEFAULT_PRECISION_BITS) -> Ju
     return JumpFunction(pts, new_period, f.sigma0)
 
 
+def repeated_points(f: JumpFunction, reps: int):
+    """The points of f over reps consecutive periods from 0, yielded in order."""
+    for r in range(reps):
+        shift = 2 * f.period * r
+        for pt in f.points:
+            yield _translate_point(pt, shift)
+
+
 def with_period(f: JumpFunction, period) -> JumpFunction:
     """Re-express f over a larger fundamental period (an integer multiple)."""
     period = Fraction(period)
     reps = period / f.period
     if reps.denominator != 1 or reps <= 0:
         raise ValueError("new period must be a positive integer multiple")
-    pts = []
-    for r in range(int(reps)):
-        shift = 2 * f.period * r
-        for pt in f.points:
-            pts.append(_translate_point(pt, shift))
-    return JumpFunction(pts, period, f.sigma0)
+    return JumpFunction(list(repeated_points(f, int(reps))), period, f.sigma0)
 
 
 def sum_jumps(fs, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:

@@ -38,19 +38,23 @@ def test_hook_resolves(module, path):
     assert callable(vars(owner)[attr])
 
 
-def test_traced_job_reports_the_layer_counters():
-    # L(trefoil, 2) at p = 3: strands (4, 1, 2) of block size 4, so the
-    # n x n covering matrix that covering_matrix returns has n = 28
+def traced(argv):
+    """(layer metrics, pass summary) of one traced run of argv, which must exit 1."""
     tracer = tracing.Tracer()
-    out = io.StringIO()
     with tracer.installed():
-        code = run_command(["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2",
-                            "--p", "3", "--format", "json"], out)
+        code = run_command(argv, io.StringIO())
     assert code == 1
     summary = tracer.pass_summary(0)
-    metrics = tracing.Tracer.layer_metrics(summary)
-    assert metrics["covering.n"] == 28
-    assert metrics["covering.nnz"] > 0
+    return tracing.Tracer.layer_metrics(summary), summary
+
+
+def test_traced_job_reports_the_layer_counters():
+    # L(trefoil, 2) at p = 3 has D != 0: its jumps come from the blocks, and
+    # the n x n covering matrix is never built
+    metrics, summary = traced(["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2",
+                               "--p", "3", "--format", "json"])
+    assert summary["calls"]["covering.expand"] == 0
+    assert metrics["covering.n"] == 0
     assert metrics["fast.sig_calls"] > 0 and metrics["fast.sig_fallbacks"] == 0
     assert metrics["jumps.points"] > 0
     # D(w) comes from the core, through the hooked name, in one call
@@ -59,3 +63,13 @@ def test_traced_job_reports_the_layer_counters():
     assert summary["calls"]["covering.blocks"] == 1
     assert summary["calls"]["jumps.extract"] == 1
 
+
+def test_traced_job_with_d_zero_counts_the_covering_matrix():
+    # A_kk + A_kk^T is singular, so D = 0 and the n x n matrix is built once:
+    # strands (4, 1, 2) of block size 2 give n = 14
+    metrics, summary = traced(["obstruct", "--A", "[[1,-1],[2,0]]", "--B", "[[-2,0],[0,0]]",
+                               "--C", "[[-1,-1],[1,0]]", "--epsilon", "-1",
+                               "--coeffs", '{"0": 2, "1": -1}', "--p", "3", "--format", "json"])
+    assert summary["calls"]["covering.expand"] == 1
+    assert metrics["covering.n"] == 14
+    assert metrics["covering.nnz"] > 0

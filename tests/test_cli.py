@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from covsig import MAX_COVERING_N, Comparison, alg_compare, cli, jumps
+from covsig import MAX_COVERING_N, Comparison, alg_compare, cli, covering_matrix, jumps
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
 from conftest import same_jumps
@@ -278,6 +278,24 @@ def test_cover_command():
     assert obj["matrix_size"] == 28
     f = jump_from_obj(obj)
     assert len(f.points) == len(obj["points"])
+
+
+def test_sigfn_prints_a_long_window_as_it_goes():
+    # ten million periods are never held at once: the first lines come out
+    # at once, and a reader that stops after ten ends the run
+    class Head(io.StringIO):
+        def write(self, text):
+            if self.getvalue().count("\n") >= 10:
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+    out = Head()
+    t0 = time.perf_counter()
+    with pytest.raises(BrokenPipeError):
+        run_command(["sigfn", "--V", "trefoil", "--window", "10000000"], out)
+    assert time.perf_counter() - t0 < 1
+    _, head = run(["sigfn", "--V", "trefoil", "--window", "5"])
+    assert out.getvalue() == "".join(head.splitlines(keepends=True)[:10])
 
 
 def test_sigfn_step_function():
@@ -559,3 +577,70 @@ def test_a_hostile_covering_size_is_refused_before_it_is_built(monkeypatch):
     assert json.loads(text) == {
         "error": "covering matrix of size 11988004 is over the limit %d" % MAX_COVERING_N,
         "type": "CoveringTooLarge"}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["--precision-bits", "-3"], None),
+    ([], {"precision_bits": -3}),
+])
+def test_negative_precision_bits_are_a_usage_error(tmp_path, argv, doc):
+    args = ["obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", "--m", "2", "--p", "3"] + argv
+    if doc is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"options": doc}))
+        args += ["--input", str(path)]
+    code, text = run(args)
+    assert code == cli.EXIT_USAGE
+    obj = json.loads(text)
+    assert obj["type"] == "ParseError" and "precision-bits" in obj["error"]
+    assert "must not be negative, got -3" in obj["error"]
+
+
+def test_zero_precision_bits_still_run():
+    code, text = run(["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3",
+                      "--format", "json", "--precision-bits", "0"])
+    assert code == cli.EXIT_NONPERIODIC
+    assert json.loads(text)["verdict"] == "NonPeriodic"
+
+
+# A_kk + A_kk^T = diag(-2, 0) is singular, so every group of two or more
+# strands has a singular chain and D = 0: the job builds its n x n matrix
+D_ZERO_JOB = ["--A", "[[1,-1],[2,0]]", "--B", "[[-2,0],[0,0]]", "--C", "[[-1,-1],[1,0]]",
+              "--epsilon", "-1", "--coeffs", '{"0": 2, "1": -1}', "--p", "3", "--format", "json"]
+
+
+@pytest.mark.parametrize("command, code, digest", [
+    ("obstruct", 1, "6a91af20d22b18b0db30e8f5d8346f75411d66db3396a5717ea3a7d05dd7127c"),
+    ("cover", 0, "6e7a2c8d2f997eee28ff2c479f2f1a49963691981b5ab63079bdded2f875ff0e"),
+])
+def test_a_covering_with_d_zero_builds_its_matrix_once(monkeypatch, command, code, digest):
+    built = []
+
+    def counted(*args):
+        built.append(covering_matrix(*args))
+        return built[-1]
+
+    monkeypatch.setattr("covsig.covering.covering_matrix", counted)
+    got, text = run([command] + D_ZERO_JOB)
+    assert got == code
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert [m.nrows for m in built] == [14]
+    if command == "cover":
+        assert json.loads(text)["matrix_size"] == 14
+
+
+LADDER_P3 = [["obstruct", "--family", "ltm", "--V", v, "--m", m, "--p", "3", "--format", "json"]
+             for v in ("trefoil", "[[1,1],[0,2]]") for m in ("2", "3")]
+
+
+def test_covering_jobs_with_d_nonzero_never_build_the_matrix(monkeypatch):
+    # L(trefoil, m) and L(ALG, m) at p = 3 take their jumps from the blocks:
+    # with covering_matrix unusable they print the bytes of a plain run
+    plain = [run(argv) for argv in LADDER_P3]
+
+    def never(*args):
+        raise AssertionError("covering_matrix called")
+
+    monkeypatch.setattr("covsig.covering.covering_matrix", never)
+    assert [run(argv) for argv in LADDER_P3] == plain
+    assert [code for code, _ in plain] == [1, 1, 1, 1]

@@ -46,6 +46,11 @@ from covsig.jumps import (
 from conftest import ALG, T25, TREFOIL, interpolated_det_poly, same_jumps
 
 
+def expand(cm, epsilon):
+    """The n x n covering matrix of cm, which a covering job builds only when D = 0."""
+    return covering_matrix(cm.blocks_A, cm.multiplicities, 1, epsilon)
+
+
 def test_covering_spec():
     spec = CoveringSpec(p=3)
     assert spec.d == 3
@@ -127,7 +132,8 @@ def test_build_covering_ltm_2_3():
     assert cm.s == 7
     assert cm.multiplicities == (4, 1, 2)
     # block size 4, total strands 4+1+2 = 7
-    assert cm.expanded_P.shape == (28, 28)
+    assert cm.n == 28
+    assert expand(cm, sd.epsilon).shape == (28, 28)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +223,25 @@ def test_covering_matrix_structure(epsilon):
     assert nonzero_blocks(got, 2) == expected
 
 
+@pytest.mark.parametrize("coeffs, target, mults", [
+    ({0: 1, 1: 1}, (1, -1, 0), (1, 0, -1)),
+    ({0: 1, 1: 1}, (0, 1, -1), (-1, 1, 0)),
+    ({0: 2, 1: -1}, (1, -1, 0), (2, -3, 1)),
+])
+def test_covering_size_is_that_of_its_matrix(coeffs, target, mults):
+    # n comes from the strands alone, a negative group counting |s*x_k| and
+    # a dropped one none
+    sd, _ = ltm_family(TREFOIL, 2)
+    cm = build_covering(sd, coeffs, CoveringSpec(p=3, target=target))
+    assert cm.multiplicities == mults
+    assert cm.n == expand(cm, sd.epsilon).nrows
+
+
 def test_covering_matrix_nnz_ltm_2_5():
     sd, c = ltm_family(TREFOIL, 2)
     cm = build_covering(sd, c, CoveringSpec(p=5))
-    m = cm.expanded_P
-    assert m.nrows == 124
+    m = expand(cm, sd.epsilon)
+    assert cm.n == m.nrows == 124
     assert sum(1 for row in m.rows for x in row if x) == 268
 
 
@@ -290,8 +310,8 @@ core_blocks = st.integers(min_value=1, max_value=2).flatmap(lambda b: st.lists(
 core_mults = st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3).filter(any)
 
 
-def as_covering(blocks, mults, epsilon):
-    return CoveringMatrix(blocks, covering_matrix(blocks, mults, 1, epsilon), 1, tuple(mults))
+def as_covering(blocks, mults):
+    return CoveringMatrix(blocks, 1, tuple(mults), sum(map(abs, mults)) * blocks[0][0].nrows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,8 +320,8 @@ def as_covering(blocks, mults, epsilon):
                  st.tuples(st.integers(min_value=-9, max_value=9).filter(bool),
                            st.integers(min_value=1, max_value=9))))
 def test_core_signature_equals_pencil_signature(blocks, mults, epsilon, t):
-    cm = as_covering(blocks, mults, epsilon)
-    rows = int_rows(cm.expanded_P)
+    cm = as_covering(blocks, mults)
+    rows = int_rows(expand(cm, epsilon))
     core_rows, ms = _core_rows(cm)
     core = PencilCore(core_rows, epsilon, ms)
     u, v = t
@@ -320,8 +340,9 @@ def test_core_signature_equals_pencil_signature(blocks, mults, epsilon, t):
        st.sampled_from([1, -1]))
 def test_core_jump_function_equals_pencil_jump_function(blocks, mults, epsilon):
     # with 4 | N a sample at t = 1 moves inside its gap; sigma0 and the jumps stay
-    cm = as_covering(blocks, mults, epsilon)
-    f, g = jump_function(cm, epsilon), jump_function(cm.expanded_P, epsilon)
+    cm = as_covering(blocks, mults)
+    expanded = expand(cm, epsilon)
+    f, g = jump_function(cm, epsilon), jump_function(expanded, epsilon)
     assert same_jumps(f, g)
     assert f.sigma0 == g.sigma0
 
@@ -341,11 +362,12 @@ def test_singular_chain_is_a_common_kernel(blocks, x, y, mults, epsilon):
     else:  # symmetric for eps = 1; A + A^T = diag(0, 2y) for eps = -1
         A = RatMatrix([[x, y], [y, x]]) if epsilon == 1 else RatMatrix([[0, x], [-x, y]])
     blocks = [[A if k == l else blocks[k][l] for l in range(3)] for k in range(3)]
-    cm = as_covering(blocks, mults, epsilon)
-    rows = int_rows(cm.expanded_P)
+    cm = as_covering(blocks, mults)
+    expanded = expand(cm, epsilon)
+    rows = int_rows(expanded)
     assert _fast.pencil_det_poly(PencilCore(rows, epsilon)) == []
     assert len(_remove_common_kernel(rows)) < len(rows)
-    f, g = jump_function(cm, epsilon), jump_function(cm.expanded_P, epsilon)
+    f, g = jump_function(cm, epsilon), jump_function(expanded, epsilon)
     assert same_jumps(f, g) and f.sigma0 == g.sigma0
 
 
@@ -371,10 +393,10 @@ def one_by_one(entries):
 @example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-1, 1, 1], 1)
 def test_core_det_poly_equals_pencil_det_poly(blocks, mults, epsilon):
     # covers det S_k = 0 (always for b = 1, eps = 1), where D = 0 and c = 0
-    cm = as_covering(blocks, mults, epsilon)
+    cm = as_covering(blocks, mults)
     core_rows, ms = _core_rows(cm)
     assert (_fast.pencil_det_poly(PencilCore(core_rows, epsilon, ms))
-            == _fast.pencil_det_poly(PencilCore(int_rows(cm.expanded_P), epsilon)))
+            == _fast.pencil_det_poly(PencilCore(int_rows(expand(cm, epsilon)), epsilon)))
 
 
 @st.composite
@@ -414,10 +436,10 @@ def test_core_det_poly_by_blocks_equals_dense_det_poly(planted):
     # the oracle interpolates det(w*P - eps*P^T) of the n x n matrix in
     # Fractions, with no block split
     blocks, mults, epsilon = planted
-    cm = as_covering(blocks, mults, epsilon)
+    cm = as_covering(blocks, mults)
     core_rows, ms = _core_rows(cm)
     assert (_fast.pencil_det_poly(PencilCore(core_rows, epsilon, ms))
-            == interpolated_det_poly(int_rows(cm.expanded_P), epsilon))
+            == interpolated_det_poly(int_rows(expand(cm, epsilon)), epsilon))
 
 
 def eager_gap_signatures(core, gaps, owners):
@@ -440,7 +462,7 @@ def eager_gap_signatures(core, gaps, owners):
            [RatMatrix([[0]]), RatMatrix([[0]]), RatMatrix([[1]])]], [1, 2, 2], -1))
 def test_block_samples_equal_every_block_at_every_gap(planted):
     blocks, mults, epsilon = planted
-    cm = as_covering(blocks, mults, epsilon)
+    cm = as_covering(blocks, mults)
 
     def checked(core, gaps, owners):
         sigs = _gap_signatures(core, gaps, owners)
@@ -515,7 +537,7 @@ def test_block_candidates_equal_the_whole_g_oracle(planted):
     # each block's rest isolated on its own g_b, each candidate owned by its
     # blocks, against one g of the product with every block at every gap
     blocks, mults, epsilon = planted
-    cm = as_covering(blocks, mults, epsilon)
+    cm = as_covering(blocks, mults)
     seen = []
 
     def spy(rests):
@@ -535,7 +557,7 @@ def test_block_candidates_equal_the_whole_g_oracle(planted):
 def test_shared_roots_are_owned_by_every_block_that_has_them(monkeypatch):
     # ALG + ALG: the one candidate on t > 0, w = (3 + i*sqrt(7))/4, is a root
     # of both blocks' rests
-    cm = as_covering([[ALG, ZERO_2], [ZERO_2, ALG]], [1, 1], 1)
+    cm = as_covering([[ALG, ZERO_2], [ZERO_2, ALG]], [1, 1])
     owned = []
 
     def spy(core, gaps, owners):
@@ -598,7 +620,7 @@ def test_core_det_poly_with_det_s_49():
                                 for j in range(b)] for i in range(b)])
             for r in range(0, len(core_rows), b)] == [49, 49, 49]
     D = _fast.pencil_det_poly(PencilCore(core_rows, -1, ms))
-    assert D and D == _fast.pencil_det_poly(PencilCore(int_rows(cm.expanded_P), -1))
+    assert D and D == _fast.pencil_det_poly(PencilCore(int_rows(expand(cm, -1)), -1))
 
 
 
@@ -617,12 +639,13 @@ def test_generic_minor_on_a_covering(mults, epsilon, digest):
     a = block_matrix([[l3, zero.transpose()], [zero, ALG]])
     c = block_matrix([[RatMatrix([[0] * 3] * 3), zero.transpose()], [zero, RatMatrix([[1, 0], [0, 1]])]])
     blocks = ((a, c), (c, a))
-    cm = CoveringMatrix(blocks, covering_matrix(blocks, mults, 1, epsilon), 1, mults)
-    rows = int_rows(cm.expanded_P)
+    cm = CoveringMatrix(blocks, 1, mults, 10)
+    expanded = expand(cm, epsilon)
+    rows = int_rows(expanded)
     assert _fast.pencil_det_poly(PencilCore(rows, epsilon)) == []
     assert _remove_common_kernel(rows) == rows and _generic_minor_poly(rows, epsilon)
     f = jump_function(cm, epsilon)
-    assert same_jumps(f, jump_function(cm.expanded_P, epsilon))
+    assert same_jumps(f, jump_function(expanded, epsilon))
     text = json.dumps(jump_to_obj(f), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

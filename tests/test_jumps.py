@@ -27,7 +27,6 @@ from covsig import (
     compare_locations,
     connected_sum,
     covering_jump,
-    covering_matrix,
     isolate_real_roots,
     jump_from_obj,
     jump_function,
@@ -293,8 +292,8 @@ def test_covering_with_common_kernel_goes_through_the_core(blocks, mults, eps):
     plain = [[RatMatrix(blk) for blk in row] for row in blocks]
     padded = [[RatMatrix([r + [0] for r in blk] + [[0] * (b + 1)]) for blk in row]
               for row in blocks]
-    f, g = (jump_function(CoveringMatrix(bl, covering_matrix(bl, mults, 1, eps), 1,
-                                         tuple(mults)), eps)
+    n = sum(map(abs, mults))
+    f, g = (jump_function(CoveringMatrix(bl, 1, tuple(mults), n * bl[0][0].nrows), eps)
             for bl in (plain, padded))
     assert same_jumps(f, g)
     assert f.sigma0 == g.sigma0
