@@ -19,29 +19,37 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
 from fractions import Fraction
 
-from .covering import CoveringSpec, build_covering, ltm_family
 from .errors import CovsigError, ParseError, UnresolvedComparison
-from .exact import DEFAULT_PRECISION_BITS, RatMatrix
-from .jumps import (
-    JumpFunction,
-    _frac_str,
-    _read_frac,
-    _read_int,
-    jump_function,
-    jump_to_obj,
-    period_2pi_test,
-    point_to_obj,
-    repeated_points,
-    scale_jump,
-    theta_decimal,
-)
 from .pattern import fold, parse_word, pattern_coefficients, solve_multiplicities
-from .seifert import SeifertData
+from .readers import DEFAULT_PRECISION_BITS, frac_str, read_frac, read_int
+
+# The pipeline names this module calls, by module.  _bind_pipeline binds them
+# into the module globals when the first command that needs them runs, so a
+# process that only parses (`covsig pattern`) loads no pipeline code.  jumps
+# comes first: compiling it, the largest module, before the modules it
+# imports keeps a process's peak memory lower (18.7 MB against 19.2 MB with
+# covering first, after one obstruct without a bytecode cache).
+_PIPELINE = {
+    "JumpFunction": "jumps",
+    "jump_function": "jumps",
+    "jump_to_obj": "jumps",
+    "period_2pi_test": "jumps",
+    "point_to_obj": "jumps",
+    "repeated_points": "jumps",
+    "scale_jump": "jumps",
+    "theta_decimal": "jumps",
+    "CoveringSpec": "covering",
+    "build_covering": "covering",
+    "ltm_family": "covering",
+    "RatMatrix": "exact",
+    "SeifertData": "seifert",
+}
 
 TREFOIL = [[-1, 1], [0, -1]]
 
@@ -52,16 +60,37 @@ EXIT_UNRESOLVED = 3
 EXIT_BROKEN_PIPE = 141
 
 
+def _bind_pipeline():
+    """Bind each pipeline name that is not bound yet into the module globals.
+
+    A bound name stays as it is: perfbench/tracing.py replaces some of them
+    with its wrappers, which the next job must call.
+    """
+    names = globals()
+    for name, module in _PIPELINE.items():
+        if name not in names:
+            names[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def __getattr__(name):
+    """A pipeline name read before a command bound it (PEP 562); any other name, dunders
+    included, is no attribute and loads nothing."""
+    if name not in _PIPELINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_pipeline()
+    return globals()[name]
+
+
 def _frac(x) -> Fraction:
     try:
-        return _read_frac(x)
+        return read_frac(x)
     except ValueError as e:
         raise ParseError(str(e)) from None
 
 
 def _int(x) -> int:
     try:
-        return _read_int(x)
+        return read_int(x)
     except ValueError as e:
         raise ParseError(str(e)) from None
 
@@ -163,7 +192,7 @@ def _jobspec_into_args(args):
 
 
 def _emit_jump_human(f: JumpFunction, out):
-    print(f"period: {_frac_str(f.period)} * 2*pi", file=out)
+    print(f"period: {frac_str(f.period)} * 2*pi", file=out)
     print(f"sigma just after 0: {f.sigma0}", file=out)
     if not f.points:
         print("no jumps", file=out)
@@ -209,13 +238,13 @@ def cmd_solve(args, out):
     x, s = solve_multiplicities(row, spec.target)
     obj = {
         "folded_row": list(row.values),
-        "x": [_frac_str(xi) for xi in x],
+        "x": [frac_str(xi) for xi in x],
         "s": s,
         "multiplicities": [int(xi * s) for xi in x],
     }
     if args.format == "human":
         print(f"folded row: {list(row.values)}", file=out)
-        print(f"x = ({', '.join(_frac_str(xi) for xi in x)}), s = {s}", file=out)
+        print(f"x = ({', '.join(frac_str(xi) for xi in x)}), s = {s}", file=out)
         print(f"integer multiplicities s*x = {obj['multiplicities']}", file=out)
     else:
         print(json.dumps(obj, sort_keys=True), file=out)
@@ -368,6 +397,8 @@ def run_command(argv=None, out=None) -> int:
         if getattr(args, "command", None) in ("solve", "cover", "obstruct") \
                 and getattr(args, "p", None) is None:
             raise ParseError("--p is required (or provide it via --input)")
+        if args.func is not cmd_pattern:
+            _bind_pipeline()
         return args.func(args, out)
     except UnresolvedComparison as e:
         print(json.dumps({"error": str(e), "type": "UnresolvedComparison"},

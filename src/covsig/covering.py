@@ -37,6 +37,10 @@ from .seifert import SeifertData
 # D(w) = 0 fills the n x n covering_matrix, about 17 bytes an entry (tracemalloc
 # at n = 1020 and 2044), near 425 MB at n = 5000; every job has deg D <= n.
 MAX_COVERING_N = 5000
+# The largest degree d = p^a that CoveringSpec accepts.  The d x d Fraction
+# circulant solve (pattern.solve_multiplicities) takes about 0.7 s at d = 256
+# and grows as d^3: 3.5 s at d = 512.
+MAX_COVERING_D = 256
 
 
 @dataclass(frozen=True)
@@ -48,10 +52,15 @@ class CoveringSpec:
     target: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.p < 2 or totient(self.p) != self.p - 1:
+        # a p over the limit skips the primality test, whose trial division
+        # takes sqrt(p) steps, and an a over log2 of it the power p^a >= 2^a
+        if self.p < 2 or self.p <= MAX_COVERING_D and totient(self.p) != self.p - 1:
             raise NotPrimePower(f"{self.p} is not prime")
         if self.a < 1:
             raise NotPrimePower("exponent a must be positive")
+        if self.a > MAX_COVERING_D.bit_length() or self.d > MAX_COVERING_D:
+            raise CoveringTooLarge(
+                f"covering degree d = {self.p}^{self.a} is over the limit {MAX_COVERING_D}")
         if self.target is None:
             object.__setattr__(
                 self, "target", (1,) + (0,) * (self.d - 1)

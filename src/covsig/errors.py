@@ -40,7 +40,8 @@ class NotRationalHomologySphere(CovsigError):
 
 
 class CoveringTooLarge(CovsigError):
-    """A covering matrix over covering.MAX_COVERING_N, refused before it is built."""
+    """A covering matrix over covering.MAX_COVERING_N, or a degree d over
+    covering.MAX_COVERING_D, refused before it is built."""
 
 
 class EmptyTuple(CovsigError):

@@ -31,9 +31,8 @@ import enum
 from fractions import Fraction
 from math import lcm
 
+from ..readers import DEFAULT_PRECISION_BITS
 from . import poly as P
-
-DEFAULT_PRECISION_BITS = 256
 
 
 class Comparison(enum.Enum):

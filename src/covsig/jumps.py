@@ -51,7 +51,6 @@ from . import _fast, covering
 from .covering import CoveringMatrix, CoveringSpec, build_covering, int_blocks
 from .errors import UnresolvedComparison, ZeroScale
 from .exact import (
-    DEFAULT_PRECISION_BITS,
     AlgReal,
     Comparison,
     RatMatrix,
@@ -62,6 +61,7 @@ from .exact import (
 )
 from .exact import poly as P
 from .exact.elementary import atan_fixed, pi_fixed, sin_cos_fixed
+from .readers import DEFAULT_PRECISION_BITS, frac_str, read_frac, read_int
 from .seifert import SeifertData
 
 # ---------------------------------------------------------------------------
@@ -839,30 +839,6 @@ def covering_jump(sd: SeifertData, coeffs: dict, spec: CoveringSpec,
 # serialization
 
 
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _read_frac(x) -> Fraction:
-    """The rational of an entry read from outside: an int, or a string n, n/d or a decimal.
-
-    Exponent notation is refused with ValueError: Fraction("1e10000000")
-    builds a 33-million-bit integer, and each further exponent digit costs
-    ten times more.  Digit strings are bounded by Python's limit on the
-    length of an int string, which raises ValueError.  covsig itself writes
-    only n and n/d (_frac_str).
-    """
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError(f"expected an exact rational, got {x!r}")
-    if isinstance(x, str) and ("e" in x or "E" in x):
-        raise ValueError(f"exponent notation is not read as a rational: {x!r}")
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {x!r}") from None
-
-
 def point_to_obj(pt: JumpPoint) -> dict:
     """One point of a jump document.
 
@@ -875,20 +851,20 @@ def point_to_obj(pt: JumpPoint) -> dict:
     it by its leading coefficient.
     """
     if isinstance(pt.loc, PiLoc):
-        return {"pi_rational": _frac_str(pt.loc.frac), "scale": "1", "value": pt.value}
+        return {"pi_rational": frac_str(pt.loc.frac), "scale": "1", "value": pt.value}
     loc = pt.loc
     poly, lo, hi = loc.t.cell
     obj = {
         "algebraic_t": {
-            "poly": [_frac_str(Fraction(c, poly[-1])) for c in poly],
-            "interval": [_frac_str(lo), _frac_str(hi)],
+            "poly": [frac_str(Fraction(c, poly[-1])) for c in poly],
+            "interval": [frac_str(lo), frac_str(hi)],
         },
         "half": 0 if loc.offset == 0 else 1,
-        "scale": _frac_str(loc.scale),
+        "scale": frac_str(loc.scale),
         "value": pt.value,
     }
     if loc.offset not in (0, 2):
-        obj["offset"] = _frac_str(loc.offset)
+        obj["offset"] = frac_str(loc.offset)
     return obj
 
 
@@ -928,27 +904,20 @@ def _read_t(at: dict, seen: dict) -> AlgReal:
     seen maps the poly's strings to a checked AlgReal of that poly, whose
     square-freeness then holds for every interval, and the (poly, interval)
     strings to a checked point; mirrored, translated and scaled points of a
-    document repeat both.  The strings are read once, by _read_frac.
+    document repeat both.  The strings are read once, by read_frac.
     """
     pkey, ikey = tuple(at["poly"]), tuple(at["interval"])
     t = seen.get((pkey, ikey))
     if t is None:
-        lo, hi = _read_frac(ikey[0]), _read_frac(ikey[1])
+        lo, hi = read_frac(ikey[0]), read_frac(ikey[1])
         same = seen.get(pkey)
-        t = same.with_interval(lo, hi) if same else AlgReal([_read_frac(c) for c in pkey], lo, hi)
+        t = same.with_interval(lo, hi) if same else AlgReal([read_frac(c) for c in pkey], lo, hi)
         if _at_root_of_unity(t):
             raise ValueError(
                 "algebraic_t point with 2*atan(t) a rational multiple of pi (t = 0"
                 " among them) is a rational angle; write it as pi_rational")
         seen[pkey] = seen[pkey, ikey] = t
     return t.copy()
-
-
-def _read_int(x) -> int:
-    """An integer read from outside: an int or an int string (cli._int reads through it)."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError(f"expected an integer, got {x!r}")
-    return int(x)
 
 
 def point_from_obj(obj: dict, _seen=None) -> JumpPoint:
@@ -961,27 +930,27 @@ def point_from_obj(obj: dict, _seen=None) -> JumpPoint:
     never be placed (Unresolved); as pi_rational it is compared exactly.
     Any isolating interval is read, the dyadic cells that jump_function
     prints and the bisection intervals of older documents alike.  Rationals
-    are read by _read_frac, which refuses exponent notation, and value by
-    _read_int.  A scale that is not positive, and a half other than the
+    are read by read_frac, which refuses exponent notation, and value by
+    read_int.  A scale that is not positive, and a half other than the
     int 0 or 1, are refused with ValueError.
     """
-    value = _read_int(obj["value"])
-    scale = _read_frac(obj.get("scale", "1"))
+    value = read_int(obj["value"])
+    scale = read_frac(obj.get("scale", "1"))
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {obj['scale']!r}")
     if "pi_rational" in obj:
-        return JumpPoint(PiLoc(_read_frac(obj["pi_rational"]) / scale), value)
+        return JumpPoint(PiLoc(read_frac(obj["pi_rational"]) / scale), value)
     half = obj.get("half", 0)
     if type(half) is not int or half not in (0, 1):
         raise ValueError(f"half must be 0 or 1, got {half!r}")
     t = _read_t(obj["algebraic_t"], {} if _seen is None else _seen)
-    offset = _read_frac(obj["offset"]) if "offset" in obj else 2 * half
+    offset = read_frac(obj["offset"]) if "offset" in obj else 2 * half
     return JumpPoint(AlgLoc(t, offset, scale), value)
 
 
 def jump_to_obj(f: JumpFunction) -> dict:
     return {
-        "period": _frac_str(f.period),
+        "period": frac_str(f.period),
         "sigma0": f.sigma0,
         "points": [point_to_obj(pt) for pt in f.points],
     }
@@ -993,13 +962,13 @@ def jump_from_obj(obj: dict) -> JumpFunction:
     A period that is not positive is refused with ValueError, and points
     that cannot be ordered within the default budget with UnresolvedComparison.
     """
-    period = _read_frac(obj["period"])
+    period = read_frac(obj["period"])
     if period <= 0:
         raise ValueError(f"period must be positive, got {obj['period']!r}")
     seen = {}
     points = sorted((point_from_obj(p, seen) for p in obj["points"]),
                     key=_cmp_key(DEFAULT_PRECISION_BITS))
-    return JumpFunction(points, period, _read_int(obj.get("sigma0", 0)))
+    return JumpFunction(points, period, read_int(obj.get("sigma0", 0)))
 
 
 def _round_bits(num: int, den: int, bits: int):

@@ -20,9 +20,12 @@ from .errors import (
     SingularMatrix,
     SingularSystem,
 )
-from .exact import RatMatrix, mat_inverse
 
 _LETTERS = {"x": ("x", 1), "X": ("x", -1), "y": ("y", 1), "Y": ("y", -1)}
+
+# The most letters a word may expand to.  parse_word expands every power, at
+# about 0.16 s and 16 MB per million letters; x^1000000000 would need 16 GB.
+MAX_WORD_LETTERS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,7 @@ def parse_word(text: str) -> PatternWord:
 
     X and Y are the inverse letters; "x^-2" and "X^2" both mean two copies of
     x^(-1).  Whitespace separates nothing in particular; it is just skipped.
+    A word of more than MAX_WORD_LETTERS letters is refused with ParseError.
     """
     letters = []
     i, n = 0, len(text)
@@ -76,6 +80,8 @@ def parse_word(text: str) -> PatternWord:
             i = j
         if count < 0:
             e, count = -e, -count
+        if len(letters) + count > MAX_WORD_LETTERS:
+            raise ParseError(f"the word has more than {MAX_WORD_LETTERS} letters", position=i)
         letters.extend([(gen, e)] * count)
     return PatternWord(tuple(letters))
 
@@ -126,6 +132,8 @@ def fold(c: dict, d: int) -> FoldedRow:
 
 def circulant_matrix(row: FoldedRow) -> RatMatrix:
     """The d x d matrix with (l, k) entry row[(k - l) mod d]."""
+    from .exact.matrix import RatMatrix  # loaded by the circulant, not by parse_word
+
     d = row.d
     return RatMatrix(
         [[row.values[(k - l) % d] for k in range(d)] for l in range(d)]
@@ -158,6 +166,8 @@ def solve_multiplicities(row: FoldedRow, target):
     is guaranteed for prime-power d with entries summing to 1; a singular M
     (possible for other d) raises SingularSystem.
     """
+    from .exact.matrix import mat_inverse  # loaded by the circulant, not by parse_word
+
     d = row.d
     target = [Fraction(t) for t in target]
     if len(target) != d:

@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from covsig import MAX_COVERING_N, Comparison, alg_compare, cli, covering_matrix, jumps
+from covsig import (MAX_COVERING_N, Comparison, alg_compare, cli, covering, covering_matrix,
+                    jumps)
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
+from covsig.pattern import MAX_WORD_LETTERS
 from conftest import same_jumps
 
 
@@ -505,6 +507,140 @@ def test_startup_does_not_import_sympy():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def _fresh_covsig_modules(argv):
+    """(exit code, the covsig modules loaded) of argv run in a fresh process."""
+    probe = ("import io, json, sys\nfrom covsig.cli import run_command\n"
+             "code = run_command(json.loads(sys.argv[1]), io.StringIO())\n"
+             "print(json.dumps([code, sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'covsig')]))")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], capture_output=True,
+                          text=True, env=_fresh_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return tuple(json.loads(proc.stdout))
+
+
+def test_a_fresh_pattern_command_loads_no_pipeline_module():
+    assert _fresh_covsig_modules(["pattern", "y"]) == (
+        0, ["covsig", "covsig.cli", "covsig.errors", "covsig.pattern", "covsig.readers"])
+
+
+def test_a_fresh_obstruct_loads_every_pipeline_module():
+    # the modules of a whole job, as an eager `import covsig` loaded them,
+    # plus covsig.readers, which holds the parser's readers
+    assert _fresh_covsig_modules(FRESH_COMMANDS[1]) == (1, [
+        "covsig", "covsig._fast", "covsig.cli", "covsig.covering", "covsig.errors",
+        "covsig.exact", "covsig.exact.algebraic", "covsig.exact.elementary",
+        "covsig.exact.gauss", "covsig.exact.matrix", "covsig.exact.poly", "covsig.jumps",
+        "covsig.pattern", "covsig.readers", "covsig.seifert"])
+
+
+# the names each package exports, by the module that defines them
+EXPORTS = {
+    "covsig": {
+        "covsig.errors": ["CoveringTooLarge", "CovsigError", "DimensionMismatch", "EmptyTuple",
+                          "NotAPattern", "NotHermitian", "NotPrimePower",
+                          "NotRationalHomologySphere", "ParseError", "SingularMatrix",
+                          "SingularSystem", "UnresolvedComparison", "ZeroScale"],
+        "covsig.readers": ["DEFAULT_PRECISION_BITS"],
+        "covsig.exact.algebraic": ["AlgReal", "Comparison", "alg_compare", "isolate_real_roots"],
+        "covsig.exact.gauss": ["GaussRat"],
+        "covsig.exact.matrix": ["RatMatrix", "block_matrix", "hermitian_signature",
+                                "mat_inverse"],
+        "covsig.seifert": ["SeifertData", "SignTuple", "assemble", "connected_sum", "mirror",
+                           "parallel_copies"],
+        "covsig.pattern": ["FoldedRow", "PatternWord", "circulant_det_mod_p",
+                           "circulant_matrix", "fold", "parse_word", "pattern_coefficients",
+                           "shift", "solve_multiplicities"],
+        "covsig.covering": ["MAX_COVERING_N", "CoveringMatrix", "CoveringSpec",
+                            "build_covering", "covering_blocks", "covering_matrix", "gamma",
+                            "ltm_family", "ltm_y_oracle", "p3_y_oracle"],
+        "covsig.jumps": ["AlgLoc", "JumpFunction", "JumpPoint", "PiLoc", "Verdict",
+                         "compare_locations", "covering_jump", "jump_from_obj",
+                         "jump_function", "jump_to_obj", "period_2pi_test", "scale_jump",
+                         "sum_jumps", "tl_signature", "tl_signature_at_pi", "with_period"],
+    },
+    "covsig.exact": {
+        "covsig.exact.gauss": ["GaussRat", "I"],
+        "covsig.exact.matrix": ["RatMatrix", "block_matrix", "hermitian_signature",
+                                "mat_inverse"],
+        "covsig.exact.algebraic": ["AlgReal", "Comparison", "alg_compare", "dyadic_cell",
+                                   "isolate_real_roots"],
+        "covsig.readers": ["DEFAULT_PRECISION_BITS"],
+        "covsig.exact.poly": ["poly"],  # the module itself
+    },
+}
+
+
+@pytest.mark.parametrize("package", sorted(EXPORTS))
+@pytest.mark.parametrize("way", ["attribute", "from", "star"])
+def test_each_export_resolves_to_its_definition(package, way):
+    # in a fresh process each name is read first through the package, whose
+    # __getattr__ loads the defining module; dir lists every name
+    probe = ("import importlib, json, sys\n"
+             "package, way, table = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
+             "pkg = importlib.import_module(package)\n"
+             "listed = set(dir(pkg))\n"
+             "star = {}\n"
+             "if way == 'star':\n"
+             "    exec(f'from {package} import *', star)\n"
+             "    del star['__builtins__']\n"
+             "wrong = []\n"
+             "for module, names in table.items():\n"
+             "    for name in names:\n"
+             "        if way == 'attribute':\n"
+             "            value = getattr(pkg, name)\n"
+             "        elif way == 'from':\n"
+             "            ns = {}\n"
+             "            exec(f'from {package} import {name} as value', ns)\n"
+             "            value = ns['value']\n"
+             "        else:\n"
+             "            value = star.pop(name)\n"
+             "        owner = importlib.import_module(module)\n"
+             "        defined = owner if module.endswith('.' + name) else getattr(owner, name)\n"
+             "        if value is not defined or name not in listed:\n"
+             "            wrong.append(name)\n"
+             "print(json.dumps({'wrong': wrong, 'extra': sorted(star),"
+             " 'all': sorted(pkg.__all__)}))")
+    table = EXPORTS[package]
+    proc = subprocess.run([sys.executable, "-c", probe, package, way, json.dumps(table)],
+                          capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["wrong"] == [] and report["extra"] == []
+    assert report["all"] == sorted(name for names in table.values() for name in names)
+
+
+def test_each_submodule_is_an_attribute_of_its_package():
+    # `import covsig` loads no submodule, yet covsig.jumps and
+    # covsig.exact.poly resolve, each loading its module on first access
+    probe = ("import importlib, sys\nimport covsig\n"
+             "names = ['covsig.' + n for n in ('_fast', 'covering', 'errors', 'exact', 'jumps',"
+             " 'pattern', 'seifert')] + ['covsig.exact.' + n for n in ('algebraic', 'elementary',"
+             " 'gauss', 'matrix', 'poly')]\n"
+             "wrong = [n for n in names if eval(n) is not importlib.import_module(n)"
+             " or n.rsplit('.', 1)[1] not in dir(sys.modules[n.rsplit('.', 1)[0]])]\n"
+             "sys.exit(', '.join(wrong) or None)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_dunder_lookups_on_cli_load_nothing():
+    # `from covsig.cli import run_command` looks up covsig.cli.__path__; a
+    # dunder is no pipeline name, so it raises AttributeError at once
+    probe = ("import sys\nimport covsig.cli\n"
+             "for name in ('__path__', '__wrapped__', 'no_such_name'):\n"
+             "    try:\n"
+             "        getattr(covsig.cli, name)\n"
+             "        sys.exit(name + ' resolved')\n"
+             "    except AttributeError:\n"
+             "        pass\n"
+             "sys.exit('covsig.jumps' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 FRESH_COMMANDS = [
     ["obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", "--m", "2", "--p", "3", "--format", "json"],
     ["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3"],
@@ -577,6 +713,58 @@ def test_a_hostile_covering_size_is_refused_before_it_is_built(monkeypatch):
     assert json.loads(text) == {
         "error": "covering matrix of size 11988004 is over the limit %d" % MAX_COVERING_N,
         "type": "CoveringTooLarge"}
+
+
+@pytest.mark.parametrize("argv, d", [
+    (["solve", "--word", "y", "--p", "1000003"], "1000003^1"),
+    (["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "2", "--a", "12"],
+     "2^12"),
+    (["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "2", "--a", "9"],
+     "2^9"),
+    (["solve", "--word", "y", "--p", "3", "--a", "10000000000"], "3^10000000000"),
+    (["solve", "--word", "y", "--p", "1000000000000000003"], "1000000000000000003^1"),
+])
+def test_a_hostile_covering_degree_is_refused_before_the_circulant(monkeypatch, argv, d):
+    # the d x d circulant solve grows as d^3 (d = 1024 took 8 s): d is
+    # checked when the job's CoveringSpec is made, before any d-vector
+    def never(*args):
+        raise AssertionError("circulant built")
+
+    monkeypatch.setattr("covsig.pattern.circulant_matrix", never)
+    t0 = time.perf_counter()
+    code, text = run(argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(text) == {
+        "error": f"covering degree d = {d} is over the limit {covering.MAX_COVERING_D}",
+        "type": "CoveringTooLarge"}
+
+
+def test_the_largest_covering_degree_still_runs():
+    # at d = 2^8 = MAX_COVERING_D the pattern y has multiplicities (1, 0, ..., 0)
+    assert covering.MAX_COVERING_D == 256
+    code, text = run(["solve", "--word", "y", "--p", "2", "--a", "8", "--format", "json"])
+    assert code == 0
+    assert json.loads(text)["multiplicities"] == [1] + [0] * 255
+
+
+@pytest.mark.parametrize("word", ["x^10000000 y", "y x^1000000000 X^1000000000"])
+def test_a_hostile_pattern_exponent_is_refused_at_once(word):
+    # parse_word expands each power into letters: 10^7 of them took 2 s, and
+    # 10^9 would need 16 GB
+    t0 = time.perf_counter()
+    code, text = run(["pattern", word])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert json.loads(text) == {
+        "error": "the word has more than %d letters" % MAX_WORD_LETTERS, "type": "ParseError"}
+
+
+def test_a_word_of_max_word_letters_still_answers():
+    assert MAX_WORD_LETTERS == 1_000_000
+    word = "x^499999 y X^499999 x"  # 10^6 letters
+    assert run(["pattern", word]) == (0, '{"499999": 1}\n')
+    assert run(["pattern", word + " x"])[0] == 2
 
 
 @pytest.mark.parametrize("argv, doc", [

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, totient
 from sympy.polys.matrices import DomainMatrix
@@ -92,6 +92,36 @@ def test_signature_even_in_theta(t):
     assert tl_signature(T25, 1, t) == tl_signature(T25, 1, -t)
 
 
+def _rank(rows):
+    return DomainMatrix([[ZZ(x) for x in row] for row in rows],
+                        (len(rows), len(rows[0])), ZZ).rank()
+
+
+def pencil_rank_drops(rows, eps, t):
+    """Is the pencil's rank at w = (1+it)/(1-it) below its rank at a generic w?
+
+    Times 1 - it, and with t = u/v times v, the pencil is
+    v*(P - eps*P^T) + i*u*(P + eps*P^T) = X + iY, whose complex rank is half
+    the rank of the real [[X, -Y], [Y, X]].  The generic rank is the largest
+    of n + 1 values of w: a nonzero minor of order at most n vanishes at no
+    more than n of them.
+    """
+    n = len(rows)
+    u, v = t.numerator, t.denominator
+    x = [[v * (rows[i][j] - eps * rows[j][i]) for j in range(n)] for i in range(n)]
+    y = [[u * (rows[i][j] + eps * rows[j][i]) for j in range(n)] for i in range(n)]
+    real = [xr + [-c for c in yr] for xr, yr in zip(x, y)] + [yr + xr for xr, yr in zip(x, y)]
+    generic = max(_rank([[w * rows[i][j] - eps * rows[j][i] for j in range(n)]
+                         for i in range(n)]) for w in range(2, n + 3))
+    return _rank(real) < 2 * generic
+
+
+# D(w) = 4(1 + w^2)^2 has a double root at w = i (t = 1), where the pencil
+# has nullity 1 and one eigenvalue touches 0 without changing sign: sigma is
+# 0 on both sides and 1 at the root, where there is no jump
+DOUBLE_ROOT = [[2, -1, -1, 0], [-2, 1, 0, -1], [1, 1, -2, -2], [0, 1, -2, -1]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
@@ -102,14 +132,20 @@ def test_signature_even_in_theta(t):
     st.integers(min_value=-30, max_value=30).filter(bool),
     st.integers(min_value=1, max_value=12),
 )
+@example(DOUBLE_ROOT, 1, [0, 0, 0], False, 11, 12)
+@example(DOUBLE_ROOT, 1, [0, 0, 0], False, 13, 12)
+@example(DOUBLE_ROOT, 1, [0, 0, 0], False, 1, 1)
 def test_signature_is_sigma0_plus_jumps_below(rows, eps, mix, singular, u, v):
-    # sigma at theta = 2*atan(t) (mod 2*pi) is sigma0 plus every jump below it
+    # sigma at theta = 2*atan(t) (mod 2*pi) is sigma0 plus every jump below
+    # it, wherever the pencil has its generic rank: at a root of D (of the
+    # generic minor, when D = 0) sigma may take a value of neither side
     if singular:
         n = len(rows)
         rows[-1] = [sum(mix[i] * rows[i][j] for i in range(n - 1)) for j in range(n)]
+    t = Fraction(u, v)
+    assume(not pencil_rank_drops(rows, eps, t))
     pm = RatMatrix(rows)
     f = jump_function(pm, eps)
-    t = Fraction(u, v)
     at = AlgLoc(AlgReal.from_rational(t), 0 if t > 0 else 2, 1)
     below = 0
     for pt in f.points:
