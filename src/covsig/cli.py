@@ -23,7 +23,6 @@ import importlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import CovsigError, ParseError, UnresolvedComparison
 from .pattern import fold, parse_word, pattern_coefficients, solve_multiplicities
@@ -34,8 +33,10 @@ from .readers import DEFAULT_PRECISION_BITS, frac_str, read_frac, read_int
 # process that only parses (`covsig pattern`) loads no pipeline code.  jumps
 # comes first: compiling it, the largest module, before the modules it
 # imports keeps a process's peak memory lower (18.7 MB against 19.2 MB with
-# covering first, after one obstruct without a bytecode cache).
+# covering first, after one obstruct without a bytecode cache).  Fraction is
+# taken from jumps too: `covsig pattern` runs without the fractions module.
 _PIPELINE = {
+    "Fraction": "jumps",
     "JumpFunction": "jumps",
     "jump_function": "jumps",
     "jump_to_obj": "jumps",

@@ -22,7 +22,6 @@ adjugates (covsig._fast.adj_det) and one exact scaling per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -43,52 +42,73 @@ MAX_COVERING_N = 5000
 MAX_COVERING_D = 256
 
 
-@dataclass(frozen=True)
 class CoveringSpec:
     """Degree d = p^a of the cyclic cover, plus the target vector r_l."""
 
-    p: int
-    a: int = 1
-    target: tuple = None  # type: ignore[assignment]
+    __slots__ = ("p", "a", "target")
 
-    def __post_init__(self):
+    def __init__(self, p: int, a: int = 1, target: tuple | None = None):
         # a p over the limit skips the primality test, whose trial division
         # takes sqrt(p) steps, and an a over log2 of it the power p^a >= 2^a
-        if self.p < 2 or self.p <= MAX_COVERING_D and totient(self.p) != self.p - 1:
-            raise NotPrimePower(f"{self.p} is not prime")
-        if self.a < 1:
+        if p < 2 or p <= MAX_COVERING_D and totient(p) != p - 1:
+            raise NotPrimePower(f"{p} is not prime")
+        if a < 1:
             raise NotPrimePower("exponent a must be positive")
-        if self.a > MAX_COVERING_D.bit_length() or self.d > MAX_COVERING_D:
+        if a > MAX_COVERING_D.bit_length() or p ** a > MAX_COVERING_D:
             raise CoveringTooLarge(
-                f"covering degree d = {self.p}^{self.a} is over the limit {MAX_COVERING_D}")
-        if self.target is None:
-            object.__setattr__(
-                self, "target", (1,) + (0,) * (self.d - 1)
-            )
+                f"covering degree d = {p}^{a} is over the limit {MAX_COVERING_D}")
+        d = p ** a
+        if target is None:
+            target = (1,) + (0,) * (d - 1)
         else:
-            target = tuple(int(t) for t in self.target)
-            if len(target) != self.d:
+            target = tuple(int(t) for t in target)
+            if len(target) != d:
                 raise ValueError("target length must equal d")
-            object.__setattr__(self, "target", target)
+        self.p, self.a, self.target = p, a, target
+
+    def __eq__(self, other):
+        if type(other) is not CoveringSpec:
+            return NotImplemented
+        return (self.p, self.a, self.target) == (other.p, other.a, other.target)
+
+    def __hash__(self):
+        return hash((self.p, self.a, self.target))
+
+    def __repr__(self):
+        return f"CoveringSpec({self.p!r}, a={self.a!r}, target={self.target!r})"
 
     @property
     def d(self) -> int:
         return self.p ** self.a
 
 
-@dataclass(frozen=True)
 class CoveringMatrix:
     """Result of the transfer: the blocks, s and the strand multiplicities.
 
     They determine the covering Seifert matrix, of size n = sum |s*x_k| * b
     for blocks of size b; covering_matrix(blocks_A, multiplicities, 1, eps)
-    builds it where it is needed.
+    builds it where it is needed.  blocks_A is the d x d tuple of tuples of
+    RatMatrix, and multiplicities are the integers s*x_k.
     """
 
-    blocks_A: tuple  # d x d tuple-of-tuples of RatMatrix
-    s: int
-    multiplicities: tuple  # the integers s*x_k
-    n: int
+    __slots__ = ("blocks_A", "s", "multiplicities", "n")
+
+    def __init__(self, blocks_A: tuple, s: int, multiplicities: tuple, n: int):
+        self.blocks_A, self.s, self.multiplicities, self.n = blocks_A, s, multiplicities, n
+
+    def _fields(self):
+        return self.blocks_A, self.s, self.multiplicities, self.n
+
+    def __eq__(self, other):
+        if type(other) is not CoveringMatrix:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "CoveringMatrix({!r}, {!r}, {!r}, {!r})".format(*self._fields())
 
 
 def gamma(A: RatMatrix, epsilon: int) -> RatMatrix:

@@ -41,7 +41,6 @@ precision budget, the answer is an explicit Unresolved.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as int_gcd
@@ -68,14 +67,24 @@ from .seifert import SeifertData
 # locations
 
 
-@dataclass(frozen=True)
 class PiLoc:
     """theta = frac * pi with frac an exact rational."""
 
-    frac: Fraction
+    __slots__ = ("frac",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "frac", Fraction(self.frac))
+    def __init__(self, frac: Fraction):
+        self.frac = Fraction(frac)
+
+    def __eq__(self, other):
+        if type(other) is not PiLoc:
+            return NotImplemented
+        return self.frac == other.frac
+
+    def __hash__(self):
+        return hash(self.frac)
+
+    def __repr__(self):
+        return f"PiLoc({self.frac!r})"
 
 
 class AlgLoc:
@@ -224,13 +233,23 @@ def _cmp_key(max_bits: int):
 # jump data
 
 
-@dataclass
 class JumpPoint:
-    loc: object  # PiLoc | AlgLoc
-    value: int
+    """A jump of value at loc, a PiLoc or an AlgLoc."""
+
+    __slots__ = ("loc", "value")
+
+    def __init__(self, loc, value: int):
+        self.loc, self.value = loc, value
+
+    def __eq__(self, other):
+        if type(other) is not JumpPoint:
+            return NotImplemented
+        return (self.loc, self.value) == (other.loc, other.value)
+
+    def __repr__(self):
+        return f"JumpPoint({self.loc!r}, {self.value!r})"
 
 
-@dataclass
 class JumpFunction:
     """Jumps over one fundamental period [0, 2*pi*period), points in ascending theta.
 
@@ -238,18 +257,37 @@ class JumpFunction:
     the step function itself be reconstructed, not just its jumps.
     """
 
-    points: list
-    period: Fraction = Fraction(1)
-    sigma0: int = 0
+    __slots__ = ("points", "period", "sigma0")
 
-    def __post_init__(self):
-        self.period = Fraction(self.period)
+    def __init__(self, points: list, period: Fraction = 1, sigma0: int = 0):
+        self.points, self.period, self.sigma0 = points, Fraction(period), sigma0
+
+    def __eq__(self, other):
+        if type(other) is not JumpFunction:
+            return NotImplemented
+        return ((self.points, self.period, self.sigma0)
+                == (other.points, other.period, other.sigma0))
+
+    def __repr__(self):
+        return f"JumpFunction({self.points!r}, {self.period!r}, {self.sigma0!r})"
 
 
-@dataclass
 class Verdict:
-    status: str  # "Periodic" | "NonPeriodic" | "Unresolved"
-    witness: object = None  # (loc, (window_i, window_j), (value_i, value_j))
+    """status is "Periodic", "NonPeriodic" or "Unresolved"; witness is None
+    or (loc, (window_i, window_j), (value_i, value_j))."""
+
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: str, witness=None):
+        self.status, self.witness = status, witness
+
+    def __eq__(self, other):
+        if type(other) is not Verdict:
+            return NotImplemented
+        return (self.status, self.witness) == (other.status, other.witness)
+
+    def __repr__(self):
+        return f"Verdict({self.status!r}, {self.witness!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +894,7 @@ def point_to_obj(pt: JumpPoint) -> dict:
     poly, lo, hi = loc.t.cell
     obj = {
         "algebraic_t": {
-            "poly": [frac_str(Fraction(c, poly[-1])) for c in poly],
+            "poly": list(_monic_strs(tuple(poly))),
             "interval": [frac_str(lo), frac_str(hi)],
         },
         "half": 0 if loc.offset == 0 else 1,
@@ -866,6 +904,16 @@ def point_to_obj(pt: JumpPoint) -> dict:
     if loc.offset not in (0, 2):
         obj["offset"] = frac_str(loc.offset)
     return obj
+
+
+@functools.lru_cache(maxsize=64)
+def _monic_strs(poly: tuple) -> tuple:
+    """The coefficients of the int poly divided by its leading one, as point_to_obj prints them.
+
+    Cached: the points of one block share their cell's poly, and each
+    coefficient would otherwise be divided again at every point.
+    """
+    return tuple(frac_str(Fraction(c, poly[-1])) for c in poly)
 
 
 @functools.lru_cache(maxsize=None)

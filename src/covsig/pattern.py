@@ -9,8 +9,6 @@ denominator s that the covering construction consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import (
@@ -28,18 +26,29 @@ _LETTERS = {"x": ("x", 1), "X": ("x", -1), "y": ("y", 1), "Y": ("y", -1)}
 MAX_WORD_LETTERS = 1_000_000
 
 
-@dataclass(frozen=True)
 class PatternWord:
     """Sequence of (generator, exponent-sign) letters; unreduced."""
 
-    letters: tuple
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for gen, e in self.letters:
+    def __init__(self, letters: tuple):
+        for gen, e in letters:
             if gen not in ("x", "y") or e not in (1, -1):
                 raise ValueError(f"bad letter {(gen, e)!r}")
-        if sum(e for gen, e in self.letters if gen == "y") != 1:
+        if sum(e for gen, e in letters if gen == "y") != 1:
             raise NotAPattern("total y-exponent must be 1")
+        self.letters = letters
+
+    def __eq__(self, other):
+        if type(other) is not PatternWord:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):
+        return hash(self.letters)
+
+    def __repr__(self):
+        return f"PatternWord({self.letters!r})"
 
     def __str__(self):
         out = []
@@ -108,17 +117,27 @@ def shift(c: dict, a: int) -> dict:
     return {n - a: v for n, v in c.items() if v}
 
 
-@dataclass(frozen=True)
 class FoldedRow:
     """Length-d vector of coefficients folded modulo d; entries sum to 1."""
 
-    d: int
-    values: tuple
+    __slots__ = ("d", "values")
 
-    def __post_init__(self):
-        if self.d < 1 or len(self.values) != self.d:
+    def __init__(self, d: int, values: tuple):
+        if d < 1 or len(values) != d:
             raise ValueError("values must have length d >= 1")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        self.d = d
+        self.values = tuple(int(v) for v in values)
+
+    def __eq__(self, other):
+        if type(other) is not FoldedRow:
+            return NotImplemented
+        return (self.d, self.values) == (other.d, other.values)
+
+    def __hash__(self):
+        return hash((self.d, self.values))
+
+    def __repr__(self):
+        return f"FoldedRow({self.d!r}, {self.values!r})"
 
 
 def fold(c: dict, d: int) -> FoldedRow:
@@ -166,7 +185,10 @@ def solve_multiplicities(row: FoldedRow, target):
     is guaranteed for prime-power d with entries summing to 1; a singular M
     (possible for other d) raises SingularSystem.
     """
-    from .exact.matrix import mat_inverse  # loaded by the circulant, not by parse_word
+    # loaded by the solve, not by parse_word
+    from fractions import Fraction
+
+    from .exact.matrix import mat_inverse
 
     d = row.d
     target = [Fraction(t) for t in target]

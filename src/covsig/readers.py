@@ -4,18 +4,17 @@ The command-line parser and the jump-document reader read rationals and
 integers through read_frac and read_int; frac_str writes a rational as they
 read it back.  DEFAULT_PRECISION_BITS, the bit budget of an exact comparison,
 is the parser's default for --precision-bits.  This module imports no
-pipeline code, so a command that only parses (`covsig pattern`) loads none.
+pipeline code, and it loads `fractions` only when read_frac runs, so a
+command that only parses (`covsig pattern`) loads neither.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 DEFAULT_PRECISION_BITS = 256
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    """n or n/d, for a Fraction or an int (both have numerator and denominator)."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -32,6 +31,8 @@ def read_frac(x) -> Fraction:
         raise ValueError(f"expected an exact rational, got {x!r}")
     if isinstance(x, str) and ("e" in x or "E" in x):
         raise ValueError(f"exponent notation is not read as a rational: {x!r}")
+    from fractions import Fraction
+
     try:
         return Fraction(x)
     except ZeroDivisionError:

@@ -5,25 +5,33 @@ mirror image, and parallel copies with signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DimensionMismatch, EmptyTuple, SingularMatrix
 from .exact import RatMatrix, block_matrix
 
 
-@dataclass(frozen=True)
 class SignTuple:
     """Signs of parallel copies; n_alpha is their sum."""
 
-    signs: tuple
+    __slots__ = ("signs",)
 
-    def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
+    def __init__(self, signs: tuple):
+        signs = tuple(int(s) for s in signs)
         if not signs:
             raise EmptyTuple("a sign tuple needs at least one entry")
         if any(s not in (1, -1) for s in signs):
             raise ValueError("sign entries must be +1 or -1")
-        object.__setattr__(self, "signs", signs)
+        self.signs = signs
+
+    def __eq__(self, other):
+        if type(other) is not SignTuple:
+            return NotImplemented
+        return self.signs == other.signs
+
+    def __hash__(self):
+        return hash(self.signs)
+
+    def __repr__(self):
+        return f"SignTuple({self.signs!r})"
 
     def __len__(self):
         return len(self.signs)
@@ -36,7 +44,6 @@ class SignTuple:
         return sum(self.signs)
 
 
-@dataclass(frozen=True)
 class SeifertData:
     """Blocks of a Seifert matrix [[A, B], [eps*B^T, C]].
 
@@ -46,25 +53,37 @@ class SeifertData:
     the blocks come from a Seifert manifold with connected boundary).
     """
 
-    A: RatMatrix
-    B: RatMatrix
-    C: RatMatrix
-    epsilon: int = 1
-    q: int = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("A", "B", "C", "epsilon", "q")
 
-    def __post_init__(self):
-        if self.epsilon not in (1, -1):
+    def __init__(self, A: RatMatrix, B: RatMatrix, C: RatMatrix, epsilon: int = 1,
+                 q: int | None = None):
+        if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        if self.q is None:
-            object.__setattr__(self, "q", 1 if self.epsilon == 1 else 2)
-        elif (-1) ** (self.q + 1) != self.epsilon:
+        if q is None:
+            q = 1 if epsilon == 1 else 2
+        elif (-1) ** (q + 1) != epsilon:
             raise ValueError("epsilon must equal (-1)^(q+1)")
-        if not self.A.is_square or not self.C.is_square:
+        if not A.is_square or not C.is_square:
             raise DimensionMismatch("A and C must be square")
-        if self.B.nrows != self.A.nrows or self.B.ncols != self.C.nrows:
+        if B.nrows != A.nrows or B.ncols != C.nrows:
             raise DimensionMismatch("B must be size(A) x size(C)")
-        if (self.A - self.A.transpose().scale(self.epsilon)).det() == 0:
+        if (A - A.transpose().scale(epsilon)).det() == 0:
             raise SingularMatrix("A - eps*A^T must be nonsingular")
+        self.A, self.B, self.C, self.epsilon, self.q = A, B, C, epsilon, q
+
+    def _fields(self):
+        return self.A, self.B, self.C, self.epsilon, self.q
+
+    def __eq__(self, other):
+        if type(other) is not SeifertData:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "SeifertData({!r}, {!r}, {!r}, epsilon={!r}, q={!r})".format(*self._fields())
 
     @property
     def size_a(self) -> int:

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, formats, exit codes, job documents."""
 
+import ast
 import hashlib
 import io
 import json
@@ -507,21 +508,66 @@ def test_startup_does_not_import_sympy():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def _fresh_covsig_modules(argv):
-    """(exit code, the covsig modules loaded) of argv run in a fresh process."""
+def _fresh_modules(argv):
+    """(exit code, the modules loaded) of argv run in a fresh process."""
     probe = ("import io, json, sys\nfrom covsig.cli import run_command\n"
              "code = run_command(json.loads(sys.argv[1]), io.StringIO())\n"
-             "print(json.dumps([code, sorted(m for m in sys.modules"
-             " if m.split('.')[0] == 'covsig')]))")
+             "print(json.dumps([code, sorted(sys.modules)]))")
     proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], capture_output=True,
                           text=True, env=_fresh_env(), timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     return tuple(json.loads(proc.stdout))
 
 
+def _fresh_covsig_modules(argv):
+    """(exit code, the covsig modules loaded) of argv run in a fresh process."""
+    code, loaded = _fresh_modules(argv)
+    return code, [m for m in loaded if m.split(".")[0] == "covsig"]
+
+
+def _added_modules(argv):
+    """The modules a fresh argv loads that a bare interpreter (`python -c pass`) has not.
+
+    The bare interpreter runs in the same environment, so a module that a
+    site hook loads is in both and never counts.
+    """
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, env=_fresh_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return set(_fresh_modules(argv)[1]) - set(proc.stdout.split())
+
+
 def test_a_fresh_pattern_command_loads_no_pipeline_module():
     assert _fresh_covsig_modules(["pattern", "y"]) == (
         0, ["covsig", "covsig.cli", "covsig.errors", "covsig.pattern", "covsig.readers"])
+
+
+def test_a_fresh_pattern_command_loads_neither_dataclasses_nor_fractions():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
+    # decimal and numbers: none of them is needed to parse a word
+    assert _added_modules(["pattern", "y"]) & {"dataclasses", "inspect", "fractions"} == set()
+
+
+def test_a_fresh_obstruct_loads_no_dataclasses():
+    added = _added_modules(FRESH_COMMANDS[1])
+    assert "covsig.jumps" in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_no_covsig_module_imports_dataclasses():
+    root = Path(cli.__file__).parent
+    importers = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                importers.append(path.relative_to(root).as_posix())
+    assert importers == []
 
 
 def test_a_fresh_obstruct_loads_every_pipeline_module():

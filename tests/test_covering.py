@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from covsig import (
     CoveringMatrix,
     CoveringSpec,
+    CoveringTooLarge,
     NotPrimePower,
     NotRationalHomologySphere,
     RatMatrix,
@@ -63,6 +64,22 @@ def test_covering_spec():
         CoveringSpec(p=3, a=0)
     with pytest.raises(ValueError):
         CoveringSpec(p=3, target=(1, 0))
+    with pytest.raises(CoveringTooLarge):
+        CoveringSpec(2, 9)
+
+
+def test_covering_spec_and_matrix_compare_and_hash_by_value():
+    spec = CoveringSpec(3)
+    assert spec == CoveringSpec(p=3, a=1, target=None) == CoveringSpec(3, 1, [1, 0, 0])
+    assert hash(spec) == hash(CoveringSpec(3, target=(1, 0, 0)))
+    assert spec != CoveringSpec(3, target=(0, 1, 0)) and spec != CoveringSpec(3, 2)
+    sd, c = ltm_family(TREFOIL, 2, 1)
+    cm = build_covering(sd, c, spec)
+    again = build_covering(sd, c, CoveringSpec(p=3))
+    assert cm == again and hash(cm) == hash(again)
+    assert cm == CoveringMatrix(blocks_A=cm.blocks_A, s=cm.s,
+                                multiplicities=cm.multiplicities, n=cm.n)
+    assert cm != CoveringMatrix(cm.blocks_A, cm.s, cm.multiplicities, cm.n + 1)
 
 
 def test_gamma_identity():

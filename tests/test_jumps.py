@@ -23,6 +23,7 @@ from covsig import (
     PiLoc,
     RatMatrix,
     UnresolvedComparison,
+    Verdict,
     ZeroScale,
     compare_locations,
     connected_sum,
@@ -492,6 +493,24 @@ def test_parallel_copies_reparametrize():
 
 def _pt(frac, v):
     return JumpPoint(PiLoc(Fraction(frac)), v)
+
+
+def test_jump_data_compare_by_value():
+    assert PiLoc(1).frac == Fraction(1) and type(PiLoc(1).frac) is Fraction
+    assert PiLoc(Fraction(1, 2)) == PiLoc(frac="1/2") and PiLoc(1) != PiLoc(2)
+    assert hash(PiLoc(Fraction(1, 2))) == hash(PiLoc("1/2"))
+    f = JumpFunction([_pt(1, 2)])
+    assert (f.period, f.sigma0) == (Fraction(1), 0) and type(f.period) is Fraction
+    assert f == JumpFunction(points=[_pt(1, 2)], period=1, sigma0=0)
+    assert f != JumpFunction([_pt(1, 2)], 2) and f != JumpFunction([_pt(1, -2)])
+    assert JumpFunction([], period="2", sigma0=1).period == 2
+    v = Verdict("Periodic")
+    assert v.witness is None and v == Verdict(status="Periodic", witness=None)
+    assert v != Verdict("NonPeriodic") and _pt(1, 2) != (PiLoc(1), 2)
+    # as before, the mutable jump data has no hash
+    for x in (f, _pt(1, 2), v):
+        with pytest.raises(TypeError):
+            hash(x)
 
 
 def test_period_test_trivial_and_periodic():

@@ -115,6 +115,18 @@ def test_folded_row_validation():
         FoldedRow(3, (1, 0))
 
 
+def test_pattern_word_and_folded_row_compare_and_hash_by_value():
+    w = PatternWord((("x", 1), ("y", 1)))
+    assert w == parse_word("x y") == PatternWord(letters=(("x", 1), ("y", 1)))
+    assert hash(w) == hash(parse_word("x y"))
+    assert w != parse_word("y x") and w != (("x", 1), ("y", 1))
+    row = FoldedRow(3, (Fraction(2), -1, 0))
+    assert row.values == (2, -1, 0) and type(row.values[0]) is int
+    assert row == fold({0: 2, 1: -1}, 3) == FoldedRow(d=3, values=(2, -1, 0))
+    assert hash(row) == hash(fold({0: 2, 1: -1}, 3))
+    assert row != FoldedRow(3, (0, 2, -1))
+
+
 def test_circulant_matrix_layout():
     m = circulant_matrix(FoldedRow(3, (2, -1, 0)))
     assert m.rows == [[2, -1, 0], [0, 2, -1], [-1, 0, 2]]

@@ -49,6 +49,19 @@ def test_seifert_data_validation():
         SeifertData(sym, sym, sym, epsilon=1)
 
 
+def test_seifert_data_and_sign_tuple_compare_and_hash_by_value():
+    sd = SeifertData(TREFOIL, TREFOIL, TREFOIL)
+    assert (sd.epsilon, sd.q) == (1, 1)
+    same = SeifertData(A=TREFOIL, B=TREFOIL, C=TREFOIL, epsilon=1, q=None)
+    assert sd == same and hash(sd) == hash(same)
+    assert SeifertData(TREFOIL, TREFOIL, TREFOIL, -1) == SeifertData(
+        TREFOIL, TREFOIL, TREFOIL, epsilon=-1, q=2)
+    assert sd != SeifertData(TREFOIL, TREFOIL, TREFOIL, -1)
+    assert SignTuple([1, -1]) == SignTuple(signs=(1, -1))
+    assert hash(SignTuple([1, -1])) == hash(SignTuple((1, -1)))
+    assert SignTuple((1, -1)) != SignTuple((-1, 1)) and SignTuple((1,)) != (1,)
+
+
 def test_assemble_layout():
     a = RatMatrix([[1]])
     b = RatMatrix([[2]])
