@@ -36,7 +36,6 @@ _EXPORTS = {
         "DEFAULT_PRECISION_BITS",
         "AlgReal",
         "Comparison",
-        "GaussRat",
         "RatMatrix",
         "alg_compare",
         "block_matrix",

@@ -38,6 +38,7 @@ from .readers import DEFAULT_PRECISION_BITS, frac_str, read_frac, read_int
 _PIPELINE = {
     "Fraction": "jumps",
     "JumpFunction": "jumps",
+    "PiLoc": "jumps",
     "jump_function": "jumps",
     "jump_to_obj": "jumps",
     "period_2pi_test": "jumps",
@@ -317,8 +318,14 @@ def cmd_sigfn(args, out):
     print("theta_decimal,sigma", file=out)
     sigma = f.sigma0
     print(f"0.0,{sigma}", file=out)
-    # the jumps of one period sum to 0, so sigma is back at sigma0 after each
-    for pt in repeated_points(f, max(1, args.window)):
+    n = len(f.points)
+    for i, pt in enumerate(repeated_points(f, args.window)):
+        if i % n == 0 and sigma != f.sigma0:
+            # one period's jumps sum to 0 for eps = 1 and to -2*sigma0 for
+            # eps = -1, where sigma jumps back to sigma0 at each 2*pi*k with
+            # no point to carry it (see JumpFunction)
+            sigma = f.sigma0
+            print(f"{theta_decimal(PiLoc(2 * f.period * (i // n)))},{sigma}", file=out)
         sigma += pt.value
         print(f"{theta_decimal(pt.loc)},{sigma}", file=out)
     return EXIT_OK
@@ -395,6 +402,8 @@ def run_command(argv=None, out=None) -> int:
         _jobspec_into_args(args)
         if args.precision_bits < 0:
             raise ParseError(f"--precision-bits must not be negative, got {args.precision_bits}")
+        if args.window < 1:
+            raise ParseError(f"--window must be at least 1, got {args.window}")
         if getattr(args, "command", None) in ("solve", "cover", "obstruct") \
                 and getattr(args, "p", None) is None:
             raise ParseError("--p is required (or provide it via --input)")

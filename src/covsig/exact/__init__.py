@@ -1,4 +1,7 @@
-"""Exact arithmetic: Gaussian rationals, rational matrices, polynomials, real algebraic numbers.
+"""Exact arithmetic: rational matrices, polynomials, real algebraic numbers.
+
+hermitian_signature takes a hermitian matrix as two rational matrices, its
+real and imaginary parts; there is no Gaussian-rational scalar type.
 
 The names below load their submodule on first access (PEP 562), so that
 importing covsig.exact, as every submodule import does, loads nothing else.
@@ -8,7 +11,6 @@ import importlib
 
 # submodule -> the names it exports here
 _EXPORTS = {
-    ".gauss": ("GaussRat", "I"),
     ".matrix": ("RatMatrix", "block_matrix", "hermitian_signature", "mat_inverse"),
     ".algebraic": ("AlgReal", "Comparison", "alg_compare", "dyadic_cell", "isolate_real_roots"),
     "..readers": ("DEFAULT_PRECISION_BITS",),
@@ -16,7 +18,7 @@ _EXPORTS = {
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 # the submodules read as attributes (covsig.exact.poly after `import
 # covsig.exact`); poly is exported as well
-_SUBMODULES = ("algebraic", "elementary", "gauss", "matrix", "poly")
+_SUBMODULES = ("algebraic", "elementary", "matrix", "poly")
 
 __all__ = list(_OWNER) + ["poly"]
 

@@ -14,7 +14,6 @@ from math import lcm
 
 from .. import _fast
 from ..errors import DimensionMismatch, NotHermitian, SingularMatrix
-from .gauss import GaussRat
 
 
 def _frac_rows(rows):
@@ -190,24 +189,30 @@ def block_matrix(grid) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def hermitian_signature(H) -> int:
-    """Signature (#positive - #negative eigenvalues) of a hermitian matrix.
+def hermitian_signature(re, im) -> int:
+    """Signature (#positive - #negative eigenvalues) of the hermitian matrix re + i*im.
 
-    H is a square nested sequence of GaussRat (ints and Fractions coerce).
-    Its entries are multiplied by the positive lcm of their denominators,
-    which keeps the signature, and the Gaussian-integer upper rows go to
+    re and im are square nested sequences of ints or Fractions of one shape,
+    re symmetric and im antisymmetric; NotHermitian is raised otherwise.
+    Both are multiplied by the positive lcm of all their denominators, which
+    keeps the signature, and their integer upper triangles go to
     _fast.herm_sig_fast.
     """
-    m = [[x if isinstance(x, GaussRat) else GaussRat(x) for x in row] for row in H]
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise NotHermitian("matrix is not square")
+    n = len(re)
+    if any(len(row) != n for row in re) or any(len(row) != len(im) for row in im):
+        raise NotHermitian("matrix is not square")
+    if len(im) != n:
+        raise NotHermitian(f"re is {n} x {n} but im is {len(im)} x {len(im)}")
     for i in range(n):
         for j in range(i, n):
-            if m[i][j] != m[j][i].conj():
-                raise NotHermitian(f"entry ({i},{j}) != conj of ({j},{i})")
-    den = lcm(*(q.denominator for row in m for z in row for q in (z.re, z.im)))
-    re = [{j: int(m[i][j].re * den) for j in range(i, n)} for i in range(n)]
-    im = [{j: int(m[i][j].im * den) for j in range(i, n)} for i in range(n)]
-    return _fast.herm_sig_fast(re, im)
+            if re[i][j] != re[j][i]:
+                raise NotHermitian(f"re is not symmetric at ({i},{j})")
+            if im[i][j] != -im[j][i]:
+                raise NotHermitian(f"im is not antisymmetric at ({i},{j})")
+    den = lcm(*(x.denominator for part in (re, im) for row in part for x in row))
+
+    def upper(part):
+        return [{j: row[j].numerator * (den // row[j].denominator) for j in range(i, n)}
+                for i, row in enumerate(part)]
+
+    return _fast.herm_sig_fast(upper(re), upper(im))

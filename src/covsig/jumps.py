@@ -254,7 +254,10 @@ class JumpFunction:
     """Jumps over one fundamental period [0, 2*pi*period), points in ascending theta.
 
     sigma0 is the signature value on the first open interval after 0; it lets
-    the step function itself be reconstructed, not just its jumps.
+    the step function itself be reconstructed, not just its jumps.  For
+    eps = -1 sigma also jumps at theta = 0, and so at every multiple of
+    2*pi*period, by 2*sigma0, and no point carries that jump: the values of
+    one period sum to -2*sigma0 for eps = -1 and to 0 for eps = 1.
     """
 
     __slots__ = ("points", "period", "sigma0")

@@ -323,6 +323,17 @@ def test_sigfn_window_repeats_the_period():
     assert thetas[3] == pytest.approx(thetas[1] + 2 * math.pi)
 
 
+def test_sigfn_eps_minus_one_returns_to_sigma0_each_period():
+    # for eps = -1 a period's jumps sum to -2 * sigma0: sigma jumps back to
+    # sigma0 at each 2*pi*k, where no point carries the jump, and stays in
+    # {-1, 0, 1} for a 1 x 1 form
+    assert run(["sigfn", "--V", "[[1]]", "--epsilon", "-1", "--window", "3"]) == (0, (
+        "theta_decimal,sigma\n0.0,1\n3.14159265359,-1\n6.28318530718,1\n"
+        "9.42477796077,-1\n12.5663706144,1\n15.7079632679,-1\n"))
+    assert run(["sigfn", "--V", "[[1]]", "--epsilon", "-1"]) == (
+        0, "theta_decimal,sigma\n0.0,1\n3.14159265359,-1\n")
+
+
 def test_usage_errors_exit_2():
     code, text = run(["solve", "--word", "y y x Y X"])  # missing --p
     assert code == 2
@@ -576,7 +587,7 @@ def test_a_fresh_obstruct_loads_every_pipeline_module():
     assert _fresh_covsig_modules(FRESH_COMMANDS[1]) == (1, [
         "covsig", "covsig._fast", "covsig.cli", "covsig.covering", "covsig.errors",
         "covsig.exact", "covsig.exact.algebraic", "covsig.exact.elementary",
-        "covsig.exact.gauss", "covsig.exact.matrix", "covsig.exact.poly", "covsig.jumps",
+        "covsig.exact.matrix", "covsig.exact.poly", "covsig.jumps",
         "covsig.pattern", "covsig.readers", "covsig.seifert"])
 
 
@@ -589,7 +600,6 @@ EXPORTS = {
                           "SingularSystem", "UnresolvedComparison", "ZeroScale"],
         "covsig.readers": ["DEFAULT_PRECISION_BITS"],
         "covsig.exact.algebraic": ["AlgReal", "Comparison", "alg_compare", "isolate_real_roots"],
-        "covsig.exact.gauss": ["GaussRat"],
         "covsig.exact.matrix": ["RatMatrix", "block_matrix", "hermitian_signature",
                                 "mat_inverse"],
         "covsig.seifert": ["SeifertData", "SignTuple", "assemble", "connected_sum", "mirror",
@@ -606,7 +616,6 @@ EXPORTS = {
                          "sum_jumps", "tl_signature", "tl_signature_at_pi", "with_period"],
     },
     "covsig.exact": {
-        "covsig.exact.gauss": ["GaussRat", "I"],
         "covsig.exact.matrix": ["RatMatrix", "block_matrix", "hermitian_signature",
                                 "mat_inverse"],
         "covsig.exact.algebraic": ["AlgReal", "Comparison", "alg_compare", "dyadic_cell",
@@ -615,6 +624,17 @@ EXPORTS = {
         "covsig.exact.poly": ["poly"],  # the module itself
     },
 }
+
+
+def test_gaussian_rationals_are_no_export():
+    # hermitian_signature takes (re, im) rows, and covsig.exact.gauss is gone
+    import covsig
+    for pkg, name in [(covsig, "GaussRat"), (covsig.exact, "GaussRat"), (covsig.exact, "I"),
+                      (covsig.exact, "gauss")]:
+        with pytest.raises(AttributeError):
+            getattr(pkg, name)
+    with pytest.raises(ModuleNotFoundError):
+        import covsig.exact.gauss  # noqa: F401
 
 
 @pytest.mark.parametrize("package", sorted(EXPORTS))
@@ -662,7 +682,7 @@ def test_each_submodule_is_an_attribute_of_its_package():
     probe = ("import importlib, sys\nimport covsig\n"
              "names = ['covsig.' + n for n in ('_fast', 'covering', 'errors', 'exact', 'jumps',"
              " 'pattern', 'seifert')] + ['covsig.exact.' + n for n in ('algebraic', 'elementary',"
-             " 'gauss', 'matrix', 'poly')]\n"
+             " 'matrix', 'poly')]\n"
              "wrong = [n for n in names if eval(n) is not importlib.import_module(n)"
              " or n.rsplit('.', 1)[1] not in dir(sys.modules[n.rsplit('.', 1)[0]])]\n"
              "sys.exit(', '.join(wrong) or None)")
@@ -816,8 +836,11 @@ def test_a_word_of_max_word_letters_still_answers():
 @pytest.mark.parametrize("argv, doc", [
     (["--precision-bits", "-3"], None),
     ([], {"precision_bits": -3}),
+    (["--window", "0"], None),
+    ([], {"window_periods": -1}),
 ])
 def test_negative_precision_bits_are_a_usage_error(tmp_path, argv, doc):
+    # so is a window of less than one period
     args = ["obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", "--m", "2", "--p", "3"] + argv
     if doc is not None:
         path = tmp_path / "job.json"
@@ -825,9 +848,12 @@ def test_negative_precision_bits_are_a_usage_error(tmp_path, argv, doc):
         args += ["--input", str(path)]
     code, text = run(args)
     assert code == cli.EXIT_USAGE
-    obj = json.loads(text)
-    assert obj["type"] == "ParseError" and "precision-bits" in obj["error"]
-    assert "must not be negative, got -3" in obj["error"]
+    value = int(argv[1]) if argv else next(iter(doc.values()))
+    if "--window" in argv or "window_periods" in (doc or {}):
+        error = f"--window must be at least 1, got {value}"
+    else:
+        error = f"--precision-bits must not be negative, got {value}"
+    assert json.loads(text) == {"error": error, "type": "ParseError"}
 
 
 def test_zero_precision_bits_still_run():

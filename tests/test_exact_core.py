@@ -1,4 +1,4 @@
-"""Ground-layer tests: Gaussian rationals, rational matrices, polynomials,
+"""Ground-layer tests: rational matrices, hermitian signatures, polynomials,
 and real algebraic numbers."""
 
 from fractions import Fraction
@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational, totient
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.specialpolys import cyclotomic_poly
 
 from covsig import (
     AlgReal,
     Comparison,
-    GaussRat,
     NotHermitian,
     RatMatrix,
     SingularMatrix,
@@ -25,7 +26,6 @@ from covsig import (
 )
 from covsig.exact import poly as P
 from covsig.exact import dyadic_cell
-from covsig.exact.gauss import I
 from conftest import (
     fraction_divmod,
     fraction_gcd,
@@ -38,53 +38,7 @@ from conftest import (
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=12
 )
-gauss = st.builds(GaussRat, rationals, rationals)
 small_ints = st.integers(min_value=-4, max_value=4)
-
-
-# ---------------------------------------------------------------------------
-# GaussRat
-
-
-def test_gauss_basics():
-    z = GaussRat(Fraction(1, 2), 3)
-    assert z.conj() == GaussRat(Fraction(1, 2), -3)
-    assert z.norm() == Fraction(1, 4) + 9
-    assert I * I == -1
-    assert GaussRat(2) + 3 == GaussRat(5)
-    assert (1 - I) * (1 + I) == 2
-    assert not GaussRat(0, 0)
-    assert GaussRat(0, 1).is_real is False
-    assert GaussRat(7).is_real
-
-
-def test_gauss_division():
-    z = GaussRat(3, 4)
-    assert z / z == 1
-    assert 1 / I == -I
-    with pytest.raises(ZeroDivisionError):
-        z / GaussRat(0)
-
-
-def test_gauss_immutable():
-    z = GaussRat(1, 2)
-    with pytest.raises(AttributeError):
-        z.re = Fraction(5)
-
-
-@given(gauss, gauss, gauss)
-def test_gauss_ring_axioms(a, b, c):
-    assert a * (b + c) == a * b + a * c
-    assert a + b == b + a
-    assert (a * b) * c == a * (b * c)
-    assert a - a == GaussRat(0)
-
-
-@given(gauss)
-def test_gauss_norm_is_conj_product(z):
-    assert z * z.conj() == GaussRat(z.norm())
-    if z:
-        assert z * (1 / z) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +146,37 @@ def test_det_of_rational_entries():
 # hermitian signatures
 
 
+def real(m):
+    """The (re, im) parts of a real symmetric matrix m."""
+    return m, [[0] * len(m) for _ in m]
+
+
 def test_signature_diagonal():
-    assert hermitian_signature([[1, 0], [0, -1]]) == 0
-    assert hermitian_signature([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 3
-    assert hermitian_signature([[0]]) == 0
+    assert hermitian_signature(*real([[1, 0], [0, -1]])) == 0
+    assert hermitian_signature(*real([[2, 0, 0], [0, 3, 0], [0, 0, 5]])) == 3
+    assert hermitian_signature(*real([[0]])) == 0
 
 
 def test_signature_offdiagonal_block_pivot():
-    # hyperbolic form: all-zero diagonal, signature 0
-    h = GaussRat(1, 1)
-    assert hermitian_signature([[GaussRat(0), h], [h.conj(), GaussRat(0)]]) == 0
+    # hyperbolic form [[0, 1 + i], [1 - i, 0]]: all-zero diagonal, signature 0
+    assert hermitian_signature([[0, 1], [1, 0]], [[0, 1], [-1, 0]]) == 0
 
 
 def test_signature_clears_denominators():
     # [[1/2, i/3], [-i/3, -1/5]] has determinant -1/10 - 1/9 < 0
-    h = GaussRat(0, Fraction(1, 3))
-    assert hermitian_signature([[Fraction(1, 2), h], [h.conj(), Fraction(-1, 5)]]) == 0
-    assert hermitian_signature([[Fraction(1, 2), h], [h.conj(), 1]]) == 2
+    im = [[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]
+    assert hermitian_signature([[Fraction(1, 2), 0], [0, Fraction(-1, 5)]], im) == 0
+    assert hermitian_signature([[Fraction(1, 2), 0], [0, 1]], im) == 2
 
 
 def test_signature_rejects_nonhermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_signature([[0, 1], [0, 0]])
-    with pytest.raises(NotHermitian):
-        hermitian_signature([[GaussRat(0, 1)]])
+    # re not symmetric, im not antisymmetric ([[i]]), not square, shapes differ
+    for re, im in [([[0, 1], [0, 0]], [[0, 0], [0, 0]]),
+                   ([[0]], [[1]]),
+                   ([[0, 0]], [[0, 0]]),
+                   ([[1]], [[0, 0], [0, 0]])]:
+        with pytest.raises(NotHermitian):
+            hermitian_signature(re, im)
 
 
 @given(
@@ -230,8 +191,68 @@ def test_signature_congruence_invariant(rows, diag):
         return
     d = RatMatrix([[diag[i] if i == j else 0 for j in range(3)] for i in range(3)])
     m = s.transpose() @ d @ s
-    got = hermitian_signature([[GaussRat(x) for x in row] for row in m.rows])
-    assert got == sum(diag)
+    assert hermitian_signature(*real(m.rows)) == sum(diag)
+
+
+@st.composite
+def gaussian_hermitian(draw):
+    """(re, im) of a hermitian matrix of size at most 6 with rational entries.
+
+    Some have a zero diagonal, and some a last row and column that are an
+    earlier one times a rational c, which makes the matrix singular.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(0), rationals)
+    zero_diagonal = draw(st.booleans())
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if not zero_diagonal:
+            re[i][i] = draw(entry)
+        for j in range(i + 1, n):
+            re[i][j] = re[j][i] = draw(entry)
+            im[i][j] = draw(entry)
+            im[j][i] = -im[i][j]
+    if n > 1 and draw(st.booleans()):
+        k, c = draw(st.integers(min_value=0, max_value=n - 2)), draw(rationals)
+        last = n - 1
+        for i in range(last):
+            re[last][i] = re[i][last] = c * re[k][i]
+            im[last][i] = c * im[k][i]
+            im[i][last] = -im[last][i]
+        re[last][last] = c * c * re[k][k]
+    return re, im
+
+
+def charpoly_signature(re, im):
+    """sigma(re + i*im) by Descartes' rule of signs on its characteristic
+    polynomial, taken over sympy's Gaussian rationals QQ_I.
+
+    A hermitian matrix's characteristic polynomial has real coefficients and
+    only real roots, so once the factor x^k of the zero roots is divided out
+    its sign changes count the positive roots exactly, and those of p(-x)
+    the negative ones.
+    """
+    n = len(re)
+    h = DomainMatrix([[QQ_I(x, y) for x, y in zip(*rows)] for rows in zip(re, im)],
+                     (n, n), QQ_I)
+    coeffs = h.charpoly()
+    assert all(c.y == 0 for c in coeffs)
+    coeffs = [c.x for c in coeffs]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return sign_changes(coeffs) - sign_changes([-c if i & 1 else c for i, c in enumerate(coeffs)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaussian_hermitian())
+def test_signature_matches_charpoly_oracle(m):
+    assert hermitian_signature(*m) == charpoly_signature(*m)
 
 
 # ---------------------------------------------------------------------------

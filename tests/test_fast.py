@@ -5,8 +5,8 @@ of permutation matrices, adj_det against DomainMatrix.adj_det, pencil_det_poly
 against Newton interpolation of integer determinants of the pencil (in
 Fractions, conftest's newton_interp, which is also the oracle of the integer
 kernel interpolate_in_squares),
-PencilCore.at on a plain matrix against the pencil formula in Gaussian
-rationals, herm_sig_fast against the characteristic polynomial of the
+PencilCore.at on a plain matrix against the pencil formula in sympy's
+Gaussian rationals QQ_I, herm_sig_fast against the characteristic polynomial of the
 real embedding of the hermitian matrix, which shares no code with it, and
 the sum over a core's connected blocks against the whole core.
 """
@@ -20,10 +20,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
+from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from covsig import _fast
-from covsig.exact import GaussRat
 from conftest import interpolated_det_poly, newton_interp
 
 eps_st = st.sampled_from([1, -1])
@@ -365,7 +365,7 @@ def test_pencil_core_is_the_scaled_pencil(rows, eps, u, v):
     # a plain matrix is one group with N = 1: its core is 2|u| * (w*P - eps*P^T)/(w - 1)
     # at w = (1+it)/(1-it), t = u/v, and 2 * that at w = -1; both times i when eps = -1
     n = len(rows)
-    turn = GaussRat(1) if eps == 1 else GaussRat(0, 1)
+    turn = QQ_I(1, 0) if eps == 1 else QQ_I(0, 1)
     t = Fraction(u, v)
     core = _fast.PencilCore(rows, eps)
     assert core.chain_signature(u, v) == 0
@@ -373,8 +373,8 @@ def test_pencil_core_is_the_scaled_pencil(rows, eps, u, v):
     where = {i: (k, a) for k, (blk, *_) in enumerate(core.blocks) for a, i in enumerate(blk)}
     assert sorted(where) == list(range(n))
     for w, c, g in [
-        (GaussRat(1, t) / GaussRat(1, -t), 2 * abs(u), core.at(u, v)),
-        (GaussRat(-1), 2, core.at(1, 0)),
+        (QQ_I(1, t) / QQ_I(1, -t), 2 * abs(u), core.at(u, v)),
+        (QQ_I(-1, 0), 2, core.at(1, 0)),
     ]:
         assert len(g) == len(core.blocks)
         for i in range(n):
@@ -383,11 +383,11 @@ def test_pencil_core_is_the_scaled_pencil(rows, eps, u, v):
             size = len(core.blocks[k][0])
             assert all(a <= j < size for r in (re[a], im[a]) for j in r)
             for j in range(i, n):
-                z = GaussRat(c) * turn * (w * rows[i][j] - eps * rows[j][i]) / (w - 1)
+                z = c * turn * (w * rows[i][j] - eps * rows[j][i]) / (w - 1)
                 l, b = where[j]
                 # an entry between two blocks is 0, and is not stored
                 got = (re[a].get(b, 0), im[a].get(b, 0)) if l == k else (0, 0)
-                assert got == (z.re, z.im)
+                assert got == (z.x, z.y)
 
 
 @st.composite
