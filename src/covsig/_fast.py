@@ -430,8 +430,8 @@ class PencilCore:
     and at(u, v) returns None there.  When det S = 0 the chain is singular
     everywhere, but then every block that touches a difference strand is a
     multiple of S, so ker S on each difference strand is a common kernel of
-    M and M^T.  D(w) is then 0, and jump_function takes the plain route on
-    the n x n matrix, which removes that kernel first.
+    M and M^T.  D(w) is then 0, and jump_function removes that kernel from
+    the n x n matrix and takes D again on what is left.
     """
 
     __slots__ = ("eps", "mults", "c", "chain_sigma", "blocks")

@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._fast import adj_det
+from ._value import Value
 from .errors import CoveringTooLarge, NotPrimePower, NotRationalHomologySphere
 from .exact import RatMatrix, block_matrix, mat_inverse
 from .exact.poly import totient
@@ -42,7 +43,7 @@ MAX_COVERING_N = 5000
 MAX_COVERING_D = 256
 
 
-class CoveringSpec:
+class CoveringSpec(Value):
     """Degree d = p^a of the cyclic cover, plus the target vector r_l."""
 
     __slots__ = ("p", "a", "target")
@@ -66,23 +67,12 @@ class CoveringSpec:
                 raise ValueError("target length must equal d")
         self.p, self.a, self.target = p, a, target
 
-    def __eq__(self, other):
-        if type(other) is not CoveringSpec:
-            return NotImplemented
-        return (self.p, self.a, self.target) == (other.p, other.a, other.target)
-
-    def __hash__(self):
-        return hash((self.p, self.a, self.target))
-
-    def __repr__(self):
-        return f"CoveringSpec({self.p!r}, a={self.a!r}, target={self.target!r})"
-
     @property
     def d(self) -> int:
         return self.p ** self.a
 
 
-class CoveringMatrix:
+class CoveringMatrix(Value):
     """Result of the transfer: the blocks, s and the strand multiplicities.
 
     They determine the covering Seifert matrix, of size n = sum |s*x_k| * b
@@ -95,20 +85,6 @@ class CoveringMatrix:
 
     def __init__(self, blocks_A: tuple, s: int, multiplicities: tuple, n: int):
         self.blocks_A, self.s, self.multiplicities, self.n = blocks_A, s, multiplicities, n
-
-    def _fields(self):
-        return self.blocks_A, self.s, self.multiplicities, self.n
-
-    def __eq__(self, other):
-        if type(other) is not CoveringMatrix:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "CoveringMatrix({!r}, {!r}, {!r}, {!r})".format(*self._fields())
 
 
 def gamma(A: RatMatrix, epsilon: int) -> RatMatrix:

@@ -11,10 +11,11 @@ of neighbouring candidates.  For a covering matrix both come from its core
 is a constant times the determinant of a polynomial matrix of size (number
 of groups) x b, and the samples use Haynsworth's inertia additivity.  A
 sample at t = 1 that a group with 4 | N cannot take moves to another
-rational in the same gap.  A covering with D = 0 takes the plain route on
-its n x n matrix: a group with det(A_kk - eps*A_kk^T) = 0 makes D vanish
-through a common kernel, which that route removes first, and the rest is
-sampled as one group.
+rational in the same gap.  D is taken first, on the core of a covering
+and on a plain matrix as it is.  Only D = 0 brings in the n x n matrix: a
+common kernel of P and P^T (for a covering, a group with
+det(A_kk - eps*A_kk^T) = 0) makes D vanish, so it is removed there, D is
+taken again, and the rest is sampled as one group.
 
 Candidates and samples go by the core's connected blocks, D = c * prod D_b.
 Each D_b loses its factor w^i and every cyclotomic factor, with
@@ -47,6 +48,7 @@ from math import gcd as int_gcd
 from math import lcm, log
 
 from . import _fast, covering
+from ._value import Value
 from .covering import CoveringMatrix, CoveringSpec, build_covering, int_blocks
 from .errors import UnresolvedComparison, ZeroScale
 from .exact import (
@@ -67,24 +69,13 @@ from .seifert import SeifertData
 # locations
 
 
-class PiLoc:
+class PiLoc(Value):
     """theta = frac * pi with frac an exact rational."""
 
     __slots__ = ("frac",)
 
     def __init__(self, frac: Fraction):
         self.frac = Fraction(frac)
-
-    def __eq__(self, other):
-        if type(other) is not PiLoc:
-            return NotImplemented
-        return self.frac == other.frac
-
-    def __hash__(self):
-        return hash(self.frac)
-
-    def __repr__(self):
-        return f"PiLoc({self.frac!r})"
 
 
 class AlgLoc:
@@ -233,24 +224,17 @@ def _cmp_key(max_bits: int):
 # jump data
 
 
-class JumpPoint:
+class JumpPoint(Value):
     """A jump of value at loc, a PiLoc or an AlgLoc."""
 
     __slots__ = ("loc", "value")
+    __hash__ = None
 
     def __init__(self, loc, value: int):
         self.loc, self.value = loc, value
 
-    def __eq__(self, other):
-        if type(other) is not JumpPoint:
-            return NotImplemented
-        return (self.loc, self.value) == (other.loc, other.value)
 
-    def __repr__(self):
-        return f"JumpPoint({self.loc!r}, {self.value!r})"
-
-
-class JumpFunction:
+class JumpFunction(Value):
     """Jumps over one fundamental period [0, 2*pi*period), points in ascending theta.
 
     sigma0 is the signature value on the first open interval after 0; it lets
@@ -261,37 +245,21 @@ class JumpFunction:
     """
 
     __slots__ = ("points", "period", "sigma0")
+    __hash__ = None
 
     def __init__(self, points: list, period: Fraction = 1, sigma0: int = 0):
         self.points, self.period, self.sigma0 = points, Fraction(period), sigma0
 
-    def __eq__(self, other):
-        if type(other) is not JumpFunction:
-            return NotImplemented
-        return ((self.points, self.period, self.sigma0)
-                == (other.points, other.period, other.sigma0))
 
-    def __repr__(self):
-        return f"JumpFunction({self.points!r}, {self.period!r}, {self.sigma0!r})"
-
-
-class Verdict:
+class Verdict(Value):
     """status is "Periodic", "NonPeriodic" or "Unresolved"; witness is None
     or (loc, (window_i, window_j), (value_i, value_j))."""
 
     __slots__ = ("status", "witness")
+    __hash__ = None
 
     def __init__(self, status: str, witness=None):
         self.status, self.witness = status, witness
-
-    def __eq__(self, other):
-        if type(other) is not Verdict:
-            return NotImplemented
-        return (self.status, self.witness) == (other.status, other.witness)
-
-    def __repr__(self):
-        return f"Verdict({self.status!r}, {self.witness!r})"
-
 
 # ---------------------------------------------------------------------------
 # exact signature evaluation
@@ -604,10 +572,11 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
 
     Pm is a square RatMatrix or a CoveringMatrix.  For a CoveringMatrix both
     D(w) = det(w*P - eps*P^T) and the signature samples come from its core
-    (see _fast.PencilCore), with each group's strand chain eliminated.  A
-    covering with D = 0 builds its n x n matrix (covering.covering_matrix)
-    and takes the plain route on it.  A plain matrix removes the common
-    kernel of P and P^T first, so that D is computed once.
+    (see _fast.PencilCore), with each group's strand chain eliminated.  Only
+    where D = 0 does the n x n matrix come in (for a covering it is built
+    here, by covering.covering_matrix): the common kernel of P and P^T is
+    removed from it, and D is taken again on what is left; if D is still
+    0, a generic minor gives the candidates.
     Root-of-unity jump angles (cyclotomic factors of D) come out as PiLoc;
     the remaining unimodular roots as AlgLoc in t = tan(theta/2).
     Signatures are evaluated at exact rational t strictly between
@@ -621,12 +590,10 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     Raises UnresolvedComparison when two candidates stay unseparated at
     4*max_bits bits.
     """
-    is_covering = isinstance(Pm, CoveringMatrix)
-    if is_covering:
+    if isinstance(Pm, CoveringMatrix):
         rows, mults = _core_rows(Pm)
     elif Pm.is_square:
-        # a plain matrix drops its common kernel before D, which it forces to 0
-        rows, mults = _remove_common_kernel(Pm.int_rows()[1]), (1,)
+        rows, mults = Pm.int_rows()[1], (1,)
     else:
         raise ValueError("jump_function needs a square matrix")
     if not rows:
@@ -634,11 +601,17 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     core = _fast.PencilCore(rows, epsilon, mults)
     factors = []
     D = _fast.pencil_det_poly(core, factors)
-    if not D and is_covering:
-        # a common kernel of P and P^T, or a generic minor, is taken on the
-        # n x n matrix: the plain route removes that kernel first
-        n_by_n = covering.covering_matrix(Pm.blocks_A, Pm.multiplicities, 1, epsilon)
-        return jump_function(n_by_n, epsilon, max_bits)
+    if not D:
+        # a common kernel of P and P^T forces D = 0: it is removed from the
+        # n x n matrix, as one group
+        if isinstance(Pm, CoveringMatrix):
+            n_by_n = covering.covering_matrix(Pm.blocks_A, Pm.multiplicities, 1, epsilon)
+            rows = n_by_n.int_rows()[1]
+        rows = _remove_common_kernel(rows)
+        if not rows:
+            return JumpFunction([], Fraction(1), 0)
+        core = _fast.PencilCore(rows, epsilon)
+        D = _fast.pencil_det_poly(core, factors)
     if not D:
         # a generic minor is no product over blocks: every block owns its roots
         S = _self_reciprocal_part(_generic_minor_poly(rows, epsilon))
@@ -796,12 +769,8 @@ def sum_jumps(fs, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
     fs = list(fs)
     if not fs:
         return JumpFunction([], Fraction(1), 0)
-    period = Fraction(
-        lcm(*[f.period.numerator for f in fs]),
-        int_gcd(*[f.period.denominator for f in fs])
-        if len(fs) > 1
-        else fs[0].period.denominator,
-    )
+    period = Fraction(lcm(*[f.period.numerator for f in fs]),
+                      int_gcd(*[f.period.denominator for f in fs]))
     allpts = [pt for f in fs for pt in with_period(f, period).points]
     allpts.sort(key=_cmp_key(max_bits))
     merged = []
@@ -840,30 +809,21 @@ def period_2pi_test(f: JumpFunction, max_bits: int = DEFAULT_PRECISION_BITS) -> 
         windows[j].append(_translate_point(pt, Fraction(-2 * j)))
     base = windows[0]
     for j in range(1, s):
-        wj = windows[j]
-        i = k = 0
-        while i < len(base) or k < len(wj):
-            if i >= len(base):
-                pt = wj[k]
-                return Verdict("NonPeriodic", (pt.loc, (0, j), (None, pt.value)))
-            if k >= len(wj):
-                pt = base[i]
-                return Verdict("NonPeriodic", (pt.loc, (0, j), (pt.value, None)))
-            c = compare_locations(base[i].loc, wj[k].loc, max_bits)
+        for a, b in zip_longest(base, windows[j]):
+            if a is None:
+                return Verdict("NonPeriodic", (b.loc, (0, j), (None, b.value)))
+            if b is None:
+                return Verdict("NonPeriodic", (a.loc, (0, j), (a.value, None)))
+            c = compare_locations(a.loc, b.loc, max_bits)
             if c is Comparison.EQ:
-                if base[i].value != wj[k].value:
-                    return Verdict(
-                        "NonPeriodic",
-                        (base[i].loc, (0, j), (base[i].value, wj[k].value)),
-                    )
-                i += 1
-                k += 1
+                if a.value != b.value:
+                    return Verdict("NonPeriodic", (a.loc, (0, j), (a.value, b.value)))
             elif c is Comparison.LT:
-                return Verdict("NonPeriodic", (base[i].loc, (0, j), (base[i].value, None)))
+                return Verdict("NonPeriodic", (a.loc, (0, j), (a.value, None)))
             elif c is Comparison.GT:
-                return Verdict("NonPeriodic", (wj[k].loc, (0, j), (None, wj[k].value)))
+                return Verdict("NonPeriodic", (b.loc, (0, j), (None, b.value)))
             else:
-                return Verdict("Unresolved", (base[i].loc, (0, j), None))
+                return Verdict("Unresolved", (a.loc, (0, j), None))
     return Verdict("Periodic")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from ._value import Value
 from .errors import (
     NotAPattern,
     NotPrimePower,
@@ -26,7 +27,7 @@ _LETTERS = {"x": ("x", 1), "X": ("x", -1), "y": ("y", 1), "Y": ("y", -1)}
 MAX_WORD_LETTERS = 1_000_000
 
 
-class PatternWord:
+class PatternWord(Value):
     """Sequence of (generator, exponent-sign) letters; unreduced."""
 
     __slots__ = ("letters",)
@@ -38,17 +39,6 @@ class PatternWord:
         if sum(e for gen, e in letters if gen == "y") != 1:
             raise NotAPattern("total y-exponent must be 1")
         self.letters = letters
-
-    def __eq__(self, other):
-        if type(other) is not PatternWord:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __repr__(self):
-        return f"PatternWord({self.letters!r})"
 
     def __str__(self):
         out = []
@@ -117,7 +107,7 @@ def shift(c: dict, a: int) -> dict:
     return {n - a: v for n, v in c.items() if v}
 
 
-class FoldedRow:
+class FoldedRow(Value):
     """Length-d vector of coefficients folded modulo d; entries sum to 1."""
 
     __slots__ = ("d", "values")
@@ -127,17 +117,6 @@ class FoldedRow:
             raise ValueError("values must have length d >= 1")
         self.d = d
         self.values = tuple(int(v) for v in values)
-
-    def __eq__(self, other):
-        if type(other) is not FoldedRow:
-            return NotImplemented
-        return (self.d, self.values) == (other.d, other.values)
-
-    def __hash__(self):
-        return hash((self.d, self.values))
-
-    def __repr__(self):
-        return f"FoldedRow({self.d!r}, {self.values!r})"
 
 
 def fold(c: dict, d: int) -> FoldedRow:

@@ -5,11 +5,12 @@ mirror image, and parallel copies with signs.
 
 from __future__ import annotations
 
+from ._value import Value
 from .errors import DimensionMismatch, EmptyTuple, SingularMatrix
 from .exact import RatMatrix, block_matrix
 
 
-class SignTuple:
+class SignTuple(Value):
     """Signs of parallel copies; n_alpha is their sum."""
 
     __slots__ = ("signs",)
@@ -22,17 +23,6 @@ class SignTuple:
             raise ValueError("sign entries must be +1 or -1")
         self.signs = signs
 
-    def __eq__(self, other):
-        if type(other) is not SignTuple:
-            return NotImplemented
-        return self.signs == other.signs
-
-    def __hash__(self):
-        return hash(self.signs)
-
-    def __repr__(self):
-        return f"SignTuple({self.signs!r})"
-
     def __len__(self):
         return len(self.signs)
 
@@ -44,7 +34,7 @@ class SignTuple:
         return sum(self.signs)
 
 
-class SeifertData:
+class SeifertData(Value):
     """Blocks of a Seifert matrix [[A, B], [eps*B^T, C]].
 
     A is the pairing on the sublink the covering construction unwinds around;
@@ -70,20 +60,6 @@ class SeifertData:
         if (A - A.transpose().scale(epsilon)).det() == 0:
             raise SingularMatrix("A - eps*A^T must be nonsingular")
         self.A, self.B, self.C, self.epsilon, self.q = A, B, C, epsilon, q
-
-    def _fields(self):
-        return self.A, self.B, self.C, self.epsilon, self.q
-
-    def __eq__(self, other):
-        if type(other) is not SeifertData:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "SeifertData({!r}, {!r}, {!r}, epsilon={!r}, q={!r})".format(*self._fields())
 
     @property
     def size_a(self) -> int:

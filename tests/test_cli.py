@@ -550,7 +550,8 @@ def _added_modules(argv):
 
 def test_a_fresh_pattern_command_loads_no_pipeline_module():
     assert _fresh_covsig_modules(["pattern", "y"]) == (
-        0, ["covsig", "covsig.cli", "covsig.errors", "covsig.pattern", "covsig.readers"])
+        0, ["covsig", "covsig._value", "covsig.cli", "covsig.errors", "covsig.pattern",
+            "covsig.readers"])
 
 
 def test_a_fresh_pattern_command_loads_neither_dataclasses_nor_fractions():
@@ -585,8 +586,8 @@ def test_a_fresh_obstruct_loads_every_pipeline_module():
     # the modules of a whole job, as an eager `import covsig` loaded them,
     # plus covsig.readers, which holds the parser's readers
     assert _fresh_covsig_modules(FRESH_COMMANDS[1]) == (1, [
-        "covsig", "covsig._fast", "covsig.cli", "covsig.covering", "covsig.errors",
-        "covsig.exact", "covsig.exact.algebraic", "covsig.exact.elementary",
+        "covsig", "covsig._fast", "covsig._value", "covsig.cli", "covsig.covering",
+        "covsig.errors", "covsig.exact", "covsig.exact.algebraic", "covsig.exact.elementary",
         "covsig.exact.matrix", "covsig.exact.poly", "covsig.jumps",
         "covsig.pattern", "covsig.readers", "covsig.seifert"])
 

@@ -313,6 +313,25 @@ def test_remove_common_kernel_is_a_congruence(rows, k, mix, eps, u, v):
                         Fraction(u, v)) == tl_signature(RatMatrix(m), eps, Fraction(u, v))
 
 
+def test_a_plain_matrix_reaches_the_common_kernel_only_when_d_is_zero(monkeypatch):
+    # D is taken first: a common kernel, here of dimension 1, forces D = 0
+    # and is removed then; with D != 0 there is none, and no rank profile
+    # of [P; P^T] is taken
+    calls = []
+    monkeypatch.setattr("covsig.jumps._remove_common_kernel",
+                        lambda rows: calls.append(len(rows)) or _remove_common_kernel(rows))
+    assert jump_function(RatMatrix([[-1, 1, 0], [0, -1, 0], [0, 0, 0]])) == jump_function(TREFOIL)
+    assert calls == [3]
+
+    def never(rows):
+        raise AssertionError("_remove_common_kernel called with D != 0")
+
+    monkeypatch.setattr("covsig.jumps._remove_common_kernel", never)
+    for m in (TREFOIL, T25, ALG):
+        for eps in (1, -1):
+            assert jump_function(m, eps).points
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=1, max_value=2).flatmap(lambda b: st.lists(
            st.lists(st.lists(st.lists(small_ints, min_size=b, max_size=b),
