@@ -248,8 +248,10 @@ def pencil_det_poly(core, factors=None):
     it is even or odd in y; it is taken at y = 0..h, h = ceil(n_b/2),
     interpolated as a polynomial in y^2 (interpolate_in_squares) and mapped
     back to w by the same Cayley map, poly.cayley, divided by 2^n_b; a
-    division that is not exact raises ArithmeticError.  Returns ints, [] for
-    D = 0 and [1] for the empty matrix.
+    division that is not exact raises ArithmeticError.  The nodes are taken
+    one at a time, each with the coefficients of the groups of the blocks
+    that still need it, so no table over (nodes) x (groups) is kept.  Returns
+    ints, [] for D = 0 and [1] for the empty matrix.
     When D != 0 and factors is a list, the blocks' determinants det M'_b(w)
     are appended to it as integer coefficient lists, in the order of
     core.blocks, so that D = core.c * their product.
@@ -257,20 +259,13 @@ def pencil_det_poly(core, factors=None):
     if core.c == 0:
         return []
     degree = [sum(abs(core.mults[g]) for g in grp) for _, grp, *_ in core.blocks]
-    coefs = []  # per node y, per group: (x, z) on its diagonal block, (x, z) off it
+    vals = [[] for _ in core.blocks]
     for y in range(max(((n + 1) // 2 for n in degree), default=0) + 1):
-        coef = []
-        for m in core.mults:
-            lo, hi = (1 - y) ** abs(m), (1 + y) ** abs(m)
-            q = (hi - lo) // (2 * y) if y else abs(m)  # sum of (1-y)^e (1+y)^(N-1-e)
-            coef.append(((lo, -hi) if m > 0 else (-hi, lo), (q * (1 - y), -q * (1 + y))))
-        coefs.append(coef)
-    out = [core.c]
-    dets = []
-    for (blk, grp, _, _, entries), n in zip(core.blocks, degree):
-        # entry (i, j) is x * a + z * at, with (x, z) the coefficients of its group pair
-        vals = []
-        for coef in coefs[:(n + 1) // 2 + 1]:
+        live = [b for b, n in enumerate(degree) if y <= (n + 1) // 2]
+        coef = {g: _node_coefficients(core.mults[g], y) for b in live for g in core.blocks[b][1]}
+        for b in live:
+            # entry (i, j) is x * a + z * at, with (x, z) the coefficients of its group pair
+            blk, grp, _, _, entries = core.blocks[b]
             mat = []
             for gi, row in zip(grp, entries):
                 (dx, dz), (ox, oz) = coef[gi]
@@ -278,8 +273,11 @@ def pencil_det_poly(core, factors=None):
                 for j, a, at in row:
                     mrow[j] = dx * a + dz * at if grp[j] == gi else ox * a + oz * at
                 mat.append(mrow)
-            vals.append(bareiss_det(mat))
-        d = interpolate_in_squares(vals, (-core.eps) ** len(blk) == -1)
+            vals[b].append(bareiss_det(mat))
+    out = [core.c]
+    dets = []
+    for (blk, *_), n, vs in zip(core.blocks, degree, vals):
+        d = interpolate_in_squares(vs, (-core.eps) ** len(blk) == -1)
         if not d:
             return []
         # the Cayley map is its own inverse up to 2^n: det M'_b = 2^(-n) cayley(d, n)
@@ -293,32 +291,36 @@ def pencil_det_poly(core, factors=None):
     return out
 
 
-def _gauss_pow(x: int, y: int, n: int):
-    """(x + iy)^n as a pair of ints (real, imaginary)."""
-    rx, ry = 1, 0
-    while n:
-        if n & 1:
-            rx, ry = rx * x - ry * y, rx * y + ry * x
-        x, y = x * x - y * y, 2 * x * y
-        n >>= 1
-    return rx, ry
+def _node_coefficients(m: int, y: int):
+    """The coefficients (x, z) of a and a^T in D~_b's entries at the node y, for a group of N = m strands.
+
+    On the group's diagonal block (1-y)^N and -(1+y)^N ((-(1+y)^N, (1-y)^N)
+    for m < 0), off it Q_N(y) * ((1-y), -(1+y)) with Q_N(y) = sum over
+    e < N of (1-y)^e (1+y)^(N-1-e) = ((1+y)^N - (1-y)^N) / (2y).
+    """
+    lo, hi = (1 - y) ** abs(m), (1 + y) ** abs(m)
+    q = (hi - lo) // (2 * y) if y else abs(m)
+    return (lo, -hi) if m > 0 else (-hi, lo), (q * (1 - y), -q * (1 + y))
 
 
-def _half_turns(u: int, v: int, n: int) -> int:
-    """floor(n * phi / pi), where phi in (0, pi) is the argument of +-(v + iu).
+def _gauss_walk(u: int, v: int, ns):
+    """{n: (x, y, q)} for each n in ns: x + iy = z^n and q = floor(n * phi / pi).
 
-    floor(k * phi / pi) goes up by one each time Im((v + iu)^k) changes sign,
-    counting 0 as positive: phi < pi, so it never goes up by two.  Needs
-    w^n != 1, i.e. Im((v + iu)^n) != 0.
+    z = +-(v + iu) with u >= 0 and phi in [0, pi) its argument.  One walk
+    over the powers z^k, k = 1 .. max(ns): floor(k * phi / pi) goes up by one
+    each time Im(z^k) changes sign, counting 0 as positive, and never by two
+    since phi < pi.  q is right where y != 0, that is where w^n != 1.
     """
     if u < 0:
         u, v = -u, -v
-    x, y, q = 1, 0, 0
-    for _ in range(n):
+    x, y, q, out = 1, 0, 0, {}
+    for k in range(1, max(ns) + 1):
         x, y = x * v - y * u, x * u + y * v
         if (y < 0) != (q & 1):
             q += 1
-    return q
+        if k in ns:
+            out[k] = (x, y, q)
+    return out
 
 
 class PencilCore:
@@ -420,10 +422,10 @@ class PencilCore:
     of jump_function, whose gaps partition (0, infinity) in t, so between
     the samples t_(i-1) and t_i the only candidate is candidate i - 1.  Hence sigma_b at t_i equals sigma_b at
     t_(i-1) unless that candidate is a root of D_b, or a pole of one of
-    b's groups lies between the two samples, which poles() counts with
-    _half_turns at each sample.  A pole inside a gap can move sigma_b and
-    the chain term in opposite directions, so the chain term is taken at
-    every sample.
+    b's groups lies between the two samples, which poles() counts from
+    the walk over the sample's powers (_gauss_walk).  A pole inside a gap
+    can move sigma_b and the chain term in opposite directions, so the
+    chain term is taken at every sample.
 
     w^N = 1 at a sample makes the chain singular; at rational t that is only
     t = +-1 with 4 | N (+-1 and +-i are the only roots of unity in Q(i)),
@@ -434,7 +436,7 @@ class PencilCore:
     the n x n matrix and takes D again on what is left.
     """
 
-    __slots__ = ("eps", "mults", "c", "chain_sigma", "blocks")
+    __slots__ = ("eps", "mults", "c", "chain_sigma", "blocks", "_walk")
 
     def __init__(self, rows, eps: int, mults=(1,)):
         """rows: the core matrix M, of size len(mults) * b, with integer entries.
@@ -449,6 +451,7 @@ class PencilCore:
         b = n // len(mults)
         self.eps = eps
         self.mults = tuple(mults)
+        self._walk = (None, None)
         self.c, sigma = 1, []
         for a, m in enumerate(self.mults):
             sigma.append(0)
@@ -491,6 +494,18 @@ class PencilCore:
                 [{local[j]: x for j, x in k[i].items()} for i in blk],
                 [[(local[j], a, at) for j, a, at in entries[i]] for i in blk]))
 
+    def _powers(self, u: int, v: int):
+        """Per group, (x, y, q) of _gauss_walk at t = u/v for its |N|; None where some w^N = 1.
+
+        poles(), at() and chain_signature() of one sample read the one walk,
+        kept for the last (u, v) asked for.
+        """
+        if self._walk[0] != (u, v):
+            walk = _gauss_walk(u, v, {abs(m) for m in self.mults})
+            powers = [walk[abs(m)] for m in self.mults]
+            self._walk = ((u, v), None if any(y == 0 for _, y, _ in powers) else powers)
+        return self._walk[1]
+
     def at(self, u: int, v: int, which=None):
         """Sparse upper rows (re, im) of a positive multiple of each block of the core at t = u/v.
 
@@ -500,12 +515,12 @@ class PencilCore:
         some group's w^N is 1, i.e. at t = +-1 when 4 | N_k (or at v = 0
         when N_k is even), whichever blocks are asked for.
         """
-        coef = []
-        for m in self.mults:
-            x, y = _gauss_pow(v, u, abs(m))
-            if y == 0:
-                return None
-            coef.append((x if m > 0 else -x, y))
+        powers = self._powers(u, v)
+        if powers is None:
+            return None
+        # (v + iu)^N up to a common sign of x and y, which the ratio x / y
+        # and the lcm of the y's ignore
+        coef = [(x if m > 0 else -x, y) for m, (x, y, _) in zip(self.mults, powers)]
         out = []
         blocks = self.blocks if which is None else [self.blocks[b] for b in which]
         for _, grp, s, k, _ in blocks:
@@ -533,17 +548,19 @@ class PencilCore:
         exactly when w^N_k = 1 somewhere between them, a pole of the block
         (see Blocks across samples).  Returns None where at() does.
         """
-        turns = []
-        for m in self.mults:
-            if _gauss_pow(v, u, abs(m))[1] == 0:
-                return None
-            turns.append(_half_turns(u, v, abs(m)) if abs(m) >= 2 else 0)
+        powers = self._powers(u, v)
+        if powers is None:
+            return None
+        turns = [q if abs(m) >= 2 else 0 for m, (_, _, q) in zip(self.mults, powers)]
         return [tuple(turns[g] for g in sorted(set(grp))) for _, grp, *_ in self.blocks]
 
     def chain_signature(self, u: int, v: int) -> int:
-        """Sum of the eliminated chains' signatures at t = u/v (0 for eps = 1)."""
-        return sum(sig * (abs(m) - 1 - 2 * _half_turns(u, v, abs(m)))
-                   for m, sig in zip(self.mults, self.chain_sigma) if sig)
+        """Sum of the eliminated chains' signatures at t = u/v (0 for eps = 1); needs every w^N != 1."""
+        if not any(self.chain_sigma):
+            return 0
+        return sum(sig * (abs(m) - 1 - 2 * q)
+                   for m, sig, (_, _, q) in zip(self.mults, self.chain_sigma, self._powers(u, v))
+                   if sig)
 
 
 def herm_sig_fast(re, im):

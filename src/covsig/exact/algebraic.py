@@ -19,10 +19,13 @@ validates an AlgReal, certifies equality and decides the rare dyadic cell
 that leaves its isolating interval.
 
 What is printed of an AlgReal is its `cell`, a (poly, lo, hi) triple fixed
-when the number is made and untouched by refinement.  jump_function sets it
-to dyadic_cell, the level-P dyadic cell around the root with P the least
-multiple of 64 at which that cell isolates it, so the printed interval does
-not depend on how the root was isolated, separated or refined.
+when the number is made and untouched by refinement.  The cells that
+jump_function prints are those of dyadic_cell: the level-P dyadic cell
+around the root with P the least multiple of 64 at which that cell isolates
+it, or the dyadic-root rule.  jump_function places them on the enclosures
+of its lifted candidates (jumps._lifted_cell) and makes each algebraic
+point's AlgReal on its cell, where dyadic_cell refines an isolated root on
+its own poly; the printed interval depends on neither route.
 """
 
 from __future__ import annotations

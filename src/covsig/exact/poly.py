@@ -374,7 +374,7 @@ def int_form(p):
     return [c // g for c in ints]
 
 
-def _at_power(p, k):
+def at_power(p, k):
     """Coefficients of p(w^k)."""
     out = [0] * (k * (len(p) - 1) + 1)
     out[::k] = p
@@ -409,9 +409,9 @@ def _cyclotomic(n):
     # for r the product of the primes of n
     phi, r = [-1, 1], 1
     for q in _primes(n):
-        phi, _ = divmod_monic(_at_power(phi, q), phi)
+        phi, _ = divmod_monic(at_power(phi, q), phi)
         r *= q
-    return tuple(_at_power(phi, n // r))
+    return tuple(at_power(phi, n // r))
 
 
 def cyclotomic(n):

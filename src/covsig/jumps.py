@@ -18,20 +18,30 @@ det(A_kk - eps*A_kk^T) = 0) makes D vanish, so it is removed there, D is
 taken again, and the rest is sampled as one group.
 
 Candidates and samples go by the core's connected blocks, D = c * prod D_b.
-Each D_b loses its factor w^i and every cyclotomic factor, with
-multiplicity, which gives its roots of unity by order; what is left, the
-block's rest r_b, gives its algebraic candidates: the positive roots of
-g_b, the square-free Cayley gcd of r_b, isolated and refined at the
-block's own degree.  A block's signature can change only at its own
-candidates or at a pole of its groups, so a sample takes again only the
-blocks that own the candidate it has just passed or whose poles lie
-between it and the previous sample (PencilCore, Blocks across samples); a
-root of unity belongs to the blocks it is a root of, and an algebraic
-candidate to its block.  Rests that share a factor give each shared root
-once, owned by every block whose g_b changes sign across its enclosure.
-When D = 0 leaves a generic minor, which is no product over blocks, it is
-one part owned by every block.  An algebraic point prints its dyadic cell
-(algebraic.dyadic_cell) with the g_b of its first block.
+Each D_b is c_b * w^i * h(w^e), e the gcd of its exponent differences: 1
+for a dense D_b, |s * y_k| on the L(T, m) covers, where h is Delta_V.  h
+loses every cyclotomic factor, with multiplicity, and each order k found
+lifts to the orders n of D_b's roots of unity with n / gcd(n, e) = k.
+What is left of h, its rest, gives the algebraic candidates: the real
+roots t_h of its square-free Cayley gcd g_h, isolated at the degree of h
+once per distinct rest, and lifted to the e-th roots over each, the
+AlgLoc(t_h, 2j, e).  A lift's enclosure in t = tan(theta/2) is t_h's
+enclosure of theta/pi mapped by x -> (x + 2j)/e and put through tan; these
+enclosures are separated with the roots of unity's, and a printed point's
+dyadic cell is placed on them, with a sign of g_b where one straddles a
+grid point (_lifted_cell).  g_b, the square-free Cayley gcd of D_b's rest
+(h's rest at w^e), has the block's lifts as its positive roots and is the
+printed poly; no root of it is isolated or refined.  A block's signature can
+change only at its own candidates or at a pole of its groups, so a sample
+takes again only the blocks that own the candidate it has just passed or
+whose poles lie between it and the previous sample (PencilCore, Blocks
+across samples); a root of unity belongs to the blocks it is a root of,
+and an algebraic candidate to its block.  Rests that share a factor give
+each shared root once, owned by every block whose g_b changes sign across
+its enclosure.  When D = 0 leaves a generic minor, which is no product over
+blocks, it is one part owned by every block, read the same way.  An
+algebraic point prints the cell algebraic.dyadic_cell gives its root, with
+the g_b of its first block.
 
 All decisions (periodicity verdicts in particular) are made by exact
 arithmetic or certificates, never by floating point; when a comparison of
@@ -42,6 +52,7 @@ precision budget, the answer is an explicit Unresolved.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as int_gcd
@@ -56,7 +67,6 @@ from .exact import (
     Comparison,
     RatMatrix,
     alg_compare,
-    dyadic_cell,
     hermitian_signature,  # no longer called here; perfbench/tracing.py wraps this name
     isolate_real_roots,
 )
@@ -151,7 +161,11 @@ def theta_over_pi_enclosure(loc, prec: int):
     loc.t.refine_to(Fraction(1, 1 << prec))
     alo, _ = _atan_over_pi(loc.t.lo, prec)
     _, ahi = _atan_over_pi(loc.t.hi, prec)
-    return (2 * alo + loc.offset) / loc.scale, (2 * ahi + loc.offset) / loc.scale
+    # (2*a + offset) / scale over one denominator, for a = alo and a = ahi
+    o, s = loc.offset, loc.scale
+    den = o.denominator * s.numerator
+    return tuple(Fraction((2 * a.numerator * o.denominator + o.numerator * a.denominator)
+                          * s.denominator, a.denominator * den) for a in (alo, ahi))
 
 
 def _neg_inverse(a: AlgReal) -> AlgReal:
@@ -420,38 +434,78 @@ def _cayley_numerator(S):
     return P.trim(re), P.trim(im)
 
 
-def _algebraic_candidates(rests):
-    """The candidates t > 0 of the parts' rests, each root once, and the parts' Cayley gcds.
+def _split_part(f):
+    """(ns, rest, e) of a nonzero int list f, read as c * w^i * h(w^e) with h(0) != 0.
 
-    rests is [(r, owners)]: an integer polynomial with no root of unity,
-    and the blocks it belongs to.  Part i's roots are those of g_i, the
-    square-free gcd of the two parts of its Cayley numerator, on
-    (0, Cauchy bound).  Returns (roots, gs, shared): roots is
-    [(root, i)], each root an AlgReal of g_i in its isolating interval;
-    gs[i] is g_i (None when it has no positive root); shared
-    tells whether some rest is not coprime to the product of the earlier
-    ones.  Such a rest drops the roots it shares with an earlier g, which
-    are those where their gcd changes sign across the isolating interval.
+    e is the gcd of the differences between the exponents of f's terms (1
+    for a dense f).  rest is what _cyclotomic_parts leaves of h, at the
+    degree of h, and ns the orders n of the roots of unity among f's roots,
+    ascending: those of Phi_k(w^e) for each k it finds.  A primitive n-th
+    root of unity has an e-th power of order n / gcd(n, e), so Phi_k(w^e)
+    is the product of the Phi_n with n / gcd(n, e) = k, that is n = k*d for
+    the d | e with gcd(k, e/d) = 1.  f's own rest is rest(w^e), whose
+    unit-circle roots are the e-th roots of rest's (_algebraic_candidates).
+    A monomial f has no roots on the circle: ([], [c], 1).
+    """
+    f = P.trim(f)
+    i = next(k for k, c in enumerate(f) if c)
+    e = 0
+    for k in range(i + 1, len(f)):
+        if f[k]:
+            e = int_gcd(e, k - i)
+    if not e:
+        return [], [f[i]], 1
+    ks, rest = _cyclotomic_parts(f[i::e])
+    ds = [d for d in range(1, e + 1) if e % d == 0]
+    return sorted({k * d for k in ks for d in ds if int_gcd(k, e // d) == 1}), rest, e
+
+
+def _algebraic_candidates(rests, max_bits: int = DEFAULT_PRECISION_BITS):
+    """The candidates 0 < theta < pi of the parts' rests, each root once, and the parts' Cayley gcds.
+
+    rests is [(h, e, owners)]: part i's rest is r_i(w) = h(w^e), h an
+    integer polynomial with no root of unity, and owners the blocks it
+    belongs to.  The unit-circle roots of h are the w_h = (1 + i*t_h) /
+    (1 - i*t_h) for the real roots t_h of g_h, the square-free gcd of the
+    two parts of h's Cayley numerator; they are isolated once per distinct h
+    (isolate_real_roots), at the degree of h, and every part of that h
+    shares them.  The roots of r_i over w_h are its e-th roots, at
+    theta = (2*atan(t_h) + 2*pi*j) / e, the AlgLoc(t_h, 2j, e); on the upper
+    half circle j runs over 0 .. (e - 1)//2 for t_h > 0 and over 1 .. e//2
+    for t_h < 0.
+    Returns (roots, gs, shared): roots is [(loc, i)], the lifts of part i;
+    gs[i] is g_i, the square-free Cayley gcd of r_i, whose positive roots are
+    those lifts and which part i's points print (None when it has none);
+    shared tells whether some rest is not coprime to the product of the
+    earlier ones.  Such a part drops the lifts it shares with an earlier g:
+    with its own lifts separated, those across whose enclosure their gcd
+    changes sign.
     """
     roots, gs, shared, product = [], [], False, [1]
-    for i, (r, _) in enumerate(rests):
+    isolated = {}  # h's primitive integer form -> the real roots of g_h
+    for i, (h, e, _) in enumerate(rests):
+        r = P.at_power(h, e)
         overlap = i > 0 and not P.coprime(r, product)
         product = P.mul(product, r)
-        re, im = _cayley_numerator(r)
-        g = P.gcd(re, im)
-        found = []
-        if P.degree(g) >= 1:
-            found = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
-        gs.append(found[0].poly if found else None)
+        key = tuple(P.int_form(h))
+        if key not in isolated:
+            g = P.gcd(*_cayley_numerator(h))
+            isolated[key] = isolate_real_roots(g) if P.degree(g) >= 1 else []
+        lifts = [AlgLoc(t, 2 * j, e) for t in isolated[key]
+                 for j in (range((e + 1) // 2) if t.sign() > 0 else range(1, e // 2 + 1))]
+        gs.append(P.square_free_part(P.gcd(*_cayley_numerator(r))) if lifts else None)
         if overlap:
             shared = True
             earlier = [1]
-            for h in gs[:-1]:
-                if h is not None:
-                    earlier = P.mul(earlier, h)
-            c = P.gcd(found[0].poly, earlier) if found else [1]
-            found = [x for x in found if P.sign_at(c, x.lo) == P.sign_at(c, x.hi)]
-        roots += [(x, i) for x in found]
+            for g in gs[:-1]:
+                if g is not None:
+                    earlier = P.mul(earlier, g)
+            if lifts:
+                c = P.gcd(gs[-1], earlier)
+                lifts, encl = _separate_candidates([("alg", x) for x in lifts], max_bits)
+                lifts = [x for (_, x), (lo, hi) in zip(lifts, encl)
+                         if P.sign_at(c, lo) == P.sign_at(c, hi)]
+        roots += [(x, i) for x in lifts]
     return roots, gs, shared
 
 
@@ -468,29 +522,44 @@ def _pi_candidates_upper(ns):
 
 
 def _candidate_loc(kind, val):
-    return PiLoc(val) if kind == "pi" else AlgLoc(val, 0, 1)
+    return PiLoc(val) if kind == "pi" else val
+
+
+def _t_enclosure(kind, val, prec: int):
+    """(lo, hi) with lo < t < hi for the t = tan(theta/2) of a candidate, at prec bits.
+
+    A ("pi", frac) candidate's is _tan_half_pi_enclosure; an ("alg", loc)
+    one's puts the ends of theta_over_pi_enclosure through the same, tan
+    being increasing on (0, pi/2), 64 bits finer: its point prints on a
+    dyadic cell of level 64 at least (_lifted_cell), which an enclosure at
+    prec = 64 then places with no second one.  lo <= 0 when the enclosure
+    of theta reaches 0, and hi is None when it reaches pi.
+    """
+    if kind == "pi":
+        return _tan_half_pi_enclosure(val, prec)
+    prec += 64
+    flo, fhi = theta_over_pi_enclosure(val, prec)
+    lo = _tan_half_pi_enclosure(flo, prec)[0] if flo > 0 else flo
+    return lo, _tan_half_pi_enclosure(fhi, prec)[1] if fhi < 1 else None
 
 
 def _separate_candidates(items, max_bits: int = DEFAULT_PRECISION_BITS, prec0: int = 64):
     """Sort candidates on the positive t-axis with disjoint rational enclosures.
 
-    items: list of ("pi", frac) / ("alg", AlgReal).  Returns the sorted list
-    together with enclosures [(lo, hi)] with 0 < lo, hi < next lo.  Doubles
-    the precision up to 4*max_bits; if two enclosures still overlap (or one
-    still reaches 0), raises UnresolvedComparison for that pair.
+    items: list of ("pi", frac) / ("alg", loc), loc an AlgLoc with
+    0 < theta < pi.  Returns the sorted list together with the enclosures
+    [(lo, hi)] of _t_enclosure, with 0 < lo, hi < next lo.  Doubles the
+    precision up to 4*max_bits; if two enclosures still overlap (or one still
+    reaches theta = 0 or pi), raises UnresolvedComparison for that pair.
     """
     prec = prec0
     while True:
         encl = []
         clash = None
         for kind, val in items:
-            if kind == "pi":
-                lo, hi = _tan_half_pi_enclosure(Fraction(val), prec)
-            else:
-                val.refine_to(Fraction(1, 1 << prec))
-                lo, hi = val.lo, val.hi
-            if lo <= 0:
-                clash = (_candidate_loc(kind, val), PiLoc(Fraction(0)))
+            lo, hi = _t_enclosure(kind, val, prec)
+            if lo <= 0 or hi is None:
+                clash = (_candidate_loc(kind, val), PiLoc(Fraction(0 if lo <= 0 else 1)))
                 break
             encl.append((lo, hi))
         if clash is None:
@@ -506,40 +575,116 @@ def _separate_candidates(items, max_bits: int = DEFAULT_PRECISION_BITS, prec0: i
         prec *= 2
 
 
-def _simplest_between(a: Fraction, b: Fraction) -> Fraction:
-    """The rational with smallest denominator strictly inside (a, b).
+def _lifted_cell(g, encl, k: int, loc: AlgLoc, max_bits: int = DEFAULT_PRECISION_BITS):
+    """The (poly, lo, hi) that algebraic.dyadic_cell prints for the k-th positive root of g.
 
-    Keeping sample points simple keeps the integer pencil entries small,
-    which is what makes the Bareiss signature evaluations fast.
+    g is square-free in primitive integer form, with g(0) != 0, and encl
+    holds disjoint enclosures (lo, hi), lo < root < hi, of its positive
+    roots, ascending; the k-th is that of the candidate loc.  g has the sign
+    s0 of g(0) below its first positive root and changes sign at each, so
+    at a point x inside the k-th enclosure alone, sign g(x) is 0 on the
+    root, s0 * (-1)^k left of it and the other sign right of it: one sign
+    places x.  For P = 64, 128, ... the root is located on the grid of step
+    2^-P.  loc's enclosure is narrowed (_t_enclosure at doubled precision,
+    up to 4*max_bits) until it holds at most one grid point, and the grid
+    points it still holds are placed by bisection, one sign each.  A root on
+    the grid prints as dyadic_cell prints it; otherwise its cell
+    [c/2^P, (c+1)/2^P] isolates it among g's roots when k and k + 1 roots
+    lie below its ends, which are counted by the enclosures and, for an end
+    inside one, by one sign.  If the cell does not isolate, P grows by 64.
+    So no root of g is isolated or refined on g itself.
     """
-    if not a < b:
+    s0 = 1 if g[0] > 0 else -1
+    lo, hi = encl[k]  # loc's enclosure, narrowed below
+
+    def below(x):
+        """The number of g's positive roots below x, or None when x is one of them."""
+        i = bisect_left(encl, x, key=lambda e: e[1])  # the first enclosure not ending below x
+        a, b = (lo, hi) if i == k else encl[i] if i < len(encl) else (x, x)
+        if x <= a:
+            return i
+        if x >= b:
+            return i + 1
+        s = P.sign_at(g, x)
+        return None if s == 0 else i if s == (-s0 if i & 1 else s0) else i + 1
+
+    p, prec = 64, 64
+    while True:
+        while True:
+            # a / 2^p <= lo < root < hi <= b / 2^p
+            a = (lo.numerator << p) // lo.denominator
+            b = -((-hi.numerator << p) // hi.denominator)
+            if b - a <= 2 or prec >= 4 * max_bits:
+                break
+            prec *= 2
+            nlo, nhi = _t_enclosure("alg", loc, prec)
+            lo, hi = max(lo, nlo), hi if nhi is None else min(hi, nhi)
+        while b - a > 1:
+            m = (a + b) // 2
+            c = below(Fraction(m, 1 << p))
+            if c is None:
+                # on the grid: x - r on [r - 2^-Q, r + 2^-Q], Q the least
+                # multiple of 64 above r's denominator's exponent
+                r = Fraction(m, 1 << p)
+                q = 64 * ((r.denominator.bit_length() - 1) // 64 + 1)
+                return [-r.numerator, r.denominator], r - Fraction(1, 1 << q), r + Fraction(1, 1 << q)
+            if c == k:
+                a = m
+            else:
+                b = m
+        cell = g, Fraction(a, 1 << p), Fraction(a + 1, 1 << p)
+        if below(cell[1]) == k and below(cell[2]) == k + 1:
+            return cell
+        p += 64
+
+
+def _simplest_between(an: int, ad: int, bn: int, bd: int):
+    """The rational with smallest denominator strictly inside (an/ad, bn/bd), as (num, den).
+
+    ad, bd > 0.  Keeping sample points simple keeps the integer pencil
+    entries small, which is what makes the Bareiss signature evaluations
+    fast.  With f = floor(a): f + 1 if it lies below b; a + 1/k for the
+    least valid k if a is an integer; otherwise f + 1/x for x the simplest
+    rational in (1/(b - f), 1/(a - f)), whose continued fraction this
+    collects, in integers.
+    """
+    if an * bd >= bn * ad:
         raise ValueError("empty interval")
-    fa = a.numerator // a.denominator
-    cand = Fraction(fa + 1)
-    if a < cand < b:
-        return cand
-    if a == fa:
-        # a is an integer and b <= a+1: answer is a + 1/k for the least valid k
-        k = (1 / (b - a)).__floor__() + 1
-        return a + Fraction(1, k)
-    return fa + 1 / _simplest_between(1 / (b - fa), 1 / (a - fa))
+    terms = []
+    while True:
+        f = an // ad
+        if (f + 1) * bd < bn:
+            num, den = f + 1, 1
+            break
+        if an == f * ad:
+            k = bd // (bn - f * bd) + 1
+            num, den = f * k + 1, k
+            break
+        terms.append(f)
+        an, ad, bn, bd = bd, bn - f * bd, ad, an - f * ad
+    for f in reversed(terms):
+        num, den = f * num + den, num
+    return num, den
 
 
 def _sample_point(core, lo: Fraction, hi):
-    """The sample t of the gap (lo, hi) between candidates (hi None: no bound), and core.poles(t).
+    """The sample t = u/v of the gap (lo, hi) between candidates (hi None: no bound), and core.poles(u, v).
 
     The sample is the simplest rational in the gap (the integer above lo
-    when hi is None).  If a chain of the core is singular there, which is
-    only t = 1 with 4 | N, it moves to the simplest rational in (lo, 1):
-    sigma is constant on the gap, so neither the candidates nor the printed
-    intervals change.
+    when hi is None), as (u, v).  If a chain of the core is singular there,
+    which is only t = 1 with 4 | N, it moves to the simplest rational in
+    (lo, 1): sigma is constant on the gap, so neither the candidates nor the
+    printed intervals change.
     """
-    t = _simplest_between(lo, hi) if hi is not None else Fraction(lo.__floor__() + 1)
-    poles = core.poles(t.numerator, t.denominator)
+    if hi is None:
+        u, v = lo.__floor__() + 1, 1
+    else:
+        u, v = _simplest_between(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    poles = core.poles(u, v)
     if poles is None:
-        t = _simplest_between(lo, t)
-        poles = core.poles(t.numerator, t.denominator)
-    return t, poles
+        u, v = _simplest_between(lo.numerator, lo.denominator, u, v)
+        poles = core.poles(u, v)
+    return u, v, poles
 
 
 def _gap_signatures(core, gaps, owners):
@@ -556,8 +701,7 @@ def _gap_signatures(core, gaps, owners):
     last = None
     sigs = []
     for i, (lo, hi) in enumerate(gaps):
-        t, poles = _sample_point(core, lo, hi)
-        u, v = t.numerator, t.denominator
+        u, v, poles = _sample_point(core, lo, hi)
         which = [b for b in range(len(sig))
                  if last is None or b in owners[i - 1] or poles[b] != last[b]]
         for b, (re, im) in zip(which, core.at(u, v, which)):
@@ -619,17 +763,17 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     else:
         parts = [(f, {b}) for b, f in enumerate(factors)]
 
-    # per part: its roots of unity by order, and the rest, which gives the
-    # algebraic candidates
+    # per part: its roots of unity by order, and the rest h with its e, which
+    # give the algebraic candidates
     pi_owners, rests = {}, []
     for f, owners in parts:
-        ns, r = _cyclotomic_parts(f)
+        ns, r, e = _split_part(f)
         for n in ns:
             pi_owners.setdefault(n, set()).update(owners)
         if len(r) >= 2:
-            rests.append((r, owners))
+            rests.append((r, e, owners))
     items = [("pi", f) for f in _pi_candidates_upper(sorted(pi_owners))]
-    roots, gs, shared = _algebraic_candidates(rests)
+    roots, gs, shared = _algebraic_candidates(rests, max_bits)
     part = {id(x): i for x, i in roots}
     items += [("alg", x) for x, _ in roots]
 
@@ -641,29 +785,47 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     else:
         gaps = [(Fraction(0), None)]
     owners = []
-    for kind, val in items:
+    on = [[] for _ in rests]  # per part, the candidates that are roots of its g
+    for idx, (kind, val) in enumerate(items):
         if kind == "pi":
             # a root of unity of order n is w = e^(i*pi*f) with n the denominator of f/2
             owners.append(pi_owners[(val / 2).denominator])
             continue
-        i = part[id(val)]
-        val.cell = dyadic_cell(val)
-        if not shared:
-            owners.append(rests[i][1])
-            continue
-        # the enclosure holds no other candidate, so a g changes sign across
-        # it exactly when val is one of its roots
-        owners.append(set().union(*(
-            rests[j][1] for j, g in enumerate(gs)
-            if g is not None and P.sign_at(g, val.lo) != P.sign_at(g, val.hi))))
+        if shared:
+            # the enclosure holds no other candidate, so a g changes sign
+            # across it exactly when val is one of its roots
+            lo, hi = encl[idx]
+            js = [j for j, g in enumerate(gs)
+                  if g is not None and P.sign_at(g, lo) != P.sign_at(g, hi)]
+        else:
+            js = [part[id(val)]]
+        for j in js:
+            on[j].append(idx)
+        owners.append(set().union(*(rests[j][2] for j in js)))
     sigs = _gap_signatures(core, gaps, owners)
 
+    # per part, the enclosures of its g's roots and each candidate's place among them
+    cells = [([encl[x] for x in xs], {x: k for k, x in enumerate(xs)}) for xs in on]
+    made = {}  # part -> an AlgReal of its g, whose poly the part's other points share
     upper = []
     for idx, (kind, val) in enumerate(items):
         dv = sigs[idx + 1] - sigs[idx]
         if dv == 0:
             continue
-        upper.append(JumpPoint(_candidate_loc(kind, val), dv))
+        if kind == "pi":
+            upper.append(JumpPoint(PiLoc(val), dv))
+            continue
+        # printed on the dyadic cell of its root with g of its first part
+        i = part[id(val)]
+        own, place = cells[i]
+        poly, lo, hi = _lifted_cell(gs[i], own, place[idx], val, max_bits)
+        if poly is not gs[i]:
+            t = AlgReal(poly, lo, hi, _checked=True)  # x - r for a root r on the grid
+        elif i in made:
+            t = made[i].with_interval(lo, hi, check=False)
+        else:
+            t = made[i] = AlgReal(poly, lo, hi, _checked=True)
+        upper.append(JumpPoint(AlgLoc(t), dv))
     points = list(upper)
     if epsilon == -1 and sigs[-1]:
         points.append(JumpPoint(PiLoc(Fraction(1)), -2 * sigs[-1]))
@@ -901,8 +1063,8 @@ def _at_root_of_unity(t: AlgReal) -> bool:
     bound = 8 * deg * deg
     # theta_over_pi_enclosure at prec is narrower than 2^-(prec - 18)
     lo, hi = theta_over_pi_enclosure(AlgLoc(t.copy()), 2 * bound.bit_length() + 20)
-    x = _simplest_between(lo, hi)
-    n = x.denominator * (2 if x.numerator % 2 else 1)  # the order of e^(i*pi*x)
+    num, den = _simplest_between(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    n = den * (2 if num % 2 else 1)  # the order of e^(i*pi*num/den)
     if n > bound or P.totient(n) > 2 * deg:
         return False
     g = P.gcd(t.poly, _cyclotomic_cayley_gcd(n))

@@ -198,12 +198,18 @@ T25_V = "[[-1,1,0,0],[0,-1,1,0],[0,0,-1,1],[0,0,0,-1]]"
      "d6305373fec14fff35f39aa0089e37434c4aa5bf2ae20a8dc940ef515d98d1b6"),
     (T25_V, ["--m", "2", "--p", "5"],
      "fd10c1d2ad72e7c882af18652081aa21b4ed162aaf3ff89f3c5d79e5bec4abf8"),
-], ids=["m2-p7", "m3-p5", "t25-m2-p5"])
+    ("trefoil", ["--m", "2", "--p", "2", "--a", "3"],
+     "28d9d8bacaf7711d6d634cd178e94c109bf00b5afe443a1e27ac184991f08aa6"),
+    ("trefoil", ["--m", "2", "--p", "3", "--a", "2"],
+     "32da50f682dac8ceec9f85e3b4e07317cdf14c1824f3f160078d8ef705a96537"),
+], ids=["m2-p7", "m3-p5", "t25-m2-p5", "m2-d8", "m2-d9"])
 def test_obstruct_larger_jobs_pinned(knot, extra, digest):
     # L(trefoil, 2) at p = 7 and L(trefoil, 3) at p = 5: cores of 7 and 5
     # groups whose connected blocks each mix two groups, with n = 508 and 844;
     # L(T25, 2) at p = 5 (n = 248): five blocks of size 8, with the roots of
-    # unity of orders {80}, {50, 150}, {10}, {20} and {40}
+    # unity of orders {80}, {50, 150}, {10}, {20} and {40}; L(trefoil, 2) at
+    # d = 2^3 and 3^2 (n = 1020 and 2044), whose block factors w^i * h(w^e)
+    # lift the orders of h = w^2 - w + 1 by e up to 255
     code, text = run(["obstruct", "--family", "ltm", "--V", knot, *extra,
                       "--format", "json"])
     assert code == 1

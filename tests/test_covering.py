@@ -36,6 +36,7 @@ from covsig._fast import PencilCore
 from covsig.exact import block_matrix, isolate_real_roots
 from covsig.exact import poly as P
 from covsig.jumps import (
+    AlgLoc,
     _core_rows,
     _gap_signatures,
     _generic_minor_poly,
@@ -461,8 +462,7 @@ def test_core_det_poly_by_blocks_equals_dense_det_poly(planted):
 
 def eager_gap_signatures(core, gaps, owners):
     """The oracle of _gap_signatures: every block at every gap, at the same samples."""
-    return [_sig_at(core, t.numerator, t.denominator)
-            for t, _ in (_sample_point(core, lo, hi) for lo, hi in gaps)]
+    return [_sig_at(core, u, v) for u, v, _ in (_sample_point(core, lo, hi) for lo, hi in gaps)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,24 +494,27 @@ def test_block_samples_equal_every_block_at_every_gap(planted):
     assert same_jumps(f, g) and f.sigma0 == g.sigma0
 
 
-def whole_g_candidates(rests):
+def whole_g_candidates(rests, max_bits):
     """The oracle of _algebraic_candidates: one Cayley gcd of the product of every rest.
 
-    The roots come from the square-free part of the product, so a root
-    that two rests share is isolated once.  Every root is put in part 0;
-    the oracle samples every block at every gap, so no owner is read.
+    Each part's rest h(w^e) is expanded, and the roots come from the
+    square-free part of the product, isolated by Descartes on t > 0, so a
+    root that two rests share is isolated once.  Every root is put in part 0
+    as a lift with e = 1, printed with that g; the oracle samples every
+    block at every gap, so no owner is read.
     """
     product = [1]
-    for r, _ in rests:
-        product = P.mul(product, r)
+    for h, e, _ in rests:
+        product = P.mul(product, P.at_power(h, e))
     if len(product) < 2:
-        return [], [], False
+        return [], [None] * len(rests), False
     re, im = jumps._cayley_numerator(P.square_free_part([Fraction(a) for a in product]))
     g = P.gcd(re, im)
     if P.degree(g) < 1:
-        return [], [], False
+        return [], [None] * len(rests), False
     roots = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
-    return [(x, 0) for x in roots], [None] * len(rests), False
+    gs = [roots[0].poly if roots else None] + [None] * (len(rests) - 1)
+    return [(AlgLoc(x), 0) for x in roots], gs, False
 
 
 def whole_g_jump_function(cm, epsilon):
@@ -557,8 +560,8 @@ def test_block_candidates_equal_the_whole_g_oracle(planted):
     cm = as_covering(blocks, mults)
     seen = []
 
-    def spy(rests):
-        out = candidates(rests)
+    def spy(rests, max_bits):
+        out = candidates(rests, max_bits)
         seen.append(out[0])
         return out
 

@@ -493,7 +493,8 @@ def test_pencil_core_block_sum_matches_whole_core(core_mults, eps, u, v):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_half_turns_counts_multiples_of_pi(n):
-    # floor(n * phi / pi) for phi = arg(v + iu) in (0, pi), u > 0, or arg(-(v + iu)) for u < 0
+    # floor(n * phi / pi) for phi = arg(v + iu) in (0, pi), u > 0, or arg(-(v + iu)) for u < 0,
+    # next to that z^n itself
     for u in range(-5, 6):
         for v in range(-5, 6):
             if u == 0:
@@ -501,4 +502,6 @@ def test_half_turns_counts_multiples_of_pi(n):
             z = complex(v, u) if u > 0 else complex(-v, -u)
             x = n * cmath.phase(z) / math.pi
             if abs(x - round(x)) > 1e-9:
-                assert _fast._half_turns(u, v, n) == math.floor(x)
+                re, im, q = _fast._gauss_walk(u, v, {n})[n]
+                assert q == math.floor(x)
+                assert complex(re, im) == z ** n

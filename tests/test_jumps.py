@@ -43,6 +43,7 @@ from covsig import (
     with_period,
 )
 from covsig import _fast
+from covsig.exact import dyadic_cell
 from covsig.exact import poly as P
 from covsig.jumps import (
     AlgLoc,
@@ -53,7 +54,11 @@ from covsig.jumps import (
     _generic_minor_poly,
     _remove_common_kernel,
     _self_reciprocal_part,
+    _algebraic_candidates,
+    _lifted_cell,
     _separate_candidates,
+    _simplest_between,
+    _split_part,
     point_to_obj,
     theta_decimal,
 )
@@ -684,7 +689,7 @@ def test_candidate_separation_is_bounded():
     # two copies of one root never separate: the precision cap turns that
     # into UnresolvedComparison instead of doubling forever
     r = AlgReal([-2, 0, 1], 1, 2)
-    items = [("alg", r), ("alg", r.copy())]
+    items = [("alg", AlgLoc(r)), ("alg", AlgLoc(r.copy()))]
     with time_limit(30):
         with pytest.raises(UnresolvedComparison) as info:
             _separate_candidates(items)
@@ -697,7 +702,7 @@ def test_small_precision_bits_stop_separation_sooner():
     # the same equal pair as above: with max_bits = 64 the cap is 256 bits
     r = AlgReal([-2, 0, 1], 1, 2)
     with pytest.raises(UnresolvedComparison) as info:
-        _separate_candidates([("alg", r), ("alg", r.copy())], 64)
+        _separate_candidates([("alg", AlgLoc(r)), ("alg", AlgLoc(r.copy()))], 64)
     assert info.value.bits == 64
     assert r.width() <= Fraction(1, 1 << 256)
     assert r.width() > Fraction(1, 1 << (4 * DEFAULT_PRECISION_BITS))
@@ -790,6 +795,108 @@ def test_cyclotomic_parts_with_multiplicity_match_the_square_free_split(powers, 
     assert ns == want_ns
     assert {n for n, _ in powers} <= set(ns)
     assert P.square_free_part(rest) == want_rest
+
+
+def fraction_simplest_between(a, b):
+    """The simplest rational in (a, b) by the recursion on Fractions that the sample loop used."""
+    fa = a.numerator // a.denominator
+    cand = Fraction(fa + 1)
+    if a < cand < b:
+        return cand
+    if a == fa:
+        return a + Fraction(1, (1 / (b - a)).__floor__() + 1)
+    return fa + 1 / fraction_simplest_between(1 / (b - fa), 1 / (a - fa))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-20, max_value=20, max_denominator=1 << 70),
+       st.fractions(min_value=Fraction(1, 1 << 70), max_value=3, max_denominator=1 << 70))
+@example(Fraction(0), Fraction(1, 7))
+@example(Fraction(2), Fraction(1))
+@example(Fraction(-3, 2), Fraction(1, 1 << 64))
+def test_simplest_between_in_integers_is_the_fraction_recursion(a, width):
+    # the same rational as before, and no smaller denominator has a point in (a, b)
+    b = a + width
+    num, den = _simplest_between(a.numerator, a.denominator, b.numerator, b.denominator)
+    x = Fraction(num, den)
+    assert (x.numerator, x.denominator) == (num, den)
+    assert x == fraction_simplest_between(a, b)
+    assert a < x < b
+    for q in range(1, min(den, 64)):
+        assert not a < Fraction((a * q).__floor__() + 1, q) < b
+    with pytest.raises(ValueError):
+        _simplest_between(b.numerator, b.denominator, a.numerator, a.denominator)
+
+
+def dense_route(f):
+    """The candidates of a block factor f as they were found before its sparse form was read.
+
+    _cyclotomic_parts on the expanded f, then the positive roots of the
+    square-free Cayley gcd g of its rest, isolated by Descartes on the whole
+    of g and printed on dyadic_cell: (orders, rest, cells).
+    """
+    ns, rest = _cyclotomic_parts(f)
+    g = P.gcd(*_cayley_numerator(rest)) if len(rest) >= 2 else [1]
+    if P.degree(g) < 1:
+        return ns, rest, []
+    roots = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
+    return ns, rest, [dyadic_cell(x) for x in roots]
+
+
+def lifted_route(f, max_bits=DEFAULT_PRECISION_BITS):
+    """The same from f = c * w^i * h(w^e): h split and isolated, its roots lifted by e."""
+    ns, rest, e = _split_part(f)
+    roots, gs, _ = _algebraic_candidates([(rest, e, {0})] if len(rest) >= 2 else [], max_bits)
+    if not roots:
+        return ns, P.at_power(rest, e), []
+    items, encl = _separate_candidates([("alg", x) for x, _ in roots], max_bits)
+    return ns, P.at_power(rest, e), [_lifted_cell(gs[0], encl, k, x, max_bits)
+                                     for k, (_, x) in enumerate(items)]
+
+
+# quadratics a*w^2 + b*w + a with b^2 < 4a^2: a conjugate pair on the unit circle
+UNIT_PAIRS = st.tuples(st.integers(min_value=1, max_value=30), st.integers(min_value=-59, max_value=59)
+                       ).filter(lambda ab: ab[1] ** 2 < 4 * ab[0] ** 2).map(lambda ab: [ab[0], ab[1], ab[0]])
+H_FACTORS = st.one_of(
+    UNIT_PAIRS,
+    st.integers(min_value=1, max_value=12).map(P.cyclotomic),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=2, max_size=4)
+    .filter(lambda c: c[0] != 0 and c[-1] != 0),
+    # t = 1/2, a root on the dyadic grid (at e = 1, and at e = 2 for the
+    # second, whose root is w^2 for w = (3 + 4i)/5); roots near theta = pi and 0
+    st.sampled_from([[5, -6, 5], [25, 14, 25], [100, 199, 100], [100, -199, 100]]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(H_FACTORS, min_size=1, max_size=3), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2), st.integers(min_value=-3, max_value=3).filter(bool))
+# planted e = 1: a dense h whose one pair has its roots lifted by nothing
+@example([[2, -3, 2], [1, 1, 0, 1]], 1, 0, 1)
+@example([[5, -6, 5]], 1, 1, 1)
+@example([[25, 14, 25], P.cyclotomic(7)], 2, 0, -2)
+@example([[100, 199, 100]], 1, 0, 1)
+@example([[100, 199, 100], [100, -199, 100]], 8, 2, 3)
+def test_lifted_candidates_match_the_dense_route(factors, e, i, c):
+    # the orders, the rest and every printed cell of f = c * w^i * h(w^e),
+    # found from h and lifted by e, are those of the expanded f
+    h = [c]
+    for q in factors:
+        h = P.mul(h, q)
+    assume(e * P.degree(h) <= 60)
+    f = [0] * i + P.at_power(h, e)
+    want_ns, want_rest, want_cells = dense_route(f)
+    ns, rest, cells = lifted_route(f)
+    assert ns == want_ns
+    assert P.int_form(rest) == P.int_form(want_rest)
+    assert cells == want_cells
+
+
+def test_lifted_cells_need_no_precision_for_the_grid():
+    # at max_bits = 0 no enclosure is narrowed: sign bisection on the grid
+    # places each root, and the cells are the same
+    f = P.at_power(P.mul([2, -3, 2], [5, -6, 5]), 3)
+    assert lifted_route(f, 0) == lifted_route(f) and lifted_route(f)[2] == dense_route(f)[2]
 
 
 def fraction_cayley_numerator(S):
