@@ -173,6 +173,8 @@ def _jobspec_into_args(args):
         args.epsilon = _choice("epsilon", _int(sf.get("epsilon", 1)))
     pat = job.get("pattern", {})
     if "word" in pat:
+        if not isinstance(pat["word"], str):
+            raise ParseError('"word" must be a JSON string')
         args.word = pat["word"]
     elif "coeffs" in pat:
         args.coeffs = json.dumps(pat["coeffs"])

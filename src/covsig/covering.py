@@ -37,9 +37,10 @@ from .seifert import SeifertData
 # D(w) = 0 fills the n x n covering_matrix, about 17 bytes an entry (tracemalloc
 # at n = 1020 and 2044), near 425 MB at n = 5000; every job has deg D <= n.
 MAX_COVERING_N = 5000
-# The largest degree d = p^a that CoveringSpec accepts.  The d x d Fraction
-# circulant solve (pattern.solve_multiplicities) takes about 0.7 s at d = 256
-# and grows as d^3: 3.5 s at d = 512.
+# The largest degree d = p^a that CoveringSpec accepts.  The d x d circulant
+# solve (pattern.solve_multiplicities, an integer adjugate) takes 0.09 s for
+# the pattern y and 0.13 s for L(trefoil, 2)'s at d = 256, and 0.42 s and
+# 0.68 s at d = 512 (a 2-core Xeon VM, in-process).
 MAX_COVERING_D = 256
 
 

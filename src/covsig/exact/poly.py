@@ -9,13 +9,14 @@ printed (jumps.point_to_obj).  Fractions remain as the points at which a
 polynomial is evaluated and as the ends of intervals.
 
 Only what the root-isolation and jump-extraction code needs: products, gcd
-and square-free part, a coprimality test that is mostly one gcd modulo a
-word-size prime, division by a monic (cyclotomic) polynomial, and root
-counting.  The gcd is the heuristic gcd GCDHEU in Python ints (_inner_gcd):
-one integer gcd of the two polynomials' values at a large point, read back
-as a polynomial and checked by exact division.  Python's bigint gcd does
-the work, and the coefficient growth of remainder sequences on the large
-determinant polynomials of covering computations is avoided (a primitive
+and square-free part, division by a monic (cyclotomic) polynomial, and root
+counting.  The gcd also finds the roots that two blocks' candidate
+polynomials share (jumps._algebraic_candidates takes it pairwise).  It is
+the heuristic gcd GCDHEU in Python ints (_inner_gcd): one integer gcd of
+the two polynomials' values at a large point, read back as a polynomial
+and checked by exact division.  Python's bigint gcd does the work, and the
+coefficient growth of remainder sequences on the large determinant
+polynomials of covering computations is avoided (a primitive
 pseudo-remainder gcd was 30x slower at degree 60); that sequence remains
 only as the fallback once every evaluation point has failed.
 
@@ -315,37 +316,6 @@ def gcd(p, q):
     if not p or not q:
         return int_form(p or q)
     return int_form(_inner_gcd(p, q)[0])
-
-
-_PRIME = (1 << 61) - 1
-
-
-def _gcd_degree_mod(p, q, m):
-    """Degree of gcd(p, q) over Z/m for a prime m, int lists; -1 when both vanish mod m."""
-    a, b = trim([c % m for c in p]), trim([c % m for c in q])
-    while b:
-        inv, db = pow(b[-1], -1, m), len(b) - 1
-        while len(a) > db:
-            c, k = a[-1] * inv % m, len(a) - 1 - db
-            for i, x in enumerate(b):
-                a[k + i] = (a[k + i] - c * x) % m
-            a = trim(a)
-        a, b = b, a
-    return len(a) - 1
-
-
-def coprime(p, q):
-    """Are the nonzero integer polynomials p and q coprime over Q?
-
-    Modulo the prime m = 2^61 - 1 first: a common factor h of p and q has
-    lc(h) | lc(p), so when m does not divide lc(p), h mod m is a common
-    factor of the same degree, and a constant gcd mod m rules h out.  When
-    m divides lc(p), or the gcd mod m is not constant, the exact gcd
-    decides.
-    """
-    if p[-1] % _PRIME and _gcd_degree_mod(p, q, _PRIME) == 0:
-        return True
-    return degree(gcd(p, q)) < 1
 
 
 def square_free_part(p):

@@ -36,12 +36,13 @@ change only at its own candidates or at a pole of its groups, so a sample
 takes again only the blocks that own the candidate it has just passed or
 whose poles lie between it and the previous sample (PencilCore, Blocks
 across samples); a root of unity belongs to the blocks it is a root of,
-and an algebraic candidate to its block.  Rests that share a factor give
-each shared root once, owned by every block whose g_b changes sign across
-its enclosure.  When D = 0 leaves a generic minor, which is no product over
-blocks, it is one part owned by every block, read the same way.  An
-algebraic point prints the cell algebraic.dyadic_cell gives its root, with
-the g_b of its first block.
+and an algebraic candidate to its block.  Shared roots are found pairwise,
+by the gcd c of two blocks' g_b: such a root is given once, by the first
+block whose g_b has it, and is owned by that block and by each later one
+whose c with it changes sign across its enclosure.  When D = 0 leaves a
+generic minor, which is no product over blocks, it is one part owned by
+every block, read the same way.  An algebraic point prints the cell
+algebraic.dyadic_cell gives its root, with the g_b of its first block.
 
 All decisions (periodicity verdicts in particular) are made by exact
 arithmetic or certificates, never by floating point; when a comparison of
@@ -473,40 +474,41 @@ def _algebraic_candidates(rests, max_bits: int = DEFAULT_PRECISION_BITS):
     theta = (2*atan(t_h) + 2*pi*j) / e, the AlgLoc(t_h, 2j, e); on the upper
     half circle j runs over 0 .. (e - 1)//2 for t_h > 0 and over 1 .. e//2
     for t_h < 0.
-    Returns (roots, gs, shared): roots is [(loc, i)], the lifts of part i;
+    Returns (roots, gs, partners): roots is [(loc, i)], the lifts of part i;
     gs[i] is g_i, the square-free Cayley gcd of r_i, whose positive roots are
     those lifts and which part i's points print (None when it has none);
-    shared tells whether some rest is not coprime to the product of the
-    earlier ones.  Such a part drops the lifts it shares with an earlier g:
-    with its own lifts separated, those across whose enclosure their gcd
-    changes sign.
+    partners[j] is [(i, c_ij)] for each later part i whose g_i has a
+    nonconstant gcd c_ij with g_j.  Part i drops the lifts it shares with an
+    earlier part: with its own lifts separated, those across whose enclosure
+    some c_ij changes sign.  So each root is given once, by the earliest
+    part whose g has it.
     """
-    roots, gs, shared, product = [], [], False, [1]
+    roots, gs, partners = [], [], [[] for _ in rests]
     isolated = {}  # h's primitive integer form -> the real roots of g_h
     for i, (h, e, _) in enumerate(rests):
-        r = P.at_power(h, e)
-        overlap = i > 0 and not P.coprime(r, product)
-        product = P.mul(product, r)
         key = tuple(P.int_form(h))
         if key not in isolated:
             g = P.gcd(*_cayley_numerator(h))
             isolated[key] = isolate_real_roots(g) if P.degree(g) >= 1 else []
         lifts = [AlgLoc(t, 2 * j, e) for t in isolated[key]
                  for j in (range((e + 1) // 2) if t.sign() > 0 else range(1, e // 2 + 1))]
-        gs.append(P.square_free_part(P.gcd(*_cayley_numerator(r))) if lifts else None)
-        if overlap:
-            shared = True
-            earlier = [1]
-            for g in gs[:-1]:
-                if g is not None:
-                    earlier = P.mul(earlier, g)
-            if lifts:
-                c = P.gcd(gs[-1], earlier)
-                lifts, encl = _separate_candidates([("alg", x) for x in lifts], max_bits)
-                lifts = [x for (_, x), (lo, hi) in zip(lifts, encl)
-                         if P.sign_at(c, lo) == P.sign_at(c, hi)]
+        if not lifts:
+            gs.append(None)
+            continue
+        g = P.square_free_part(P.gcd(*_cayley_numerator(P.at_power(h, e))))
+        common = []
+        for j, gj in enumerate(gs):
+            c = P.gcd(g, gj) if gj else []
+            if P.degree(c) >= 1:
+                partners[j].append((i, c))
+                common.append(c)
+        gs.append(g)
+        if common:
+            lifts, encl = _separate_candidates(lifts, max_bits)
+            lifts = [x for x, (lo, hi) in zip(lifts, encl)
+                     if all(P.sign_at(c, lo) == P.sign_at(c, hi) for c in common)]
         roots += [(x, i) for x in lifts]
-    return roots, gs, shared
+    return roots, gs, partners
 
 
 def _pi_candidates_upper(ns):
@@ -521,52 +523,48 @@ def _pi_candidates_upper(ns):
     return fracs
 
 
-def _candidate_loc(kind, val):
-    return PiLoc(val) if kind == "pi" else val
-
-
-def _t_enclosure(kind, val, prec: int):
+def _t_enclosure(loc, prec: int):
     """(lo, hi) with lo < t < hi for the t = tan(theta/2) of a candidate, at prec bits.
 
-    A ("pi", frac) candidate's is _tan_half_pi_enclosure; an ("alg", loc)
-    one's puts the ends of theta_over_pi_enclosure through the same, tan
-    being increasing on (0, pi/2), 64 bits finer: its point prints on a
-    dyadic cell of level 64 at least (_lifted_cell), which an enclosure at
-    prec = 64 then places with no second one.  lo <= 0 when the enclosure
+    A PiLoc's is _tan_half_pi_enclosure; an AlgLoc's puts the ends of
+    theta_over_pi_enclosure through the same, tan being increasing on
+    (0, pi/2), 64 bits finer: its point prints on a dyadic cell of level 64
+    at least (_lifted_cell), which an enclosure at prec = 64 then places
+    with no second one.  lo <= 0 when the enclosure
     of theta reaches 0, and hi is None when it reaches pi.
     """
-    if kind == "pi":
-        return _tan_half_pi_enclosure(val, prec)
+    if isinstance(loc, PiLoc):
+        return _tan_half_pi_enclosure(loc.frac, prec)
     prec += 64
-    flo, fhi = theta_over_pi_enclosure(val, prec)
+    flo, fhi = theta_over_pi_enclosure(loc, prec)
     lo = _tan_half_pi_enclosure(flo, prec)[0] if flo > 0 else flo
     return lo, _tan_half_pi_enclosure(fhi, prec)[1] if fhi < 1 else None
 
 
-def _separate_candidates(items, max_bits: int = DEFAULT_PRECISION_BITS, prec0: int = 64):
+def _separate_candidates(items, max_bits: int = DEFAULT_PRECISION_BITS):
     """Sort candidates on the positive t-axis with disjoint rational enclosures.
 
-    items: list of ("pi", frac) / ("alg", loc), loc an AlgLoc with
-    0 < theta < pi.  Returns the sorted list together with the enclosures
-    [(lo, hi)] of _t_enclosure, with 0 < lo, hi < next lo.  Doubles the
-    precision up to 4*max_bits; if two enclosures still overlap (or one still
-    reaches theta = 0 or pi), raises UnresolvedComparison for that pair.
+    items: list of PiLoc and AlgLoc, each with 0 < theta < pi.  Returns the
+    sorted list together with the enclosures [(lo, hi)] of _t_enclosure,
+    with 0 < lo, hi < next lo.  Doubles the precision from 64 up to
+    4*max_bits; if two enclosures still overlap (or one still reaches
+    theta = 0 or pi), raises UnresolvedComparison for that pair.
     """
-    prec = prec0
+    prec = 64
     while True:
         encl = []
         clash = None
-        for kind, val in items:
-            lo, hi = _t_enclosure(kind, val, prec)
+        for loc in items:
+            lo, hi = _t_enclosure(loc, prec)
             if lo <= 0 or hi is None:
-                clash = (_candidate_loc(kind, val), PiLoc(Fraction(0 if lo <= 0 else 1)))
+                clash = (loc, PiLoc(Fraction(0 if lo <= 0 else 1)))
                 break
             encl.append((lo, hi))
         if clash is None:
             order = sorted(range(len(items)), key=lambda i: encl[i][0])
             for a, b in zip(order, order[1:]):
                 if encl[a][1] >= encl[b][0]:
-                    clash = (_candidate_loc(*items[a]), _candidate_loc(*items[b]))
+                    clash = (items[a], items[b])
                     break
         if clash is None:
             return [items[i] for i in order], [encl[i] for i in order]
@@ -617,7 +615,7 @@ def _lifted_cell(g, encl, k: int, loc: AlgLoc, max_bits: int = DEFAULT_PRECISION
             if b - a <= 2 or prec >= 4 * max_bits:
                 break
             prec *= 2
-            nlo, nhi = _t_enclosure("alg", loc, prec)
+            nlo, nhi = _t_enclosure(loc, prec)
             lo, hi = max(lo, nlo), hi if nhi is None else min(hi, nhi)
         while b - a > 1:
             m = (a + b) // 2
@@ -772,10 +770,10 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
             pi_owners.setdefault(n, set()).update(owners)
         if len(r) >= 2:
             rests.append((r, e, owners))
-    items = [("pi", f) for f in _pi_candidates_upper(sorted(pi_owners))]
-    roots, gs, shared = _algebraic_candidates(rests, max_bits)
+    items = [PiLoc(f) for f in _pi_candidates_upper(sorted(pi_owners))]
+    roots, gs, partners = _algebraic_candidates(rests, max_bits)
     part = {id(x): i for x, i in roots}
-    items += [("alg", x) for x, _ in roots]
+    items += [x for x, _ in roots]
 
     if items:
         items, encl = _separate_candidates(items, max_bits)
@@ -786,19 +784,17 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         gaps = [(Fraction(0), None)]
     owners = []
     on = [[] for _ in rests]  # per part, the candidates that are roots of its g
-    for idx, (kind, val) in enumerate(items):
-        if kind == "pi":
+    for idx, loc in enumerate(items):
+        if isinstance(loc, PiLoc):
             # a root of unity of order n is w = e^(i*pi*f) with n the denominator of f/2
-            owners.append(pi_owners[(val / 2).denominator])
+            owners.append(pi_owners[(loc.frac / 2).denominator])
             continue
-        if shared:
-            # the enclosure holds no other candidate, so a g changes sign
-            # across it exactly when val is one of its roots
-            lo, hi = encl[idx]
-            js = [j for j, g in enumerate(gs)
-                  if g is not None and P.sign_at(g, lo) != P.sign_at(g, hi)]
-        else:
-            js = [part[id(val)]]
+        # the part that gives loc, and each later part whose gcd with it
+        # changes sign across loc's enclosure: that holds no other
+        # candidate, so exactly when loc is a root of the gcd
+        i = part[id(loc)]
+        lo, hi = encl[idx]
+        js = [i] + [j for j, c in partners[i] if P.sign_at(c, lo) != P.sign_at(c, hi)]
         for j in js:
             on[j].append(idx)
         owners.append(set().union(*(rests[j][2] for j in js)))
@@ -808,17 +804,17 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     cells = [([encl[x] for x in xs], {x: k for k, x in enumerate(xs)}) for xs in on]
     made = {}  # part -> an AlgReal of its g, whose poly the part's other points share
     upper = []
-    for idx, (kind, val) in enumerate(items):
+    for idx, loc in enumerate(items):
         dv = sigs[idx + 1] - sigs[idx]
         if dv == 0:
             continue
-        if kind == "pi":
-            upper.append(JumpPoint(PiLoc(val), dv))
+        if isinstance(loc, PiLoc):
+            upper.append(JumpPoint(loc, dv))
             continue
         # printed on the dyadic cell of its root with g of its first part
-        i = part[id(val)]
+        i = part[id(loc)]
         own, place = cells[i]
-        poly, lo, hi = _lifted_cell(gs[i], own, place[idx], val, max_bits)
+        poly, lo, hi = _lifted_cell(gs[i], own, place[idx], loc, max_bits)
         if poly is not gs[i]:
             t = AlgReal(poly, lo, hi, _checked=True)  # x - r for a root r on the grid
         elif i in made:

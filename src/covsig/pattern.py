@@ -16,7 +16,6 @@ from .errors import (
     NotAPattern,
     NotPrimePower,
     ParseError,
-    SingularMatrix,
     SingularSystem,
 )
 
@@ -162,22 +161,24 @@ def solve_multiplicities(row: FoldedRow, target):
     Returns (x, s): the unique rational solution and the least common
     multiple s of its denominators, so that s*x is integral.  Nonsingularity
     is guaranteed for prime-power d with entries summing to 1; a singular M
-    (possible for other d) raises SingularSystem.
+    (possible for other d) raises SingularSystem.  x = adj(M) (L target) /
+    (L det M), all in integers (_fast.adj_det) up to that one division, with
+    L the lcm of the target's denominators.
     """
     # loaded by the solve, not by parse_word
     from fractions import Fraction
 
-    from .exact.matrix import mat_inverse
+    from . import _fast
 
     d = row.d
     target = [Fraction(t) for t in target]
     if len(target) != d:
         raise ValueError("target length must equal d")
-    m = circulant_matrix(row)
-    try:
-        inv = mat_inverse(m)
-    except SingularMatrix:
-        raise SingularSystem("circulant system is singular") from None
-    x = [sum(inv[i, j] * target[j] for j in range(d)) for i in range(d)]
+    adj, det = _fast.adj_det(circulant_matrix(row).int_rows()[1])
+    if not det:
+        raise SingularSystem("circulant system is singular")
+    den = lcm(*(t.denominator for t in target))
+    ts = [t.numerator * (den // t.denominator) for t in target]
+    x = [Fraction(sum(a * t for a, t in zip(adj_i, ts)), den * det) for adj_i in adj]
     s = lcm(*[xi.denominator for xi in x])
     return x, s

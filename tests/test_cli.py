@@ -202,14 +202,20 @@ T25_V = "[[-1,1,0,0],[0,-1,1,0],[0,0,-1,1],[0,0,0,-1]]"
      "28d9d8bacaf7711d6d634cd178e94c109bf00b5afe443a1e27ac184991f08aa6"),
     ("trefoil", ["--m", "2", "--p", "3", "--a", "2"],
      "32da50f682dac8ceec9f85e3b4e07317cdf14c1824f3f160078d8ef705a96537"),
-], ids=["m2-p7", "m3-p5", "t25-m2-p5", "m2-d8", "m2-d9"])
+    ("[[1,1],[0,2]]", ["--m", "2", "--p", "2", "--a", "3"],
+     "24dd06e6ba875e8c851625012673f2f9ae7242b27826ad73180cc139dc2b7b2d"),
+    ("[[1,1],[0,2]]", ["--m", "3", "--p", "5"],
+     "94f61bf8f1a5717ce8f7e2a6259bf6a75c4d65a06e92e1626fd220f1fce41aa6"),
+], ids=["m2-p7", "m3-p5", "t25-m2-p5", "m2-d8", "m2-d9", "alg-m2-d8", "alg-m3-p5"])
 def test_obstruct_larger_jobs_pinned(knot, extra, digest):
     # L(trefoil, 2) at p = 7 and L(trefoil, 3) at p = 5: cores of 7 and 5
     # groups whose connected blocks each mix two groups, with n = 508 and 844;
     # L(T25, 2) at p = 5 (n = 248): five blocks of size 8, with the roots of
     # unity of orders {80}, {50, 150}, {10}, {20} and {40}; L(trefoil, 2) at
     # d = 2^3 and 3^2 (n = 1020 and 2044), whose block factors w^i * h(w^e)
-    # lift the orders of h = w^2 - w + 1 by e up to 255
+    # lift the orders of h = w^2 - w + 1 by e up to 255; L(ALG, 2) at d = 2^3
+    # and L(ALG, 3) at p = 5, whose many algebraic blocks take the pairwise
+    # gcds of their Cayley gcds, none of which shares a root
     code, text = run(["obstruct", "--family", "ltm", "--V", knot, *extra,
                       "--format", "json"])
     assert code == 1
@@ -393,12 +399,15 @@ LTM_TREFOIL = {"family": "ltm", "V": "trefoil", "m": 2}
       "--coeffs", '{"0": "x"}'], None),
     (["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3",
       "--target", "1,x,0"], None),
+    # a word that is no string raised TypeError in parse_word: a traceback with exit 1
+    (["obstruct", "--input", "-"],
+     {"seifert": LTM_TREFOIL, "covering": {"p": 3}, "pattern": {"word": 5}}),
 ], ids=["matrix-not-rows", "family-V-not-rows", "coeffs-not-object", "target-not-list",
         "section-not-object", "document-not-object", "p-not-integer", "m-not-integer",
         "family-with-bad-word", "epsilon-not-a-choice", "format-not-a-choice",
         "family-not-a-choice", "exponent-in-matrix", "exponent-in-document",
         "zero-denominator", "m-not-an-integer-string", "coeffs-key-not-integer",
-        "coeffs-value-not-integer", "target-entry-not-integer"])
+        "coeffs-value-not-integer", "target-entry-not-integer", "word-not-a-string"])
 def test_malformed_input_is_a_usage_error(monkeypatch, argv, doc):
     if doc is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))

@@ -500,21 +500,21 @@ def whole_g_candidates(rests, max_bits):
     Each part's rest h(w^e) is expanded, and the roots come from the
     square-free part of the product, isolated by Descartes on t > 0, so a
     root that two rests share is isolated once.  Every root is put in part 0
-    as a lift with e = 1, printed with that g; the oracle samples every
-    block at every gap, so no owner is read.
+    as a lift with e = 1, printed with that g and with no partner; the
+    oracle samples every block at every gap, so no owner is read.
     """
     product = [1]
     for h, e, _ in rests:
         product = P.mul(product, P.at_power(h, e))
     if len(product) < 2:
-        return [], [None] * len(rests), False
+        return [], [None] * len(rests), [[] for _ in rests]
     re, im = jumps._cayley_numerator(P.square_free_part([Fraction(a) for a in product]))
     g = P.gcd(re, im)
     if P.degree(g) < 1:
-        return [], [None] * len(rests), False
+        return [], [None] * len(rests), [[] for _ in rests]
     roots = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
     gs = [roots[0].poly if roots else None] + [None] * (len(rests) - 1)
-    return [(AlgLoc(x), 0) for x in roots], gs, False
+    return [(AlgLoc(x), 0) for x in roots], gs, [[] for _ in rests]
 
 
 def whole_g_jump_function(cm, epsilon):
@@ -543,6 +543,12 @@ def tile(m, k, l):
     return RatMatrix([row[2 * l:2 * l + 2] for row in m[2 * k:2 * k + 2]])
 
 
+# beside ALG at N = 1, a block at N = 2 whose rest at eps = 1 is
+# 28w^4 - 7w^2 + 28 = 7 (2w^2 - 3w + 2)(2w^2 + 3w + 2), h = 28w^2 - 7w + 28
+# at e = 2: it shares ALG's root across different e
+ALG_BESIDE_E2 = [[ALG, ZERO_2], [ZERO_2, RatMatrix([[7, 7], [0, 4]])]], [1, 2]
+
+
 @settings(max_examples=60, deadline=None)
 @given(planted_blocks())
 # two equal blocks ALG + ALG: both rests are 2w^2 - 3w + 2, so each root is
@@ -553,6 +559,8 @@ def tile(m, k, l):
 @example(([[ALG, ZERO_2, ZERO_2],
            [ZERO_2, tile(ALG_B3, 0, 0), tile(ALG_B3, 0, 1)],
            [ZERO_2, tile(ALG_B3, 1, 0), tile(ALG_B3, 1, 1)]], [1, 1, 1], 1))
+@example((*ALG_BESIDE_E2, 1))
+@example((*ALG_BESIDE_E2, -1))
 def test_block_candidates_equal_the_whole_g_oracle(planted):
     # each block's rest isolated on its own g_b, each candidate owned by its
     # blocks, against one g of the product with every block at every gap
@@ -574,10 +582,16 @@ def test_block_candidates_equal_the_whole_g_oracle(planted):
     assert same_jumps(f, g) and f.sigma0 == g.sigma0
 
 
-def test_shared_roots_are_owned_by_every_block_that_has_them(monkeypatch):
+@pytest.mark.parametrize("planted, owners, degrees", [
     # ALG + ALG: the one candidate on t > 0, w = (3 + i*sqrt(7))/4, is a root
-    # of both blocks' rests
-    cm = as_covering([[ALG, ZERO_2], [ZERO_2, ALG]], [1, 1])
+    # of both blocks' rests, and prints with ALG's own g
+    (([[ALG, ZERO_2], [ZERO_2, ALG]], [1, 1]), [{0, 1}], [2, 2]),
+    # ALG beside a block at e = 2: w is ALG's root and a root of the second
+    # block, whose other root on t > 0 is its own and prints with its g
+    (ALG_BESIDE_E2, [{0, 1}, {1}], [2, 4, 4, 2]),
+], ids=["alg-alg", "alg-beside-e2"])
+def test_shared_roots_are_owned_by_every_block_that_has_them(monkeypatch, planted, owners, degrees):
+    cm = as_covering(*planted)
     owned = []
 
     def spy(core, gaps, owners):
@@ -586,10 +600,10 @@ def test_shared_roots_are_owned_by_every_block_that_has_them(monkeypatch):
 
     monkeypatch.setattr(jumps, "_gap_signatures", spy)
     f = jump_function(cm, 1)
-    assert owned == [{0, 1}]
+    assert owned == owners
     assert same_jumps(f, whole_g_jump_function(cm, 1))
-    # the printed poly is g of the first block, ALG's own
-    assert all(P.degree(pt.loc.t.cell[0]) == 2 for pt in f.points)
+    # a point prints with g of the first block that has its root
+    assert [P.degree(pt.loc.t.cell[0]) for pt in f.points] == degrees
 
 
 def test_one_core_per_covering_job(monkeypatch):

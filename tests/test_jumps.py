@@ -689,7 +689,7 @@ def test_candidate_separation_is_bounded():
     # two copies of one root never separate: the precision cap turns that
     # into UnresolvedComparison instead of doubling forever
     r = AlgReal([-2, 0, 1], 1, 2)
-    items = [("alg", AlgLoc(r)), ("alg", AlgLoc(r.copy()))]
+    items = [AlgLoc(r), AlgLoc(r.copy())]
     with time_limit(30):
         with pytest.raises(UnresolvedComparison) as info:
             _separate_candidates(items)
@@ -702,7 +702,7 @@ def test_small_precision_bits_stop_separation_sooner():
     # the same equal pair as above: with max_bits = 64 the cap is 256 bits
     r = AlgReal([-2, 0, 1], 1, 2)
     with pytest.raises(UnresolvedComparison) as info:
-        _separate_candidates([("alg", AlgLoc(r)), ("alg", AlgLoc(r.copy()))], 64)
+        _separate_candidates([AlgLoc(r), AlgLoc(r.copy())], 64)
     assert info.value.bits == 64
     assert r.width() <= Fraction(1, 1 << 256)
     assert r.width() > Fraction(1, 1 << (4 * DEFAULT_PRECISION_BITS))
@@ -849,9 +849,9 @@ def lifted_route(f, max_bits=DEFAULT_PRECISION_BITS):
     roots, gs, _ = _algebraic_candidates([(rest, e, {0})] if len(rest) >= 2 else [], max_bits)
     if not roots:
         return ns, P.at_power(rest, e), []
-    items, encl = _separate_candidates([("alg", x) for x, _ in roots], max_bits)
+    items, encl = _separate_candidates([x for x, _ in roots], max_bits)
     return ns, P.at_power(rest, e), [_lifted_cell(gs[0], encl, k, x, max_bits)
-                                     for k, (_, x) in enumerate(items)]
+                                     for k, x in enumerate(items)]
 
 
 # quadratics a*w^2 + b*w + a with b^2 < 4a^2: a conjugate pair on the unit circle
