@@ -38,9 +38,10 @@ from .seifert import SeifertData
 # at n = 1020 and 2044), near 425 MB at n = 5000; every job has deg D <= n.
 MAX_COVERING_N = 5000
 # The largest degree d = p^a that CoveringSpec accepts.  The d x d circulant
-# solve (pattern.solve_multiplicities, an integer adjugate) takes 0.09 s for
-# the pattern y and 0.13 s for L(trefoil, 2)'s at d = 256, and 0.42 s and
-# 0.68 s at d = 512 (a 2-core Xeon VM, in-process).
+# solve (pattern.solve_multiplicities, an integer adjugate of the int rows)
+# takes 0.025 s for the pattern y and 0.058 s for L(trefoil, 2)'s at
+# d = 256, and 0.10 s and 0.37 s at d = 512 (a 2-core Xeon VM, in-process,
+# min of 5 and of 3).
 MAX_COVERING_D = 256
 
 

@@ -151,6 +151,8 @@ class AlgReal:
         with the linear poly on the level-k width centred on the root.
         (lo, hi, poly) and the sign kept at lo are those of repeated refine().
         """
+        if self.hi - self.lo <= width:
+            return  # level 0: no bisection step
         width = Fraction(width)
         q = lcm(self.lo.denominator, self.hi.denominator)
         a = self.lo.numerator * (q // self.lo.denominator)

@@ -48,6 +48,15 @@ All decisions (periodicity verdicts in particular) are made by exact
 arithmetic or certificates, never by floating point; when a comparison of
 two transcendental angles cannot be certified either way within the
 precision budget, the answer is an explicit Unresolved.
+
+The verdict reads only what it needs.  A point is placed in a period or a
+window (_floor_over) from the sign of its t first, which bounds 2*atan(t)
+to (0, pi) or (-pi, 0) with no enclosure; every point that scale_jump
+makes of jump_function's output is placed so.  period_2pi_test walks the
+points once, in their ascending order, and stops at the first window that
+differs from window 0: a NonPeriodic verdict places only the points up to
+there, and one certified mismatch stands even when a later point could
+not be placed.
 """
 
 from __future__ import annotations
@@ -86,7 +95,7 @@ class PiLoc(Value):
     __slots__ = ("frac",)
 
     def __init__(self, frac: Fraction):
-        self.frac = Fraction(frac)
+        self.frac = frac if type(frac) is Fraction else Fraction(frac)
 
 
 class AlgLoc:
@@ -96,8 +105,8 @@ class AlgLoc:
 
     def __init__(self, t: AlgReal, offset=0, scale=1):
         self.t = t
-        self.offset = Fraction(offset)
-        self.scale = Fraction(scale)
+        self.offset = offset if type(offset) is Fraction else Fraction(offset)
+        self.scale = scale if type(scale) is Fraction else Fraction(scale)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -435,7 +444,7 @@ def _cayley_numerator(S):
     return P.trim(re), P.trim(im)
 
 
-def _split_part(f):
+def _split_part(f, split: dict):
     """(ns, rest, e) of a nonzero int list f, read as c * w^i * h(w^e) with h(0) != 0.
 
     e is the gcd of the differences between the exponents of f's terms (1
@@ -446,7 +455,9 @@ def _split_part(f):
     is the product of the Phi_n with n / gcd(n, e) = k, that is n = k*d for
     the d | e with gcd(k, e/d) = 1.  f's own rest is rest(w^e), whose
     unit-circle roots are the e-th roots of rest's (_algebraic_candidates).
-    A monomial f has no roots on the circle: ([], [c], 1).
+    A monomial f has no roots on the circle: ([], [c], 1).  split maps each
+    h already split, as a tuple, to its (ks, rest): every L(T, m) block has
+    the same h, Delta_V, which is split once per job.
     """
     f = P.trim(f)
     i = next(k for k, c in enumerate(f) if c)
@@ -456,7 +467,10 @@ def _split_part(f):
             e = int_gcd(e, k - i)
     if not e:
         return [], [f[i]], 1
-    ks, rest = _cyclotomic_parts(f[i::e])
+    h = tuple(f[i::e])
+    if h not in split:
+        split[h] = _cyclotomic_parts(list(h))
+    ks, rest = split[h]
     ds = [d for d in range(1, e + 1) if e % d == 0]
     return sorted({k * d for k in ks for d in ds if int_gcd(k, e // d) == 1}), rest, e
 
@@ -470,7 +484,11 @@ def _algebraic_candidates(rests, max_bits: int = DEFAULT_PRECISION_BITS):
     (1 - i*t_h) for the real roots t_h of g_h, the square-free gcd of the
     two parts of h's Cayley numerator; they are isolated once per distinct h
     (isolate_real_roots), at the degree of h, and every part of that h
-    shares them.  The roots of r_i over w_h are its e-th roots, at
+    shares them.  h is also tested for square-freeness there, at its
+    degree: h(0) != 0, so a square-free h makes r_i square-free, and with it
+    its Cayley numerator and their gcd, which is then already g_i; only for
+    an h with a repeated factor does g_i need square_free_part at the
+    expanded degree.  The roots of r_i over w_h are its e-th roots, at
     theta = (2*atan(t_h) + 2*pi*j) / e, the AlgLoc(t_h, 2j, e); on the upper
     half circle j runs over 0 .. (e - 1)//2 for t_h > 0 and over 1 .. e//2
     for t_h < 0.
@@ -484,18 +502,22 @@ def _algebraic_candidates(rests, max_bits: int = DEFAULT_PRECISION_BITS):
     part whose g has it.
     """
     roots, gs, partners = [], [], [[] for _ in rests]
-    isolated = {}  # h's primitive integer form -> the real roots of g_h
+    isolated = {}  # h's primitive integer form -> (the real roots of g_h, is h square-free)
     for i, (h, e, _) in enumerate(rests):
         key = tuple(P.int_form(h))
         if key not in isolated:
             g = P.gcd(*_cayley_numerator(h))
-            isolated[key] = isolate_real_roots(g) if P.degree(g) >= 1 else []
-        lifts = [AlgLoc(t, 2 * j, e) for t in isolated[key]
+            isolated[key] = (isolate_real_roots(g) if P.degree(g) >= 1 else [],
+                             P.square_free_part(h) == list(key))
+        ts, square_free = isolated[key]
+        lifts = [AlgLoc(t, 2 * j, e) for t in ts
                  for j in (range((e + 1) // 2) if t.sign() > 0 else range(1, e // 2 + 1))]
         if not lifts:
             gs.append(None)
             continue
-        g = P.square_free_part(P.gcd(*_cayley_numerator(P.at_power(h, e))))
+        g = P.gcd(*_cayley_numerator(P.at_power(h, e)))
+        if not square_free:
+            g = P.square_free_part(g)
         common = []
         for j, gj in enumerate(gs):
             c = P.gcd(g, gj) if gj else []
@@ -763,9 +785,9 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
 
     # per part: its roots of unity by order, and the rest h with its e, which
     # give the algebraic candidates
-    pi_owners, rests = {}, []
+    pi_owners, rests, split = {}, [], {}
     for f, owners in parts:
-        ns, r, e = _split_part(f)
+        ns, r, e = _split_part(f, split)
         for n in ns:
             pi_owners.setdefault(n, set()).update(owners)
         if len(r) >= 2:
@@ -850,12 +872,29 @@ def _translate_point(pt: JumpPoint, dfrac: Fraction) -> JumpPoint:
 def _floor_over(loc, step: Fraction, max_bits: int) -> int:
     """floor((theta/pi) / step) for theta/pi not a multiple of step.
 
-    For an AlgLoc the enclosure is refined up to 4*max_bits, as in
-    compare_locations; if it still straddles a multiple of step, raises
-    UnresolvedComparison against that multiple.
+    An AlgLoc is first placed by the sign of t alone.  t lies strictly
+    inside (t.lo, t.hi), so for t.lo >= 0, 2*atan(t)/pi is in (0, 1) and
+    theta/pi in (offset/scale, (offset + 1)/scale); for t.hi <= 0 it is in
+    (-1, 0) and theta/pi in ((offset - 1)/scale, offset/scale).  When that
+    open interval lies in one [j*step, (j + 1)*step), j is the answer, found
+    in ints over one denominator with no enclosure of atan.  Otherwise the
+    enclosure is refined up to 4*max_bits, as in compare_locations; if it
+    still straddles a multiple of step, raises UnresolvedComparison against
+    that multiple.
     """
     if isinstance(loc, PiLoc):
         return int(loc.frac // step)
+    t, o, s = loc.t, loc.offset, loc.scale
+    if t.lo >= 0 or t.hi <= 0:
+        # theta/pi / step lies in (u, u + 1) / (scale * step) with
+        # u = offset - (1 if t < 0 else 0) = un / o.den: the two ends are
+        # un * q / den and (un + o.den) * q / den
+        un = o.numerator - (o.denominator if t.lo < 0 else 0)
+        q = s.denominator * step.denominator
+        den = o.denominator * s.numerator * step.numerator
+        j = un * q // den
+        if (un + o.denominator) * q <= (j + 1) * den:
+            return j
     prec = 64
     while True:
         lo, hi = theta_over_pi_enclosure(loc, prec)
@@ -944,18 +983,29 @@ def sum_jumps(fs, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
 def period_2pi_test(f: JumpFunction, max_bits: int = DEFAULT_PRECISION_BITS) -> Verdict:
     """Is f, defined over [0, 2*pi*s), actually 2*pi-periodic?
 
-    Splits the fundamental period into s windows of width 2*pi and compares
-    each window's jump multiset against window 0 after translation.  Location
+    The fundamental period splits into s windows of width 2*pi, and each
+    window's jumps, translated back by 2*pi*j, are compared with window 0's.
+    The test walks f's points once in their ascending order and places each
+    point in its window only when the walk reaches it: window j is the run
+    of points after window j - 1, and as soon as it is complete it is
+    merged with window 0, so the test returns at the first window that
+    differs, having placed only the points up to there.  Location
     comparisons use certificates; an uncertifiable coincidence yields an
-    Unresolved verdict rather than a guess.
+    Unresolved verdict rather than a guess, and so does a point that cannot
+    be placed, when the walk reaches it: a certified mismatch in an earlier
+    window wins over it.  The last point is placed first, so a point at or
+    past 2*pi*s raises ValueError whatever the verdict; so does a point the
+    walk finds in an earlier window than the point before it, as f's points
+    must be ascending.
     """
     if f.period.denominator != 1:
         raise ValueError("period must be an integer multiple of 2*pi")
     s = f.period.numerator
     if s <= 1:
         return Verdict("Periodic")
-    windows = [[] for _ in range(s)]
-    for pt in f.points:
+
+    def place(pt):
+        """pt's window, or the Unresolved verdict when pt cannot be placed."""
         try:
             j = _floor_over(pt.loc, Fraction(2), max_bits)
         except UnresolvedComparison as e:
@@ -964,10 +1014,28 @@ def period_2pi_test(f: JumpFunction, max_bits: int = DEFAULT_PRECISION_BITS) -> 
             return Verdict("Unresolved", (pt.loc, ((j - 1) % s, j % s), None))
         if not 0 <= j < s:
             raise ValueError("jump location outside the fundamental period")
-        windows[j].append(_translate_point(pt, Fraction(-2 * j)))
-    base = windows[0]
-    for j in range(1, s):
-        for a, b in zip_longest(base, windows[j]):
+        return j
+
+    pts, n = f.points, len(f.points)
+    last = place(pts[-1]) if pts else None
+    i, k = 0, None  # k: the window of pts[i], once placed
+    for j in range(s):
+        window = []
+        while i < n:
+            if k is None:
+                k = last if i == n - 1 else place(pts[i])
+                if isinstance(k, Verdict):
+                    return k
+            if k > j:
+                break
+            if k < j:
+                raise ValueError("jump points not in ascending theta")
+            window.append(_translate_point(pts[i], Fraction(-2 * j)))
+            i, k = i + 1, None
+        if j == 0:
+            base = window
+            continue
+        for a, b in zip_longest(base, window):
             if a is None:
                 return Verdict("NonPeriodic", (b.loc, (0, j), (None, b.value)))
             if b is None:

@@ -127,14 +127,17 @@ def fold(c: dict, d: int) -> FoldedRow:
     return FoldedRow(d, tuple(vals))
 
 
+def _circulant_rows(row: FoldedRow):
+    """The int rows of circulant_matrix(row)."""
+    d, v = row.d, row.values
+    return [[v[(k - l) % d] for k in range(d)] for l in range(d)]
+
+
 def circulant_matrix(row: FoldedRow) -> RatMatrix:
     """The d x d matrix with (l, k) entry row[(k - l) mod d]."""
     from .exact.matrix import RatMatrix  # loaded by the circulant, not by parse_word
 
-    d = row.d
-    return RatMatrix(
-        [[row.values[(k - l) % d] for k in range(d)] for l in range(d)]
-    )
+    return RatMatrix(_circulant_rows(row))
 
 
 def circulant_det_mod_p(row: FoldedRow, p: int) -> int:
@@ -162,8 +165,8 @@ def solve_multiplicities(row: FoldedRow, target):
     multiple s of its denominators, so that s*x is integral.  Nonsingularity
     is guaranteed for prime-power d with entries summing to 1; a singular M
     (possible for other d) raises SingularSystem.  x = adj(M) (L target) /
-    (L det M), all in integers (_fast.adj_det) up to that one division, with
-    L the lcm of the target's denominators.
+    (L det M), all in integers (_fast.adj_det, on the circulant's int rows)
+    up to that one division, with L the lcm of the target's denominators.
     """
     # loaded by the solve, not by parse_word
     from fractions import Fraction
@@ -174,7 +177,7 @@ def solve_multiplicities(row: FoldedRow, target):
     target = [Fraction(t) for t in target]
     if len(target) != d:
         raise ValueError("target length must equal d")
-    adj, det = _fast.adj_det(circulant_matrix(row).int_rows()[1])
+    adj, det = _fast.adj_det(_circulant_rows(row))
     if not det:
         raise SingularSystem("circulant system is singular")
     den = lcm(*(t.denominator for t in target))

@@ -813,6 +813,7 @@ def test_a_hostile_covering_degree_is_refused_before_the_circulant(monkeypatch, 
         raise AssertionError("circulant built")
 
     monkeypatch.setattr("covsig.pattern.circulant_matrix", never)
+    monkeypatch.setattr("covsig.pattern._circulant_rows", never)
     t0 = time.perf_counter()
     code, text = run(argv)
     assert time.perf_counter() - t0 < 1

@@ -5,6 +5,7 @@ import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,6 +26,7 @@ from covsig import (
     UnresolvedComparison,
     Verdict,
     ZeroScale,
+    build_covering,
     compare_locations,
     connected_sum,
     covering_jump,
@@ -42,7 +44,7 @@ from covsig import (
     tl_signature_at_pi,
     with_period,
 )
-from covsig import _fast
+from covsig import _fast, jumps
 from covsig.exact import dyadic_cell
 from covsig.exact import poly as P
 from covsig.jumps import (
@@ -51,6 +53,7 @@ from covsig.jumps import (
     _cayley_numerator,
     _cyclotomic_cayley_gcd,
     _cyclotomic_parts,
+    _floor_over,
     _generic_minor_poly,
     _remove_common_kernel,
     _self_reciprocal_part,
@@ -59,8 +62,10 @@ from covsig.jumps import (
     _separate_candidates,
     _simplest_between,
     _split_part,
+    _translate_point,
     point_to_obj,
     theta_decimal,
+    theta_over_pi_enclosure,
 )
 from conftest import (
     ALG,
@@ -600,6 +605,225 @@ def test_period_test_on_window_boundary_is_unresolved():
     assert v.witness[1] == (0, 1)
 
 
+def floor_by_enclosure(loc, step, max_bits):
+    """Oracle: floor((theta/pi) / step) from theta/pi's enclosure alone, refined up to 4*max_bits."""
+    if isinstance(loc, PiLoc):
+        return int(loc.frac // step)
+    prec = 64
+    while True:
+        lo, hi = theta_over_pi_enclosure(loc, prec)
+        jlo, jhi = int(lo // step), int(hi // step)
+        if jlo == jhi:
+            return jlo
+        if prec >= 4 * max_bits:
+            raise UnresolvedComparison(loc, PiLoc(jhi * step), max_bits)
+        prec *= 2
+
+
+def period_test_by_windows(f, max_bits=DEFAULT_PRECISION_BITS):
+    """Oracle: every point placed in its window first, then each window merged with window 0."""
+    if f.period.denominator != 1:
+        raise ValueError("period must be an integer multiple of 2*pi")
+    s = f.period.numerator
+    if s <= 1:
+        return Verdict("Periodic")
+    windows = [[] for _ in range(s)]
+    for pt in f.points:
+        try:
+            j = floor_by_enclosure(pt.loc, Fraction(2), max_bits)
+        except UnresolvedComparison as e:
+            j = int(e.loc_b.frac / 2)
+            return Verdict("Unresolved", (pt.loc, ((j - 1) % s, j % s), None))
+        if not 0 <= j < s:
+            raise ValueError("jump location outside the fundamental period")
+        windows[j].append(_translate_point(pt, Fraction(-2 * j)))
+    base = windows[0]
+    for j in range(1, s):
+        for a, b in zip_longest(base, windows[j]):
+            if a is None:
+                return Verdict("NonPeriodic", (b.loc, (0, j), (None, b.value)))
+            if b is None:
+                return Verdict("NonPeriodic", (a.loc, (0, j), (a.value, None)))
+            c = compare_locations(a.loc, b.loc, max_bits)
+            if c is Comparison.EQ:
+                if a.value != b.value:
+                    return Verdict("NonPeriodic", (a.loc, (0, j), (a.value, b.value)))
+            elif c is Comparison.LT:
+                return Verdict("NonPeriodic", (a.loc, (0, j), (a.value, None)))
+            elif c is Comparison.GT:
+                return Verdict("NonPeriodic", (b.loc, (0, j), (None, b.value)))
+            else:
+                return Verdict("Unresolved", (a.loc, (0, j), None))
+    return Verdict("Periodic")
+
+
+def same_verdict(v, w):
+    """Equal status and witness, the witness locations compared by theta."""
+    if v.status != w.status or (v.witness is None) != (w.witness is None):
+        return False
+    if v.witness is None:
+        return True
+    (a, wins, vals), (b, wins2, vals2) = v.witness, w.witness
+    return wins == wins2 and vals == vals2 and compare_locations(a, b) is Comparison.EQ
+
+
+# t of either sign whose 2*atan(t) is no rational multiple of pi
+QUAD_TS = [AlgReal([-2, 0, 1], 1, 2), AlgReal([-5, 0, 1], 2, 3), AlgReal([-1, 0, 2], 0, 1),
+           AlgReal([-7, 0, 1], 2, 3), AlgReal([-1, -1, 1], 1, 2)]
+QUAD_TS += [t.neg() for t in QUAD_TS]
+
+
+@st.composite
+def base_locations(draw):
+    """A PiLoc or an AlgLoc with theta/pi in [0, 2)."""
+    if draw(st.booleans()):
+        q = draw(st.integers(min_value=1, max_value=6))
+        return PiLoc(Fraction(draw(st.integers(min_value=0, max_value=2 * q - 1)), q))
+    t = draw(st.sampled_from(QUAD_TS)).copy()
+    scale = draw(st.integers(min_value=1, max_value=3))
+    # 2*atan(t)/pi in (0, 1) for t > 0 and in (-1, 0) for t < 0
+    offset = draw(st.integers(min_value=0, max_value=2 * scale - 1) if t.lo >= 0
+                  else st.integers(min_value=1, max_value=2 * scale))
+    return AlgLoc(t, offset, scale)
+
+
+def _sorted_points(pts):
+    return sorted(pts, key=jumps._cmp_key(DEFAULT_PRECISION_BITS))
+
+
+@given(st.lists(st.tuples(base_locations(), st.integers(min_value=-3, max_value=3)
+                          .filter(bool)), max_size=5),
+       st.integers(min_value=2, max_value=5),
+       st.lists(st.tuples(st.sampled_from(["change", "drop", "add"]), st.integers(min_value=0, max_value=4),
+                          st.integers(min_value=0, max_value=20), base_locations(),
+                          st.integers(min_value=-3, max_value=3).filter(bool)), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_walked_period_test_matches_the_placed_windows(base, s, edits):
+    f = JumpFunction(_sorted_points(JumpPoint(loc, v) for loc, v in base), Fraction(1))
+    pts = list(with_period(f, s).points)
+    for how, window, k, loc, v in edits:
+        window %= s
+        mine = [i for i, pt in enumerate(pts) if floor_by_enclosure(pt.loc, Fraction(2), 64) == window]
+        if how == "add" or not mine:
+            pts.append(_translate_point(JumpPoint(loc, v), Fraction(2 * window)))
+        elif how == "change":
+            i = mine[k % len(mine)]
+            pts[i] = JumpPoint(pts[i].loc, pts[i].value + v)
+        else:
+            del pts[mine[k % len(mine)]]
+    g = JumpFunction(_sorted_points(pts), Fraction(s), f.sigma0)
+    want = period_test_by_windows(g)
+    if want.status != "Unresolved":
+        assert same_verdict(period_2pi_test(g), want)
+
+
+@given(st.sampled_from([[-2, 0, 1], [-3, 0, 1], [1, -4, 1], [-1, 0, 3], [-1, -1, 1], [-5, 2, 3],
+                        [1, 3, -7], [-1, 0, 1], [4, 9, 2]]),
+       st.integers(min_value=0, max_value=1),
+       st.fractions(min_value=-6, max_value=6, max_denominator=4),
+       st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+       st.fractions(min_value=Fraction(1, 3), max_value=6, max_denominator=3))
+@settings(max_examples=150, deadline=None)
+def test_floor_over_from_the_sign_of_t_matches_the_enclosure(poly, which, offset, scale, step):
+    # t a root of a small quadratic, of either sign: sqrt 3, 2 - sqrt 3 and
+    # 1/sqrt 3 put theta on a rational angle, possibly a multiple of step
+    ts = isolate_real_roots(P.int_form(poly))
+    t = ts[which % len(ts)]
+    loc = AlgLoc(t, offset, scale)
+    try:
+        want = floor_by_enclosure(AlgLoc(t.copy(), offset, scale), step, DEFAULT_PRECISION_BITS)
+    except UnresolvedComparison as e:
+        with pytest.raises(UnresolvedComparison) as info:
+            _floor_over(loc, step, DEFAULT_PRECISION_BITS)
+        assert info.value.loc_b == e.loc_b
+    else:
+        assert _floor_over(loc, step, DEFAULT_PRECISION_BITS) == want
+
+
+def test_a_point_past_the_period_raises_whatever_the_verdict():
+    # window 1 differs from window 0, and the last point lies past 2*pi*s
+    over = [_pt(Fraction(1, 3), 2), _pt(Fraction(7, 3), -2), _pt(Fraction(13, 3), 2)]
+    for last in (_pt(Fraction(19, 3), 1),
+                 JumpPoint(AlgLoc(AlgReal([-2, 0, 1], 1, 2), 12, 1), 1)):
+        f = JumpFunction(over + [last], Fraction(3))
+        with pytest.raises(ValueError, match="outside the fundamental period"):
+            period_2pi_test(f)
+        with pytest.raises(ValueError, match="outside the fundamental period"):
+            period_test_by_windows(f)
+
+
+def test_points_out_of_ascending_order_are_refused():
+    # the walk takes window j as the run after window j - 1: a point of an
+    # earlier window after it is no such run
+    f = JumpFunction([_pt(Fraction(7, 3), 2), _pt(Fraction(1, 3), 2)], Fraction(2))
+    with pytest.raises(ValueError, match="ascending"):
+        period_2pi_test(f)
+
+
+def test_a_mismatch_wins_over_a_later_point_on_a_window_boundary():
+    # window 1 differs from window 0; the last point is 2*atan(sqrt 3) +
+    # 16*pi/3 = 6*pi, on the boundary of windows 2 and 3, which no enclosure
+    # ever places: the mismatch is found before the walk reaches it
+    on_boundary = JumpPoint(AlgLoc(AlgReal([-3, 0, 1], 1, 2), Fraction(16, 3), 1), 2)
+    f = JumpFunction([_pt(Fraction(1, 3), 2), _pt(Fraction(7, 3), -2), _pt(Fraction(13, 3), 2),
+                      on_boundary], Fraction(4))
+    with time_limit(30):
+        v = period_2pi_test(f)
+    assert v.status == "NonPeriodic"
+    assert v.witness[1:] == ((0, 1), (2, -2))
+    # placing every point first, as before, gives up on the boundary point
+    assert period_test_by_windows(f).status == "Unresolved"
+
+
+def test_the_verdict_places_only_the_points_it_reads(monkeypatch):
+    # L(ALG, 2) at d = 2^3: 508 points over s = 255 windows, NonPeriodic at
+    # windows (0, 1); the rescaled points are placed by t's sign alone
+    sd, c = ltm_family(ALG, 2)
+    cm = build_covering(sd, c, CoveringSpec(p=2, a=3))
+    f = jump_function(cm, 1)
+    assert len(f.points) == 508
+    inside, encl = [], []
+    floor_over, enclosure = jumps._floor_over, jumps.theta_over_pi_enclosure
+
+    def floor_spy(*args):
+        inside.append(1)
+        try:
+            return floor_over(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(jumps, "_floor_over", floor_spy)
+    monkeypatch.setattr(jumps, "theta_over_pi_enclosure",
+                        lambda *args: (encl.append(1) if inside else None) or enclosure(*args))
+    g = scale_jump(f, Fraction(1, cm.s))
+    assert encl == []
+    placed = []
+    monkeypatch.setattr(jumps, "_floor_over", lambda *args: placed.append(1) or floor_over(*args))
+    v = period_2pi_test(g)
+    assert v.status == "NonPeriodic" and v.witness[1] == (0, 1)
+    sizes = [sum(floor_over(pt.loc, Fraction(2), DEFAULT_PRECISION_BITS) == j for pt in g.points)
+             for j in (0, 1)]
+    assert 0 < len(placed) <= sum(sizes) + 2
+    assert same_verdict(v, period_test_by_windows(g))
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+@pytest.mark.parametrize("h", [[2, -3, 2], P.mul([2, -3, 2], [2, -3, 2])],
+                         ids=["square-free", "squared"])
+def test_cayley_gcds_skip_the_square_free_part_for_a_square_free_h(monkeypatch, h, e):
+    # ALG's Delta_V and its square: g is the square-free part of the Cayley
+    # gcd of h(w^e) either way; for a square-free h, square_free_part runs
+    # at the degree of h only
+    want = P.square_free_part(P.gcd(*_cayley_numerator(P.at_power(h, e))))
+    degrees = []
+    square_free_part = P.square_free_part
+    monkeypatch.setattr(P, "square_free_part", lambda p: degrees.append(P.degree(p)) or square_free_part(p))
+    roots, gs, _ = _algebraic_candidates([(h, e, {0})])
+    assert gs == [want] and len(roots) == e
+    g = P.gcd(*_cayley_numerator(P.at_power(h, e)))
+    assert max(degrees) == (P.degree(h) if h == [2, -3, 2] else P.degree(g))
+
+
 @pytest.mark.parametrize("poly, interval", [
     (["-3", "0", "1"], ["1", "2"]),  # t = sqrt 3: 2*atan(t) = 2*pi/3
     (["1", "-4", "1"], ["0", "1"]),  # t = 2 - sqrt 3: 2*atan(t) = pi/6
@@ -845,7 +1069,7 @@ def dense_route(f):
 
 def lifted_route(f, max_bits=DEFAULT_PRECISION_BITS):
     """The same from f = c * w^i * h(w^e): h split and isolated, its roots lifted by e."""
-    ns, rest, e = _split_part(f)
+    ns, rest, e = _split_part(f, {})
     roots, gs, _ = _algebraic_candidates([(rest, e, {0})] if len(rest) >= 2 else [], max_bits)
     if not roots:
         return ns, P.at_power(rest, e), []
