@@ -33,25 +33,32 @@ Haynsworth's inertia additivity, In(H) = In(H_11) + In(H / H_11), splits
 the n x n signature into the chains' signatures, which are 0 for eps = 1
 and a closed form for eps = -1, plus the signature of the Schur complement.
 That complement is a hermitian (number of groups) x b matrix whose diagonal
-blocks are the groups' pencils at w^N.  Each sample builds it in Gaussian
-integers, in O(nnz) from rows kept once per jump function, one connected
+blocks are the groups' pencils at w^N.  It is built in Gaussian integers,
+in O(nnz) per sample from rows kept once per jump function, one connected
 block at a time: the complement is their direct sum, so by Sylvester's law
-of inertia its signature is the sum of theirs, and a caller may rebuild only
-the blocks whose signature can have changed since its last sample.  A sample at
-t = +-1 on a group with 4 | N would hit w^N = 1 and is refused (None); the
-caller moves it inside its gap.  A plain matrix is one group with N = 1, so
-the same builder serves every pencil.  PencilCore's docstring has the proof
-and the integer form.
+of inertia its signature is the sum of theirs, and a caller needs a block
+only at the samples where its signature can have changed.  A block is
+evaluated once at all of those samples: PencilCore.at builds its entries as
+one list per entry over the samples, and herm_sig_fast eliminates them as
+one batch.  A sample at t = +-1 on a group with 4 | N would hit w^N = 1 and
+is refused (powers() is None); the caller moves it inside its gap.  A plain
+matrix is one group with N = 1, so the same builder serves every pencil.
+PencilCore's docstring has the proof and the integer form.
 
 The signature routine, herm_sig_fast, is the symmetric form of the same
-elimination (an LDL* without divisions) on a hermitian Gaussian-integer
-matrix held as sparse upper rows: row i is a dict {j: re} and a dict
-{j: im} over its nonzero entries with j >= i, and the lower triangle is read
-as their conjugate.  A step updates only the rows in the pivot row's
-support, each over the union of its support and the pivot row's.  Step k
-pivots at k: a zero row k is skipped, and a zero diagonal entry in a
-nonzero row is made nonzero by one congruence step with a later index
-first, so the routine answers on every hermitian input.
+elimination (an LDL* without divisions) on a batch of hermitian
+Gaussian-integer matrices with one sparsity pattern, held as sparse upper
+rows: row i is a dict {j: re} and a dict {j: im} over its nonzero entries
+with j >= i, each value a list over the members, and the lower triangle is
+read as their conjugate.  A step updates only the rows in the pivot row's
+support, each over the union of its support and the pivot row's, for every
+member at once, so the interpreter's cost per entry is paid once per batch
+and a large sparse block keeps its cost per member.  Step k pivots at k: a
+member whose diagonal entry there is 0 leaves the batch and finishes alone,
+as a batch of one, where a zero row k is skipped and a zero diagonal entry
+in a nonzero row is made nonzero by one congruence step with a later index
+first, so the routine answers on every hermitian input.  A single matrix is
+a batch of one.
 
 In both eliminations a row whose multiplier is 0 at some step is not
 touched: by Sylvester's identity it only picks up the factor d_k / d_(k-1),
@@ -262,10 +269,12 @@ def pencil_det_poly(core, factors=None):
     vals = [[] for _ in core.blocks]
     for y in range(max(((n + 1) // 2 for n in degree), default=0) + 1):
         live = [b for b, n in enumerate(degree) if y <= (n + 1) // 2]
-        coef = {g: _node_coefficients(core.mults[g], y) for b in live for g in core.blocks[b][1]}
+        # each group once, though it may have rows in several blocks
+        coef = {g: _node_coefficients(core.mults[g], y)
+                for g in {g for b in live for g in core.blocks[b][5]}}
         for b in live:
             # entry (i, j) is x * a + z * at, with (x, z) the coefficients of its group pair
-            blk, grp, _, _, entries = core.blocks[b]
+            blk, grp, _, _, entries, _ = core.blocks[b]
             mat = []
             for gi, row in zip(grp, entries):
                 (dx, dz), (ox, oz) = coef[gi]
@@ -423,20 +432,23 @@ class PencilCore:
     the samples t_(i-1) and t_i the only candidate is candidate i - 1.  Hence sigma_b at t_i equals sigma_b at
     t_(i-1) unless that candidate is a root of D_b, or a pole of one of
     b's groups lies between the two samples, which poles() counts from
-    the walk over the sample's powers (_gauss_walk).  A pole inside a gap
-    can move sigma_b and the chain term in opposite directions, so the
-    chain term is taken at every sample.
+    the walk over the sample's powers (_gauss_walk).  Owners and poles are
+    known before any signature, so the samples where block b must be
+    evaluated are known first, and b is evaluated once at all of them:
+    at() gives its entries there as one batch for herm_sig_fast.  A pole
+    inside a gap can move sigma_b and the chain term in opposite
+    directions, so the chain term is taken at every sample.
 
     w^N = 1 at a sample makes the chain singular; at rational t that is only
     t = +-1 with 4 | N (+-1 and +-i are the only roots of unity in Q(i)),
-    and at(u, v) returns None there.  When det S = 0 the chain is singular
+    and powers(u, v) returns None there.  When det S = 0 the chain is singular
     everywhere, but then every block that touches a difference strand is a
     multiple of S, so ker S on each difference strand is a common kernel of
     M and M^T.  D(w) is then 0, and jump_function removes that kernel from
     the n x n matrix and takes D again on what is left.
     """
 
-    __slots__ = ("eps", "mults", "c", "chain_sigma", "blocks", "_walk")
+    __slots__ = ("eps", "mults", "c", "chain_sigma", "blocks")
 
     def __init__(self, rows, eps: int, mults=(1,)):
         """rows: the core matrix M, of size len(mults) * b, with integer entries.
@@ -451,7 +463,6 @@ class PencilCore:
         b = n // len(mults)
         self.eps = eps
         self.mults = tuple(mults)
-        self._walk = (None, None)
         self.c, sigma = 1, []
         for a, m in enumerate(self.mults):
             sigma.append(0)
@@ -462,8 +473,8 @@ class PencilCore:
                  for i in range(b)]
             self.c *= g ** ((abs(m) - 1) * b) * bareiss_det(S) ** (abs(m) - 1)
             if eps == -1:
-                upper = [dict(enumerate(row[i:], i)) for i, row in enumerate(S)]
-                sigma[-1] = g * herm_sig_fast(upper, [{} for _ in S])
+                upper = [{j: [x] for j, x in enumerate(row[i:], i)} for i, row in enumerate(S)]
+                sigma[-1] = g * herm_sig_fast(upper, [{} for _ in S], 1)[0]
         self.chain_sigma = tuple(sigma)
         group = [i // b for i in range(n)]
         # sparse upper rows of M + M^T and M - M^T, and per row the entries
@@ -483,91 +494,93 @@ class PencilCore:
                     entries[i].append((j, a, eps * c))
                     if j != i:
                         entries[j].append((i, c, eps * a))
-        # per connected block: its indices, their groups, and its rows of s,
-        # k and entries in local indices (ascending, so upper rows stay upper)
+        # per connected block: its indices, their groups, its rows of s, k
+        # and entries in local indices (ascending, so upper rows stay upper),
+        # and its groups, ascending and each once
         self.blocks = []
         for blk in _components([si.keys() | ki.keys() for si, ki in zip(s, k)]):
             local = {i: a for a, i in enumerate(blk)}
+            grp = [group[i] for i in blk]
             self.blocks.append((
-                blk, [group[i] for i in blk],
+                blk, grp,
                 [{local[j]: x for j, x in s[i].items()} for i in blk],
                 [{local[j]: x for j, x in k[i].items()} for i in blk],
-                [[(local[j], a, at) for j, a, at in entries[i]] for i in blk]))
+                [[(local[j], a, at) for j, a, at in entries[i]] for i in blk],
+                tuple(sorted(set(grp)))))
 
-    def _powers(self, u: int, v: int):
+    def powers(self, u: int, v: int):
         """Per group, (x, y, q) of _gauss_walk at t = u/v for its |N|; None where some w^N = 1.
 
-        poles(), at() and chain_signature() of one sample read the one walk,
-        kept for the last (u, v) asked for.
+        at(), poles() and chain_signature() read a sample through these,
+        walked once per sample.
         """
-        if self._walk[0] != (u, v):
-            walk = _gauss_walk(u, v, {abs(m) for m in self.mults})
-            powers = [walk[abs(m)] for m in self.mults]
-            self._walk = ((u, v), None if any(y == 0 for _, y, _ in powers) else powers)
-        return self._walk[1]
+        walk = _gauss_walk(u, v, {abs(m) for m in self.mults})
+        powers = [walk[abs(m)] for m in self.mults]
+        return None if any(y == 0 for _, y, _ in powers) else powers
 
-    def at(self, u: int, v: int, which=None):
-        """Sparse upper rows (re, im) of a positive multiple of each block of the core at t = u/v.
+    def at(self, b: int, samples):
+        """Sparse upper rows (re, im) of block b at each sample, as one batch for herm_sig_fast.
 
-        One pair per entry of self.blocks, in its local indices, or per
-        index in which, in that order; the core is their direct sum, so its
-        signature is the sum of theirs.  Needs u != 0.  Returns None when
-        some group's w^N is 1, i.e. at t = +-1 when 4 | N_k (or at v = 0
-        when N_k is even), whichever blocks are asked for.
+        samples is a list of (u, v, powers), u != 0 and powers = powers(u, v)
+        not None.  Each value is a list with one entry per sample, that
+        sample's entry of a positive multiple of block b at t = u/v, in the
+        block's local indices; the core is the direct sum of its blocks, so
+        its signature is the sum of theirs.
         """
-        powers = self._powers(u, v)
-        if powers is None:
-            return None
-        # (v + iu)^N up to a common sign of x and y, which the ratio x / y
-        # and the lcm of the y's ignore
-        coef = [(x if m > 0 else -x, y) for m, (x, y, _) in zip(self.mults, powers)]
-        out = []
-        blocks = self.blocks if which is None else [self.blocks[b] for b in which]
-        for _, grp, s, k, _ in blocks:
-            groups = set(grp)
+        _, grp, s, k, _, groups = self.blocks[b]
+        big, off, diag = [], [], {g: [] for g in groups}
+        for u, v, powers in samples:
             # u | y: Im((v + iu)^N) has only odd powers of u
-            big = lcm(*(coef[g][1] for g in groups))
-            off = v * big // u
-            diag = {g: coef[g][0] * big // coef[g][1] for g in groups}
-            re, im = [], []
-            for gi, si, ki in zip(grp, s, k):
-                ci = diag[gi]
-                if self.eps == 1:
-                    re.append({j: big * x for j, x in si.items()})
-                    im.append({j: -(ci if grp[j] == gi else off) * x for j, x in ki.items()})
-                else:
-                    re.append({j: (ci if grp[j] == gi else off) * x for j, x in si.items()})
-                    im.append({j: big * x for j, x in ki.items()})
-            out.append((re, im))
-        return out
+            scale = lcm(*(powers[g][1] for g in groups))
+            big.append(scale)
+            off.append(v * scale // u)
+            for g in groups:
+                # (v + iu)^N up to a common sign of x and y, which the ratio
+                # x / y and the lcm of the y's ignore
+                x, y, _ = powers[g]
+                diag[g].append((x if self.mults[g] > 0 else -x) * scale // y)
+        re, im = [], []
+        for gi, si, ki in zip(grp, s, k):
+            ci = diag[gi]
+            if self.eps == 1:
+                re.append({j: [c * x for c in big] for j, x in si.items()})
+                im.append({j: [-c * x for c in (ci if grp[j] == gi else off)]
+                           for j, x in ki.items()})
+            else:
+                re.append({j: [c * x for c in (ci if grp[j] == gi else off)]
+                           for j, x in si.items()})
+                im.append({j: [c * x for c in big] for j, x in ki.items()})
+        return re, im
 
-    def poles(self, u: int, v: int):
+    def poles(self, powers):
         """Per block, the tuple floor(|N_k| * phi / pi) over its groups with |N_k| >= 2.
 
-        phi = theta/2 at t = u/v, so an entry changes between two samples
-        exactly when w^N_k = 1 somewhere between them, a pole of the block
-        (see Blocks across samples).  Returns None where at() does.
+        powers is powers(u, v) of a sample t = u/v, and phi = theta/2 there,
+        so an entry changes between two samples exactly when w^N_k = 1
+        somewhere between them, a pole of the block (see Blocks across
+        samples).
         """
-        powers = self._powers(u, v)
-        if powers is None:
-            return None
         turns = [q if abs(m) >= 2 else 0 for m, (_, _, q) in zip(self.mults, powers)]
-        return [tuple(turns[g] for g in sorted(set(grp))) for _, grp, *_ in self.blocks]
+        return [tuple(turns[g] for g in groups) for *_, groups in self.blocks]
 
-    def chain_signature(self, u: int, v: int) -> int:
-        """Sum of the eliminated chains' signatures at t = u/v (0 for eps = 1); needs every w^N != 1."""
+    def chain_signature(self, powers) -> int:
+        """Sum of the eliminated chains' signatures at the sample of powers (0 for eps = 1)."""
         if not any(self.chain_sigma):
             return 0
         return sum(sig * (abs(m) - 1 - 2 * q)
-                   for m, sig, (_, _, q) in zip(self.mults, self.chain_sigma, self._powers(u, v))
+                   for m, sig, (_, _, q) in zip(self.mults, self.chain_sigma, powers)
                    if sig)
 
 
-def herm_sig_fast(re, im):
-    """Signature of a hermitian Gaussian-integer matrix.
+def herm_sig_fast(re, im, size):
+    """Signatures of a batch of size hermitian Gaussian-integer matrices on one sparsity pattern.
 
-    re[i] and im[i] are dicts {j: int} holding row i's entries with j >= i;
-    the lower triangle is their conjugate.  The rows are copied, not modified.
+    re[i] and im[i] are dicts {j: [x_0, ..., x_(size-1)]} holding row i's
+    entries with j >= i, one value per member of the batch (0 where a member
+    has none); the lower triangle is their conjugate.  A batch of one is a
+    single matrix.  The rows are copied, not modified.  Returns the members'
+    signatures, in order.
+
     Fraction-free symmetric Bareiss elimination whose step k pivots at k.
     Step k updates only the rows i in the support of row k, each over the
     union of its own support and row k's, since row i's multiplier is
@@ -575,6 +588,16 @@ def herm_sig_fast(re, im):
     so it is left alone: its stored value times d_now / d_then, divided
     exactly, is its current value, where d_then is the Bareiss divisor it was
     last brought up to date with.
+
+    The members are eliminated together, each value a list over them, so
+    the interpreter's cost per entry is paid once per batch.  A support is
+    the union of the members', and a member whose entry is 0 there takes
+    the same formula, which is then its exact rescale.  The pivot at k must
+    be nonzero for every member: a member whose R[k][k] is 0 leaves the
+    batch there, with its rows from k on (its Bareiss divisor times its
+    Schur complement, so the divisor carries over) and its count so far,
+    and finishes alone as a batch of one, where the rule below makes its
+    pivot.
 
     One rule makes the pivot at k.  If R[k][k] != 0 it is the pivot.  If
     row k of the remaining matrix is 0, k is skipped: a zero row and column
@@ -590,22 +613,21 @@ def herm_sig_fast(re, im):
     the running sign agreement count (Jacobi), and by Sylvester's law of
     inertia it is that of H.
     """
-    n = len(re)
-    re = [{j: x for j, x in r.items() if x} for r in re]
-    im = [{j: x for j, x in r.items() if x} for r in im]
-    then = [1] * n  # the divisor each row was last brought up to date with
-    sig = 0
-    prev = 1
+    sig = [0] * size
+    # (rows re, rows im, first step, Bareiss divisor per member, the members' places in sig)
+    work = [([{j: list(x) for j, x in r.items() if any(x)} for r in re],
+             [{j: list(x) for j, x in r.items() if any(x)} for r in im],
+             0, [1] * size, list(range(size)))] if size else []
 
     def refresh(i):
         t = then[i]
-        if t != prev:
-            re[i] = {j: x * prev // t for j, x in re[i].items()}
-            im[i] = {j: x * prev // t for j, x in im[i].items()}
+        if t is not prev:
+            re[i] = {j: [x * p // q for x, p, q in zip(xs, prev, t)] for j, xs in re[i].items()}
+            im[i] = {j: [x * p // q for x, p, q in zip(xs, prev, t)] for j, xs in im[i].items()}
             then[i] = prev
 
     def lift(k):
-        """Row/col k += c * row/col b, b the first column of row k (see above).
+        """Row/col k += c * row/col b in a batch of one, b the first column of row k (see above).
 
         Only row k changes: R[k][j] += c * R[b][j] for j > k, read from row b
         for j >= b and as conj(R[j][b]) for k < j < b.
@@ -616,48 +638,76 @@ def herm_sig_fast(re, im):
             refresh(i)
         rk, ik = re[k], im[k]
         rot = b not in rk  # c = +-i: c * (x + iy) = +-(-y + ix)
-        h = ik[b] if rot else rk[b]  # Re(conj(c) h) for c = i or 1
-        rbb = re[b].get(b, 0)
+        (h,) = ik[b] if rot else rk[b]  # Re(conj(c) h) for c = i or 1
+        (rbb,) = re[b].get(b, (0,))
         s = -1 if rbb + 2 * h == 0 else 1
-        terms = [(j, re[j].get(b, 0), -im[j].get(b, 0)) for j in mid]
-        terms += [(j, re[b].get(j, 0), im[b].get(j, 0)) for j in re[b].keys() | im[b].keys()]
+        terms = [(j, re[j].get(b, (0,))[0], -im[j].get(b, (0,))[0]) for j in mid]
+        terms += [(j, re[b].get(j, (0,))[0], im[b].get(j, (0,))[0])
+                  for j in re[b].keys() | im[b].keys()]
         for j, x, y in terms:
             if rot:
                 x, y = -y, x
             for row, z in ((rk, s * x), (ik, s * y)):
-                z += row.get(j, 0)
+                z += row.get(j, (0,))[0]
                 if z:
-                    row[j] = z
+                    row[j] = [z]
                 else:
                     row.pop(j, None)
-        rk[k] = rbb + 2 * s * h
+        rk[k] = [rbb + 2 * s * h]
 
-    for k in range(n):
-        if k not in re[k]:
-            if not (re[k] or im[k]):
-                continue
-            lift(k)
-        refresh(k)
-        kre, kim = re[k], im[k]
-        d = kre[k]
-        sig += 1 if (d > 0) == (prev > 0) else -1
-        support = (kre.keys() | kim.keys()) - {k}
-        krow = [(j, kre.get(j, 0), kim.get(j, 0)) for j in sorted(support)]
-        for pos, (i, ar, ai) in enumerate(krow):
-            ai = -ai  # the multiplier conj(R[k][i])
-            refresh(i)
-            ri, ii = re[i], im[i]
-            # off row k's support the update is the exact rescale d / prev
-            nre = {j: d * x // prev for j, x in ri.items() if j not in support}
-            nim = {j: d * x // prev for j, x in ii.items() if j not in support}
-            for j, br, bi in krow[pos:]:
-                x = (d * ri.get(j, 0) - ar * br + ai * bi) // prev
-                if x:
-                    nre[j] = x
-                y = (d * ii.get(j, 0) - ar * bi - ai * br) // prev
-                if y:
-                    nim[j] = y
-            re[i], im[i] = nre, nim
-            then[i] = d
-        prev = d
+    def split(k, part):
+        """The work item of the members at the places part, from step k on; rows are up to date."""
+        rows = [[{j: v for j, x in r.items() if any(v := [x[a] for a in part])} if i >= k else {}
+                 for i, r in enumerate(rr)] for rr in (re, im)]
+        return (*rows, k, [prev[a] for a in part], [members[a] for a in part])
+
+    while work:
+        re, im, start, prev, members = work.pop()
+        n = len(re)
+        then = [prev] * n  # the divisor each row was last brought up to date with
+        zero = [0] * len(members)
+        for k in range(start, n):
+            d = re[k].get(k, zero)
+            if not all(d):
+                if len(members) == 1:
+                    if not (re[k] or im[k]):
+                        continue
+                    lift(k)
+                else:
+                    # the members with R[k][k] = 0 finish alone, the others together
+                    for i in range(k, n):
+                        refresh(i)
+                    keep = [a for a, x in enumerate(d) if x]
+                    work += [split(k, [a]) for a, x in enumerate(d) if not x]
+                    if keep:
+                        work.append(split(k, keep))
+                    break
+            refresh(k)
+            kre, kim = re[k], im[k]
+            d = kre[k]
+            for a, x, p in zip(members, d, prev):
+                sig[a] += 1 if (x > 0) == (p > 0) else -1
+            support = (kre.keys() | kim.keys()) - {k}
+            krow = [(j, kre.get(j, zero), kim.get(j, zero)) for j in sorted(support)]
+            for pos, (i, ar, ai) in enumerate(krow):
+                ai = [-x for x in ai]  # the multiplier conj(R[k][i])
+                refresh(i)
+                ri, ii = re[i], im[i]
+                # off row k's support the update is the exact rescale d / prev
+                nre = {j: [a * x // p for a, x, p in zip(d, xs, prev)]
+                       for j, xs in ri.items() if j not in support}
+                nim = {j: [a * x // p for a, x, p in zip(d, xs, prev)]
+                       for j, xs in ii.items() if j not in support}
+                for j, br, bi in krow[pos:]:
+                    x = [(a * r - c * e + f * g) // p for a, r, c, e, f, g, p
+                         in zip(d, ri.get(j, zero), ar, br, ai, bi, prev)]
+                    if any(x):
+                        nre[j] = x
+                    y = [(a * r - c * g - f * e) // p for a, r, c, e, f, g, p
+                         in zip(d, ii.get(j, zero), ar, br, ai, bi, prev)]
+                    if any(y):
+                        nim[j] = y
+                re[i], im[i] = nre, nim
+                then[i] = d
+            prev = d
     return sig

@@ -196,7 +196,7 @@ def hermitian_signature(re, im) -> int:
     re symmetric and im antisymmetric; NotHermitian is raised otherwise.
     Both are multiplied by the positive lcm of all their denominators, which
     keeps the signature, and their integer upper triangles go to
-    _fast.herm_sig_fast.
+    _fast.herm_sig_fast as a batch of one.
     """
     n = len(re)
     if any(len(row) != n for row in re) or any(len(row) != len(im) for row in im):
@@ -212,7 +212,7 @@ def hermitian_signature(re, im) -> int:
     den = lcm(*(x.denominator for part in (re, im) for row in part for x in row))
 
     def upper(part):
-        return [{j: row[j].numerator * (den // row[j].denominator) for j in range(i, n)}
+        return [{j: [row[j].numerator * (den // row[j].denominator)] for j in range(i, n)}
                 for i, row in enumerate(part)]
 
-    return _fast.herm_sig_fast(upper(re), upper(im))
+    return _fast.herm_sig_fast(upper(re), upper(im), 1)[0]

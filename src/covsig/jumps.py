@@ -64,7 +64,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd as int_gcd
 from math import lcm, log
 
@@ -311,10 +311,12 @@ def _sig_at(core: _fast.PencilCore, u: int, v: int):
     """Pencil signature at t = u/v, or None where a chain of the core is singular."""
     if u == 0:
         raise ValueError("t = 0 corresponds to w = 1, excluded from the pencil")
-    blocks = core.at(u, v)
-    if blocks is None:
+    powers = core.powers(u, v)
+    if powers is None:
         return None
-    return sum(_fast.herm_sig_fast(re, im) for re, im in blocks) + core.chain_signature(u, v)
+    sample = [(u, v, powers)]
+    return (sum(_fast.herm_sig_fast(*core.at(b, sample), 1)[0] for b in range(len(core.blocks)))
+            + core.chain_signature(powers))
 
 
 def tl_signature(Pm: RatMatrix, epsilon: int, t) -> int:
@@ -688,7 +690,7 @@ def _simplest_between(an: int, ad: int, bn: int, bd: int):
 
 
 def _sample_point(core, lo: Fraction, hi):
-    """The sample t = u/v of the gap (lo, hi) between candidates (hi None: no bound), and core.poles(u, v).
+    """The sample t = u/v of the gap (lo, hi) between candidates (hi None: no bound), and core.powers(u, v).
 
     The sample is the simplest rational in the gap (the integer above lo
     when hi is None), as (u, v).  If a chain of the core is singular there,
@@ -700,35 +702,45 @@ def _sample_point(core, lo: Fraction, hi):
         u, v = lo.__floor__() + 1, 1
     else:
         u, v = _simplest_between(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    poles = core.poles(u, v)
-    if poles is None:
+    powers = core.powers(u, v)
+    if powers is None:
         u, v = _simplest_between(lo.numerator, lo.denominator, u, v)
-        poles = core.poles(u, v)
-    return u, v, poles
+        powers = core.powers(u, v)
+    return u, v, powers
 
 
 def _gap_signatures(core, gaps, owners):
-    """The pencil signature on each gap, each block of the core re-sampled only where it can change.
+    """The pencil signature on each gap, each block of the core evaluated once at all of its samples.
 
     owners[i] is the set of blocks that own candidate i, the one between
-    gaps i and i + 1: those whose determinant may vanish there.  The first
-    gap samples every block.  Gap i samples block b again only when b owns
-    candidate i - 1 or a pole of one of b's groups lies between the two
-    samples; otherwise b's signature carries over (PencilCore, Blocks across
-    samples).  The chain term is taken at every sample.
+    gaps i and i + 1: those whose determinant may vanish there.  A first
+    pass takes every gap's sample with its powers and, per block, the gaps
+    where it is sampled: the first gap, and gap i when the block owns
+    candidate i - 1 or a pole of one of its groups lies between the two
+    samples; elsewhere its signature carries over (PencilCore, Blocks across
+    samples).  Then each block goes to herm_sig_fast once, as one batch of
+    its samples, and its signatures are summed per gap with the chain term,
+    which is taken at every sample from its own powers.
     """
-    sig = [0] * len(core.blocks)
+    samples, chain = [], []
+    at = [[] for _ in core.blocks]  # per block, the gaps where it is sampled
     last = None
-    sigs = []
     for i, (lo, hi) in enumerate(gaps):
-        u, v, poles = _sample_point(core, lo, hi)
-        which = [b for b in range(len(sig))
-                 if last is None or b in owners[i - 1] or poles[b] != last[b]]
-        for b, (re, im) in zip(which, core.at(u, v, which)):
-            sig[b] = _fast.herm_sig_fast(re, im)
+        u, v, powers = _sample_point(core, lo, hi)
+        poles = core.poles(powers)
+        for b, where in enumerate(at):
+            if last is None or b in owners[i - 1] or poles[b] != last[b]:
+                where.append(i)
         last = poles
-        sigs.append(sum(sig) + core.chain_signature(u, v))
-    return sigs
+        samples.append((u, v, powers))
+        chain.append(core.chain_signature(powers))
+    # per gap, the change in the blocks' signatures from the gap before
+    steps = [0] * len(gaps)
+    for b, where in enumerate(at):
+        sigs = _fast.herm_sig_fast(*core.at(b, [samples[i] for i in where]), len(where))
+        for i, before, after in zip(where, [0] + sigs, sigs):
+            steps[i] += after - before
+    return [sig + c for sig, c in zip(accumulate(steps), chain)]
 
 
 def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:

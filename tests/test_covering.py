@@ -314,9 +314,9 @@ def pencil_oracle(rows, eps, u, v):
     """
     n = len(rows)
     cr, ci = (u, -v) if eps == 1 else (v, u)
-    re = [{j: cr * (rows[i][j] + rows[j][i]) for j in range(i, n)} for i in range(n)]
-    im = [{j: ci * (rows[i][j] - rows[j][i]) for j in range(i, n)} for i in range(n)]
-    sig = _fast.herm_sig_fast(re, im)
+    re = [{j: [cr * (rows[i][j] + rows[j][i])] for j in range(i, n)} for i in range(n)]
+    im = [{j: [ci * (rows[i][j] - rows[j][i])] for j in range(i, n)} for i in range(n)]
+    (sig,) = _fast.herm_sig_fast(re, im, 1)
     return sig if u > 0 else -sig
 
 
@@ -623,7 +623,8 @@ def test_one_core_per_covering_job(monkeypatch):
 
 def test_blocks_are_sampled_only_across_their_own_candidates(monkeypatch):
     # L(trefoil, 2) at p = 5: five blocks and 31 gaps, so every block at
-    # every gap would take 155 signatures
+    # every gap would take 155 block evaluations; each block is evaluated
+    # at all of its samples in one call
     sd, c = ltm_family(TREFOIL, 2)
     cm = build_covering(sd, c, CoveringSpec(p=5))
     herm_sig_fast, sizes, calls = _fast.herm_sig_fast, [], []
@@ -632,15 +633,39 @@ def test_blocks_are_sampled_only_across_their_own_candidates(monkeypatch):
         sizes.append(len(core.blocks) * len(gaps))
         return _gap_signatures(core, gaps, owners)
 
-    def counted(re, im):
-        calls.append(1)
-        return herm_sig_fast(re, im)
+    def counted(re, im, size):
+        calls.append(size)
+        return herm_sig_fast(re, im, size)
 
     monkeypatch.setattr(jumps, "_gap_signatures", spy)
     monkeypatch.setattr(_fast, "herm_sig_fast", counted)
     jump_function(cm, 1)
     assert sizes == [155]
-    assert 0 < len(calls) < 155
+    assert 0 < sum(calls) < 155
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("knot, p", [(TREFOIL, 5), (T25, 3)], ids=["trefoil-p5", "t25-p3"])
+def test_ladder_blocks_in_one_batch_equal_each_sample_alone(monkeypatch, knot, p):
+    # every block of L(V, 2) at the samples of every gap (4 x 4 and 8 x 8
+    # blocks), in one batch and one sample at a time
+    sd, c = ltm_family(knot, 2)
+    cm = build_covering(sd, c, CoveringSpec(p=p))
+    seen = []
+
+    def spy(core, gaps, owners):
+        seen.append((core, gaps))
+        return _gap_signatures(core, gaps, owners)
+
+    monkeypatch.setattr(jumps, "_gap_signatures", spy)
+    jump_function(cm, 1)
+    [(core, gaps)] = seen
+    samples = [_sample_point(core, lo, hi) for lo, hi in gaps]
+    for b in range(len(core.blocks)):
+        alone = [_fast.herm_sig_fast(*core.at(b, [s]), 1)[0] for s in samples]
+        assert _fast.herm_sig_fast(*core.at(b, samples), len(samples)) == alone
+    assert [_sig_at(core, u, v) for u, v, _ in samples] == _gap_signatures(
+        core, gaps, [set(range(len(core.blocks)))] * len(gaps))
 
 
 def test_core_det_poly_with_det_s_49():

@@ -7,8 +7,9 @@ Fractions, conftest's newton_interp, which is also the oracle of the integer
 kernel interpolate_in_squares),
 PencilCore.at on a plain matrix against the pencil formula in sympy's
 Gaussian rationals QQ_I, herm_sig_fast against the characteristic polynomial of the
-real embedding of the hermitian matrix, which shares no code with it, and
-the sum over a core's connected blocks against the whole core.
+real embedding of the hermitian matrix, which shares no code with it, a
+batch of matrices against each member alone, and the sum over a core's
+connected blocks against the whole core.
 """
 
 import cmath
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.domains import QQ_I
@@ -247,8 +248,18 @@ def upper_rows(m):
     return re, im
 
 
+def batch_of_one(rows):
+    """Sparse upper rows {j: x} as the rows of a batch of one, {j: [x]}."""
+    return [{j: [x] for j, x in row.items()} for row in rows]
+
+
+def sig_of_rows(re, im):
+    """herm_sig_fast on one matrix's sparse upper rows, as a batch of one."""
+    return _fast.herm_sig_fast(batch_of_one(re), batch_of_one(im), 1)[0]
+
+
 def agrees(m):
-    assert _fast.herm_sig_fast(*upper_rows(m)) == reference_signature(m)
+    assert sig_of_rows(*upper_rows(m)) == reference_signature(m)
 
 
 @settings(max_examples=80, deadline=None)
@@ -294,7 +305,7 @@ def test_sig_symmetric_swap(m, expected):
     # the leading diagonal entry is 0 but a later one is not, or the row is
     # 0: the pivot at k comes from one congruence step or k is skipped
     assert reference_signature(m) == expected
-    assert _fast.herm_sig_fast(*upper_rows(m)) == expected
+    assert sig_of_rows(*upper_rows(m)) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,8 +321,60 @@ def test_sig_zero_diagonal_schur_complement(diag, z):
     upper[k][k + 1] = z
     m = hermitian(upper, diag + [0, 0])
     expected = sum(1 if d > 0 else -1 for d in diag)
-    assert _fast.herm_sig_fast(*upper_rows(m)) == expected
+    assert sig_of_rows(*upper_rows(m)) == expected
     assert reference_signature(m) == expected
+
+
+values = st.sampled_from([0, 0, 1, -1, 2, -2, 3])
+
+
+@st.composite
+def pattern_batch(draw):
+    """A batch of 1-8 dense hermitian (re, im) matrices of size <= 6 on one sparsity pattern.
+
+    The pattern switches each upper entry's real and imaginary part on or
+    off; each member draws its own value, 0 included, at every entry that is
+    on.  So members share the pattern but may have a zero diagonal (the
+    congruence step), a zero row, or a pivot that vanishes only at a later
+    step, while the others go on.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    size = draw(st.integers(min_value=1, max_value=8))
+    on = [[(draw(st.booleans()), draw(st.booleans()) and j > i) for j in range(n)]
+          for i in range(n)]
+    return [hermitian([[(draw(values) if a else 0, draw(values) if b else 0) for a, b in row]
+                       for row in on],
+                      [draw(values) if on[i][i][0] else 0 for i in range(n)])
+            for _ in range(size)]
+
+
+def batch_rows(members):
+    """The rows herm_sig_fast takes for a batch of dense (re, im) matrices, one list per entry."""
+    n = len(members[0])
+    rows = ([{} for _ in range(n)], [{} for _ in range(n)])
+    for i in range(n):
+        for j in range(i, n):
+            for part, rr in enumerate(rows):
+                xs = [m[i][j][part] for m in members]
+                if any(xs):
+                    rr[i][j] = xs
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_batch())
+# the second member (sigma -1) leaves at step 0 on a zero diagonal; after
+# step 0 the first (sigma 1) has a zero pivot in a nonzero row and the last
+# (sigma 2) a zero row, so both leave at step 1, and the third (sigma 3)
+# stays: each must come back at its own place
+@example([hermitian([[(0, 0), (1, 0), (1, 0)], [(0, 0)] * 3, [(0, 0)] * 3], [1, 1, 0]),
+          hermitian([[(0, 0), (1, 0), (0, 0)], [(0, 0)] * 3, [(0, 0)] * 3], [0, 1, -1]),
+          hermitian([[(0, 0), (1, 0), (0, 0)], [(0, 0)] * 3, [(0, 0)] * 3], [2, 3, 1]),
+          hermitian([[(0, 0), (1, 0), (0, 0)], [(0, 0)] * 3, [(0, 0)] * 3], [1, 1, 5])])
+def test_sig_batch_equals_each_member_alone(members):
+    got = _fast.herm_sig_fast(*batch_rows(members), len(members))
+    assert got == [sig_of_rows(*upper_rows(m)) for m in members]
+    assert got == [reference_signature(m) for m in members]
 
 
 @st.composite
@@ -357,6 +420,19 @@ def test_sig_chain_arrow_matches_reference(m):
     agrees(m)
 
 
+def blocks_at(core, u, v):
+    """Per block, core.at at the one sample t = u/v as sparse upper rows {j: x}; None where some w^N = 1."""
+    powers = core.powers(u, v)
+    if powers is None:
+        return None
+    out = []
+    for b in range(len(core.blocks)):
+        re, im = core.at(b, [(u, v, powers)])
+        out.append(([{j: x for j, (x,) in row.items()} for row in re],
+                    [{j: x for j, (x,) in row.items()} for row in im]))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(square(entries, max_size=5), eps_st,
        st.integers(min_value=-9, max_value=9).filter(bool),
@@ -368,13 +444,13 @@ def test_pencil_core_is_the_scaled_pencil(rows, eps, u, v):
     turn = QQ_I(1, 0) if eps == 1 else QQ_I(0, 1)
     t = Fraction(u, v)
     core = _fast.PencilCore(rows, eps)
-    assert core.chain_signature(u, v) == 0
+    assert core.chain_signature(core.powers(u, v)) == 0
     # index -> (its block, its place in the block); the blocks partition the indices
     where = {i: (k, a) for k, (blk, *_) in enumerate(core.blocks) for a, i in enumerate(blk)}
     assert sorted(where) == list(range(n))
     for w, c, g in [
-        (QQ_I(1, t) / QQ_I(1, -t), 2 * abs(u), core.at(u, v)),
-        (QQ_I(-1, 0), 2, core.at(1, 0)),
+        (QQ_I(1, t) / QQ_I(1, -t), 2 * abs(u), blocks_at(core, u, v)),
+        (QQ_I(-1, 0), 2, blocks_at(core, 1, 0)),
     ]:
         assert len(g) == len(core.blocks)
         for i in range(n):
@@ -417,7 +493,7 @@ def test_sig_block_sum_matches_reference(m):
     assert sorted(i for blk in blocks for i in blk) == list(range(len(m)))
     for blk in blocks:
         assert not any(m[i][j] != (0, 0) for i in blk for j in range(len(m)) if j not in blk)
-    got = sum(_fast.herm_sig_fast(*upper_rows([[m[i][j] for j in blk] for i in blk]))
+    got = sum(sig_of_rows(*upper_rows([[m[i][j] for j in blk] for i in blk]))
               for blk in blocks)
     assert got == reference_signature(m)
 
@@ -473,7 +549,7 @@ def planted_core(draw):
 def test_pencil_core_block_sum_matches_whole_core(core_mults, eps, u, v):
     rows, mults = core_mults
     core = _fast.PencilCore(rows, eps, mults)
-    blocks = core.at(u, v)
+    blocks = blocks_at(core, u, v)
     whole = whole_core(rows, eps, mults, u, v)
     assert (blocks is None) == (whole is None)
     assume(whole is not None)
@@ -487,8 +563,7 @@ def test_pencil_core_block_sum_matches_whole_core(core_mults, eps, u, v):
                       for x, y, wx, wy in got if wx or wy), 1)
         assert scale > 0
         assert all((x, y) == (scale * wx, scale * wy) for x, y, wx, wy in got)
-    assert (sum(_fast.herm_sig_fast(re, im) for re, im in blocks)
-            == _fast.herm_sig_fast(*upper_rows(whole)))
+    assert sum(sig_of_rows(re, im) for re, im in blocks) == sig_of_rows(*upper_rows(whole))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
