@@ -22,10 +22,8 @@ What is printed of an AlgReal is its `cell`, a (poly, lo, hi) triple fixed
 when the number is made and untouched by refinement.  The cells that
 jump_function prints are those of dyadic_cell: the level-P dyadic cell
 around the root with P the least multiple of 64 at which that cell isolates
-it, or the dyadic-root rule.  jump_function places them on the enclosures
-of its lifted candidates (jumps._lifted_cell) and makes each algebraic
-point's AlgReal on its cell, where dyadic_cell refines an isolated root on
-its own poly; the printed interval depends on neither route.
+it, or the dyadic-root rule.  jump_function takes it once for each root t_h
+of a rest's Cayley gcd, as isolated, and prints every lift of t_h on it.
 """
 
 from __future__ import annotations

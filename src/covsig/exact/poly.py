@@ -10,8 +10,8 @@ polynomial is evaluated and as the ends of intervals.
 
 Only what the root-isolation and jump-extraction code needs: products, gcd
 and square-free part, division by a monic (cyclotomic) polynomial, and root
-counting.  The gcd also finds the roots that two blocks' candidate
-polynomials share (jumps._algebraic_candidates takes it pairwise).  It is
+counting.  The gcd also finds the roots that two blocks' rests share
+(jumps._algebraic_candidates takes it pairwise).  It is
 the heuristic gcd GCDHEU in Python ints (_inner_gcd): one integer gcd of
 the two polynomials' values at a large point, read back as a polynomial
 and checked by exact division.  Python's bigint gcd does the work, and the

@@ -24,25 +24,24 @@ loses every cyclotomic factor, with multiplicity, and each order k found
 lifts to the orders n of D_b's roots of unity with n / gcd(n, e) = k.
 What is left of h, its rest, gives the algebraic candidates: the real
 roots t_h of its square-free Cayley gcd g_h, isolated at the degree of h
-once per distinct rest, and lifted to the e-th roots over each, the
-AlgLoc(t_h, 2j, e).  A lift's enclosure in t = tan(theta/2) is t_h's
-enclosure of theta/pi mapped by x -> (x + 2j)/e and put through tan; these
-enclosures are separated with the roots of unity's, and a printed point's
-dyadic cell is placed on them, with a sign of g_b where one straddles a
-grid point (_lifted_cell).  g_b, the square-free Cayley gcd of D_b's rest
-(h's rest at w^e), has the block's lifts as its positive roots and is the
-printed poly; no root of it is isolated or refined.  A block's signature can
-change only at its own candidates or at a pole of its groups, so a sample
-takes again only the blocks that own the candidate it has just passed or
-whose poles lie between it and the previous sample (PencilCore, Blocks
-across samples); a root of unity belongs to the blocks it is a root of,
-and an algebraic candidate to its block.  Shared roots are found pairwise,
-by the gcd c of two blocks' g_b: such a root is given once, by the first
-block whose g_b has it, and is owned by that block and by each later one
-whose c with it changes sign across its enclosure.  When D = 0 leaves a
-generic minor, which is no product over blocks, it is one part owned by
-every block, read the same way.  An algebraic point prints the cell
-algebraic.dyadic_cell gives its root, with the g_b of its first block.
+once per distinct rest and each made on the cell algebraic.dyadic_cell
+prints for it, and lifted to the e-th roots over each, the AlgLoc(t_h,
+2j, e).  A lift's enclosure in t = tan(theta/2) is t_h's enclosure of
+theta/pi mapped by x -> (x + 2j)/e and put through tan; these enclosures
+are separated with the roots of unity's.  A block's signature can change
+only at its own candidates or at a pole of its groups, so a sample takes
+again only the blocks that own the candidate it has just passed or whose
+poles lie between it and the previous sample (PencilCore, Blocks across
+samples); a root of unity belongs to the blocks it is a root of, and an
+algebraic candidate to the blocks whose rest has it.  Parts with the same
+primitive h and e share every lift, with no gcd, and two lifts of one t_h
+at different (j, e) never coincide; parts with different h or e share a
+root only where a gcd of their h at powers of w says so
+(_algebraic_candidates), and such a root is given once, by the first part
+that has it.  When D = 0 leaves a generic minor, which is no product over
+blocks, it is one part owned by every block, read the same way.  An
+algebraic point prints as the lift it is: g_h, t_h's dyadic cell, and the
+lift's offset and scale; its mirror is AlgLoc(-t_h, 2e - 2j, e).
 
 All decisions (periodicity verdicts in particular) are made by exact
 arithmetic or certificates, never by floating point; when a comparison of
@@ -62,7 +61,6 @@ not be placed.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import gcd as int_gcd
@@ -77,6 +75,7 @@ from .exact import (
     Comparison,
     RatMatrix,
     alg_compare,
+    dyadic_cell,
     hermitian_signature,  # no longer called here; perfbench/tracing.py wraps this name
     isolate_real_roots,
 )
@@ -478,61 +477,79 @@ def _split_part(f, split: dict):
 
 
 def _algebraic_candidates(rests, max_bits: int = DEFAULT_PRECISION_BITS):
-    """The candidates 0 < theta < pi of the parts' rests, each root once, and the parts' Cayley gcds.
+    """The candidates 0 < theta < pi of the parts' rests, each root once, with the blocks that own it.
 
     rests is [(h, e, owners)]: part i's rest is r_i(w) = h(w^e), h an
     integer polynomial with no root of unity, and owners the blocks it
     belongs to.  The unit-circle roots of h are the w_h = (1 + i*t_h) /
     (1 - i*t_h) for the real roots t_h of g_h, the square-free gcd of the
     two parts of h's Cayley numerator; they are isolated once per distinct h
-    (isolate_real_roots), at the degree of h, and every part of that h
-    shares them.  h is also tested for square-freeness there, at its
-    degree: h(0) != 0, so a square-free h makes r_i square-free, and with it
-    its Cayley numerator and their gcd, which is then already g_i; only for
-    an h with a repeated factor does g_i need square_free_part at the
-    expanded degree.  The roots of r_i over w_h are its e-th roots, at
-    theta = (2*atan(t_h) + 2*pi*j) / e, the AlgLoc(t_h, 2j, e); on the upper
-    half circle j runs over 0 .. (e - 1)//2 for t_h > 0 and over 1 .. e//2
-    for t_h < 0.
-    Returns (roots, gs, partners): roots is [(loc, i)], the lifts of part i;
-    gs[i] is g_i, the square-free Cayley gcd of r_i, whose positive roots are
-    those lifts and which part i's points print (None when it has none);
-    partners[j] is [(i, c_ij)] for each later part i whose g_i has a
-    nonconstant gcd c_ij with g_j.  Part i drops the lifts it shares with an
-    earlier part: with its own lifts separated, those across whose enclosure
-    some c_ij changes sign.  So each root is given once, by the earliest
-    part whose g has it.
+    (isolate_real_roots), at the degree of h, and each is made on the cell
+    that algebraic.dyadic_cell prints for it.  The roots of r_i over w_h are
+    its e-th roots, at theta = (2*atan(t_h) + 2*pi*j) / e, the lifts
+    AlgLoc(t_h, 2j, e); on the upper half circle j runs over 0 .. (e - 1)//2
+    for t_h > 0 and over 1 .. e//2 for t_h < 0.  Two lifts of one t_h at
+    different (j, e) never coincide: equal theta would make 2*atan(t_h) a
+    rational multiple of pi, and so w_h a root of unity.
+
+    Parts with the same primitive h and the same e have the same lifts,
+    given once and owned by the blocks of all of them, with no gcd.  Parts
+    a and b with different keys share a root only if c = gcd(h_a(z^(e_a/g)),
+    h_b(z^(e_b/g))) is nonconstant, g = gcd(e_a, e_b), because gcd(f(w^g),
+    k(w^g)) = gcd(f, k)(w^g).  Only then is gamma, the Cayley gcd of the
+    square-free part of c at w^g, taken; its positive roots are the lifts
+    the two parts share, and a lift is one of them exactly when gamma
+    changes sign across its enclosure, with the part's lifts separated.
+    The later part drops those lifts, and the earlier part's gain the later
+    part's blocks.  So each root is given once, by the first part that has
+    it, and owned by the blocks of every part that has it.
+    Returns [(loc, owners)].
     """
-    roots, gs, partners = [], [], [[] for _ in rests]
-    isolated = {}  # h's primitive integer form -> (the real roots of g_h, is h square-free)
-    for i, (h, e, _) in enumerate(rests):
-        key = tuple(P.int_form(h))
-        if key not in isolated:
+    keyed = {}  # (h's primitive integer form, e) -> the blocks of its parts
+    for h, e, owners in rests:
+        keyed.setdefault((tuple(P.int_form(h)), e), set()).update(owners)
+    isolated, given = {}, []  # h -> its roots t_h; per key, (h, e, {lift: owners or None when dropped})
+    for (h, e), owners in keyed.items():
+        if h not in isolated:
             g = P.gcd(*_cayley_numerator(h))
-            isolated[key] = (isolate_real_roots(g) if P.degree(g) >= 1 else [],
-                             P.square_free_part(h) == list(key))
-        ts, square_free = isolated[key]
-        lifts = [AlgLoc(t, 2 * j, e) for t in ts
-                 for j in (range((e + 1) // 2) if t.sign() > 0 else range(1, e // 2 + 1))]
+            isolated[h] = [_on_dyadic_cell(t) for t in isolate_real_roots(g)] if P.degree(g) >= 1 else []
+        lifts = {AlgLoc(t, 2 * j, e): set(owners) for t in isolated[h]
+                 for j in (range((e + 1) // 2) if t.sign() > 0 else range(1, e // 2 + 1))}
         if not lifts:
-            gs.append(None)
             continue
-        g = P.gcd(*_cayley_numerator(P.at_power(h, e)))
-        if not square_free:
-            g = P.square_free_part(g)
-        common = []
-        for j, gj in enumerate(gs):
-            c = P.gcd(g, gj) if gj else []
-            if P.degree(c) >= 1:
-                partners[j].append((i, c))
-                common.append(c)
-        gs.append(g)
-        if common:
-            lifts, encl = _separate_candidates(lifts, max_bits)
-            lifts = [x for x, (lo, hi) in zip(lifts, encl)
-                     if all(P.sign_at(c, lo) == P.sign_at(c, hi) for c in common)]
-        roots += [(x, i) for x in lifts]
-    return roots, gs, partners
+        for ha, ea, a_lifts in given:
+            k = int_gcd(e, ea)
+            c = P.gcd(P.at_power(ha, ea // k), P.at_power(h, e // k))
+            if P.degree(c) < 1:
+                continue
+            gamma = P.gcd(*_cayley_numerator(P.at_power(P.square_free_part(c), k)))
+            if P.degree(gamma) < 1:
+                continue
+            for x in _roots_of(gamma, list(a_lifts), max_bits):
+                if a_lifts[x] is not None:
+                    a_lifts[x] |= owners
+            for x in _roots_of(gamma, list(lifts), max_bits):
+                lifts[x] = None
+        given.append((h, e, lifts))
+    return [(x, owners) for _, _, lifts in given for x, owners in lifts.items() if owners is not None]
+
+
+def _on_dyadic_cell(t: AlgReal) -> AlgReal:
+    """t made on the cell that algebraic.dyadic_cell prints for it."""
+    poly, lo, hi = dyadic_cell(t)
+    if poly is t.poly:
+        return t.with_interval(lo, hi, check=False)
+    return AlgReal(poly, lo, hi, _checked=True)  # x - r for a root r on the grid
+
+
+def _roots_of(c, locs, max_bits: int):
+    """The locs that are roots of the square-free c, whose positive roots are all among them.
+
+    With the locs separated, c changes sign across an enclosure exactly
+    when the one loc inside it is a root.
+    """
+    locs, encl = _separate_candidates(locs, max_bits)
+    return [x for x, (lo, hi) in zip(locs, encl) if P.sign_at(c, lo) != P.sign_at(c, hi)]
 
 
 def _pi_candidates_upper(ns):
@@ -550,12 +567,13 @@ def _pi_candidates_upper(ns):
 def _t_enclosure(loc, prec: int):
     """(lo, hi) with lo < t < hi for the t = tan(theta/2) of a candidate, at prec bits.
 
-    A PiLoc's is _tan_half_pi_enclosure; an AlgLoc's puts the ends of
-    theta_over_pi_enclosure through the same, tan being increasing on
-    (0, pi/2), 64 bits finer: its point prints on a dyadic cell of level 64
-    at least (_lifted_cell), which an enclosure at prec = 64 then places
-    with no second one.  lo <= 0 when the enclosure
-    of theta reaches 0, and hi is None when it reaches pi.
+    A PiLoc's is _tan_half_pi_enclosure; an AlgLoc's, a lift AlgLoc(t_h, 2j,
+    e) among them, puts the ends of theta_over_pi_enclosure through the
+    same, tan being increasing on (0, pi/2), 64 bits finer: that refines
+    the t_h its lifts share to the 2^-128 that theta_decimal reads before
+    scale_jump copies it into each point, so the display refines no copy.
+    lo <= 0 when the enclosure of theta reaches 0, and hi is None when it
+    reaches pi.
     """
     if isinstance(loc, PiLoc):
         return _tan_half_pi_enclosure(loc.frac, prec)
@@ -595,69 +613,6 @@ def _separate_candidates(items, max_bits: int = DEFAULT_PRECISION_BITS):
         if prec >= 4 * max_bits:
             raise UnresolvedComparison(*clash, max_bits)
         prec *= 2
-
-
-def _lifted_cell(g, encl, k: int, loc: AlgLoc, max_bits: int = DEFAULT_PRECISION_BITS):
-    """The (poly, lo, hi) that algebraic.dyadic_cell prints for the k-th positive root of g.
-
-    g is square-free in primitive integer form, with g(0) != 0, and encl
-    holds disjoint enclosures (lo, hi), lo < root < hi, of its positive
-    roots, ascending; the k-th is that of the candidate loc.  g has the sign
-    s0 of g(0) below its first positive root and changes sign at each, so
-    at a point x inside the k-th enclosure alone, sign g(x) is 0 on the
-    root, s0 * (-1)^k left of it and the other sign right of it: one sign
-    places x.  For P = 64, 128, ... the root is located on the grid of step
-    2^-P.  loc's enclosure is narrowed (_t_enclosure at doubled precision,
-    up to 4*max_bits) until it holds at most one grid point, and the grid
-    points it still holds are placed by bisection, one sign each.  A root on
-    the grid prints as dyadic_cell prints it; otherwise its cell
-    [c/2^P, (c+1)/2^P] isolates it among g's roots when k and k + 1 roots
-    lie below its ends, which are counted by the enclosures and, for an end
-    inside one, by one sign.  If the cell does not isolate, P grows by 64.
-    So no root of g is isolated or refined on g itself.
-    """
-    s0 = 1 if g[0] > 0 else -1
-    lo, hi = encl[k]  # loc's enclosure, narrowed below
-
-    def below(x):
-        """The number of g's positive roots below x, or None when x is one of them."""
-        i = bisect_left(encl, x, key=lambda e: e[1])  # the first enclosure not ending below x
-        a, b = (lo, hi) if i == k else encl[i] if i < len(encl) else (x, x)
-        if x <= a:
-            return i
-        if x >= b:
-            return i + 1
-        s = P.sign_at(g, x)
-        return None if s == 0 else i if s == (-s0 if i & 1 else s0) else i + 1
-
-    p, prec = 64, 64
-    while True:
-        while True:
-            # a / 2^p <= lo < root < hi <= b / 2^p
-            a = (lo.numerator << p) // lo.denominator
-            b = -((-hi.numerator << p) // hi.denominator)
-            if b - a <= 2 or prec >= 4 * max_bits:
-                break
-            prec *= 2
-            nlo, nhi = _t_enclosure(loc, prec)
-            lo, hi = max(lo, nlo), hi if nhi is None else min(hi, nhi)
-        while b - a > 1:
-            m = (a + b) // 2
-            c = below(Fraction(m, 1 << p))
-            if c is None:
-                # on the grid: x - r on [r - 2^-Q, r + 2^-Q], Q the least
-                # multiple of 64 above r's denominator's exponent
-                r = Fraction(m, 1 << p)
-                q = 64 * ((r.denominator.bit_length() - 1) // 64 + 1)
-                return [-r.numerator, r.denominator], r - Fraction(1, 1 << q), r + Fraction(1, 1 << q)
-            if c == k:
-                a = m
-            else:
-                b = m
-        cell = g, Fraction(a, 1 << p), Fraction(a + 1, 1 << p)
-        if below(cell[1]) == k and below(cell[2]) == k + 1:
-            return cell
-        p += 64
 
 
 def _simplest_between(an: int, ad: int, bn: int, bd: int):
@@ -805,9 +760,8 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         if len(r) >= 2:
             rests.append((r, e, owners))
     items = [PiLoc(f) for f in _pi_candidates_upper(sorted(pi_owners))]
-    roots, gs, partners = _algebraic_candidates(rests, max_bits)
-    part = {id(x): i for x, i in roots}
-    items += [x for x, _ in roots]
+    blocks = dict(_algebraic_candidates(rests, max_bits))  # lift -> its owners
+    items += blocks
 
     if items:
         items, encl = _separate_candidates(items, max_bits)
@@ -816,54 +770,24 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         gaps.append((encl[-1][1], None))
     else:
         gaps = [(Fraction(0), None)]
-    owners = []
-    on = [[] for _ in rests]  # per part, the candidates that are roots of its g
-    for idx, loc in enumerate(items):
-        if isinstance(loc, PiLoc):
-            # a root of unity of order n is w = e^(i*pi*f) with n the denominator of f/2
-            owners.append(pi_owners[(loc.frac / 2).denominator])
-            continue
-        # the part that gives loc, and each later part whose gcd with it
-        # changes sign across loc's enclosure: that holds no other
-        # candidate, so exactly when loc is a root of the gcd
-        i = part[id(loc)]
-        lo, hi = encl[idx]
-        js = [i] + [j for j, c in partners[i] if P.sign_at(c, lo) != P.sign_at(c, hi)]
-        for j in js:
-            on[j].append(idx)
-        owners.append(set().union(*(rests[j][2] for j in js)))
+    # a root of unity of order n is w = e^(i*pi*f) with n the denominator of f/2
+    owners = [pi_owners[(loc.frac / 2).denominator] if isinstance(loc, PiLoc) else blocks[loc]
+              for loc in items]
     sigs = _gap_signatures(core, gaps, owners)
 
-    # per part, the enclosures of its g's roots and each candidate's place among them
-    cells = [([encl[x] for x in xs], {x: k for k, x in enumerate(xs)}) for xs in on]
-    made = {}  # part -> an AlgReal of its g, whose poly the part's other points share
-    upper = []
-    for idx, loc in enumerate(items):
-        dv = sigs[idx + 1] - sigs[idx]
-        if dv == 0:
-            continue
-        if isinstance(loc, PiLoc):
-            upper.append(JumpPoint(loc, dv))
-            continue
-        # printed on the dyadic cell of its root with g of its first part
-        i = part[id(loc)]
-        own, place = cells[i]
-        poly, lo, hi = _lifted_cell(gs[i], own, place[idx], loc, max_bits)
-        if poly is not gs[i]:
-            t = AlgReal(poly, lo, hi, _checked=True)  # x - r for a root r on the grid
-        elif i in made:
-            t = made[i].with_interval(lo, hi, check=False)
-        else:
-            t = made[i] = AlgReal(poly, lo, hi, _checked=True)
-        upper.append(JumpPoint(AlgLoc(t), dv))
+    # an algebraic point prints as the lift it is, t_h on its dyadic cell
+    upper = [JumpPoint(loc, sigs[i + 1] - sigs[i]) for i, loc in enumerate(items)
+             if sigs[i + 1] != sigs[i]]
     points = list(upper)
     if epsilon == -1 and sigs[-1]:
         points.append(JumpPoint(PiLoc(Fraction(1)), -2 * sigs[-1]))
     for pt in reversed(upper):
-        if isinstance(pt.loc, PiLoc):
-            mloc = PiLoc(2 - pt.loc.frac)
+        loc = pt.loc
+        if isinstance(loc, PiLoc):
+            mloc = PiLoc(2 - loc.frac)
         else:
-            mloc = AlgLoc(pt.loc.t.neg(), 2, 1)
+            # 2*pi - (2*atan(t) + offset*pi) / e = (2*atan(-t) + (2e - offset)*pi) / e
+            mloc = AlgLoc(loc.t.neg(), 2 * loc.scale - loc.offset, loc.scale)
         points.append(JumpPoint(mloc, -epsilon * pt.value))
     return JumpFunction(points, Fraction(1), sigs[0])
 
@@ -922,8 +846,10 @@ def scale_jump(f: JumpFunction, y, max_bits: int = DEFAULT_PRECISION_BITS) -> Ju
     """The jump function of theta -> f(y*theta).
 
     Locations divide by y and reduce modulo the new period f.period/|y|; a
-    negative y reverses the traversal direction, so values flip sign.
-    Raises UnresolvedComparison when a reduction or the sort needs more than
+    negative y reverses the traversal direction, so values flip sign.  For
+    y > 0 with no location reduced, f's ascending order is kept, with no
+    comparison; otherwise the points are sorted.  Raises
+    UnresolvedComparison when a reduction or the sort needs more than
     max_bits.
     """
     y = Fraction(y)
@@ -931,12 +857,13 @@ def scale_jump(f: JumpFunction, y, max_bits: int = DEFAULT_PRECISION_BITS) -> Ju
         raise ZeroScale("scale factor must be nonzero")
     new_period = f.period / abs(y)
     modulus = 2 * new_period
-    pts = []
+    pts, reduced = [], False
     for pt in f.points:
         value = pt.value if y > 0 else -pt.value
         if isinstance(pt.loc, PiLoc):
-            frac = (pt.loc.frac / y) % modulus
-            pts.append(JumpPoint(PiLoc(frac), value))
+            frac = pt.loc.frac / y
+            reduced = reduced or not 0 <= frac < modulus
+            pts.append(JumpPoint(PiLoc(frac % modulus), value))
         else:
             t = pt.loc.t.copy()
             offset, scale = pt.loc.offset, pt.loc.scale * y
@@ -947,8 +874,10 @@ def scale_jump(f: JumpFunction, y, max_bits: int = DEFAULT_PRECISION_BITS) -> Ju
             k = _floor_over(loc, modulus, max_bits)
             if k:
                 loc.offset -= k * modulus * scale
+                reduced = True
             pts.append(JumpPoint(loc, value))
-    pts.sort(key=_cmp_key(max_bits))
+    if y < 0 or reduced:
+        pts.sort(key=_cmp_key(max_bits))
     return JumpFunction(pts, new_period, f.sigma0)
 
 
@@ -1081,13 +1010,15 @@ def covering_jump(sd: SeifertData, coeffs: dict, spec: CoveringSpec,
 def point_to_obj(pt: JumpPoint) -> dict:
     """One point of a jump document.
 
-    An algebraic point prints its t's cell (AlgReal.cell): from
-    jump_function, and through every translation, scaling and mirror of
-    such a point, that is the dyadic cell [k/2^P, (k+1)/2^P] of the root
-    with the g of its first block (algebraic.dyadic_cell), so the bytes do
-    not depend on how far t was refined.  The cell's poly is in primitive
-    integer form and is printed monic: this is the one place that divides
-    it by its leading coefficient.
+    An algebraic point prints its t's cell (AlgReal.cell) with its offset
+    and scale.  jump_function's points are lifts AlgLoc(t_h, 2j, e), and
+    every translation, scaling and mirror of one changes only its offset
+    and scale (t_h to -t_h for a mirror), so the cell is g_h, the
+    square-free Cayley gcd of its block's rest h, with the dyadic cell
+    [k/2^P, (k+1)/2^P] of t_h (algebraic.dyadic_cell), and the bytes do
+    not depend on how far t was refined.  The cell's poly is in
+    primitive integer form and is printed monic: this is the one place that
+    divides it by its leading coefficient.
     """
     if isinstance(pt.loc, PiLoc):
         return {"pi_rational": frac_str(pt.loc.frac), "scale": "1", "value": pt.value}
@@ -1111,7 +1042,7 @@ def point_to_obj(pt: JumpPoint) -> dict:
 def _monic_strs(poly: tuple) -> tuple:
     """The coefficients of the int poly divided by its leading one, as point_to_obj prints them.
 
-    Cached: the points of one block share their cell's poly, and each
+    Cached: the lifts of one rest share their cell's poly, and each
     coefficient would otherwise be divided again at every point.
     """
     return tuple(frac_str(Fraction(c, poly[-1])) for c in poly)

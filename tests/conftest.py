@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
 from covsig import AlgReal, Comparison, RatMatrix, _fast, compare_locations
 from covsig.exact import poly as P
+from covsig.jumps import AlgLoc, _tan_half_pi_enclosure, theta_over_pi_enclosure
 
 TREFOIL = RatMatrix([[-1, 1], [0, -1]])
 # Seifert matrix of the (2,5) torus knot
@@ -19,15 +21,68 @@ ALG = RatMatrix([[1, 1], [0, 2]])
 
 
 def same_jumps(f, g, check_period=True):
-    """Exact multiset equality of two jump functions."""
+    """Exact multiset equality of two jump functions.
+
+    Two AlgLocs of different scales, which compare_locations does not
+    certify equal, are compared by lift_is_point.
+    """
     if check_period and f.period != g.period:
         return False
     if len(f.points) != len(g.points):
         return False
-    return all(
-        a.value == b.value and compare_locations(a.loc, b.loc) is Comparison.EQ
-        for a, b in zip(f.points, g.points)
-    )
+    return all(a.value == b.value and same_location(a.loc, b.loc) for a, b in zip(f.points, g.points))
+
+
+def same_location(a, b):
+    if isinstance(a, AlgLoc) and isinstance(b, AlgLoc) and a.scale != b.scale:
+        return lift_is_point(a, b) if a.scale > b.scale else lift_is_point(b, a)
+    return compare_locations(a, b) is Comparison.EQ
+
+
+def multiple_angle_numerator(g, n, odd):
+    """The numerator of g(tan(n*atan(x))) (of g(-1/tan(n*atan(x))) for odd), by n products with 1 + i*x."""
+    def add(p, q):
+        return P.trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
+
+    re, im = [1], []
+    for _ in range(n):  # (re + i*im) * (1 + i*x)
+        re, im = add(re, [0] + [-c for c in im]), add(im, [0] + re)
+    num, den = ([-c for c in re], im) if odd else (im, re)
+    out = []
+    for k, c in enumerate(g):
+        term = [c]
+        for f in [num] * k + [den] * (len(g) - 1 - k):
+            term = P.mul(term, f)
+        out = add(out, term)
+    return out
+
+
+def lift_is_point(a, b):
+    """A certificate that the AlgLoc a, a lift, is the AlgLoc b: theta_a = theta_b.
+
+    a is theta = (2*atan(t_a) + o_a*pi) / s_a, b (2*atan(t_b) + o_b*pi) /
+    s_b, with s_a = n * s_b and o_a - n*o_b integers.  a's enclosure of
+    theta, mapped to b's chart tau = tan(theta*s_b/2 - o_b*pi/2), must lie
+    inside b's interval (t_b.lo, t_b.hi), which isolates one root of b's
+    poly; tau is a root of the numerator M of g_a(tan(n*atan(x))) (of
+    g_a(-1/tan) when o_a - n*o_b is odd), so when M has one root in the
+    interval and that root is a root of gcd(M, b's poly), tau is t_b.
+    """
+    n, k = a.scale / b.scale, a.offset - a.scale / b.scale * b.offset
+    if n.denominator != 1 or k.denominator != 1:
+        return False
+    lo, hi = (x * b.scale - b.offset for x in theta_over_pi_enclosure(a, 256))
+    if not -1 < lo < hi < 1:
+        return False
+    ends = [(-1) ** (x < 0) * _tan_half_pi_enclosure(abs(x), 256)[(x < 0) ^ end] if x else 0
+            for x, end in ((lo, 0), (hi, 1))]
+    poly, clo, chi = b.t.poly, b.t.lo, b.t.hi
+    if not clo < ends[0] < ends[1] < chi:
+        return False
+    m = P.square_free_part(multiple_angle_numerator(a.t.poly, int(n), k % 2 == 1))
+    c = P.gcd(m, poly)
+    return bool(P.sign_at(m, clo) and P.sign_at(m, chi) and P.count_roots(m, clo, chi) == 1
+                and P.degree(c) >= 1 and P.count_roots(c, clo, chi) == 1)
 
 
 def newton_interp(xs, ys):

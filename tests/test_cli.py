@@ -14,12 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from covsig import (MAX_COVERING_N, Comparison, alg_compare, cli, covering, covering_matrix,
-                    jumps)
+from covsig import MAX_COVERING_N, cli, covering, covering_matrix, jumps
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
 from covsig.pattern import MAX_WORD_LETTERS
-from conftest import same_jumps
+from conftest import lift_is_point
 
 
 def run(argv):
@@ -115,26 +114,26 @@ def test_obstruct_deterministic_output():
 
 def test_obstruct_algebraic_output_pinned():
     # every jump of L(ALG, 2) at p = 3 is algebraic: this pins the bytes of
-    # the dyadic cells, each block's g and the sort on that path
+    # the lifts, ALG's g_h on its dyadic cells with each lift's offset and
+    # scale, and the order on that path
     code, text = run([
         "obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", "--m", "2",
         "--p", "3", "--format", "json",
     ])
     assert code == 1
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "23cded487cd3bb8916e1d2564f5b5d304e186d5b2f75eb5096282c7bb026b524")
+        "62f368ef5386026d667fa690d022943981a2f6ce9c1457277c8045c755842587")
 
 
 @pytest.mark.parametrize("extra, digest", [
-    (["--m", "3", "--p", "3"], "3f1d70b0b58b6c9e30383fd7351bd5e796c1bb2f02c8708cdc71fb51b0983d0d"),
+    (["--m", "3", "--p", "3"], "0e5c79a9bde1db588f6beaeb395acd412dea30eb1a0860e37b4eb1c0c69352d7"),
     (["--m", "2", "--p", "2", "--a", "2"],
-     "7bbb14f752c8c4bcdf1e894011cc48a8ab1320282d209f79a2f789879a663096"),
-    (["--m", "2", "--p", "5"], "7c2259a74881dd95989dad6ab8dec5a9aa6c1d4a0f007de63e5102d4441282da"),
+     "21774133804608fe9b1b3708daae168aefe05639c88acbb05a581e32d4e289bb"),
+    (["--m", "2", "--p", "5"], "d37207d4af34cac972a02c93ac5033e5be6f672b8e3e7e082d1b04790be1a092"),
 ], ids=["m3-p3", "m2-d4", "m2-p5"])
 def test_obstruct_algebraic_jobs_pinned(extra, digest):
     # the other algebraic jobs: L(ALG, 3) at p = 3, L(ALG, 2) at d = 2^2 and
-    # at p = 5, whose blocks' Cayley gcds have degrees 6 + 10 + 4,
-    # 8 + 14 + 2 + 4 and 16 + 30 + 2 + 4 + 8
+    # at p = 5, whose blocks lift ALG's roots by e up to 5, 7 and 15
     code, text = run(["obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]", *extra,
                       "--format", "json"])
     assert code == 1
@@ -153,11 +152,21 @@ ALG_FIXTURES = {
 }
 
 
+def certify_same_point(new, old):
+    """Certify that the document point new (a dict) is the point old, with the same value.
+
+    old is read as printed, so its t interval is its printed cell
+    (conftest.lift_is_point).
+    """
+    assert new["value"] == old["value"]
+    assert lift_is_point(jumps.point_from_obj(new).loc, jumps.point_from_obj(old).loc)
+
+
 @pytest.mark.parametrize("name", sorted(ALG_FIXTURES))
 def test_algebraic_points_are_the_fixture_points(name):
-    # the same verdict, witness and points; each t is certified equal
-    # (alg_compare EQ: a gcd with a root in the overlap) to the one before,
-    # and printed in a dyadic cell [k/2^P, (k+1)/2^P] with 64 | P
+    # the same verdict and witness, and each point, in order, certified
+    # to be the fixture's point with the same value (certify_same_point);
+    # each prints on a dyadic cell [k/2^P, (k+1)/2^P] with 64 | P
     old = json.loads((FIXTURES / name).read_text())
     code, text = run(["obstruct", "--family", "ltm", "--V", "[[1,1],[0,2]]",
                       *ALG_FIXTURES[name], "--format", "json"])
@@ -168,10 +177,7 @@ def test_algebraic_points_are_the_fixture_points(name):
     assert len(new["jump"]["points"]) == len(old["jump"]["points"])
     for a, b in zip(new["jump"]["points"], old["jump"]["points"]):
         assert "algebraic_t" in a and "algebraic_t" in b
-        assert ({k: v for k, v in a.items() if k != "algebraic_t"}
-                == {k: v for k, v in b.items() if k != "algebraic_t"})
-        ta, tb = jumps.point_from_obj(a).loc.t, jumps.point_from_obj(b).loc.t
-        assert alg_compare(ta, tb) is Comparison.EQ
+        certify_same_point(a, b)
         lo, hi = (Fraction(x) for x in a["algebraic_t"]["interval"])
         level = (hi - lo).denominator.bit_length() - 1
         assert hi - lo == Fraction(1, 1 << level) and level % 64 == 0
@@ -203,9 +209,9 @@ T25_V = "[[-1,1,0,0],[0,-1,1,0],[0,0,-1,1],[0,0,0,-1]]"
     ("trefoil", ["--m", "2", "--p", "3", "--a", "2"],
      "32da50f682dac8ceec9f85e3b4e07317cdf14c1824f3f160078d8ef705a96537"),
     ("[[1,1],[0,2]]", ["--m", "2", "--p", "2", "--a", "3"],
-     "24dd06e6ba875e8c851625012673f2f9ae7242b27826ad73180cc139dc2b7b2d"),
+     "973127872c0e84cdf00271cd1bfa7b12fc7ac4b416d07c2ce4123cda6f8023e0"),
     ("[[1,1],[0,2]]", ["--m", "3", "--p", "5"],
-     "94f61bf8f1a5717ce8f7e2a6259bf6a75c4d65a06e92e1626fd220f1fce41aa6"),
+     "a89929a58bd9fc2fa16dfe9c77f7e14309777eb0808a52d7794c6f7c783790e0"),
 ], ids=["m2-p7", "m3-p5", "t25-m2-p5", "m2-d8", "m2-d9", "alg-m2-d8", "alg-m3-p5"])
 def test_obstruct_larger_jobs_pinned(knot, extra, digest):
     # L(trefoil, 2) at p = 7 and L(trefoil, 3) at p = 5: cores of 7 and 5
@@ -214,8 +220,9 @@ def test_obstruct_larger_jobs_pinned(knot, extra, digest):
     # unity of orders {80}, {50, 150}, {10}, {20} and {40}; L(trefoil, 2) at
     # d = 2^3 and 3^2 (n = 1020 and 2044), whose block factors w^i * h(w^e)
     # lift the orders of h = w^2 - w + 1 by e up to 255; L(ALG, 2) at d = 2^3
-    # and L(ALG, 3) at p = 5, whose many algebraic blocks take the pairwise
-    # gcds of their Cayley gcds, none of which shares a root
+    # and L(ALG, 3) at p = 5, whose many algebraic blocks have one h at
+    # different e, and so a gcd for each pair of them, none of which is
+    # nonconstant
     code, text = run(["obstruct", "--family", "ltm", "--V", knot, *extra,
                       "--format", "json"])
     assert code == 1

@@ -499,22 +499,20 @@ def whole_g_candidates(rests, max_bits):
 
     Each part's rest h(w^e) is expanded, and the roots come from the
     square-free part of the product, isolated by Descartes on t > 0, so a
-    root that two rests share is isolated once.  Every root is put in part 0
-    as a lift with e = 1, printed with that g and with no partner; the
-    oracle samples every block at every gap, so no owner is read.
+    root that two rests share is isolated once.  Every root is an AlgLoc
+    with scale 1 on that g, owned by no block: the oracle samples every
+    block at every gap, so no owner is read.
     """
     product = [1]
     for h, e, _ in rests:
         product = P.mul(product, P.at_power(h, e))
     if len(product) < 2:
-        return [], [None] * len(rests), [[] for _ in rests]
+        return []
     re, im = jumps._cayley_numerator(P.square_free_part([Fraction(a) for a in product]))
     g = P.gcd(re, im)
     if P.degree(g) < 1:
-        return [], [None] * len(rests), [[] for _ in rests]
-    roots = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
-    gs = [roots[0].poly if roots else None] + [None] * (len(rests) - 1)
-    return [(AlgLoc(x), 0) for x in roots], gs, [[] for _ in rests]
+        return []
+    return [(AlgLoc(x), set()) for x in isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))]
 
 
 def whole_g_jump_function(cm, epsilon):
@@ -561,6 +559,10 @@ ALG_BESIDE_E2 = [[ALG, ZERO_2], [ZERO_2, RatMatrix([[7, 7], [0, 4]])]], [1, 2]
            [ZERO_2, tile(ALG_B3, 1, 0), tile(ALG_B3, 1, 1)]], [1, 1, 1], 1))
 @example((*ALG_BESIDE_E2, 1))
 @example((*ALG_BESIDE_E2, -1))
+# ALG at N = 2 beside [[7, 7], [0, 4]] at N = 4: rests 2w^2 - 3w + 2 at e = 2
+# and 28w^2 - 7w + 28 at e = 4, so g = 2 and c = gcd(h_a(z), h_b(z^2)) is
+# ALG's Delta, whose roots at w^2 are both of the first part's lifts
+@example(([[ALG, ZERO_2], [ZERO_2, RatMatrix([[7, 7], [0, 4]])]], [2, 4], 1))
 def test_block_candidates_equal_the_whole_g_oracle(planted):
     # each block's rest isolated on its own g_b, each candidate owned by its
     # blocks, against one g of the product with every block at every gap
@@ -570,7 +572,7 @@ def test_block_candidates_equal_the_whole_g_oracle(planted):
 
     def spy(rests, max_bits):
         out = candidates(rests, max_bits)
-        seen.append(out[0])
+        seen.append(out)
         return out
 
     candidates = jumps._algebraic_candidates
@@ -587,8 +589,9 @@ def test_block_candidates_equal_the_whole_g_oracle(planted):
     # of both blocks' rests, and prints with ALG's own g
     (([[ALG, ZERO_2], [ZERO_2, ALG]], [1, 1]), [{0, 1}], [2, 2]),
     # ALG beside a block at e = 2: w is ALG's root and a root of the second
-    # block, whose other root on t > 0 is its own and prints with its g
-    (ALG_BESIDE_E2, [{0, 1}, {1}], [2, 4, 4, 2]),
+    # block, whose other root on t > 0 is its own lift, printed with the g
+    # of its own h, 28w^2 - 7w + 28, of degree 2
+    (ALG_BESIDE_E2, [{0, 1}, {1}], [2, 2, 2, 2]),
 ], ids=["alg-alg", "alg-beside-e2"])
 def test_shared_roots_are_owned_by_every_block_that_has_them(monkeypatch, planted, owners, degrees):
     cm = as_covering(*planted)
@@ -602,7 +605,7 @@ def test_shared_roots_are_owned_by_every_block_that_has_them(monkeypatch, plante
     f = jump_function(cm, 1)
     assert owned == owners
     assert same_jumps(f, whole_g_jump_function(cm, 1))
-    # a point prints with g of the first block that has its root
+    # a point prints with the g_h of the first part that has its root
     assert [P.degree(pt.loc.t.cell[0]) for pt in f.points] == degrees
 
 

@@ -58,7 +58,6 @@ from covsig.jumps import (
     _remove_common_kernel,
     _self_reciprocal_part,
     _algebraic_candidates,
-    _lifted_cell,
     _separate_candidates,
     _simplest_between,
     _split_part,
@@ -463,17 +462,38 @@ def test_scale_jump_algebraic():
 
 
 def test_scale_jump_honours_max_bits():
-    # sqrt(2) and a convergent of it within 2^-100: ordered at the default
-    # budget, unresolved at 16 bits
+    # sqrt(2) and a convergent of it within 2^-100, in ascending theta:
+    # y = -1 reverses them, which the sort sees at the default budget and
+    # cannot decide at 16 bits
     near = Fraction(14398739476117879, 10181446324101389)
     f = JumpFunction(
-        [JumpPoint(AlgLoc(AlgReal([-2, 0, 1], 1, 2), 0, 1), 1),
-         JumpPoint(AlgLoc(AlgReal.from_rational(near), 0, 1), -1)],
+        [JumpPoint(AlgLoc(AlgReal.from_rational(near), 0, 1), -1),
+         JumpPoint(AlgLoc(AlgReal([-2, 0, 1], 1, 2), 0, 1), 1)],
         Fraction(1),
     )
-    assert [pt.value for pt in scale_jump(f, 1).points] == [-1, 1]
+    assert [pt.value for pt in scale_jump(f, -1).points] == [-1, 1]
     with pytest.raises(UnresolvedComparison):
-        scale_jump(f, 1, max_bits=16)
+        scale_jump(f, -1, max_bits=16)
+
+
+@pytest.mark.parametrize("case", ["kept", "reversed", "wrapped"])
+def test_scale_jump_sorts_only_a_reduced_or_reversed_input(monkeypatch, case):
+    # ALG's and T25's points, ascending.  For y > 0 with no location
+    # reduced they keep their order with no comparison.  For y < 0, and for
+    # an input whose first half lies one period on (reduced by scale_jump
+    # to before the second half), the result is sorted
+    f = sum_jumps([jump_function(ALG), jump_function(T25)])
+    y = Fraction(-1, 3) if case == "reversed" else Fraction(1, 3)
+    half = len(f.points) // 2
+    src = f if case != "wrapped" else JumpFunction(
+        f.points[half:] + [_translate_point(pt, Fraction(2)) for pt in f.points[:half]], f.period)
+    calls = []
+    compare = jumps.compare_locations
+    monkeypatch.setattr(jumps, "compare_locations", lambda *a: calls.append(1) or compare(*a))
+    g = scale_jump(src, y)
+    assert bool(calls) == (case != "kept")
+    assert all(compare(a.loc, b.loc) is Comparison.LT for a, b in zip(g.points, g.points[1:]))
+    assert same_jumps(g, scale_jump(f, y))
 
 
 def test_with_period():
@@ -811,17 +831,18 @@ def test_the_verdict_places_only_the_points_it_reads(monkeypatch):
 @pytest.mark.parametrize("h", [[2, -3, 2], P.mul([2, -3, 2], [2, -3, 2])],
                          ids=["square-free", "squared"])
 def test_cayley_gcds_skip_the_square_free_part_for_a_square_free_h(monkeypatch, h, e):
-    # ALG's Delta_V and its square: g is the square-free part of the Cayley
-    # gcd of h(w^e) either way; for a square-free h, square_free_part runs
-    # at the degree of h only
+    # ALG's Delta_V and its square: the e lifts are the positive roots of
+    # g, the square-free part of the Cayley gcd of h(w^e), yet no Cayley gcd
+    # of h(w^e) is taken, and square_free_part runs at the degree of h only
     want = P.square_free_part(P.gcd(*_cayley_numerator(P.at_power(h, e))))
     degrees = []
     square_free_part = P.square_free_part
     monkeypatch.setattr(P, "square_free_part", lambda p: degrees.append(P.degree(p)) or square_free_part(p))
-    roots, gs, _ = _algebraic_candidates([(h, e, {0})])
-    assert gs == [want] and len(roots) == e
-    g = P.gcd(*_cayley_numerator(P.at_power(h, e)))
-    assert max(degrees) == (P.degree(h) if h == [2, -3, 2] else P.degree(g))
+    roots = _algebraic_candidates([(h, e, {0})])
+    assert len(roots) == e and all(owners == {0} for _, owners in roots)
+    assert max(degrees) <= P.degree(h)
+    lifts = [x for x, _ in roots]
+    assert jumps._roots_of(want, lifts, DEFAULT_PRECISION_BITS) == _separate_candidates(lifts)[0]
 
 
 @pytest.mark.parametrize("poly, interval", [
@@ -1067,15 +1088,16 @@ def dense_route(f):
     return ns, rest, [dyadic_cell(x) for x in roots]
 
 
-def lifted_route(f, max_bits=DEFAULT_PRECISION_BITS):
-    """The same from f = c * w^i * h(w^e): h split and isolated, its roots lifted by e."""
-    ns, rest, e = _split_part(f, {})
-    roots, gs, _ = _algebraic_candidates([(rest, e, {0})] if len(rest) >= 2 else [], max_bits)
-    if not roots:
-        return ns, P.at_power(rest, e), []
-    items, encl = _separate_candidates([x for x, _ in roots], max_bits)
-    return ns, P.at_power(rest, e), [_lifted_cell(gs[0], encl, k, x, max_bits)
-                                     for k, x in enumerate(items)]
+def inside_one_cell(loc, cells):
+    """The index of the one cell (poly, lo, hi) that holds loc's t-enclosure, narrowed until it fits one."""
+    prec = 64
+    while True:
+        lo, hi = jumps._t_enclosure(loc, prec)
+        holding = [k for k, (_, clo, chi) in enumerate(cells) if clo < lo and hi < chi]
+        if holding or prec > 1024:
+            assert len(holding) == 1
+            return holding[0]
+        prec *= 2
 
 
 # quadratics a*w^2 + b*w + a with b^2 < 4a^2: a conjugate pair on the unit circle
@@ -1092,6 +1114,29 @@ H_FACTORS = st.one_of(
 )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(UNIT_PAIRS.filter(lambda q: q[1] not in (0, q[0], -q[0])), min_size=1, max_size=2),
+       st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=3, unique=True))
+@example([[2, -3, 2]], [1, 2, 3])
+def test_lifts_of_one_root_at_distinct_j_and_e_never_coincide(factors, es):
+    # a unit pair a*w^2 + b*w + a with b not in {0, a, -a} has no root of
+    # unity: every upper-half lift AlgLoc(t_h, 2j, e) of one root t_h of its
+    # (product's) g_h, over several e, separates, and no two compare EQ
+    h = [1]
+    for q in factors:
+        h = P.mul(h, q)
+    g = P.gcd(*_cayley_numerator(h))
+    for t in isolate_real_roots(g):
+        lifts = [AlgLoc(t, 2 * j, e) for e in es
+                 for j in (range((e + 1) // 2) if t.sign() > 0 else range(1, e // 2 + 1))]
+        items, _ = _separate_candidates(lifts)
+        assert len(items) == len(lifts)
+        for i, a in enumerate(items):
+            for b in items[i + 1:]:
+                assert compare_locations(a, b) is Comparison.LT
+                assert compare_locations(b, a) is Comparison.GT
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(H_FACTORS, min_size=1, max_size=3), st.integers(min_value=1, max_value=8),
        st.integers(min_value=0, max_value=2), st.integers(min_value=-3, max_value=3).filter(bool))
@@ -1102,25 +1147,20 @@ H_FACTORS = st.one_of(
 @example([[100, 199, 100]], 1, 0, 1)
 @example([[100, 199, 100], [100, -199, 100]], 8, 2, 3)
 def test_lifted_candidates_match_the_dense_route(factors, e, i, c):
-    # the orders, the rest and every printed cell of f = c * w^i * h(w^e),
-    # found from h and lifted by e, are those of the expanded f
+    # the orders and the rest of f = c * w^i * h(w^e), found from h, are those
+    # of the expanded f, and its lifts match the printed cells of the
+    # expanded f one to one: each cell holds exactly one lift's t-enclosure
     h = [c]
     for q in factors:
         h = P.mul(h, q)
     assume(e * P.degree(h) <= 60)
     f = [0] * i + P.at_power(h, e)
     want_ns, want_rest, want_cells = dense_route(f)
-    ns, rest, cells = lifted_route(f)
+    ns, rest, e = _split_part(f, {})
+    lifts = [x for x, _ in _algebraic_candidates([(rest, e, {0})] if len(rest) >= 2 else [])]
     assert ns == want_ns
-    assert P.int_form(rest) == P.int_form(want_rest)
-    assert cells == want_cells
-
-
-def test_lifted_cells_need_no_precision_for_the_grid():
-    # at max_bits = 0 no enclosure is narrowed: sign bisection on the grid
-    # places each root, and the cells are the same
-    f = P.at_power(P.mul([2, -3, 2], [5, -6, 5]), 3)
-    assert lifted_route(f, 0) == lifted_route(f) and lifted_route(f)[2] == dense_route(f)[2]
+    assert P.int_form(P.at_power(rest, e)) == P.int_form(want_rest)
+    assert sorted(inside_one_cell(x, want_cells) for x in lifts) == list(range(len(want_cells)))
 
 
 def fraction_cayley_numerator(S):
@@ -1295,20 +1335,39 @@ def test_theta_decimal_display():
 
 
 def test_reading_a_document_checks_each_poly_and_interval_once(monkeypatch):
-    # L(ALG, 2) at p = 3 over two periods: 24 points, each t twice, over
-    # the three blocks' even g; each poly is checked square-free once, and
-    # each (poly, interval) counted once
+    # L(ALG, 2) at p = 3 over two periods: 24 points, every one a lift of
+    # the root t_h = 1/sqrt(7) of ALG's g_h or its mirror -t_h; the poly is
+    # checked square-free once, and each (poly, interval) counted once
     sd, c = ltm_family(ALG, 2)
     g, _ = covering_jump(sd, c, CoveringSpec(p=3))
     obj = jump_to_obj(with_period(g, 2 * g.period))
     ats = [p["algebraic_t"] for p in obj["points"]]
     polys = {tuple(a["poly"]) for a in ats}
     cells = {(tuple(a["poly"]), tuple(a["interval"])) for a in ats}
-    assert (len(ats), len(cells), len(polys)) == (24, 12, 3)
+    assert (len(ats), len(cells), len(polys)) == (24, 2, 1)
     square_free, counts = [], []
     sfp, count_roots = P.square_free_part, P.count_roots
     monkeypatch.setattr(P, "square_free_part", lambda p: square_free.append(1) or sfp(p))
     monkeypatch.setattr(P, "count_roots", lambda *a: counts.append(1) or count_roots(*a))
     f = jump_from_obj(obj)
     assert (len(square_free), len(counts)) == (len(polys), len(cells))
+    assert jump_to_obj(f) == obj
+
+
+def test_reading_the_lifted_p7_document_checks_each_cell_once(monkeypatch):
+    # L(ALG, 2) at p = 7 prints 252 lifts of ALG's two roots +-t_h: reading
+    # it back runs the isolation check and the root-of-unity test once per
+    # distinct (poly, interval), not once per point
+    sd, c = ltm_family(ALG, 2)
+    g, _ = covering_jump(sd, c, CoveringSpec(p=7))
+    obj = jump_to_obj(g)
+    cells = {(tuple(p["algebraic_t"]["poly"]), tuple(p["algebraic_t"]["interval"]))
+             for p in obj["points"]}
+    isolating, unity = [], []
+    check, at_root_of_unity = AlgReal._check_isolating, jumps._at_root_of_unity
+    monkeypatch.setattr(AlgReal, "_check_isolating", lambda self: isolating.append(1) or check(self))
+    monkeypatch.setattr(jumps, "_at_root_of_unity", lambda t: unity.append(1) or at_root_of_unity(t))
+    f = jump_from_obj(obj)
+    assert len(f.points) == 252 and len(cells) == 2
+    assert len(isolating) == len(unity) == len(cells)
     assert jump_to_obj(f) == obj
