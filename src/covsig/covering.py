@@ -16,14 +16,16 @@ are 268 nonzero entries instead of 3162.  Neither D(w) nor the signature
 samples use the chains: jump_function eliminates them and works on the
 core, the first strands of the groups (see covsig._fast.PencilCore).  The
 n x n matrix itself is built only when D(w) = 0, to remove a common kernel.
-The blocks themselves are computed with integer matrix products, two
-adjugates (covsig._fast.adj_det) and one exact scaling per block.
+The blocks themselves are computed with integer matrix products and two
+adjugates (covsig._fast.adj_det), and kept as integers over one denominator:
+this module is the one place that lays them out on the strands, as the core
+(core_rows) and as the n x n matrix (covering_matrix).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ._fast import adj_det
 from ._value import Value
@@ -75,18 +77,19 @@ class CoveringSpec(Value):
 
 
 class CoveringMatrix(Value):
-    """Result of the transfer: the blocks, s and the strand multiplicities.
+    """Result of the transfer: the block grid over L, s and the strand multiplicities.
 
-    They determine the covering Seifert matrix, of size n = sum |s*x_k| * b
-    for blocks of size b; covering_matrix(blocks_A, multiplicities, 1, eps)
-    builds it where it is needed.  blocks_A is the d x d tuple of tuples of
-    RatMatrix, and multiplicities are the integers s*x_k.
+    den is the positive integer L and blocks the d x d grid of integer row
+    tuples with A_kl = blocks[k][l] / L (covering_blocks); multiplicities
+    are the integers s*x_k.  They determine the covering Seifert matrix, of
+    size n = sum |s*x_k| * b for blocks of size b: core_rows(cm) gives its
+    core and covering_matrix(cm, eps) the n x n matrix where it is needed.
     """
 
-    __slots__ = ("blocks_A", "s", "multiplicities", "n")
+    __slots__ = ("den", "blocks", "s", "multiplicities", "n")
 
-    def __init__(self, blocks_A: tuple, s: int, multiplicities: tuple, n: int):
-        self.blocks_A, self.s, self.multiplicities, self.n = blocks_A, s, multiplicities, n
+    def __init__(self, den: int, blocks: tuple, s: int, multiplicities: tuple, n: int):
+        self.den, self.blocks, self.s, self.multiplicities, self.n = den, blocks, s, multiplicities, n
 
 
 def gamma(A: RatMatrix, epsilon: int) -> RatMatrix:
@@ -100,7 +103,7 @@ def _matmul(a, b):
 
 
 def covering_blocks(sd: SeifertData, spec: CoveringSpec):
-    """The d x d array of blocks A_kl of the covering Seifert matrix.
+    """(L, grid): the blocks A_kl of the covering Seifert matrix as grid[k][l] / L.
 
     With G = Gamma, H = G - I, and D = G^d - H^d (a presentation matrix of the
     cover's middle homology, so it must be invertible):
@@ -121,7 +124,10 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
         A_kl = delta * eps*(cB)^T G_i^(j-1) H_i^(d-j-1) tail / (c*Delta),
 
     the off-diagonal blocks carrying one more factor delta than the diagonal
-    one.  Each block takes one exact Fraction scaling at the end.
+    one.  L is c*Delta divided by its gcd with every numerator, signed to be
+    positive: the least positive common denominator of the blocks.  Each
+    block is a tuple of integer row tuples, and the grid holds the d
+    distinct ones, one per j, by reference.
     """
     d = spec.d
     eps = sd.epsilon
@@ -148,36 +154,43 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
         )
     tail = _matmul(adj_d, _matmul(adj_s, b))
     ebt = [[eps * x for x in col] for col in zip(*b)]
-    den = c * big_delta
-
-    def block(num):
-        return RatMatrix([[Fraction(x, den) for x in row] for row in num])
-
     diff = [[x - y for x, y in zip(r, s)] for r, s in zip(gpow[d - 1], hpow[d - 1])]
     diag = _matmul(ebt, _matmul(diff, tail))
     # A_kl depends only on j = (k - l) mod d: d distinct blocks, j = 0 the diagonal
-    by_j = [block([[big_delta * x - y for x, y in zip(r, s)] for r, s in zip(cc, diag)])]
-    by_j += [block([[delta * x for x in row]
-                    for row in _matmul(ebt, _matmul(_matmul(gpow[j - 1], hpow[d - j - 1]), tail))])
+    by_j = [[[big_delta * x - y for x, y in zip(r, s)] for r, s in zip(cc, diag)]]
+    by_j += [[[delta * x for x in row]
+              for row in _matmul(ebt, _matmul(_matmul(gpow[j - 1], hpow[d - j - 1]), tail))]
              for j in range(1, d)]
-    return tuple(tuple(by_j[(k - l) % d] for l in range(d)) for k in range(d))
+    den = c * big_delta
+    g = gcd(den, *(x for M in by_j for row in M for x in row))
+    g = -g if den < 0 else g
+    by_j = [tuple(tuple(x // g for x in row) for row in M) for M in by_j]
+    return den // g, tuple(tuple(by_j[(k - l) % d] for l in range(d)) for k in range(d))
 
 
-def int_blocks(blocks, keep):
-    """(L, ib) with ib[k][l] the integer rows of L * A_kl for k, l in keep.
+def _groups(cm: CoveringMatrix):
+    """(component, signed strand count) of each group: one per nonzero multiplicity."""
+    return [(k, m) for k, m in enumerate(cm.multiplicities) if m]
 
-    L is the lcm of the denominators of the distinct blocks among them; the
-    block array repeats d distinct objects, and each is converted once.
+
+def core_rows(cm: CoveringMatrix):
+    """(integer core rows, signed strand counts) of a covering (see _fast.PencilCore).
+
+    The core is L times the first strands of the groups: block (k, l) of it
+    is g_k*g_l*L*A_kl off the diagonal and L*A_kk on it, g_k the sign of
+    group k.
     """
-    distinct = {id(blocks[k][l]): blocks[k][l] for k in keep for l in keep}
-    den = lcm(*(x.denominator for M in distinct.values() for row in M.rows for x in row))
-    ints = {key: [[x.numerator * (den // x.denominator) for x in row] for row in M.rows]
-            for key, M in distinct.items()}
-    return den, {k: {l: ints[id(blocks[k][l])] for l in keep} for k in keep}
+    groups = _groups(cm)
+    rows = []
+    for k, mk in groups:
+        tiles = [(cm.blocks[k][l], 1 if mk * ml > 0 else -1) for l, ml in groups]
+        for i in range(len(cm.blocks[k][k])):
+            rows.append([g * x for tile, g in tiles for x in tile[i]])
+    return rows, tuple(m for _, m in groups)
 
 
-def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:
-    """The covering Seifert matrix for the integer multiplicities s*x_k.
+def covering_matrix(cm: CoveringMatrix, epsilon: int) -> RatMatrix:
+    """The n x n covering Seifert matrix of cm.
 
     Component k contributes |s*x_k| parallel strands of sign sign(s*x_k);
     components with s*x_k = 0 are dropped.  Written out densely, the diagonal
@@ -195,22 +208,19 @@ def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:
     one of the two off-diagonals being 0, and each tile shrinks to the one
     block sign_k*sign_l*A_kl between the first strands of groups k and l.
     Groups keep their order, each as its first strand followed by its chain.
-    The blocks are assembled as the integers of L * A (int_blocks), and each
-    distinct value x becomes one shared Fraction(x, L).
+    The blocks are assembled from the integer grid, and each distinct value
+    x becomes one shared Fraction(x, L).
     """
-    mults = [int(Fraction(xi) * s) for xi in x]
-    if any(Fraction(xi) * s != m for xi, m in zip(x, mults)):
-        raise ValueError("s does not clear the denominators of x")
-    keep = [k for k, m in enumerate(mults) if m != 0]
-    if not keep:
+    groups = _groups(cm)
+    if not groups:
         return RatMatrix.zeros(0)
-    den, ib = int_blocks(blocks, keep)
-    b = len(ib[keep[0]][keep[0]])
+    ib, den = cm.blocks, cm.den
+    b = len(ib[0][0])
     first = {}  # component -> row of its first strand
     n = 0
-    for k in keep:
+    for k, m in groups:
         first[k] = n
-        n += abs(mults[k]) * b
+        n += abs(m) * b
     frac = {0: Fraction(0)}  # one shared Fraction(x, L) per value
     rows = [[frac[0]] * n for _ in range(n)]
 
@@ -234,21 +244,21 @@ def covering_matrix(blocks, x, s: int, epsilon: int) -> RatMatrix:
     def minus(p, q):
         return [[x - y for x, y in zip(pr, qr)] for pr, qr in zip(p, q)]
 
-    for k in keep:
-        sk = 1 if mults[k] > 0 else -1
+    for k, mk in groups:
+        sk = 1 if mk > 0 else -1
         A = ib[k][k]
         At = [[epsilon * x for x in col] for col in zip(*A)]
         Dg = A if sk == 1 else At
         r0 = first[k]
         put(r0, r0, tile(Dg))
         chain, up, low = tile(minus(A, At), sk), tile(minus(At, Dg)), tile(minus(A, Dg))
-        for r in range(r0 + b, r0 + abs(mults[k]) * b, b):
+        for r in range(r0 + b, r0 + abs(mk) * b, b):
             put(r, r, chain)
             put(r - b, r, up)
             put(r, r - b, low)
-        for l in keep:
+        for l, ml in groups:
             if l != k:
-                put(r0, first[l], tile(ib[k][l], sk * (1 if mults[l] > 0 else -1)))
+                put(r0, first[l], tile(ib[k][l], 1 if mk * ml > 0 else -1))
     return RatMatrix(rows)
 
 
@@ -265,7 +275,7 @@ def build_covering(sd: SeifertData, coeffs: dict, spec: CoveringSpec) -> Coverin
     n = sum(map(abs, mults)) * sd.C.nrows
     if n > MAX_COVERING_N:
         raise CoveringTooLarge(f"covering matrix of size {n} is over the limit {MAX_COVERING_N}")
-    return CoveringMatrix(covering_blocks(sd, spec), s, mults, n)
+    return CoveringMatrix(*covering_blocks(sd, spec), s, mults, n)
 
 
 def ltm_family(V: RatMatrix, m: int, epsilon: int = 1):

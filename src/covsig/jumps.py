@@ -68,7 +68,7 @@ from math import lcm, log
 
 from . import _fast, covering
 from ._value import Value
-from .covering import CoveringMatrix, CoveringSpec, build_covering, int_blocks
+from .covering import CoveringMatrix, CoveringSpec, build_covering, core_rows
 from .errors import UnresolvedComparison, ZeroScale
 from .exact import (
     AlgReal,
@@ -98,7 +98,12 @@ class PiLoc(Value):
 
 
 class AlgLoc:
-    """theta = (2*atan(t) + offset*pi) / scale with t algebraic, scale > 0."""
+    """theta = (2*atan(t) + offset*pi) / scale with t algebraic, scale > 0.
+
+    No AlgLoc is changed once built, and many may share one t: refining t
+    moves neither the number it denotes nor its cell, so every location on
+    it gains from the refinement.
+    """
 
     __slots__ = ("t", "offset", "scale")
 
@@ -108,9 +113,6 @@ class AlgLoc:
         self.scale = scale if type(scale) is Fraction else Fraction(scale)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-    def copy(self):
-        return AlgLoc(self.t.copy(), self.offset, self.scale)
 
     def __repr__(self):
         return f"AlgLoc(t~{float(self.t):.6g}, offset={self.offset}, scale={self.scale})"
@@ -178,8 +180,7 @@ def theta_over_pi_enclosure(loc, prec: int):
 
 
 def _neg_inverse(a: AlgReal) -> AlgReal:
-    """The algebraic number -1/a (a must be nonzero)."""
-    a = a.copy()
+    """The algebraic number -1/a (a must be nonzero); a is refined in place."""
     if a.lo < 0 < a.hi and a.poly[0] == 0:
         raise ZeroDivisionError("-1/0")
     while not (a.lo > 0 or a.hi < 0):
@@ -212,7 +213,7 @@ def compare_locations(a, b, max_bits: int = DEFAULT_PRECISION_BITS) -> Compariso
         elif k in (1, -1):
             # theta_a = theta_b iff atan(ta) - atan(tb) = -k*pi/2,
             # i.e. ta = -1/tb with k = sign(tb)
-            sgn = b.t.copy().sign()
+            sgn = b.t.sign()
             if sgn != 0 and k == sgn:
                 try:
                     ninv = _neg_inverse(b.t)
@@ -286,24 +287,6 @@ class Verdict(Value):
 
 # ---------------------------------------------------------------------------
 # exact signature evaluation
-
-
-def _core_rows(cm: CoveringMatrix):
-    """(integer core rows, signed strand counts) of a covering (see _fast.PencilCore).
-
-    One group per nonzero multiplicity; block (k, l) of the core is
-    g_k*g_l*A_kl off the diagonal and A_kk on it.
-    """
-    keep = [k for k, m in enumerate(cm.multiplicities) if m]
-    mults = tuple(cm.multiplicities[k] for k in keep)
-    sign = [1 if m > 0 else -1 for m in mults]
-    _, ib = int_blocks(cm.blocks_A, keep)
-    rows = []
-    for a, k in enumerate(keep):
-        tiles = [(ib[k][l], 1 if a == c else sign[a] * sign[c]) for c, l in enumerate(keep)]
-        for i in range(len(ib[k][k])):
-            rows.append([g * x for tile, g in tiles for x in tile[i]])
-    return rows, mults
 
 
 def _sig_at(core: _fast.PencilCore, u: int, v: int):
@@ -569,15 +552,11 @@ def _t_enclosure(loc, prec: int):
 
     A PiLoc's is _tan_half_pi_enclosure; an AlgLoc's, a lift AlgLoc(t_h, 2j,
     e) among them, puts the ends of theta_over_pi_enclosure through the
-    same, tan being increasing on (0, pi/2), 64 bits finer: that refines
-    the t_h its lifts share to the 2^-128 that theta_decimal reads before
-    scale_jump copies it into each point, so the display refines no copy.
-    lo <= 0 when the enclosure of theta reaches 0, and hi is None when it
-    reaches pi.
+    same, tan being increasing on (0, pi/2).  lo <= 0 when the enclosure of
+    theta reaches 0, and hi is None when it reaches pi.
     """
     if isinstance(loc, PiLoc):
         return _tan_half_pi_enclosure(loc.frac, prec)
-    prec += 64
     flo, fhi = theta_over_pi_enclosure(loc, prec)
     lo = _tan_half_pi_enclosure(flo, prec)[0] if flo > 0 else flo
     return lo, _tan_half_pi_enclosure(fhi, prec)[1] if fhi < 1 else None
@@ -722,7 +701,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     4*max_bits bits.
     """
     if isinstance(Pm, CoveringMatrix):
-        rows, mults = _core_rows(Pm)
+        rows, mults = core_rows(Pm)
     elif Pm.is_square:
         rows, mults = Pm.int_rows()[1], (1,)
     else:
@@ -736,7 +715,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         # a common kernel of P and P^T forces D = 0: it is removed from the
         # n x n matrix, as one group
         if isinstance(Pm, CoveringMatrix):
-            n_by_n = covering.covering_matrix(Pm.blocks_A, Pm.multiplicities, 1, epsilon)
+            n_by_n = covering.covering_matrix(Pm, epsilon)
             rows = n_by_n.int_rows()[1]
         rows = _remove_common_kernel(rows)
         if not rows:
@@ -781,13 +760,16 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     points = list(upper)
     if epsilon == -1 and sigs[-1]:
         points.append(JumpPoint(PiLoc(Fraction(1)), -2 * sigs[-1]))
+    negs = {}  # t_h -> -t_h, which the mirrors of its lifts share
     for pt in reversed(upper):
         loc = pt.loc
         if isinstance(loc, PiLoc):
             mloc = PiLoc(2 - loc.frac)
         else:
+            if loc.t not in negs:
+                negs[loc.t] = loc.t.neg()
             # 2*pi - (2*atan(t) + offset*pi) / e = (2*atan(-t) + (2e - offset)*pi) / e
-            mloc = AlgLoc(loc.t.neg(), 2 * loc.scale - loc.offset, loc.scale)
+            mloc = AlgLoc(negs[loc.t], 2 * loc.scale - loc.offset, loc.scale)
         points.append(JumpPoint(mloc, -epsilon * pt.value))
     return JumpFunction(points, Fraction(1), sigs[0])
 
@@ -797,12 +779,11 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
 
 
 def _translate_point(pt: JumpPoint, dfrac: Fraction) -> JumpPoint:
-    """New point at theta + dfrac*pi."""
-    if isinstance(pt.loc, PiLoc):
-        return JumpPoint(PiLoc(pt.loc.frac + dfrac), pt.value)
-    loc = pt.loc.copy()
-    loc.offset += dfrac * loc.scale
-    return JumpPoint(loc, pt.value)
+    """New point at theta + dfrac*pi, on the same t."""
+    loc = pt.loc
+    if isinstance(loc, PiLoc):
+        return JumpPoint(PiLoc(loc.frac + dfrac), pt.value)
+    return JumpPoint(AlgLoc(loc.t, loc.offset + dfrac * loc.scale, loc.scale), pt.value)
 
 
 def _floor_over(loc, step: Fraction, max_bits: int) -> int:
@@ -865,7 +846,7 @@ def scale_jump(f: JumpFunction, y, max_bits: int = DEFAULT_PRECISION_BITS) -> Ju
             reduced = reduced or not 0 <= frac < modulus
             pts.append(JumpPoint(PiLoc(frac % modulus), value))
         else:
-            t = pt.loc.t.copy()
+            t = pt.loc.t
             offset, scale = pt.loc.offset, pt.loc.scale * y
             if scale < 0:
                 t = t.neg()
@@ -873,7 +854,7 @@ def scale_jump(f: JumpFunction, y, max_bits: int = DEFAULT_PRECISION_BITS) -> Ju
             loc = AlgLoc(t, offset, scale)
             k = _floor_over(loc, modulus, max_bits)
             if k:
-                loc.offset -= k * modulus * scale
+                loc = AlgLoc(t, offset - k * modulus * scale, scale)
                 reduced = True
             pts.append(JumpPoint(loc, value))
     if y < 0 or reduced:
@@ -1069,7 +1050,7 @@ def _at_root_of_unity(t: AlgReal) -> bool:
     deg = P.degree(t.poly)
     bound = 8 * deg * deg
     # theta_over_pi_enclosure at prec is narrower than 2^-(prec - 18)
-    lo, hi = theta_over_pi_enclosure(AlgLoc(t.copy()), 2 * bound.bit_length() + 20)
+    lo, hi = theta_over_pi_enclosure(AlgLoc(t), 2 * bound.bit_length() + 20)
     num, den = _simplest_between(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
     n = den * (2 if num % 2 else 1)  # the order of e^(i*pi*num/den)
     if n > bound or P.totient(n) > 2 * deg:
@@ -1084,7 +1065,8 @@ def _read_t(at: dict, seen: dict) -> AlgReal:
     seen maps the poly's strings to a checked AlgReal of that poly, whose
     square-freeness then holds for every interval, and the (poly, interval)
     strings to a checked point; mirrored, translated and scaled points of a
-    document repeat both.  The strings are read once, by read_frac.
+    document repeat both, and their points share the one checked t.  The
+    strings are read once, by read_frac.
     """
     pkey, ikey = tuple(at["poly"]), tuple(at["interval"])
     t = seen.get((pkey, ikey))
@@ -1097,7 +1079,7 @@ def _read_t(at: dict, seen: dict) -> AlgReal:
                 "algebraic_t point with 2*atan(t) a rational multiple of pi (t = 0"
                 " among them) is a rational angle; write it as pi_rational")
         seen[pkey] = seen[pkey, ikey] = t
-    return t.copy()
+    return t
 
 
 def point_from_obj(obj: dict, _seen=None) -> JumpPoint:

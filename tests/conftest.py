@@ -1,9 +1,10 @@
 from fractions import Fraction
 from itertools import zip_longest
+from math import lcm
 
 import pytest
 
-from covsig import AlgReal, Comparison, RatMatrix, _fast, compare_locations
+from covsig import AlgReal, Comparison, CoveringMatrix, RatMatrix, _fast, compare_locations
 from covsig.exact import poly as P
 from covsig.jumps import AlgLoc, _tan_half_pi_enclosure, theta_over_pi_enclosure
 
@@ -18,6 +19,18 @@ T25 = RatMatrix([
 # 2x2 matrix whose pencil determinant 2w^2 - 3w + 2 has unimodular roots
 # that are not roots of unity (cos theta = 3/4): exercises the algebraic path
 ALG = RatMatrix([[1, 1], [0, 2]])
+
+
+def covering_of(blocks, mults):
+    """The CoveringMatrix, with s = 1, of a grid of RatMatrix blocks A_kl and signed strand counts.
+
+    The grid goes over L, the lcm of every entry's denominator, as integer
+    row tuples; it need not be circulant.
+    """
+    den = lcm(*(x.denominator for row in blocks for M in row for r in M.rows for x in r))
+    grid = tuple(tuple(tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in M.rows)
+                       for M in row) for row in blocks)
+    return CoveringMatrix(den, grid, 1, tuple(mults), sum(map(abs, mults)) * blocks[0][0].nrows)
 
 
 def same_jumps(f, g, check_period=True):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from covsig import MAX_COVERING_N, cli, covering, covering_matrix, jumps
+from covsig import MAX_COVERING_N, RatMatrix, cli, covering, covering_matrix, jumps
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
 from covsig.pattern import MAX_WORD_LETTERS
@@ -911,6 +911,26 @@ def test_a_covering_with_d_zero_builds_its_matrix_once(monkeypatch, command, cod
     assert [m.nrows for m in built] == [14]
     if command == "cover":
         assert json.loads(text)["matrix_size"] == 14
+
+
+# blocks over L = 2 and components of multiplicity 0, which the core and the
+# n x n matrix leave out
+ZERO_MULTIPLICITY_JOB = ["--family", "ltm", "--V", '[["1/2","1/2"],[0,1]]', "--m", "2",
+                         "--coeffs", '{"0": 1, "1": -1, "2": 1}', "--p", "5", "--format", "json"]
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("obstruct", "6fd2e6a425936eed571f84c5c298bce0e15995afa0bec38da91e73b738414100"),
+    ("cover", "2f68299d316a98330dfcd838201fb6485615405f3ad336bd0e0f168695f76e86"),
+])
+def test_a_covering_with_zero_multiplicities_and_fractional_blocks_pinned(command, digest):
+    sd, _ = covering.ltm_family(RatMatrix([["1/2", "1/2"], [0, 1]]), 2)
+    cm = covering.build_covering(sd, {0: 1, 1: -1, 2: 1}, covering.CoveringSpec(5))
+    assert cm.multiplicities == (0, -1, 0, 1, 1)
+    assert cm.den > 1
+    code, text = run([command] + ZERO_MULTIPLICITY_JOB)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 LADDER_P3 = [["obstruct", "--family", "ltm", "--V", v, "--m", m, "--p", "3", "--format", "json"]

@@ -33,11 +33,11 @@ from covsig import (
 )
 from covsig import _fast, jumps
 from covsig._fast import PencilCore
+from covsig.covering import core_rows
 from covsig.exact import block_matrix, isolate_real_roots
 from covsig.exact import poly as P
 from covsig.jumps import (
     AlgLoc,
-    _core_rows,
     _gap_signatures,
     _generic_minor_poly,
     _remove_common_kernel,
@@ -45,12 +45,7 @@ from covsig.jumps import (
     _sig_at,
     jump_to_obj,
 )
-from conftest import ALG, T25, TREFOIL, interpolated_det_poly, same_jumps
-
-
-def expand(cm, epsilon):
-    """The n x n covering matrix of cm, which a covering job builds only when D = 0."""
-    return covering_matrix(cm.blocks_A, cm.multiplicities, 1, epsilon)
+from conftest import ALG, T25, TREFOIL, covering_of, interpolated_det_poly, same_jumps
 
 
 def test_covering_spec():
@@ -78,9 +73,9 @@ def test_covering_spec_and_matrix_compare_and_hash_by_value():
     cm = build_covering(sd, c, spec)
     again = build_covering(sd, c, CoveringSpec(p=3))
     assert cm == again and hash(cm) == hash(again)
-    assert cm == CoveringMatrix(blocks_A=cm.blocks_A, s=cm.s,
+    assert cm == CoveringMatrix(den=cm.den, blocks=cm.blocks, s=cm.s,
                                 multiplicities=cm.multiplicities, n=cm.n)
-    assert cm != CoveringMatrix(cm.blocks_A, cm.s, cm.multiplicities, cm.n + 1)
+    assert cm != CoveringMatrix(cm.den, cm.blocks, cm.s, cm.multiplicities, cm.n + 1)
 
 
 def test_gamma_identity():
@@ -121,27 +116,21 @@ def test_covering_blocks_sparsity():
     j = 1 and j = d-1 bands."""
     sd, _ = ltm_family(TREFOIL, 2)
     for p in (3, 5):
-        blocks = covering_blocks(sd, CoveringSpec(p=p))
+        _, blocks = covering_blocks(sd, CoveringSpec(p=p))
         d = p
         for k in range(d):
             for l in range(d):
                 j = (k - l) % d
-                if j in (0, 1, d - 1):
-                    assert not blocks[k][l].is_zero()
-                else:
-                    assert blocks[k][l].is_zero()
-        # the diagonal block is the same for every k
-        assert all(blocks[k][k] == blocks[0][0] for k in range(d))
+                assert any(map(any, blocks[k][l])) == (j in (0, 1, d - 1))
+        # the grid holds the d blocks, one per j, by reference
+        assert all(blocks[k][l] is blocks[(k - l) % d][0] for k in range(d) for l in range(d))
 
 
 def test_covering_matrix_drops_zero_multiplicities():
     sd, _ = ltm_family(TREFOIL, 2)
-    blocks = covering_blocks(sd, CoveringSpec(p=3))
-    x = [Fraction(1), Fraction(0), Fraction(0)]
-    m = covering_matrix(blocks, x, 1, sd.epsilon)
-    assert m == blocks[0][0]
-    with pytest.raises(ValueError):
-        covering_matrix(blocks, [Fraction(1, 2), 0, 0], 1, sd.epsilon)
+    den, blocks = covering_blocks(sd, CoveringSpec(p=3))
+    m = covering_matrix(CoveringMatrix(den, blocks, 1, (1, 0, 0), 4), sd.epsilon)
+    assert m == RatMatrix(blocks[0][0]).scale(Fraction(1, den))
 
 
 def test_build_covering_ltm_2_3():
@@ -151,7 +140,7 @@ def test_build_covering_ltm_2_3():
     assert cm.multiplicities == (4, 1, 2)
     # block size 4, total strands 4+1+2 = 7
     assert cm.n == 28
-    assert expand(cm, sd.epsilon).shape == (28, 28)
+    assert covering_matrix(cm, sd.epsilon).shape == (28, 28)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +200,7 @@ block_entries = st.integers(min_value=-2, max_value=2)
 def test_covering_matrix_is_congruent_to_dense(blocks, mults, epsilon):
     dense = dense_covering(blocks, mults, epsilon)
     t = strand_difference_basis([m for m in mults if m], blocks[0][0].nrows)
-    got = covering_matrix(blocks, mults, 1, epsilon)
+    got = covering_matrix(covering_of(blocks, mults), epsilon)
     assert t.transpose() @ dense @ t == got
     assert (_fast.pencil_det_poly(PencilCore(int_rows(got), epsilon))
             == _fast.pencil_det_poly(PencilCore(int_rows(dense), epsilon)))
@@ -229,7 +218,7 @@ def test_covering_matrix_structure(epsilon):
     mults = (3, -2, 1, 2, -1)
     blocks = [[RatMatrix([[k + 2 * l + 1, 1], [0, k - l + 3]]) for l in range(5)]
               for k in range(5)]
-    got = covering_matrix(blocks, mults, 1, epsilon)
+    got = covering_matrix(covering_of(blocks, mults), epsilon)
     firsts = [0, 3, 5, 6, 8]  # block index of each group's first strand
     expected = set()
     for k, (m, f) in enumerate(zip(mults, firsts)):
@@ -252,13 +241,13 @@ def test_covering_size_is_that_of_its_matrix(coeffs, target, mults):
     sd, _ = ltm_family(TREFOIL, 2)
     cm = build_covering(sd, coeffs, CoveringSpec(p=3, target=target))
     assert cm.multiplicities == mults
-    assert cm.n == expand(cm, sd.epsilon).nrows
+    assert cm.n == covering_matrix(cm, sd.epsilon).nrows
 
 
 def test_covering_matrix_nnz_ltm_2_5():
     sd, c = ltm_family(TREFOIL, 2)
     cm = build_covering(sd, c, CoveringSpec(p=5))
-    m = expand(cm, sd.epsilon)
+    m = covering_matrix(cm, sd.epsilon)
     assert cm.n == m.nrows == 124
     assert sum(1 for row in m.rows for x in row if x) == 268
 
@@ -291,7 +280,9 @@ def test_integer_blocks_equal_fraction_blocks(V, epsilon, p, a):
     # at eps = -1, det(A + A^T) is 49 for ALG: a misplaced factor of det S shows there
     sd, _ = ltm_family(V, 2, epsilon)
     spec = CoveringSpec(p=p, a=a)
-    assert covering_blocks(sd, spec) == fraction_covering_blocks(sd, spec)
+    # the grid is over the least positive common denominator of the blocks
+    cm = covering_of(fraction_covering_blocks(sd, spec), (1,) * spec.d)
+    assert covering_blocks(sd, spec) == (cm.den, cm.blocks)
 
 
 def test_covering_blocks_refuse_a_cover_that_is_not_a_homology_sphere():
@@ -328,20 +319,16 @@ core_blocks = st.integers(min_value=1, max_value=2).flatmap(lambda b: st.lists(
 core_mults = st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3).filter(any)
 
 
-def as_covering(blocks, mults):
-    return CoveringMatrix(blocks, 1, tuple(mults), sum(map(abs, mults)) * blocks[0][0].nrows)
-
-
 @settings(max_examples=200, deadline=None)
 @given(core_blocks, core_mults, st.sampled_from([1, -1]),
        st.one_of(st.sampled_from([(1, 1), (-1, 1)]),
                  st.tuples(st.integers(min_value=-9, max_value=9).filter(bool),
                            st.integers(min_value=1, max_value=9))))
 def test_core_signature_equals_pencil_signature(blocks, mults, epsilon, t):
-    cm = as_covering(blocks, mults)
-    rows = int_rows(expand(cm, epsilon))
-    core_rows, ms = _core_rows(cm)
-    core = PencilCore(core_rows, epsilon, ms)
+    cm = covering_of(blocks, mults)
+    rows = int_rows(covering_matrix(cm, epsilon))
+    crows, ms = core_rows(cm)
+    core = PencilCore(crows, epsilon, ms)
     u, v = t
     got = _sig_at(core, u, v)
     if got is None:
@@ -358,8 +345,8 @@ def test_core_signature_equals_pencil_signature(blocks, mults, epsilon, t):
        st.sampled_from([1, -1]))
 def test_core_jump_function_equals_pencil_jump_function(blocks, mults, epsilon):
     # with 4 | N a sample at t = 1 moves inside its gap; sigma0 and the jumps stay
-    cm = as_covering(blocks, mults)
-    expanded = expand(cm, epsilon)
+    cm = covering_of(blocks, mults)
+    expanded = covering_matrix(cm, epsilon)
     f, g = jump_function(cm, epsilon), jump_function(expanded, epsilon)
     assert same_jumps(f, g)
     assert f.sigma0 == g.sigma0
@@ -380,8 +367,8 @@ def test_singular_chain_is_a_common_kernel(blocks, x, y, mults, epsilon):
     else:  # symmetric for eps = 1; A + A^T = diag(0, 2y) for eps = -1
         A = RatMatrix([[x, y], [y, x]]) if epsilon == 1 else RatMatrix([[0, x], [-x, y]])
     blocks = [[A if k == l else blocks[k][l] for l in range(3)] for k in range(3)]
-    cm = as_covering(blocks, mults)
-    expanded = expand(cm, epsilon)
+    cm = covering_of(blocks, mults)
+    expanded = covering_matrix(cm, epsilon)
     rows = int_rows(expanded)
     assert _fast.pencil_det_poly(PencilCore(rows, epsilon)) == []
     assert len(_remove_common_kernel(rows)) < len(rows)
@@ -411,10 +398,10 @@ def one_by_one(entries):
 @example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-1, 1, 1], 1)
 def test_core_det_poly_equals_pencil_det_poly(blocks, mults, epsilon):
     # covers det S_k = 0 (always for b = 1, eps = 1), where D = 0 and c = 0
-    cm = as_covering(blocks, mults)
-    core_rows, ms = _core_rows(cm)
-    assert (_fast.pencil_det_poly(PencilCore(core_rows, epsilon, ms))
-            == _fast.pencil_det_poly(PencilCore(int_rows(expand(cm, epsilon)), epsilon)))
+    cm = covering_of(blocks, mults)
+    crows, ms = core_rows(cm)
+    assert (_fast.pencil_det_poly(PencilCore(crows, epsilon, ms))
+            == _fast.pencil_det_poly(PencilCore(int_rows(covering_matrix(cm, epsilon)), epsilon)))
 
 
 @st.composite
@@ -454,10 +441,10 @@ def test_core_det_poly_by_blocks_equals_dense_det_poly(planted):
     # the oracle interpolates det(w*P - eps*P^T) of the n x n matrix in
     # Fractions, with no block split
     blocks, mults, epsilon = planted
-    cm = as_covering(blocks, mults)
-    core_rows, ms = _core_rows(cm)
-    assert (_fast.pencil_det_poly(PencilCore(core_rows, epsilon, ms))
-            == interpolated_det_poly(int_rows(expand(cm, epsilon)), epsilon))
+    cm = covering_of(blocks, mults)
+    crows, ms = core_rows(cm)
+    assert (_fast.pencil_det_poly(PencilCore(crows, epsilon, ms))
+            == interpolated_det_poly(int_rows(covering_matrix(cm, epsilon)), epsilon))
 
 
 def eager_gap_signatures(core, gaps, owners):
@@ -479,7 +466,7 @@ def eager_gap_signatures(core, gaps, owners):
            [RatMatrix([[0]]), RatMatrix([[0]]), RatMatrix([[1]])]], [1, 2, 2], -1))
 def test_block_samples_equal_every_block_at_every_gap(planted):
     blocks, mults, epsilon = planted
-    cm = as_covering(blocks, mults)
+    cm = covering_of(blocks, mults)
 
     def checked(core, gaps, owners):
         sigs = _gap_signatures(core, gaps, owners)
@@ -567,7 +554,7 @@ def test_block_candidates_equal_the_whole_g_oracle(planted):
     # each block's rest isolated on its own g_b, each candidate owned by its
     # blocks, against one g of the product with every block at every gap
     blocks, mults, epsilon = planted
-    cm = as_covering(blocks, mults)
+    cm = covering_of(blocks, mults)
     seen = []
 
     def spy(rests, max_bits):
@@ -594,7 +581,7 @@ def test_block_candidates_equal_the_whole_g_oracle(planted):
     (ALG_BESIDE_E2, [{0, 1}, {1}], [2, 2, 2, 2]),
 ], ids=["alg-alg", "alg-beside-e2"])
 def test_shared_roots_are_owned_by_every_block_that_has_them(monkeypatch, planted, owners, degrees):
-    cm = as_covering(*planted)
+    cm = covering_of(*planted)
     owned = []
 
     def spy(core, gaps, owners):
@@ -675,14 +662,14 @@ def test_core_det_poly_with_det_s_49():
     # L(ALG, 2) at p = 3, eps = -1: every det(A_kk + A_kk^T) is 49, so c = 49^4
     sd, c = ltm_family(ALG, 2, -1)
     cm = build_covering(sd, c, CoveringSpec(p=3))
-    core_rows, ms = _core_rows(cm)
-    b = len(core_rows) // len(ms)
+    crows, ms = core_rows(cm)
+    b = len(crows) // len(ms)
     assert ms == (4, 1, 2)
-    assert [_fast.bareiss_det([[core_rows[r + i][r + j] + core_rows[r + j][r + i]
+    assert [_fast.bareiss_det([[crows[r + i][r + j] + crows[r + j][r + i]
                                 for j in range(b)] for i in range(b)])
-            for r in range(0, len(core_rows), b)] == [49, 49, 49]
-    D = _fast.pencil_det_poly(PencilCore(core_rows, -1, ms))
-    assert D and D == _fast.pencil_det_poly(PencilCore(int_rows(expand(cm, -1)), -1))
+            for r in range(0, len(crows), b)] == [49, 49, 49]
+    D = _fast.pencil_det_poly(PencilCore(crows, -1, ms))
+    assert D and D == _fast.pencil_det_poly(PencilCore(int_rows(covering_matrix(cm, -1)), -1))
 
 
 
@@ -701,8 +688,8 @@ def test_generic_minor_on_a_covering(mults, epsilon, digest):
     a = block_matrix([[l3, zero.transpose()], [zero, ALG]])
     c = block_matrix([[RatMatrix([[0] * 3] * 3), zero.transpose()], [zero, RatMatrix([[1, 0], [0, 1]])]])
     blocks = ((a, c), (c, a))
-    cm = CoveringMatrix(blocks, 1, mults, 10)
-    expanded = expand(cm, epsilon)
+    cm = covering_of(blocks, mults)
+    expanded = covering_matrix(cm, epsilon)
     rows = int_rows(expanded)
     assert _fast.pencil_det_poly(PencilCore(rows, epsilon)) == []
     assert _remove_common_kernel(rows) == rows and _generic_minor_poly(rows, epsilon)

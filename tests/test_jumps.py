@@ -17,7 +17,6 @@ from covsig import (
     DEFAULT_PRECISION_BITS,
     AlgReal,
     Comparison,
-    CoveringMatrix,
     CoveringSpec,
     JumpFunction,
     JumpPoint,
@@ -70,6 +69,7 @@ from conftest import (
     ALG,
     T25,
     TREFOIL,
+    covering_of,
     fraction_divmod,
     fraction_sturm_chain,
     same_jumps,
@@ -357,9 +357,7 @@ def test_covering_with_common_kernel_goes_through_the_core(blocks, mults, eps):
     plain = [[RatMatrix(blk) for blk in row] for row in blocks]
     padded = [[RatMatrix([r + [0] for r in blk] + [[0] * (b + 1)]) for blk in row]
               for row in blocks]
-    n = sum(map(abs, mults))
-    f, g = (jump_function(CoveringMatrix(bl, 1, tuple(mults), n * bl[0][0].nrows), eps)
-            for bl in (plain, padded))
+    f, g = (jump_function(covering_of(bl, mults), eps) for bl in (plain, padded))
     assert same_jumps(f, g)
     assert f.sigma0 == g.sigma0
 
@@ -494,6 +492,40 @@ def test_scale_jump_sorts_only_a_reduced_or_reversed_input(monkeypatch, case):
     assert bool(calls) == (case != "kept")
     assert all(compare(a.loc, b.loc) is Comparison.LT for a, b in zip(g.points, g.points[1:]))
     assert same_jumps(g, scale_jump(f, y))
+
+
+def test_locations_share_their_t_and_are_never_changed(monkeypatch):
+    # L(ALG, 2) at p = 3, through the pipeline's steps: scale_jump,
+    # with_period and period_2pi_test build new AlgLocs on the t of their
+    # input's points and leave those points' offset, scale and t as they
+    # were; every AlgLoc is on one of the isolated roots t_h or its -t_h
+    isolated, isolate = [], jumps.isolate_real_roots
+
+    def spy(g):
+        roots = isolate(g)
+        isolated.extend(roots)
+        return roots
+
+    monkeypatch.setattr(jumps, "isolate_real_roots", spy)
+    sd, c = ltm_family(ALG, 2)
+    cm = build_covering(sd, c, CoveringSpec(p=3))
+    f = jump_function(cm, sd.epsilon)
+
+    def state(fn):
+        return [(pt.loc.offset, pt.loc.scale, pt.loc.t) for pt in fn.points]
+
+    f_state = state(f)
+    g = scale_jump(f, Fraction(1, cm.s))
+    g_state = state(g)
+    h = with_period(g, 2 * g.period)
+    assert period_2pi_test(g).status == period_2pi_test(h).status == "NonPeriodic"
+    for fn, before in ((f, f_state), (g, g_state)):
+        after = state(fn)
+        assert [(o, s) for o, s, _ in after] == [(o, s) for o, s, _ in before]
+        assert all(a is b for (*_, a), (*_, b) in zip(after, before))
+    assert all(isinstance(pt.loc, AlgLoc) for fn in (f, g, h) for pt in fn.points)
+    ts = {id(pt.loc.t) for fn in (f, g, h) for pt in fn.points}
+    assert isolated and len(ts) <= 2 * len(isolated)
 
 
 def test_with_period():

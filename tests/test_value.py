@@ -34,9 +34,9 @@ CASES = {
     "CoveringSpec": (CoveringSpec, (2, 1, (1, 0)), (3, 2, (0,) * 8 + (1,)), True),
     "CoveringMatrix": (
         CoveringMatrix,
-        (((RatMatrix([[1]]),),), 1, (1,), 1),
-        (((RatMatrix([[2]]),),), 2, (2,), 2),
-        False),
+        (1, ((((1,),),),), 1, (1,), 1),
+        (2, ((((3,),),),), 2, (2,), 2),
+        True),
     "PiLoc": (PiLoc, (Fraction(1, 2),), (Fraction(1),), True),
     "JumpPoint": (JumpPoint, (PiLoc(Fraction(1, 2)), 2), (PiLoc(1), -1), True),
     "JumpFunction": (
