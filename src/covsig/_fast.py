@@ -265,7 +265,7 @@ def pencil_det_poly(core, factors=None):
     """
     if core.c == 0:
         return []
-    degree = [sum(abs(core.mults[g]) for g in grp) for _, grp, *_ in core.blocks]
+    degree = [sum(core.mults[g] for g in grp) for _, grp, *_ in core.blocks]
     vals = [[] for _ in core.blocks]
     for y in range(max(((n + 1) // 2 for n in degree), default=0) + 1):
         live = [b for b, n in enumerate(degree) if y <= (n + 1) // 2]
@@ -300,16 +300,16 @@ def pencil_det_poly(core, factors=None):
     return out
 
 
-def _node_coefficients(m: int, y: int):
-    """The coefficients (x, z) of a and a^T in D~_b's entries at the node y, for a group of N = m strands.
+def _node_coefficients(n: int, y: int):
+    """The coefficients (x, z) of a and a^T in D~_b's entries at the node y, for a group of N = n strands.
 
-    On the group's diagonal block (1-y)^N and -(1+y)^N ((-(1+y)^N, (1-y)^N)
-    for m < 0), off it Q_N(y) * ((1-y), -(1+y)) with Q_N(y) = sum over
-    e < N of (1-y)^e (1+y)^(N-1-e) = ((1+y)^N - (1-y)^N) / (2y).
+    On the group's diagonal block (1-y)^N and -(1+y)^N, off it
+    Q_N(y) * ((1-y), -(1+y)) with Q_N(y) = sum over e < N of
+    (1-y)^e (1+y)^(N-1-e) = ((1+y)^N - (1-y)^N) / (2y).
     """
-    lo, hi = (1 - y) ** abs(m), (1 + y) ** abs(m)
-    q = (hi - lo) // (2 * y) if y else abs(m)
-    return (lo, -hi) if m > 0 else (-hi, lo), (q * (1 - y), -q * (1 + y))
+    lo, hi = (1 - y) ** n, (1 + y) ** n
+    q = (hi - lo) // (2 * y) if y else n
+    return (lo, -hi), (q * (1 - y), -q * (1 + y))
 
 
 def _gauss_walk(u: int, v: int, ns):
@@ -336,13 +336,15 @@ class PencilCore:
     """The hermitian pencil of a covering matrix with its strand chains eliminated.
 
     A covering matrix in the strand-difference basis (see covsig.covering)
-    has, per group k of N = |N_k| strands of sign g_k, a first strand and a
-    chain of N - 1 difference strands; two groups meet only between their
-    first strands.  Let A = A_kk and S = A - eps*A^T.  On its chain the
-    pencil H(w) = c(w) * (w*M - eps*M^T), with c = 1/(w - 1) for eps = 1 and
-    i/(w - 1) for eps = -1, is g * c(w) * T(w) (x) S, up to the transpose of
-    T for g = -1, where T(w) is the (N-1)-square tridiagonal matrix with
-    diagonal w + 1 and off-diagonals -w (above) and -1 (below).
+    has, per group k of N = N_k >= 1 strands, a first strand and a chain of
+    N - 1 difference strands; two groups meet only between their first
+    strands.  covering.core_rows lays a group of negative multiplicity out,
+    by a congruence, as one of |N_k| strands with eps*A_kk^T for A_kk.  Let
+    A = A_kk and S = A - eps*A^T.  On its chain the pencil
+    H(w) = c(w) * (w*M - eps*M^T), with c = 1/(w - 1) for eps = 1 and
+    i/(w - 1) for eps = -1, is c(w) * T(w) (x) S, where T(w) is the
+    (N-1)-square tridiagonal matrix with diagonal w + 1 and off-diagonals
+    -w (above) and -1 (below).
 
     Signature of a chain.  Write w = e^(i*theta), 0 < theta < 2*pi, and
     phi = theta/2.  The matrix e^(-i*phi) T(w) is hermitian, with diagonal
@@ -353,15 +355,15 @@ class PencilCore:
     sigma(R) = N - 1 - 2*floor(N*phi/pi).  Since c(w) e^(i*phi) is
     1/(2i sin(phi)) for eps = 1 and 1/(2 sin(phi)) for eps = -1, with
     sin(phi) > 0, the chain is unitarily congruent to a positive multiple of
-    g * R (x) (-iS) for eps = 1 and g * R (x) S for eps = -1, and the
-    eigenvalues of a Kronecker product are the products of the factors'.
-    Hence sigma(chain) = g * sigma(R) * sigma(-iS) = 0 for eps = 1, because
-    S is real and skew, so -iS is hermitian with a spectrum symmetric about
-    0; and sigma(chain) = g * sigma(R) * sigma(S) for eps = -1, with S real
-    symmetric.  That is 0 only when sigma(S) = 0, as on the L(T, m) covers
-    of trefoil and ALG, where S comes out as S_V (+) -S_V; so for eps = -1
-    the chain term is added back (chain_signature), from the coefficients
-    g * sigma(S) that the constructor takes with herm_sig_fast.
+    R (x) (-iS) for eps = 1 and R (x) S for eps = -1, and the eigenvalues
+    of a Kronecker product are the products of the factors'.  Hence
+    sigma(chain) = sigma(R) * sigma(-iS) = 0 for eps = 1, because S is real
+    and skew, so -iS is hermitian with a spectrum symmetric about 0; and
+    sigma(chain) = sigma(R) * sigma(S) for eps = -1, with S real symmetric.
+    That is 0 only when sigma(S) = 0, as on the L(T, m) covers of trefoil
+    and ALG, where S comes out as S_V (+) -S_V; so for eps = -1 the chain
+    term is added back (chain_signature), from the coefficients sigma(S)
+    that the constructor takes with herm_sig_fast.
 
     The core.  Haynsworth's inertia additivity, In(H) = In(H_11) +
     In(H / H_11), with H_11 the chains (nonsingular off w^N = 1 when
@@ -369,16 +371,16 @@ class PencilCore:
     sigma(core).  The Schur complement H / H_11 is hermitian of size
     (number of groups) x b: the pencil entries between first strands,
     except that group k's diagonal block is the pencil of A_kk at w^N,
-    (w^N A - eps*A^T) / (w^N - 1) for g = +1 and (w^N eps*A^T - A) /
-    (w^N - 1) for g = -1, times i for eps = -1.  So the multiplicities enter
-    only as exponents, the reparametrization theta -> N*theta.
+    (w^N A - eps*A^T) / (w^N - 1), times i for eps = -1.  So the
+    multiplicities enter only as exponents, the reparametrization
+    theta -> N*theta.
 
     Integer form.  With z = v + iu, w = z / conj(z) is the point t = u/v
     (v = 0 is t = infinity, w = -1).  Each block of the core is X / (2i*r)
     with X = a*(M - eps*M^T) + i*b*(M + eps*M^T) Gaussian-integer and
     r = b: (a, b) = (v, u) between groups, and for group k, with
-    z^N = x + iy, (a, b) = (g*x, y), M being the core matrix, whose
-    diagonal block k is A_kk and whose block (k, l) is g_k*g_l*A_kl.
+    z^N = x + iy, (a, b) = (x, y), M being the core matrix, whose
+    diagonal block k is A_kk and whose block (k, l) is A_kl.
     Multiplied by the positive integer 2L, L = lcm(|y_k|), the core
     becomes the Gaussian-integer hermitian matrix with real part
     L*(M + M^T) and imaginary part -(a*L/b)*(M - M^T) for eps = 1, and real
@@ -390,28 +392,26 @@ class PencilCore:
     pencil of P itself, scaled by 2|u| (by 2 at w = -1).
 
     Determinant.  The same elimination on w*M - eps*M^T itself gives D(w).
-    The chain of group k is g * T(w) (x) S, up to the transpose, and
-    det T(w) = q_N(w) := 1 + w + ... + w^(N-1), by the three-term recurrence.
-    Its Schur complement keeps the blocks w*M_kl - eps*M_lk^T between groups
-    and turns group k's diagonal block into (w^N A - eps*A^T) / q_N(w)
-    ((w^N eps*A^T - A) / q_N(w) for g = -1).  Multiplying row block k by
-    q_N(w) clears that denominator, giving the polynomial matrix M'(w) with
-    diagonal blocks w^N A - eps*A^T (w^N eps*A^T - A for g = -1) and blocks
+    The chain of group k is T(w) (x) S, and det T(w) = q_N(w) :=
+    1 + w + ... + w^(N-1), by the three-term recurrence.  Its Schur
+    complement keeps the blocks w*M_kl - eps*M_lk^T between groups and
+    turns group k's diagonal block into (w^N A - eps*A^T) / q_N(w).
+    Multiplying row block k by q_N(w) clears that denominator, giving the
+    polynomial matrix M'(w) with diagonal blocks w^N A - eps*A^T and blocks
     q_(N_k)(w) * (w*M_kl - eps*M_lk^T) off the diagonal.  So
-    D(w) = c * det M'(w), with
-    c = prod over the groups with N >= 2 of g^((N-1)*b) * det(S)^(N-1)
-    (the attribute c); c = 0 is the case det S = 0 below, where D = 0.
-    Row block k of M' has degree N in w.  An entry of M' is nonzero only
-    where M or M^T is, so M' is the direct sum of its blocks M'_b on the
-    connected components b of that pattern, and det M' = prod over b of
-    det M'_b; a block may mix rows of several groups, of either sign.  Block b has degree
-    n_b = sum over its rows of that row's |N| (n is the sum of the n_b), so
-    with w = (1 - y)/(1 + y) and each row multiplied by (1 + y)^N,
-    D~_b(y) = (1 + y)^(n_b) det M'_b(w) is the determinant of an integer
-    polynomial matrix in y: entries (1-y)^N a - eps*(1+y)^N a^T
-    (eps*(1-y)^N a^T - (1+y)^N a for g = -1) within a group, and
-    Q_N(y) * ((1-y) a - eps*(1+y) a^T) between groups, where a = M[i][j],
-    a^T = M[j][i] and Q_N(y) = sum over e < N of (1-y)^e (1+y)^(N-1-e).
+    D(w) = c * det M'(w), with c = prod over the groups with N >= 2 of
+    det(S)^(N-1) (the attribute c); c = 0 is the case det S = 0 below,
+    where D = 0.  Row block k of M' has degree N in w.  An entry of M' is
+    nonzero only where M or M^T is, so M' is the direct sum of its blocks
+    M'_b on the connected components b of that pattern, and det M' = prod
+    over b of det M'_b; a block may mix rows of several groups.  Block b
+    has degree n_b = sum over its rows of that row's N (n is the sum of the
+    n_b), so with w = (1 - y)/(1 + y) and each row multiplied by
+    (1 + y)^N, D~_b(y) = (1 + y)^(n_b) det M'_b(w) is the determinant of an
+    integer polynomial matrix in y: entries (1-y)^N a - eps*(1+y)^N a^T
+    within a group, and Q_N(y) * ((1-y) a - eps*(1+y) a^T) between groups,
+    where a = M[i][j], a^T = M[j][i] and Q_N(y) = sum over e < N of
+    (1-y)^e (1+y)^(N-1-e).
     With Sch the Schur complement above, Sch(1/w) = (-eps/w) Sch(w)^T,
     and q_N(1/w) = w^(1-N) q_N(w); so w^(n_b) det M'_b(1/w) =
     (-eps)^|b| det M'_b(w), that is D~_b(-y) = (-eps)^|b| D~_b(y), with |b|
@@ -422,7 +422,7 @@ class PencilCore:
 
     Blocks across samples.  Let Sch_b(w) be the Schur complement's block
     b, hermitian and continuous on the open upper half circle except at
-    w^(N_k) = 1 for its groups k with |N_k| >= 2, and sigma_b its
+    w^(N_k) = 1 for its groups k with N_k >= 2, and sigma_b its
     signature.  Up to a factor that does not vanish there, its determinant
     is det M'_b(w) / prod q_N(w), one q_N per row of a group of N strands,
     so away from those poles it vanishes only at roots of D_b = det M'_b,
@@ -453,10 +453,11 @@ class PencilCore:
     def __init__(self, rows, eps: int, mults=(1,)):
         """rows: the core matrix M, of size len(mults) * b, with integer entries.
 
-        mults are the signed strand counts N_k of the groups, in order; the
-        default is a plain matrix.  Each S = A_kk - eps*A_kk^T of a group
-        with N_k >= 2 is formed once: det(S)^(N_k - 1) enters c, and for
-        eps = -1, chain_sigma[k] = g_k * sigma(S) (else 0).
+        mults are the strand counts N_k >= 1 of the groups, in order
+        (covering.core_rows); the default is a plain matrix.  Each
+        S = A_kk - eps*A_kk^T of a group with N_k >= 2 is formed once:
+        det(S)^(N_k - 1) enters c, and for eps = -1, chain_sigma[k] =
+        sigma(S) (else 0).
         """
         rows = [[int(x) for x in row] for row in rows]
         n = len(rows)
@@ -466,15 +467,15 @@ class PencilCore:
         self.c, sigma = 1, []
         for a, m in enumerate(self.mults):
             sigma.append(0)
-            if abs(m) < 2:
+            if m < 2:
                 continue
-            r, g = a * b, 1 if m > 0 else -1
+            r = a * b
             S = [[rows[r + i][r + j] - eps * rows[r + j][r + i] for j in range(b)]
                  for i in range(b)]
-            self.c *= g ** ((abs(m) - 1) * b) * bareiss_det(S) ** (abs(m) - 1)
+            self.c *= bareiss_det(S) ** (m - 1)
             if eps == -1:
                 upper = [{j: [x] for j, x in enumerate(row[i:], i)} for i, row in enumerate(S)]
-                sigma[-1] = g * herm_sig_fast(upper, [{} for _ in S], 1)[0]
+                sigma[-1] = herm_sig_fast(upper, [{} for _ in S], 1)[0]
         self.chain_sigma = tuple(sigma)
         group = [i // b for i in range(n)]
         # sparse upper rows of M + M^T and M - M^T, and per row the entries
@@ -509,13 +510,13 @@ class PencilCore:
                 tuple(sorted(set(grp)))))
 
     def powers(self, u: int, v: int):
-        """Per group, (x, y, q) of _gauss_walk at t = u/v for its |N|; None where some w^N = 1.
+        """Per group, (x, y, q) of _gauss_walk at t = u/v for its N; None where some w^N = 1.
 
         at(), poles() and chain_signature() read a sample through these,
         walked once per sample.
         """
-        walk = _gauss_walk(u, v, {abs(m) for m in self.mults})
-        powers = [walk[abs(m)] for m in self.mults]
+        walk = _gauss_walk(u, v, set(self.mults))
+        powers = [walk[m] for m in self.mults]
         return None if any(y == 0 for _, y, _ in powers) else powers
 
     def at(self, b: int, samples):
@@ -538,7 +539,7 @@ class PencilCore:
                 # (v + iu)^N up to a common sign of x and y, which the ratio
                 # x / y and the lcm of the y's ignore
                 x, y, _ = powers[g]
-                diag[g].append((x if self.mults[g] > 0 else -x) * scale // y)
+                diag[g].append(x * scale // y)
         re, im = [], []
         for gi, si, ki in zip(grp, s, k):
             ci = diag[gi]
@@ -553,21 +554,20 @@ class PencilCore:
         return re, im
 
     def poles(self, powers):
-        """Per block, the tuple floor(|N_k| * phi / pi) over its groups with |N_k| >= 2.
+        """Per block, the tuple floor(N_k * phi / pi) over its groups.
 
         powers is powers(u, v) of a sample t = u/v, and phi = theta/2 there,
         so an entry changes between two samples exactly when w^N_k = 1
         somewhere between them, a pole of the block (see Blocks across
-        samples).
+        samples); for N_k = 1 it is 0, since phi < pi.
         """
-        turns = [q if abs(m) >= 2 else 0 for m, (_, _, q) in zip(self.mults, powers)]
-        return [tuple(turns[g] for g in groups) for *_, groups in self.blocks]
+        return [tuple(powers[g][2] for g in groups) for *_, groups in self.blocks]
 
     def chain_signature(self, powers) -> int:
         """Sum of the eliminated chains' signatures at the sample of powers (0 for eps = 1)."""
         if not any(self.chain_sigma):
             return 0
-        return sum(sig * (abs(m) - 1 - 2 * q)
+        return sum(sig * (m - 1 - 2 * q)
                    for m, sig, (_, _, q) in zip(self.mults, self.chain_sigma, powers)
                    if sig)
 

@@ -19,7 +19,8 @@ n x n matrix itself is built only when D(w) = 0, to remove a common kernel.
 The blocks themselves are computed with integer matrix products and two
 adjugates (covsig._fast.adj_det), and kept as integers over one denominator:
 this module is the one place that lays them out on the strands, as the core
-(core_rows) and as the n x n matrix (covering_matrix).
+(core_rows, which also takes off each group's sign) and as the n x n matrix
+(covering_matrix).
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class CoveringMatrix(Value):
     den is the positive integer L and blocks the d x d grid of integer row
     tuples with A_kl = blocks[k][l] / L (covering_blocks); multiplicities
     are the integers s*x_k.  They determine the covering Seifert matrix, of
-    size n = sum |s*x_k| * b for blocks of size b: core_rows(cm) gives its
-    core and covering_matrix(cm, eps) the n x n matrix where it is needed.
+    size n = sum |s*x_k| * b for blocks of size b: core_rows(cm, eps) gives
+    its core and covering_matrix(cm, eps) the n x n matrix where it is needed.
     """
 
     __slots__ = ("den", "blocks", "s", "multiplicities", "n")
@@ -131,12 +132,9 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
     """
     d = spec.d
     eps = sd.epsilon
-    c = 1
-    for M in (sd.A, sd.B, sd.C):
-        for row in M.rows:
-            for x in row:
-                c = lcm(c, x.denominator)
-    a, b, cc = ([[int(x * c) for x in row] for row in M.rows] for M in (sd.A, sd.B, sd.C))
+    dens, rows = zip(*(M.int_rows() for M in (sd.A, sd.B, sd.C)))
+    c = lcm(*dens)
+    a, b, cc = ([[x * (c // den) for x in row] for row in m] for den, m in zip(dens, rows))
     n = len(a)
     # SeifertData has checked that delta != 0
     adj_s, delta = adj_det([[a[i][j] - eps * a[j][i] for j in range(n)] for i in range(n)])
@@ -173,20 +171,26 @@ def _groups(cm: CoveringMatrix):
     return [(k, m) for k, m in enumerate(cm.multiplicities) if m]
 
 
-def core_rows(cm: CoveringMatrix):
-    """(integer core rows, signed strand counts) of a covering (see _fast.PencilCore).
+def core_rows(cm: CoveringMatrix, epsilon: int):
+    """(integer core rows, strand counts N_k >= 1) of a covering (see _fast.PencilCore).
 
-    The core is L times the first strands of the groups: block (k, l) of it
-    is g_k*g_l*L*A_kl off the diagonal and L*A_kk on it, g_k the sign of
-    group k.
+    The core carries no sign.  Densely, a group of sign -1 has eps*A_kk^T
+    on and above its diagonal and A_kk below it; reversing its strands lays
+    it out as a group of sign +1 of eps*A_kk^T, and negating them takes
+    the signs off its tiles.  That is a congruence of determinant +-1, so
+    D(w) and every signature stay.  The core is L times the first strands:
+    L*A_kk on the diagonal (L*eps*A_kk^T for N_k < 0) and L*A_kl off it.
     """
     groups = _groups(cm)
     rows = []
     for k, mk in groups:
-        tiles = [(cm.blocks[k][l], 1 if mk * ml > 0 else -1) for l, ml in groups]
-        for i in range(len(cm.blocks[k][k])):
-            rows.append([g * x for tile, g in tiles for x in tile[i]])
-    return rows, tuple(m for _, m in groups)
+        diag = cm.blocks[k][k]
+        if mk < 0:
+            diag = [[epsilon * x for x in col] for col in zip(*diag)]
+        tiles = [diag if l == k else cm.blocks[k][l] for l, _ in groups]
+        for i in range(len(diag)):
+            rows.append([x for tile in tiles for x in tile[i]])
+    return rows, tuple(abs(m) for _, m in groups)
 
 
 def covering_matrix(cm: CoveringMatrix, epsilon: int) -> RatMatrix:

@@ -242,16 +242,16 @@ def _mirror(p):
     return [-c if (n - k) & 1 else c for k, c in enumerate(p)]
 
 
-def isolate_real_roots(p, window=None):
-    """Isolate the distinct real roots of p (in the open window, if given).
+def isolate_real_roots(p):
+    """Isolate the distinct real roots of p.
 
     Returns one AlgReal per root of the square-free part, in increasing order,
     with pairwise disjoint isolating intervals; the square-free part is
     taken here, with one gcd, so p need not be square-free.  Each root's
     cell is its isolating interval.  The intervals are those of root-count
-    bisection from the Cauchy bound: a node holding one root is emitted,
-    one holding two or more is split at its midpoint, or off it by a fixed
-    rule when the midpoint is a root.  The counts come from Descartes' rule
+    bisection from (-b, b), b the Cauchy bound, which is never a root: a
+    node holding one root is emitted, one holding two or more is split at
+    its midpoint, or off it by a fixed rule when the midpoint is a root.  The counts come from Descartes' rule
     of signs on the same tree (Collins-Akritas), in integers: see
     poly._descartes_cells.
     """
@@ -261,23 +261,8 @@ def isolate_real_roots(p, window=None):
     if P.degree(sf) < 1:
         return []
     bound = P.cauchy_root_bound(sf)
-    lo, hi = -bound, bound
-    if window is not None:
-        wlo, whi = Fraction(window[0]), Fraction(window[1])
-        lo, hi = max(lo, wlo), min(hi, whi)
-        if lo >= hi:
-            return []
-    # nudge endpoints off roots so that root counts are of open intervals
-    step = Fraction(1, 2)
-    while P.sign_at(sf, lo) == 0:
-        lo += step * (hi - lo) / 4
-        step /= 2
-    step = Fraction(1, 2)
-    while P.sign_at(sf, hi) == 0:
-        hi -= step * (hi - lo) / 4
-        step /= 2
     out = []
-    for a, b in P._descartes_cells(sf, lo, hi):
+    for a, b in P._descartes_cells(sf, -bound, bound):
         # one AlgReal is built; the others share its poly
         out.append(out[0].with_interval(a, b, check=False) if out
                    else AlgReal(sf, a, b, _checked=True))

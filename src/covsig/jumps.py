@@ -343,17 +343,19 @@ def _generic_minor_poly(rows, eps: int):
 
     Takes a generically nonsingular square submatrix of w*P - eps*P^T; its
     determinant vanishes wherever the pencil's rank drops, so its unit-circle
-    roots contain every jump location (extra candidates get jump 0).
-    Ascending ints, [] when the pencil is zero.
+    roots contain every jump location (extra candidates get jump 0).  Every
+    coefficient of a minor is at most B = prod_i (1 + sum_j (|P_ij| +
+    |P_ji|)), so by Cauchy's bound no nonzero minor vanishes at w0 = 2B: the
+    rank profile there has the generic rank.  Ascending ints, [] when the
+    pencil is zero.
     """
     n = len(rows)
-    best = (-1, None, None)
-    for w0 in (2, 3, 5):
-        m = [[w0 * rows[i][j] - eps * rows[j][i] for j in range(n)] for i in range(n)]
-        ri, ci = _fast.rank_profile(m)
-        if len(ci) > best[0]:
-            best = (len(ci), ri, ci)
-    r, ri, ci = best
+    w0 = 2
+    for i in range(n):
+        w0 *= 1 + sum(abs(rows[i][j]) + abs(rows[j][i]) for j in range(n))
+    ri, ci = _fast.rank_profile([[w0 * rows[i][j] - eps * rows[j][i] for j in range(n)]
+                                 for i in range(n)])
+    r = len(ci)
     if r == 0:
         return []
     # p(x) of degree <= r from its values on -h..h: the even and odd parts
@@ -701,7 +703,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     4*max_bits bits.
     """
     if isinstance(Pm, CoveringMatrix):
-        rows, mults = core_rows(Pm)
+        rows, mults = core_rows(Pm, epsilon)
     elif Pm.is_square:
         rows, mults = Pm.int_rows()[1], (1,)
     else:

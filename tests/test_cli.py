@@ -933,6 +933,27 @@ def test_a_covering_with_zero_multiplicities_and_fractional_blocks_pinned(comman
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# groups of negative multiplicity, which core_rows lays out as positive
+# groups of eps*A_kk^T; the target is one argument, as argparse reads a
+# leading -1 as an option
+@pytest.mark.parametrize("args, mults, algebraic, digest", [
+    (["--V", "trefoil", "--target=1,-1,1"], [3, -1, 5], 0,
+     "40a6f9f51d5b6c3d34454b1ca5028482be3785985b2497e0fe54bb1f4b5cd5be"),
+    (["--V", "[[1,1],[0,2]]", "--target=0,1,-1"], [1, 2, -3], 20,
+     "cd63dbf6ad032ecd70bfc7b8a4a62f55bce5edd78f8f4e9e24b38ca3c855a0a4"),
+    (["--V", "[[1,1],[0,2]]", "--epsilon", "-1", "--target=1,-1,1"], [3, -1, 5], 24,
+     "cf77f83b08598d0cf20e17daf56ca21ea4aff9da2354444999a5388b77571d96"),
+])
+def test_negative_multiplicities_pinned(args, mults, algebraic, digest):
+    code, text = run(["obstruct", "--family", "ltm", "--m", "2", "--p", "3", "--format", "json"]
+                     + args)
+    assert code == 1
+    doc = json.loads(text)
+    assert doc["multiplicities"] == mults
+    assert sum("algebraic_t" in p for p in doc["jump"]["points"]) == algebraic
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 LADDER_P3 = [["obstruct", "--family", "ltm", "--V", v, "--m", m, "--p", "3", "--format", "json"]
              for v in ("trefoil", "[[1,1],[0,2]]") for m in ("2", "3")]
 

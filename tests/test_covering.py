@@ -311,6 +311,10 @@ def pencil_oracle(rows, eps, u, v):
     return sig if u > 0 else -sig
 
 
+def one_by_one(entries):
+    return [[RatMatrix([[x]]) for x in row] for row in entries]
+
+
 core_blocks = st.integers(min_value=1, max_value=2).flatmap(lambda b: st.lists(
     st.lists(st.lists(st.lists(block_entries, min_size=b, max_size=b),
                       min_size=b, max_size=b).map(RatMatrix),
@@ -324,10 +328,16 @@ core_mults = st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_si
        st.one_of(st.sampled_from([(1, 1), (-1, 1)]),
                  st.tuples(st.integers(min_value=-9, max_value=9).filter(bool),
                            st.integers(min_value=1, max_value=9))))
+# negative groups, laid out by core_rows as positive groups of eps*A_kk^T:
+# at eps = -1 their chain terms carry sigma(-S), and a sample at t = 1 with
+# N = -4 hits w^4 = 1
+@example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-2, 3, -1], -1, (2, 3))
+@example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-3, -1, 2], 1, (-5, 2))
+@example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-4, 1, 0], -1, (1, 1))
 def test_core_signature_equals_pencil_signature(blocks, mults, epsilon, t):
     cm = covering_of(blocks, mults)
     rows = int_rows(covering_matrix(cm, epsilon))
-    crows, ms = core_rows(cm)
+    crows, ms = core_rows(cm, epsilon)
     core = PencilCore(crows, epsilon, ms)
     u, v = t
     got = _sig_at(core, u, v)
@@ -380,10 +390,6 @@ def test_singular_chain_is_a_common_kernel(blocks, x, y, mults, epsilon):
 # D(w) from the core against the n x n determinant
 
 
-def one_by_one(entries):
-    return [[RatMatrix([[x]]) for x in row] for row in entries]
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=1, max_value=3).flatmap(lambda b: st.lists(
            st.lists(st.lists(st.lists(block_entries, min_size=b, max_size=b),
@@ -391,7 +397,8 @@ def one_by_one(entries):
                     min_size=3, max_size=3),
            min_size=3, max_size=3)),
        core_mults, st.sampled_from([1, -1]))
-# a negative group with odd (N - 1) * b: c carries the sign (-1)^((N-1)b)
+# a negative group with odd (N - 1) * b: its core block eps*A^T turns S into
+# -S, so c carries the sign (-1)^((N-1)b)
 @example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-2, 3, 1], -1)
 @example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-4, -1, 2], -1)
 # odd n at eps = 1: (1 + y)^n D is odd and of degree n, which needs h = (n + 1)/2
@@ -399,7 +406,7 @@ def one_by_one(entries):
 def test_core_det_poly_equals_pencil_det_poly(blocks, mults, epsilon):
     # covers det S_k = 0 (always for b = 1, eps = 1), where D = 0 and c = 0
     cm = covering_of(blocks, mults)
-    crows, ms = core_rows(cm)
+    crows, ms = core_rows(cm, epsilon)
     assert (_fast.pencil_det_poly(PencilCore(crows, epsilon, ms))
             == _fast.pencil_det_poly(PencilCore(int_rows(covering_matrix(cm, epsilon)), epsilon)))
 
@@ -442,7 +449,7 @@ def test_core_det_poly_by_blocks_equals_dense_det_poly(planted):
     # Fractions, with no block split
     blocks, mults, epsilon = planted
     cm = covering_of(blocks, mults)
-    crows, ms = core_rows(cm)
+    crows, ms = core_rows(cm, epsilon)
     assert (_fast.pencil_det_poly(PencilCore(crows, epsilon, ms))
             == interpolated_det_poly(int_rows(covering_matrix(cm, epsilon)), epsilon))
 
@@ -499,7 +506,7 @@ def whole_g_candidates(rests, max_bits):
     g = P.gcd(re, im)
     if P.degree(g) < 1:
         return []
-    return [(AlgLoc(x), set()) for x in isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))]
+    return [(AlgLoc(x), set()) for x in isolate_real_roots(g) if x.sign() > 0]
 
 
 def whole_g_jump_function(cm, epsilon):
@@ -662,7 +669,7 @@ def test_core_det_poly_with_det_s_49():
     # L(ALG, 2) at p = 3, eps = -1: every det(A_kk + A_kk^T) is 49, so c = 49^4
     sd, c = ltm_family(ALG, 2, -1)
     cm = build_covering(sd, c, CoveringSpec(p=3))
-    crows, ms = core_rows(cm)
+    crows, ms = core_rows(cm, -1)
     b = len(crows) // len(ms)
     assert ms == (4, 1, 2)
     assert [_fast.bareiss_det([[crows[r + i][r + j] + crows[r + j][r + i]

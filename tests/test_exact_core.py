@@ -378,8 +378,6 @@ def test_isolate_real_roots():
     for r, val in zip(roots, (1, 2, 3)):
         r.refine_to(Fraction(1, 100))
         assert r.lo < val < r.hi
-    windowed = isolate_real_roots([Fraction(c) for c in p], window=(Fraction(3, 2), Fraction(5, 2)))
-    assert len(windowed) == 1
 
 
 def test_alg_compare_certificates():
@@ -492,13 +490,13 @@ def test_refine_to_matches_repeated_refine(cs, k, b, bits, s, t):
             expected.lo, expected.hi, expected.poly, expected._slo)
 
 
-def isolate_by_sturm(p, window=None):
+def isolate_by_sturm(p):
     """Sturm-count bisection from the Cauchy bound, as (lo, hi, poly) triples.
 
-    The intervals isolate_real_roots must reproduce: nudge the window's ends
-    off roots, split a cell holding two or more roots at its midpoint, moved
-    off a root by mid <- (a + 2 mid)/3, mid <- mid + (b - mid)/7, and emit a
-    cell holding one.
+    The intervals isolate_real_roots must reproduce: split a cell holding
+    two or more roots at its midpoint, moved off a root by
+    mid <- (a + 2 mid)/3, mid <- mid + (b - mid)/7, and emit a cell holding
+    one.
     """
     p = P.trim([Fraction(c) for c in p])
     sf = P.square_free_part(p)
@@ -507,18 +505,6 @@ def isolate_by_sturm(p, window=None):
     chain = fraction_sturm_chain(sf)
     bound = P.cauchy_root_bound(sf)
     lo, hi = -bound, bound
-    if window is not None:
-        lo, hi = max(lo, Fraction(window[0])), min(hi, Fraction(window[1]))
-        if lo >= hi:
-            return []
-    step = Fraction(1, 2)
-    while P.sign_at(sf, lo) == 0:
-        lo += step * (hi - lo) / 4
-        step /= 2
-    step = Fraction(1, 2)
-    while P.sign_at(sf, hi) == 0:
-        hi -= step * (hi - lo) / 4
-        step /= 2
     out = []
     stack = [(lo, hi, sturm_count(chain, lo, hi))]
     while stack:
@@ -539,29 +525,21 @@ def isolate_by_sturm(p, window=None):
 
 
 @given(int_coeffs, st.booleans(), st.integers(min_value=0, max_value=4),
-       st.integers(min_value=-9, max_value=9), st.lists(small_ints, min_size=1, max_size=3),
-       st.sampled_from(["none", "random", "centred", "root-lo", "root-hi"]),
-       st.fractions(min_value=Fraction(1, 8), max_value=Fraction(6), max_denominator=9), rationals)
+       st.integers(min_value=-9, max_value=9), st.lists(small_ints, min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 # x^3 - x: the first midpoint of (-2, 2) is the root 0
-@example([-1, 0, 1], True, 0, 0, [1], "none", Fraction(1), Fraction(0))
-# x(x - 1)(x + 1)(2x - 1) on (-1, 1): both ends are roots and take the nudges
-@example([1, -2, -1, 2], True, 0, 0, [1], "centred", Fraction(1), Fraction(0))
-def test_isolation_matches_sturm_bisection(cs, dyadic, k, b, sq, where, hw, x):
+@example([-1, 0, 1], True, 0, 0, [1])
+def test_isolation_matches_sturm_bisection(cs, dyadic, k, b, sq):
     # dyadic puts the root b / 2^k in, which bisection can hit at a midpoint,
-    # sq a square factor; windows centred on that root, or ending on it,
-    # put it at the first midpoint or take the endpoint nudges
+    # sq a square factor
     p = [Fraction(c) for c in cs]
     if dyadic:
         p = P.mul(p, [Fraction(-b), Fraction(1 << k)])
     p = P.trim(P.mul(p, P.mul(sq, sq)))
     if not p:
         return
-    r0 = Fraction(b, 1 << k)
-    window = {"none": None, "random": (x, x + hw), "centred": (r0 - hw, r0 + hw),
-              "root-lo": (r0, r0 + hw), "root-hi": (r0 - hw, r0)}[where]
-    got = [(r.lo, r.hi, r.poly) for r in isolate_real_roots(p, window)]
-    assert got == isolate_by_sturm(p, window)
+    got = [(r.lo, r.hi, r.poly) for r in isolate_real_roots(p)]
+    assert got == isolate_by_sturm(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Jump extraction, location comparison, jump algebra, the period test, and
 serialization."""
 
+import hashlib
+import json
 import math
 import signal
 from contextlib import contextmanager
@@ -283,6 +285,40 @@ def test_generic_minor_poly_matches_determinant(rows, k, mix, eps):
     assert len(g) == len(D)
     ratio = g[-1] / D[-1]
     assert ratio != 0 and g == [ratio * c for c in D]
+
+
+# L3 (+) [[1, 1], [0, -2]] (+) [[1, 2], [0, -3]] (+) [[1, 4], [0, -5]] (+)
+# trefoil under a unimodular congruence, L3 the nilpotent Jordan block: the
+# 2 x 2 summands have the Alexander roots 2, 3 and 5 and their inverses, so
+# w*Q - Q^T has rank 9 at w = 2, 3 and 5, and 10 generically
+RANK_DROPS_AT_2_3_5 = [
+    [-13, -5, -12, -1, -16, -10, 5, 0, 16, 0, 2],
+    [-4, -20, 9, -6, 33, -16, 8, 0, -7, 13, -25],
+    [-13, 6, -19, 3, -40, -3, 2, 0, 24, -8, 17],
+    [-3, -9, 3, -5, 12, -10, 5, 0, -2, 5, -12],
+    [-16, 36, -44, 14, -104, 16, -8, 0, 49, -27, 61],
+    [-8, -16, 1, -8, 15, -16, 8, 0, 0, 7, -17],
+    [3, 6, 0, 3, -6, 6, -3, 0, 0, -3, 6],
+    [-4, 4, -8, 0, -16, 0, 0, 1, 8, -4, 8],
+    [14, -9, 23, -4, 47, 0, 0, 0, -27, 10, -23],
+    [0, 16, -11, 7, -31, 10, -5, 0, 12, -9, 22],
+    [5, -22, 21, -9, 55, -13, 6, 0, -23, 16, -34],
+]
+
+
+def test_generic_minor_takes_the_generic_rank():
+    # a minor of rank 9, the best of w = 2, 3 and 5, has no root on the
+    # unit circle and would lose the trefoil's jumps
+    rows = RANK_DROPS_AT_2_3_5
+    n = len(rows)
+    assert [domain_rank([[w * rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)])
+            for w in (2, 3, 5, 7)] == [9, 9, 9, 10]
+    f = jump_function(RatMatrix(rows))
+    assert f == jump_function(TREFOIL)
+    # the bytes of `covsig jump --V TREFOIL --format json`
+    text = json.dumps(jump_to_obj(f), sort_keys=True) + "\n"
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "2624faaa3ef805ac0760041e708d7491eb759d4f450c33afc83cb3a2e2fbb937")
 
 
 @settings(max_examples=60, deadline=None)
@@ -1116,7 +1152,7 @@ def dense_route(f):
     g = P.gcd(*_cayley_numerator(rest)) if len(rest) >= 2 else [1]
     if P.degree(g) < 1:
         return ns, rest, []
-    roots = isolate_real_roots(g, window=(Fraction(0), P.cauchy_root_bound(g)))
+    roots = [x for x in isolate_real_roots(g) if x.sign() > 0]
     return ns, rest, [dyadic_cell(x) for x in roots]
 
 
