@@ -250,47 +250,35 @@ def pencil_det_poly(core, factors=None):
     D(w) = core.c * det M'(w), and M'(w) is a direct sum over core.blocks,
     so det M' is the product of the blocks' determinants (PencilCore has the
     identity).  For a block of degree n_b, (1 + y)^n_b det M'_b(w) at
-    w = (1 - y)/(1 + y) is the determinant of an integer matrix in y whose
-    values at -y and y agree up to the sign (-eps)^(size of the block), so
-    it is even or odd in y; it is taken at y = 0..h, h = ceil(n_b/2),
-    interpolated as a polynomial in y^2 (interpolate_in_squares) and mapped
-    back to w by the same Cayley map, poly.cayley, divided by 2^n_b; a
-    division that is not exact raises ArithmeticError.  The nodes are taken
-    one at a time, each with the coefficients of the groups of the blocks
-    that still need it, so no table over (nodes) x (groups) is kept.  Returns
-    ints, [] for D = 0 and [1] for the empty matrix.
-    When D != 0 and factors is a list, the blocks' determinants det M'_b(w)
-    are appended to it as integer coefficient lists, in the order of
-    core.blocks, so that D = core.c * their product.
+    w = (1 - y)/(1 + y) is the determinant of an integer matrix in y
+    (_node_matrix) whose values at -y and y agree up to the sign
+    (-eps)^(size of the block), so it is even or odd in y; it is taken at
+    y = 0..h, h = ceil(n_b/2), interpolated as a polynomial in y^2
+    (interpolate_in_squares) and mapped back to w by the same Cayley map,
+    poly.cayley, divided by 2^n_b; a division that is not exact raises
+    ArithmeticError.  The nodes are taken one at a time, each with the
+    coefficients of the groups of the blocks that still need it, so no
+    table over (nodes) x (groups) is kept.  Returns ints, [] for D = 0 and
+    [1] for the empty matrix.  When factors is a list, the blocks'
+    determinants det M'_b(w) are appended to it as integer coefficient
+    lists, in the order of core.blocks, [] where one is 0, so that
+    D = core.c * their product, c = 0 included (PencilCore, When det S = 0).
     """
-    if core.c == 0:
-        return []
     degree = [sum(core.mults[g] for g in grp) for _, grp, *_ in core.blocks]
     vals = [[] for _ in core.blocks]
     for y in range(max(((n + 1) // 2 for n in degree), default=0) + 1):
         live = [b for b, n in enumerate(degree) if y <= (n + 1) // 2]
         # each group once, though it may have rows in several blocks
-        coef = {g: _node_coefficients(core.mults[g], y)
+        coef = {g: _node_coefficients(core.mults[g], 1 - y, 1 + y)
                 for g in {g for b in live for g in core.blocks[b][5]}}
         for b in live:
-            # entry (i, j) is x * a + z * at, with (x, z) the coefficients of its group pair
-            blk, grp, _, _, entries, _ = core.blocks[b]
-            mat = []
-            for gi, row in zip(grp, entries):
-                (dx, dz), (ox, oz) = coef[gi]
-                mrow = [0] * len(blk)
-                for j, a, at in row:
-                    mrow[j] = dx * a + dz * at if grp[j] == gi else ox * a + oz * at
-                mat.append(mrow)
-            vals[b].append(bareiss_det(mat))
+            vals[b].append(bareiss_det(_node_matrix(core.blocks[b], coef)))
     out = [core.c]
     dets = []
     for (blk, *_), n, vs in zip(core.blocks, degree, vals):
         d = interpolate_in_squares(vs, (-core.eps) ** len(blk) == -1)
-        if not d:
-            return []
         # the Cayley map is its own inverse up to 2^n: det M'_b = 2^(-n) cayley(d, n)
-        scaled = P.cayley(d, n)
+        scaled = P.cayley(d, n) if d else []
         if any(x & ((1 << n) - 1) for x in scaled):
             raise ArithmeticError("det M'(w) came out with a non-integer coefficient")
         dets.append([x >> n for x in scaled])
@@ -300,16 +288,30 @@ def pencil_det_poly(core, factors=None):
     return out
 
 
-def _node_coefficients(n: int, y: int):
-    """The coefficients (x, z) of a and a^T in D~_b's entries at the node y, for a group of N = n strands.
+def _node_coefficients(n: int, s: int, t: int):
+    """The coefficients (x, z) of a and a^T in the entries of a group of N = n strands, at (s, t).
 
-    On the group's diagonal block (1-y)^N and -(1+y)^N, off it
-    Q_N(y) * ((1-y), -(1+y)) with Q_N(y) = sum over e < N of
-    (1-y)^e (1+y)^(N-1-e) = ((1+y)^N - (1-y)^N) / (2y).
+    M'(w)'s entries, homogeneous in (s, t): on the group's diagonal block
+    s^N a - t^N a^T, off it Q_N * (s*a - t*a^T) with Q_N = sum over e < N of
+    s^e t^(N-1-e) = (t^N - s^N) / (t - s).  (s, t) = (w, 1) is M'(w), and
+    (1 - y, 1 + y) is D~_b's matrix in y (PencilCore, Determinant).
     """
-    lo, hi = (1 - y) ** n, (1 + y) ** n
-    q = (hi - lo) // (2 * y) if y else n
-    return (lo, -hi), (q * (1 - y), -q * (1 + y))
+    lo, hi = s ** n, t ** n
+    q = (hi - lo) // (t - s) if t != s else n * s ** (n - 1)
+    return (lo, -hi), (q * s, -q * t)
+
+
+def _node_matrix(block, coef):
+    """The block at one node: entry (i, j) is x*a + z*a^T, (x, z) in coef[row i's group]."""
+    blk, grp, _, _, entries, _ = block
+    mat = []
+    for gi, row in zip(grp, entries):
+        (dx, dz), (ox, oz) = coef[gi]
+        mrow = [0] * len(blk)
+        for j, a, at in row:
+            mrow[j] = dx * a + dz * at if grp[j] == gi else ox * a + oz * at
+        mat.append(mrow)
+    return mat
 
 
 def _gauss_walk(u: int, v: int, ns):
@@ -441,11 +443,20 @@ class PencilCore:
 
     w^N = 1 at a sample makes the chain singular; at rational t that is only
     t = +-1 with 4 | N (+-1 and +-i are the only roots of unity in Q(i)),
-    and powers(u, v) returns None there.  When det S = 0 the chain is singular
-    everywhere, but then every block that touches a difference strand is a
-    multiple of S, so ker S on each difference strand is a common kernel of
-    M and M^T.  D(w) is then 0, and jump_function removes that kernel from
-    the n x n matrix and takes D again on what is left.
+    and powers(u, v) returns None there.  When det S = 0, c = 0 and D = 0,
+    yet the core is exact.  Every block of the covering matrix that touches
+    a difference strand of the group is +-S or 0, and S^T = -eps*S, so
+    K = (its difference strands) (x) ker S is a common kernel of the matrix
+    and its transpose, and the pencil on V/K has its signatures.  There the
+    chain is T(w) (x) S_W, S_W = S on a complement W of ker S, nonsingular
+    as a symmetric or skew matrix of rank r has a nonsingular principal
+    r x r minor; by the rank factorisation its correction to the first
+    strand, w * T(w)^(-1)_11 * S[:, W] S_W^(-1) S[W, :], is
+    w * T(w)^(-1)_11 * S.  So M'(w), every block factor, sample (at()) and
+    pole are as above, and sigma(S_W) = sigma(S) keeps chain_signature.
+    The pencil's determinant on V/K is det M'(w) times the product of
+    det(S_W)^(N-1) q_N(w)^(rank S - b), so det M' holds its roots and
+    some poles.
     """
 
     __slots__ = ("eps", "mults", "c", "chain_sigma", "blocks")

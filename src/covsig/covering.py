@@ -14,13 +14,13 @@ are, while each group becomes a bidiagonal chain of blocks and each tile
 between two groups a single block: at n = 124 (L(trefoil, 2), p = 5) there
 are 268 nonzero entries instead of 3162.  Neither D(w) nor the signature
 samples use the chains: jump_function eliminates them and works on the
-core, the first strands of the groups (see covsig._fast.PencilCore).  The
-n x n matrix itself is built only when D(w) = 0, to remove a common kernel.
-The blocks themselves are computed with integer matrix products and two
-adjugates (covsig._fast.adj_det), and kept as integers over one denominator:
-this module is the one place that lays them out on the strands, as the core
-(core_rows, which also takes off each group's sign) and as the n x n matrix
-(covering_matrix).
+core, the first strands of the groups (see covsig._fast.PencilCore), also
+when D(w) = 0.  The blocks themselves are computed with integer matrix
+products and two adjugates (covsig._fast.adj_det), and kept as integers
+over one denominator: this module is the one place that lays them out on
+the strands, as the core (core_rows, which also takes off each group's
+sign) and as the n x n matrix (covering_matrix), which the pipeline never
+builds.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .exact.poly import totient
 from .pattern import fold, solve_multiplicities
 from .seifert import SeifertData
 
-# The largest covering matrix size n that build_covering accepts.  A job with
-# D(w) = 0 fills the n x n covering_matrix, about 17 bytes an entry (tracemalloc
-# at n = 1020 and 2044), near 425 MB at n = 5000; every job has deg D <= n.
+# The largest covering matrix size n that build_covering accepts.  No route
+# fills the n x n matrix; n bounds the work, as every job has deg D <= n.
 MAX_COVERING_N = 5000
 # The largest degree d = p^a that CoveringSpec accepts.  The d x d circulant
 # solve (pattern.solve_multiplicities, an integer adjugate of the int rows)
@@ -84,7 +83,7 @@ class CoveringMatrix(Value):
     tuples with A_kl = blocks[k][l] / L (covering_blocks); multiplicities
     are the integers s*x_k.  They determine the covering Seifert matrix, of
     size n = sum |s*x_k| * b for blocks of size b: core_rows(cm, eps) gives
-    its core and covering_matrix(cm, eps) the n x n matrix where it is needed.
+    its core and covering_matrix(cm, eps) the n x n matrix.
     """
 
     __slots__ = ("den", "blocks", "s", "multiplicities", "n")
@@ -194,7 +193,7 @@ def core_rows(cm: CoveringMatrix, epsilon: int):
 
 
 def covering_matrix(cm: CoveringMatrix, epsilon: int) -> RatMatrix:
-    """The n x n covering Seifert matrix of cm.
+    """The n x n covering Seifert matrix of cm: a reference, which the pipeline never builds.
 
     Component k contributes |s*x_k| parallel strands of sign sign(s*x_k);
     components with s*x_k = 0 are dropped.  Written out densely, the diagonal

@@ -249,18 +249,20 @@ def isolate_real_roots(p):
     with pairwise disjoint isolating intervals; the square-free part is
     taken here, with one gcd, so p need not be square-free.  Each root's
     cell is its isolating interval.  The intervals are those of root-count
-    bisection from (-b, b), b the Cauchy bound, which is never a root: a
-    node holding one root is emitted, one holding two or more is split at
-    its midpoint, or off it by a fixed rule when the midpoint is a root.  The counts come from Descartes' rule
-    of signs on the same tree (Collins-Akritas), in integers: see
-    poly._descartes_cells.
+    bisection from (-b, b), b = poly.root_bound, a power of two above every
+    root's modulus (Fujiwara), so never a root: a node holding one root is
+    emitted, one holding two or more is split at its midpoint, or off it by
+    a fixed rule when the midpoint is a root.  The counts come from
+    Descartes' rule of signs on the same tree (Collins-Akritas), in
+    integers: see poly._descartes_cells.  The dyadic cells that jump
+    documents print (dyadic_cell) do not depend on these intervals.
     """
     sf = P.square_free_part(p)
     if not sf:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if P.degree(sf) < 1:
         return []
-    bound = P.cauchy_root_bound(sf)
+    bound = P.root_bound(sf)
     out = []
     for a, b in P._descartes_cells(sf, -bound, bound):
         # one AlgReal is built; the others share its poly

@@ -389,12 +389,25 @@ def cyclotomic(n):
     return list(_cyclotomic(n))
 
 
-def cauchy_root_bound(p):
-    """All real roots of p lie in (-b, b)."""
+def root_bound(p):
+    """A power of two b = 2^(e+1) above the modulus of every root of the int list p.
+
+    e is the least integer >= 0 with |a_(n-k)| <= |a_n| * 2^(k(e-1)) for
+    every k >= 1, a_0 halved, tested in ints: by Fujiwara's bound every
+    root then has |z| <= 2^e.  b has the bits of the largest
+    |a_(n-k)/a_n|^(1/k), where Cauchy's 1 + max |a_k/a_n| has those of the
+    largest ratio, and each bit is one more level of bisection.
+    """
     p = trim(p)
-    if degree(p) < 1:
-        return Fraction(1)
-    return 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
+    n, e = degree(p), 0
+    for k in range(1, n + 1):
+        # |a_(n-k)| * 2^k <= |a_n| * 2^(ke), with 2^(k-1) for k = n
+        a, lead = abs(p[n - k]) << (k - (k == n)), abs(p[-1])
+        if a > lead << (k * e):
+            e = -(-(a.bit_length() - lead.bit_length() + 1) // k)
+            while a <= lead << (k * (e - 1)):
+                e -= 1
+    return Fraction(2 << e)
 
 
 def sign_at(ip, x):

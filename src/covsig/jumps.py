@@ -11,11 +11,8 @@ of neighbouring candidates.  For a covering matrix both come from its core
 is a constant times the determinant of a polynomial matrix of size (number
 of groups) x b, and the samples use Haynsworth's inertia additivity.  A
 sample at t = 1 that a group with 4 | N cannot take moves to another
-rational in the same gap.  D is taken first, on the core of a covering
-and on a plain matrix as it is.  Only D = 0 brings in the n x n matrix: a
-common kernel of P and P^T (for a covering, a group with
-det(A_kk - eps*A_kk^T) = 0) makes D vanish, so it is removed there, D is
-taken again, and the rest is sampled as one group.
+rational in the same gap.  A plain matrix is one group with N = 1, and
+D = 0 takes the same route (PencilCore, When det S = 0).
 
 Candidates and samples go by the core's connected blocks, D = c * prod D_b.
 Each D_b is c_b * w^i * h(w^e), e the gcd of its exponent differences: 1
@@ -38,8 +35,8 @@ primitive h and e share every lift, with no gcd, and two lifts of one t_h
 at different (j, e) never coincide; parts with different h or e share a
 root only where a gcd of their h at powers of w says so
 (_algebraic_candidates), and such a root is given once, by the first part
-that has it.  When D = 0 leaves a generic minor, which is no product over
-blocks, it is one part owned by every block, read the same way.  An
+that has it.  A block whose determinant is 0 takes a generic minor of its
+own as its part (_generic_minor_poly), read the same way.  An
 algebraic point prints as the lift it is: g_h, t_h's dyadic cell, and the
 lift's offset and scale; its mirror is AlgLoc(-t_h, 2e - 2j, e).
 
@@ -66,7 +63,7 @@ from itertools import accumulate, zip_longest
 from math import gcd as int_gcd
 from math import lcm, log
 
-from . import _fast, covering
+from . import _fast
 from ._value import Value
 from .covering import CoveringMatrix, CoveringSpec, build_covering, core_rows
 from .errors import UnresolvedComparison, ZeroScale
@@ -320,52 +317,44 @@ def tl_signature_at_pi(Pm: RatMatrix, epsilon: int) -> int:
 # jump extraction
 
 
-def _remove_common_kernel(rows):
-    """Restrict P to a complement of K = ker(P) intersect ker(P^T); jumps are unchanged.
+def _generic_minor_poly(core, b: int):
+    """A generic maximal minor of M'_b(w), the core's block b, after _self_reciprocal_part.
 
-    x^T P y = 0 whenever x or y lies in K, so K is the radical of both P and
-    P^T.  On any complement W of K the pencil w*P - eps*P^T is therefore
-    congruent to the pencil induced on V/K: at every w it has the signature
-    of the whole pencil, and its nullity is less by dim K.  The pivot
-    columns C of the stack [P; P^T] span one such W: those columns are
-    independent, so no nonzero vector supported on C is in
-    K = ker [P; P^T], and |C| = rank = n - dim K.  The restriction of P to
-    W is its principal submatrix on C.
+    For a block whose det M'_b is 0.  Sch_b is hermitian on the unit
+    circle, so its signature can change only where its rank drops or at a
+    pole, and off the poles rank Sch_b = rank M'_b: every maximal minor
+    vanishes where the rank drops, so the unit-circle roots of one that is
+    not 0 hold every jump of block b (extra candidates get jump 0).  An
+    entry's coefficients sum in absolute value to at most |a| + |a^T|
+    within a group and N * (|a| + |a^T|) between groups, so every
+    coefficient of a minor is at most B, the product over the rows of
+    1 + (the row's sum), and by Cauchy's bound no minor that is not 0
+    vanishes at w0 = 2B: the rank profile there has the generic rank.
+    Ascending ints, [] when M'_b is 0.
     """
-    _, keep = _fast.rank_profile(rows + [list(col) for col in zip(*rows)])
-    if len(keep) == len(rows):
-        return rows
-    return [[rows[i][j] for j in keep] for i in keep]
+    block = core.blocks[b]
+    _, grp, _, _, entries, groups = block
 
+    def node(w):  # M'_b(w), by pencil_det_poly's node builder
+        return _fast._node_matrix(block, {g: _fast._node_coefficients(core.mults[g], w, 1)
+                                          for g in groups})
 
-def _generic_minor_poly(rows, eps: int):
-    """Superset determinant for identically singular pencils.
-
-    Takes a generically nonsingular square submatrix of w*P - eps*P^T; its
-    determinant vanishes wherever the pencil's rank drops, so its unit-circle
-    roots contain every jump location (extra candidates get jump 0).  Every
-    coefficient of a minor is at most B = prod_i (1 + sum_j (|P_ij| +
-    |P_ji|)), so by Cauchy's bound no nonzero minor vanishes at w0 = 2B: the
-    rank profile there has the generic rank.  Ascending ints, [] when the
-    pencil is zero.
-    """
-    n = len(rows)
     w0 = 2
-    for i in range(n):
-        w0 *= 1 + sum(abs(rows[i][j]) + abs(rows[j][i]) for j in range(n))
-    ri, ci = _fast.rank_profile([[w0 * rows[i][j] - eps * rows[j][i] for j in range(n)]
-                                 for i in range(n)])
-    r = len(ci)
-    if r == 0:
+    for gi, row in zip(grp, entries):
+        w0 *= 1 + sum((abs(a) + abs(at)) * (1 if grp[j] == gi else core.mults[gi])
+                      for j, a, at in row)
+    ri, ci = _fast.rank_profile(node(w0))
+    if not ci:
         return []
-    # p(x) of degree <= r from its values on -h..h: the even and odd parts
-    # (p(x) +- p(-x))/2 are exact in ints and interpolated in x^2
-    h = (r + 1) // 2
-    ys = {x: _fast.bareiss_det([[x * rows[i][j] - eps * rows[j][i] for j in ci] for i in ri])
-          for x in range(-h, h + 1)}
+    # the minor m(w), of degree <= n = sum of N over its rows, from its
+    # values on -h..h: the even and odd parts (m(w) +- m(-w))/2 are exact in
+    # ints and interpolated in w^2
+    h = (sum(core.mults[grp[i]] for i in ri) + 1) // 2
+    ys = {w: _fast.bareiss_det([[m[i][j] for j in ci] for i in ri])
+          for w in range(-h, h + 1) for m in [node(w)]}
     even = _fast.interpolate_in_squares([(ys[k] + ys[-k]) // 2 for k in range(h + 1)], False)
     odd = _fast.interpolate_in_squares([(ys[k] - ys[-k]) // 2 for k in range(h + 1)], True)
-    return [a + b for a, b in zip_longest(even, odd, fillvalue=0)]
+    return _self_reciprocal_part([x + z for x, z in zip_longest(even, odd, fillvalue=0)])
 
 
 def _self_reciprocal_part(D):
@@ -682,13 +671,11 @@ def _gap_signatures(core, gaps, owners):
 def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
     """All jumps of the pencil signature over theta in (0, 2*pi).
 
-    Pm is a square RatMatrix or a CoveringMatrix.  For a CoveringMatrix both
-    D(w) = det(w*P - eps*P^T) and the signature samples come from its core
-    (see _fast.PencilCore), with each group's strand chain eliminated.  Only
-    where D = 0 does the n x n matrix come in (for a covering it is built
-    here, by covering.covering_matrix): the common kernel of P and P^T is
-    removed from it, and D is taken again on what is left; if D is still
-    0, a generic minor gives the candidates.
+    Pm is a square RatMatrix or a CoveringMatrix.  The candidates and the
+    signature samples come from its core (see _fast.PencilCore), with each
+    group's strand chain eliminated, also where D(w) = det(w*P - eps*P^T)
+    is 0: each block's candidates are the roots of its determinant, or of
+    a generic minor of it where that is 0 (_generic_minor_poly).
     Root-of-unity jump angles (cyclotomic factors of D) come out as PiLoc;
     the remaining unimodular roots as AlgLoc in t = tan(theta/2).
     Signatures are evaluated at exact rational t strictly between
@@ -712,24 +699,10 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         return JumpFunction([], Fraction(1), 0)
     core = _fast.PencilCore(rows, epsilon, mults)
     factors = []
-    D = _fast.pencil_det_poly(core, factors)
-    if not D:
-        # a common kernel of P and P^T forces D = 0: it is removed from the
-        # n x n matrix, as one group
-        if isinstance(Pm, CoveringMatrix):
-            n_by_n = covering.covering_matrix(Pm, epsilon)
-            rows = n_by_n.int_rows()[1]
-        rows = _remove_common_kernel(rows)
-        if not rows:
-            return JumpFunction([], Fraction(1), 0)
-        core = _fast.PencilCore(rows, epsilon)
-        D = _fast.pencil_det_poly(core, factors)
-    if not D:
-        # a generic minor is no product over blocks: every block owns its roots
-        S = _self_reciprocal_part(_generic_minor_poly(rows, epsilon))
-        parts = [(S, set(range(len(core.blocks))))]
-    else:
-        parts = [(f, {b}) for b, f in enumerate(factors)]
+    _fast.pencil_det_poly(core, factors)
+    # each block's part is its determinant, or a generic minor where that is
+    # 0; a block of rank 0 has none
+    parts = [(g, {b}) for b, f in enumerate(factors) if (g := f or _generic_minor_poly(core, b))]
 
     # per part: its roots of unity by order, and the rest h with its e, which
     # give the algebraic candidates

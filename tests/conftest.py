@@ -33,6 +33,24 @@ def covering_of(blocks, mults):
     return CoveringMatrix(den, grid, 1, tuple(mults), sum(map(abs, mults)) * blocks[0][0].nrows)
 
 
+def remove_common_kernel(rows):
+    """Restrict P to a complement of K = ker(P) intersect ker(P^T); jumps are unchanged.
+
+    An oracle for the core's route when D = 0.  x^T P y = 0 whenever x or y
+    lies in K, so K is the radical of both P and P^T.  On any complement W
+    of K the pencil w*P - eps*P^T is therefore congruent to the pencil
+    induced on V/K: at every w it has the signature of the whole pencil,
+    and its nullity is less by dim K.  The pivot columns C of the stack
+    [P; P^T] span one such W: those columns are independent, so no nonzero
+    vector supported on C is in K = ker [P; P^T], and |C| = rank =
+    n - dim K.  The restriction of P to W is its principal submatrix on C.
+    """
+    _, keep = _fast.rank_profile(rows + [list(col) for col in zip(*rows)])
+    if len(keep) == len(rows):
+        return rows
+    return [[rows[i][j] for j in keep] for i in keep]
+
+
 def same_jumps(f, g, check_period=True):
     """Exact multiset equality of two jump functions.
 

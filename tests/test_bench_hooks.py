@@ -78,14 +78,14 @@ def test_traced_job_reports_the_layer_counters():
 
 
 def test_traced_job_with_d_zero_counts_the_covering_matrix():
-    # A_kk + A_kk^T is singular, so D = 0 and the n x n matrix is built once:
-    # strands (4, 1, 2) of block size 2 give n = 14
+    # A_kk + A_kk^T is singular, so D = 0, and the jumps still come from the
+    # core in one D(w) pass: the n x n matrix (n = 14) is never built
     metrics, summary = traced(["obstruct", "--A", "[[1,-1],[2,0]]", "--B", "[[-2,0],[0,0]]",
                                "--C", "[[-1,-1],[1,0]]", "--epsilon", "-1",
                                "--coeffs", '{"0": 2, "1": -1}', "--p", "3", "--format", "json"])
-    assert summary["calls"]["covering.expand"] == 1
-    assert metrics["covering.n"] == 14
-    assert metrics["covering.nnz"] > 0
+    assert summary["calls"]["covering.expand"] == 0
+    assert metrics["covering.n"] == 0
+    assert summary["calls"]["fast.det_poly"] == 1
 
 
 def test_cli_hooks_resolve_on_a_fresh_cli_and_the_next_job_calls_the_wrappers():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from covsig import MAX_COVERING_N, RatMatrix, cli, covering, covering_matrix, jumps
+from covsig import MAX_COVERING_N, RatMatrix, cli, covering, jumps
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
 from covsig.pattern import MAX_WORD_LETTERS
@@ -888,29 +888,43 @@ def test_zero_precision_bits_still_run():
 
 
 # A_kk + A_kk^T = diag(-2, 0) is singular, so every group of two or more
-# strands has a singular chain and D = 0: the job builds its n x n matrix
+# strands has a singular chain and D = 0: the job still takes its jumps from
+# the core, each block from its determinant or a generic minor of it
 D_ZERO_JOB = ["--A", "[[1,-1],[2,0]]", "--B", "[[-2,0],[0,0]]", "--C", "[[-1,-1],[1,0]]",
-              "--epsilon", "-1", "--coeffs", '{"0": 2, "1": -1}', "--p", "3", "--format", "json"]
+              "--epsilon", "-1", "--coeffs", '{"0": 2, "1": -1}', "--format", "json"]
 
 
-@pytest.mark.parametrize("command, code, digest", [
-    ("obstruct", 1, "6a91af20d22b18b0db30e8f5d8346f75411d66db3396a5717ea3a7d05dd7127c"),
-    ("cover", 0, "6e7a2c8d2f997eee28ff2c479f2f1a49963691981b5ab63079bdded2f875ff0e"),
+@pytest.mark.parametrize("command, degree, code, digest", [
+    ("obstruct", ["--p", "3"], 1, "6a91af20d22b18b0db30e8f5d8346f75411d66db3396a5717ea3a7d05dd7127c"),
+    ("cover", ["--p", "3"], 0, "6e7a2c8d2f997eee28ff2c479f2f1a49963691981b5ab63079bdded2f875ff0e"),
+    # the bytes of the route that filled the n x n matrix, at n = 254 and 510
+    ("obstruct", ["--p", "7"], 1, "1606f78899bfb2d9c091d1229b23c00ab6380c12773d9960ad2bb52fb4b13b6a"),
+    ("obstruct", ["--p", "2", "--a", "3"], 1,
+     "956e7e05d430ccacaf1435a4205016b369f788660ce8e4767a26eb5a2eb104e8"),
 ])
-def test_a_covering_with_d_zero_builds_its_matrix_once(monkeypatch, command, code, digest):
-    built = []
+def test_a_covering_with_d_zero_never_builds_its_matrix(monkeypatch, command, degree, code, digest):
+    def never(*args):
+        raise AssertionError("covering_matrix called")
 
-    def counted(*args):
-        built.append(covering_matrix(*args))
-        return built[-1]
-
-    monkeypatch.setattr("covsig.covering.covering_matrix", counted)
-    got, text = run([command] + D_ZERO_JOB)
+    monkeypatch.setattr("covsig.covering.covering_matrix", never)
+    got, text = run([command] + D_ZERO_JOB + degree)
     assert got == code
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    assert [m.nrows for m in built] == [14]
     if command == "cover":
         assert json.loads(text)["matrix_size"] == 14
+
+
+def test_a_hostile_isolation_answers_at_once():
+    # a Cayley gcd whose coefficients dwarf its roots: bisection from
+    # Cauchy's bound took 8.7 s, from a power-of-two Fujiwara bound 0.2 s
+    t0 = time.perf_counter()
+    code, text = run(["obstruct", "--A", "[[1,-2],[-1,-2]]", "--B", "[[0,0],[0,-2]]",
+                      "--C", "[[1,1],[2,-2]]", "--epsilon", "-1", "--coeffs", '{"0": 4, "1": -3}',
+                      "--p", "3", "--target=0,-1,-1", "--format", "json"])
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "a002d89bc052c0044259b07426a18ce4415ee421ac5df0e49b9ce3a3819b2818")
 
 
 # blocks over L = 2 and components of multiplicity 0, which the core and the

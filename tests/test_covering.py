@@ -40,12 +40,12 @@ from covsig.jumps import (
     AlgLoc,
     _gap_signatures,
     _generic_minor_poly,
-    _remove_common_kernel,
     _sample_point,
     _sig_at,
     jump_to_obj,
 )
-from conftest import ALG, T25, TREFOIL, covering_of, interpolated_det_poly, same_jumps
+from conftest import (ALG, T25, TREFOIL, covering_of, interpolated_det_poly, remove_common_kernel,
+                      same_jumps)
 
 
 def test_covering_spec():
@@ -369,8 +369,8 @@ def test_core_jump_function_equals_pencil_jump_function(blocks, mults, epsilon):
        st.sampled_from([1, -1]))
 def test_singular_chain_is_a_common_kernel(blocks, x, y, mults, epsilon):
     # det(A_kk - eps*A_kk^T) = 0 on a group of N >= 2 strands: the chain is
-    # singular everywhere, so D = 0 and the kernel step shrinks the matrix,
-    # after which jump_function samples it as one group
+    # singular everywhere, so D = 0 and the n x n matrix has a common kernel,
+    # yet jump_function takes the jumps of the whole pencil from the core
     b = blocks[0][0].nrows
     if b == 1:
         A = RatMatrix([[x]]) if epsilon == 1 else RatMatrix([[0]])
@@ -381,9 +381,64 @@ def test_singular_chain_is_a_common_kernel(blocks, x, y, mults, epsilon):
     expanded = covering_matrix(cm, epsilon)
     rows = int_rows(expanded)
     assert _fast.pencil_det_poly(PencilCore(rows, epsilon)) == []
-    assert len(_remove_common_kernel(rows)) < len(rows)
+    assert len(remove_common_kernel(rows)) < len(rows)
     f, g = jump_function(cm, epsilon), jump_function(expanded, epsilon)
     assert same_jumps(f, g) and f.sigma0 == g.sigma0
+
+
+@st.composite
+def singular_chain_coverings(draw):
+    """(blocks A_kl, signed strand counts, eps) with det(A_kk - eps*A_kk^T) = 0 and some |N| >= 2.
+
+    b = 1 at eps = 1, where every S = A - A^T is 0, and at eps = -1 each
+    A_kk planted as [[0]] or [[0, x], [-x, y]], whose A + A^T = diag(0, 2y).
+    """
+    eps = draw(st.sampled_from([1, -1]))
+    b = 1 if eps == 1 else draw(st.integers(min_value=1, max_value=2))
+    blocks = draw(st.lists(st.lists(st.lists(st.lists(block_entries, min_size=b, max_size=b),
+                                             min_size=b, max_size=b).map(RatMatrix),
+                                    min_size=3, max_size=3), min_size=3, max_size=3))
+    if eps == -1:
+        for k in range(3):
+            x, y = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            blocks[k][k] = RatMatrix([[0]] if b == 1 else [[0, x], [-x, y]])
+    mults = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3)
+                 .filter(lambda ms: any(abs(m) >= 2 for m in ms)))
+    return blocks, mults, eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(singular_chain_coverings())
+def test_core_with_c_zero_equals_the_reduced_matrix(covering):
+    # c = 0: the core prints the bytes of the n x n matrix with its common
+    # kernel removed, taken as a plain matrix.  Where no block factor is 0,
+    # that matrix's D is a nonzero constant times their product divided by
+    # q_N(w)^(b - rank S) for each group, as the chains shrink on V/K
+    blocks, mults, epsilon = covering
+    cm = covering_of(blocks, mults)
+    crows, ms = core_rows(cm, epsilon)
+    core = PencilCore(crows, epsilon, ms)
+    assert core.c == 0
+    reduced = remove_common_kernel(int_rows(covering_matrix(cm, epsilon)))
+    oracle = jump_function(RatMatrix(reduced) if reduced else RatMatrix.zeros(0), epsilon)
+    assert (json.dumps(jump_to_obj(jump_function(cm, epsilon)), sort_keys=True)
+            == json.dumps(jump_to_obj(oracle), sort_keys=True))
+    factors = []
+    assert _fast.pencil_det_poly(core, factors) == []
+    if not all(factors):
+        return
+    prod = [1]
+    for f in factors:
+        prod = P.mul(prod, f)
+    b = len(crows) // len(ms)
+    D = _fast.pencil_det_poly(PencilCore(reduced, epsilon))
+    for r, m in zip(range(0, len(crows), b), ms):
+        S = [[crows[r + i][r + j] - epsilon * crows[r + j][r + i] for j in range(b)]
+             for i in range(b)]
+        for _ in range(b - len(_fast.rank_profile(S)[1])):
+            D = P.mul(D, [1] * m)
+    ratio = Fraction(prod[-1], D[-1])
+    assert ratio and prod == [ratio * c for c in D]
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +744,8 @@ def test_core_det_poly_with_det_s_49():
 def test_generic_minor_on_a_covering(mults, epsilon, digest):
     # A = L3 (+) ALG and C = 0 (+) I2, with L3 the nilpotent Jordan block:
     # w*L3 - eps*L3^T is singular for every w, so D = 0, yet P and P^T share
-    # no kernel vector, and the jumps come from a generic minor
+    # no kernel vector, and the core's L3 blocks give their jumps by a
+    # generic minor
     l3 = RatMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     zero = RatMatrix([[0] * 3] * 2)
     a = block_matrix([[l3, zero.transpose()], [zero, ALG]])
@@ -699,7 +755,12 @@ def test_generic_minor_on_a_covering(mults, epsilon, digest):
     expanded = covering_matrix(cm, epsilon)
     rows = int_rows(expanded)
     assert _fast.pencil_det_poly(PencilCore(rows, epsilon)) == []
-    assert _remove_common_kernel(rows) == rows and _generic_minor_poly(rows, epsilon)
+    assert remove_common_kernel(rows) == rows
+    crows, ms = core_rows(cm, epsilon)
+    core = PencilCore(crows, epsilon, ms)
+    factors = []
+    _fast.pencil_det_poly(core, factors)
+    assert any(not g and _generic_minor_poly(core, b) for b, g in enumerate(factors))
     f = jump_function(cm, epsilon)
     assert same_jumps(f, jump_function(expanded, epsilon))
     text = json.dumps(jump_to_obj(f), sort_keys=True)

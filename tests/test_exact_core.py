@@ -491,7 +491,7 @@ def test_refine_to_matches_repeated_refine(cs, k, b, bits, s, t):
 
 
 def isolate_by_sturm(p):
-    """Sturm-count bisection from the Cauchy bound, as (lo, hi, poly) triples.
+    """Sturm-count bisection from poly.root_bound, as (lo, hi, poly) triples.
 
     The intervals isolate_real_roots must reproduce: split a cell holding
     two or more roots at its midpoint, moved off a root by
@@ -503,7 +503,7 @@ def isolate_by_sturm(p):
     if P.degree(sf) < 1:
         return []
     chain = fraction_sturm_chain(sf)
-    bound = P.cauchy_root_bound(sf)
+    bound = P.root_bound(sf)
     lo, hi = -bound, bound
     out = []
     stack = [(lo, hi, sturm_count(chain, lo, hi))]

@@ -56,7 +56,6 @@ from covsig.jumps import (
     _cyclotomic_parts,
     _floor_over,
     _generic_minor_poly,
-    _remove_common_kernel,
     _self_reciprocal_part,
     _algebraic_candidates,
     _separate_candidates,
@@ -74,6 +73,7 @@ from conftest import (
     covering_of,
     fraction_divmod,
     fraction_sturm_chain,
+    remove_common_kernel,
     same_jumps,
     sturm_count,
 )
@@ -219,8 +219,8 @@ def test_zero_matrix_has_no_jumps():
 
 @pytest.mark.parametrize("V", [TREFOIL, ALG], ids=["trefoil", "alg"])
 def test_common_kernel_removed_when_det_vanishes(V):
-    # the zero summand makes D vanish identically; once the common kernel is
-    # removed, the jumps and sigma0 are those of V alone
+    # the zero summand makes D vanish identically; its zero blocks take no
+    # part, and the jumps and sigma0 are those of V alone
     f = jump_function(V)
     g = jump_function(connected_sum(V, RatMatrix.zeros(2)))
     assert same_jumps(f, g)
@@ -276,15 +276,24 @@ def test_rank_profile_pivots_on_the_first_unused_row():
 @settings(max_examples=60, deadline=None)
 @given(square_ints, st.integers(min_value=0, max_value=2), mix_st, st.sampled_from([1, -1]))
 def test_generic_minor_poly_matches_determinant(rows, k, mix, eps):
-    D = _fast.pencil_det_poly(_fast.PencilCore(rows, eps))
+    core = _fast.PencilCore(rows, eps)
+    factors = []
+    D = _fast.pencil_det_poly(core, factors)
     assume(D)
-    # a nonsingular pencil is its own generic minor
-    assert _generic_minor_poly(rows, eps) == D
-    # every maximal minor of U^T (H + 0_k) U is an integer multiple of det H
-    g = _generic_minor_poly(pad_and_mix(rows, k, mix), eps)
-    assert len(g) == len(D)
-    ratio = g[-1] / D[-1]
-    assert ratio != 0 and g == [ratio * c for c in D]
+    # a nonsingular block is its own generic minor
+    for b, f in enumerate(factors):
+        assert _generic_minor_poly(core, b) == _self_reciprocal_part(P.trim(f))
+    # every maximal minor of U^T (H + 0_k) U is an integer multiple of det H,
+    # and one of them is the product of the blocks' generic minors, but for a
+    # factor w^i, which _self_reciprocal_part drops with the content
+    core = _fast.PencilCore(pad_and_mix(rows, k, mix), eps)
+    g = [1]
+    for b in range(len(core.blocks)):
+        g = P.mul(g, _generic_minor_poly(core, b) or [1])
+    i, j = (next(i for i, c in enumerate(f) if c) for f in (D, g))
+    ratio = Fraction(g[-1], D[-1])
+    assert g[j:] == [ratio * c for c in D[i:]]
+    assert ratio.denominator == 1 or i > 0
 
 
 # L3 (+) [[1, 1], [0, -2]] (+) [[1, 2], [0, -3]] (+) [[1, 4], [0, -5]] (+)
@@ -348,7 +357,7 @@ def test_self_reciprocal_part_of_a_generic_minor_takes_the_gcd():
        st.integers(min_value=-9, max_value=9).filter(bool), st.integers(min_value=1, max_value=9))
 def test_remove_common_kernel_is_a_congruence(rows, k, mix, eps, u, v):
     m = pad_and_mix(rows, k, mix)
-    reduced = _remove_common_kernel(m)
+    reduced = remove_common_kernel(m)
     # ker P & ker P^T has dimension n - rank [P; P^T], and all of it goes
     assert len(reduced) == domain_rank(m + [list(c) for c in zip(*m)])
     if reduced:
@@ -359,19 +368,20 @@ def test_remove_common_kernel_is_a_congruence(rows, k, mix, eps, u, v):
 
 
 def test_a_plain_matrix_reaches_the_common_kernel_only_when_d_is_zero(monkeypatch):
-    # D is taken first: a common kernel, here of dimension 1, forces D = 0
-    # and is removed then; with D != 0 there is none, and no rank profile
-    # of [P; P^T] is taken
+    # D is taken on the core first: the common kernel, here the zero row and
+    # column of a block of its own, forces D = 0, and only that block takes a
+    # generic minor, of rank 0 and so no part; with D != 0 no block takes one
     calls = []
-    monkeypatch.setattr("covsig.jumps._remove_common_kernel",
-                        lambda rows: calls.append(len(rows)) or _remove_common_kernel(rows))
+    monkeypatch.setattr("covsig.jumps._generic_minor_poly",
+                        lambda core, b: calls.append(core.blocks[b][0])
+                        or _generic_minor_poly(core, b))
     assert jump_function(RatMatrix([[-1, 1, 0], [0, -1, 0], [0, 0, 0]])) == jump_function(TREFOIL)
-    assert calls == [3]
+    assert calls == [[2]]
 
-    def never(rows):
-        raise AssertionError("_remove_common_kernel called with D != 0")
+    def never(core, b):
+        raise AssertionError("_generic_minor_poly called with D != 0")
 
-    monkeypatch.setattr("covsig.jumps._remove_common_kernel", never)
+    monkeypatch.setattr("covsig.jumps._generic_minor_poly", never)
     for m in (TREFOIL, T25, ALG):
         for eps in (1, -1):
             assert jump_function(m, eps).points
@@ -387,8 +397,8 @@ def test_a_plain_matrix_reaches_the_common_kernel_only_when_d_is_zero(monkeypatc
        st.sampled_from([1, -1]))
 def test_covering_with_common_kernel_goes_through_the_core(blocks, mults, eps):
     # a zero row and column added to every block gives the covering matrix a
-    # common kernel with its transpose, so D = 0: after the kernel step the
-    # reduced matrix is sampled as one group, with the jumps of the unpadded cover
+    # common kernel with its transpose, so D = 0: the core's zero blocks take
+    # no part, and the jumps are those of the unpadded cover
     b = len(blocks[0][0])
     plain = [[RatMatrix(blk) for blk in row] for row in blocks]
     padded = [[RatMatrix([r + [0] for r in blk] + [[0] * (b + 1)]) for blk in row]
