@@ -19,12 +19,13 @@ of size (number of groups) x b (PencilCore's docstring has the identity); a
 plain matrix is one group with N = 1 and c = 1.  An entry of M' is nonzero
 only where M or M^T is, so under a symmetric permutation M' is the direct
 sum of its blocks on the connected components of that pattern, and det M'
-is the product of the blocks' determinants.  After the Cayley change
-w = (1 - y)/(1 + y), under which (1 + y)^(n_b) det M'_b is even or odd in
-y, each block's determinant is taken by bareiss_det at the integers
-y = 0..h, h = ceil(n_b/2), interpolated in integers as a polynomial in y^2
-on the nodes 0, 1, 4, ..., h^2, and taken back to w by the Cayley map of
-exact.poly, which is its own inverse up to 2^n_b; the n x n matrix is not
+is the product of the blocks' determinants.  One routine, minor_poly,
+makes each block's polynomial: its determinant, or where that is 0 a
+generic maximal minor (generic_minor_poly).  After the Cayley change
+w = (1 - y)/(1 + y) the minor is taken by bareiss_det at integers y, its
+even and odd parts in y are interpolated in integers as polynomials in y^2
+on the nodes 0, 1, 4, ..., h^2, and the Cayley map of exact.poly, its own
+inverse up to 2^n, takes the sum back to w; the n x n matrix is not
 formed.  D stays in ints, and every division on the way is exact: one that
 is not raises ArithmeticError.
 
@@ -69,6 +70,7 @@ On the covering matrices, which are sparse, most multipliers are 0.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
 
 from .exact import poly as P
@@ -248,62 +250,96 @@ def pencil_det_poly(core, factors=None):
     """Ascending coefficients of D(w) = det(w*P - eps*P^T), read off the PencilCore of P.
 
     D(w) = core.c * det M'(w), and M'(w) is a direct sum over core.blocks,
-    so det M' is the product of the blocks' determinants (PencilCore has the
-    identity).  For a block of degree n_b, (1 + y)^n_b det M'_b(w) at
-    w = (1 - y)/(1 + y) is the determinant of an integer matrix in y
-    (_node_matrix) whose values at -y and y agree up to the sign
-    (-eps)^(size of the block), so it is even or odd in y; it is taken at
-    y = 0..h, h = ceil(n_b/2), interpolated as a polynomial in y^2
-    (interpolate_in_squares) and mapped back to w by the same Cayley map,
-    poly.cayley, divided by 2^n_b; a division that is not exact raises
-    ArithmeticError.  The nodes are taken one at a time, each with the
-    coefficients of the groups of the blocks that still need it, so no
-    table over (nodes) x (groups) is kept.  Returns ints, [] for D = 0 and
-    [1] for the empty matrix.  When factors is a list, the blocks'
-    determinants det M'_b(w) are appended to it as integer coefficient
-    lists, in the order of core.blocks, [] where one is 0, so that
-    D = core.c * their product, c = 0 included (PencilCore, When det S = 0).
+    so det M' is the product of the blocks' determinants, minor_poly of
+    each (PencilCore has the identity).  Returns ints, [] for D = 0 and [1]
+    for the empty matrix.  When factors is a list, the blocks' determinants
+    are appended to it, in the order of core.blocks, [] where one is 0, so
+    that D = core.c * their product, c = 0 included (PencilCore, When
+    det S = 0).
     """
-    degree = [sum(core.mults[g] for g in grp) for _, grp, *_ in core.blocks]
-    vals = [[] for _ in core.blocks]
-    for y in range(max(((n + 1) // 2 for n in degree), default=0) + 1):
-        live = [b for b, n in enumerate(degree) if y <= (n + 1) // 2]
-        # each group once, though it may have rows in several blocks
-        coef = {g: _node_coefficients(core.mults[g], 1 - y, 1 + y)
-                for g in {g for b in live for g in core.blocks[b][5]}}
-        for b in live:
-            vals[b].append(bareiss_det(_node_matrix(core.blocks[b], coef)))
-    out = [core.c]
-    dets = []
-    for (blk, *_), n, vs in zip(core.blocks, degree, vals):
-        d = interpolate_in_squares(vs, (-core.eps) ** len(blk) == -1)
-        # the Cayley map is its own inverse up to 2^n: det M'_b = 2^(-n) cayley(d, n)
-        scaled = P.cayley(d, n) if d else []
-        if any(x & ((1 << n) - 1) for x in scaled):
-            raise ArithmeticError("det M'(w) came out with a non-integer coefficient")
-        dets.append([x >> n for x in scaled])
-        out = P.mul(out, dets[-1])
+    dets = [minor_poly(core, b) for b in range(len(core.blocks))]
     if factors is not None:
         factors.extend(dets)
-    return out
+    return reduce(P.mul, dets, [core.c])
 
 
-def _node_coefficients(n: int, s: int, t: int):
-    """The coefficients (x, z) of a and a^T in the entries of a group of N = n strands, at (s, t).
+def generic_minor_poly(core, b: int):
+    """minor_poly of a generic maximal minor of M'_b(w), [] when M'_b is 0.
 
-    M'(w)'s entries, homogeneous in (s, t): on the group's diagonal block
-    s^N a - t^N a^T, off it Q_N * (s*a - t*a^T) with Q_N = sum over e < N of
-    s^e t^(N-1-e) = (t^N - s^N) / (t - s).  (s, t) = (w, 1) is M'(w), and
-    (1 - y, 1 + y) is D~_b's matrix in y (PencilCore, Determinant).
+    An entry's coefficients sum in absolute value to at most |a| + |a^T|
+    within a group and N * (|a| + |a^T|) between groups, so every
+    coefficient of a minor is at most B, the product over the rows of
+    1 + (the row's sum), and by Cauchy's bound no minor that is not 0
+    vanishes at w0 = 2B: the rank profile of M'_b(w0) has the generic rank.
     """
-    lo, hi = s ** n, t ** n
-    q = (hi - lo) // (t - s) if t != s else n * s ** (n - 1)
-    return (lo, -hi), (q * s, -q * t)
+    _, grp, _, _, entries, _ = core.blocks[b]
+    w0 = 2
+    for gi, row in zip(grp, entries):
+        w0 *= 1 + sum((abs(a) + abs(at)) * (1 if grp[j] == gi else core.mults[gi])
+                      for j, a, at in row)
+    ri, ci = rank_profile(_node_matrix(core, b, w0, 1))
+    return minor_poly(core, b, ri, ci) if ci else []
 
 
-def _node_matrix(block, coef):
-    """The block at one node: entry (i, j) is x*a + z*a^T, (x, z) in coef[row i's group]."""
-    blk, grp, _, _, entries, _ = block
+def minor_poly(core, b: int, ri=None, ci=None):
+    """Ascending int coefficients of the minor of M'_b(w) on the rows ri and columns ci.
+
+    ri and ci are local indices of block b, as many of each; the default is
+    the whole block, det M'_b.  Row i of M'_b has its group's degree N, so
+    with n the sum of N over ri and w = (1 - y)/(1 + y), (1 + y)^n times
+    the minor is m~(y), the same minor at the node (1 - y, 1 + y), of
+    degree <= n in y.  Its even and odd parts (m~(y) +- m~(-y))/2 are
+    interpolated in y^2 on y = 0..h, h = ceil(n/2), and mapped back to w by
+    the same Cayley map, poly.cayley, divided by 2^n.  For the whole block
+    m~(-y) = (-eps)^|b| m~(y) (PencilCore, Determinant), so one part is 0
+    and only y >= 0 is taken.  A division that is not exact raises
+    ArithmeticError.  Returns no trailing zeros, [] for a minor that is 0.
+    """
+    blk, grp, *_ = core.blocks[b]
+    whole = ri is None
+    if whole:
+        ri = range(len(blk))
+    n = sum(core.mults[grp[i]] for i in ri)
+    h = (n + 1) // 2
+
+    def at(y):
+        m = _node_matrix(core, b, 1 - y, 1 + y)
+        return bareiss_det(m if whole else [[m[i][j] for j in ci] for i in ri])
+
+    vals = [at(y) for y in range(h + 1)]
+    if whole:
+        negs = [(-core.eps) ** len(blk) * v for v in vals]
+    else:
+        negs = vals[:1] + [at(-y) for y in range(1, h + 1)]
+    d = [0] * (n + 1)
+    for odd, sign in enumerate((1, -1)):
+        part = [(v + sign * u) // 2 for v, u in zip(vals, negs)]
+        if any(part):
+            for k, x in enumerate(interpolate_in_squares(part, odd)):
+                d[k] += x
+    # the Cayley map is its own inverse up to 2^n: the minor is 2^(-n) cayley(d, n)
+    scaled = P.cayley(d, n)
+    if any(x & ((1 << n) - 1) for x in scaled):
+        raise ArithmeticError("a minor of M'(w) came out with a non-integer coefficient")
+    return P.trim([x >> n for x in scaled])
+
+
+def _node_matrix(core, b: int, s: int, t: int):
+    """Block b of M' at the node (s, t), each row homogeneous of its group's degree N in (s, t).
+
+    With a = M[i][j] and a^T = eps*M[j][i], an entry is s^N a - t^N a^T
+    within a group, and Q_N * (s*a - t*a^T) between groups, where Q_N =
+    sum over e < N of s^e t^(N-1-e) = (t^N - s^N) / (t - s).  (s, t) = (w, 1)
+    is M'(w), and (1 - y, 1 + y) is M'_b at w = (1 - y)/(1 + y) with each
+    row multiplied by (1 + y)^N (PencilCore, Determinant).
+    """
+    blk, grp, _, _, entries, groups = core.blocks[b]
+    coef = {}
+    for g in groups:
+        n = core.mults[g]
+        lo, hi = s ** n, t ** n
+        q = (hi - lo) // (t - s) if t != s else n * s ** (n - 1)
+        coef[g] = (lo, -hi), (q * s, -q * t)
     mat = []
     for gi, row in zip(grp, entries):
         (dx, dz), (ox, oz) = coef[gi]
@@ -413,12 +449,12 @@ class PencilCore:
     integer polynomial matrix in y: entries (1-y)^N a - eps*(1+y)^N a^T
     within a group, and Q_N(y) * ((1-y) a - eps*(1+y) a^T) between groups,
     where a = M[i][j], a^T = M[j][i] and Q_N(y) = sum over e < N of
-    (1-y)^e (1+y)^(N-1-e).
-    With Sch the Schur complement above, Sch(1/w) = (-eps/w) Sch(w)^T,
-    and q_N(1/w) = w^(1-N) q_N(w); so w^(n_b) det M'_b(1/w) =
-    (-eps)^|b| det M'_b(w), that is D~_b(-y) = (-eps)^|b| D~_b(y), with |b|
-    the block's size: the values at y = 0..h, h = ceil(n_b/2), give those
-    on all of -h..h, enough for degree n_b, and
+    (1-y)^e (1+y)^(N-1-e); a minor on some rows is that of this matrix, with
+    n the sum of N over them.  With Sch the Schur complement above,
+    Sch(1/w) = (-eps/w) Sch(w)^T, and q_N(1/w) = w^(1-N) q_N(w); so
+    w^(n_b) det M'_b(1/w) = (-eps)^|b| det M'_b(w), that is D~_b(-y) =
+    (-eps)^|b| D~_b(y), with |b| the block's size: the values at y = 0..h,
+    h = ceil(n_b/2), give those on all of -h..h, enough for degree n_b, and
     det M'_b(w) = 2^(-n_b) * sum_i d_i (1 - w)^i (1 + w)^(n_b - i) for the
     coefficients d_i of D~_b.  A core with one block is the whole M'.
 

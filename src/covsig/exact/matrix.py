@@ -111,9 +111,6 @@ class RatMatrix:
     def transpose(self):
         return RatMatrix([list(col) for col in zip(*self.rows)]) if self.rows else self
 
-    def is_zero(self):
-        return all(all(x == 0 for x in row) for row in self.rows)
-
     def pow(self, k):
         if not self.is_square:
             raise DimensionMismatch("pow of non-square matrix")

@@ -35,10 +35,13 @@ primitive h and e share every lift, with no gcd, and two lifts of one t_h
 at different (j, e) never coincide; parts with different h or e share a
 root only where a gcd of their h at powers of w says so
 (_algebraic_candidates), and such a root is given once, by the first part
-that has it.  A block whose determinant is 0 takes a generic minor of its
-own as its part (_generic_minor_poly), read the same way.  An
-algebraic point prints as the lift it is: g_h, t_h's dyadic cell, and the
-lift's offset and scale; its mirror is AlgLoc(-t_h, 2e - 2j, e).
+that has it.  A block whose determinant is 0 takes the self-reciprocal
+part of a generic maximal minor (_fast.generic_minor_poly) as its part:
+the hermitian Sch_b changes signature only at a pole or where its rank,
+off the poles that of M'_b, drops, and there every maximal minor
+vanishes (extra candidates get jump 0).  An algebraic point prints as
+the lift it is: g_h, t_h's dyadic cell, and the lift's offset and scale;
+its mirror is AlgLoc(-t_h, 2e - 2j, e).
 
 All decisions (periodicity verdicts in particular) are made by exact
 arithmetic or certificates, never by floating point; when a comparison of
@@ -317,52 +320,12 @@ def tl_signature_at_pi(Pm: RatMatrix, epsilon: int) -> int:
 # jump extraction
 
 
-def _generic_minor_poly(core, b: int):
-    """A generic maximal minor of M'_b(w), the core's block b, after _self_reciprocal_part.
-
-    For a block whose det M'_b is 0.  Sch_b is hermitian on the unit
-    circle, so its signature can change only where its rank drops or at a
-    pole, and off the poles rank Sch_b = rank M'_b: every maximal minor
-    vanishes where the rank drops, so the unit-circle roots of one that is
-    not 0 hold every jump of block b (extra candidates get jump 0).  An
-    entry's coefficients sum in absolute value to at most |a| + |a^T|
-    within a group and N * (|a| + |a^T|) between groups, so every
-    coefficient of a minor is at most B, the product over the rows of
-    1 + (the row's sum), and by Cauchy's bound no minor that is not 0
-    vanishes at w0 = 2B: the rank profile there has the generic rank.
-    Ascending ints, [] when M'_b is 0.
-    """
-    block = core.blocks[b]
-    _, grp, _, _, entries, groups = block
-
-    def node(w):  # M'_b(w), by pencil_det_poly's node builder
-        return _fast._node_matrix(block, {g: _fast._node_coefficients(core.mults[g], w, 1)
-                                          for g in groups})
-
-    w0 = 2
-    for gi, row in zip(grp, entries):
-        w0 *= 1 + sum((abs(a) + abs(at)) * (1 if grp[j] == gi else core.mults[gi])
-                      for j, a, at in row)
-    ri, ci = _fast.rank_profile(node(w0))
-    if not ci:
-        return []
-    # the minor m(w), of degree <= n = sum of N over its rows, from its
-    # values on -h..h: the even and odd parts (m(w) +- m(-w))/2 are exact in
-    # ints and interpolated in w^2
-    h = (sum(core.mults[grp[i]] for i in ri) + 1) // 2
-    ys = {w: _fast.bareiss_det([[m[i][j] for j in ci] for i in ri])
-          for w in range(-h, h + 1) for m in [node(w)]}
-    even = _fast.interpolate_in_squares([(ys[k] + ys[-k]) // 2 for k in range(h + 1)], False)
-    odd = _fast.interpolate_in_squares([(ys[k] - ys[-k]) // 2 for k in range(h + 1)], True)
-    return _self_reciprocal_part([x + z for x, z in zip_longest(even, odd, fillvalue=0)])
-
-
 def _self_reciprocal_part(D):
     """gcd(D(w), w^deg * D(1/w)), up to a constant: carries every unimodular root of D.
 
     A pencil determinant with its factor w^i trimmed is palindromic up to
     sign, w^n D(1/w) = (-eps)^n D(w), so the gcd is D itself; only a
-    generic minor (_generic_minor_poly) needs the gcd.
+    generic minor (_fast.generic_minor_poly) needs the gcd.
     """
     rev = list(reversed(D))
     if rev == D or rev == [-a for a in D]:
@@ -432,9 +395,9 @@ def _split_part(f, split: dict):
     unit-circle roots are the e-th roots of rest's (_algebraic_candidates).
     A monomial f has no roots on the circle: ([], [c], 1).  split maps each
     h already split, as a tuple, to its (ks, rest): every L(T, m) block has
-    the same h, Delta_V, which is split once per job.
+    the same h, Delta_V, which is split once per job.  f ends in a nonzero
+    coefficient, as _fast.minor_poly's polynomials do.
     """
-    f = P.trim(f)
     i = next(k for k, c in enumerate(f) if c)
     e = 0
     for k in range(i + 1, len(f)):
@@ -675,7 +638,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     signature samples come from its core (see _fast.PencilCore), with each
     group's strand chain eliminated, also where D(w) = det(w*P - eps*P^T)
     is 0: each block's candidates are the roots of its determinant, or of
-    a generic minor of it where that is 0 (_generic_minor_poly).
+    a generic minor of it where that is 0 (_fast.generic_minor_poly).
     Root-of-unity jump angles (cyclotomic factors of D) come out as PiLoc;
     the remaining unimodular roots as AlgLoc in t = tan(theta/2).
     Signatures are evaluated at exact rational t strictly between
@@ -702,7 +665,8 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     _fast.pencil_det_poly(core, factors)
     # each block's part is its determinant, or a generic minor where that is
     # 0; a block of rank 0 has none
-    parts = [(g, {b}) for b, f in enumerate(factors) if (g := f or _generic_minor_poly(core, b))]
+    parts = [(g, {b}) for b, f in enumerate(factors)
+             if (g := f or _self_reciprocal_part(_fast.generic_minor_poly(core, b)))]
 
     # per part: its roots of unity by order, and the rest h with its e, which
     # give the algebraic candidates
@@ -839,6 +803,8 @@ def scale_jump(f: JumpFunction, y, max_bits: int = DEFAULT_PRECISION_BITS) -> Ju
 
 def repeated_points(f: JumpFunction, reps: int):
     """The points of f over reps consecutive periods from 0, yielded in order."""
+    if not f.points:  # reps periods of nothing, without a walk over them
+        return
     for r in range(reps):
         shift = 2 * f.period * r
         for pt in f.points:

@@ -320,6 +320,18 @@ def test_sigfn_prints_a_long_window_as_it_goes():
     assert out.getvalue() == "".join(head.splitlines(keepends=True)[:10])
 
 
+def test_a_jump_function_without_points_repeats_at_once():
+    # a window of thirty million periods of a constant sigma, and three
+    # million periods of no point, each answer with no walk over the periods
+    t0 = time.perf_counter()
+    assert run(["sigfn", "--V", "[[0]]", "--window", "30000000"]) == (0, "theta_decimal,sigma\n0.0,0\n")
+    assert time.perf_counter() - t0 < 1
+    t0 = time.perf_counter()
+    f = jumps.with_period(jumps.JumpFunction([], 1, 0), 3_000_000)
+    assert time.perf_counter() - t0 < 1
+    assert (f.points, f.period, f.sigma0) == ([], 3_000_000, 0)
+
+
 def test_sigfn_step_function():
     code, text = run(["sigfn", "--V", "trefoil", "--format", "csv"])
     assert code == 0

@@ -39,7 +39,6 @@ from covsig.exact import poly as P
 from covsig.jumps import (
     AlgLoc,
     _gap_signatures,
-    _generic_minor_poly,
     _sample_point,
     _sig_at,
     jump_to_obj,
@@ -509,6 +508,18 @@ def test_core_det_poly_by_blocks_equals_dense_det_poly(planted):
             == interpolated_det_poly(int_rows(covering_matrix(cm, epsilon)), epsilon))
 
 
+def test_block_factors_end_in_a_nonzero_coefficient():
+    # a factor is not padded to n_b + 1 coefficients: on L(trefoil, 2) at
+    # p = 3 the first block has degree 12 and its determinant degree 9
+    for knot in (TREFOIL, ALG, T25):
+        for epsilon in (1, -1):
+            sd, c = ltm_family(knot, 2, epsilon)
+            crows, ms = core_rows(build_covering(sd, c, CoveringSpec(p=3)), epsilon)
+            factors = []
+            assert _fast.pencil_det_poly(PencilCore(crows, epsilon, ms), factors)
+            assert factors and all(f[-1] for f in factors)
+
+
 def eager_gap_signatures(core, gaps, owners):
     """The oracle of _gap_signatures: every block at every gap, at the same samples."""
     return [_sig_at(core, u, v) for u, v, _ in (_sample_point(core, lo, hi) for lo, hi in gaps)]
@@ -760,7 +771,7 @@ def test_generic_minor_on_a_covering(mults, epsilon, digest):
     core = PencilCore(crows, epsilon, ms)
     factors = []
     _fast.pencil_det_poly(core, factors)
-    assert any(not g and _generic_minor_poly(core, b) for b, g in enumerate(factors))
+    assert any(not g and _fast.generic_minor_poly(core, b) for b, g in enumerate(factors))
     f = jump_function(cm, epsilon)
     assert same_jumps(f, jump_function(expanded, epsilon))
     text = json.dumps(jump_to_obj(f), sort_keys=True)

@@ -192,6 +192,70 @@ def test_det_poly_identically_singular_without_common_kernel(eps):
     assert _fast.pencil_det_poly(_fast.PencilCore(rows, eps)) == []
 
 
+def m_prime_at(rows, eps, mults, w):
+    """M'(w) of a core in ints, by PencilCore's formula: w^N a - eps*a^T within a group,
+    q_N(w) * (w*a - eps*a^T) between groups, N and q_N(w) = 1 + ... + w^(N-1) the row's."""
+    b = len(rows) // len(mults)
+    out = []
+    for i, row in enumerate(rows):
+        n = mults[i // b]
+        q = sum(w**e for e in range(n))
+        out.append([w**n * a - eps * rows[j][i] if i // b == j // b else q * (w * a - eps * rows[j][i])
+                    for j, a in enumerate(row)])
+    return out
+
+
+@st.composite
+def cores_with_minors(draw):
+    """(rows, eps, mults, minors): a core of up to 3 groups of N <= 4, and per block a square minor.
+
+    Half the cores get two places of one group with equal rows and equal
+    columns in M, which makes two rows of M' equal: their block has det 0.
+    """
+    eps = draw(eps_st)
+    b = draw(st.integers(min_value=1, max_value=3))
+    mults = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+    n = b * len(mults)
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if b >= 2 and draw(st.booleans()):
+        g = draw(st.integers(min_value=0, max_value=len(mults) - 1))
+        i, j = (g * b + r for r in sorted(draw(st.permutations(range(b)))[:2]))
+        rows[j] = list(rows[i])
+        for row in rows:
+            row[j] = row[i]
+        rows[i][i] = rows[i][j] = rows[j][i] = rows[j][j] = draw(entries)
+    core = _fast.PencilCore(rows, eps, mults)
+    minors = []
+    for blk, *_ in core.blocks:
+        k = draw(st.integers(min_value=1, max_value=len(blk)))
+        minors.append([sorted(draw(st.permutations(range(len(blk))))[:k]) for _ in "rc"])
+    return rows, eps, mults, minors
+
+
+@settings(max_examples=80, deadline=None)
+@given(cores_with_minors())
+def test_minor_poly_matches_the_minor_of_m_prime(case):
+    # every minor, the whole block and a proper one, against sympy's
+    # determinant of that minor of M'(w) at integers w; a block of det 0
+    # takes a generic minor, which is 0 only for a zero block
+    rows, eps, mults, minors = case
+    core = _fast.PencilCore(rows, eps, mults)
+    for b, (ri, ci) in enumerate(minors):
+        blk = core.blocks[b][0]
+        whole = _fast.minor_poly(core, b)
+        part = _fast.minor_poly(core, b, ri, ci)
+        assert all(not f or f[-1] for f in (whole, part))
+        for w in range(-3, 4):
+            m = m_prime_at(rows, eps, mults, w)
+            for f, (r, c) in ((whole, (range(len(blk)),) * 2), (part, (ri, ci))):
+                minor = [[ZZ(m[blk[i]][blk[j]]) for j in c] for i in r]
+                assert sum(x * w**k for k, x in enumerate(f)) == DomainMatrix(
+                    minor, (len(r), len(r)), ZZ).det()
+        if not whole:
+            zero_block = not any(a or at for row in core.blocks[b][4] for _, a, at in row)
+            assert (_fast.generic_minor_poly(core, b) == []) == zero_block
+
+
 def hermitian(upper, diag):
     """Hermitian (re, im) matrix from a strict upper part and a real diagonal."""
     n = len(diag)

@@ -55,7 +55,6 @@ from covsig.jumps import (
     _cyclotomic_cayley_gcd,
     _cyclotomic_parts,
     _floor_over,
-    _generic_minor_poly,
     _self_reciprocal_part,
     _algebraic_candidates,
     _separate_candidates,
@@ -267,7 +266,7 @@ def test_rank_profile_matches_domain_matrix(rows, k, mix):
 
 
 def test_rank_profile_pivots_on_the_first_unused_row():
-    # _generic_minor_poly's minor depends on this choice: rows 0 and 1 are
+    # generic_minor_poly's minor depends on this choice: rows 0 and 1 are
     # equal, and row 0 is the one kept
     assert _fast.rank_profile([[1, 0, 2], [1, 0, 2], [0, 3, 1]]) == ([0, 2], [0, 1])
     assert _fast.rank_profile([[0, 0], [0, 2], [0, 1], [5, 0]]) == ([1, 3], [0, 1])
@@ -282,14 +281,14 @@ def test_generic_minor_poly_matches_determinant(rows, k, mix, eps):
     assume(D)
     # a nonsingular block is its own generic minor
     for b, f in enumerate(factors):
-        assert _generic_minor_poly(core, b) == _self_reciprocal_part(P.trim(f))
+        assert _fast.generic_minor_poly(core, b) == f
     # every maximal minor of U^T (H + 0_k) U is an integer multiple of det H,
     # and one of them is the product of the blocks' generic minors, but for a
     # factor w^i, which _self_reciprocal_part drops with the content
     core = _fast.PencilCore(pad_and_mix(rows, k, mix), eps)
     g = [1]
     for b in range(len(core.blocks)):
-        g = P.mul(g, _generic_minor_poly(core, b) or [1])
+        g = P.mul(g, _self_reciprocal_part(_fast.generic_minor_poly(core, b)) or [1])
     i, j = (next(i for i, c in enumerate(f) if c) for f in (D, g))
     ratio = Fraction(g[-1], D[-1])
     assert g[j:] == [ratio * c for c in D[i:]]
@@ -372,16 +371,17 @@ def test_a_plain_matrix_reaches_the_common_kernel_only_when_d_is_zero(monkeypatc
     # column of a block of its own, forces D = 0, and only that block takes a
     # generic minor, of rank 0 and so no part; with D != 0 no block takes one
     calls = []
-    monkeypatch.setattr("covsig.jumps._generic_minor_poly",
+    generic_minor_poly = _fast.generic_minor_poly
+    monkeypatch.setattr("covsig._fast.generic_minor_poly",
                         lambda core, b: calls.append(core.blocks[b][0])
-                        or _generic_minor_poly(core, b))
+                        or generic_minor_poly(core, b))
     assert jump_function(RatMatrix([[-1, 1, 0], [0, -1, 0], [0, 0, 0]])) == jump_function(TREFOIL)
     assert calls == [[2]]
 
     def never(core, b):
-        raise AssertionError("_generic_minor_poly called with D != 0")
+        raise AssertionError("generic_minor_poly called with D != 0")
 
-    monkeypatch.setattr("covsig.jumps._generic_minor_poly", never)
+    monkeypatch.setattr("covsig._fast.generic_minor_poly", never)
     for m in (TREFOIL, T25, ALG):
         for eps in (1, -1):
             assert jump_function(m, eps).points
