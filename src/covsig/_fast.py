@@ -21,13 +21,13 @@ only where M or M^T is, so under a symmetric permutation M' is the direct
 sum of its blocks on the connected components of that pattern, and det M'
 is the product of the blocks' determinants.  One routine, minor_poly,
 makes each block's polynomial: its determinant, or where that is 0 a
-generic maximal minor (generic_minor_poly).  After the Cayley change
-w = (1 - y)/(1 + y) the minor is taken by bareiss_det at integers y, its
-even and odd parts in y are interpolated in integers as polynomials in y^2
-on the nodes 0, 1, 4, ..., h^2, and the Cayley map of exact.poly, its own
-inverse up to 2^n, takes the sum back to w; the n x n matrix is not
-formed.  D stays in ints, and every division on the way is exact: one that
-is not raises ArithmeticError.
+generic maximal minor (generic_minor_poly).  It is one bareiss_det per
+block, by Kronecker substitution: a bound on the minor's coefficients
+fixes a point w = 2^k whose digits hold them, and the minor's value there
+is read back as its balanced base-2^k digits (exact.poly.from_two_power);
+the n x n matrix is not formed.  D stays in ints, its product of the
+blocks' factors is a Kronecker product too (exact.poly.mul), and a value
+outside the digit range raises ArithmeticError.
 
 Signature samples are taken on the same PencilCore.
 Haynsworth's inertia additivity, In(H) = In(H_11) + In(H / H_11), splits
@@ -131,8 +131,8 @@ def _eliminate(m, ncols=None):
 
 
 def bareiss_det(rows) -> int:
-    """Exact determinant of a square integer matrix: +-(last pivot) of _eliminate."""
-    m = [[int(x) for x in row] for row in rows]
+    """Exact determinant of a square int matrix: +-(last pivot) of _eliminate on a copy of rows."""
+    m = [list(row) for row in rows]
     prow, _, last, parity = _eliminate(m)
     if len(prow) < len(m):
         return 0
@@ -176,49 +176,6 @@ def adj_det(rows):
     if parity:
         return [[-x for x in row] for row in y], -d
     return y, d
-
-
-def interpolate_in_squares(values, odd: bool):
-    """Ascending integer coefficients of the even (or odd) polynomial p with p(k) = values[k].
-
-    p(y) = E(y^2), or y * E(y^2) when odd, with E of degree < len(values)
-    (< len(values) - 1 when odd), and p must have integer coefficients.
-    E is interpolated on the nodes z = k^2, k = 0, 1, ... (k = 1, 2, ... and
-    the values divided by k when odd) by Newton's divided differences,
-    which are integers: the divided differences of z^m at integer nodes
-    are complete symmetric polynomials in the nodes.  A division that is
-    not exact raises ArithmeticError.
-    """
-    if odd:
-        if values[0]:
-            raise ArithmeticError("values are not those of an odd polynomial")
-        ks = range(1, len(values))
-    else:
-        ks = range(len(values))
-    zs = [k * k for k in ks]
-    coef = []
-    for k in ks:
-        q, r = divmod(values[k], k) if odd else (values[k], 0)
-        if r:
-            raise ArithmeticError("values are not those of an integer polynomial")
-        coef.append(q)
-    for j in range(1, len(coef)):
-        for i in range(len(coef) - 1, j - 1, -1):
-            q, r = divmod(coef[i] - coef[i - 1], zs[i] - zs[i - j])
-            if r:
-                raise ArithmeticError("values are not those of an integer polynomial")
-            coef[i] = q
-    poly = [coef[-1]] if coef else []
-    for k in range(len(coef) - 2, -1, -1):
-        # poly = poly * (z - z_k) + coef[k]
-        zk = zs[k]
-        poly = ([coef[k] - zk * poly[0]] + [a - zk * b for a, b in zip(poly, poly[1:])]
-                + [poly[-1]])
-    while poly and poly[-1] == 0:
-        poly.pop()
-    out = [0] * (2 * len(poly) - 1 + odd) if poly else []
-    out[odd::2] = poly
-    return out
 
 
 def _components(adj):
@@ -266,18 +223,13 @@ def pencil_det_poly(core, factors=None):
 def generic_minor_poly(core, b: int):
     """minor_poly of a generic maximal minor of M'_b(w), [] when M'_b is 0.
 
-    An entry's coefficients sum in absolute value to at most |a| + |a^T|
-    within a group and N * (|a| + |a^T|) between groups, so every
-    coefficient of a minor is at most B, the product over the rows of
-    1 + (the row's sum), and by Cauchy's bound no minor that is not 0
-    vanishes at w0 = 2B: the rank profile of M'_b(w0) has the generic rank.
+    Its rows and columns are the rank profile of M'_b at minor_poly's point
+    w0 = 2^k.  Every minor's coefficients are below 2^(k-1) in absolute
+    value, so by Cauchy's bound the roots of one that is not 0 have
+    |w| < 1 + 2^(k-1) < w0: M'_b(w0) has the generic rank, and the minor on
+    its rank profile is not 0.
     """
-    _, grp, _, _, entries, _ = core.blocks[b]
-    w0 = 2
-    for gi, row in zip(grp, entries):
-        w0 *= 1 + sum((abs(a) + abs(at)) * (1 if grp[j] == gi else core.mults[gi])
-                      for j, a, at in row)
-    ri, ci = rank_profile(_node_matrix(core, b, w0, 1))
+    ri, ci = rank_profile(_node_matrix(core, b, 1 << _digit_bits(core, b)))
     return minor_poly(core, b, ri, ci) if ci else []
 
 
@@ -285,67 +237,62 @@ def minor_poly(core, b: int, ri=None, ci=None):
     """Ascending int coefficients of the minor of M'_b(w) on the rows ri and columns ci.
 
     ri and ci are local indices of block b, as many of each; the default is
-    the whole block, det M'_b.  Row i of M'_b has its group's degree N, so
-    with n the sum of N over ri and w = (1 - y)/(1 + y), (1 + y)^n times
-    the minor is m~(y), the same minor at the node (1 - y, 1 + y), of
-    degree <= n in y.  Its even and odd parts (m~(y) +- m~(-y))/2 are
-    interpolated in y^2 on y = 0..h, h = ceil(n/2), and mapped back to w by
-    the same Cayley map, poly.cayley, divided by 2^n.  For the whole block
-    m~(-y) = (-eps)^|b| m~(y) (PencilCore, Determinant), so one part is 0
-    and only y >= 0 is taken.  A division that is not exact raises
-    ArithmeticError.  Returns no trailing zeros, [] for a minor that is 0.
+    the whole block, det M'_b.  By Kronecker substitution the minor is one
+    integer determinant: at w = 2^k, with 2^(k-1) over every coefficient
+    (_digit_bits), its value holds the coefficients as its balanced base-2^k
+    digits, n + 1 of them for n the sum of N over ri (poly.from_two_power).
+    A value outside that digit range raises ArithmeticError.  Returns no
+    trailing zeros, [] for a minor that is 0.
     """
     blk, grp, *_ = core.blocks[b]
-    whole = ri is None
-    if whole:
+    k = _digit_bits(core, b)
+    m = _node_matrix(core, b, 1 << k)
+    if ri is None:
         ri = range(len(blk))
-    n = sum(core.mults[grp[i]] for i in ri)
-    h = (n + 1) // 2
-
-    def at(y):
-        m = _node_matrix(core, b, 1 - y, 1 + y)
-        return bareiss_det(m if whole else [[m[i][j] for j in ci] for i in ri])
-
-    vals = [at(y) for y in range(h + 1)]
-    if whole:
-        negs = [(-core.eps) ** len(blk) * v for v in vals]
     else:
-        negs = vals[:1] + [at(-y) for y in range(1, h + 1)]
-    d = [0] * (n + 1)
-    for odd, sign in enumerate((1, -1)):
-        part = [(v + sign * u) // 2 for v, u in zip(vals, negs)]
-        if any(part):
-            for k, x in enumerate(interpolate_in_squares(part, odd)):
-                d[k] += x
-    # the Cayley map is its own inverse up to 2^n: the minor is 2^(-n) cayley(d, n)
-    scaled = P.cayley(d, n)
-    if any(x & ((1 << n) - 1) for x in scaled):
-        raise ArithmeticError("a minor of M'(w) came out with a non-integer coefficient")
-    return P.trim([x >> n for x in scaled])
+        m = [[m[i][j] for j in ci] for i in ri]
+    n = sum(core.mults[grp[i]] for i in ri)
+    return P.trim(P.from_two_power(bareiss_det(m), k, n + 1))
 
 
-def _node_matrix(core, b: int, s: int, t: int):
-    """Block b of M' at the node (s, t), each row homogeneous of its group's degree N in (s, t).
+def _digit_bits(core, b: int) -> int:
+    """Digit width k for block b: 2^(k-1) is over every coefficient of every minor of M'_b.
 
-    With a = M[i][j] and a^T = eps*M[j][i], an entry is s^N a - t^N a^T
-    within a group, and Q_N * (s*a - t*a^T) between groups, where Q_N =
-    sum over e < N of s^e t^(N-1-e) = (t^N - s^N) / (t - s).  (s, t) = (w, 1)
-    is M'(w), and (1 - y, 1 + y) is M'_b at w = (1 - y)/(1 + y) with each
-    row multiplied by (1 + y)^N (PencilCore, Determinant).
+    An entry's coefficients sum in absolute value to |a| + |a^T| within a
+    group and to N * (|a| + |a^T|) between groups, where q_N has N unit
+    coefficients; that sum is submultiplicative, so every coefficient of a
+    minor is at most B, the product over the block's rows of the row's sum.
+    In a block of two or more rows every row's sum is a positive integer, so
+    B bounds the minors on fewer rows too; B = 0 is a 1 x 1 block that is 0.
+    """
+    _, grp, _, _, entries, _ = core.blocks[b]
+    bound = 1
+    for gi, row in zip(grp, entries):
+        bound *= sum((abs(a) + abs(at)) * (1 if grp[j] == gi else core.mults[gi])
+                     for j, a, at in row)
+    return P.digit_bits(bound)
+
+
+def _node_matrix(core, b: int, w: int):
+    """Block b of M'(w) at the integer w > 1.
+
+    With a = M[i][j] and a^T = eps*M[j][i], an entry is w^N a - a^T within
+    a group, and q_N(w) * (w*a - a^T) between groups, where q_N(w) =
+    (w^N - 1) / (w - 1) and N is the row's group's (PencilCore,
+    Determinant).
     """
     blk, grp, _, _, entries, groups = core.blocks[b]
     coef = {}
     for g in groups:
-        n = core.mults[g]
-        lo, hi = s ** n, t ** n
-        q = (hi - lo) // (t - s) if t != s else n * s ** (n - 1)
-        coef[g] = (lo, -hi), (q * s, -q * t)
+        wn = w ** core.mults[g]
+        q = (wn - 1) // (w - 1)
+        coef[g] = wn, q * w, q
     mat = []
     for gi, row in zip(grp, entries):
-        (dx, dz), (ox, oz) = coef[gi]
+        wn, qw, q = coef[gi]
         mrow = [0] * len(blk)
         for j, a, at in row:
-            mrow[j] = dx * a + dz * at if grp[j] == gi else ox * a + oz * at
+            mrow[j] = wn * a - at if grp[j] == gi else qw * a - q * at
         mat.append(mrow)
     return mat
 
@@ -444,19 +391,10 @@ class PencilCore:
     M'_b on the connected components b of that pattern, and det M' = prod
     over b of det M'_b; a block may mix rows of several groups.  Block b
     has degree n_b = sum over its rows of that row's N (n is the sum of the
-    n_b), so with w = (1 - y)/(1 + y) and each row multiplied by
-    (1 + y)^N, D~_b(y) = (1 + y)^(n_b) det M'_b(w) is the determinant of an
-    integer polynomial matrix in y: entries (1-y)^N a - eps*(1+y)^N a^T
-    within a group, and Q_N(y) * ((1-y) a - eps*(1+y) a^T) between groups,
-    where a = M[i][j], a^T = M[j][i] and Q_N(y) = sum over e < N of
-    (1-y)^e (1+y)^(N-1-e); a minor on some rows is that of this matrix, with
-    n the sum of N over them.  With Sch the Schur complement above,
-    Sch(1/w) = (-eps/w) Sch(w)^T, and q_N(1/w) = w^(1-N) q_N(w); so
-    w^(n_b) det M'_b(1/w) = (-eps)^|b| det M'_b(w), that is D~_b(-y) =
-    (-eps)^|b| D~_b(y), with |b| the block's size: the values at y = 0..h,
-    h = ceil(n_b/2), give those on all of -h..h, enough for degree n_b, and
-    det M'_b(w) = 2^(-n_b) * sum_i d_i (1 - w)^i (1 + w)^(n_b - i) for the
-    coefficients d_i of D~_b.  A core with one block is the whole M'.
+    n_b), and a minor on some of its rows the sum of N over them.  Each is
+    an integer polynomial whose coefficients are bounded by the product of
+    its rows' coefficient sums, so it is read off its one value at a power
+    of two (minor_poly).  A core with one block is the whole M'.
 
     Blocks across samples.  Let Sch_b(w) be the Schur complement's block
     b, hermitian and continuous on the open upper half circle except at

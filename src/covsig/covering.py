@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from ._fast import adj_det
 from ._value import Value
@@ -99,7 +100,23 @@ def gamma(A: RatMatrix, epsilon: int) -> RatMatrix:
 
 def _matmul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def _minus(a, b):
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def _power(m, e: int):
+    """m^e for e >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = m if out is None else _matmul(out, m)
+        e >>= 1
+        if not e:
+            return out
+        m = _matmul(m, m)
 
 
 def covering_blocks(sd: SeifertData, spec: CoveringSpec):
@@ -124,7 +141,11 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
         A_kl = delta * eps*(cB)^T G_i^(j-1) H_i^(d-j-1) tail / (c*Delta),
 
     the off-diagonal blocks carrying one more factor delta than the diagonal
-    one.  L is c*Delta divided by its gcd with every numerator, signed to be
+    one.  G_i^d and H_i^d are taken by repeated squaring, and the blocks
+    from two one-sided chains, left_j = eps*(cB)^T G_i^j and right_m =
+    H_i^m tail: the numerator of A_kl is delta * left_(j-1) right_(d-j-1),
+    and that of A_kk is Delta*cC - left_(d-1) tail + eps*(cB)^T right_(d-1).
+    L is c*Delta divided by its gcd with every numerator, signed to be
     positive: the least positive common denominator of the blocks.  Each
     block is a tuple of integer row tuples, and the grid holds the d
     distinct ones, one per j, by reference.
@@ -139,24 +160,21 @@ def covering_blocks(sd: SeifertData, spec: CoveringSpec):
     adj_s, delta = adj_det([[a[i][j] - eps * a[j][i] for j in range(n)] for i in range(n)])
     g = _matmul(adj_s, a)
     h = [[x - (delta if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(g)]
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    gpow, hpow = [ident], [ident]
-    for _ in range(d):
-        gpow.append(_matmul(gpow[-1], g))
-        hpow.append(_matmul(hpow[-1], h))
-    adj_d, big_delta = adj_det([[x - y for x, y in zip(r, s)] for r, s in zip(gpow[d], hpow[d])])
+    adj_d, big_delta = adj_det(_minus(_power(g, d), _power(h, d)))
     if big_delta == 0:
         raise NotRationalHomologySphere(
             "G^d - (G-I)^d is singular: the cover is not a rational homology sphere"
         )
     tail = _matmul(adj_d, _matmul(adj_s, b))
     ebt = [[eps * x for x in col] for col in zip(*b)]
-    diff = [[x - y for x, y in zip(r, s)] for r, s in zip(gpow[d - 1], hpow[d - 1])]
-    diag = _matmul(ebt, _matmul(diff, tail))
+    left, right = [ebt], [tail]
+    for _ in range(d - 1):
+        left.append(_matmul(left[-1], g))
+        right.append(_matmul(h, right[-1]))
+    diag = _minus(_matmul(left[d - 1], tail), _matmul(ebt, right[d - 1]))
     # A_kl depends only on j = (k - l) mod d: d distinct blocks, j = 0 the diagonal
-    by_j = [[[big_delta * x - y for x, y in zip(r, s)] for r, s in zip(cc, diag)]]
-    by_j += [[[delta * x for x in row]
-              for row in _matmul(ebt, _matmul(_matmul(gpow[j - 1], hpow[d - j - 1]), tail))]
+    by_j = [_minus([[big_delta * x for x in row] for row in cc], diag)]
+    by_j += [[[delta * x for x in row] for row in _matmul(left[j - 1], right[d - j - 1])]
              for j in range(1, d)]
     den = c * big_delta
     g = gcd(den, *(x for M in by_j for row in M for x in row))

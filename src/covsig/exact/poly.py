@@ -28,8 +28,15 @@ rule of signs on Taylor-shifted integer polynomials (Collins-Akritas), on
 the bisection tree that isolates roots (`_descartes_cells`): isolation,
 the check of an isolating interval, the equality certificate and the
 dyadic cell all count this way.  `cayley`, by the same unit shifts, is
-covsig's one Cayley map: it takes D(w)'s blocks back from y to w and gives
-the candidates' Cayley numerators in t = tan(theta/2).
+covsig's one Cayley map: it gives the candidates' Cayley numerators in
+t = tan(theta/2).
+
+Products go by Kronecker substitution: a polynomial whose coefficients are
+bounded by 2^(k-1) is one integer, its value at 2^k (`at_two_power`), and
+that integer's balanced base-2^k digits give the coefficients back
+(`from_two_power`, linear in the size of the integer).  `mul` takes one
+integer product this way, and _fast.minor_poly reads a block's determinant
+off its one value at 2^k.
 """
 
 from __future__ import annotations
@@ -51,17 +58,51 @@ def degree(p):
     return len(p) - 1  # -1 for the zero polynomial
 
 
+def digit_bits(bound: int) -> int:
+    """The least multiple k of 8 with 2^(k-1) > bound >= 0: the digit width that holds |c| <= bound."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def at_two_power(p, k: int) -> int:
+    """p(2^k) for an int list p with every |p_i| < 2^k, k a multiple of 8: linear, by bytes."""
+    w, zero = k // 8, bytes(k // 8)
+    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in p)
+    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in p)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def from_two_power(v: int, k: int, count: int):
+    """The count balanced base-2^k digits of v, least significant first: the p with p(2^k) = v.
+
+    Each digit c has -2^(k-1) <= c < 2^(k-1), and k is a multiple of 8.
+    Adding 2^(k-1) to every digit makes them all nonnegative, so one
+    to_bytes call gives them and each is a slice: linear in the size of v.
+    A v with no such digits raises ArithmeticError.
+    """
+    w = k // 8
+    half = bytes(w - 1) + b"\x80"
+    try:
+        raw = (v + int.from_bytes(half * count, "little")).to_bytes(w * count, "little")
+    except OverflowError:
+        raise ArithmeticError(
+            f"a value of {v.bit_length()} bits has no {count} digits in base 2^{k}") from None
+    top = 1 << (k - 1)
+    return [int.from_bytes(raw[i:i + w], "little") - top for i in range(0, w * count, w)]
+
+
 def mul(p, q):
-    """Product of two int lists."""
-    if not p or not q:
+    """Product of two int lists, by Kronecker substitution.
+
+    Every coefficient of p*q is at most min(len) * max|p| * max|q| = B in
+    absolute value, so with 2^(k-1) > B the product of p(2^k) and q(2^k)
+    holds the product's coefficients as its balanced base-2^k digits: one
+    integer product, which Python multiplies by Karatsuba.
+    """
+    bound = min(len(p), len(q)) * max(map(abs, p), default=0) * max(map(abs, q), default=0)
+    if not bound:
         return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
+    k = digit_bits(bound)
+    return trim(from_two_power(at_two_power(p, k) * at_two_power(q, k), k, len(p) + len(q) - 1))
 
 
 def taylor_shift(p, c):

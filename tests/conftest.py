@@ -116,6 +116,17 @@ def lift_is_point(a, b):
                 and P.degree(c) >= 1 and P.count_roots(c, clo, chi) == 1)
 
 
+def schoolbook_mul(p, q):
+    """Product of two coefficient lists of any number type: the oracle of poly.mul."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return P.trim(out)
+
+
 def newton_interp(xs, ys):
     """Ascending Fraction coefficients of the interpolating polynomial."""
     n = len(xs)

@@ -455,7 +455,7 @@ def test_core_with_c_zero_equals_the_reduced_matrix(covering):
 # -S, so c carries the sign (-1)^((N-1)b)
 @example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-2, 3, 1], -1)
 @example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-4, -1, 2], -1)
-# odd n at eps = 1: (1 + y)^n D is odd and of degree n, which needs h = (n + 1)/2
+# odd n at eps = 1: a block polynomial of odd degree n
 @example(one_by_one([[1, 2, -1], [0, 2, 1], [1, -1, 1]]), [-1, 1, 1], 1)
 def test_core_det_poly_equals_pencil_det_poly(blocks, mults, epsilon):
     # covers det S_k = 0 (always for b = 1, eps = 1), where D = 0 and c = 0

@@ -32,6 +32,7 @@ from conftest import (
     fraction_sturm_chain,
     poly_eval,
     scaled_root,
+    schoolbook_mul,
     sturm_count,
 )
 
@@ -292,7 +293,7 @@ def test_totient_matches_sympy():
 def test_sturm_root_count():
     # (x^2 - 2)(x^2 - 3): four real roots, two positive; the Descartes count
     # agrees with the Fraction Sturm oracle
-    p = P.mul([Fraction(-2), 0, Fraction(1)], [Fraction(-3), 0, Fraction(1)])
+    p = schoolbook_mul([Fraction(-2), 0, Fraction(1)], [Fraction(-3), 0, Fraction(1)])
     chain, ip = fraction_sturm_chain(p), P.int_form(p)
     for lo, hi, n in ((Fraction(-4), Fraction(4), 4), (Fraction(0), Fraction(4), 2),
                       (Fraction(7, 5), Fraction(3, 2), 1)):  # the last holds sqrt2
@@ -421,7 +422,7 @@ def _sgn(x):
 def test_sign_at_matches_rational_horner(cs, x, make_root):
     if make_root:
         # multiply by (d*t - n) so that x = n/d is an exact root
-        cs = [int(c) for c in P.mul([Fraction(-x.numerator), Fraction(x.denominator)], cs)]
+        cs = [int(c) for c in schoolbook_mul([Fraction(-x.numerator), Fraction(x.denominator)], cs)]
     assert P.sign_at(cs, x) == _sgn(poly_eval(cs, x))
     if make_root and any(cs):
         assert P.sign_at(cs, x) == 0
@@ -455,7 +456,7 @@ def _reference_bisection(poly, lo, hi, steps):
 @settings(max_examples=60, deadline=None)
 def test_refine_matches_sturm_bisection(cs, k, b):
     # the factor (2^k t - b) puts a dyadic root in, which bisection can hit
-    p = P.mul([Fraction(c) for c in cs], [Fraction(-b), Fraction(1 << k)])
+    p = schoolbook_mul([Fraction(c) for c in cs], [Fraction(-b), Fraction(1 << k)])
     if P.degree(P.trim(p)) < 1:
         return
     for root in isolate_real_roots(p):
@@ -476,7 +477,7 @@ def test_refine_to_matches_repeated_refine(cs, k, b, bits, s, t):
     # the scale s (scaled_root) gives start intervals whose denominators are
     # not powers of 2, and t widths 1/(3 * 2^bits), so the grid of refine_to
     # is not dyadic
-    p = P.mul([Fraction(c) for c in cs], [Fraction(-b), Fraction(1 << k)])
+    p = schoolbook_mul([Fraction(c) for c in cs], [Fraction(-b), Fraction(1 << k)])
     if P.degree(P.trim(p)) < 1:
         return
     width = Fraction(1, t << bits)
@@ -534,8 +535,8 @@ def test_isolation_matches_sturm_bisection(cs, dyadic, k, b, sq):
     # sq a square factor
     p = [Fraction(c) for c in cs]
     if dyadic:
-        p = P.mul(p, [Fraction(-b), Fraction(1 << k)])
-    p = P.trim(P.mul(p, P.mul(sq, sq)))
+        p = schoolbook_mul(p, [Fraction(-b), Fraction(1 << k)])
+    p = P.trim(schoolbook_mul(p, schoolbook_mul(sq, sq)))
     if not p:
         return
     got = [(r.lo, r.hi, r.poly) for r in isolate_real_roots(p)]
@@ -587,10 +588,10 @@ def isolates(p, lo, hi):
 def test_dyadic_cell_is_canonical(cs, dyadic, k, b, close, c):
     p = [Fraction(x) for x in cs]
     if dyadic:
-        p = P.mul(p, [Fraction(-b), Fraction(1 << k)])
+        p = schoolbook_mul(p, [Fraction(-b), Fraction(1 << k)])
     if close:
-        p = P.mul(p, [Fraction(CLOSE * CLOSE * c * c - 27), Fraction(-6 * CLOSE * CLOSE * c),
-                      Fraction(9 * CLOSE * CLOSE)])
+        p = schoolbook_mul(p, [Fraction(CLOSE * CLOSE * c * c - 27), Fraction(-6 * CLOSE * CLOSE * c),
+                               Fraction(9 * CLOSE * CLOSE)])
     p = P.trim(p)
     if P.degree(p) < 1:
         return
@@ -644,15 +645,58 @@ def test_cayley_matches_the_fraction_expansion_and_is_an_involution(p, extra):
     for k, c in enumerate(p):
         term = [Fraction(c)]
         for _ in range(k):
-            term = P.mul(term, [Fraction(1), Fraction(-1)])
+            term = schoolbook_mul(term, [Fraction(1), Fraction(-1)])
         for _ in range(n - k):
-            term = P.mul(term, [Fraction(1), Fraction(1)])
+            term = schoolbook_mul(term, [Fraction(1), Fraction(1)])
         for i, x in enumerate(term):
             want[i] += x
     got = P.cayley(p, n)
     assert len(got) == n + 1 and all(type(c) is int for c in got)
     assert got == want
     assert P.trim(P.cayley(got, n)) == [c << n for c in p]
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: products and the digit reader
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=100)
+def test_digits_round_trip_at_the_edge_of_their_range(w, count, data):
+    # every digit at +-(2^(k-1) - 1), the largest |c| the width k holds, or inside
+    k = 8 * (w + 1)
+    top = (1 << (k - 1)) - 1
+    p = data.draw(st.lists(st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top),
+                           min_size=count, max_size=count))
+    v = P.at_two_power(p, k)
+    assert v == sum(c << (k * i) for i, c in enumerate(p))
+    assert P.from_two_power(v, k, count) == p
+
+
+@pytest.mark.parametrize("k", [8, 16, 64])
+def test_digit_reader_refuses_a_value_outside_its_range(k):
+    top = 1 << (k - 1)
+    assert P.from_two_power(-top, k, 1) == [-top]
+    for v in (top, -top - 1, 1 << (3 * k), -(1 << (3 * k))):
+        with pytest.raises(ArithmeticError):
+            P.from_two_power(v, k, 3 if abs(v) > top + 1 else 1)
+    assert P.digit_bits(0) == 8 and P.digit_bits(127) == 8 and P.digit_bits(128) == 16
+
+
+small_or_huge = st.integers(min_value=-9, max_value=9) | st.integers(min_value=-(1 << 200),
+                                                                      max_value=1 << 200)
+
+
+@given(st.lists(small_or_huge, max_size=12), st.lists(small_or_huge, max_size=12))
+@settings(max_examples=200)
+@example([], [1, 2])
+@example([0, 0], [3])
+@example([-1, 0, -(1 << 70)], [0, -5, 0, 0])
+def test_mul_matches_the_schoolbook_product(p, q):
+    # empty, zero, negative and trailing-zero inputs, and coefficients of mixed sizes
+    got = P.mul(p, q)
+    assert all(type(c) is int for c in got)
+    assert got == schoolbook_mul(p, q) == P.mul(q, p)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 bareiss_det is checked against sympy's DomainMatrix.det and against the sign
 of permutation matrices, adj_det against DomainMatrix.adj_det, pencil_det_poly
-against Newton interpolation of integer determinants of the pencil (in
-Fractions, conftest's newton_interp, which is also the oracle of the integer
-kernel interpolate_in_squares),
-PencilCore.at on a plain matrix against the pencil formula in sympy's
-Gaussian rationals QQ_I, herm_sig_fast against the characteristic polynomial of the
-real embedding of the hermitian matrix, which shares no code with it, a
-batch of matrices against each member alone, and the sum over a core's
-connected blocks against the whole core.
+and every block minor (minor_poly, generic_minor_poly, read off one value at
+a power of two) against Newton interpolation of integer determinants of the
+pencil (in Fractions, conftest's newton_interp), PencilCore.at on a plain
+matrix against the pencil formula in sympy's Gaussian rationals QQ_I,
+herm_sig_fast against the characteristic polynomial of the real embedding
+of the hermitian matrix, which shares no code with it, a batch of matrices
+against each member alone, and the sum over a core's connected blocks
+against the whole core.
 """
 
 import cmath
@@ -37,31 +37,6 @@ def square(elements, min_size=1, max_size=6):
         lambda n: st.lists(st.lists(elements, min_size=n, max_size=n),
                            min_size=n, max_size=n)
     )
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=20), st.booleans(),
-       st.integers(min_value=0, max_value=2))
-def test_interpolate_in_squares_matches_interpolate(half, odd, extra):
-    # p(y) = E(y^2) or y * E(y^2), the shape of a block's determinant after
-    # the Cayley change; newton_interp takes it on -h..h, the other on 0..h
-    p = [0] * (2 * len(half) - 1 + odd) if half else []
-    p[odd::2] = half
-    while p and p[-1] == 0:
-        p.pop()
-    h = len(p) // 2 + extra
-    ys = [sum(c * y**i for i, c in enumerate(p)) for y in range(h + 1)]
-    sign = -1 if odd else 1
-    assert _fast.interpolate_in_squares(ys, odd) == p
-    assert newton_interp(list(range(-h, h + 1)), [sign * v for v in reversed(ys[1:])] + ys) == p
-
-
-def test_interpolate_in_squares_refuses_values_of_no_integer_polynomial():
-    # y^2 (y^2 - 1) / 2 is even and integer-valued at 0, 1, 2, but not integral
-    with pytest.raises(ArithmeticError):
-        _fast.interpolate_in_squares([0, 0, 6], False)
-    with pytest.raises(ArithmeticError):
-        _fast.interpolate_in_squares([1, 0], True)  # odd, but p(0) != 0
 
 
 def congruent(rows, u_upper):
@@ -254,6 +229,73 @@ def test_minor_poly_matches_the_minor_of_m_prime(case):
         if not whole:
             zero_block = not any(a or at for row in core.blocks[b][4] for _, a, at in row)
             assert (_fast.generic_minor_poly(core, b) == []) == zero_block
+
+
+def interpolated_minor(rows, eps, mults, blk, ri, ci):
+    """The minor of M'_blk(w) on ri and ci, interpolated from sympy's determinants at w = 0..n."""
+    n = sum(mults[blk[i] // (len(rows) // len(mults))] for i in ri)
+    ys = []
+    for w in range(n + 1):
+        m = m_prime_at(rows, eps, mults, w)
+        minor = [[ZZ(m[blk[i]][blk[j]]) for j in ci] for i in ri]
+        ys.append(int(DomainMatrix(minor, (len(ri), len(ri)), ZZ).det()))
+    return newton_interp(list(range(n + 1)), ys)
+
+
+@st.composite
+def wide_cores(draw):
+    """(rows, eps, mults): up to 3 groups of N <= 4 with entries up to 40, some blocks of det 0."""
+    eps = draw(eps_st)
+    b = draw(st.integers(min_value=1, max_value=3))
+    mults = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+    n = b * len(mults)
+    wide = st.one_of(st.just(0), st.integers(min_value=-40, max_value=40))
+    rows = draw(st.lists(st.lists(wide, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        # two equal rows and columns of M in one group make two rows of M' equal
+        i, j = sorted(draw(st.permutations(range(n)))[:2])
+        if i // b == j // b:
+            rows[j] = list(rows[i])
+            for row in rows:
+                row[j] = row[i]
+    return rows, eps, tuple(mults)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_cores())
+# -w + 1: a negative leading coefficient
+@example(([[-1]], 1, (1,)))
+# the 2 x 2 block w^3 [[1, 1], [1, 1]] - [[1, 1], [1, 1]] has det 0
+@example(([[1, 1], [1, 1]], 1, (3,)))
+# a group of N = 2 and one of N = 3, joined, at eps = -1
+@example(([[2, -3], [5, -1]], -1, (2, 3)))
+# -(q_4(w) (4w + 4))^2, whose coefficients reach 224: a bound without the
+# factor N between groups would be 64, and one byte of digits too few
+@example(([[0, 4], [4, 0]], -1, (4, 4)))
+def test_block_minors_match_interpolated_determinants(case):
+    # each block's determinant and generic minor against Newton interpolation
+    # of sympy's determinants of M'(w) at integers; the generic minor sits on
+    # the rank profile of M' at a point far past every root of its minors,
+    # of the generic rank, the most that M' has at w = 0..n
+    rows, eps, mults = case
+    core = _fast.PencilCore(rows, eps, mults)
+    for b, (blk, *_) in enumerate(core.blocks):
+        whole = range(len(blk))
+        f = _fast.minor_poly(core, b)
+        assert f == interpolated_minor(rows, eps, mults, blk, whole, whole)
+        g = _fast.generic_minor_poly(core, b)
+        if f:
+            assert g == f
+            continue
+        m = m_prime_at(rows, eps, mults, 1 << 4096)
+        ri, ci = _fast.rank_profile([[m[i][j] for j in blk] for i in blk])
+        # every minor of the block has degree at most n
+        n = sum(mults[i // (len(rows) // len(mults))] for i in blk)
+        rank = max(DomainMatrix([[ZZ(m[i][j]) for j in blk] for i in blk], (len(blk),) * 2, ZZ).rank()
+                   for w in range(n + 1) for m in [m_prime_at(rows, eps, mults, w)])
+        assert len(ri) == rank
+        # a block of rank 0 has no minor to give
+        assert g == (interpolated_minor(rows, eps, mults, blk, ri, ci) if rank else [])
 
 
 def hermitian(upper, diag):

@@ -74,6 +74,7 @@ from conftest import (
     fraction_sturm_chain,
     remove_common_kernel,
     same_jumps,
+    schoolbook_mul,
     sturm_count,
 )
 
@@ -976,7 +977,7 @@ def test_root_of_unity_points_match_the_scan(n):
     # of a poly with a spare factor, which raises deg and so the bound 8*deg^2
     g = list(_cyclotomic_cayley_gcd(n))
     chain = fraction_sturm_chain(g)
-    for poly in (g, P.mul(g, [Fraction(-2), 0, Fraction(1)])):
+    for poly in (g, schoolbook_mul(g, [Fraction(-2), 0, Fraction(1)])):
         ts = isolate_real_roots(poly)
         assert len(ts) == P.degree(poly)
         for t in ts:
@@ -1077,9 +1078,9 @@ def test_cyclotomic_split_matches_fraction_division(ns, others, content):
     # square-free products of cyclotomic and other integer factors, at any content
     S = [content]
     for n in ns:
-        S = P.mul(S, [Fraction(c) for c in P.cyclotomic(n)])
+        S = schoolbook_mul(S, [Fraction(c) for c in P.cyclotomic(n)])
     for c in others:
-        S = P.mul(S, [Fraction(x) for x in c])
+        S = schoolbook_mul(S, [Fraction(x) for x in c])
     assume(P.square_free_part(S) == P.int_form(S))
     want_ns, want_rest = fraction_cyclotomic_split(S)
     got_ns, rest = _cyclotomic_parts(P.int_form(S))
@@ -1264,8 +1265,8 @@ def fraction_cayley_numerator(S):
             continue
         ar, ai = plus[j]
         br, bi = minus[deg - j]
-        re = add(re, add(P.mul(ar, br), P.mul(ai, bi), -1), c)
-        im = add(im, add(P.mul(ar, bi), P.mul(ai, br)), c)
+        re = add(re, add(schoolbook_mul(ar, br), schoolbook_mul(ai, bi), -1), c)
+        im = add(im, add(schoolbook_mul(ar, bi), schoolbook_mul(ai, br)), c)
     return re, im
 
 
