@@ -313,20 +313,24 @@ def ltm_family(V: RatMatrix, m: int, epsilon: int = 1):
     return SeifertData(A=ac, B=b, C=ac, epsilon=epsilon), coeffs
 
 
-def ltm_y_oracle(m: int, p: int):
-    """Closed-form scaling factors y_0..y_(p-1) for the L(T, m) cover.
+def ltm_y_oracle(m: int, d: int):
+    """Closed-form scaling factors y_0..y_(d-1) for the L(T, m) cover of degree d.
 
-    The covering knot's jump function is sum_k delta_V(y_k * theta) with
+    d is the cover's degree, the prime power p^a of `--p` and `--a`.  The
+    covering knot's jump function is sum_k delta_V(y_k * theta) with
     a = (m-1)/m:
-        y_0 = -(1 - a^(p-1)) / (m (1 - a^p)),
-        y_k = a^(k-1) / (m^2 (1 - a^p))    for 1 <= k <= p-1.
+        y_0 = -(1 - a^(d-1)) / (m (1 - a^d)),
+        y_k = a^(k-1) / (m^2 (1 - a^d))    for 1 <= k <= d-1.
+    Negative m are in range (there a > 1).  m = 0, where a is undefined,
+    and m = 1 are refused: they are ltm_family's boundary patterns {1: 1}
+    and {0: 1}, outside the obstruction argument.
     """
-    if m <= 1:
-        raise ValueError("closed form needs m > 1")
+    if m in (0, 1):
+        raise ValueError("closed form needs m not in {0, 1}")
     a = Fraction(m - 1, m)
-    denom = m * (1 - a ** p)
-    ys = [-(1 - a ** (p - 1)) / denom]
-    for k in range(1, p):
+    denom = m * (1 - a ** d)
+    ys = [-(1 - a ** (d - 1)) / denom]
+    for k in range(1, d):
         ys.append(a ** (k - 1) / (m * denom))
     return ys
 

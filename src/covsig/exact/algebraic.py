@@ -70,13 +70,8 @@ class AlgReal:
             self._check_isolating()
 
     def _check_isolating(self):
-        lo, hi = self.lo, self.hi
-        if not (lo < hi):
-            raise ValueError("empty isolating interval")
-        if P.sign_at(self.poly, lo) == 0 or P.sign_at(self.poly, hi) == 0:
-            raise ValueError("interval endpoints must not be roots")
-        if P.count_roots(self.poly, lo, hi) != 1:
-            raise ValueError("interval does not isolate exactly one root")
+        if not P.isolates(self.poly, self.lo, self.hi):
+            raise ValueError(f"({self.lo}, {self.hi}) does not isolate a root of its polynomial")
 
     def with_interval(self, lo, hi, check=True):
         """The root of the same polynomial in (lo, hi), sharing its poly.
@@ -318,23 +313,20 @@ def dyadic_cell(root: AlgReal):
         lo, hi = Fraction(k, 1 << p), Fraction(k + 1, 1 << p)
         if ilo < lo and hi < ihi:
             return ip, lo, hi
-        if (P.sign_at(ip, lo) and P.sign_at(ip, hi)
-                and P.count_roots(ip, lo, hi) == 1):
+        if P.isolates(ip, lo, hi):
             return ip, lo, hi
         p += 64
 
 
 def _cert_equal(a: AlgReal, b: AlgReal, g) -> bool:
-    """A certificate that a = b, where g = gcd(a.poly, b.poly) is not constant."""
+    """A certificate that a = b, where g = gcd(a.poly, b.poly) is not constant.
+
+    The overlap of the two intervals isolates a root of each poly and one of
+    g (square-free, as it divides a square-free poly), so the three roots
+    are one.  An end that is a root fails it: the caller refines and retries.
+    """
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo >= hi:
-        return False
-    # g divides a square-free poly, so it is square-free
-    for ip in (g, a.poly, b.poly):
-        if P.sign_at(ip, lo) == 0 or P.sign_at(ip, hi) == 0:
-            return False  # caller refines and retries
-    return (P.count_roots(g, lo, hi) >= 1 and P.count_roots(a.poly, lo, hi) == 1
-            and P.count_roots(b.poly, lo, hi) == 1)
+    return all(P.isolates(ip, lo, hi) for ip in (g, a.poly, b.poly))
 
 
 def alg_compare(a: AlgReal, b: AlgReal, max_bits: int = DEFAULT_PRECISION_BITS) -> Comparison:

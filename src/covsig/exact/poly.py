@@ -9,13 +9,14 @@ printed (jumps.point_to_obj).  Fractions remain as the points at which a
 polynomial is evaluated and as the ends of intervals.
 
 Only what the root-isolation and jump-extraction code needs: products, gcd
-and square-free part, division by a monic (cyclotomic) polynomial, and root
-counting.  The gcd also finds the roots that two blocks' rests share
-(jumps._algebraic_candidates takes it pairwise).  It is
-the heuristic gcd GCDHEU in Python ints (_inner_gcd): one integer gcd of
-the two polynomials' values at a large point, read back as a polynomial
-and checked by exact division.  Python's bigint gcd does the work, and the
-coefficient growth of remainder sequences on the large determinant
+and square-free part, exact division (by a cyclotomic polynomial, among
+others), root counting and the test that an interval isolates a root.
+The gcd also finds the roots that two blocks' rests share
+(jumps._algebraic_candidates takes it pairwise).  It is the heuristic gcd
+GCDHEU in Python ints (_inner_gcd): one integer gcd of the two
+polynomials' values at a power of two, read back as a polynomial from its
+digits and checked by exact division.  Python's bigint gcd does the work,
+and the coefficient growth of remainder sequences on the large determinant
 polynomials of covering computations is avoided (a primitive
 pseudo-remainder gcd was 30x slower at degree 60); that sequence remains
 only as the fallback once every evaluation point has failed.
@@ -25,18 +26,19 @@ coefficient list and a rational point n/d, and `_value_at` gives the
 value behind that sign, times a positive integer, for the secant steps of
 refinement.  `count_roots` counts the roots in an interval by Descartes'
 rule of signs on Taylor-shifted integer polynomials (Collins-Akritas), on
-the bisection tree that isolates roots (`_descartes_cells`): isolation,
-the check of an isolating interval, the equality certificate and the
-dyadic cell all count this way.  `cayley`, by the same unit shifts, is
-covsig's one Cayley map: it gives the candidates' Cayley numerators in
-t = tan(theta/2).
+the bisection tree that isolates roots (`_descartes_cells`).  Isolation
+counts this way, and so does `isolates`, the one test that an interval
+isolates a root, behind the check of an isolating interval, the equality
+certificate, the dyadic cell and the root-of-unity test.  `cayley`, by
+the same unit shifts, is covsig's one Cayley map: it gives the
+candidates' Cayley numerators in t = tan(theta/2).
 
-Products go by Kronecker substitution: a polynomial whose coefficients are
-bounded by 2^(k-1) is one integer, its value at 2^k (`at_two_power`), and
-that integer's balanced base-2^k digits give the coefficients back
-(`from_two_power`, linear in the size of the integer).  `mul` takes one
-integer product this way, and _fast.minor_poly reads a block's determinant
-off its one value at 2^k.
+Products and gcds go by Kronecker substitution: a polynomial whose
+coefficients are bounded by 2^(k-1) is one integer, its value at 2^k
+(`at_two_power`), and that integer's balanced base-2^k digits give the
+coefficients back (`from_two_power`, linear in the size of the integer).
+`mul` takes one integer product this way, `_inner_gcd` one integer gcd,
+and _fast.minor_poly reads a block's determinant off its one value at 2^k.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import gcd as int_gcd
-from math import isqrt, lcm
+from math import lcm
 
 
 def trim(p):
@@ -63,26 +65,35 @@ def digit_bits(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
+def _middles(k: int, count: int) -> int:
+    """The value at 2^k of count digits 2^(k-1): what shifts balanced digits to nonnegative ones."""
+    return int.from_bytes((bytes(k // 8 - 1) + b"\x80") * count, "little")
+
+
 def at_two_power(p, k: int) -> int:
-    """p(2^k) for an int list p with every |p_i| < 2^k, k a multiple of 8: linear, by bytes."""
-    w, zero = k // 8, bytes(k // 8)
-    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in p)
-    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in p)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """p(2^k) for an int list p of balanced base-2^k digits, k a multiple of 8: linear, by bytes.
+
+    Each p_i has -2^(k-1) <= p_i < 2^(k-1).  Adding 2^(k-1) to every digit
+    makes them all nonnegative, so each is one to_bytes call and their
+    concatenation is one integer.
+    """
+    w, top = k // 8, 1 << (k - 1)
+    raw = b"".join([(c + top).to_bytes(w, "little") for c in p])
+    return int.from_bytes(raw, "little") - _middles(k, len(p))
 
 
 def from_two_power(v: int, k: int, count: int):
     """The count balanced base-2^k digits of v, least significant first: the p with p(2^k) = v.
 
     Each digit c has -2^(k-1) <= c < 2^(k-1), and k is a multiple of 8.
-    Adding 2^(k-1) to every digit makes them all nonnegative, so one
-    to_bytes call gives them and each is a slice: linear in the size of v.
-    A v with no such digits raises ArithmeticError.
+    As in at_two_power, adding 2^(k-1) to every digit makes them all
+    nonnegative, so one to_bytes call gives them and each is a slice:
+    linear in the size of v.  A v with no such digits raises
+    ArithmeticError.
     """
     w = k // 8
-    half = bytes(w - 1) + b"\x80"
     try:
-        raw = (v + int.from_bytes(half * count, "little")).to_bytes(w * count, "little")
+        raw = (v + _middles(k, count)).to_bytes(w * count, "little")
     except OverflowError:
         raise ArithmeticError(
             f"a value of {v.bit_length()} bits has no {count} digits in base 2^{k}") from None
@@ -230,60 +241,43 @@ def count_roots(ip, lo, hi):
     return len(_descartes_cells(ip, lo, hi))
 
 
+def isolates(ip, lo, hi):
+    """Does (lo, hi) isolate a root of the square-free integer polynomial ip?
+
+    That is: lo < hi, neither end is a root, and ip has exactly one root
+    between them (count_roots).
+    """
+    return lo < hi and sign_at(ip, lo) != 0 and sign_at(ip, hi) != 0 and count_roots(ip, lo, hi) == 1
+
+
 def derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def divmod_monic(p, q):
-    """(quotient, remainder) of integer lists p by a monic integer q, in ints.
+def exact_quo(p, d):
+    """p / d when the nonzero int list d divides the nonzero int list p in Z[x]; None when not.
 
-    Each step runs over the nonzero coefficients of q only: Phi_n is sparse
+    Each step runs over the nonzero coefficients of d only: Phi_n is sparse
     when n has few distinct primes (Phi_(2^k) has two terms).
     """
-    dq = len(q) - 1
-    p = list(p)
-    terms = [(i, b) for i, b in enumerate(q[:-1]) if b]
-    quot = [0] * max(0, len(p) - dq)
-    for k in range(len(quot) - 1, -1, -1):
-        c = p[k + dq]
-        if c:
-            quot[k] = c
-            for i, b in terms:
-                p[k + i] -= c * b
-    return trim(quot), trim(p[:dq])
-
-
-_HEU_TRIES = 6  # evaluation points of the heuristic gcd, as many as sympy's dup_zz_heu_gcd takes
-heu_fallbacks = 0  # gcds that _inner_gcd took by the remainder sequence, all points having failed
-
-
-def _from_digits(h, x):
-    """The int list of h's balanced base-x digits, least significant first: its p(x) = h."""
-    out = []
-    while h:
-        g = h % x
-        if g > x // 2:
-            g -= x
-        out.append(g)
-        h = (h - g) // x
-    return out
-
-
-def _exact_quo(p, d):
-    """p / d when the nonzero int list d divides the nonzero int list p in Z[x]; None when not."""
-    dd = len(d) - 1
+    dd, lead = len(d) - 1, d[-1]
     if len(p) <= dd:
         return None
+    terms = [(i, b) for i, b in enumerate(d[:-1]) if b]
     r, quo = list(p), [0] * (len(p) - dd)
     for k in range(len(quo) - 1, -1, -1):
-        c, rem = divmod(r[k + dd], d[-1])
+        c, rem = divmod(r[k + dd], lead)
         if rem:
             return None
         quo[k] = c
         if c:
-            for i in range(dd):
-                r[k + i] -= c * d[i]
+            for i, b in terms:
+                r[k + i] -= c * b
     return None if any(r[:dd]) else quo
+
+
+_HEU_TRIES = 6  # evaluation points 2^k of the heuristic gcd, k doubling
+heu_fallbacks = 0  # gcds that _inner_gcd took by the remainder sequence, all points having failed
 
 
 def _pseudo_remainder(f, g):
@@ -298,30 +292,18 @@ def _pseudo_remainder(f, g):
     return r
 
 
-def _heu_candidates(f, g, ff, gg, x):
-    """GCDHEU's gcd candidates at the point x, f(x) = ff and g(x) = gg, in sympy's order.
-
-    The read-back of gcd(ff, gg), primitive, then f and g divided by the
-    read-backs of their integer cofactors (None where that is not exact).
-    """
-    hh = int_gcd(ff, gg)
-    yield int_form(_from_digits(hh, x))
-    yield _exact_quo(f, _from_digits(ff // hh, x))
-    yield _exact_quo(g, _from_digits(gg // hh, x))
-
-
 def _inner_gcd(p, q):
     """(h, p / h) for h a gcd in Z[x] of the nonzero int lists p and q.
 
     h is the gcd of the contents times a primitive gcd, and (h, p / h) is
     sympy's dup_inner_gcd(p, q) over ZZ up to a common sign.  GCDHEU (Char,
-    Geddes and Gonnet, J. Symbolic Comput. 7, 1989), with sympy's
-    evaluation points: once the common content is out, the integer gcd of
-    p(x) and q(x) at a large x, read back from its balanced base-x digits,
-    is the primitive gcd if it divides both; failing that, p's or q's
-    cofactor read back the same way gives it as an exact quotient.  At most
-    _HEU_TRIES points, then the primitive remainder sequence, which always
-    ends (counted in heu_fallbacks).
+    Geddes and Gonnet, J. Symbolic Comput. 7, 1989) at powers of two: with
+    the common content out of p and q, leaving f and g, the integer gcd of
+    f(x) and g(x) at x = 2^k > 4 min(|f|, |g|) + 58, read back from its
+    balanced base-x digits, has as its primitive part the primitive gcd if
+    that divides both (a constant read-back is 1, which does).  At most
+    _HEU_TRIES points, k doubling, then the primitive remainder sequence,
+    which always ends (counted in heu_fallbacks).
     """
     global heu_fallbacks
     c = int_gcd(*p, *q)
@@ -329,22 +311,23 @@ def _inner_gcd(p, q):
     if len(f) == 1 or len(g) == 1:
         return [c], f
     fn, gn = max(map(abs, f)), max(map(abs, g))
-    b = 2 * min(fn, gn) + 29
-    x = max(min(b, 99 * isqrt(b)), 2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4)
+    # every coefficient of f and g is a balanced digit at 2^k, below 2^(k-1) in size
+    k = digit_bits(max(fn, gn, 2 * min(fn, gn) + 29))
     for _ in range(_HEU_TRIES):
-        ff, gg = _value_at(f, x, 1), _value_at(g, x, 1)
-        if ff and gg:
-            for h in _heu_candidates(f, g, ff, gg, x):
-                cff = None if h is None else _exact_quo(f, h)
-                if cff is not None and _exact_quo(g, h) is not None:
-                    return [c * a for a in h], cff
-        x = 73794 * x * isqrt(isqrt(x)) // 27011
+        hh = int_gcd(at_two_power(f, k), at_two_power(g, k))
+        h = int_form(from_two_power(hh, k, hh.bit_length() // k + 2))
+        if h == [1]:  # coprime: 1 divides both
+            return [c], f
+        cff = exact_quo(f, h)
+        if cff is not None and exact_quo(g, h) is not None:
+            return [c * a for a in h], cff
+        k *= 2
     heu_fallbacks += 1
     a, b = f, g
     while b:
         a, b = b, int_form(_pseudo_remainder(a, b))
     h = int_form(a)
-    return [c * e for e in h], _exact_quo(f, h)
+    return [c * e for e in h], exact_quo(f, h)
 
 
 def gcd(p, q):
@@ -420,7 +403,7 @@ def _cyclotomic(n):
     # for r the product of the primes of n
     phi, r = [-1, 1], 1
     for q in _primes(n):
-        phi, _ = divmod_monic(at_power(phi, q), phi)
+        phi = exact_quo(at_power(phi, q), phi)
         r *= q
     return tuple(at_power(phi, n // r))
 

@@ -353,12 +353,11 @@ def _cyclotomic_parts(f):
     while len(f) >= 2 and n <= bound:
         if P.totient(n) < len(f):
             cyc = P.cyclotomic(n)
-            quot, rem = P.divmod_monic(f, cyc)
-            if not rem:
+            quot = P.exact_quo(f, cyc)
+            if quot is not None:
                 ns.append(n)
-                while not rem:
-                    f = quot
-                    quot, rem = P.divmod_monic(f, cyc)
+            while quot is not None:
+                f, quot = quot, P.exact_quo(quot, cyc)
         n += 1
     return ns, f
 
@@ -997,7 +996,7 @@ def _at_root_of_unity(t: AlgReal) -> bool:
     if n > bound or P.totient(n) > 2 * deg:
         return False
     g = P.gcd(t.poly, _cyclotomic_cayley_gcd(n))
-    return P.degree(g) >= 1 and P.count_roots(g, t.lo, t.hi) > 0
+    return P.degree(g) >= 1 and P.isolates(g, t.lo, t.hi)
 
 
 def _read_t(at: dict, seen: dict) -> AlgReal:

@@ -788,15 +788,20 @@ def test_ltm_y_oracle_examples():
     assert all(y.denominator == 31 for y in ltm_y_oracle(2, 5))
     with pytest.raises(ValueError):
         ltm_y_oracle(1, 3)
+    with pytest.raises(ValueError):
+        ltm_y_oracle(0, 3)
+    # m = -1: a = 2 and m (1 - a^2) = 3, so y_0 = 1/3 and y_1 = -1/3
+    assert ltm_y_oracle(-1, 2) == [Fraction(1, 3), Fraction(-1, 3)]
 
 
 def test_ltm_y_oracle_matches_solver_differences():
-    for m in (2, 3, 4):
-        for p in (3, 5):
-            row = fold({0: m, 1: 1 - m}, p)
-            x, s = solve_multiplicities(row, (1,) + (0,) * (p - 1))
-            ys = ltm_y_oracle(m, p)
-            assert ys == [x[(1 - k) % p] - x[(-k) % p] for k in range(p)]
+    # prime and prime-power degrees d, and negative m
+    for m in (-3, -2, 2, 3, 4):
+        for d in (3, 4, 5, 8, 9):
+            row = fold({0: m, 1: 1 - m}, d)
+            x, s = solve_multiplicities(row, (1,) + (0,) * (d - 1))
+            ys = ltm_y_oracle(m, d)
+            assert ys == [x[(1 - k) % d] - x[(-k) % d] for k in range(d)]
             assert sum(ys) == 0
 
 

@@ -190,9 +190,12 @@ def gcd_pairs(draw):
 
 gcd_examples = [([], []), ([3, 6], []), ([], [-4, 2]), ([0, 0, -5], [10]), ([-6, 0, 6], [6, -6]),
                 ([1, 2, 1], [1, 2, 1]), ([-2], [4]), ([2, -3, 1], [-2, 3, -1]),
-                # the first evaluation point's read-back fails, and p's cofactor gives the gcd
+                # pairs on which the first point of sympy's schedule misses the gcd
+                # (there a cofactor's read-back gave it); at powers of two the first point answers
                 ([18, -73, 65, -24], [-18, 55, 8, -41, 24]),
-                ([19, 0, -35, 34, -18], [19, 19, -16, -1, -19, 16, -18])]
+                ([19, 0, -35, 34, -18], [19, 19, -16, -1, -19, 16, -18]),
+                # the read-back at 2^8 has a spurious factor: the second power of two, 2^16, answers
+                ([18568352, -1092256, 26760272], [-1092256, 53520544])]
 
 
 def _with_gcd_examples(test):
@@ -221,6 +224,19 @@ def test_heuristic_gcd_and_cofactor_match_sympy(pq):
     p, q = pq
     _check_gcd(p, q)
     _check_gcd(p, P.derivative(p))
+
+
+def test_heuristic_gcd_takes_a_second_power_of_two(monkeypatch):
+    # the last of gcd_examples: one point falls back, two do not
+    p = [18568352, -1092256, 26760272]
+    q = P.derivative(p)
+    before = P.heu_fallbacks
+    monkeypatch.setattr(P, "_HEU_TRIES", 1)
+    assert _signed(*P._inner_gcd(p, q)) == _sympy_gcd(p, q)
+    assert P.heu_fallbacks == before + 1
+    monkeypatch.setattr(P, "_HEU_TRIES", 2)
+    assert _signed(*P._inner_gcd(p, q)) == _sympy_gcd(p, q)
+    assert P.heu_fallbacks == before + 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -363,6 +363,10 @@ def test_algreal_validation():
         AlgReal([1], 0, 1)  # constant
     with pytest.raises(ValueError):
         AlgReal([0, 0, 1], -1, 1)  # not square-free (x^2)
+    with pytest.raises(ValueError):
+        AlgReal([-1, 0, 1], 1, 2)  # an end is a root
+    with pytest.raises(ValueError):
+        AlgReal([-2, 0, 1], 2, 1)  # empty interval
 
 
 def test_algreal_from_rational():
@@ -663,10 +667,10 @@ def test_cayley_matches_the_fraction_expansion_and_is_an_involution(p, extra):
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=12), st.data())
 @settings(max_examples=100)
 def test_digits_round_trip_at_the_edge_of_their_range(w, count, data):
-    # every digit at +-(2^(k-1) - 1), the largest |c| the width k holds, or inside
+    # every digit at an end of the balanced range, -2^(k-1) or 2^(k-1) - 1, or inside
     k = 8 * (w + 1)
     top = (1 << (k - 1)) - 1
-    p = data.draw(st.lists(st.sampled_from([top, -top, 0, 1, -1]) | st.integers(-top, top),
+    p = data.draw(st.lists(st.sampled_from([top, -top - 1, 0, 1, -1]) | st.integers(-top - 1, top),
                            min_size=count, max_size=count))
     v = P.at_two_power(p, k)
     assert v == sum(c << (k * i) for i, c in enumerate(p))
@@ -699,6 +703,35 @@ def test_mul_matches_the_schoolbook_product(p, q):
     assert got == schoolbook_mul(p, q) == P.mul(q, p)
 
 
+nonzero_polys = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8).filter(lambda c: c[-1])
+
+
+@given(nonzero_polys, st.one_of(nonzero_polys, st.integers(min_value=1, max_value=64).map(P.cyclotomic)),
+       st.booleans(), st.integers(min_value=-3, max_value=3))
+@settings(max_examples=300)
+# Phi_64 = x^32 + 1: a sparse divisor of two terms
+@example([3, -1, 2], P.cyclotomic(64), True, 0)
+# a non-monic divisor, dividing and not
+@example([5, 0, -7], [3, -6], True, 0)
+@example([1, 1], [2, 2], False, 0)
+# x^2 + 1 is not a multiple of x - 1
+@example([1, 0, 1], [-1, 1], False, 0)
+# len(p) < len(d)
+@example([5], [1, 1], False, 0)
+def test_exact_quo_matches_fraction_long_division(q, d, planted, bump):
+    # p = q * d (+ bump) when planted, q itself otherwise
+    p = P.mul(q, d) if planted else q
+    p = P.trim([p[0] + bump] + p[1:])
+    assume(p)
+    quot, rem = fraction_divmod(p, d)
+    exact = not rem and all(c.denominator == 1 for c in quot)
+    got = P.exact_quo(p, d)
+    assert got == ([int(c) for c in quot] if exact else None)
+    assert got is None or all(type(c) is int for c in got)
+    if planted and not bump:
+        assert got == q
+
+
 # ---------------------------------------------------------------------------
 # the root counter
 
@@ -726,6 +759,21 @@ def test_count_roots_matches_the_sturm_oracle(cs, lo, w):
     ip, hi = P.int_form(sf), lo + w
     assume(P.sign_at(ip, lo) and P.sign_at(ip, hi))
     assert P.count_roots(ip, lo, hi) == sturm_count(fraction_sturm_chain(sf), lo, hi)
+
+
+def test_isolates_needs_one_root_inside_and_none_at_the_ends():
+    p = [-1, 0, 1]  # roots -1 and 1
+    assert P.isolates(p, Fraction(1, 2), 2)
+    assert P.isolates(p, -2, 0)
+    assert not P.isolates(p, 1, 2)  # an end is a root
+    assert not P.isolates(p, -2, -1)
+    assert not P.isolates(p, -2, 2)  # two roots inside
+    assert not P.isolates(p, 2, 3)  # no root inside
+    assert not P.isolates(p, 2, Fraction(1, 2))  # empty intervals
+    assert not P.isolates(p, Fraction(1, 2), Fraction(1, 2))
+    # roots 1/3 +- sqrt(3)/2^71: only a cell narrower than their distance isolates one
+    assert not P.isolates(CLOSE_PAIR, Fraction(0), Fraction(1))
+    assert P.isolates(CLOSE_PAIR, Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1 << 70))
 
 
 def test_alg_compare_certifies_a_root_of_two_polys():

@@ -1051,7 +1051,8 @@ def cyclotomic_split(S):
     """The split of a square-free S before it ran block by block: (ns, rest).
 
     Trial division of the primitive integer form of S by each Phi_n with
-    n <= 6 * deg S + 30, once each; rest is the cofactor.
+    n <= 6 * deg S + 30, once each, by Fraction long division; rest is the
+    cofactor, primitive as S's form is and Phi_n monic.
     """
     ns = []
     deg = P.degree(S)
@@ -1059,10 +1060,10 @@ def cyclotomic_split(S):
     n = 1
     while len(ip) >= 2 and n <= 6 * deg + 30:
         if P.totient(n) < len(ip):
-            quot, rem = P.divmod_monic(ip, P.cyclotomic(n))
+            quot, rem = fraction_divmod(ip, P.cyclotomic(n))
             if not rem:
                 ns.append(n)
-                ip = quot
+                ip = P.int_form(quot)
         n += 1
     return ns, ip
 
