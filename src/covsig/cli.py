@@ -263,7 +263,7 @@ def _run_pipeline(args):
     spec = _spec_from_args(args)
     cm = build_covering(sd, c, spec)
     f = jump_function(cm, sd.epsilon, args.precision_bits)
-    g = scale_jump(f, Fraction(1, cm.s), args.precision_bits)
+    g = scale_jump(f, Fraction(1, cm.s))
     return cm, g
 
 

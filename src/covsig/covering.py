@@ -323,7 +323,8 @@ def ltm_y_oracle(m: int, d: int):
         y_k = a^(k-1) / (m^2 (1 - a^d))    for 1 <= k <= d-1.
     Negative m are in range (there a > 1).  m = 0, where a is undefined,
     and m = 1 are refused: they are ltm_family's boundary patterns {1: 1}
-    and {0: 1}, outside the obstruction argument.
+    and {0: 1}, outside the obstruction argument.  At eps = -1 the points
+    agree and sigma0 does not (tried at (m, d) = (2, 3), (-1, 3), (-2, 2), (2, 5)).
     """
     if m in (0, 1):
         raise ValueError("closed form needs m not in {0, 1}")

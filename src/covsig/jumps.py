@@ -48,19 +48,20 @@ arithmetic or certificates, never by floating point; when a comparison of
 two transcendental angles cannot be certified either way within the
 precision budget, the answer is an explicit Unresolved.
 
-The verdict reads only what it needs.  A point is placed in a period or a
-window (_floor_over) from the sign of its t first, which bounds 2*atan(t)
-to (0, pi) or (-pi, 0) with no enclosure; every point that scale_jump
-makes of jump_function's output is placed so.  period_2pi_test walks the
-points once, in their ascending order, and stops at the first window that
-differs from window 0: a NonPeriodic verdict places only the points up to
-there, and one certified mismatch stands even when a later point could
-not be placed.
+A JumpFunction's points lie in (0, 2*pi*period), ascending.  The jump
+algebra keeps that by construction (scale_jump mirrors and divides with no
+comparison, sum_jumps merges), and jump_from_obj checks it where points
+come from outside.  The verdict reads only what it needs: period_2pi_test
+walks the points once and places each in its window (_floor_over) from the
+sign of its t first, with no enclosure; it stops at the first window that
+differs from window 0, and one certified mismatch stands even when a later
+point could not be placed.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import gcd as int_gcd
@@ -129,8 +130,8 @@ def _atan_over_pi(x: Fraction, prec: int):
     and J <= (prec + k + 1)/2 for k = isqrt(prec) // 2 halvings, so e stays
     below 2^16 ulps for prec < 2^17: a width under 2^-(prec - 17), which keeps
     theta_over_pi_enclosure narrower than 2^-(prec - 18) (_at_root_of_unity
-    relies on that).  A pure function of (x, prec), cached: scale_jump asks
-    for the same interval ends at every scaling of a point.
+    relies on that).  A pure function of (x, prec), cached: separation, the
+    period test and the display ask for the ends of t_h at each of its lifts.
     """
     a, ea = atan_fixed(x.numerator, x.denominator, prec)
     pi, ep = pi_fixed(prec)
@@ -235,11 +236,15 @@ def compare_locations(a, b, max_bits: int = DEFAULT_PRECISION_BITS) -> Compariso
 
 
 def _cmp_key(max_bits: int):
+    last = [None, None, 0]  # heapq.merge's list entries ask == and then < of one pair: compare once
+
     def cmp(pa, pb):
-        c = compare_locations(pa.loc, pb.loc, max_bits)
-        if c is Comparison.UNRESOLVED:
-            raise UnresolvedComparison(pa.loc, pb.loc, max_bits)
-        return c.value
+        if pa is not last[0] or pb is not last[1]:
+            c = compare_locations(pa.loc, pb.loc, max_bits)
+            if c is Comparison.UNRESOLVED:
+                raise UnresolvedComparison(pa.loc, pb.loc, max_bits)
+            last[:] = pa, pb, c.value
+        return last[2]
 
     return functools.cmp_to_key(cmp)
 
@@ -259,7 +264,7 @@ class JumpPoint(Value):
 
 
 class JumpFunction(Value):
-    """Jumps over one fundamental period [0, 2*pi*period), points in ascending theta.
+    """Jumps over one fundamental period, points ascending in (0, 2*pi*period).
 
     sigma0 is the signature value on the first open interval after 0; it lets
     the step function itself be reconstructed, not just its jumps.  For
@@ -695,25 +700,24 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     # an algebraic point prints as the lift it is, t_h on its dyadic cell
     upper = [JumpPoint(loc, sigs[i + 1] - sigs[i]) for i, loc in enumerate(items)
              if sigs[i + 1] != sigs[i]]
-    points = list(upper)
-    if epsilon == -1 and sigs[-1]:
-        points.append(JumpPoint(PiLoc(Fraction(1)), -2 * sigs[-1]))
+    at_pi = [JumpPoint(PiLoc(Fraction(1)), -2 * sigs[-1])] if epsilon == -1 and sigs[-1] else []
     negs = {}  # t_h -> -t_h, which the mirrors of its lifts share
-    for pt in reversed(upper):
-        loc = pt.loc
-        if isinstance(loc, PiLoc):
-            mloc = PiLoc(2 - loc.frac)
-        else:
-            if loc.t not in negs:
-                negs[loc.t] = loc.t.neg()
-            # 2*pi - (2*atan(t) + offset*pi) / e = (2*atan(-t) + (2e - offset)*pi) / e
-            mloc = AlgLoc(negs[loc.t], 2 * loc.scale - loc.offset, loc.scale)
-        points.append(JumpPoint(mloc, -epsilon * pt.value))
-    return JumpFunction(points, Fraction(1), sigs[0])
+    lower = [JumpPoint(_mirror_loc(pt.loc, 1, negs), -epsilon * pt.value) for pt in reversed(upper)]
+    return JumpFunction(upper + at_pi + lower, Fraction(1), sigs[0])
 
 
 # ---------------------------------------------------------------------------
 # jump algebra
+
+
+def _mirror_loc(loc, period, negs: dict):
+    """The location of 2*pi*period - theta, on negs[t] = -t for an AlgLoc (made once per t)."""
+    if isinstance(loc, PiLoc):
+        return PiLoc(2 * period - loc.frac)
+    if loc.t not in negs:
+        negs[loc.t] = loc.t.neg()
+    # 2*pi*P - (2*atan(t) + o*pi) / e = (2*atan(-t) + (2*P*e - o)*pi) / e
+    return AlgLoc(negs[loc.t], 2 * period * loc.scale - loc.offset, loc.scale)
 
 
 def _translate_point(pt: JumpPoint, dfrac: Fraction) -> JumpPoint:
@@ -761,43 +765,25 @@ def _floor_over(loc, step: Fraction, max_bits: int) -> int:
         prec *= 2
 
 
-def scale_jump(f: JumpFunction, y, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
-    """The jump function of theta -> f(y*theta).
+def scale_jump(f: JumpFunction, y) -> JumpFunction:
+    """The jump function of theta -> f(y*theta), with no comparison.
 
-    Locations divide by y and reduce modulo the new period f.period/|y|; a
-    negative y reverses the traversal direction, so values flip sign.  For
-    y > 0 with no location reduced, f's ascending order is kept, with no
-    comparison; otherwise the points are sorted.  Raises
-    UnresolvedComparison when a reduction or the sort needs more than
-    max_bits.
+    A negative y first mirrors f, f(-theta) = f(2*pi*period - theta): its
+    points reversed and mirrored (_mirror_loc), their values negated, and
+    sigma0 f's value before 2*pi*period, sigma0 plus the values' sum
+    (-sigma0 at eps = -1).  Then theta and the period divide by |y|.
     """
     y = Fraction(y)
     if y == 0:
         raise ZeroScale("scale factor must be nonzero")
-    new_period = f.period / abs(y)
-    modulus = 2 * new_period
-    pts, reduced = [], False
-    for pt in f.points:
-        value = pt.value if y > 0 else -pt.value
-        if isinstance(pt.loc, PiLoc):
-            frac = pt.loc.frac / y
-            reduced = reduced or not 0 <= frac < modulus
-            pts.append(JumpPoint(PiLoc(frac % modulus), value))
-        else:
-            t = pt.loc.t
-            offset, scale = pt.loc.offset, pt.loc.scale * y
-            if scale < 0:
-                t = t.neg()
-                offset, scale = -offset, -scale
-            loc = AlgLoc(t, offset, scale)
-            k = _floor_over(loc, modulus, max_bits)
-            if k:
-                loc = AlgLoc(t, offset - k * modulus * scale, scale)
-                reduced = True
-            pts.append(JumpPoint(loc, value))
-    if y < 0 or reduced:
-        pts.sort(key=_cmp_key(max_bits))
-    return JumpFunction(pts, new_period, f.sigma0)
+    pts, sigma0, negs = f.points, f.sigma0, {}
+    if y < 0:
+        pts = [JumpPoint(_mirror_loc(pt.loc, f.period, negs), -pt.value) for pt in reversed(pts)]
+        sigma0 += sum(pt.value for pt in f.points)
+        y = -y
+    return JumpFunction([JumpPoint(PiLoc(pt.loc.frac / y), pt.value) if isinstance(pt.loc, PiLoc)
+                         else JumpPoint(AlgLoc(pt.loc.t, pt.loc.offset, pt.loc.scale * y), pt.value)
+                         for pt in pts], f.period / y, sigma0)
 
 
 def repeated_points(f: JumpFunction, reps: int):
@@ -811,7 +797,11 @@ def repeated_points(f: JumpFunction, reps: int):
 
 
 def with_period(f: JumpFunction, period) -> JumpFunction:
-    """Re-express f over a larger fundamental period (an integer multiple)."""
+    """Re-express f over a larger fundamental period (an integer multiple).
+
+    The eps = -1 jumps at interior multiples of 2*pi*f.period stay implicit:
+    as points they broke ltm_y_oracle's sum at each (m, d) tried but (-2, 2).
+    """
     period = Fraction(period)
     reps = period / f.period
     if reps.denominator != 1 or reps <= 0:
@@ -822,22 +812,27 @@ def with_period(f: JumpFunction, period) -> JumpFunction:
 def sum_jumps(fs, max_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
     """Pointwise sum: replicate to the common period, merge equal locations.
 
-    Raises UnresolvedComparison when two locations can be neither separated
-    nor certified equal within max_bits.
+    Ascending inputs merge (heapq.merge), comparing no two points of one
+    input; a sum sits at the first of its equal locations.  Raises
+    UnresolvedComparison when two locations can be neither separated nor
+    certified equal within max_bits.
     """
     fs = list(fs)
     if not fs:
         return JumpFunction([], Fraction(1), 0)
     period = Fraction(lcm(*[f.period.numerator for f in fs]),
                       int_gcd(*[f.period.denominator for f in fs]))
-    allpts = [pt for f in fs for pt in with_period(f, period).points]
-    allpts.sort(key=_cmp_key(max_bits))
-    merged = []
-    for pt in allpts:
-        if merged and compare_locations(merged[-1].loc, pt.loc, max_bits) is Comparison.EQ:
+    key = _cmp_key(max_bits)
+    runs = [[(i, pt) for pt in with_period(f, period).points] for i, f in enumerate(fs)]
+    merged, inputs = [], set()  # the inputs whose points make merged[-1]
+    for i, pt in heapq.merge(*runs, key=lambda run_pt: key(run_pt[1])):
+        if (i not in inputs and merged
+                and compare_locations(merged[-1].loc, pt.loc, max_bits) is Comparison.EQ):
             merged[-1] = JumpPoint(merged[-1].loc, merged[-1].value + pt.value)
+            inputs.add(i)
         else:
             merged.append(JumpPoint(pt.loc, pt.value))
+            inputs = {i}
     merged = [pt for pt in merged if pt.value != 0]
     return JumpFunction(merged, period, sum(f.sigma0 for f in fs))
 
@@ -920,7 +915,7 @@ def covering_jump(sd: SeifertData, coeffs: dict, spec: CoveringSpec,
     """Full pipeline: covering matrix, its jumps at theta/s, and the verdict."""
     cm = build_covering(sd, coeffs, spec)
     f = jump_function(cm, sd.epsilon, max_bits)
-    g = scale_jump(f, Fraction(1, cm.s), max_bits)
+    g = scale_jump(f, Fraction(1, cm.s))
     return g, period_2pi_test(g, max_bits)
 
 
@@ -1061,15 +1056,18 @@ def jump_to_obj(f: JumpFunction) -> dict:
 def jump_from_obj(obj: dict) -> JumpFunction:
     """Read a jump document, its points put in ascending theta whatever their order there.
 
-    A period that is not positive is refused with ValueError, and points
-    that cannot be ordered within the default budget with UnresolvedComparison.
+    Points enter from outside only here: a first point not after 0, a last
+    not before 2*pi*period and a period not positive raise ValueError, and
+    points or an end not ordered in the default budget UnresolvedComparison.
     """
     period = read_frac(obj["period"])
     if period <= 0:
         raise ValueError(f"period must be positive, got {obj['period']!r}")
-    seen = {}
-    points = sorted((point_from_obj(p, seen) for p in obj["points"]),
-                    key=_cmp_key(DEFAULT_PRECISION_BITS))
+    seen, key = {}, _cmp_key(DEFAULT_PRECISION_BITS)
+    points = sorted((point_from_obj(p, seen) for p in obj["points"]), key=key)
+    zero, end = (key(JumpPoint(PiLoc(x), 0)) for x in (0, 2 * period))
+    if points and not (zero < key(points[0]) and key(points[-1]) < end):
+        raise ValueError(f"jump points must lie strictly between 0 and 2*pi*{frac_str(period)}")
     return JumpFunction(points, period, read_int(obj.get("sigma0", 0)))
 
 

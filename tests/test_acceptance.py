@@ -34,7 +34,7 @@ from covsig import (
     with_period,
 )
 from covsig.cli import run_command
-from conftest import T25, TREFOIL, same_jumps
+from conftest import ALG, T25, TREFOIL, same_jumps
 
 
 def report(n, text):
@@ -119,8 +119,21 @@ def test_criterion_5_end_to_end_oracle():
         assert verdict.status == "NonPeriodic"
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
+    # at eps = -1 the closed form holds on the points; sigma0 is not additive
+    # there: the sum's is sigma0_V * (#{y_k > 0} - #{y_k < 0})
+    for v in (TREFOIL, ALG, T25):
+        f_v = jump_function(v, -1)
+        for m, p in ((2, 3), (-1, 3), (-2, 2), (2, 5)):
+            sd, coeffs = ltm_family(v, m, -1)
+            got, _ = covering_jump(sd, coeffs, CoveringSpec(p=p))
+            ys = ltm_y_oracle(m, p)
+            oracle = sum_jumps([scale_jump(f_v, y) for y in ys])
+            assert same_jumps(got, oracle)
+            assert oracle.sigma0 == f_v.sigma0 * sum(1 if y > 0 else -1 for y in ys)
     report(5, "pipeline jump function equals the closed-form oracle sum for "
-              "(m,p) in {(2,3),(3,3),(2,5)}; Gamma idempotent, blocks sparse")
+              "(m,p) in {(2,3),(3,3),(2,5)}, and its points do at eps = -1 for "
+              "three knots and (m,p) in {(2,3),(-1,3),(-2,2),(2,5)}; Gamma "
+              "idempotent, blocks sparse")
 
 
 def test_criterion_6_obstruction_verdicts():

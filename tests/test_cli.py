@@ -496,21 +496,6 @@ def test_job_document_stdin(monkeypatch):
     assert json.loads(text)["verdict"] == "Periodic"
 
 
-def test_precision_bits_reach_the_sort(monkeypatch):
-    seen = []
-    real = cli.scale_jump
-
-    def spy(f, y, max_bits):
-        seen.append(max_bits)
-        return real(f, y, max_bits)
-
-    monkeypatch.setattr(cli, "scale_jump", spy)
-    code, _ = run(["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2",
-                   "--p", "2", "--precision-bits", "77"])
-    assert code in (0, 1)
-    assert seen == [77]
-
-
 def test_precision_bits_reach_candidate_separation(monkeypatch):
     seen = []
     real = jumps._separate_candidates

@@ -506,39 +506,57 @@ def test_scale_jump_algebraic():
     assert same_jumps(f, g)
 
 
-def test_scale_jump_honours_max_bits():
-    # sqrt(2) and a convergent of it within 2^-100, in ascending theta:
-    # y = -1 reverses them, which the sort sees at the default budget and
-    # cannot decide at 16 bits
+def _refuse(*args):
+    raise AssertionError("compared two locations")
+
+
+def test_scale_jump_mirrors_without_comparing(monkeypatch):
+    # sqrt(2) and a convergent of it within 2^-100, in ascending theta: y =
+    # -1 mirrors them into reverse order, which a sort could not decide
+    # below about 100 bits, and scale_jump compares nothing
     near = Fraction(14398739476117879, 10181446324101389)
     f = JumpFunction(
         [JumpPoint(AlgLoc(AlgReal.from_rational(near), 0, 1), -1),
          JumpPoint(AlgLoc(AlgReal([-2, 0, 1], 1, 2), 0, 1), 1)],
         Fraction(1),
     )
-    assert [pt.value for pt in scale_jump(f, -1).points] == [-1, 1]
-    with pytest.raises(UnresolvedComparison):
-        scale_jump(f, -1, max_bits=16)
-
-
-@pytest.mark.parametrize("case", ["kept", "reversed", "wrapped"])
-def test_scale_jump_sorts_only_a_reduced_or_reversed_input(monkeypatch, case):
-    # ALG's and T25's points, ascending.  For y > 0 with no location
-    # reduced they keep their order with no comparison.  For y < 0, and for
-    # an input whose first half lies one period on (reduced by scale_jump
-    # to before the second half), the result is sorted
-    f = sum_jumps([jump_function(ALG), jump_function(T25)])
-    y = Fraction(-1, 3) if case == "reversed" else Fraction(1, 3)
-    half = len(f.points) // 2
-    src = f if case != "wrapped" else JumpFunction(
-        f.points[half:] + [_translate_point(pt, Fraction(2)) for pt in f.points[:half]], f.period)
-    calls = []
     compare = jumps.compare_locations
-    monkeypatch.setattr(jumps, "compare_locations", lambda *a: calls.append(1) or compare(*a))
-    g = scale_jump(src, y)
-    assert bool(calls) == (case != "kept")
-    assert all(compare(a.loc, b.loc) is Comparison.LT for a, b in zip(g.points, g.points[1:]))
-    assert same_jumps(g, scale_jump(f, y))
+    monkeypatch.setattr(jumps, "compare_locations", _refuse)
+    g = scale_jump(f, -1)
+    assert [pt.value for pt in g.points] == [-1, 1]
+    monkeypatch.undo()
+    assert compare(g.points[0].loc, g.points[1].loc) is Comparison.LT
+    assert compare(g.points[1].loc, PiLoc(2)) is Comparison.LT
+
+
+@pytest.mark.parametrize("y", [Fraction(1, 3), Fraction(-1, 3)], ids=["kept", "reversed"])
+def test_scale_jump_compares_nothing(monkeypatch, y):
+    # ALG's and T25's points, ascending in (0, 2*pi): y > 0 keeps their
+    # order and y < 0 mirrors them into it, with no comparison either way
+    f = sum_jumps([jump_function(ALG), jump_function(T25)])
+    compare = jumps.compare_locations
+    monkeypatch.setattr(jumps, "compare_locations", _refuse)
+    g = scale_jump(f, y)
+    monkeypatch.undo()
+    assert g.period == 3
+    ends = [PiLoc(0)] + [pt.loc for pt in g.points] + [PiLoc(6)]
+    assert all(compare(a, b) is Comparison.LT for a, b in zip(ends, ends[1:]))
+    assert same_jumps(scale_jump(g, 1 / y), f)
+
+
+@pytest.mark.parametrize("pm, sigma0", [(RatMatrix([[1]]), 1), (ALG, 2), (TREFOIL, -2)],
+                         ids=["1x1", "ALG", "trefoil"])
+def test_scale_jump_by_a_negative_factor_starts_below_two_pi(pm, sigma0):
+    # f(-theta) starts from f's value just below 2*pi; at eps = -1, where
+    # sigma is odd, that is -sigma0, and the values sum to -2 * (-sigma0)
+    f = jump_function(pm, -1)
+    assert f.sigma0 == sigma0
+    g = scale_jump(f, -1)
+    assert g.sigma0 == -sigma0
+    t = Fraction(-1, 10**6)  # theta = 2*atan(t), before g's first jump at -theta
+    assert compare_locations(AlgLoc(AlgReal.from_rational(-t), 0, 1), g.points[0].loc) is Comparison.LT
+    assert tl_signature(pm, -1, t) == g.sigma0
+    assert sum(pt.value for pt in g.points) == -2 * g.sigma0
 
 
 def test_locations_share_their_t_and_are_never_changed(monkeypatch):
@@ -595,6 +613,17 @@ def test_sum_jumps_merges_and_cancels():
     cancelled = sum_jumps([f, jump_function(mirror(TREFOIL))])
     assert cancelled.points == []
     assert sum_jumps([]).points == []
+
+
+def test_sum_jumps_compares_only_points_of_different_inputs(monkeypatch):
+    # ALG's points are all algebraic and T25's all rational angles: the
+    # merge compares no two points of one input
+    pairs, compare = [], jumps.compare_locations
+    monkeypatch.setattr(jumps, "compare_locations",
+                        lambda a, b, *rest: pairs.append((a, b)) or compare(a, b, *rest))
+    s = sum_jumps([jump_function(ALG), jump_function(T25)])
+    assert len(s.points) == len(jump_function(ALG).points) + len(jump_function(T25).points)
+    assert pairs and all(isinstance(a, PiLoc) != isinstance(b, PiLoc) for a, b in pairs)
 
 
 def test_sum_jumps_commutative():
@@ -1395,6 +1424,26 @@ def test_malformed_document_is_refused(where, field, bad):
     {"pi": pi, "alg": alg, "doc": doc}[where][field] = bad
     with pytest.raises(ValueError):
         jump_from_obj(doc)
+
+
+def test_jump_from_obj_refuses_points_outside_the_period():
+    # a JumpFunction's points lie in (0, 2*pi*period), which the jump
+    # algebra keeps and reading a document checks: at period 1, theta = 0,
+    # theta = 2*pi and 2*atan(sqrt 2) + 4*pi are refused, not reduced
+    inside = {"pi_rational": "1/3", "scale": "1", "value": 1}
+    assert len(jump_from_obj({"period": "1", "points": [inside]}).points) == 1
+    for point in ({"pi_rational": "0", "scale": "1", "value": 1},
+                  {"pi_rational": "2", "scale": "1", "value": 1},
+                  {"algebraic_t": {"poly": ["-2", "0", "1"], "interval": ["1", "2"]},
+                   "offset": "4", "scale": "1", "value": 1}):
+        with pytest.raises(ValueError, match=r"strictly between 0 and 2\*pi\*1"):
+            jump_from_obj({"period": "1", "points": [inside, point]})
+    # 2*atan(2^-2000) + 2*pi lies past 2*pi, closer than any enclosure at
+    # 4 * 256 bits can tell
+    tiny = {"algebraic_t": {"poly": ["-1", str(2 ** 2000)], "interval": ["0", "1"]},
+            "half": 1, "scale": "1", "value": 1}
+    with pytest.raises(UnresolvedComparison):
+        jump_from_obj({"period": "1", "points": [inside, tiny]})
 
 
 def test_document_points_are_read_in_ascending_theta():
