@@ -12,8 +12,8 @@ adj_det adds a fraction-free back-substitution on [M | I].
 One object, the PencilCore, holds what D(w) and the signature samples
 share: the core matrix M of a covering (its strand chains eliminated), the
 constant c and the chains' signature coefficients, and M's connected blocks.
-Its constructor converts the rows to ints once, forms each group's
-S = A_kk - eps*A_kk^T once, and runs the one union-find (_components).
+Its constructor reads the rows as given, keeps each entry once, forms
+each S = A_kk - eps*A_kk^T once, and runs the one union-find (_components).
 D(w) is read off it, D(w) = c * det M'(w), where M' is a polynomial matrix
 of size (number of groups) x b (PencilCore's docstring has the identity); a
 plain matrix is one group with N = 1 and c = 1.  An entry of M' is nonzero
@@ -35,7 +35,7 @@ the n x n signature into the chains' signatures, which are 0 for eps = 1
 and a closed form for eps = -1, plus the signature of the Schur complement.
 That complement is a hermitian (number of groups) x b matrix whose diagonal
 blocks are the groups' pencils at w^N.  It is built in Gaussian integers,
-in O(nnz) per sample from rows kept once per jump function, one connected
+in O(nnz) per sample from entries kept once per jump function, one connected
 block at a time: the complement is their direct sum, so by Sylvester's law
 of inertia its signature is the sum of theirs, and a caller needs a block
 only at the samples where its signature can have changed.  A block is
@@ -146,7 +146,7 @@ def rank_profile(rows):
     the first unused row, in the original order (see _eliminate), so the
     pivot columns are the first independent columns, those of the RREF.
     """
-    prow, pcol, _, _ = _eliminate([[int(x) for x in row] for row in rows])
+    prow, pcol, _, _ = _eliminate([list(row) for row in rows])
     return sorted(prow), pcol
 
 
@@ -160,7 +160,7 @@ def adj_det(rows):
     y_k = (d*r_k - sum_(j>k) u_kj*y_j) / u_kk divides exactly.
     """
     n = len(rows)
-    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     prow, _, d, parity = _eliminate(m, n)
     if len(prow) < n:
         return None, 0
@@ -265,7 +265,7 @@ def _digit_bits(core, b: int) -> int:
     In a block of two or more rows every row's sum is a positive integer, so
     B bounds the minors on fewer rows too; B = 0 is a 1 x 1 block that is 0.
     """
-    _, grp, _, _, entries, _ = core.blocks[b]
+    _, grp, entries, _ = core.blocks[b]
     bound = 1
     for gi, row in zip(grp, entries):
         bound *= sum((abs(a) + abs(at)) * (1 if grp[j] == gi else core.mults[gi])
@@ -281,7 +281,7 @@ def _node_matrix(core, b: int, w: int):
     (w^N - 1) / (w - 1) and N is the row's group's (PencilCore,
     Determinant).
     """
-    blk, grp, _, _, entries, groups = core.blocks[b]
+    blk, grp, entries, groups = core.blocks[b]
     coef = {}
     for g in groups:
         wn = w ** core.mults[g]
@@ -436,7 +436,7 @@ class PencilCore:
     __slots__ = ("eps", "mults", "c", "chain_sigma", "blocks")
 
     def __init__(self, rows, eps: int, mults=(1,)):
-        """rows: the core matrix M, of size len(mults) * b, with integer entries.
+        """rows: the core matrix M, of size len(mults) * b, int entries, only read.
 
         mults are the strand counts N_k >= 1 of the groups, in order
         (covering.core_rows); the default is a plain matrix.  Each
@@ -444,7 +444,6 @@ class PencilCore:
         det(S)^(N_k - 1) enters c, and for eps = -1, chain_sigma[k] =
         sigma(S) (else 0).
         """
-        rows = [[int(x) for x in row] for row in rows]
         n = len(rows)
         b = n // len(mults)
         self.eps = eps
@@ -463,34 +462,24 @@ class PencilCore:
                 sigma[-1] = herm_sig_fast(upper, [{} for _ in S], 1)[0]
         self.chain_sigma = tuple(sigma)
         group = [i // b for i in range(n)]
-        # sparse upper rows of M + M^T and M - M^T, and per row the entries
-        # (j, M[i][j], eps*M[j][i]) of M'(w) where either is nonzero
-        s = [{} for _ in range(n)]
-        k = [{} for _ in range(n)]
+        # per row, ascending in j, the entries (j, M[i][j], eps*M[j][i]) of
+        # M'(w) where either is nonzero: M + M^T is a + eps*a^T, M - M^T a - eps*a^T
         entries = [[] for _ in range(n)]
-        for i in range(n):
-            row, si, ki = rows[i], s[i], k[i]
+        for i, row in enumerate(rows):
             for j in range(i, n):
                 a, c = row[j], rows[j][i]
-                if a + c:
-                    si[j] = a + c
-                if a - c:
-                    ki[j] = a - c
                 if a or c:
                     entries[i].append((j, a, eps * c))
                     if j != i:
                         entries[j].append((i, c, eps * a))
-        # per connected block: its indices, their groups, its rows of s, k
-        # and entries in local indices (ascending, so upper rows stay upper),
-        # and its groups, ascending and each once
+        # per connected block: its indices, their groups, its rows of entries
+        # in local indices, and its groups, ascending and each once
         self.blocks = []
-        for blk in _components([si.keys() | ki.keys() for si, ki in zip(s, k)]):
+        for blk in _components([[j for j, _, _ in row] for row in entries]):
             local = {i: a for a, i in enumerate(blk)}
             grp = [group[i] for i in blk]
             self.blocks.append((
                 blk, grp,
-                [{local[j]: x for j, x in s[i].items()} for i in blk],
-                [{local[j]: x for j, x in k[i].items()} for i in blk],
                 [[(local[j], a, at) for j, a, at in entries[i]] for i in blk],
                 tuple(sorted(set(grp)))))
 
@@ -513,7 +502,7 @@ class PencilCore:
         block's local indices; the core is the direct sum of its blocks, so
         its signature is the sum of theirs.
         """
-        _, grp, s, k, _, groups = self.blocks[b]
+        _, grp, entries, groups = self.blocks[b]
         big, off, diag = [], [], {g: [] for g in groups}
         for u, v, powers in samples:
             # u | y: Im((v + iu)^N) has only odd powers of u
@@ -525,17 +514,18 @@ class PencilCore:
                 # x / y and the lcm of the y's ignore
                 x, y, _ = powers[g]
                 diag[g].append(x * scale // y)
+        eps = self.eps
         re, im = [], []
-        for gi, si, ki in zip(grp, s, k):
-            ci = diag[gi]
-            if self.eps == 1:
-                re.append({j: [c * x for c in big] for j, x in si.items()})
-                im.append({j: [-c * x for c in (ci if grp[j] == gi else off)]
-                           for j, x in ki.items()})
+        for i, (gi, row) in enumerate(zip(grp, entries)):
+            # row i of M + M^T and M - M^T, upper, with the entry's multipliers
+            up = [(j, a + eps * at, a - eps * at, diag[gi] if grp[j] == gi else off)
+                  for j, a, at in row if j >= i]
+            if eps == 1:
+                re.append({j: [c * x for c in big] for j, x, _, _ in up if x})
+                im.append({j: [-c * y for c in cs] for j, _, y, cs in up if y})
             else:
-                re.append({j: [c * x for c in (ci if grp[j] == gi else off)]
-                           for j, x in si.items()})
-                im.append({j: [c * x for c in big] for j, x in ki.items()})
+                re.append({j: [c * x for c in cs] for j, x, _, cs in up if x})
+                im.append({j: [c * y for c in big] for j, _, y, _ in up if y})
         return re, im
 
     def poles(self, powers):

@@ -672,18 +672,17 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
     parts = [(g, {b}) for b, f in enumerate(factors)
              if (g := f or _self_reciprocal_part(_fast.generic_minor_poly(core, b)))]
 
-    # per part: its roots of unity by order, and the rest h with its e, which
-    # give the algebraic candidates
-    pi_owners, rests, split = {}, [], {}
+    # each candidate with the blocks that own it: per part, its roots of
+    # unity, and the rest h with its e, which give the algebraic candidates
+    owned, rests, split = {}, [], {}
     for f, owners in parts:
         ns, r, e = _split_part(f, split)
-        for n in ns:
-            pi_owners.setdefault(n, set()).update(owners)
+        for frac in _pi_candidates_upper(ns):
+            owned.setdefault(PiLoc(frac), set()).update(owners)
         if len(r) >= 2:
             rests.append((r, e, owners))
-    items = [PiLoc(f) for f in _pi_candidates_upper(sorted(pi_owners))]
-    blocks = dict(_algebraic_candidates(rests, max_bits))  # lift -> its owners
-    items += blocks
+    owned.update(_algebraic_candidates(rests, max_bits))
+    items = list(owned)
 
     if items:
         items, encl = _separate_candidates(items, max_bits)
@@ -692,10 +691,7 @@ def jump_function(Pm, epsilon: int = 1, max_bits: int = DEFAULT_PRECISION_BITS) 
         gaps.append((encl[-1][1], None))
     else:
         gaps = [(Fraction(0), None)]
-    # a root of unity of order n is w = e^(i*pi*f) with n the denominator of f/2
-    owners = [pi_owners[(loc.frac / 2).denominator] if isinstance(loc, PiLoc) else blocks[loc]
-              for loc in items]
-    sigs = _gap_signatures(core, gaps, owners)
+    sigs = _gap_signatures(core, gaps, [owned[loc] for loc in items])
 
     # an algebraic point prints as the lift it is, t_h on its dyadic cell
     upper = [JumpPoint(loc, sigs[i + 1] - sigs[i]) for i, loc in enumerate(items)
@@ -801,6 +797,7 @@ def with_period(f: JumpFunction, period) -> JumpFunction:
 
     The eps = -1 jumps at interior multiples of 2*pi*f.period stay implicit:
     as points they broke ltm_y_oracle's sum at each (m, d) tried but (-2, 2).
+    So an eps = -1 result is no period_2pi_test input (no command makes one).
     """
     period = Fraction(period)
     reps = period / f.period
@@ -854,6 +851,12 @@ def period_2pi_test(f: JumpFunction, max_bits: int = DEFAULT_PRECISION_BITS) -> 
     past 2*pi*s raises ValueError whatever the verdict; so does a point the
     walk finds in an earlier window than the point before it, as f's points
     must be ascending.
+
+    f also jumps at theta = 0, by minus its values' sum, which no point
+    carries.  Once every window has matched window 0 none has a point at
+    its start, so the last rule makes a nonzero sum NonPeriodic at theta =
+    0.  Every other jump must be a point: with_period's eps = -1 output,
+    whose interior jumps stay implicit, is no input here.
     """
     if f.period.denominator != 1:
         raise ValueError("period must be an integer multiple of 2*pi")
@@ -907,6 +910,8 @@ def period_2pi_test(f: JumpFunction, max_bits: int = DEFAULT_PRECISION_BITS) -> 
                 return Verdict("NonPeriodic", (b.loc, (0, j), (None, b.value)))
             else:
                 return Verdict("Unresolved", (a.loc, (0, j), None))
+    if total := sum(pt.value for pt in pts):
+        return Verdict("NonPeriodic", (PiLoc(Fraction(0)), (0, 1), (-total, None)))
     return Verdict("Periodic")
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from covsig import MAX_COVERING_N, RatMatrix, cli, covering, jumps
+from covsig import MAX_COVERING_N, RatMatrix, SeifertData, cli, covering, jumps
 from covsig.cli import run_command
 from covsig.jumps import jump_from_obj
 from covsig.pattern import MAX_WORD_LETTERS
@@ -922,6 +922,27 @@ def test_a_hostile_isolation_answers_at_once():
     assert code == 0
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "a002d89bc052c0044259b07426a18ce4415ee421ac5df0e49b9ce3a3819b2818")
+
+
+def test_a_jump_at_theta_zero_makes_the_cover_nonperiodic():
+    # A = B = C = [1] at eps = -1: the cover has s = 7, sigma0 = 7 and seven
+    # jumps of -2 at pi, 3*pi, ..., 13*pi, so every window matches window 0,
+    # yet the values sum to -14: sigma(theta/7) jumps by 14 at theta = 0 and
+    # by nothing at 2*pi, so it is not 2*pi-periodic
+    code, text = run(["obstruct", "--A", "[[1]]", "--B", "[[1]]", "--C", "[[1]]", "--epsilon", "-1",
+                      "--coeffs", '{"0": 2, "1": -1}', "--p", "3", "--format", "json"])
+    assert code == 1
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "b3d6479b226f97423ece1c51682525fc96556afa64b24a3cd40c15c2e414c70b")
+    assert json.loads(text)["witness"] == {"theta_decimal": "0.0", "values": [14, None],
+                                           "windows": [0, 1]}
+    # the dense n x n pencil at theta/7, t = tan(theta/14): sigma is 7, 5 and 3
+    # just after 0, 2*pi and 4*pi
+    sd = SeifertData(RatMatrix([[1]]), RatMatrix([[1]]), RatMatrix([[1]]), -1)
+    cm = covering.build_covering(sd, {0: 2, 1: -1}, covering.CoveringSpec(p=3))
+    dense = covering.covering_matrix(cm, -1)
+    ts = [Fraction(math.tan((2 * k * math.pi + 0.5) / 14)).limit_denominator(10 ** 6) for k in range(3)]
+    assert cm.s == 7 and [jumps.tl_signature(dense, -1, t) for t in ts] == [7, 5, 3]
 
 
 # blocks over L = 2 and components of multiplicity 0, which the core and the

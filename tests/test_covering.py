@@ -745,6 +745,27 @@ def test_core_det_poly_with_det_s_49():
     assert D and D == _fast.pencil_det_poly(PencilCore(int_rows(covering_matrix(cm, -1)), -1))
 
 
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_a_core_reads_its_rows_without_writing_them(epsilon):
+    # L(ALG, 2) at p = 3: a core built from tuples of tuples, which refuse any
+    # write in place, has the list rows' c, chain terms, blocks, block
+    # factors, generic minors and block signatures
+    sd, c = ltm_family(ALG, 2, epsilon)
+    cm = build_covering(sd, c, CoveringSpec(p=3))
+    crows, ms = core_rows(cm, epsilon)
+    lists, tuples = PencilCore(crows, epsilon, ms), PencilCore(tuple(map(tuple, crows)), epsilon, ms)
+    assert (tuples.c, tuples.chain_sigma, tuples.blocks) == (lists.c, lists.chain_sigma, lists.blocks)
+    factors = [], []
+    for core, out in zip((lists, tuples), factors):
+        _fast.pencil_det_poly(core, out)
+    assert factors[0] == factors[1] and len(factors[0]) == len(lists.blocks)
+    samples = [(u, v, lists.powers(u, v)) for u, v in ((1, 3), (2, 1), (-1, 2), (5, 1))]
+    for b in range(len(lists.blocks)):
+        assert _fast.generic_minor_poly(tuples, b) == _fast.generic_minor_poly(lists, b)
+        assert (_fast.herm_sig_fast(*tuples.at(b, samples), len(samples))
+                == _fast.herm_sig_fast(*lists.at(b, samples), len(samples)))
+
+
 
 @pytest.mark.parametrize("mults, epsilon, digest", [
     ((1, 1), 1, "15831f928e9ae018bf28bc988b4f5fb7c4d65d1efed4c72036c6f49a5f0c93e0"),

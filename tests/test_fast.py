@@ -227,7 +227,7 @@ def test_minor_poly_matches_the_minor_of_m_prime(case):
                 assert sum(x * w**k for k, x in enumerate(f)) == DomainMatrix(
                     minor, (len(r), len(r)), ZZ).det()
         if not whole:
-            zero_block = not any(a or at for row in core.blocks[b][4] for _, a, at in row)
+            zero_block = not any(a or at for row in core.blocks[b][2] for _, a, at in row)
             assert (_fast.generic_minor_poly(core, b) == []) == zero_block
 
 

@@ -672,7 +672,8 @@ def test_jump_data_compare_by_value():
 
 def test_period_test_trivial_and_periodic():
     assert period_2pi_test(JumpFunction([], Fraction(1))).status == "Periodic"
-    f = JumpFunction([_pt(Fraction(1, 3), 2), _pt(Fraction(7, 3), 2)], Fraction(2))
+    f = JumpFunction([_pt(Fraction(1, 3), 2), _pt(Fraction(2, 3), -2),
+                      _pt(Fraction(7, 3), 2), _pt(Fraction(8, 3), -2)], Fraction(2))
     assert period_2pi_test(f).status == "Periodic"
 
 
@@ -689,9 +690,11 @@ def test_period_test_nonperiodic_witness():
 
 
 def test_period_test_algebraic_certificate():
+    # 2*atan(sqrt 2) is about 0.61*pi, before the -2 at 3*pi/2 of each window
     t = AlgReal([-2, 0, 1], 1, 2)
     f = JumpFunction(
-        [JumpPoint(AlgLoc(t.copy(), 0, 1), 2), JumpPoint(AlgLoc(t.copy(), 2, 1), 2)],
+        [JumpPoint(AlgLoc(t.copy(), 0, 1), 2), _pt(Fraction(3, 2), -2),
+         JumpPoint(AlgLoc(t.copy(), 2, 1), 2), _pt(Fraction(7, 2), -2)],
         Fraction(2),
     )
     assert period_2pi_test(f).status == "Periodic"
@@ -782,6 +785,9 @@ def period_test_by_windows(f, max_bits=DEFAULT_PRECISION_BITS):
                 return Verdict("NonPeriodic", (b.loc, (0, j), (None, b.value)))
             else:
                 return Verdict("Unresolved", (a.loc, (0, j), None))
+    total = sum(pt.value for pt in f.points)
+    if total:
+        return Verdict("NonPeriodic", (PiLoc(0), (0, 1), (-total, None)))
     return Verdict("Periodic")
 
 
@@ -910,21 +916,16 @@ def test_the_verdict_places_only_the_points_it_reads(monkeypatch):
     cm = build_covering(sd, c, CoveringSpec(p=2, a=3))
     f = jump_function(cm, 1)
     assert len(f.points) == 508
-    inside, encl = [], []
-    floor_over, enclosure = jumps._floor_over, jumps.theta_over_pi_enclosure
+    floor_over = jumps._floor_over
 
-    def floor_spy(*args):
-        inside.append(1)
-        try:
-            return floor_over(*args)
-        finally:
-            inside.pop()
+    def refuse(*args):
+        raise AssertionError("scale_jump placed a point")
 
-    monkeypatch.setattr(jumps, "_floor_over", floor_spy)
-    monkeypatch.setattr(jumps, "theta_over_pi_enclosure",
-                        lambda *args: (encl.append(1) if inside else None) or enclosure(*args))
-    g = scale_jump(f, Fraction(1, cm.s))
-    assert encl == []
+    # rescaling places no point and encloses no angle
+    with monkeypatch.context() as m:
+        m.setattr(jumps, "_floor_over", refuse)
+        m.setattr(jumps, "theta_over_pi_enclosure", refuse)
+        g = scale_jump(f, Fraction(1, cm.s))
     placed = []
     monkeypatch.setattr(jumps, "_floor_over", lambda *args: placed.append(1) or floor_over(*args))
     v = period_2pi_test(g)
@@ -1449,8 +1450,8 @@ def test_jump_from_obj_refuses_points_outside_the_period():
 def test_document_points_are_read_in_ascending_theta():
     # period_2pi_test merges each window with window 0 and assumes sorted
     # points: read in this order, the document's verdict was NonPeriodic
-    doc = {"period": "2", "points": [{"pi_rational": r, "scale": "1", "value": 1}
-                                     for r in ("2/3", "1/3", "7/3", "8/3")]}
+    doc = {"period": "2", "points": [{"pi_rational": r, "scale": "1", "value": v}
+                                     for r, v in (("2/3", -1), ("1/3", 1), ("7/3", 1), ("8/3", -1))]}
     f = jump_from_obj(doc)
     assert [pt.loc.frac for pt in f.points] == [Fraction(k, 3) for k in (1, 2, 7, 8)]
     assert period_2pi_test(f).status == "Periodic"
