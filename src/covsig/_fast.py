@@ -54,12 +54,12 @@ with j >= i, each value a list over the members, and the lower triangle is
 read as their conjugate.  A step updates only the rows in the pivot row's
 support, each over the union of its support and the pivot row's, for every
 member at once, so the interpreter's cost per entry is paid once per batch
-and a large sparse block keeps its cost per member.  Step k pivots at k: a
-member whose diagonal entry there is 0 leaves the batch and finishes alone,
-as a batch of one, where a zero row k is skipped and a zero diagonal entry
-in a nonzero row is made nonzero by one congruence step with a later index
-first, so the routine answers on every hermitian input.  A single matrix is
-a batch of one.
+and a large sparse block keeps its cost per member.  Step k pivots at k,
+and every member stays in the batch: a member whose row k is 0 takes the
+identity step, which counts 0, and a member with a zero diagonal entry in a
+nonzero row first takes one congruence step with a later index of its own,
+inside the batch, so the routine answers on every hermitian input.  A single
+matrix is a batch of one.
 
 In both eliminations a row whose multiplier is 0 at some step is not
 touched: by Sylvester's identity it only picks up the factor d_k / d_(k-1),
@@ -567,32 +567,35 @@ def herm_sig_fast(re, im, size):
     The members are eliminated together, each value a list over them, so
     the interpreter's cost per entry is paid once per batch.  A support is
     the union of the members', and a member whose entry is 0 there takes
-    the same formula, which is then its exact rescale.  The pivot at k must
-    be nonzero for every member: a member whose R[k][k] is 0 leaves the
-    batch there, with its rows from k on (its Bareiss divisor times its
-    Schur complement, so the divisor carries over) and its count so far,
-    and finishes alone as a batch of one, where the rule below makes its
-    pivot.
+    the same formula, which is then its exact rescale.  Every member stays
+    in the batch from the first step to the last: at step k each takes one
+    of three cases, on the same rows.
 
-    One rule makes the pivot at k.  If R[k][k] != 0 it is the pivot.  If
-    row k of the remaining matrix is 0, k is skipped: a zero row and column
-    adds 0 to the signature (Haynsworth), and no other row reads it.
-    Otherwise let b be the first column of row k and h = R[k][b]; the
+    If R[k][k] != 0 it is the pivot.  If row k of the remaining matrix is 0,
+    the member's pivot is its own Bareiss divisor d_(k-1): its multipliers
+    are 0, so the step is exactly the identity on it, and it counts 0, as a
+    zero row and column adds 0 to the signature (Haynsworth).  Otherwise let
+    b be the member's own first column of row k and h = R[k][b]; the
     congruence row/col k += c * row/col b puts R[b][b] + 2 Re(conj(c) h) on
-    the diagonal at k, with c = +-1 if Re h != 0 and c = +-i if not.  The two
-    signs give values 4 Re h or 4 Im h apart, so one of them is nonzero.
-    E = I + c*e_k*e_b^T acts only on the indices not yet eliminated, so the
-    stored rows are exactly those of Bareiss on the Gaussian-integer matrix
-    E H E*: every division stays exact, the pivots are the nonzero leading
-    principal minors of E H E* (its zero rows left out), so the signature is
-    the running sign agreement count (Jacobi), and by Sylvester's law of
-    inertia it is that of H.
+    the diagonal at k, with c = +-1 if Re h != 0 and c = +-i if not.  The
+    two signs give values 4 Re h or 4 Im h apart, so one of them is nonzero.
+
+    As one formula, the congruence is row k += c * row b at every stored
+    j >= k, reading R[b][j] as conj(R[j][b]) for j < b, and then
+    conj(c) * R[k][b] added to R[k][k]; the members that take it at k go
+    together per b, with c = 0 for the others.  E = I + c*e_k*e_b^T acts
+    only on the indices not yet eliminated, so the stored rows are exactly
+    those of Bareiss on the Gaussian-integer matrix E H E*: every division
+    stays exact, the pivots are the nonzero leading principal minors of
+    E H E* (its zero rows left out), so the signature is the running sign
+    agreement count (Jacobi), and by Sylvester's law of inertia it is that
+    of H.
     """
-    sig = [0] * size
-    # (rows re, rows im, first step, Bareiss divisor per member, the members' places in sig)
-    work = [([{j: list(x) for j, x in r.items() if any(x)} for r in re],
-             [{j: list(x) for j, x in r.items() if any(x)} for r in im],
-             0, [1] * size, list(range(size)))] if size else []
+    re = [{j: list(x) for j, x in r.items() if any(x)} for r in re]
+    im = [{j: list(x) for j, x in r.items() if any(x)} for r in im]
+    n = len(re)
+    sig, zero, prev = [0] * size, [0] * size, [1] * size
+    then = [prev] * n  # the divisor each row was last brought up to date with
 
     def refresh(i):
         t = then[i]
@@ -601,88 +604,72 @@ def herm_sig_fast(re, im, size):
             im[i] = {j: [x * p // q for x, p, q in zip(xs, prev, t)] for j, xs in im[i].items()}
             then[i] = prev
 
-    def lift(k):
-        """Row/col k += c * row/col b in a batch of one, b the first column of row k (see above).
+    def add(k, j, cr, ci, xr, xi):
+        """R[k][j] += c * x per member, c = cr + i*ci and x = xr + i*xi."""
+        for row, z in ((re[k], [c * x - e * y for c, e, x, y in zip(cr, ci, xr, xi)]),
+                       (im[k], [c * y + e * x for c, e, x, y in zip(cr, ci, xr, xi)])):
+            z = [u + v for u, v in zip(row.get(j, zero), z)]
+            if any(z):
+                row[j] = z
+            else:
+                row.pop(j, None)
 
-        Only row k changes: R[k][j] += c * R[b][j] for j > k, read from row b
-        for j >= b and as conj(R[j][b]) for k < j < b.
-        """
-        b = min(re[k].keys() | im[k].keys())
-        mid = [j for j in range(k + 1, b) if b in re[j] or b in im[j]]
-        for i in [k, b] + mid:
+    for k in range(n):
+        refresh(k)
+        kre, kim = re[k], im[k]
+        if not all(kre.get(k, zero)):
+            # per member, its first column b of row k: k where R[k][k] != 0,
+            # none (k) where row k is 0, and it lifts by b where b > k
+            cols = sorted(kre.keys() | kim.keys())
+            lifts = {}
+            for a in range(size):
+                b = next((j for j in cols if kre.get(j, zero)[a] or kim.get(j, zero)[a]), k)
+                if b > k:
+                    lifts.setdefault(b, []).append(a)
+            for b, part in lifts.items():
+                mid = [j for j in range(k, b) if b in re[j] or b in im[j]]
+                for i in mid + [b]:
+                    refresh(i)
+                hr, hi, rbb = kre.get(b, zero), kim.get(b, zero), re[b].get(b, zero)
+                # c = +-1 if Re h != 0 and +-i if not, its sign making the pivot nonzero
+                cr, ci = [0] * size, [0] * size
+                for a in part:
+                    (cr if hr[a] else ci)[a] = -1 if rbb[a] + 2 * (hr[a] or hi[a]) == 0 else 1
+                # row k += c * row b, reading R[b][j] as conj(R[j][b]) for j < b,
+                # then R[k][k] += conj(c) * R[k][b]
+                terms = [(j, re[j].get(b, zero), [-y for y in im[j].get(b, zero)]) for j in mid]
+                terms += [(j, re[b].get(j, zero), im[b].get(j, zero))
+                          for j in re[b].keys() | im[b].keys()]
+                for j, xr, xi in terms:
+                    add(k, j, cr, ci, xr, xi)
+                add(k, k, cr, [-e for e in ci], kre.get(b, zero), kim.get(b, zero))
+        # +-1 as the pivot's sign agrees with the last divisor's, 0 on a zero
+        # row k, whose pivot is then that divisor: the identity step
+        d = kre.get(k, zero)
+        sig = [s + (x and (1 if (x > 0) == (p > 0) else -1)) for s, x, p in zip(sig, d, prev)]
+        if not all(d):
+            d = [x or p for x, p in zip(d, prev)]
+        support = (kre.keys() | kim.keys()) - {k}
+        krow = [(j, kre.get(j, zero), kim.get(j, zero)) for j in sorted(support)]
+        for pos, (i, ar, ai) in enumerate(krow):
+            ai = [-x for x in ai]  # the multiplier conj(R[k][i])
             refresh(i)
-        rk, ik = re[k], im[k]
-        rot = b not in rk  # c = +-i: c * (x + iy) = +-(-y + ix)
-        (h,) = ik[b] if rot else rk[b]  # Re(conj(c) h) for c = i or 1
-        (rbb,) = re[b].get(b, (0,))
-        s = -1 if rbb + 2 * h == 0 else 1
-        terms = [(j, re[j].get(b, (0,))[0], -im[j].get(b, (0,))[0]) for j in mid]
-        terms += [(j, re[b].get(j, (0,))[0], im[b].get(j, (0,))[0])
-                  for j in re[b].keys() | im[b].keys()]
-        for j, x, y in terms:
-            if rot:
-                x, y = -y, x
-            for row, z in ((rk, s * x), (ik, s * y)):
-                z += row.get(j, (0,))[0]
-                if z:
-                    row[j] = [z]
-                else:
-                    row.pop(j, None)
-        rk[k] = [rbb + 2 * s * h]
-
-    def split(k, part):
-        """The work item of the members at the places part, from step k on; rows are up to date."""
-        rows = [[{j: v for j, x in r.items() if any(v := [x[a] for a in part])} if i >= k else {}
-                 for i, r in enumerate(rr)] for rr in (re, im)]
-        return (*rows, k, [prev[a] for a in part], [members[a] for a in part])
-
-    while work:
-        re, im, start, prev, members = work.pop()
-        n = len(re)
-        then = [prev] * n  # the divisor each row was last brought up to date with
-        zero = [0] * len(members)
-        for k in range(start, n):
-            d = re[k].get(k, zero)
-            if not all(d):
-                if len(members) == 1:
-                    if not (re[k] or im[k]):
-                        continue
-                    lift(k)
-                else:
-                    # the members with R[k][k] = 0 finish alone, the others together
-                    for i in range(k, n):
-                        refresh(i)
-                    keep = [a for a, x in enumerate(d) if x]
-                    work += [split(k, [a]) for a, x in enumerate(d) if not x]
-                    if keep:
-                        work.append(split(k, keep))
-                    break
-            refresh(k)
-            kre, kim = re[k], im[k]
-            d = kre[k]
-            for a, x, p in zip(members, d, prev):
-                sig[a] += 1 if (x > 0) == (p > 0) else -1
-            support = (kre.keys() | kim.keys()) - {k}
-            krow = [(j, kre.get(j, zero), kim.get(j, zero)) for j in sorted(support)]
-            for pos, (i, ar, ai) in enumerate(krow):
-                ai = [-x for x in ai]  # the multiplier conj(R[k][i])
-                refresh(i)
-                ri, ii = re[i], im[i]
-                # off row k's support the update is the exact rescale d / prev
-                nre = {j: [a * x // p for a, x, p in zip(d, xs, prev)]
-                       for j, xs in ri.items() if j not in support}
-                nim = {j: [a * x // p for a, x, p in zip(d, xs, prev)]
-                       for j, xs in ii.items() if j not in support}
-                for j, br, bi in krow[pos:]:
-                    x = [(a * r - c * e + f * g) // p for a, r, c, e, f, g, p
-                         in zip(d, ri.get(j, zero), ar, br, ai, bi, prev)]
-                    if any(x):
-                        nre[j] = x
-                    y = [(a * r - c * g - f * e) // p for a, r, c, e, f, g, p
-                         in zip(d, ii.get(j, zero), ar, br, ai, bi, prev)]
-                    if any(y):
-                        nim[j] = y
-                re[i], im[i] = nre, nim
-                then[i] = d
-            prev = d
+            ri, ii = re[i], im[i]
+            # off row k's support the update is the exact rescale d / prev
+            nre = {j: [a * x // p for a, x, p in zip(d, xs, prev)]
+                   for j, xs in ri.items() if j not in support}
+            nim = {j: [a * x // p for a, x, p in zip(d, xs, prev)]
+                   for j, xs in ii.items() if j not in support}
+            for j, br, bi in krow[pos:]:
+                x = [(a * r - c * e + f * g) // p for a, r, c, e, f, g, p
+                     in zip(d, ri.get(j, zero), ar, br, ai, bi, prev)]
+                if any(x):
+                    nre[j] = x
+                y = [(a * r - c * g - f * e) // p for a, r, c, e, f, g, p
+                     in zip(d, ii.get(j, zero), ar, br, ai, bi, prev)]
+                if any(y):
+                    nim[j] = y
+            re[i], im[i] = nre, nim
+            then[i] = d
+        prev = d
     return sig

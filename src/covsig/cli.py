@@ -137,10 +137,14 @@ def _spec_from_args(args) -> CoveringSpec:
     return CoveringSpec(p=args.p, a=args.a, target=target)
 
 
-def _choice(dest, value):
-    """value, if build_parser's option with that dest allows it; ParseError if not."""
+def _choice(command, dest, value):
+    """value, if command's option with that dest allows it; ParseError if not.
+
+    A command without it takes the first that has it: jump reads V from a family section.
+    """
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    choices = next(a.choices for p in sub.choices.values() for a in p._actions if a.dest == dest)
+    parsers = [sub.choices[command], *sub.choices.values()]
+    choices = next(a.choices for p in parsers for a in p._actions if a.dest == dest)
     if value not in choices:
         raise ParseError(f"{dest} must be one of {choices}, got {value!r}")
     return value
@@ -161,7 +165,7 @@ def _jobspec_into_args(args):
         raise ParseError("a job document must be a JSON object of JSON objects")
     sf = job.get("seifert", {})
     if "family" in sf:
-        args.family = _choice("family", sf["family"])
+        args.family = _choice(args.command, "family", sf["family"])
         args.V = json.dumps(sf["V"]) if not isinstance(sf["V"], str) else sf["V"]
         args.m = _int(sf["m"])
     elif sf:
@@ -170,7 +174,7 @@ def _jobspec_into_args(args):
         args.B = json.dumps(sf["B"])
         args.C = json.dumps(sf["C"])
     if sf:
-        args.epsilon = _choice("epsilon", _int(sf.get("epsilon", 1)))
+        args.epsilon = _choice(args.command, "epsilon", _int(sf.get("epsilon", 1)))
     pat = job.get("pattern", {})
     if "word" in pat:
         if not isinstance(pat["word"], str):
@@ -192,7 +196,7 @@ def _jobspec_into_args(args):
     if "window_periods" in opt:
         args.window = _int(opt["window_periods"])
     if "output_format" in opt:
-        args.format = _choice("format", opt["output_format"])
+        args.format = _choice(args.command, "format", opt["output_format"])
 
 
 def _emit_jump_human(f: JumpFunction, out):
@@ -340,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, seifert=False, pattern=False, covering=False, matrix=False):
-        p.add_argument("--format", choices=["human", "json", "csv"], default="human")
+    def common(p, formats, seifert=False, pattern=False, covering=False, matrix=False):
+        # only the formats the command prints; the first is the default
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--precision-bits", dest="precision_bits", type=int,
                        default=DEFAULT_PRECISION_BITS)
         p.add_argument("--window", type=int, default=1,
@@ -366,28 +371,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--target", help="comma-separated integers, length d")
 
     p = sub.add_parser("jump", help="jump function of a Seifert matrix")
-    common(p, matrix=True)
+    common(p, ["human", "json", "csv"], matrix=True)
     p.set_defaults(func=cmd_jump)
 
     p = sub.add_parser("pattern", help="pattern word -> coefficients c_n")
-    common(p)
+    common(p, ["json"])
     p.add_argument("word")
     p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("solve", help="fold + circulant multiplicity solve")
-    common(p, pattern=True, covering=True)
+    common(p, ["human", "json"], pattern=True, covering=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("cover", help="covering matrix and its jump function")
-    common(p, seifert=True, pattern=True, covering=True)
+    common(p, ["human", "json", "csv"], seifert=True, pattern=True, covering=True)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("obstruct", help="full pipeline + periodicity verdict")
-    common(p, seifert=True, pattern=True, covering=True)
+    common(p, ["human", "json"], seifert=True, pattern=True, covering=True)
     p.set_defaults(func=cmd_obstruct)
 
     p = sub.add_parser("sigfn", help="CSV step-function samples")
-    common(p, matrix=True)
+    common(p, ["csv"], matrix=True)
     p.set_defaults(func=cmd_sigfn)
 
     return ap

@@ -146,16 +146,15 @@ def circulant_det_mod_p(row: FoldedRow, p: int) -> int:
 
     Requires d to be a power of p (d = 1 is allowed as p^0).
     """
+    from . import _fast  # loaded by the circulant, not by parse_word
+
     d = row.d
     dd = d
     while dd % p == 0:
         dd //= p
     if dd != 1:
         raise NotPrimePower(f"{d} is not a power of {p}")
-    det = circulant_matrix(row).det()
-    if det.denominator != 1:
-        raise AssertionError("integer circulant with non-integer determinant")
-    return det.numerator % p
+    return _fast.bareiss_det(_circulant_rows(row)) % p
 
 
 def solve_multiplicities(row: FoldedRow, target):

@@ -436,6 +436,32 @@ def test_malformed_input_is_a_usage_error(monkeypatch, argv, doc):
     assert json.loads(text)["type"] == "ParseError"
 
 
+# each command with a format it cannot print, on argv and in a job document:
+# obstruct printed the human output for csv, solve JSON for csv, sigfn CSV
+# for json and human, and pattern JSON for human and csv
+@pytest.mark.parametrize("argv, fmt", [
+    (["obstruct", "--family", "ltm", "--V", "trefoil", "--m", "2", "--p", "3"], "csv"),
+    (["solve", "--word", "y y x Y X", "--p", "3"], "csv"),
+    (["pattern", "y y x Y X"], "human"),
+    (["pattern", "y y x Y X"], "csv"),
+    (["sigfn", "--V", "trefoil"], "json"),
+    (["sigfn", "--V", "trefoil"], "human"),
+], ids=["obstruct-csv", "solve-csv", "pattern-human", "pattern-csv", "sigfn-json",
+        "sigfn-human"])
+@pytest.mark.parametrize("where", ["argv", "document"])
+def test_a_format_the_command_cannot_print_is_refused(monkeypatch, capsys, argv, fmt, where):
+    if where == "argv":
+        assert run(argv + ["--format", fmt]) == (2, "")
+        assert "argument --format: invalid choice" in capsys.readouterr().err
+    else:
+        doc = {"options": {"output_format": fmt}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, text = run(argv + ["--input", "-"])
+        assert code == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["type"] == "ParseError"
+
+
 def test_a_deep_document_is_a_usage_error(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200_000 + "]" * 200_000))
     code, text = run(["obstruct", "--input", "-"])

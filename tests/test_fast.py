@@ -467,16 +467,37 @@ def batch_rows(members):
     return rows
 
 
+Z3 = [(0, 0)] * 3
+
+
 @settings(max_examples=150, deadline=None)
 @given(pattern_batch())
-# the second member (sigma -1) leaves at step 0 on a zero diagonal; after
-# step 0 the first (sigma 1) has a zero pivot in a nonzero row and the last
-# (sigma 2) a zero row, so both leave at step 1, and the third (sigma 3)
-# stays: each must come back at its own place
+# the second member (sigma -1) takes a congruence step at step 0 on a zero
+# diagonal; at step 1 the first (sigma 1) has a zero pivot in a nonzero row
+# and the last (sigma 2) a zero row, while the third (sigma 3) pivots: each
+# keeps its own count
 @example([hermitian([[(0, 0), (1, 0), (1, 0)], [(0, 0)] * 3, [(0, 0)] * 3], [1, 1, 0]),
           hermitian([[(0, 0), (1, 0), (0, 0)], [(0, 0)] * 3, [(0, 0)] * 3], [0, 1, -1]),
           hermitian([[(0, 0), (1, 0), (0, 0)], [(0, 0)] * 3, [(0, 0)] * 3], [2, 3, 1]),
           hermitian([[(0, 0), (1, 0), (0, 0)], [(0, 0)] * 3, [(0, 0)] * 3], [1, 1, 5])])
+# two zero pivots at step 0 whose first columns differ: the second member is
+# 0 in the first's column 1, whose diagonal entry is 0 too, so only its own
+# column 2 makes its pivot
+@example([hermitian([[(0, 0), (1, 0), (0, 0)], Z3, Z3], [0, 2, 1]),
+          hermitian([[(0, 0), (0, 0), (1, 0)], Z3, Z3], [0, 0, -1])])
+# a structural zero diagonal: every member takes a congruence step at every
+# pivot it reaches with a nonzero row
+@example([hermitian([[(0, 0), (1, 0), (0, 1), (0, 0)], [(0, 0), (0, 0), (0, 0), (2, 0)],
+                     [(0, 0), (0, 0), (0, 0), (1, -1)], [(0, 0)] * 4], [0, 0, 0, 0]),
+          hermitian([[(0, 0), (0, 1), (1, 0), (0, 0)], [(0, 0), (0, 0), (0, 0), (-1, 0)],
+                     [(0, 0), (0, 0), (0, 0), (0, 2)], [(0, 0)] * 4], [0, 0, 0, 0]),
+          hermitian([[(0, 0), (1, 1), (0, 0), (0, 0)], [(0, 0), (0, 0), (0, 0), (0, 0)],
+                     [(0, 0), (0, 0), (0, 0), (3, 0)], [(0, 0)] * 4], [0, 0, 0, 0])])
+# the first member's row 0 is 0, beside members that pivot there: its step is
+# the identity and counts 0
+@example([hermitian([Z3, [(0, 0), (0, 0), (1, 0)], Z3], [0, 1, -1]),
+          hermitian([[(0, 0), (1, 0), (0, 0)], [(0, 0), (0, 0), (1, 0)], Z3], [1, 1, -1]),
+          hermitian([[(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 0), (2, 0)], Z3], [-2, 1, 1])])
 def test_sig_batch_equals_each_member_alone(members):
     got = _fast.herm_sig_fast(*batch_rows(members), len(members))
     assert got == [sig_of_rows(*upper_rows(m)) for m in members]
